@@ -15,11 +15,8 @@
 //   - transport failures retry against the next target, so a killed
 //     node costs latency, never a lost request
 //
-// The run summary (JSON on stdout) carries request/status counts and
-// p50/p99/p999; -bench-out merges the quantiles into a BENCH_<date>.json
-// snapshot under custom metric keys ("p50-ns", ...) that the benchdiff
-// regression gate ignores by design — chaos noise is archived, never
-// gating.
+// The run summary (JSON on stdout, and -out) carries request/status
+// counts and p50/p99/p999.
 //
 // Example, 3-node fleet with a mid-run kill:
 //
@@ -42,8 +39,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"repro/internal/benchdiff"
 )
 
 func main() {
@@ -63,8 +58,6 @@ func main() {
 		max5xx    = flag.Int("max-5xx", 0, "tolerated 5xx responses before exiting nonzero")
 		timeout   = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
 		warmup    = flag.Duration("warmup", 30*time.Second, "how long to wait for every target's /healthz")
-		benchOut  = flag.String("bench-out", "", "merge latency quantiles into this BENCH_<date>.json")
-		benchName = flag.String("bench-name", "LoadCluster", "record name for -bench-out")
 		out       = flag.String("out", "", "write the JSON summary here as well as stdout")
 	)
 	flag.Parse()
@@ -161,21 +154,6 @@ func main() {
 	if *out != "" {
 		if err := os.WriteFile(*out, blob, 0o644); err != nil {
 			fail("%v", err)
-		}
-	}
-	if *benchOut != "" {
-		rec := map[string]any{
-			"name": *benchName, "cpus": 0, "iterations": sum.Requests,
-			"metrics": map[string]any{
-				"p50-ns":    sum.P50Ns,
-				"p99-ns":    sum.P99Ns,
-				"p999-ns":   sum.P999Ns,
-				"count-5xx": sum.Status5xx,
-				"retries":   sum.Retries,
-			},
-		}
-		if err := benchdiff.MergeRecord(*benchOut, rec); err != nil {
-			fail("bench-out: %v", err)
 		}
 	}
 	if sum.Status5xx > *max5xx {

@@ -44,7 +44,8 @@
 //
 // SIGINT/SIGTERM shut the service down gracefully: in-flight requests
 // (including on-demand measurements) drain within -shutdown-grace, and
-// -metrics-out writes a final manifest.
+// -metrics-out writes a final manifest. A drain that outlives the grace
+// period still flushes the flight dump and the manifest, then exits 1.
 //
 // Overload and failure hardening is opt-in: passing any guard flag
 // (-deadline*, -max-inflight, -queue, -breaker-*, -retry-budget,
@@ -58,21 +59,14 @@
 // kcserved serves exactly the pre-hardening bytes. -fault-spec injects
 // serving-layer chaos (disk delays/errors, measurement failures,
 // handler latency) deterministically from -fault-seed.
-//
-// The -selfcheck mode turns the binary into its own integration client
-// for CI: it polls /healthz until the service is up, fires concurrent
-// mixed requests, and verifies /predict answers are byte-identical and
-// world-free. With -selfcheck-chaos it becomes a chaos drill instead,
-// driving a hardened fault-injected server through the whole failure
-// ladder — breaker open/probe/close, degraded provenance, overload
-// shedding, deadline bounding — and optionally archiving latency
-// quantiles and the shed rate into -selfcheck-bench-out.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -92,94 +86,93 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "kcserved: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// guardFlags are the flags whose presence assembles the serving guard.
+var guardFlags = map[string]bool{
+	"deadline": true, "deadline-predict": true, "deadline-couplings": true,
+	"deadline-study": true, "deadline-measure": true, "max-inflight": true,
+	"queue": true, "breaker-failures": true, "breaker-cooldown": true,
+	"breaker-probes": true, "retry-budget": true, "stale": true,
+}
+
+// run is the whole process behind main: it parses args, serves until ctx
+// is cancelled (what SIGINT/SIGTERM do) or the listener fails, drains,
+// and writes the shutdown artifacts. Every failure is a returned error,
+// so deferred cleanup runs on every exit path.
+func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("kcserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8640", "listen address")
-		cacheDir = flag.String("cache-dir", "", "measurement cache directory to serve from (required)")
-		measure  = flag.Bool("measure", false, "measure cache misses on demand instead of returning 404")
-		workers  = flag.Int("measure-workers", 1, "bound on concurrent on-demand measurement studies")
-		netModel = flag.Bool("net", false, "serve the net-modeled cache namespace (must match the warming run's -net)")
-		backends = flag.String("backends", "", "comma-separated default predictor chain, tried in order (measured, cached, interpolated, analytic; empty = cached then measured when -measure)")
-		lattice  = flag.String("lattice", "", "interpolation lattice: ';'-separated query items, e.g. \"bench=BT&grid=6;bench=BT&grid=8\"")
-		metrics  = flag.String("metrics-out", "", "write a run manifest with the final metric snapshot on shutdown")
-		grace    = flag.Duration("shutdown-grace", 30*time.Second, "how long shutdown waits for in-flight requests to drain")
+		addr     = fs.String("addr", "127.0.0.1:8640", "listen address")
+		cacheDir = fs.String("cache-dir", "", "measurement cache directory to serve from (required)")
+		measure  = fs.Bool("measure", false, "measure cache misses on demand instead of returning 404")
+		workers  = fs.Int("measure-workers", 1, "bound on concurrent on-demand measurement studies")
+		netModel = fs.Bool("net", false, "serve the net-modeled cache namespace (must match the warming run's -net)")
+		backends = fs.String("backends", "", "comma-separated default predictor chain, tried in order (measured, cached, interpolated, analytic; empty = cached then measured when -measure)")
+		lattice  = fs.String("lattice", "", "interpolation lattice: ';'-separated query items, e.g. \"bench=BT&grid=6;bench=BT&grid=8\"")
+		metrics  = fs.String("metrics-out", "", "write a run manifest with the final metric snapshot on shutdown")
+		grace    = fs.Duration("shutdown-grace", 30*time.Second, "how long shutdown waits for in-flight requests to drain")
 
-		notrace   = flag.Bool("notrace", false, "disable request tracing and the flight recorder")
-		slowMs    = flag.Int("slow-ms", 0, "slow-request threshold in milliseconds (0 disables); slow requests auto-flush the flight recorder")
-		flightOut = flag.String("flight-out", "", "flight-recorder dump path, written on errors/slow requests and at shutdown")
+		notrace   = fs.Bool("notrace", false, "disable request tracing and the flight recorder")
+		slowMs    = fs.Int("slow-ms", 0, "slow-request threshold in milliseconds (0 disables); slow requests auto-flush the flight recorder")
+		flightOut = fs.String("flight-out", "", "flight-recorder dump path, written on errors/slow requests and at shutdown")
 
-		deadline     = flag.Duration("deadline", 0, "default per-request deadline budget for query endpoints (0 = none)")
-		deadlinePred = flag.Duration("deadline-predict", 0, "deadline budget override for /predict")
-		deadlineCoup = flag.Duration("deadline-couplings", 0, "deadline budget override for /couplings")
-		deadlineStud = flag.Duration("deadline-study", 0, "deadline budget override for /study")
-		deadlineMeas = flag.Duration("deadline-measure", 0, "detached on-demand measurement budget once a caller abandons (0 = unbounded)")
-		maxInflight  = flag.Int("max-inflight", 0, "bound on concurrently served query requests; excess queues then sheds 503 (0 = unbounded)")
-		queueDepth   = flag.Int("queue", 0, "admission queue depth (default 2x -max-inflight)")
-		brkFailures  = flag.Int("breaker-failures", 0, "consecutive dependency failures that open a circuit breaker (default 5)")
-		brkCooldown  = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (default 5s)")
-		brkProbes    = flag.Int("breaker-probes", 0, "concurrent half-open probes a breaker admits (default 1)")
-		retryBudget  = flag.Float64("retry-budget", 0, "retry tokens earned per request for the token-bucket retry budget (default 0.1)")
-		staleCap     = flag.Int("stale", 64, "stale-answer cache capacity for degraded serving (0 disables the ladder)")
-		faultSpec    = flag.String("fault-spec", "", "serving-layer chaos spec: diskslow:/diskerr:/measure:/handler:/peerdelay:/peererr: clauses joined by ';'")
-		faultSeed    = flag.Uint64("fault-seed", 1, "seed for fault injection decisions and breaker cooldown jitter")
+		deadline     = fs.Duration("deadline", 0, "default per-request deadline budget for query endpoints (0 = none)")
+		deadlinePred = fs.Duration("deadline-predict", 0, "deadline budget override for /predict")
+		deadlineCoup = fs.Duration("deadline-couplings", 0, "deadline budget override for /couplings")
+		deadlineStud = fs.Duration("deadline-study", 0, "deadline budget override for /study")
+		deadlineMeas = fs.Duration("deadline-measure", 0, "detached on-demand measurement budget once a caller abandons (0 = unbounded)")
+		maxInflight  = fs.Int("max-inflight", 0, "bound on concurrently served query requests; excess queues then sheds 503 (0 = unbounded)")
+		queueDepth   = fs.Int("queue", 0, "admission queue depth (default 2x -max-inflight)")
+		brkFailures  = fs.Int("breaker-failures", 0, "consecutive dependency failures that open a circuit breaker (default 5)")
+		brkCooldown  = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (default 5s)")
+		brkProbes    = fs.Int("breaker-probes", 0, "concurrent half-open probes a breaker admits (default 1)")
+		retryBudget  = fs.Float64("retry-budget", 0, "retry tokens earned per request for the token-bucket retry budget (default 0.1)")
+		staleCap     = fs.Int("stale", 64, "stale-answer cache capacity for degraded serving (0 disables the ladder)")
+		faultSpec    = fs.String("fault-spec", "", "serving-layer chaos spec: diskslow:/diskerr:/measure:/handler:/peerdelay:/peererr: clauses joined by ';'")
+		faultSeed    = fs.Uint64("fault-seed", 1, "seed for fault injection decisions and breaker cooldown jitter")
 
-		peers       = flag.String("peers", "", "comma-separated fleet member addresses (enables clustering; every node must get the same set)")
-		self        = flag.String("self", "", "this node's own entry in -peers (required with -peers)")
-		peerHot     = flag.Int("peer-hot", 0, "requests per window that make a foreign-owned key hot enough to replicate locally (default 8, negative disables)")
-		peerHotWin  = flag.Duration("peer-hot-window", 0, "hot-key tracking window (default 10s)")
-		peerReplica = flag.Int("peer-replicas", 0, "local replica cache capacity for hot foreign-owned keys (default 512)")
-		peerTimeout = flag.Duration("peer-fill-timeout", 0, "peer-fill round-trip budget, including owner-side on-demand measurement (default 30s)")
+		peers       = fs.String("peers", "", "comma-separated fleet member addresses (enables clustering; every node must get the same set)")
+		self        = fs.String("self", "", "this node's own entry in -peers (required with -peers)")
+		peerHot     = fs.Int("peer-hot", 0, "requests per window that make a foreign-owned key hot enough to replicate locally (default 8, negative disables)")
+		peerHotWin  = fs.Duration("peer-hot-window", 0, "hot-key tracking window (default 10s)")
+		peerReplica = fs.Int("peer-replicas", 0, "local replica cache capacity for hot foreign-owned keys (default 512)")
+		peerTimeout = fs.Duration("peer-fill-timeout", 0, "peer-fill round-trip budget, including owner-side on-demand measurement (default 30s)")
 
-		httpReadHeader = flag.Duration("http-read-header-timeout", 0, "listener header-read timeout (0 = 5s default, negative disables)")
-		httpRead       = flag.Duration("http-read-timeout", 0, "listener request-read timeout (0 = 30s default, negative disables)")
-		httpWrite      = flag.Duration("http-write-timeout", 0, "listener response-write timeout (0 = 2m default, negative disables)")
-		httpIdle       = flag.Duration("http-idle-timeout", 0, "listener keep-alive idle timeout (0 = 2m default, negative disables)")
-
-		selfcheck     = flag.String("selfcheck", "", "run as integration client against this base URL instead of serving")
-		checkQuery    = flag.String("selfcheck-query", "bench=BT&chains=2", "query string for -selfcheck /predict probes")
-		checkN        = flag.Int("selfcheck-n", 16, "concurrent requests per -selfcheck round")
-		checkChaos    = flag.Bool("selfcheck-chaos", false, "run the chaos drill instead of the plain selfcheck (expects a hardened -measure server with 'measure:count=2' injected)")
-		checkDeadline = flag.Duration("selfcheck-deadline", 2*time.Second, "the server's -deadline, so the chaos drill can bound 504 latency")
-		checkBenchOut = flag.String("selfcheck-bench-out", "", "merge the chaos drill's latency quantiles and shed rate into this BENCH_<date>.json")
+		httpReadHeader = fs.Duration("http-read-header-timeout", 0, "listener header-read timeout (0 = 5s default, negative disables)")
+		httpRead       = fs.Duration("http-read-timeout", 0, "listener request-read timeout (0 = 30s default, negative disables)")
+		httpWrite      = fs.Duration("http-write-timeout", 0, "listener response-write timeout (0 = 2m default, negative disables)")
+		httpIdle       = fs.Duration("http-idle-timeout", 0, "listener keep-alive idle timeout (0 = 2m default, negative disables)")
 	)
 	var oflags obscli.ServeFlags
-	oflags.Register(nil)
-	flag.Parse()
-
-	if *selfcheck != "" {
-		var err error
-		if *checkChaos {
-			err = runChaosCheck(*selfcheck, *checkQuery, *checkN, *checkDeadline, *checkBenchOut)
-		} else {
-			err = runSelfcheck(*selfcheck, *checkQuery, *checkN)
-		}
-		if err != nil {
-			fail("selfcheck: %v", err)
-		}
-		fmt.Println("kcserved selfcheck: ok")
-		return
+	oflags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	// Hardening is assembled only when some guard flag was given, so a
 	// plain kcserved serves exactly the pre-hardening bytes and allocs.
-	guardFlags := map[string]bool{
-		"deadline": true, "deadline-predict": true, "deadline-couplings": true,
-		"deadline-study": true, "deadline-measure": true, "max-inflight": true,
-		"queue": true, "breaker-failures": true, "breaker-cooldown": true,
-		"breaker-probes": true, "retry-budget": true, "stale": true,
-	}
 	guardOn := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if guardFlags[f.Name] {
 			guardOn = true
 		}
 	})
 
 	if *cacheDir == "" {
-		fail("-cache-dir is required")
+		return errors.New("-cache-dir is required")
 	}
 	cache, err := plan.NewDirCache(*cacheDir)
 	if err != nil {
-		fail("%v", err)
+		return fmt.Errorf("-cache-dir: %w", err)
 	}
 	reg := obs.NewRegistry()
 	var tracer *obs.RequestTracer
@@ -192,10 +185,14 @@ func main() {
 	}
 	accessLog, logCloser, err := oflags.OpenAccessLog()
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	if logCloser != nil {
-		defer logCloser.Close()
+		defer func() {
+			if cerr := logCloser.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("-log-out: %w", cerr)
+			}
+		}()
 	}
 	var g *guard.Guard
 	if guardOn {
@@ -222,15 +219,15 @@ func main() {
 	if *faultSpec != "" {
 		spec, err := fault.ParseServe(*faultSpec)
 		if err != nil {
-			fail("%v", err)
+			return fmt.Errorf("-fault-spec: %w", err)
 		}
 		inj = fault.NewServeInjector(spec, *faultSeed, reg)
-		fmt.Fprintf(os.Stderr, "kcserved: CHAOS fault injection active: %s (seed %d)\n", spec, *faultSeed)
+		fmt.Fprintf(stderr, "kcserved: CHAOS fault injection active: %s (seed %d)\n", spec, *faultSeed)
 	}
 	var cl *cluster.Cluster
 	if *peers != "" {
 		if *self == "" {
-			fail("-peers requires -self (this node's own entry in the peer list)")
+			return errors.New("-peers requires -self (this node's own entry in the peer list)")
 		}
 		cl, err = cluster.New(cluster.Config{
 			Self:            *self,
@@ -247,11 +244,11 @@ func main() {
 			Inject:          inj,
 		})
 		if err != nil {
-			fail("%v", err)
+			return fmt.Errorf("-peers/-self: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "kcserved: cluster node %s of %v\n", *self, cl.Nodes())
+		fmt.Fprintf(stderr, "kcserved: cluster node %s of %v\n", *self, cl.Nodes())
 	} else if *self != "" {
-		fail("-self without -peers (give the full member list, this node included)")
+		return errors.New("-self without -peers (give the full member list, this node included)")
 	}
 	var chain []string
 	if *backends != "" {
@@ -261,7 +258,7 @@ func main() {
 	if *lattice != "" {
 		latticeQs, err = tables.ParseLattice(*lattice)
 		if err != nil {
-			fail("%v", err)
+			return fmt.Errorf("-lattice: %w", err)
 		}
 	}
 	srv, err := serve.New(serve.Config{
@@ -279,12 +276,20 @@ func main() {
 		Cluster:        cl,
 	})
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
+	// Final flight-recorder dump: whatever the recorder held when the
+	// service stopped — drained, stuck or never listening — is exactly
+	// what a post-mortem wants to read.
+	defer func() {
+		if ferr := tracer.Flush(); ferr != nil {
+			fmt.Fprintf(stderr, "kcserved: flight dump: %v\n", ferr)
+		}
+	}()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fail("%v", err)
+		return fmt.Errorf("-addr: %w", err)
 	}
 	hs := serve.NewHTTPServer("", srv.Handler(), serve.HTTPTimeouts{
 		ReadHeader: *httpReadHeader,
@@ -293,46 +298,37 @@ func main() {
 		Idle:       *httpIdle,
 	})
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "kcserved: serving %s on http://%s (measure=%v)\n", *cacheDir, ln.Addr(), *measure)
+	fmt.Fprintf(stderr, "kcserved: serving %s on http://%s (measure=%v)\n", *cacheDir, ln.Addr(), *measure)
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
+	var serveErr error
 	select {
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "kcserved: %v — draining in-flight requests\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), *grace)
-		err = hs.Shutdown(ctx)
+	case <-ctx.Done():
+		fmt.Fprintln(stderr, "kcserved: shutting down — draining in-flight requests")
+		dctx, cancel := context.WithTimeout(context.Background(), *grace)
+		serveErr = hs.Shutdown(dctx)
 		cancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kcserved: shutdown: %v\n", err)
+		if serveErr != nil {
+			// Requests outlived the grace period: cut their connections
+			// so nothing is left serving, and report the blown drain.
+			hs.Close()
+			serveErr = fmt.Errorf("in-flight requests did not drain within -shutdown-grace %v: %w", *grace, serveErr)
 		}
-	case err := <-errc:
-		fail("%v", err)
-	}
-
-	// Final flight-recorder dump: whatever the recorder held when the
-	// service stopped is exactly what a post-mortem wants to read.
-	if err := srv.Tracer().Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "kcserved: flight dump: %v\n", err)
+	case serveErr = <-errc:
 	}
 
 	if *metrics != "" {
 		man := obs.NewManifest("kcserved")
 		man.UnixSeconds = start.Unix()
 		man.WallSeconds = time.Since(start).Seconds()
-		man.Extra = map[string]string{"addr": *addr, "cache_dir": *cacheDir}
+		man.Extra = map[string]string{"addr": ln.Addr().String(), "cache_dir": *cacheDir}
 		snap := reg.Snapshot()
 		man.Metrics = &snap
-		if err := man.WriteFile(*metrics); err != nil {
-			fail("%v", err)
+		if merr := man.WriteFile(*metrics); merr != nil {
+			return errors.Join(serveErr, merr)
 		}
 	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "kcserved: "+format+"\n", args...)
-	os.Exit(1)
+	return serveErr
 }

@@ -19,49 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
-
-// MergeRecord appends (or replaces, by name) one benchmark record in a
-// BENCH_<date>.json snapshot, creating the file if absent. The write is
-// atomic (tmp + rename) so a concurrent benchdiff read never sees a
-// torn snapshot. This is how runtime drills — the chaos gate, kcload —
-// archive their latency quantiles next to the compiled-benchmark
-// history: records whose metrics avoid the gated "ns/op"/"allocs/op"
-// keys (e.g. "p99-ns") ride along in the snapshot without ever turning
-// the regression gate red on chaos noise.
-func MergeRecord(path string, rec map[string]any) error {
-	doc := map[string]any{
-		"date":       time.Now().UTC().Format(time.RFC3339),
-		"benchmarks": []any{},
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	benches, _ := doc["benchmarks"].([]any)
-	name, _ := rec["name"].(string)
-	kept := benches[:0]
-	for _, b := range benches {
-		if m, ok := b.(map[string]any); ok && m["name"] == name {
-			continue // replace the previous record of the same name
-		}
-		kept = append(kept, b)
-	}
-	doc["benchmarks"] = append(kept, rec)
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
 
 // Thresholds bounds the tolerated regression between two snapshots.
 // Percentages are relative growth of the newer value over the older:

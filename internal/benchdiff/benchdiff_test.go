@@ -173,44 +173,3 @@ func TestLoadFileErrors(t *testing.T) {
 		t.Fatal("empty benchmarks must error")
 	}
 }
-
-// TestMergeRecord: creating a snapshot from nothing, replacing a
-// same-name record in place, and preserving unrelated records and
-// document fields.
-func TestMergeRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_2026-01-01.json")
-	rec := func(name string, p99 float64) map[string]any {
-		return map[string]any{
-			"name": name, "cpus": 0, "iterations": 10,
-			"metrics": map[string]any{"p99-ns": p99},
-		}
-	}
-	if err := MergeRecord(path, rec("LoadCluster", 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeRecord(path, rec("ChaosServe", 50)); err != nil {
-		t.Fatal(err)
-	}
-	// Replace LoadCluster; ChaosServe must survive untouched.
-	if err := MergeRecord(path, rec("LoadCluster", 200)); err != nil {
-		t.Fatal(err)
-	}
-	f, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Benchmarks) != 2 {
-		t.Fatalf("got %d records, want 2: %+v", len(f.Benchmarks), f.Benchmarks)
-	}
-	got := map[string]float64{}
-	for _, b := range f.Benchmarks {
-		got[b.Name] = b.Metrics["p99-ns"]
-	}
-	if got["LoadCluster"] != 200 || got["ChaosServe"] != 50 {
-		t.Errorf("merged metrics %v, want LoadCluster=200 ChaosServe=50", got)
-	}
-	// Custom metric keys must never register with the regression gate.
-	if regs := Compare(f, f, DefaultThresholds); len(regs) != 0 {
-		t.Errorf("custom-metric records tripped the gate: %v", regs)
-	}
-}

@@ -17,8 +17,8 @@ import (
 // measurements, and extra handler latency. A ServeInjector makes every
 // decision from (seed, class, per-class operation index), never from
 // wall time or global randomness, so a chaos run under a fixed seed
-// produces the same fault schedule every time; the chaos-serve CI gate
-// leans on that to assert exact breaker transitions.
+// produces the same fault schedule every time; the chaos tests lean on
+// that to assert exact breaker transitions.
 //
 // The injector is nil-safe throughout: a disabled (nil) injector costs
 // one nil check per site, mirroring mpi.Injector.

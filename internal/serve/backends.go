@@ -16,17 +16,17 @@ import (
 )
 
 // This file binds the predict package's backend interface to the
-// server's guarded resolution paths: the measured and cached backends
-// wrap the same engine construction, breaker, semaphore and retry-budget
-// machinery the server always used, so putting a chain in front of them
-// changes routing, not behavior — a warm cached answer is produced by
-// exactly the code (and allocations) that produced it before backends
-// existed.
+// server's guarded resolution paths: tables.NewBackend builds every
+// backend, and the measured and cached ones run through runMeasured and
+// runCached — the breaker, semaphore and retry-budget machinery the
+// server always used — so putting a chain in front of them changes
+// routing, not behavior: a warm cached answer is produced by exactly the
+// code (and allocations) that produced it before backends existed.
 
 // buildChains constructs the default chain and one single-backend chain
-// per selectable pin. Called once from New; the warm path only looks up.
-func (s *Server) buildChains(cfg Config) error {
-	names := cfg.Backends
+// per selectable pin, every backend built by tables.NewBackend over
+// s.substrate. Called once from New; the warm path only looks up.
+func (s *Server) buildChains(names []string) error {
 	if len(names) == 0 {
 		names = []string{string(predict.ProvCached)}
 		if s.measure {
@@ -37,7 +37,10 @@ func (s *Server) buildChains(cfg Config) error {
 	def := make([]predict.Predictor, 0, len(names))
 	for _, raw := range names {
 		n := strings.ToLower(strings.TrimSpace(raw))
-		b, err := s.newBackend(n, cfg)
+		if n == string(predict.ProvMeasured) && !s.measure {
+			return fmt.Errorf("serve: backend %q requires on-demand measurement (-measure)", n)
+		}
+		b, err := tables.NewBackend(n, s.substrate)
 		if err != nil {
 			return err
 		}
@@ -58,7 +61,7 @@ func (s *Server) buildChains(cfg Config) error {
 		if _, ok := s.chains[n]; ok {
 			continue
 		}
-		b, err := s.newBackend(n, cfg)
+		b, err := tables.NewBackend(n, s.substrate)
 		if err != nil {
 			return err
 		}
@@ -66,28 +69,6 @@ func (s *Server) buildChains(cfg Config) error {
 	}
 	s.chains[""] = predict.NewChain(s.reg, def...)
 	return nil
-}
-
-// newBackend builds one named backend bound to this server's substrate.
-func (s *Server) newBackend(name string, cfg Config) (predict.Predictor, error) {
-	switch name {
-	case string(predict.ProvMeasured):
-		if !s.measure {
-			return nil, fmt.Errorf("serve: backend %q requires on-demand measurement (-measure)", name)
-		}
-		return &predict.Measured{Run: s.runMeasured}, nil
-	case string(predict.ProvCached):
-		return &predict.Cached{Run: s.runCached}, nil
-	case string(predict.ProvInterpolated):
-		return &predict.Interpolated{
-			Source:  s.runCached,
-			Lattice: cfg.Lattice,
-			Problem: tables.PredictProblem,
-		}, nil
-	case string(predict.ProvAnalytic):
-		return tables.NewAnalytic(), nil
-	}
-	return nil, fmt.Errorf("serve: unknown backend %q (have measured, cached, interpolated, analytic)", name)
 }
 
 // backendNames returns the selectable pins, sorted, for error messages.

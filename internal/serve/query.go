@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -53,107 +51,21 @@ func (q Query) PredictQuery() predict.Query {
 	}
 }
 
-// queryParams is the complete set of accepted URL parameters; anything
-// else is a client error, because a typo'd parameter would otherwise
-// silently fall back to a default and answer the wrong question.
-var queryParams = map[string]string{
-	"bench":   "benchmark: BT, SP, LU or FT",
-	"class":   "problem class: S, W, A or B",
-	"procs":   "rank count",
-	"chains":  "comma-separated coupling chain lengths",
-	"trips":   "loop trip count (0 = scaled class default)",
-	"blocks":  "timed blocks per measurement",
-	"passes":  "window passes per block",
-	"grid":    "grid override (n³, n² for FT)",
-	"backend": "predictor backend: measured, cached, interpolated or analytic (default: the server's chain)",
-}
-
-// ParseQuery builds a Query from URL parameters, applying cmd/couple's
-// defaults: BT class S on 4 ranks, chain length 2, 3 blocks × 1 pass.
-// The benchmark/class pair is validated here so a bad query fails with a
-// client error before any cache work happens.
+// ParseQuery builds a Query from URL parameters: tables.ParseQuery's
+// strict parse and defaults (cmd/couple's: BT class S on 4 ranks, chain
+// length 2, 3 blocks × 1 pass) plus the serving layer's own parameter,
+// the backend pin (measured, cached, interpolated or analytic; default:
+// the server's chain).
 func ParseQuery(v url.Values) (Query, error) {
-	for key := range v {
-		if _, ok := queryParams[key]; !ok {
-			return Query{}, fmt.Errorf("unknown parameter %q", key)
-		}
-		if len(v[key]) > 1 {
-			return Query{}, fmt.Errorf("parameter %q given %d times", key, len(v[key]))
-		}
-		// An explicitly empty value (?chains= or bare ?chains) is a
-		// client mistake, not a request for the default: silently
-		// substituting the default would answer a question the caller
-		// never asked. Same "never answer the wrong question" contract as
-		// the unknown-parameter rejection above.
-		if strings.TrimSpace(v[key][0]) == "" {
-			return Query{}, fmt.Errorf("parameter %q has an empty value (omit it to use the default)", key)
-		}
-	}
-	get := func(key, def string) string {
-		if s := strings.TrimSpace(v.Get(key)); s != "" {
-			return s
-		}
-		return def
-	}
-	getInt := func(key string, def, min int) (int, error) {
-		s := v.Get(key)
-		if s == "" {
-			return def, nil
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q", key, s)
-		}
-		if n < min {
-			return 0, fmt.Errorf("%s must be >= %d, got %d", key, min, n)
-		}
-		return n, nil
-	}
-
-	q := Query{
-		Bench:   strings.ToUpper(get("bench", "BT")),
-		Class:   npb.Class(strings.ToUpper(get("class", "S"))),
-		Backend: strings.ToLower(get("backend", "")),
-	}
-	if _, err := tables.BenchProblem(q.Bench, q.Class); err != nil {
+	pq, err := tables.ParseQuery(v, "backend")
+	if err != nil {
 		return Query{}, err
 	}
-	var err error
-	if q.Procs, err = getInt("procs", 4, 1); err != nil {
-		return Query{}, err
-	}
-	if q.Blocks, err = getInt("blocks", 3, 1); err != nil {
-		return Query{}, err
-	}
-	if q.Passes, err = getInt("passes", 1, 1); err != nil {
-		return Query{}, err
-	}
-	if q.Grid, err = getInt("grid", 0, 0); err != nil {
-		return Query{}, err
-	}
-	if q.Trips, err = getInt("trips", 0, 0); err != nil {
-		return Query{}, err
-	}
-	if q.Trips == 0 {
-		q.Trips = tables.DefaultTrips(q.Class)
-	}
-
-	seen := map[int]bool{}
-	for _, s := range strings.Split(get("chains", "2"), ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return Query{}, fmt.Errorf("bad chains value %q", s)
-		}
-		if n < 2 {
-			return Query{}, fmt.Errorf("chain length must be >= 2, got %d", n)
-		}
-		if !seen[n] {
-			seen[n] = true
-			q.Chains = append(q.Chains, n)
-		}
-	}
-	sort.Ints(q.Chains)
-	return q, nil
+	return Query{
+		Bench: pq.Bench, Class: pq.Class, Procs: pq.Procs, Chains: pq.Chains,
+		Trips: pq.Trips, Blocks: pq.Blocks, Passes: pq.Passes, Grid: pq.Grid,
+		Backend: strings.ToLower(strings.TrimSpace(v.Get("backend"))),
+	}, nil
 }
 
 // Encode renders the query back into URL parameters, every resolved

@@ -33,6 +33,8 @@ func TestParseQueryRejectsEmptyValues(t *testing.T) {
 		{"empty backend", "backend=", "empty value"},
 		{"empty among valid", "bench=BT&blocks=", "empty value"},
 		{"unknown param still rejected", "chians=2", "unknown parameter"},
+		{"typo'd grid", "bench=BT&gird=6", `unknown parameter "gird"`},
+		{"repeated param", "grid=6&grid=8", `parameter "grid" given 2 times`},
 		{"valid defaults untouched", "", ""},
 		{"valid explicit", "bench=BT&chains=2,5&blocks=2", ""},
 	} {

@@ -106,7 +106,6 @@ type Config struct {
 type Server struct {
 	cache      *plan.Cache
 	reg        *obs.Registry
-	net        bool
 	measure    bool
 	measureSem chan struct{}
 	sf         singleflight.Group[string, predict.Prediction]
@@ -123,6 +122,11 @@ type Server struct {
 
 	// cluster is the peer-filling fleet view (nil standalone).
 	cluster *cluster.Cluster
+
+	// substrate is what every backend and engine is built over: the
+	// cache, net model and registry, with the measured and cached study
+	// functions routed through this server's guarded paths.
+	substrate tables.BackendConfig
 
 	// chains maps a backend pin ("measured", "analytic", ...) to its
 	// single-backend chain; the "" entry is the server's default chain.
@@ -156,7 +160,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cache:      cfg.Cache,
 		reg:        reg,
-		net:        cfg.Net,
 		measure:    cfg.Measure,
 		measureSem: make(chan struct{}, workers),
 		tracer:     cfg.Tracer,
@@ -170,7 +173,15 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range endpointNames {
 		s.windows[name] = obs.NewWindowHistogram(0)
 	}
-	if err := s.buildChains(cfg); err != nil {
+	s.substrate = tables.BackendConfig{
+		Cache: cfg.Cache, Metrics: reg, Lattice: cfg.Lattice,
+		Run: s.runMeasured, RunFromCache: s.runCached,
+	}
+	if cfg.Net {
+		m := mpi.IBMSPModel()
+		s.substrate.Net = &m
+	}
+	if err := s.buildChains(cfg.Backends); err != nil {
 		return nil, err
 	}
 	s.analyze = s.runQuery
@@ -255,43 +266,24 @@ type statusError struct {
 func (e statusError) Error() string { return e.err.Error() }
 func (e statusError) Unwrap() error { return e.err }
 
-// engineFor builds the measurement engine for a query. The workload and
-// world digest come from the same builders cmd/couple uses
-// (tables.BenchProblem / GridProblem / NewWorkload), which is the whole
-// cache-compatibility contract: a couple campaign and a kcserved query
-// with the same parameters produce the same job keys.
+// engineFor builds the measurement engine for a query from the canonical
+// binding (tables.BackendConfig.Engine) — the whole cache-compatibility
+// contract: a couple campaign and a kcserved query with the same
+// parameters produce the same job keys.
 func (s *Server) engineFor(q predict.Query) (harness.Engine, error) {
-	prob, err := tables.BenchProblem(q.Bench, q.Class)
+	eng, err := s.substrate.Engine(q)
 	if err != nil {
 		return harness.Engine{}, statusError{http.StatusBadRequest, err}
-	}
-	prob = tables.GridProblem(q.Bench, prob, q.Grid)
-	var netModel *mpi.NetModel
-	var worldOpts []mpi.Option
-	if s.net {
-		m := mpi.IBMSPModel()
-		netModel = &m
-		worldOpts = append(worldOpts, mpi.WithNetModel(m))
-	}
-	w, err := tables.NewWorkload(q.Bench, q.Class, prob, q.Procs, worldOpts)
-	if err != nil {
-		return harness.Engine{}, statusError{http.StatusBadRequest, err}
-	}
-	o := harness.Options{
-		Blocks: q.Blocks, Passes: q.Passes, ActualRuns: 3,
-		Cache:       s.cache,
-		Metrics:     s.reg,
-		WorldDigest: tables.WorldDigest(prob, netModel),
 	}
 	if s.guard != nil {
 		// On-demand measurement may retry a failed window once, but every
 		// retry spends a token from the shared retry budget — under
 		// brownout the bucket drains and measurements fail fast instead of
 		// amplifying the overload.
-		o.MaxRetries = 1
-		o.RetryGate = s.guard.Retry.Spend
+		eng.Opts.MaxRetries = 1
+		eng.Opts.RetryGate = s.guard.Retry.Spend
 	}
-	return harness.Engine{Workload: w, Opts: o}, nil
+	return eng, nil
 }
 
 // measureOnce is one breaker-guarded on-demand measurement attempt:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,8 +30,7 @@ import (
 // for workloads).
 
 // BackendNames lists the constructible backend names in default chain
-// order, cheapest-first after measured: the order NewBackendChain uses
-// for "cached,measured" style specs.
+// order, cheapest-first after measured.
 var BackendNames = []string{
 	string(predict.ProvMeasured),
 	string(predict.ProvCached),
@@ -95,9 +95,11 @@ func (c BackendConfig) cache() *plan.Cache {
 	return jobCache
 }
 
-// engineFor builds the measurement engine for one backend query, with
-// the same workload construction and options every other binary uses.
-func (c BackendConfig) engineFor(q predict.Query) (harness.Engine, error) {
+// Engine builds the measurement engine for one backend query. Its
+// workload construction and harness options (ActualRuns above all) are
+// the cache-key contract: every binary that measures or re-analyzes a
+// study builds its engine here, so their job keys agree.
+func (c BackendConfig) Engine(q predict.Query) (harness.Engine, error) {
 	prob, err := PredictProblem(q)
 	if err != nil {
 		return harness.Engine{}, err
@@ -126,7 +128,7 @@ func (c BackendConfig) StudyRunner() predict.StudyFn {
 		return c.Run
 	}
 	return func(ctx context.Context, q predict.Query) (*harness.Study, error) {
-		eng, err := c.engineFor(q)
+		eng, err := c.Engine(q)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +144,7 @@ func (c BackendConfig) CacheRunner() predict.StudyFn {
 		return c.RunFromCache
 	}
 	return func(ctx context.Context, q predict.Query) (*harness.Study, error) {
-		eng, err := c.engineFor(q)
+		eng, err := c.Engine(q)
 		if err != nil {
 			return nil, err
 		}
@@ -176,25 +178,11 @@ func NewAnalytic() *predict.Analytic {
 	return &predict.Analytic{Problem: PredictProblem, App: PredictApp}
 }
 
-// NewBackendChain builds a chain over the named backends in order. reg
-// may be nil (counters are dropped).
-func NewBackendChain(reg *obs.Registry, names []string, cfg BackendConfig) (*predict.Chain, error) {
-	backends := make([]predict.Predictor, len(names))
-	for i, n := range names {
-		b, err := NewBackend(n, cfg)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = b
-	}
-	return predict.NewChain(reg, backends...), nil
-}
-
 // ParseLattice parses a lattice specification: ';'-separated URL-query
 // items, each one configuration in kcserved's query-parameter syntax,
-// e.g. "bench=BT&grid=6&procs=4;bench=BT&grid=8&procs=4". Defaults
-// mirror the serving layer's: BT class S on 4 ranks, chains 2, 3 blocks
-// × 1 pass, class-default trips.
+// e.g. "bench=BT&grid=6&procs=4;bench=BT&grid=8&procs=4". Each item goes
+// through ParseQuery, so a lattice point gets exactly the defaults — and
+// the typo rejection — a served query gets.
 func ParseLattice(spec string) ([]predict.Query, error) {
 	var lattice []predict.Query
 	for _, item := range strings.Split(spec, ";") {
@@ -206,7 +194,7 @@ func ParseLattice(spec string) ([]predict.Query, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tables: lattice item %q: %w", item, err)
 		}
-		q, err := latticeQuery(v)
+		q, err := ParseQuery(v)
 		if err != nil {
 			return nil, fmt.Errorf("tables: lattice item %q: %w", item, err)
 		}
@@ -218,7 +206,55 @@ func ParseLattice(spec string) ([]predict.Query, error) {
 	return lattice, nil
 }
 
-func latticeQuery(v url.Values) (predict.Query, error) {
+// queryParams is the complete set of accepted query parameters; anything
+// else is a client error, because a typo'd parameter would otherwise
+// silently fall back to a default and answer the wrong question.
+var queryParams = map[string]string{
+	"bench":  "benchmark: BT, SP, LU or FT",
+	"class":  "problem class: S, W, A or B",
+	"procs":  "rank count",
+	"chains": "comma-separated coupling chain lengths",
+	"trips":  "loop trip count (0 = scaled class default)",
+	"blocks": "timed blocks per measurement",
+	"passes": "window passes per block",
+	"grid":   "grid override (n³, n² for FT)",
+}
+
+// ParseQuery builds a predict.Query from URL parameters, applying
+// cmd/couple's defaults: BT class S on 4 ranks, chain length 2, 3 blocks
+// × 1 pass, class-default trips. It is the one parser behind kcserved's
+// query string and every -lattice item. The benchmark/class pair is
+// validated here so a bad query fails before any cache work happens.
+//
+// extra names parameters the caller consumes itself (the serving layer's
+// backend pin): they get the same given-once, non-empty validation and
+// are otherwise ignored.
+func ParseQuery(v url.Values, extra ...string) (predict.Query, error) {
+	// Validate in sorted key order, so a query with two faults always
+	// reports the same one; the stack buffer keeps a served query's parse
+	// allocation-free.
+	var buf [16]string
+	keys := buf[:0]
+	for key := range v {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		if _, ok := queryParams[key]; !ok && !slices.Contains(extra, key) {
+			return predict.Query{}, fmt.Errorf("unknown parameter %q", key)
+		}
+		if len(v[key]) > 1 {
+			return predict.Query{}, fmt.Errorf("parameter %q given %d times", key, len(v[key]))
+		}
+		// An explicitly empty value (?chains= or bare ?chains) is a
+		// client mistake, not a request for the default: silently
+		// substituting the default would answer a question the caller
+		// never asked. Same "never answer the wrong question" contract as
+		// the unknown-parameter rejection above.
+		if strings.TrimSpace(v[key][0]) == "" {
+			return predict.Query{}, fmt.Errorf("parameter %q has an empty value (omit it to use the default)", key)
+		}
+	}
 	get := func(key, def string) string {
 		if s := strings.TrimSpace(v.Get(key)); s != "" {
 			return s
@@ -226,11 +262,11 @@ func latticeQuery(v url.Values) (predict.Query, error) {
 		return def
 	}
 	getInt := func(key string, def, min int) (int, error) {
-		s := strings.TrimSpace(v.Get(key))
+		s := v.Get(key)
 		if s == "" {
 			return def, nil
 		}
-		n, err := strconv.Atoi(s)
+		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			return 0, fmt.Errorf("bad %s %q", key, s)
 		}
@@ -239,6 +275,7 @@ func latticeQuery(v url.Values) (predict.Query, error) {
 		}
 		return n, nil
 	}
+
 	q := predict.Query{
 		Bench: strings.ToUpper(get("bench", "BT")),
 		Class: npb.Class(strings.ToUpper(get("class", "S"))),
@@ -265,6 +302,7 @@ func latticeQuery(v url.Values) (predict.Query, error) {
 	if q.Trips == 0 {
 		q.Trips = DefaultTrips(q.Class)
 	}
+
 	seen := map[int]bool{}
 	for _, s := range strings.Split(get("chains", "2"), ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))

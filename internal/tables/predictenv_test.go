@@ -35,7 +35,10 @@ func TestParseLattice(t *testing.T) {
 		t.Fatalf("defaulted point = %+v, want serve's defaults", q)
 	}
 
-	for _, bad := range []string{"", " ; ", "bench=XX&grid=6", "grid=-1", "chains=1", "procs=zero"} {
+	// The last three are what a served query rejects too: a typo'd name,
+	// an empty value, and the serving layer's own backend pin.
+	for _, bad := range []string{"", " ; ", "bench=XX&grid=6", "grid=-1", "chains=1", "procs=zero",
+		"bench=BT&gird=6", "bench=BT&chains=", "grid=6&backend=cached"} {
 		if _, err := ParseLattice(bad); err == nil {
 			t.Fatalf("ParseLattice(%q) should fail", bad)
 		}
