@@ -143,7 +143,7 @@ func main() {
 	}
 	opts := harness.Options{
 		Blocks: *blocks, Passes: *passes, ActualRuns: 3,
-		Metrics: sink.Registry, Spans: sink.Spans,
+		Metrics:     sink.Registry,
 		Parallel:    *parallel,
 		WorldDigest: tables.WorldDigest(prob, netModel),
 		FaultDigest: faultFlags.Digest(),
@@ -172,7 +172,10 @@ func main() {
 		// cache; no world is spawned.
 		study, err = eng.RunFromCache(nTrips, chainLens)
 	} else {
-		study, err = eng.Run(nTrips, chainLens)
+		// The campaign trace rides the context the way a request trace
+		// does, so -trace-out shows the plan/execute/assemble/analyze
+		// stages and one measure span per world beside the rank tracks.
+		study, err = eng.RunCtx(obs.ContextWithTrace(context.Background(), sink.Trace), nTrips, chainLens)
 	}
 
 	man := obs.NewManifest("couple")

@@ -61,7 +61,7 @@ func runRequests(path, traceOut string) error {
 	printGroup("Errored requests", d.Errored)
 
 	if traceOut != "" {
-		if err := trace.WriteRequestEventFile(traceOut, d); err != nil {
+		if err := trace.WriteTraceEventFile(traceOut, trace.RequestGroups(d)...); err != nil {
 			return err
 		}
 		fmt.Printf("wrote Perfetto trace: %s\n", traceOut)

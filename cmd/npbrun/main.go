@@ -134,6 +134,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
 		os.Exit(1)
 	}
+	if *doTrace && sink.Trace == nil {
+		// -trace prints the kernel views off the same trace -trace-out
+		// exports; the observer records a kernel span around every
+		// RunKernel, so the factory needs no wrapping.
+		sink.Trace = obs.NewTrace(nil)
+	}
 	worldOpts = append(worldOpts, sink.WorldOpts()...)
 	if inj != nil {
 		worldOpts = append(worldOpts, mpi.WithInjector(inj))
@@ -142,19 +148,7 @@ func main() {
 		worldOpts = append(worldOpts, mpi.WithRecvTimeout(wd))
 	}
 
-	var tracer *trace.Tracer
-	switch {
-	case sink.Tracer != nil:
-		// -trace-out needs kernel events for the per-rank kernel tracks;
-		// -trace additionally prints them, off the same tracer.
-		tracer = sink.Tracer
-		factory = trace.WrapFactory(factory, tracer)
-	case *doTrace:
-		tracer = trace.NewTracer()
-		factory = trace.WrapFactory(factory, tracer)
-	}
-
-	if *repeat > 1 && tracer != nil {
+	if *repeat > 1 && sink.Trace != nil {
 		fmt.Fprintln(os.Stderr, "npbrun: -trace/-trace-out need a single run; drop them or -repeat")
 		os.Exit(2)
 	}
@@ -165,9 +159,6 @@ func main() {
 	var norms [5]float64
 	runApp := func(out *[5]float64) error {
 		return npb.RunOnce(factory, pre, loop, nTrips, post, *procs, func(ks npb.KernelSet) {
-			if u, ok := ks.(interface{ Unwrap() npb.KernelSet }); ok {
-				ks = u.Unwrap()
-			}
 			if nr, ok := ks.(normReporter); ok {
 				*out = nr.Norms()
 			}
@@ -246,8 +237,9 @@ func main() {
 	for c, v := range norms {
 		fmt.Printf("  component %d: %.12e\n", c, v)
 	}
-	if *doTrace && tracer != nil {
-		fmt.Printf("\nper-kernel profile:\n%s\n%s", tracer, tracer.Timeline(72))
+	if *doTrace {
+		kernels := trace.KernelView(sink.Trace.Spans())
+		fmt.Printf("\nper-kernel profile:\n%s\n%s", kernels, kernels.Timeline(72))
 	}
 
 	man := obs.NewManifest("npbrun")

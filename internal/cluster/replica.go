@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/predict"
 	"repro/internal/timing"
 )
@@ -71,21 +71,14 @@ func (h *hotTracker) note(key string) bool {
 // restarts.
 type replicaCache struct {
 	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // front = most recent
-}
-
-type replicaEntry struct {
-	key string
-	pr  predict.Prediction
+	lru *lru.Cache[string, predict.Prediction]
 }
 
 func newReplicaCache(cap int) *replicaCache {
 	if cap <= 0 {
 		return nil
 	}
-	return &replicaCache{cap: cap, m: make(map[string]*list.Element), lru: list.New()}
+	return &replicaCache{lru: lru.New[string, predict.Prediction](cap, nil)}
 }
 
 // get returns the replicated answer for key, refreshing recency.
@@ -96,12 +89,7 @@ func (c *replicaCache) get(key string) (predict.Prediction, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return predict.Prediction{}, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*replicaEntry).pr, true
+	return c.lru.Get(key)
 }
 
 // put stores a replicated answer, evicting the least recently used entry
@@ -112,17 +100,7 @@ func (c *replicaCache) put(key string, pr predict.Prediction) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*replicaEntry).pr = pr
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.lru.PushFront(&replicaEntry{key: key, pr: pr})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.m, back.Value.(*replicaEntry).key)
-	}
+	c.lru.Put(key, pr)
 }
 
 // len reports the replica count (tests, metrics). Nil-safe.

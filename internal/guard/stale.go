@@ -1,8 +1,9 @@
 package guard
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // StaleCache backs the serving degradation ladder: every healthy full
@@ -16,18 +17,15 @@ import (
 // Values are opaque (any) so guard stays below harness in the import
 // graph; the serving layer stores *harness.Study.
 type StaleCache struct {
-	mu  sync.Mutex
-	cap int
-	// m maps exact key → LRU element holding a *staleEntry.
-	m map[string]*list.Element
+	mu sync.Mutex
+	// lru holds the answers by exact key.
+	lru *lru.Cache[string, staleEntry]
 	// family maps family key → the most recently stored exact key in
 	// that family, for "nearby" fallback.
 	family map[string]string
-	lru    *list.List // front = most recent
 }
 
 type staleEntry struct {
-	key    string
 	family string
 	val    any
 }
@@ -45,12 +43,14 @@ func NewStaleCache(cap int) *StaleCache {
 	if cap <= 0 {
 		cap = 64
 	}
-	return &StaleCache{
-		cap:    cap,
-		m:      make(map[string]*list.Element),
-		family: make(map[string]string),
-		lru:    list.New(),
-	}
+	c := &StaleCache{family: make(map[string]string)}
+	// An evicted answer takes with it any family pointer that named it.
+	c.lru = lru.New(cap, func(key string, e staleEntry) {
+		if e.family != "" && c.family[e.family] == key {
+			delete(c.family, e.family)
+		}
+	})
+	return c
 }
 
 // Put remembers a healthy answer under its exact key and family key.
@@ -61,16 +61,7 @@ func (c *StaleCache) Put(key, familyKey string, val any) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*staleEntry).val = val
-		c.lru.MoveToFront(el)
-	} else {
-		el = c.lru.PushFront(&staleEntry{key: key, family: familyKey, val: val})
-		c.m[key] = el
-		for c.lru.Len() > c.cap {
-			c.evictOldestLocked()
-		}
-	}
+	c.lru.Put(key, staleEntry{family: familyKey, val: val})
 	if familyKey != "" {
 		c.family[familyKey] = key
 	}
@@ -85,9 +76,8 @@ func (c *StaleCache) Get(key, familyKey string) (val any, mode string, ok bool) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, hit := c.m[key]; hit {
-		c.lru.MoveToFront(el)
-		return el.Value.(*staleEntry).val, ModeStale, true
+	if e, hit := c.lru.Get(key); hit {
+		return e.val, ModeStale, true
 	}
 	if familyKey == "" {
 		return nil, "", false
@@ -96,14 +86,13 @@ func (c *StaleCache) Get(key, familyKey string) (val any, mode string, ok bool) 
 	if !hit {
 		return nil, "", false
 	}
-	el, live := c.m[near]
+	e, live := c.lru.Get(near)
 	if !live {
 		// The family pointer outlived its entry's eviction; drop it.
 		delete(c.family, familyKey)
 		return nil, "", false
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*staleEntry).val, ModeStaleNearby, true
+	return e.val, ModeStaleNearby, true
 }
 
 // Len reports the retained answer count (tests, debug). Nil-safe.
@@ -114,19 +103,4 @@ func (c *StaleCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
-}
-
-// evictOldestLocked drops the least recently used entry and any family
-// pointer that named it. Callers hold c.mu.
-func (c *StaleCache) evictOldestLocked() {
-	el := c.lru.Back()
-	if el == nil {
-		return
-	}
-	e := el.Value.(*staleEntry)
-	c.lru.Remove(el)
-	delete(c.m, e.key)
-	if e.family != "" && c.family[e.family] == e.key {
-		delete(c.family, e.family)
-	}
 }

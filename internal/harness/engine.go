@@ -123,9 +123,9 @@ func record(j plan.Job, res plan.Result, cached bool) MeasurementRecord {
 
 // measurer runs single jobs against the workload with the options' retry
 // budget and observability. Its methods are called concurrently by the
-// executor's workers; the sinks it writes to (Metrics, Spans) are
-// concurrency-safe, and all per-job state lives in the caller's
-// index-aligned slots.
+// executor's workers; the sinks it writes to (Options.Metrics, the
+// context's trace) are concurrency-safe, and all per-job state lives in
+// the caller's index-aligned slots.
 type measurer struct {
 	w Workload
 	o Options
@@ -134,10 +134,10 @@ type measurer struct {
 // measure runs one job under the retry budget: each failed attempt is
 // recorded and retried after a capped exponential backoff until the
 // budget is spent.
-func (r *measurer) measure(j plan.Job) (plan.Result, []RetryRecord, error) {
+func (r *measurer) measure(ctx context.Context, j plan.Job) (plan.Result, []RetryRecord, error) {
 	var retries []RetryRecord
 	for attempt := 0; ; attempt++ {
-		res, err := r.measureOnce(j)
+		res, err := r.measureOnce(ctx, j)
 		if err == nil {
 			return res, retries, nil
 		}
@@ -160,16 +160,17 @@ func (r *measurer) measure(j plan.Job) (plan.Result, []RetryRecord, error) {
 	}
 }
 
-// measureOnce performs one measurement attempt with full observability: a
-// span and counters on success, and a ".failed" span and counter on
-// failure — without those, traces of degraded runs have holes where the
-// failed attempts' wall time went.
-func (r *measurer) measureOnce(j plan.Job) (plan.Result, error) {
+// measureOnce performs one measurement attempt with full observability —
+// the one place a "measure.<kind>" span is recorded, under whatever span
+// ctx carries (a request's or a campaign's "execute", or "assemble" for
+// degradation-ladder sub-windows). A failed attempt keeps its span,
+// marked "<label> failed", and bumps a ".failed" counter: without those,
+// traces of degraded runs have holes where the failed attempts' wall
+// time went.
+func (r *measurer) measureOnce(ctx context.Context, j plan.Job) (plan.Result, error) {
 	o := r.o
-	var start time.Time
-	if o.Spans != nil {
-		start = o.Spans.Now()
-	}
+	sp, _ := obs.StartSpan(ctx, "measure."+string(j.Kind), j.Label())
+	defer sp.End()
 	var res plan.Result
 	var err error
 	if j.Kind == plan.KindActual {
@@ -188,16 +189,11 @@ func (r *measurer) measureOnce(j plan.Job) (plan.Result, error) {
 		res = plan.Result{Seconds: wm.PerPass, Raw: wm.Blocks, TrimFrac: wm.TrimFrac, Passes: wm.Passes}
 	}
 	if err != nil {
-		if o.Spans != nil {
-			o.Spans.Record(-1, "measure."+string(j.Kind)+".failed", j.Label(), 0, start, o.Spans.Now().Sub(start), 0)
-		}
+		sp.SetDetail(j.Label() + " failed")
 		if o.Metrics != nil {
 			o.Metrics.Counter("harness.measure." + string(j.Kind) + ".failed").Inc()
 		}
 		return plan.Result{}, err
-	}
-	if o.Spans != nil {
-		o.Spans.Record(-1, "measure."+string(j.Kind), j.Label(), 0, start, o.Spans.Now().Sub(start), 0)
 	}
 	if o.Metrics != nil {
 		o.Metrics.Counter("harness.measure." + string(j.Kind) + ".count").Inc()
@@ -218,13 +214,13 @@ func (e Engine) Run(trips int, chainLens []int) (*Study, error) {
 	return e.RunCtx(context.Background(), trips, chainLens)
 }
 
-// RunCtx is Run with request-trace attribution: when ctx carries an obs
-// request span, the pipeline's stages land as child spans — "plan",
-// "execute" (with one "measure.<kind>" child per job that runs a world,
-// opened concurrently by executor workers), "assemble" and "analyze" —
-// so a serving layer's on-demand measurement can show a caller where an
-// expensive request's wall time went. With no span in ctx the only cost
-// is one nil check per stage.
+// RunCtx is Run with trace attribution: when ctx carries an obs span — a
+// request's (serve) or a campaign trace's (couple -trace-out) — the
+// pipeline's stages land under it: "plan", "execute" (with one
+// "measure.<kind>" child per attempt that runs a world, opened
+// concurrently by executor workers), "assemble" and "analyze" — so an
+// on-demand measurement or a campaign can show where its wall time went.
+// With no span in ctx the only cost is one nil check per stage.
 func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study, error) {
 	o := e.Opts.withDefaults()
 	w := e.Workload
@@ -276,12 +272,7 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 		Ctx:          execCtx,
 	}
 	outcomes := ex.Run(jobs, func(i int, j plan.Job) (plan.Result, error) {
-		sp, _ := obs.StartSpan(execCtx, "measure."+string(j.Kind), j.Label())
-		res, retries, err := run.measure(j)
-		if err != nil {
-			sp.SetDetail(j.Label() + " failed")
-		}
-		sp.End()
+		res, retries, err := run.measure(execCtx, j)
 		attempts[i] = retries
 		return res, err
 	})
@@ -290,7 +281,7 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 	// Assembly runs on one goroutine in plan order, so provenance, health
 	// and the measurement maps are deterministic regardless of the worker
 	// count (and byte-identical to the serial pipeline at Parallel == 1).
-	assembleSpan, _ := obs.StartSpan(ctx, "assemble", "")
+	assembleSpan, assembleCtx := obs.StartSpan(ctx, "assemble", "")
 	m := core.NewMeasurements()
 	var provenance []MeasurementRecord
 	var health StudyHealth
@@ -331,7 +322,7 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 			if !cached {
 				var retries []RetryRecord
 				var err error
-				res, retries, err = run.measure(j)
+				res, retries, err = run.measure(assembleCtx, j)
 				health.Retries = append(health.Retries, retries...)
 				if err != nil {
 					recordFailure(key, err)

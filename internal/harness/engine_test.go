@@ -59,34 +59,36 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestFailedMeasurementRecordsSpanAndCounter(t *testing.T) {
 	reg := obs.NewRegistry()
-	spans := obs.NewSpanRecorder()
+	tr := obs.NewTrace(nil)
 	f := &flakyWorkload{
 		Synthetic: fourKernelSynthetic(),
 		transient: map[string]int{"A": 1},
 	}
-	_, err := RunStudy(f, 10, []int{2}, Options{
+	_, err := Engine{Workload: f, Opts: Options{
 		MaxRetries: 2,
 		Metrics:    reg,
-		Spans:      spans,
 		sleep:      func(time.Duration) {},
-	})
+	}}.RunCtx(obs.ContextWithTrace(t.Context(), tr), 10, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("harness.measure.isolated.failed").Value(); got != 1 {
 		t.Errorf("failed counter = %d, want 1", got)
 	}
-	var failedSpans int
-	for _, s := range spans.Spans() {
-		if s.Op == "measure.isolated.failed" {
+	var failedSpans, retried int
+	for _, s := range tr.Spans() {
+		if s.Name != "measure.isolated" {
+			continue
+		}
+		switch s.Detail {
+		case "A failed":
 			failedSpans++
-			if s.Detail != "A" {
-				t.Errorf("failed span detail = %q, want A", s.Detail)
-			}
+		case "A":
+			retried++
 		}
 	}
-	if failedSpans != 1 {
-		t.Errorf("failed spans = %d, want 1 (failures must not leave trace holes)", failedSpans)
+	if failedSpans != 1 || retried != 1 {
+		t.Errorf("spans for A: %d failed, %d succeeded, want 1 and 1 (failures must not leave trace holes)", failedSpans, retried)
 	}
 }
 

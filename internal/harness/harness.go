@@ -37,10 +37,6 @@ type Options struct {
 	// Metrics, when non-nil, receives harness-level observability:
 	// windows measured, blocks timed, per-pass time distributions.
 	Metrics *obs.Registry
-	// Spans, when non-nil, receives one process-level span (Rank -1) per
-	// measurement, so a merged trace shows where the campaign's wall
-	// time went.
-	Spans *obs.SpanRecorder
 	// MaxRetries is the per-measurement retry budget: a failed window,
 	// isolated or actual measurement is retried with exponential backoff
 	// up to this many times before the failure counts (default 0: fail

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -262,13 +263,14 @@ func TestStudyProvenance(t *testing.T) {
 }
 
 // TestStudyObservability checks the harness emits spans and metrics for
-// every measurement when sinks are configured.
+// every measurement when sinks are configured: counters into
+// Options.Metrics, and — into the trace the context carries — the four
+// pipeline stages with one "measure.<kind>" span per world under
+// "execute", recorded once each.
 func TestStudyObservability(t *testing.T) {
-	o := Options{
-		Metrics: obs.NewRegistry(),
-		Spans:   obs.NewSpanRecorder(),
-	}
-	s, err := RunStudy(fourKernelSynthetic(), 10, []int{2}, o)
+	o := Options{Metrics: obs.NewRegistry()}
+	tr := obs.NewTrace(nil)
+	s, err := Engine{Workload: fourKernelSynthetic(), Opts: o}.RunCtx(obs.ContextWithTrace(t.Context(), tr), 10, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,19 +287,32 @@ func TestStudyObservability(t *testing.T) {
 	if h, _ := snap.Histogram("harness.measure.per_pass_ns"); h.Count != 10 {
 		t.Errorf("per_pass_ns count = %d, want 10", h.Count)
 	}
-	spans := o.Spans.Spans()
-	if len(spans) != 11 { // 6 isolated + 4 windows + 1 actual
-		t.Fatalf("got %d spans, want 11", len(spans))
-	}
+	spans := tr.Spans()
+	var stages []string
+	var measures []obs.Span
 	for _, sp := range spans {
-		if sp.Rank != -1 {
-			t.Errorf("harness span on rank %d, want -1 (process-level)", sp.Rank)
+		if sp.Rank != -1 || sp.Track != obs.TrackStages {
+			t.Errorf("harness span %+v, want process-level (rank -1) on the stages track", sp)
 		}
+		if sp.Parent == -1 {
+			stages = append(stages, sp.Name)
+			continue
+		}
+		if spans[sp.Parent].Name != "execute" {
+			t.Errorf("span %+v sits under %q, want execute", sp, spans[sp.Parent].Name)
+		}
+		measures = append(measures, sp)
 	}
-	if spans[0].Op != "measure.isolated" || spans[len(spans)-1].Op != "measure.actual" {
-		t.Errorf("span ops = %v ... %v", spans[0].Op, spans[len(spans)-1].Op)
+	if got := strings.Join(stages, " "); got != "plan execute assemble analyze" {
+		t.Errorf("campaign stages = %q", got)
 	}
-	if got := spans[len(spans)-1].Detail; got != s.Workload {
+	if len(measures) != 11 { // 6 isolated + 4 windows + 1 actual
+		t.Fatalf("got %d measure spans, want 11", len(measures))
+	}
+	if measures[0].Name != "measure.isolated" || measures[10].Name != "measure.actual" {
+		t.Errorf("span names = %v ... %v", measures[0].Name, measures[10].Name)
+	}
+	if got := measures[10].Detail; got != s.Workload {
 		t.Errorf("actual span detail = %q, want workload name %q", got, s.Workload)
 	}
 }

@@ -47,10 +47,13 @@ type World struct {
 
 	// obs, when non-nil, receives metrics and spans for every runtime
 	// operation; phases holds each world rank's current phase label
-	// (the executing kernel) for per-kernel attribution. Both are nil
-	// on unobserved worlds, costing one nil check per operation.
-	obs    *Observer
-	phases []atomic.Value
+	// (the executing kernel) for per-kernel attribution, and phaseStart
+	// when that rank entered it (written only by the rank itself, in
+	// SetPhase). All are nil on unobserved worlds, costing one nil check
+	// per operation.
+	obs        *Observer
+	phases     []atomic.Value
+	phaseStart []time.Time
 
 	// inj, when non-nil, injects faults (delays, drops, crashes) into
 	// every runtime operation; nil on healthy worlds, costing one nil
@@ -179,6 +182,7 @@ func NewWorld(n int, opts ...Option) *World {
 	if w.obs != nil {
 		//kcvet:ignore atomicmix pre-publication init: no rank goroutine exists until Launch, so nothing races the assignment
 		w.phases = make([]atomic.Value, n)
+		w.phaseStart = make([]time.Time, n)
 	}
 	return w
 }

@@ -37,8 +37,9 @@ type kernelMetrics struct {
 }
 
 // Observer sinks the runtime's observability signal: counters and
-// histograms into an obs.Registry, and per-operation spans into an
-// obs.SpanRecorder. One Observer may be shared by many Worlds (a
+// histograms into an obs.Registry, and — when it carries an obs.Trace —
+// one span per MPI operation and one per kernel execution (the latter at
+// the Comm.SetPhase seam). One Observer may be shared by many Worlds (a
 // measurement campaign spawns a world per timed window), accumulating
 // across them. All methods are safe for concurrent ranks.
 //
@@ -64,8 +65,7 @@ type kernelMetrics struct {
 // per-rank Perfetto tracks render.
 type Observer struct {
 	reg   *obs.Registry
-	spans *obs.SpanRecorder
-	clock timing.Clock
+	trace *obs.Trace
 
 	sendCount, sendBytes *obs.Counter
 	recvCount, recvBytes *obs.Counter
@@ -81,25 +81,16 @@ type Observer struct {
 }
 
 // NewObserver returns an observer writing metrics into reg (a fresh
-// registry when nil) and spans into spans (span recording disabled when
-// nil), reading the wall clock.
-func NewObserver(reg *obs.Registry, spans *obs.SpanRecorder) *Observer {
-	return NewObserverWithClock(reg, spans, timing.WallClock)
-}
-
-// NewObserverWithClock is NewObserver with an injectable clock so tests
-// can produce deterministic spans and wait times.
-func NewObserverWithClock(reg *obs.Registry, spans *obs.SpanRecorder, clock timing.Clock) *Observer {
+// registry when nil) and spans into tr (span recording disabled when
+// nil). It reads tr's clock — spans and wait-time metrics are one
+// reading — and the wall clock without one.
+func NewObserver(reg *obs.Registry, tr *obs.Trace) *Observer {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	if clock == nil {
-		clock = timing.WallClock
-	}
 	o := &Observer{
 		reg:          reg,
-		spans:        spans,
-		clock:        clock,
+		trace:        tr,
 		sendCount:    reg.Counter("mpi.send.count"),
 		sendBytes:    reg.Counter("mpi.send.bytes"),
 		recvCount:    reg.Counter("mpi.recv.count"),
@@ -125,11 +116,13 @@ func NewObserverWithClock(reg *obs.Registry, spans *obs.SpanRecorder, clock timi
 // Registry returns the observer's metric registry.
 func (o *Observer) Registry() *obs.Registry { return o.reg }
 
-// Spans returns the observer's span recorder, nil when spans are off.
-func (o *Observer) Spans() *obs.SpanRecorder { return o.spans }
-
-// now reads the observer's clock.
-func (o *Observer) now() time.Time { return o.clock.Now() }
+// now reads the trace's clock, the wall clock without one.
+func (o *Observer) now() time.Time {
+	if o.trace != nil {
+		return o.trace.Now()
+	}
+	return timing.WallClock.Now()
+}
 
 // kernel resolves (lazily creating) the per-kernel attribution handles.
 func (o *Observer) kernel(name string) *kernelMetrics {
@@ -173,9 +166,9 @@ func (o *Observer) observeSend(rank int, phase string, dest, tag, n int, start t
 		km.sendCount.Inc()
 		km.sendBytes.Add(int64(n))
 	}
-	if o.spans != nil {
+	if o.trace != nil {
 		//kcvet:ignore hotalloc span recording is profiling mode, explicitly kept out of timing measurement campaigns
-		o.spans.Record(rank, "send", fmt.Sprintf("dst=%d tag=%d", dest, tag), n, start, elapsed, 0)
+		o.trace.Record(start, obs.Span{Track: obs.TrackMPI, Rank: rank, Name: "send", Detail: fmt.Sprintf("dst=%d tag=%d", dest, tag), Bytes: n, Elapsed: elapsed})
 	}
 }
 
@@ -196,9 +189,9 @@ func (o *Observer) observeRecv(rank int, phase string, src, tag, n, depth int, s
 		km.recvBytes.Add(int64(n))
 		km.recvWait.Add(int64(wait))
 	}
-	if o.spans != nil {
+	if o.trace != nil {
 		//kcvet:ignore hotalloc span recording is profiling mode, explicitly kept out of timing measurement campaigns
-		o.spans.Record(rank, "recv", fmt.Sprintf("src=%d tag=%d", src, tag), n, start, wait+transfer, wait)
+		o.trace.Record(start, obs.Span{Track: obs.TrackMPI, Rank: rank, Name: "recv", Detail: fmt.Sprintf("src=%d tag=%d", src, tag), Bytes: n, Elapsed: wait + transfer, Wait: wait})
 	}
 }
 
@@ -213,14 +206,14 @@ func (o *Observer) observeCollective(rank int, op string, bytes int, start time.
 	cm.count.Inc()
 	cm.bytes.Observe(int64(bytes))
 	cm.waitNs.Observe(int64(elapsed))
-	if o.spans != nil {
-		o.spans.Record(rank, op, "", bytes, start, elapsed, elapsed)
+	if o.trace != nil {
+		o.trace.Record(start, obs.Span{Track: obs.TrackMPI, Rank: rank, Name: op, Bytes: bytes, Elapsed: elapsed, Wait: elapsed})
 	}
 }
 
 // WithObserver attaches an observability sink to the world: per-rank
-// send/recv/collective metrics and (when the observer carries a span
-// recorder) spans. A nil observer leaves the world unobserved; the
+// send/recv/collective metrics and (when the observer carries a trace)
+// MPI and kernel spans. A nil observer leaves the world unobserved; the
 // instrumentation then costs one nil check per operation.
 func WithObserver(o *Observer) Option {
 	return func(w *World) { w.obs = o }
@@ -254,14 +247,27 @@ func (c *Comm) beginCollective(op string, bytes int) func() {
 }
 
 // SetPhase labels the calling rank's subsequent communication with a
-// phase name — the measurement layer sets the executing kernel's name so
-// per-kernel communication breakdowns can be reported. An empty name
-// clears the label. SetPhase is a no-op on an unobserved world.
+// phase name — the measurement layer sets the executing kernel's name
+// before every RunKernel so per-kernel communication breakdowns can be
+// reported. An empty name clears the label. With a trace attached this is
+// also where a kernel execution is recorded: leaving a named phase closes
+// that kernel's span, on the clock the MPI spans inside it were read
+// from. SetPhase is a no-op on an unobserved world.
 func (c *Comm) SetPhase(name string) {
-	if c.world.phases == nil {
+	w := c.world
+	if w.phases == nil {
 		return
 	}
-	c.world.phases[c.group[c.rank]].Store(name)
+	rank := c.group[c.rank]
+	if tr := w.obs.trace; tr != nil {
+		now := tr.Now()
+		if prev := c.phase(); prev != "" {
+			since := w.phaseStart[rank]
+			tr.Record(since, obs.Span{Track: obs.TrackKernels, Rank: rank, Name: prev, Elapsed: now.Sub(since)})
+		}
+		w.phaseStart[rank] = now
+	}
+	w.phases[rank].Store(name)
 }
 
 // phase returns the calling rank's current phase label.

@@ -16,10 +16,16 @@ func TestRawPoolRecycles(t *testing.T) {
 	if len(b) != 64 {
 		t.Fatalf("getRaw(64) returned len %d", len(b))
 	}
-	w.putRaw(b)
-	c := w.getRaw(16)
-	if len(c) != 16 {
-		t.Fatalf("getRaw(16) returned len %d", len(c))
+	// Under the race detector sync.Pool drops a random quarter of Puts,
+	// so one round trip proves nothing either way; a pool that recycles
+	// at all succeeds within a few.
+	var c []byte
+	for try := 0; try < 32 && (c == nil || &c[0] != &b[0]); try++ {
+		w.putRaw(b)
+		c = w.getRaw(16)
+		if len(c) != 16 {
+			t.Fatalf("getRaw(16) returned len %d", len(c))
+		}
 	}
 	if &c[0] != &b[0] {
 		t.Error("getRaw after putRaw did not recycle the backing array")

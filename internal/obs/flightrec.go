@@ -29,8 +29,8 @@ type FlightRecorder struct {
 	mu      sync.Mutex
 	slowCap int
 	errCap  int
-	slow    []*ReqTrace // sorted: largest Total first
-	errored []*ReqTrace // arrival order
+	slow    []*Trace // sorted: largest Total first
+	errored []*Trace // arrival order
 	seen    int64
 	evicted int64
 }
@@ -58,7 +58,7 @@ func NewFlightRecorder(slowestCap, erroredCap int) *FlightRecorder {
 // Observe files one finished trace. Traces still being mutated must not
 // be observed — the caller finishes the trace first (RequestTracer.Finish
 // does).
-func (f *FlightRecorder) Observe(t *ReqTrace) {
+func (f *FlightRecorder) Observe(t *Trace) {
 	if f == nil || t == nil {
 		return
 	}
@@ -128,22 +128,34 @@ type FlightDump struct {
 	Errored []TraceDump `json:"errored,omitempty"`
 }
 
-// dumpSpan serializes a span subtree.
-func dumpSpan(s *ReqSpan) SpanDump {
-	d := SpanDump{
-		Name:    s.Name,
-		Detail:  s.Detail(),
-		StartNs: s.Start.Nanoseconds(),
-		DurNs:   s.Elapsed.Nanoseconds(),
+// dumpTree rebuilds the span tree rooted at span 0 from the flat list's
+// parent indices. Children keep list order, which is start order.
+func dumpTree(spans []Span) SpanDump {
+	kids := make([][]int, len(spans))
+	for i := 1; i < len(spans); i++ {
+		if p := spans[i].Parent; p >= 0 {
+			kids[p] = append(kids[p], i)
+		}
 	}
-	for _, c := range s.Children() {
-		d.Children = append(d.Children, dumpSpan(c))
+	var build func(i int) SpanDump
+	build = func(i int) SpanDump {
+		s := spans[i]
+		d := SpanDump{
+			Name:    s.Name,
+			Detail:  s.Detail,
+			StartNs: s.Start.Nanoseconds(),
+			DurNs:   s.Elapsed.Nanoseconds(),
+		}
+		for _, k := range kids[i] {
+			d.Children = append(d.Children, build(k))
+		}
+		return d
 	}
-	return d
+	return build(0)
 }
 
-// DumpTrace serializes one finished trace.
-func DumpTrace(t *ReqTrace) TraceDump {
+// DumpTrace serializes one finished request trace.
+func DumpTrace(t *Trace) TraceDump {
 	return TraceDump{
 		ID:       t.ID,
 		Endpoint: t.Endpoint,
@@ -151,7 +163,7 @@ func DumpTrace(t *ReqTrace) TraceDump {
 		Err:      t.Err,
 		TotalNs:  t.Total.Nanoseconds(),
 		Attrs:    t.Attrs(),
-		Root:     dumpSpan(t.Root),
+		Root:     dumpTree(t.Spans()),
 	}
 }
 
@@ -163,13 +175,14 @@ func (f *FlightRecorder) Snapshot() FlightDump {
 		return FlightDump{}
 	}
 	f.mu.Lock()
-	slow := append([]*ReqTrace(nil), f.slow...)
-	errored := append([]*ReqTrace(nil), f.errored...)
+	slow := append([]*Trace(nil), f.slow...)
+	errored := append([]*Trace(nil), f.errored...)
 	d := FlightDump{Seen: f.seen, ErroredEvicted: f.evicted}
 	f.mu.Unlock()
 
 	// Serialization happens outside the recorder lock: finished traces
-	// are immutable, so only the pointer slices needed the mutex.
+	// are immutable, so only the pointer slices needed the mutex. The
+	// span trees are rebuilt here, on the read path, not per request.
 	for _, t := range slow {
 		d.Slowest = append(d.Slowest, DumpTrace(t))
 	}

@@ -9,8 +9,8 @@ import (
 
 // mkTrace builds a finished trace by hand — the recorder only reads
 // ID/Seq/Total/Err and the span tree.
-func mkTrace(seq uint64, total time.Duration, errMsg string) *ReqTrace {
-	t := &ReqTrace{
+func mkTrace(seq uint64, total time.Duration, errMsg string) *Trace {
+	t := &Trace{
 		ID:       "t-test",
 		Endpoint: "predict",
 		Seq:      seq,
@@ -22,7 +22,7 @@ func mkTrace(seq uint64, total time.Duration, errMsg string) *ReqTrace {
 		t.Status = 500
 	}
 	t.clock = fakeClock(0)
-	t.Root = &ReqSpan{Name: "predict", Elapsed: total, trace: t}
+	t.spans = []Span{{Name: "predict", Rank: -1, Track: TrackStages, Elapsed: total, Parent: -1}}
 	return t
 }
 
@@ -137,9 +137,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 func TestFlightDumpFileRoundTrip(t *testing.T) {
 	f := NewFlightRecorder(2, 2)
 	tr := mkTrace(1, 3*time.Millisecond, "")
-	child := tr.Root.StartChild("singleflight", "waited")
-	child.Start = time.Millisecond
-	child.Elapsed = 2 * time.Millisecond
+	tr.spans = append(tr.spans, Span{Name: "singleflight", Detail: "waited", Rank: -1, Track: TrackStages,
+		Start: time.Millisecond, Elapsed: 2 * time.Millisecond, Parent: 0})
 	f.Observe(tr)
 
 	path := filepath.Join(t.TempDir(), "flight.json")

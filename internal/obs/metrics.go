@@ -1,8 +1,9 @@
 // Package obs is the observability substrate of the reproduction: a
 // zero-dependency metrics layer (counters, gauges, histograms with
 // exponential buckets) behind a Registry whose snapshots are emitted in
-// deterministic sorted order, a span recorder for merging runtime activity
-// into kernel traces, and a run-manifest writer so every measurement run
+// deterministic sorted order, one span type and one recorder (Trace) for
+// everything the repository times — kernels, MPI operations, harness and
+// request stages — and a run-manifest writer so every measurement run
 // can describe itself in a machine-readable way.
 //
 // The paper's methodology is measurement-first — coupling values C_S are

@@ -147,17 +147,18 @@ func TestSnapshotLookups(t *testing.T) {
 	}
 }
 
-func TestSpanRecorder(t *testing.T) {
+func TestTraceRecord(t *testing.T) {
 	fc := &timing.FakeClock{T: time.Unix(100, 0)}
-	r := NewSpanRecorderWithClock(fc)
+	r := NewTrace(fc)
 	start := r.Now().Add(3 * time.Millisecond)
-	r.Record(1, "recv", "src=0 tag=7", 80, start, 2*time.Millisecond, time.Millisecond)
+	r.Record(start, Span{Track: TrackMPI, Rank: 1, Name: "recv", Detail: "src=0 tag=7", Bytes: 80,
+		Elapsed: 2 * time.Millisecond, Wait: time.Millisecond, Parent: 7})
 	spans := r.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans", len(spans))
 	}
 	s := spans[0]
-	if s.Rank != 1 || s.Op != "recv" || s.Bytes != 80 {
+	if s.Rank != 1 || s.Name != "recv" || s.Bytes != 80 || s.Track != TrackMPI {
 		t.Errorf("span = %+v", s)
 	}
 	if s.Start != 3*time.Millisecond {
@@ -166,42 +167,30 @@ func TestSpanRecorder(t *testing.T) {
 	if s.Wait != time.Millisecond || s.Elapsed != 2*time.Millisecond {
 		t.Errorf("wait/elapsed = %v/%v", s.Wait, s.Elapsed)
 	}
-	// Spans() must copy.
-	spans[0].Op = "mutated"
-	if r.Spans()[0].Op != "recv" {
-		t.Error("Spans returned aliased storage")
+	if s.Parent != -1 {
+		t.Errorf("parent = %d, want -1: recorded spans are top level", s.Parent)
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Error("Reset did not clear spans")
+	// Spans() must copy.
+	spans[0].Name = "mutated"
+	if r.Spans()[0].Name != "recv" {
+		t.Error("Spans returned aliased storage")
 	}
 }
 
-func TestSpanRecorderConcurrent(t *testing.T) {
-	r := NewSpanRecorder()
+func TestTraceRecordConcurrent(t *testing.T) {
+	r := NewTrace(nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Record(g, "op", "", 8, r.Now(), time.Microsecond, 0)
+				r.Record(r.Now(), Span{Rank: g, Name: "op", Bytes: 8, Elapsed: time.Microsecond})
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Len() != 1600 {
-		t.Errorf("recorded %d spans, want 1600", r.Len())
-	}
-}
-
-func TestSetEpochRebasing(t *testing.T) {
-	fc := &timing.FakeClock{T: time.Unix(100, 0)}
-	r := NewSpanRecorderWithClock(fc)
-	epoch := time.Unix(50, 0)
-	r.SetEpoch(epoch)
-	r.Record(0, "op", "", 0, epoch.Add(time.Second), time.Millisecond, 0)
-	if got := r.Spans()[0].Start; got != time.Second {
-		t.Errorf("start = %v, want 1s after the shared epoch", got)
+	if len(r.Spans()) != 1600 {
+		t.Errorf("recorded %d spans, want 1600", len(r.Spans()))
 	}
 }

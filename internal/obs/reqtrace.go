@@ -1,216 +1,18 @@
 package obs
 
 import (
-	"context"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/timing"
 )
 
-// Request-scoped tracing: every serving-layer request gets a ReqTrace —
-// a deterministic ID plus a hierarchical tree of ReqSpans — propagated
-// through context.Context so each layer (serve handler, singleflight,
-// cache, analysis) can attribute its share of the request's wall time.
-// The design mirrors mpi.Injector's disabled-cost contract: with no
-// tracer attached every instrumentation point is one nil check, and all
-// span methods are safe on a nil receiver, so instrumented code never
-// branches on "is tracing on".
-//
-// Like everything in this package, no wall clock is read here — time
-// enters through the RequestTracer's timing.Clock — and trace IDs come
-// from an atomic sequence, so a seeded workload (FakeClock + sequential
-// requests) produces byte-identical trace dumps.
-
-// ReqSpan is one node of a request's span tree: a named, timed interval
-// with optional detail and child spans.
-//
-// Concurrency contract: StartChild and End may be called concurrently
-// from multiple goroutines (e.g. executor workers opening measurement
-// spans under one parent); the children list is mutex-guarded. A span's
-// Start/Elapsed fields are written by the goroutine that owns it (the
-// one that started it) and must not be read until the span — and for
-// dump purposes the whole trace — has finished.
-type ReqSpan struct {
-	// Name identifies the operation, e.g. "singleflight" or "cache.load".
-	Name string
-	// Start is the span's offset from the trace epoch.
-	Start time.Duration
-	// Elapsed is the span duration, set by End.
-	Elapsed time.Duration
-
-	mu       sync.Mutex
-	detail   string
-	children []*ReqSpan
-	trace    *ReqTrace
-}
-
-// StartChild opens a child span under s. Nil-safe: a nil receiver
-// returns nil, so disabled tracing costs one nil check.
-func (s *ReqSpan) StartChild(name, detail string) *ReqSpan {
-	if s == nil {
-		return nil
-	}
-	c := &ReqSpan{
-		Name:   name,
-		Start:  s.trace.clock.Now().Sub(s.trace.epoch),
-		detail: detail,
-		trace:  s.trace,
-	}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
-}
-
-// End closes the span, fixing its Elapsed. Nil-safe.
-func (s *ReqSpan) End() {
-	if s == nil {
-		return
-	}
-	s.Elapsed = s.trace.clock.Now().Sub(s.trace.epoch) - s.Start
-}
-
-// SetDetail replaces the span's detail string (e.g. once an outcome is
-// known: "hit" vs "miss"). Nil-safe.
-func (s *ReqSpan) SetDetail(detail string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.detail = detail
-	s.mu.Unlock()
-}
-
-// Detail returns the span's detail string. Nil-safe.
-func (s *ReqSpan) Detail() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.detail
-}
-
-// Children returns a copy of the span's children in start order. Nil-safe.
-func (s *ReqSpan) Children() []*ReqSpan {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*ReqSpan(nil), s.children...)
-}
-
-// Attr is one trace annotation. Annotations are an ordered list, not a
-// map, so dumps serialize deterministically.
-type Attr struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
-// ReqTrace is one request's complete observability record: its ID, the
-// span tree rooted at Root, and the outcome fields Finish stamps.
-type ReqTrace struct {
-	// ID is the request's trace identifier, unique within the tracer.
-	ID string
-	// Endpoint names the handler, e.g. "predict".
-	Endpoint string
-	// Root is the request-level span covering the whole handler.
-	Root *ReqSpan
-	// Status is the HTTP status Finish recorded.
-	Status int
-	// Err is the error body for failed requests, "" on success.
-	Err string
-	// Total is the root span's elapsed time, fixed by Finish.
-	Total time.Duration
-	// Seq is the trace's position in the tracer's arrival order.
-	Seq uint64
-
-	mu    sync.Mutex
-	attrs []Attr
-	clock timing.Clock
-	epoch time.Time
-}
-
-// Annotate appends a key/value annotation (cache hit/miss, singleflight
-// role, ...). Nil-safe; safe for concurrent use.
-func (t *ReqTrace) Annotate(key, value string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.attrs = append(t.attrs, Attr{Key: key, Value: value})
-	t.mu.Unlock()
-}
-
-// Attrs returns a copy of the annotations in append order. Nil-safe.
-func (t *ReqTrace) Attrs() []Attr {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Attr(nil), t.attrs...)
-}
-
-// Attr returns the first annotation with the given key. Nil-safe.
-func (t *ReqTrace) Attr(key string) (string, bool) {
-	if t == nil {
-		return "", false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, a := range t.attrs {
-		if a.Key == key {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
-// spanCtxKey carries the current *ReqSpan through a context.
-type spanCtxKey struct{}
-
-// traceCtxKey carries the request's *ReqTrace through a context.
-type traceCtxKey struct{}
-
-// ContextWithTrace returns a context carrying the trace and its root
-// span as the current span. A nil trace returns ctx unchanged.
-func ContextWithTrace(ctx context.Context, t *ReqTrace) context.Context {
-	if t == nil {
-		return ctx
-	}
-	ctx = context.WithValue(ctx, traceCtxKey{}, t)
-	return context.WithValue(ctx, spanCtxKey{}, t.Root)
-}
-
-// TraceFrom returns the context's trace, nil when tracing is off.
-func TraceFrom(ctx context.Context) *ReqTrace {
-	t, _ := ctx.Value(traceCtxKey{}).(*ReqTrace)
-	return t
-}
-
-// SpanFrom returns the context's current span, nil when tracing is off.
-func SpanFrom(ctx context.Context) *ReqSpan {
-	s, _ := ctx.Value(spanCtxKey{}).(*ReqSpan)
-	return s
-}
-
-// StartSpan opens a child of the context's current span and returns it
-// with a context carrying it as the new current span. With tracing off
-// (no span in ctx) it returns (nil, ctx) — one map lookup, no
-// allocation — and the nil span's methods are all no-ops.
-func StartSpan(ctx context.Context, name, detail string) (*ReqSpan, context.Context) {
-	parent := SpanFrom(ctx)
-	if parent == nil {
-		return nil, ctx
-	}
-	s := parent.StartChild(name, detail)
-	return s, context.WithValue(ctx, spanCtxKey{}, s)
-}
+// Request-scoped tracing: every serving-layer request gets a Trace with a
+// deterministic ID, propagated through context.Context (ContextWithTrace)
+// so each layer (serve handler, singleflight, cache, analysis) can
+// attribute its share of the request's wall time. Trace IDs come from an
+// atomic sequence, never a clock or a random source.
 
 // TracerConfig configures a RequestTracer.
 type TracerConfig struct {
@@ -277,10 +79,14 @@ func (rt *RequestTracer) Recorder() *FlightRecorder {
 	return rt.rec
 }
 
+// requestSpanCap is the span capacity a request trace starts with: a warm
+// /predict opens about ten stages, so the list is allocated once.
+const requestSpanCap = 12
+
 // Start opens a trace for one request: a fresh ID, an epoch at now, and
-// a root span covering the handler. Nil-safe: a nil tracer returns a
-// nil trace.
-func (rt *RequestTracer) Start(endpoint string) *ReqTrace {
+// a root span (index 0) covering the handler. Nil-safe: a nil tracer
+// returns a nil trace.
+func (rt *RequestTracer) Start(endpoint string) *Trace {
 	if rt == nil {
 		return nil
 	}
@@ -288,14 +94,15 @@ func (rt *RequestTracer) Start(endpoint string) *ReqTrace {
 	id := make([]byte, 0, len(rt.prefix)+8)
 	id = append(id, rt.prefix...)
 	id = appendSeq(id, seq)
-	t := &ReqTrace{
+	t := &Trace{
 		ID:       string(id),
 		Endpoint: endpoint,
 		Seq:      seq,
 		clock:    rt.clock,
 		epoch:    rt.clock.Now(),
+		spans:    make([]Span, 1, requestSpanCap),
 	}
-	t.Root = &ReqSpan{Name: endpoint, trace: t}
+	t.spans[0] = Span{Name: endpoint, Rank: -1, Track: TrackStages, Parent: -1}
 	return t
 }
 
@@ -314,14 +121,15 @@ func appendSeq(b []byte, seq uint64) []byte {
 // the trace lands in the flight recorder, and a slow or errored request
 // triggers an automatic dump flush when a flush path is configured.
 // Nil-safe on both the tracer and the trace.
-func (rt *RequestTracer) Finish(t *ReqTrace, status int, errMsg string) {
+func (rt *RequestTracer) Finish(t *Trace, status int, errMsg string) {
 	if rt == nil || t == nil {
 		return
 	}
-	t.Root.End()
+	root := t.Root()
+	root.End()
 	t.Status = status
 	t.Err = errMsg
-	t.Total = t.Root.Elapsed
+	t.Total = root.Span().Elapsed
 	slow := rt.slow > 0 && t.Total >= rt.slow
 	if slow {
 		t.Annotate("slow", t.Total.String())

@@ -43,7 +43,7 @@ func TestNilTracerChain(t *testing.T) {
 		t.Error("bare context carries a trace")
 	}
 	sp, ctx2 := StartSpan(ctx, "x", "")
-	if sp != nil {
+	if sp != (SpanRef{}) {
 		t.Fatal("span-free context minted a span")
 	}
 	if ctx2 != ctx {
@@ -51,8 +51,15 @@ func TestNilTracerChain(t *testing.T) {
 	}
 	sp.End()
 	sp.SetDetail("d")
-	if sp.StartChild("y", "") != nil {
-		t.Error("nil span minted a child")
+	if sp.StartChild("y", "") != (SpanRef{}) {
+		t.Error("zero span minted a child")
+	}
+	if sp.Span() != (Span{}) {
+		t.Error("zero span reads back a span")
+	}
+	var none *Trace
+	if none.Root() != (SpanRef{}) || none.Spans() != nil {
+		t.Error("nil trace is not inert")
 	}
 }
 
@@ -88,7 +95,7 @@ func TestSpanTreeTiming(t *testing.T) {
 	if got := TraceFrom(ctx); got != tr {
 		t.Fatal("context lost the trace")
 	}
-	if got := SpanFrom(ctx); got != tr.Root {
+	if got := SpanFrom(ctx); got != tr.Root() {
 		t.Fatal("context's current span is not the root")
 	}
 
@@ -98,25 +105,69 @@ func TestSpanTreeTiming(t *testing.T) {
 	parent.End()                                 // +4ms
 	rt.Finish(tr, 200, "")                       // root ends at +5ms
 
-	if parent.Start != time.Millisecond || parent.Elapsed != 3*time.Millisecond {
-		t.Errorf("outer: start %v elapsed %v", parent.Start, parent.Elapsed)
+	if p := parent.Span(); p.Start != time.Millisecond || p.Elapsed != 3*time.Millisecond {
+		t.Errorf("outer: start %v elapsed %v", p.Start, p.Elapsed)
 	}
-	if child.Start != 2*time.Millisecond || child.Elapsed != time.Millisecond {
-		t.Errorf("inner: start %v elapsed %v", child.Start, child.Elapsed)
+	if c := child.Span(); c.Start != 2*time.Millisecond || c.Elapsed != time.Millisecond {
+		t.Errorf("inner: start %v elapsed %v", c.Start, c.Elapsed)
 	}
 	if tr.Total != 5*time.Millisecond || tr.Status != 200 {
 		t.Errorf("trace: total %v status %d", tr.Total, tr.Status)
 	}
-	kids := tr.Root.Children()
-	if len(kids) != 1 || kids[0] != parent {
-		t.Fatalf("root children = %v", kids)
+	// The flat list is the tree: root, then outer under it, then inner
+	// under outer, every one a process-level stage span.
+	spans := tr.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("trace holds %d spans, want 3", len(spans))
 	}
-	gkids := parent.Children()
-	if len(gkids) != 1 || gkids[0] != child {
-		t.Fatalf("outer children = %v", gkids)
+	for i, want := range []struct {
+		name   string
+		parent int
+	}{{"predict", -1}, {"outer", 0}, {"inner", 1}} {
+		if s := spans[i]; s.Name != want.name || s.Parent != want.parent || s.Rank != -1 || s.Track != TrackStages {
+			t.Errorf("span %d = %+v, want %s under %d", i, s, want.name, want.parent)
+		}
 	}
-	if child.Detail() != "c" {
-		t.Errorf("inner detail = %q", child.Detail())
+	if spans[2].Detail != "c" {
+		t.Errorf("inner detail = %q", spans[2].Detail)
+	}
+	if d := DumpTrace(tr).Root; len(d.Children) != 1 || d.Children[0].Name != "outer" ||
+		len(d.Children[0].Children) != 1 || d.Children[0].Children[0].Name != "inner" {
+		t.Errorf("dumped tree = %+v", d)
+	}
+}
+
+// TestCampaignTraceHasNoRoot: a trace with no request identity opens its
+// stages at top level, beside whatever an observer records into it, all
+// against one epoch.
+func TestCampaignTraceHasNoRoot(t *testing.T) {
+	fc := fakeClock(time.Millisecond)
+	tr := NewTrace(fc) // epoch reading
+	ctx := ContextWithTrace(t.Context(), tr)
+	exec, ectx := StartSpan(ctx, "execute", "jobs=1")                                             // +1ms
+	job, _ := StartSpan(ectx, "measure.window", "A|B")                                            // +2ms
+	tr.Record(tr.Now(), Span{Track: TrackKernels, Rank: 1, Name: "A", Elapsed: time.Millisecond}) // +3ms
+	job.End()                                                                                     // +4ms
+	exec.End()                                                                                    // +5ms
+	tr.Root().End()
+	tr.Root().SetDetail("ignored")
+
+	want := []Span{
+		{Name: "execute", Detail: "jobs=1", Rank: -1, Track: TrackStages, Start: time.Millisecond, Elapsed: 4 * time.Millisecond, Parent: -1},
+		{Name: "measure.window", Detail: "A|B", Rank: -1, Track: TrackStages, Start: 2 * time.Millisecond, Elapsed: 2 * time.Millisecond, Parent: 0},
+		{Name: "A", Rank: 1, Track: TrackKernels, Start: 3 * time.Millisecond, Elapsed: time.Millisecond, Parent: -1},
+	}
+	got := tr.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("trace holds %d spans, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if NewTrace(nil).clock != timing.WallClock {
+		t.Error("nil clock should fall back to the wall clock")
 	}
 }
 
@@ -172,7 +223,7 @@ func TestAutoFlushOnSlowAndError(t *testing.T) {
 	os.Remove(path)
 	tr := rt.Start("predict")
 	for i := 0; i < 20; i++ {
-		sp := tr.Root.StartChild("work", "")
+		sp := tr.Root().StartChild("work", "")
 		sp.End()
 	}
 	rt.Finish(tr, 200, "")
@@ -186,32 +237,63 @@ func TestAutoFlushOnSlowAndError(t *testing.T) {
 
 // TestConcurrentSpansUnderOneParent: executor-style fan-out — many
 // goroutines opening and closing children of one span — must be safe
-// and lose nothing. Run with -race.
+// and lose nothing: not a span, and not an End. The span list regrows
+// several times under the workers (it starts at requestSpanCap), and the
+// parent ends while they are still appending, so an End that wrote into
+// a backing array a concurrent append had just outgrown would leave a
+// span with Elapsed 0 here. Run with -race and without.
 func TestConcurrentSpansUnderOneParent(t *testing.T) {
 	rt := NewRequestTracer(TracerConfig{Clock: fakeClock(time.Microsecond)})
 	tr := rt.Start("predict")
 	ctx := ContextWithTrace(t.Context(), tr)
 	parent, pctx := StartSpan(ctx, "execute", "")
 
-	const workers, each = 8, 50
+	const workers, each = 8, 200
 	var wg sync.WaitGroup
+	half := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				sp, _ := StartSpan(pctx, "measure", "")
+				sp, sctx := StartSpan(pctx, "measure", "")
+				inner, _ := StartSpan(sctx, "world", "")
 				sp.SetDetail("job")
+				inner.End()
 				sp.End()
 				tr.Annotate("k", "v")
+				if w == 0 && i == each/2 {
+					close(half)
+				}
 			}
 		}(w)
 	}
+	<-half
+	parent.End() // races the workers' appends by design
 	wg.Wait()
-	parent.End()
 	rt.Finish(tr, 200, "")
-	if got := len(parent.Children()); got != workers*each {
+
+	spans := tr.Spans()
+	if want := 2 + 2*workers*each; len(spans) != want {
+		t.Fatalf("trace holds %d spans, want %d", len(spans), want)
+	}
+	if got := len(DumpTrace(tr).Root.Children[0].Children); got != workers*each {
 		t.Errorf("parent children = %d, want %d", got, workers*each)
+	}
+	for i, s := range spans {
+		if s.Elapsed <= 0 {
+			t.Fatalf("span %d (%s) lost its End: %+v", i, s.Name, s)
+		}
+		switch s.Name {
+		case "measure":
+			if s.Parent != 1 || s.Detail != "job" {
+				t.Fatalf("span %d = %+v, want a job under execute", i, s)
+			}
+		case "world":
+			if p := spans[s.Parent]; p.Name != "measure" || s.Parent >= i {
+				t.Fatalf("span %d = %+v sits under %+v", i, s, p)
+			}
+		}
 	}
 	if got := len(tr.Attrs()); got != workers*each {
 		t.Errorf("attrs = %d, want %d", got, workers*each)
@@ -229,7 +311,7 @@ func TestDumpDeterministic(t *testing.T) {
 		})
 		for i := 0; i < 5; i++ {
 			tr := rt.Start("predict")
-			sp := tr.Root.StartChild("singleflight", "")
+			sp := tr.Root().StartChild("singleflight", "")
 			for j := 0; j <= i; j++ {
 				c := sp.StartChild("cache.disk", fmt.Sprintf("key%d", j))
 				c.End()

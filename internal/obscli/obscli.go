@@ -1,8 +1,8 @@
 // Package obscli wires the observability stack into commands: it owns the
 // -trace-out, -metrics-out and -pprof flags shared by cmd/npbrun and
-// cmd/couple, builds the metric registry / span recorder / MPI observer /
-// kernel tracer they request, and writes the Perfetto trace and run
-// manifest when the command finishes.
+// cmd/couple, builds the metric registry / trace / MPI observer they
+// request, and writes the Perfetto trace and run manifest when the
+// command finishes.
 package obscli
 
 import (
@@ -81,14 +81,13 @@ type Sink struct {
 	// Registry collects metrics; shared by the MPI observer and any
 	// harness-level instrumentation. Nil when instrumentation is off.
 	Registry *obs.Registry
-	// Spans collects MPI and harness spans. Nil when tracing is off.
-	Spans *obs.SpanRecorder
-	// Observer is the MPI-world hook; attach via WorldOpts. Nil when
-	// instrumentation is off.
-	Observer *mpi.Observer
-	// Tracer records kernel events for the trace export; commands wrap
-	// their factories with it. Nil unless -trace-out was given.
-	Tracer *trace.Tracer
+	// Trace collects every span of the run on one clock: kernel and MPI
+	// spans from the worlds WorldOpts attaches, and the harness stages
+	// of a campaign that carries it in its context
+	// (obs.ContextWithTrace). Nil unless -trace-out was given; a command
+	// that renders spans itself (npbrun -trace) may set it before
+	// calling WorldOpts.
+	Trace *obs.Trace
 
 	pprofFile *os.File
 }
@@ -110,14 +109,9 @@ func Open(f Flags) (*Sink, error) {
 	}
 	if f.Enabled() {
 		s.Registry = obs.NewRegistry()
-		if f.TraceOut != "" {
-			s.Tracer = trace.NewTracer()
-			s.Spans = obs.NewSpanRecorder()
-			// One timebase for kernel events and MPI spans, so the
-			// merged export lines up per rank.
-			s.Spans.SetEpoch(s.Tracer.Epoch())
-		}
-		s.Observer = mpi.NewObserver(s.Registry, s.Spans)
+	}
+	if f.TraceOut != "" {
+		s.Trace = obs.NewTrace(nil)
 	}
 	return s, nil
 }
@@ -125,15 +119,15 @@ func Open(f Flags) (*Sink, error) {
 // WorldOpts returns the MPI options that attach the sink to a world;
 // empty when instrumentation is off.
 func (s *Sink) WorldOpts() []mpi.Option {
-	if s.Observer == nil {
+	if s.Registry == nil && s.Trace == nil {
 		return nil
 	}
-	return []mpi.Option{mpi.WithObserver(s.Observer)}
+	return []mpi.Option{mpi.WithObserver(mpi.NewObserver(s.Registry, s.Trace))}
 }
 
 // Close stops the CPU profile and writes the requested outputs: the
-// trace-event file merging kernel events with the recorded spans, and
-// the manifest with the final metric snapshot. The caller fills the
+// trace-event file of everything the trace recorded, and the manifest
+// with the final metric snapshot. The caller fills the
 // manifest's run-identification and wall-clock fields.
 func (s *Sink) Close(man obs.Manifest) error {
 	if s.pprofFile != nil {
@@ -144,15 +138,7 @@ func (s *Sink) Close(man obs.Manifest) error {
 		s.pprofFile = nil
 	}
 	if s.flags.TraceOut != "" {
-		var events []trace.Event
-		if s.Tracer != nil {
-			events = s.Tracer.Events()
-		}
-		var spans []obs.Span
-		if s.Spans != nil {
-			spans = s.Spans.Spans()
-		}
-		if err := trace.WriteTraceEventFile(s.flags.TraceOut, events, spans); err != nil {
+		if err := trace.WriteTraceEventFile(s.flags.TraceOut, trace.Group{Spans: s.Trace.Spans()}); err != nil {
 			return fmt.Errorf("obscli: trace: %w", err)
 		}
 	}

@@ -501,7 +501,7 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 		s.reg.Gauge("serve.inflight").Add(1)
 		defer s.reg.Gauge("serve.inflight").Add(-1)
 		s.reg.Counter("serve.req." + name + ".count").Inc()
-		var tr *obs.ReqTrace
+		var tr *obs.Trace
 		if traced {
 			tr = s.tracer.Start(name) // nil tracer → nil trace, all hooks no-op
 		}
@@ -609,7 +609,7 @@ type accessRecord struct {
 
 // logAccess emits one JSON line per completed request. Serialization
 // under logMu keeps concurrent requests' lines whole.
-func (s *Server) logAccess(name string, tr *obs.ReqTrace, status int, dur time.Duration, errMsg string) {
+func (s *Server) logAccess(name string, tr *obs.Trace, status int, dur time.Duration, errMsg string) {
 	if s.accessLog == nil {
 		return
 	}

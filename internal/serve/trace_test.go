@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -201,5 +202,49 @@ func TestDebugRequestsDisabled(t *testing.T) {
 	body := get(t, ts.URL, "/debug/requests", 404)
 	if !bytes.Contains(body, []byte("tracing is disabled")) {
 		t.Errorf("404 body = %s", body)
+	}
+}
+
+// TestTracedWarmPredictAllocs prices the tracer on the warm /predict
+// path in allocations, handler to handler with no network in between:
+// a trace, its span list, its ID, the context values that carry it and
+// one context per stage — at most 33 a request, the figure the
+// tree-of-pointers layout this replaced cost end to end. The untraced
+// server pays nothing: with no trace in the context every
+// instrumentation point is one failed lookup and the zero handle's
+// methods are no-ops, so none of them allocates.
+func TestTracedWarmPredictAllocs(t *testing.T) {
+	allocs := func(cfg Config) float64 {
+		cfg.Cache = warmedCache(t)
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		req := httptest.NewRequest(http.MethodGet, "/predict?"+warmQS, nil)
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("warm /predict = %d: %s", rec.Code, rec.Body)
+			}
+		}
+		serve() // first request loads the disk tier into memory
+		return testing.AllocsPerRun(200, serve)
+	}
+	plain := allocs(Config{})
+	traced := allocs(Config{Tracer: obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(0, 0)})})
+	t.Logf("warm /predict allocs: untraced %.0f, traced %.0f", plain, traced)
+	if delta := traced - plain; delta > 33 {
+		t.Errorf("tracing costs %.0f allocs per warm /predict (%.0f vs %.0f), budget 33", delta, traced, plain)
+	}
+	ctx := t.Context()
+	if n := testing.AllocsPerRun(100, func() {
+		sp, sctx := obs.StartSpan(ctx, "cache.load", "jobs=16")
+		sp.SetDetail("hit")
+		sp.End()
+		obs.TraceFrom(sctx).Annotate("cache", "hit")
+	}); n != 0 {
+		t.Errorf("an untraced instrumentation point allocates %.0f times, want 0", n)
 	}
 }

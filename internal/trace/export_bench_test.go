@@ -6,17 +6,13 @@ import (
 )
 
 func BenchmarkWriteTraceEventsLarge(b *testing.B) {
-	tr, rec := multiRankFixture()
-	events, spans := tr.Events(), rec.Spans()
-	for len(events) < 3000 {
-		events = append(events, events...)
-	}
-	for len(spans) < 2000 {
+	spans := multiRankFixture().Spans()
+	for len(spans) < 5000 {
 		spans = append(spans, spans...)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteTraceEvents(io.Discard, events, spans); err != nil {
+		if err := WriteTraceEvents(io.Discard, Group{Spans: spans}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,75 +2,56 @@ package trace
 
 import (
 	"fmt"
-	"io"
-	"os"
+	"time"
 
 	"repro/internal/obs"
 )
 
-// Flight-recorder dumps export to the same Chrome/Perfetto trace-event
-// format as world traces, mapped as:
-//
-//	process (pid)   one per retained request trace, named after its
-//	                trace ID, endpoint and retention group
-//	thread 0        the request's span tree; Perfetto stacks the nested
-//	                complete events into a flame view by containment
-//
-// so a dump of the slowest requests opens as a gallery of per-request
-// flame graphs — the serving-layer analogue of the per-rank kernel/MPI
-// timeline.
-
-// WriteRequestEvents converts a flight-recorder dump into a Chrome
-// trace-event JSON document on w. The output is deterministic for a
-// deterministic dump: traces keep the dump's retention order (slowest
-// first, then errored) and spans are emitted in tree pre-order.
-func WriteRequestEvents(w io.Writer, d *obs.FlightDump) error {
-	var metas, out []traceEvent
-	pid := 0
-	emit := func(group string, traces []obs.TraceDump) {
+// RequestGroups turns a flight-recorder dump into one export Group per
+// retained request, in the dump's retention order (slowest first, then
+// errored). A request retained by both pools appears once, at its first
+// position, labelled with both. Each group's spans are the dumped tree
+// flattened back to pre-order with parent indices — the layout the
+// request was recorded in.
+func RequestGroups(d *obs.FlightDump) []Group {
+	var groups []Group
+	errored := map[string]bool{}
+	for _, t := range d.Errored {
+		errored[t.ID] = true
+	}
+	seen := map[string]bool{}
+	add := func(pool string, traces []obs.TraceDump) {
 		for _, t := range traces {
-			pname := fmt.Sprintf("%s %s /%s (%d)", group, t.ID, t.Endpoint, t.Status)
-			metas = append(metas,
-				traceEvent{Name: "process_name", Phase: "M", Pid: pid, Tid: 0, Args: &eventArgs{Name: pname}},
-				traceEvent{Name: "thread_name", Phase: "M", Pid: pid, Tid: 0, Args: &eventArgs{Name: "spans"}},
-			)
-			var walk func(s obs.SpanDump)
-			walk = func(s obs.SpanDump) {
-				var args *eventArgs
-				if s.Detail != "" {
-					args = &eventArgs{Detail: s.Detail}
-				}
-				out = append(out, traceEvent{
-					Name:  s.Name,
-					Phase: "X",
-					Ts:    float64(s.StartNs) / 1e3,
-					Dur:   float64(s.DurNs) / 1e3,
-					Pid:   pid,
-					Tid:   0,
-					Args:  args,
+			if seen[t.ID] {
+				continue
+			}
+			seen[t.ID] = true
+			label := pool
+			if pool == "slowest" && errored[t.ID] {
+				label = "slowest+errored"
+			}
+			g := Group{Label: fmt.Sprintf("%s %s /%s (%d)", label, t.ID, t.Endpoint, t.Status)}
+			var walk func(s obs.SpanDump, parent int)
+			walk = func(s obs.SpanDump, parent int) {
+				g.Spans = append(g.Spans, obs.Span{
+					Name:    s.Name,
+					Detail:  s.Detail,
+					Rank:    -1,
+					Track:   obs.TrackStages,
+					Start:   time.Duration(s.StartNs),
+					Elapsed: time.Duration(s.DurNs),
+					Parent:  parent,
 				})
+				self := len(g.Spans) - 1
 				for _, c := range s.Children {
-					walk(c)
+					walk(c, self)
 				}
 			}
-			walk(t.Root)
-			pid++
+			walk(t.Root, -1)
+			groups = append(groups, g)
 		}
 	}
-	emit("slowest", d.Slowest)
-	emit("errored", d.Errored)
-	return streamEvents(w, append(metas, out...))
-}
-
-// WriteRequestEventFile is WriteRequestEvents to a named file.
-func WriteRequestEventFile(path string, d *obs.FlightDump) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteRequestEvents(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	add("slowest", d.Slowest)
+	add("errored", d.Errored)
+	return groups
 }

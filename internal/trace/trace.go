@@ -1,85 +1,35 @@
-// Package trace provides the kernel-level instrumentation layer of the
-// reproduction, in the spirit of the authors' Prophesy infrastructure
-// [TG01]: every kernel execution is recorded with its rank, start time and
-// duration, and the collected events can be summarized as per-kernel
-// profiles or rendered as a per-rank ASCII timeline. A Tracer wraps any
-// npb.KernelSet transparently, so an instrumented benchmark run needs no
-// changes to the benchmark itself.
+// Package trace renders what internal/obs recorded, in the spirit of the
+// authors' Prophesy infrastructure [TG01]: the kernel-track spans of a
+// trace summarized as per-kernel profiles or drawn as a per-rank ASCII
+// timeline (this file), and any groups of spans exported as one Chrome
+// trace-event document for Perfetto (traceevent.go). It records nothing
+// itself — kernel executions are timed by mpi.Observer at the
+// Comm.SetPhase seam — so every rendering here is a view over
+// []obs.Span.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/mpi"
-	"repro/internal/npb"
-	"repro/internal/timing"
+	"repro/internal/obs"
 )
 
-// Event is one kernel execution.
-type Event struct {
-	// Rank is the executing rank.
-	Rank int
-	// Kernel is the kernel name.
-	Kernel string
-	// Start is the offset from the tracer's epoch.
-	Start time.Duration
-	// Elapsed is the execution duration.
-	Elapsed time.Duration
-}
+// Kernels is the kernel-track view of a trace: one span per kernel
+// execution, in record order.
+type Kernels []obs.Span
 
-// Tracer collects events from concurrently executing ranks.
-type Tracer struct {
-	mu     sync.Mutex
-	clock  timing.Clock
-	epoch  time.Time
-	events []Event
-}
-
-// NewTracer returns a tracer on the wall clock whose epoch is now.
-func NewTracer() *Tracer {
-	return NewTracerWithClock(timing.WallClock)
-}
-
-// NewTracerWithClock returns a tracer reading the given clock, so tests
-// and deterministic replays control every timestamp. A nil clock means the
-// wall clock. timing.FakeClock is safe for concurrent ranks, so multi-rank
-// deterministic traces can share one.
-func NewTracerWithClock(c timing.Clock) *Tracer {
-	if c == nil {
-		c = timing.WallClock
+// KernelView filters spans down to the kernel executions.
+func KernelView(spans []obs.Span) Kernels {
+	var ks Kernels
+	for _, s := range spans {
+		if s.Track == obs.TrackKernels {
+			ks = append(ks, s)
+		}
 	}
-	return &Tracer{clock: c, epoch: c.Now()}
-}
-
-// Record stores one kernel execution.
-func (t *Tracer) Record(rank int, kernel string, start time.Time, elapsed time.Duration) {
-	t.mu.Lock()
-	t.events = append(t.events, Event{
-		Rank:    rank,
-		Kernel:  kernel,
-		Start:   start.Sub(t.epoch),
-		Elapsed: elapsed,
-	})
-	t.mu.Unlock()
-}
-
-// Events returns a copy of the recorded events in record order.
-func (t *Tracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
-}
-
-// Reset discards all recorded events and restarts the epoch.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.events = t.events[:0]
-	t.epoch = t.clock.Now()
-	t.mu.Unlock()
+	return ks
 }
 
 // Profile summarizes one kernel's executions.
@@ -99,16 +49,15 @@ func (p Profile) Mean() time.Duration {
 	return p.Total / time.Duration(p.Count)
 }
 
-// Profiles aggregates the events per kernel, sorted by descending total
-// time — the "where does the time go" view.
-func (t *Tracer) Profiles() []Profile {
-	t.mu.Lock()
+// Profiles aggregates the executions per kernel, sorted by descending
+// total time — the "where does the time go" view.
+func (ks Kernels) Profiles() []Profile {
 	byKernel := map[string]*Profile{}
-	for _, e := range t.events {
-		p := byKernel[e.Kernel]
+	for _, e := range ks {
+		p := byKernel[e.Name]
 		if p == nil {
-			p = &Profile{Kernel: e.Kernel, Min: e.Elapsed, Max: e.Elapsed}
-			byKernel[e.Kernel] = p
+			p = &Profile{Kernel: e.Name, Min: e.Elapsed, Max: e.Elapsed}
+			byKernel[e.Name] = p
 		}
 		p.Count++
 		p.Total += e.Elapsed
@@ -119,16 +68,9 @@ func (t *Tracer) Profiles() []Profile {
 			p.Max = e.Elapsed
 		}
 	}
-	t.mu.Unlock()
-
-	names := make([]string, 0, len(byKernel))
-	for name := range byKernel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	out := make([]Profile, 0, len(byKernel))
-	for _, name := range names {
-		out = append(out, *byKernel[name])
+	for _, p := range byKernel {
+		out = append(out, *p)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Total != out[j].Total {
@@ -143,9 +85,8 @@ func (t *Tracer) Profiles() []Profile {
 // gets one lane, each kernel execution a run of its marker letter
 // (the kernel name's first letter), gaps staying blank. It reports the
 // wall span covered.
-func (t *Tracer) Timeline(width int) string {
-	events := t.Events()
-	if len(events) == 0 {
+func (ks Kernels) Timeline(width int) string {
+	if len(ks) == 0 {
 		return "(no events)\n"
 	}
 	if width < 10 {
@@ -153,7 +94,7 @@ func (t *Tracer) Timeline(width int) string {
 	}
 	maxRank := 0
 	var end time.Duration
-	for _, e := range events {
+	for _, e := range ks {
 		if e.Rank > maxRank {
 			maxRank = e.Rank
 		}
@@ -178,13 +119,13 @@ func (t *Tracer) Timeline(width int) string {
 		}
 		return c
 	}
-	for _, e := range events {
+	for _, e := range ks {
 		if e.Rank < 0 {
 			continue
 		}
 		marker := byte('?')
-		if len(e.Kernel) > 0 {
-			marker = e.Kernel[0]
+		if len(e.Name) > 0 {
+			marker = e.Name[0]
 		}
 		from := col(e.Start)
 		to := col(e.Start + e.Elapsed)
@@ -201,56 +142,13 @@ func (t *Tracer) Timeline(width int) string {
 }
 
 // String renders the per-kernel profile table.
-func (t *Tracer) String() string {
+func (ks Kernels) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %8s %12s %12s %12s %12s\n", "kernel", "count", "total", "mean", "min", "max")
-	for _, p := range t.Profiles() {
+	for _, p := range ks.Profiles() {
 		fmt.Fprintf(&b, "%-16s %8d %12v %12v %12v %12v\n",
 			p.Kernel, p.Count, p.Total.Round(time.Microsecond), p.Mean().Round(time.Microsecond),
 			p.Min.Round(time.Microsecond), p.Max.Round(time.Microsecond))
 	}
 	return b.String()
-}
-
-// tracedKernels wraps an npb.KernelSet, recording every execution.
-type tracedKernels struct {
-	inner  npb.KernelSet
-	rank   int
-	tracer *Tracer
-}
-
-// RunKernel times and records the wrapped kernel execution.
-func (tk *tracedKernels) RunKernel(name string) error {
-	clock := tk.tracer.clock
-	start := clock.Now()
-	err := tk.inner.RunKernel(name)
-	tk.tracer.Record(tk.rank, name, start, clock.Now().Sub(start))
-	return err
-}
-
-// Refresh forwards to the wrapped kernel set without recording.
-func (tk *tracedKernels) Refresh() { tk.inner.Refresh() }
-
-// Unwrap returns the wrapped kernel set, so callers that need the concrete
-// benchmark state (e.g. to read verification norms) can reach through the
-// instrumentation.
-func (tk *tracedKernels) Unwrap() npb.KernelSet { return tk.inner }
-
-// Wrap returns a KernelSet that records every RunKernel on the tracer.
-func Wrap(ks npb.KernelSet, rank int, tr *Tracer) npb.KernelSet {
-	return &tracedKernels{inner: ks, rank: rank, tracer: tr}
-}
-
-// WrapFactory instruments a benchmark factory so every rank's kernels are
-// traced. Tracing adds two clock reads and one mutex acquisition per
-// kernel execution; keep it out of coupling measurement campaigns and use
-// it for profiling runs.
-func WrapFactory(f npb.Factory, tr *Tracer) npb.Factory {
-	return func(c *mpi.Comm) (npb.KernelSet, error) {
-		ks, err := f(c)
-		if err != nil {
-			return nil, err
-		}
-		return Wrap(ks, c.Rank(), tr), nil
-	}
 }

@@ -15,16 +15,17 @@ import (
 // The Chrome trace-event JSON format (loadable by Perfetto's UI and by
 // chrome://tracing) models a trace as processes and threads carrying
 // complete events ("ph":"X") with microsecond timestamps. The exporter
-// maps the reproduction's concepts onto it:
+// maps a Group of spans onto it:
 //
-//	process (pid)   one per rank; harness-level spans (obs.Span.Rank < 0)
-//	                get their own "harness" process after the last rank
-//	thread 0        kernel executions (trace.Event)
-//	thread 1        MPI operations (obs.Span)
+//	process (pid)   one per rank, then one for the group's process-level
+//	                spans (obs.Span.Rank < 0): "harness" for a campaign,
+//	                the group's label for a request
+//	thread (tid)    the span's obs.Track: 0 kernels, 1 mpi, 2 spans
 //
 // so the Perfetto timeline shows, per rank, the kernel track with the
 // communication track directly beneath it — the visual form of the
-// paper's question about how kernels couple through communication.
+// paper's question about how kernels couple through communication — and
+// a flight-recorder dump opens as a gallery of per-request flame graphs.
 
 // traceEvent is one entry of the "traceEvents" array. Field order here is
 // emission order (encoding/json preserves struct order), which keeps the
@@ -49,138 +50,94 @@ type eventArgs struct {
 	WaitUs float64 `json:"wait_us,omitempty"` // blocked time, microseconds
 }
 
-// traceFile is the top-level JSON object Perfetto expects. The writer
-// streams this shape by hand (see WriteTraceEvents); the struct exists
-// for decoding exports in tests and tools.
-type traceFile struct {
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
-}
-
-const (
-	tidKernels = 0
-	tidMPI     = 1
-)
-
 // usec converts a duration to fractional microseconds, the trace-event
 // time unit.
 func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// WriteTraceEvents merges kernel events and MPI spans into one Chrome
-// trace-event JSON document on w. Both inputs must share an epoch: record
-// them with the same clock and align the span recorder via
-// SpanRecorder.SetEpoch(tracer.Epoch()). Either slice may be empty. The
-// output is deterministic: events are sorted by (pid, tid, ts, name) and
-// metadata precedes data.
-func WriteTraceEvents(w io.Writer, events []Event, spans []obs.Span) error {
-	maxRank := -1
-	for _, e := range events {
-		if e.Rank > maxRank {
-			maxRank = e.Rank
-		}
-	}
-	hasHarness := false
-	for _, s := range spans {
-		if s.Rank > maxRank {
-			maxRank = s.Rank
-		}
-		if s.Rank < 0 {
-			hasHarness = true
-		}
-	}
-	harnessPid := maxRank + 1
+// Group is one set of spans sharing a trace's epoch: a whole campaign or
+// benchmark run, or one request. Each group gets its own block of
+// process ids, so several can sit side by side in one document.
+type Group struct {
+	// Label names the process carrying the group's process-level spans;
+	// "" means "harness".
+	Label string
+	// Spans is the group's spans in record order.
+	Spans []obs.Span
+}
 
-	kernelRanks := map[int]bool{}
-	mpiRanks := map[int]bool{}
-	var out []traceEvent
-	for _, e := range events {
-		if e.Rank < 0 {
-			continue // kernel events are always rank-attributed
-		}
-		kernelRanks[e.Rank] = true
-		out = append(out, traceEvent{
-			Name:  e.Kernel,
-			Phase: "X",
-			Ts:    usec(e.Start),
-			Dur:   usec(e.Elapsed),
-			Pid:   e.Rank,
-			Tid:   tidKernels,
-		})
-	}
-	for _, s := range spans {
-		pid := s.Rank
-		if pid < 0 {
-			pid = harnessPid
-		}
-		mpiRanks[pid] = true
-		var args *eventArgs
-		if s.Detail != "" || s.Bytes > 0 || s.Wait > 0 {
-			args = &eventArgs{Detail: s.Detail}
-			if s.Bytes > 0 {
-				args.Bytes = s.Bytes
-			}
-			if s.Wait > 0 {
-				args.WaitUs = usec(s.Wait)
+// WriteTraceEvents renders the groups as one Chrome trace-event JSON
+// document on w. The output is deterministic: within a group events are
+// sorted by (pid, tid, ts, name), groups keep their order, and metadata
+// naming every process and thread that carries events precedes the data.
+func WriteTraceEvents(w io.Writer, groups ...Group) error {
+	var metas, out []traceEvent
+	base := 0
+	for _, g := range groups {
+		maxRank := -1
+		for _, s := range g.Spans {
+			if s.Rank > maxRank {
+				maxRank = s.Rank
 			}
 		}
-		out = append(out, traceEvent{
-			Name:  s.Op,
-			Phase: "X",
-			Ts:    usec(s.Start),
-			Dur:   usec(s.Elapsed),
-			Pid:   pid,
-			Tid:   tidMPI,
-			Args:  args,
+		hostPid := base + maxRank + 1
+		first := len(out)
+		for _, s := range g.Spans {
+			pid := base + s.Rank
+			if s.Rank < 0 {
+				pid = hostPid
+			}
+			var args *eventArgs
+			if s.Detail != "" || s.Bytes > 0 || s.Wait > 0 {
+				args = &eventArgs{Detail: s.Detail, Bytes: s.Bytes, WaitUs: usec(s.Wait)}
+			}
+			out = append(out, traceEvent{
+				Name:  s.Name,
+				Phase: "X",
+				Ts:    usec(s.Start),
+				Dur:   usec(s.Elapsed),
+				Pid:   pid,
+				Tid:   int(s.Track),
+				Args:  args,
+			})
+		}
+		events := out[first:]
+		sort.SliceStable(events, func(i, j int) bool {
+			a, b := events[i], events[j]
+			if a.Pid != b.Pid {
+				return a.Pid < b.Pid
+			}
+			if a.Tid != b.Tid {
+				return a.Tid < b.Tid
+			}
+			if a.Ts != b.Ts {
+				return a.Ts < b.Ts
+			}
+			return a.Name < b.Name
 		})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pid != b.Pid {
-			return a.Pid < b.Pid
-		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
-		}
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
-		}
-		return a.Name < b.Name
-	})
 
-	// Metadata: name every process and thread that carries events.
-	meta := func(name, key string, pid, tid int) traceEvent {
-		return traceEvent{
-			Name:  name,
-			Phase: "M",
-			Pid:   pid,
-			Tid:   tid,
-			Args:  &eventArgs{Name: key},
+		// Metadata: name every process and thread that carries events,
+		// read off the sorted events as each first appears.
+		meta := func(name, key string, pid, tid int) {
+			metas = append(metas, traceEvent{Name: name, Phase: "M", Pid: pid, Tid: tid, Args: &eventArgs{Name: key}})
 		}
-	}
-	pids := make([]int, 0, len(kernelRanks)+len(mpiRanks))
-	for pid := range kernelRanks {
-		pids = append(pids, pid)
-	}
-	for pid := range mpiRanks {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	pids = dedupSortedInts(pids)
-	var metas []traceEvent
-	for _, pid := range pids {
-		pname := fmt.Sprintf("rank %d", pid)
-		if hasHarness && pid == harnessPid {
-			pname = "harness"
+		for i, e := range events {
+			newPid := i == 0 || events[i-1].Pid != e.Pid
+			if newPid {
+				pname := fmt.Sprintf("rank %d", e.Pid-base)
+				if e.Pid == hostPid {
+					pname = g.Label
+					if pname == "" {
+						pname = "harness"
+					}
+				}
+				meta("process_name", pname, e.Pid, 0)
+			}
+			if newPid || events[i-1].Tid != e.Tid {
+				meta("thread_name", obs.Track(e.Tid).String(), e.Pid, e.Tid)
+			}
 		}
-		metas = append(metas, meta("process_name", pname, pid, 0))
-		if kernelRanks[pid] {
-			metas = append(metas, meta("thread_name", "kernels", pid, tidKernels))
-		}
-		if mpiRanks[pid] {
-			metas = append(metas, meta("thread_name", "mpi", pid, tidMPI))
-		}
+		base = hostPid + 1
 	}
-
 	return streamEvents(w, append(metas, out...))
 }
 
@@ -208,34 +165,14 @@ func streamEvents(w io.Writer, all []traceEvent) error {
 }
 
 // WriteTraceEventFile is WriteTraceEvents to a named file.
-func WriteTraceEventFile(path string, events []Event, spans []obs.Span) error {
+func WriteTraceEventFile(path string, groups ...Group) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteTraceEvents(f, events, spans); err != nil {
+	if err := WriteTraceEvents(f, groups...); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// dedupSortedInts removes adjacent duplicates from a sorted slice.
-func dedupSortedInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// Epoch returns the tracer's time origin, so other recorders (an
-// obs.SpanRecorder via SetEpoch) can share its timebase and merged
-// exports line up.
-func (t *Tracer) Epoch() time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch
 }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,26 +17,42 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// multiRankFixture builds a fixed two-rank trace plus MPI spans on a
-// shared fake clock: every timestamp is exact, so renderings and exports
-// can be compared byte-for-byte against golden files.
-func multiRankFixture() (*Tracer, *obs.SpanRecorder) {
-	fc := &timing.FakeClock{T: time.Unix(0, 0)}
-	tr := NewTracerWithClock(fc)
-	rec := obs.NewSpanRecorderWithClock(fc)
-	rec.SetEpoch(tr.Epoch())
-	base := tr.Epoch()
+// traceFile is the top-level JSON object Perfetto expects; the writer
+// streams this shape by hand, the tests decode it.
+type traceFile struct {
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
+	TraceEvents     []traceEvent `json:"traceEvents"`
+}
 
-	tr.Record(0, "X_SOLVE", base, 5*time.Millisecond)
-	tr.Record(1, "X_SOLVE", base.Add(1*time.Millisecond), 4*time.Millisecond)
-	tr.Record(0, "Y_SOLVE", base.Add(5*time.Millisecond), 3*time.Millisecond)
-	tr.Record(1, "ADD", base.Add(6*time.Millisecond), 1*time.Millisecond)
+// multiRankFixture builds a fixed two-rank trace — kernel spans, the MPI
+// spans under them and one process-level span — on a frozen fake clock:
+// every timestamp is exact, so renderings and exports can be compared
+// byte-for-byte against golden files.
+func multiRankFixture() *obs.Trace {
+	tr := obs.NewTrace(&timing.FakeClock{T: time.Unix(0, 0)})
+	base := tr.Now()
+	ms, us := time.Millisecond, time.Microsecond
 
-	rec.Record(0, "send", "dst=1 tag=3", 800, base.Add(2*time.Millisecond), 100*time.Microsecond, 0)
-	rec.Record(1, "recv", "src=0 tag=3", 800, base.Add(2100*time.Microsecond), 300*time.Microsecond, 250*time.Microsecond)
-	rec.Record(1, "allreduce", "", 8, base.Add(7*time.Millisecond), 200*time.Microsecond, 200*time.Microsecond)
-	rec.Record(-1, "window", "BT trip 1", 0, base, 8*time.Millisecond, 0)
-	return tr, rec
+	tr.Record(base, obs.Span{Rank: 0, Name: "X_SOLVE", Elapsed: 5 * ms})
+	tr.Record(base.Add(1*ms), obs.Span{Rank: 1, Name: "X_SOLVE", Elapsed: 4 * ms})
+	tr.Record(base.Add(5*ms), obs.Span{Rank: 0, Name: "Y_SOLVE", Elapsed: 3 * ms})
+	tr.Record(base.Add(6*ms), obs.Span{Rank: 1, Name: "ADD", Elapsed: 1 * ms})
+
+	tr.Record(base.Add(2*ms), obs.Span{Track: obs.TrackMPI, Rank: 0, Name: "send", Detail: "dst=1 tag=3", Bytes: 800, Elapsed: 100 * us})
+	tr.Record(base.Add(2100*us), obs.Span{Track: obs.TrackMPI, Rank: 1, Name: "recv", Detail: "src=0 tag=3", Bytes: 800, Elapsed: 300 * us, Wait: 250 * us})
+	tr.Record(base.Add(7*ms), obs.Span{Track: obs.TrackMPI, Rank: 1, Name: "allreduce", Bytes: 8, Elapsed: 200 * us, Wait: 200 * us})
+	tr.Record(base, obs.Span{Track: obs.TrackMPI, Rank: -1, Name: "window", Detail: "BT trip 1", Elapsed: 8 * ms})
+	return tr
+}
+
+// export renders the fixture through the one exporter.
+func export(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteTraceEvents(&buf, Group{Spans: multiRankFixture().Spans()}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // checkGolden compares got against testdata/name, rewriting the file
@@ -57,34 +75,19 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestTimelineGolden(t *testing.T) {
-	tr, _ := multiRankFixture()
-	checkGolden(t, "timeline.golden", []byte(tr.Timeline(40)))
+	checkGolden(t, "timeline.golden", []byte(KernelView(multiRankFixture().Spans()).Timeline(40)))
 }
 
 func TestProfilesGolden(t *testing.T) {
-	tr, _ := multiRankFixture()
-	checkGolden(t, "profiles.golden", []byte(tr.String()))
+	checkGolden(t, "profiles.golden", []byte(KernelView(multiRankFixture().Spans()).String()))
 }
 
 func TestTraceEventGolden(t *testing.T) {
-	tr, rec := multiRankFixture()
-	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, tr.Events(), rec.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "traceevent.golden.json", buf.Bytes())
+	checkGolden(t, "traceevent.golden.json", export(t))
 }
 
 func TestTraceEventDeterministicBytes(t *testing.T) {
-	tr, rec := multiRankFixture()
-	var a, b bytes.Buffer
-	if err := WriteTraceEvents(&a, tr.Events(), rec.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTraceEvents(&b, tr.Events(), rec.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(export(t), export(t)) {
 		t.Error("two exports of the same trace differ")
 	}
 }
@@ -94,11 +97,6 @@ func TestTraceEventDeterministicBytes(t *testing.T) {
 // of objects whose ph is "X" (complete, with ts+dur in microseconds) or
 // "M" (metadata naming processes and threads).
 func TestTraceEventRoundTrip(t *testing.T) {
-	tr, rec := multiRankFixture()
-	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, tr.Events(), rec.Spans()); err != nil {
-		t.Fatal(err)
-	}
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 		TraceEvents     []struct {
@@ -111,7 +109,7 @@ func TestTraceEventRoundTrip(t *testing.T) {
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(export(t), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
 	if doc.DisplayTimeUnit != "ms" {
@@ -153,10 +151,10 @@ func TestTraceEventRoundTrip(t *testing.T) {
 	if processes[0] != "rank 0" || processes[1] != "rank 1" || processes[2] != "harness" {
 		t.Errorf("process names = %v", processes)
 	}
-	if threads[[2]int{0, tidKernels}] != "kernels" || threads[[2]int{1, tidMPI}] != "mpi" {
+	if threads[[2]int{0, int(obs.TrackKernels)}] != "kernels" || threads[[2]int{1, int(obs.TrackMPI)}] != "mpi" {
 		t.Errorf("thread names = %v", threads)
 	}
-	if _, ok := threads[[2]int{2, tidKernels}]; ok {
+	if _, ok := threads[[2]int{2, int(obs.TrackKernels)}]; ok {
 		t.Error("harness process should carry no kernel thread")
 	}
 	// The recv span must carry its byte count and wait time.
@@ -178,13 +176,8 @@ func TestTraceEventRoundTrip(t *testing.T) {
 }
 
 func TestTraceEventSortedAndAligned(t *testing.T) {
-	tr, rec := multiRankFixture()
-	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, tr.Events(), rec.Spans()); err != nil {
-		t.Fatal(err)
-	}
 	var doc traceFile
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(export(t), &doc); err != nil {
 		t.Fatal(err)
 	}
 	var prev *traceEvent
@@ -223,9 +216,8 @@ func TestTraceEventSortedAndAligned(t *testing.T) {
 }
 
 func TestWriteTraceEventFile(t *testing.T) {
-	tr, rec := multiRankFixture()
 	path := filepath.Join(t.TempDir(), "out.json")
-	if err := WriteTraceEventFile(path, tr.Events(), rec.Spans()); err != nil {
+	if err := WriteTraceEventFile(path, Group{Spans: multiRankFixture().Spans()}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -239,7 +231,7 @@ func TestWriteTraceEventFile(t *testing.T) {
 
 func TestTraceEventEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, nil, nil); err != nil {
+	if err := WriteTraceEvents(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc traceFile
@@ -249,4 +241,71 @@ func TestTraceEventEmpty(t *testing.T) {
 	if len(doc.TraceEvents) != 0 {
 		t.Errorf("empty trace produced %d events", len(doc.TraceEvents))
 	}
+}
+
+// requestDumpFixture serves three requests off one fake clock into a
+// flight recorder that keeps the two slowest: a slow clean one, a fast
+// errored one, and one both slow and errored — which the dump therefore
+// lists twice, under "slowest" and under "errored".
+func requestDumpFixture() obs.FlightDump {
+	rt := obs.NewRequestTracer(obs.TracerConfig{
+		Clock:    &timing.FakeClock{T: time.Unix(0, 0), Steps: []time.Duration{time.Millisecond}},
+		Recorder: obs.NewFlightRecorder(2, 4),
+	})
+	serve := func(endpoint string, loads int, status int, errMsg string) {
+		tr := rt.Start(endpoint)
+		ctx := obs.ContextWithTrace(context.Background(), tr)
+		parse, _ := obs.StartSpan(ctx, "parse", "")
+		parse.End()
+		sf, sfctx := obs.StartSpan(ctx, "singleflight", "")
+		for i := 0; i < loads; i++ {
+			disk, _ := obs.StartSpan(sfctx, "cache.disk", fmt.Sprintf("key%d", i))
+			disk.End()
+		}
+		sf.SetDetail("leader")
+		sf.End()
+		rt.Finish(tr, status, errMsg)
+	}
+	serve("predict", 3, 200, "")               // t-00000001: slow
+	serve("couplings", 0, 400, "bad window")   // t-00000002: errored
+	serve("predict", 5, 504, "deadline spent") // t-00000003: both
+	return rt.Recorder().Snapshot()
+}
+
+// TestRequestDumpGolden pins the request-dump export byte for byte: it
+// goes through the same WriteTraceEvents as a campaign, one process per
+// retained request, and a request the dump lists in both pools is one
+// process labelled with both.
+func TestRequestDumpGolden(t *testing.T) {
+	d := requestDumpFixture()
+	if len(d.Slowest) != 2 || len(d.Errored) != 2 || d.Slowest[0].ID != d.Errored[1].ID {
+		t.Fatalf("fixture should retain one request in both pools: %+v", d)
+	}
+	groups := RequestGroups(&d)
+	if len(groups) != 3 {
+		t.Fatalf("%d export groups for 3 distinct requests", len(groups))
+	}
+	for i, want := range []string{
+		"slowest+errored t-00000003 /predict (504)",
+		"slowest t-00000001 /predict (200)",
+		"errored t-00000002 /couplings (400)",
+	} {
+		if groups[i].Label != want {
+			t.Errorf("group %d labelled %q, want %q", i, groups[i].Label, want)
+		}
+	}
+	// Flattening the dumped tree restores the recorded layout: parents
+	// precede children, siblings stay in start order.
+	for _, g := range groups {
+		for i, s := range g.Spans {
+			if s.Parent >= i || (i == 0) != (s.Parent == -1) {
+				t.Errorf("%s: span %d %q has parent %d", g.Label, i, s.Name, s.Parent)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteTraceEvents(&buf, groups...); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "requests.golden.json", buf.Bytes())
 }
