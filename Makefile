@@ -1,11 +1,7 @@
 # Build/verify entry points. `make ci` is the tier-1 gate scripts/ci.sh
 # runs; the finer-grained targets exist for quick local iteration.
-# `make bench` archives a benchmark run as BENCH_<date>.json (set
-# KC_FAST=1 for smoke scale, BENCHTIME to override -benchtime).
 
-.PHONY: ci build vet test race kcvet benchdiff bench
-
-BENCHTIME ?= 1x
+.PHONY: ci build vet test race kcvet
 
 ci:
 	./scripts/ci.sh
@@ -25,12 +21,3 @@ race:
 
 kcvet:
 	go run ./cmd/kcvet ./...
-
-benchdiff:
-	./scripts/benchdiff.sh
-
-bench:
-	go test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' . | tee bench.out
-	./scripts/bench2json.sh < bench.out > BENCH_$$(date +%Y-%m-%d).json
-	@rm -f bench.out
-	@echo "wrote BENCH_$$(date +%Y-%m-%d).json"

@@ -15,8 +15,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -37,48 +39,63 @@ import (
 )
 
 func main() {
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "couple: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole process behind main. Every failure is a returned
+// error, so the one deferred sink.Close writes the requested trace,
+// manifest and profile on every path out.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("couple", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench  = flag.String("bench", "BT", "benchmark: BT, SP, LU or FT")
-		class  = flag.String("class", "S", "problem class: S, W, A or B")
-		procs  = flag.Int("procs", 4, "processor (rank) count")
-		chains = flag.String("chains", "2", "comma-separated coupling chain lengths")
-		trips  = flag.Int("trips", 0, "loop trip count (0 = scaled class default)")
-		blocks = flag.Int("blocks", 3, "timed blocks per measurement")
-		passes = flag.Int("passes", 1, "window passes per block")
-		grid   = flag.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
-		net    = flag.Bool("net", false, "attach the IBM SP interconnect cost model")
-		saveDB = flag.String("save", "", "append this study's measurements to a coupling repository (JSON file)")
-		reuse  = flag.String("reuse", "", "repository to reuse coupling values from: only isolated kernels are measured fresh")
-		ref    = flag.String("ref", "", "reference configuration for -reuse as workload.class.procs (e.g. BT.W.4)")
+		bench  = fs.String("bench", "BT", "benchmark: BT, SP, LU or FT")
+		class  = fs.String("class", "S", "problem class: S, W, A or B")
+		procs  = fs.Int("procs", 4, "processor (rank) count")
+		chains = fs.String("chains", "2", "comma-separated coupling chain lengths")
+		trips  = fs.Int("trips", 0, "loop trip count (0 = scaled class default)")
+		blocks = fs.Int("blocks", 3, "timed blocks per measurement")
+		passes = fs.Int("passes", 1, "window passes per block")
+		grid   = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
+		net    = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
+		saveDB = fs.String("save", "", "append this study's measurements to a coupling repository (JSON file)")
+		reuse  = fs.String("reuse", "", "repository to reuse coupling values from: only isolated kernels are measured fresh")
+		ref    = fs.String("ref", "", "reference configuration for -reuse as workload.class.procs (e.g. BT.W.4)")
 
-		parallel  = flag.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
-		cacheDir  = flag.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
-		fromCache = flag.Bool("from-cache", false, "re-analyze from the -cache-dir cache without running any world")
+		parallel  = fs.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
+		cacheDir  = fs.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
+		fromCache = fs.Bool("from-cache", false, "re-analyze from the -cache-dir cache without running any world")
 
-		backend = flag.String("backend", "measured",
+		backend = fs.String("backend", "measured",
 			"predictor backend: measured, cached, interpolated, analytic, or measured+analytic (measure, then compare against the analytic model)")
-		lattice = flag.String("lattice", "",
+		lattice = fs.String("lattice", "",
 			"interpolation lattice: ';'-separated query items, e.g. \"bench=BT&grid=6;bench=BT&grid=8\"")
-		agreeMax = flag.Int("agree-max", -1,
-			"with -backend measured+analytic, fail when more than this many windows fall outside the analytic band (-1 = report only)")
-		analyticBand = flag.Float64("analytic-band", 0,
+		analyticBand = fs.Float64("analytic-band", 0,
 			"minimum relative half-width of the analytic confidence band (0 = model default)")
 	)
 	var obsFlags obscli.Flags
-	obsFlags.Register(nil)
-	faultFlags := fault.Register(flag.CommandLine)
-	flag.Parse()
+	obsFlags.Register(fs)
+	faultFlags := fault.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	inj, err := faultFlags.Build()
 	if err != nil {
-		fail("%v", err)
+		return err
+	}
+	if *fromCache && *cacheDir == "" {
+		return errors.New("-from-cache needs -cache-dir")
 	}
 
 	var chainLens []int
 	for _, s := range strings.Split(*chains, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			fail("bad -chains value %q: %v", s, err)
+			return fmt.Errorf("bad -chains value %q: %w", s, err)
 		}
 		chainLens = append(chainLens, n)
 	}
@@ -87,7 +104,7 @@ func main() {
 	benchName := strings.ToUpper(*bench)
 	prob, err := tables.BenchProblem(benchName, cls)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	prob = tables.GridProblem(benchName, prob, *grid)
 	nTrips := *trips
@@ -95,13 +112,51 @@ func main() {
 		nTrips = tables.DefaultTrips(cls)
 	}
 
+	sink, err := obscli.Open(obsFlags)
+	if err != nil {
+		return err
+	}
+	man := obs.NewManifest("couple")
+	man.Benchmark = benchName
+	man.Class = string(cls)
+	man.Procs = *procs
+	man.Trips = nTrips
+	man.Extra = map[string]string{"chains": *chains}
+	if *parallel > 1 {
+		man.Extra["parallel"] = strconv.Itoa(*parallel)
+	}
+	if *cacheDir != "" {
+		man.Extra["cache_dir"] = *cacheDir
+	}
+	if *fromCache {
+		man.Extra["from_cache"] = "true"
+	}
+	start := time.Now()
+	var study *harness.Study
+	defer func() {
+		// Even a failed run leaves a structured report: the error and the
+		// fault schedule's effect in a manifest for kcreport.
+		man.UnixSeconds = start.Unix()
+		man.WallSeconds = time.Since(start).Seconds()
+		if inj != nil {
+			man.Health = inj.Health()
+		}
+		if err != nil || (study != nil && !study.Health.Clean()) {
+			if man.Health == nil {
+				man.Health = &obs.Health{}
+			}
+			if err != nil {
+				man.Health.Errors = append(man.Health.Errors, err.Error())
+			} else {
+				study.Health.FillManifest(man.Health)
+			}
+		}
+		err = errors.Join(err, sink.Close(man))
+	}()
+
 	var worldOpts []mpi.Option
 	if *net {
 		worldOpts = append(worldOpts, mpi.WithNetModel(mpi.IBMSPModel()))
-	}
-	sink, err := obscli.Open(obsFlags)
-	if err != nil {
-		fail("%v", err)
 	}
 	worldOpts = append(worldOpts, sink.WorldOpts()...)
 	if inj != nil {
@@ -112,7 +167,7 @@ func main() {
 	}
 	w, err := tables.NewWorkload(benchName, cls, prob, *procs, worldOpts)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
 	q := predict.Query{
@@ -125,17 +180,14 @@ func main() {
 		// The measured path continues below; measured+analytic decorates
 		// its study with the analytic comparison before rendering.
 	default:
-		runBackend(backendName, *lattice, *cacheDir, *net, *parallel, *analyticBand, q)
-		return
+		return runBackend(ctx, stdout, backendName, *lattice, *cacheDir, *net, *parallel, *analyticBand, q)
 	}
 
 	if *reuse != "" {
-		runReuse(w, *reuse, *ref, cls, nTrips, chainLens, *blocks, *passes)
-		return
+		return runReuse(stdout, w, *reuse, *ref, cls, nTrips, chainLens, *blocks, *passes)
 	}
 
-	fmt.Printf("study: %s  grid %s  trips=%d  chains=%v\n\n", w.WorkloadName, prob, nTrips, chainLens)
-	start := time.Now()
+	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n\n", w.WorkloadName, prob, nTrips, chainLens)
 	var netModel *mpi.NetModel
 	if *net {
 		m := mpi.IBMSPModel()
@@ -151,7 +203,7 @@ func main() {
 	if *cacheDir != "" {
 		cache, err := plan.NewDirCache(*cacheDir)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		opts.Cache = cache
 	}
@@ -163,11 +215,7 @@ func main() {
 		opts.Degrade = true
 	}
 	eng := harness.Engine{Workload: w, Opts: opts}
-	var study *harness.Study
 	if *fromCache {
-		if opts.Cache == nil {
-			fail("-from-cache needs -cache-dir")
-		}
 		// Pure re-analysis: every measurement must already be in the
 		// cache; no world is spawned.
 		study, err = eng.RunFromCache(nTrips, chainLens)
@@ -175,116 +223,74 @@ func main() {
 		// The campaign trace rides the context the way a request trace
 		// does, so -trace-out shows the plan/execute/assemble/analyze
 		// stages and one measure span per world beside the rank tracks.
-		study, err = eng.RunCtx(obs.ContextWithTrace(context.Background(), sink.Trace), nTrips, chainLens)
-	}
-
-	man := obs.NewManifest("couple")
-	man.Benchmark = benchName
-	man.Class = string(cls)
-	man.Procs = *procs
-	man.Trips = nTrips
-	man.UnixSeconds = start.Unix()
-	man.WallSeconds = time.Since(start).Seconds()
-	man.Extra = map[string]string{"chains": *chains}
-	if *parallel > 1 {
-		man.Extra["parallel"] = strconv.Itoa(*parallel)
-	}
-	if *cacheDir != "" {
-		man.Extra["cache_dir"] = *cacheDir
-	}
-	if *fromCache {
-		man.Extra["from_cache"] = "true"
-	}
-	if inj != nil {
-		man.Health = inj.Health()
+		study, err = eng.RunCtx(obs.ContextWithTrace(ctx, sink.Trace), nTrips, chainLens)
 	}
 	if err != nil {
-		// Even a failed study exits with a structured report: the error,
-		// the fault schedule that caused it, and a manifest for kcreport.
-		if man.Health == nil {
-			man.Health = &obs.Health{}
-		}
-		man.Health.Errors = append(man.Health.Errors, err.Error())
-		if cerr := sink.Close(man); cerr != nil {
-			fmt.Fprintf(os.Stderr, "couple: %v\n", cerr)
-		}
 		if inj != nil {
-			fmt.Fprintf(os.Stderr, "fault schedule:\n%s", inj.ScheduleText())
+			fmt.Fprintf(stderr, "fault schedule:\n%s", inj.ScheduleText())
 		}
-		fail("study failed: %v", err)
-	}
-	if !study.Health.Clean() {
-		if man.Health == nil {
-			man.Health = &obs.Health{}
-		}
-		study.Health.FillManifest(man.Health)
-	}
-	if err := sink.Close(man); err != nil {
-		fail("%v", err)
+		return fmt.Errorf("study failed: %w", err)
 	}
 
 	if *saveDB != "" {
 		db, err := prophesy.OpenFile(*saveDB)
 		if err != nil {
-			fail("open repository: %v", err)
+			return fmt.Errorf("open repository: %w", err)
 		}
 		key := prophesy.Key{Workload: benchName, Class: string(cls), Procs: *procs}
 		prophesy.ImportStudy(db, key, study)
 		if err := db.SaveFile(*saveDB); err != nil {
-			fail("save repository: %v", err)
+			return fmt.Errorf("save repository: %w", err)
 		}
-		fmt.Printf("saved %d measurements for %s to %s\n\n", db.Len(), key, *saveDB)
+		fmt.Fprintf(stdout, "saved %d measurements for %s to %s\n\n", db.Len(), key, *saveDB)
 	}
 
 	if backendName == "measured+analytic" {
 		if err := analyticCompare(study, q, *analyticBand); err != nil {
-			fail("analytic comparison: %v", err)
+			return fmt.Errorf("analytic comparison: %w", err)
 		}
 	}
 
 	// The full report: tables, predictions, and — only when the study
 	// degraded — the degradation section.
-	fmt.Print(harness.RenderStudy(study))
+	fmt.Fprint(stdout, harness.RenderStudy(study))
 
 	if backendName == "measured+analytic" {
-		dis := study.AnalyticDisagreements()
 		total := len(study.AnalyticCmp)
-		fmt.Printf("analytic agreement: %d/%d windows in band\n", total-dis, total)
-		if *agreeMax >= 0 && dis > *agreeMax {
-			fail("analytic model disagrees with measurement on %d windows (max allowed %d)", dis, *agreeMax)
-		}
+		fmt.Fprintf(stdout, "analytic agreement: %d/%d windows in band\n", total-study.AnalyticDisagreements(), total)
 	}
 
 	// Cache statistics go to stderr so the study report on stdout stays
 	// byte-identical whether or not the cache served it.
 	if opts.Cache != nil || *parallel > 1 {
-		fmt.Fprintf(os.Stderr, "couple: cache hits=%d misses=%d planned=%d\n",
+		fmt.Fprintf(stderr, "couple: cache hits=%d misses=%d planned=%d\n",
 			study.Exec.CacheHits, study.Exec.Executed, study.Exec.Planned)
 	}
+	return nil
 }
 
 // runReuse is the experiment-reduction flow of the paper's future-work
 // section: only the isolated kernels (and one actual run for comparison)
 // are measured fresh; the window couplings come from the repository's
 // reference configuration.
-func runReuse(w *harness.NPBWorkload, dbPath, refSpec string, cls npb.Class, trips int, chainLens []int, blocks, passes int) {
+func runReuse(stdout io.Writer, w *harness.NPBWorkload, dbPath, refSpec string, cls npb.Class, trips int, chainLens []int, blocks, passes int) error {
 	db, err := prophesy.OpenFile(dbPath)
 	if err != nil {
-		fail("open repository: %v", err)
+		return fmt.Errorf("open repository: %w", err)
 	}
 	refKey := prophesy.Key{Workload: strings.SplitN(w.WorkloadName, ".", 2)[0], Class: string(cls), Procs: w.Procs}
 	if refSpec != "" {
 		parts := strings.Split(refSpec, ".")
 		if len(parts) != 3 {
-			fail("bad -ref %q, want workload.class.procs", refSpec)
+			return fmt.Errorf("bad -ref %q, want workload.class.procs", refSpec)
 		}
 		p, err := strconv.Atoi(parts[2])
 		if err != nil {
-			fail("bad -ref procs: %v", err)
+			return fmt.Errorf("bad -ref procs: %w", err)
 		}
 		refKey = prophesy.Key{Workload: parts[0], Class: parts[1], Procs: p}
 	}
-	fmt.Printf("reuse study: %s with couplings from %s (%s)\n\n", w.WorkloadName, refKey, dbPath)
+	fmt.Fprintf(stdout, "reuse study: %s with couplings from %s (%s)\n\n", w.WorkloadName, refKey, dbPath)
 
 	app := core.App{Name: w.WorkloadName, Pre: w.Pre, Loop: core.Ring(w.Loop), Post: w.Post, Trips: trips}
 	opts := harness.Options{Blocks: blocks, Passes: passes}
@@ -292,13 +298,13 @@ func runReuse(w *harness.NPBWorkload, dbPath, refSpec string, cls npb.Class, tri
 	for _, k := range app.KernelsSorted() {
 		v, err := w.MeasureWindow([]string{k}, opts)
 		if err != nil {
-			fail("isolated %s: %v", k, err)
+			return fmt.Errorf("isolated %s: %w", k, err)
 		}
 		isolated[k] = v
 	}
 	actual, err := w.MeasureActual(trips, opts)
 	if err != nil {
-		fail("actual run: %v", err)
+		return fmt.Errorf("actual run: %w", err)
 	}
 
 	pt := stats.NewTable("Predictions from reused couplings", "Predictor", "Seconds", "Relative Error")
@@ -319,20 +325,21 @@ func runReuse(w *harness.NPBWorkload, dbPath, refSpec string, cls npb.Class, tri
 	for _, L := range chainLens {
 		pred, err := prophesy.PredictWithReusedCouplings(db, refKey, app, isolated, L)
 		if err != nil {
-			fail("reuse L=%d: %v", L, err)
+			return fmt.Errorf("reuse L=%d: %w", L, err)
 		}
 		saved, _ := prophesy.MeasurementsSaved(app.Loop, L)
 		pt.AddRow(fmt.Sprintf("Coupling: %d kernels (reused, %d windows saved)", L, saved),
 			stats.Seconds(pred.Total), stats.Percent(stats.RelativeError(pred.Total, actual)))
 	}
-	fmt.Println(pt.String())
+	fmt.Fprintln(stdout, pt.String())
+	return nil
 }
 
 // runBackend answers the study question through a non-measured predictor
 // backend: the same interface kcserved serves, driven from the command
 // line. Cached and interpolated need a warmed -cache-dir; analytic needs
 // nothing but the query's geometry.
-func runBackend(name, latticeSpec, cacheDir string, net bool, parallel int, bandFloor float64, q predict.Query) {
+func runBackend(ctx context.Context, stdout io.Writer, name, latticeSpec, cacheDir string, net bool, parallel int, bandFloor float64, q predict.Query) error {
 	cfg := tables.BackendConfig{Parallel: parallel}
 	if net {
 		m := mpi.IBMSPModel()
@@ -341,34 +348,35 @@ func runBackend(name, latticeSpec, cacheDir string, net bool, parallel int, band
 	if cacheDir != "" {
 		cache, err := plan.NewDirCache(cacheDir)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		cfg.Cache = cache
 	}
 	if latticeSpec != "" {
 		l, err := tables.ParseLattice(latticeSpec)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		cfg.Lattice = l
 	}
 	b, err := tables.NewBackend(name, cfg)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	if a, ok := b.(*predict.Analytic); ok && bandFloor > 0 {
 		a.BandFloor = bandFloor
 	}
-	pr, err := b.Predict(context.Background(), q)
+	pr, err := b.Predict(ctx, q)
 	if err != nil {
-		fail("backend %s: %v", name, err)
+		return fmt.Errorf("backend %s: %w", name, err)
 	}
-	fmt.Printf("backend: %s (provenance %s)\n", name, pr.Provenance)
-	fmt.Printf("prediction: %s in [%s, %s]\n\n",
+	fmt.Fprintf(stdout, "backend: %s (provenance %s)\n", name, pr.Provenance)
+	fmt.Fprintf(stdout, "prediction: %s in [%s, %s]\n\n",
 		stats.Seconds(pr.Value), stats.Seconds(pr.Band.Lo), stats.Seconds(pr.Band.Hi))
 	if pr.Study != nil {
-		fmt.Print(harness.RenderStudy(pr.Study))
+		fmt.Fprint(stdout, harness.RenderStudy(pr.Study))
 	}
+	return nil
 }
 
 // analyticCompare attaches the per-window measured-vs-analytic
@@ -399,9 +407,4 @@ func analyticCompare(study *harness.Study, q predict.Query, bandFloor float64) e
 		}
 	}
 	return nil
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "couple: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -6,14 +6,11 @@
 //
 // Usage:
 //
-//	go run ./cmd/kcvet [-list] [-only a,b] [-json] [-benchdiff dir] [pattern ...]
+//	go run ./cmd/kcvet [-list] [-only a,b] [-json] [pattern ...]
 //
 // Patterns are directories or "./..."-style trees; the default is the
 // whole module. -json renders findings as one JSON object on stdout
 // (CI archives it as a build artifact); the exit status is unchanged.
-// -benchdiff compares the two newest BENCH_<date>.json snapshots in the
-// given directory and fails on a >15% ns/op or >10% allocs/op
-// regression; it runs instead of the analyzers.
 //
 // Findings are suppressed, with a mandatory justification, by a comment
 // on (or directly above) the offending line:
@@ -35,26 +32,17 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/benchdiff"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	benchDir := flag.String("benchdiff", "", "diff the two newest BENCH_*.json in this directory and exit")
 	flag.Parse()
 
 	if *list {
 		for _, a := range analysis.All() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *benchDir != "" {
-		if err := benchdiff.CheckDir(*benchDir, benchdiff.DefaultThresholds, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "kcvet:", err)
-			os.Exit(2)
 		}
 		return
 	}

@@ -18,8 +18,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -27,10 +30,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/npb"
-	"repro/internal/npb/bt"
-	"repro/internal/npb/ft"
-	"repro/internal/npb/lu"
-	"repro/internal/npb/sp"
 	"repro/internal/obs"
 	"repro/internal/obscli"
 	"repro/internal/plan"
@@ -45,100 +44,116 @@ type normReporter interface {
 }
 
 func main() {
-	var (
-		bench   = flag.String("bench", "BT", "benchmark: BT, SP, LU or FT")
-		class   = flag.String("class", "S", "problem class: S, W, A or B")
-		procs   = flag.Int("procs", 4, "processor (rank) count")
-		trips   = flag.Int("trips", 0, "loop trip count (0 = scaled class default)")
-		grid    = flag.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
-		net     = flag.Bool("net", false, "attach the IBM SP interconnect cost model")
-		doTrace = flag.Bool("trace", false, "record per-kernel events; print profile and timeline")
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-		repeat   = flag.Int("repeat", 1, "run the full application this many times and report the median")
-		parallel = flag.Int("parallel", 1, "worker count for -repeat runs (each run is its own world)")
+// run is the whole process behind main. Every failure is a returned
+// error; flags are checked before any sink opens, and the one deferred
+// sink.Close writes the requested outputs on every path after that.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("npbrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bench   = fs.String("bench", "BT", "benchmark: BT, SP, LU or FT")
+		class   = fs.String("class", "S", "problem class: S, W, A or B")
+		procs   = fs.Int("procs", 4, "processor (rank) count")
+		trips   = fs.Int("trips", 0, "loop trip count (0 = scaled class default)")
+		grid    = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
+		net     = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
+		doTrace = fs.Bool("trace", false, "record per-kernel events; print profile and timeline")
+
+		repeat   = fs.Int("repeat", 1, "run the full application this many times and report the median")
+		parallel = fs.Int("parallel", 1, "worker count for -repeat runs (each run is its own world)")
 	)
 	var obsFlags obscli.Flags
-	obsFlags.Register(nil)
-	faultFlags := fault.Register(flag.CommandLine)
-	flag.Parse()
+	obsFlags.Register(fs)
+	faultFlags := fault.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
+	if *repeat > 1 && (*doTrace || obsFlags.TraceOut != "") {
+		return errors.New("-trace/-trace-out need a single run; drop them or -repeat")
+	}
 	inj, err := faultFlags.Build()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-
 	cls := npb.Class(strings.ToUpper(*class))
-	var prob npb.Problem
-	var factory npb.Factory
-	var pre, loop, post []string
-	switch strings.ToUpper(*bench) {
-	case "BT":
-		prob, err = npb.BTProblem(cls)
-		if err == nil {
-			if *grid > 0 {
-				prob = npb.TinyProblem(*grid, prob.Trips)
-			}
-			factory, err = bt.Factory(bt.Config{Problem: prob, Procs: *procs})
-		}
-		pre, loop, post = bt.KernelNames()
-	case "SP":
-		prob, err = npb.SPProblem(cls)
-		if err == nil {
-			if *grid > 0 {
-				prob = npb.TinyProblem(*grid, prob.Trips)
-			}
-			factory, err = sp.Factory(sp.Config{Problem: prob, Procs: *procs})
-		}
-		pre, loop, post = sp.KernelNames()
-	case "LU":
-		prob, err = npb.LUProblem(cls)
-		if err == nil {
-			if *grid > 0 {
-				prob = npb.TinyProblem(*grid, prob.Trips)
-			}
-			factory, err = lu.Factory(lu.Config{Problem: prob, Procs: *procs})
-		}
-		pre, loop, post = lu.KernelNames()
-	case "FT":
-		var ftCfg ft.Config
-		ftCfg, err = ft.ClassProblem(cls)
-		if err == nil {
-			if *grid > 0 {
-				ftCfg.N = *grid
-			}
-			ftCfg.Procs = *procs
-			prob = npb.Problem{Class: cls, N1: ftCfg.N, N2: ftCfg.N, N3: 1, Trips: 100}
-			factory, err = ft.Factory(ftCfg)
-		}
-		pre, loop, post = ft.KernelNames()
-	default:
-		err = fmt.Errorf("unknown benchmark %q", *bench)
-	}
+	benchName := strings.ToUpper(*bench)
+	prob, err := tables.BenchProblem(benchName, cls)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-
+	prob = tables.GridProblem(benchName, prob, *grid)
+	// The world options go to RunOnce directly, so the workload is built
+	// (and the rank count validated) before the sink they come from opens.
+	w, err := tables.NewWorkload(benchName, cls, prob, *procs, nil)
+	if err != nil {
+		return err
+	}
 	nTrips := *trips
 	if nTrips <= 0 {
 		nTrips = tables.DefaultTrips(cls)
 	}
-	var worldOpts []mpi.Option
-	if *net {
-		worldOpts = append(worldOpts, mpi.WithNetModel(mpi.IBMSPModel()))
-	}
 
 	sink, err := obscli.Open(obsFlags)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
-		os.Exit(1)
+		return err
 	}
+	man := obs.NewManifest("npbrun")
+	man.Benchmark = benchName
+	man.Class = string(cls)
+	man.Procs = *procs
+	man.Trips = nTrips
+	if *grid > 0 || *net {
+		man.Extra = map[string]string{}
+		if *grid > 0 {
+			man.Extra["grid"] = fmt.Sprint(*grid)
+		}
+		if *net {
+			man.Extra["net"] = "ibm-sp"
+		}
+	}
+	start := time.Now()
+	defer func() {
+		// A faulted or deadlocked run still leaves a structured report:
+		// the same manifest, with the error in its health block.
+		man.UnixSeconds = start.Unix()
+		man.WallSeconds = time.Since(start).Seconds()
+		if inj != nil {
+			man.Health = inj.Health()
+		}
+		if err != nil {
+			if man.Health == nil {
+				man.Health = &obs.Health{}
+			}
+			man.Health.Errors = append(man.Health.Errors, err.Error())
+		}
+		err = errors.Join(err, sink.Close(man))
+		if err != nil {
+			return
+		}
+		if obsFlags.TraceOut != "" {
+			fmt.Fprintf(stdout, "trace written to %s (load in ui.perfetto.dev)\n", obsFlags.TraceOut)
+		}
+		if obsFlags.MetricsOut != "" {
+			fmt.Fprintf(stdout, "metrics written to %s (render with kcreport)\n", obsFlags.MetricsOut)
+		}
+	}()
+
 	if *doTrace && sink.Trace == nil {
 		// -trace prints the kernel views off the same trace -trace-out
 		// exports; the observer records a kernel span around every
 		// RunKernel, so the factory needs no wrapping.
 		sink.Trace = obs.NewTrace(nil)
+	}
+	var worldOpts []mpi.Option
+	if *net {
+		worldOpts = append(worldOpts, mpi.WithNetModel(mpi.IBMSPModel()))
 	}
 	worldOpts = append(worldOpts, sink.WorldOpts()...)
 	if inj != nil {
@@ -148,17 +163,10 @@ func main() {
 		worldOpts = append(worldOpts, mpi.WithRecvTimeout(wd))
 	}
 
-	if *repeat > 1 && sink.Trace != nil {
-		fmt.Fprintln(os.Stderr, "npbrun: -trace/-trace-out need a single run; drop them or -repeat")
-		os.Exit(2)
-	}
-
-	fmt.Printf("%s class %s  grid %s  %d procs  %d loop trips\n",
-		strings.ToUpper(*bench), cls, prob, *procs, nTrips)
-	start := time.Now()
+	fmt.Fprintf(stdout, "%s class %s  grid %s  %d procs  %d loop trips\n", benchName, cls, prob, *procs, nTrips)
 	var norms [5]float64
 	runApp := func(out *[5]float64) error {
-		return npb.RunOnce(factory, pre, loop, nTrips, post, *procs, func(ks npb.KernelSet) {
+		return npb.RunOnce(w.Factory, w.Pre, w.Loop, nTrips, w.Post, *procs, func(ks npb.KernelSet) {
 			if nr, ok := ks.(normReporter); ok {
 				*out = nr.Norms()
 			}
@@ -167,13 +175,13 @@ func main() {
 	if *repeat > 1 {
 		// Repeated-run campaign through the measurement scheduler: each
 		// run is an independent world, so runs can execute concurrently.
-		in := plan.Inputs{Workload: strings.ToUpper(*bench) + "." + string(cls), Procs: *procs, Trips: nTrips, ActualRuns: *repeat}
+		in := plan.Inputs{Workload: benchName + "." + string(cls), Procs: *procs, Trips: nTrips, ActualRuns: *repeat}
 		jobs := make([]plan.Job, *repeat)
 		for r := range jobs {
 			jobs[r] = plan.ActualJob(in, r)
 		}
 		allNorms := make([][5]float64, *repeat)
-		outcomes := plan.Executor{Parallel: *parallel}.Run(jobs, func(i int, j plan.Job) (plan.Result, error) {
+		outcomes := plan.Executor{Parallel: *parallel, Ctx: ctx}.Run(jobs, func(i int, j plan.Job) (plan.Result, error) {
 			runStart := time.Now()
 			if err := runApp(&allNorms[i]); err != nil {
 				return plan.Result{}, err
@@ -197,78 +205,28 @@ func main() {
 				}
 			}
 			for r, s := range times {
-				fmt.Printf("run %d: %v\n", r, time.Duration(s*float64(time.Second)).Round(time.Millisecond))
+				fmt.Fprintf(stdout, "run %d: %v\n", r, time.Duration(s*float64(time.Second)).Round(time.Millisecond))
 			}
-			fmt.Printf("median of %d runs: %v  (parallel=%d)\n",
+			fmt.Fprintf(stdout, "median of %d runs: %v  (parallel=%d)\n",
 				*repeat, time.Duration(stats.Median(times)*float64(time.Second)).Round(time.Millisecond), *parallel)
 		}
 	} else {
 		err = runApp(&norms)
 	}
 	if err != nil {
-		// A faulted or deadlocked run still exits with a structured
-		// report (and a manifest when -metrics-out was asked for), never
-		// a panic or a hang.
-		man := obs.NewManifest("npbrun")
-		man.Benchmark = strings.ToUpper(*bench)
-		man.Class = string(cls)
-		man.Procs = *procs
-		man.Trips = nTrips
-		man.UnixSeconds = start.Unix()
-		man.WallSeconds = time.Since(start).Seconds()
 		if inj != nil {
-			man.Health = inj.Health()
-		} else {
-			man.Health = &obs.Health{}
+			fmt.Fprintf(stderr, "fault schedule:\n%s", inj.ScheduleText())
 		}
-		man.Health.Errors = append(man.Health.Errors, err.Error())
-		if cerr := sink.Close(man); cerr != nil {
-			fmt.Fprintf(os.Stderr, "npbrun: %v\n", cerr)
-		}
-		if inj != nil {
-			fmt.Fprintf(os.Stderr, "fault schedule:\n%s", inj.ScheduleText())
-		}
-		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("completed in %v\n", elapsed.Round(time.Millisecond))
-	fmt.Println("verification norms (rank-count invariant):")
+	fmt.Fprintf(stdout, "completed in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(stdout, "verification norms (rank-count invariant):")
 	for c, v := range norms {
-		fmt.Printf("  component %d: %.12e\n", c, v)
+		fmt.Fprintf(stdout, "  component %d: %.12e\n", c, v)
 	}
 	if *doTrace {
 		kernels := trace.KernelView(sink.Trace.Spans())
-		fmt.Printf("\nper-kernel profile:\n%s\n%s", kernels, kernels.Timeline(72))
+		fmt.Fprintf(stdout, "\nper-kernel profile:\n%s\n%s", kernels, kernels.Timeline(72))
 	}
-
-	man := obs.NewManifest("npbrun")
-	man.Benchmark = strings.ToUpper(*bench)
-	man.Class = string(cls)
-	man.Procs = *procs
-	man.Trips = nTrips
-	man.UnixSeconds = start.Unix()
-	man.WallSeconds = elapsed.Seconds()
-	if *grid > 0 || *net {
-		man.Extra = map[string]string{}
-		if *grid > 0 {
-			man.Extra["grid"] = fmt.Sprint(*grid)
-		}
-		if *net {
-			man.Extra["net"] = "ibm-sp"
-		}
-	}
-	if inj != nil {
-		man.Health = inj.Health()
-	}
-	if err := sink.Close(man); err != nil {
-		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
-		os.Exit(1)
-	}
-	if obsFlags.TraceOut != "" {
-		fmt.Printf("trace written to %s (load in ui.perfetto.dev)\n", obsFlags.TraceOut)
-	}
-	if obsFlags.MetricsOut != "" {
-		fmt.Printf("metrics written to %s (render with kcreport)\n", obsFlags.MetricsOut)
-	}
+	return nil
 }

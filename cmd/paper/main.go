@@ -1,11 +1,13 @@
 // Command paper regenerates the evaluation tables of "Using Kernel
 // Couplings to Predict Parallel Application Performance" (HPDC 2002):
 // the data-set tables (1, 5, 7), the coupling-value tables (2a, 3a, 4a),
-// the prediction-comparison tables (2b, 3b, 4b, 6a–c, 8a–c) and the
-// Section 4.1 cache-transition sweep.
+// the prediction-comparison tables (2b, 3b, 4b, 6a–c, 8a–c), the
+// Section 4.1 cache-transition sweep, and this repo's ablations and
+// extensions (ablation-chain, -weighting, -net, -trim; ext-ft, ext-shared).
 //
 //	paper                 # run every table with laptop-scale defaults
 //	paper -table 4b       # one table
+//	paper -table ablation-chain
 //	paper -table 2b -trips 60 -blocks 5
 //	paper -fast           # tiny grids, smoke-test scale
 //	paper -net            # attach the IBM SP interconnect cost model
@@ -15,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,21 +31,34 @@ import (
 )
 
 func main() {
-	var (
-		table  = flag.String("table", "", "table ID to run (e.g. 2a); empty runs all")
-		trips  = flag.Int("trips", 0, "loop trip count override (0 = class default)")
-		blocks = flag.Int("blocks", 0, "timed blocks per measurement (0 = default)")
-		passes = flag.Int("passes", 0, "window passes per block (0 = 1)")
-		grid   = flag.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
-		procs  = flag.String("procs", "", "comma-separated processor counts override")
-		net    = flag.Bool("net", false, "attach the IBM SP interconnect cost model")
-		fast   = flag.Bool("fast", false, "smoke-test scale: 8³ grids, 2 trips")
-		out    = flag.String("out", "", "also append the rendered tables to this file")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-		parallel = flag.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
-		cacheDir = flag.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
+// run is the whole process behind main; every failure is a returned
+// error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		table  = fs.String("table", "", "table ID to run (e.g. 2a); empty runs all")
+		trips  = fs.Int("trips", 0, "loop trip count override (0 = class default)")
+		blocks = fs.Int("blocks", 0, "timed blocks per measurement (0 = default)")
+		passes = fs.Int("passes", 0, "window passes per block (0 = 1)")
+		grid   = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
+		procs  = fs.String("procs", "", "comma-separated processor counts override")
+		net    = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
+		fast   = fs.Bool("fast", false, "smoke-test scale: 8³ grids, 2 trips")
+		out    = fs.String("out", "", "also append the rendered tables to this file")
+
+		parallel = fs.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
+		cacheDir = fs.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	scale := tables.Scale{
 		Trips: *trips, Blocks: *blocks, Passes: *passes, GridOverride: *grid,
@@ -66,8 +83,7 @@ func main() {
 		for _, p := range strings.Split(*procs, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(p))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "paper: bad -procs value %q: %v\n", p, err)
-				os.Exit(2)
+				return fmt.Errorf("bad -procs value %q: %w", p, err)
 			}
 			procsOverride = append(procsOverride, n)
 		}
@@ -77,12 +93,11 @@ func main() {
 	if *table != "" {
 		e, ok := tables.Find(*table)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "paper: unknown table %q; known tables:", *table)
-			for _, e := range exps {
-				fmt.Fprintf(os.Stderr, " %s", e.ID)
+			ids := make([]string, len(exps))
+			for i, e := range exps {
+				ids[i] = e.ID
 			}
-			fmt.Fprintln(os.Stderr)
-			os.Exit(2)
+			return fmt.Errorf("unknown table %q; known tables: %s", *table, strings.Join(ids, " "))
 		}
 		exps = []tables.Experiment{e}
 	}
@@ -91,8 +106,7 @@ func main() {
 	if *out != "" {
 		f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		outFile = f
@@ -106,16 +120,15 @@ func main() {
 		start := time.Now()
 		res, err := e.Run(scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paper: table %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("table %s: %w", e.ID, err)
 		}
 		for _, ps := range res.Studies {
 			planned += ps.Study.Exec.Planned
 			executed += ps.Study.Exec.Executed
 			hits += ps.Study.Exec.CacheHits
 		}
-		fmt.Println(res.Text)
-		fmt.Printf("[table %s regenerated in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, res.Text)
+		fmt.Fprintf(stdout, "[table %s regenerated in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if outFile != nil {
 			fmt.Fprintf(outFile, "```\n%s```\n\n", res.Text)
 		}
@@ -123,7 +136,8 @@ func main() {
 	// Campaign summary: with the job cache on, paired tables and shared
 	// windows mean strictly fewer world executions than jobs planned.
 	if *parallel > 1 || *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "paper: campaign jobs planned=%d executed=%d cache hits=%d (parallel=%d)\n",
+		fmt.Fprintf(stderr, "paper: campaign jobs planned=%d executed=%d cache hits=%d (parallel=%d)\n",
 			planned, executed, hits, *parallel)
 	}
+	return nil
 }

@@ -1,8 +1,8 @@
 // Package tables is the experiment index of the reproduction: one entry
 // per table of the paper's evaluation (plus the Section 4.1 cache-
-// transition observation), each mapping to the modules that implement it
-// and runnable to a paper-style rendering. cmd/paper and the root
-// benchmark harness are thin wrappers over this package.
+// transition observation), then this repo's ablations and extensions,
+// each mapping to the modules that implement it and runnable to a
+// paper-style rendering. cmd/paper is a thin wrapper over this package.
 package tables
 
 import (
@@ -52,9 +52,17 @@ type Experiment struct {
 	ChainLens []int
 	// Kind selects the rendering.
 	Kind Kind
+
+	// variant, when non-nil, runs the experiment in place of its Kind:
+	// the ablations and extensions of ablations.go.
+	variant func(Experiment, Scale) (*Result, error)
+	// trimFrac is the block-aggregation trim handed to the harness
+	// (zero = its default); only the trimming ablation varies it.
+	trimFrac float64
 }
 
-// All returns every experiment of the paper's evaluation, in paper order.
+// All returns every experiment: the paper's evaluation in paper order,
+// then the ablations and extensions (DESIGN.md §5).
 func All() []Experiment {
 	sqProcs := []int{4, 9, 16, 25}
 	luProcs := []int{4, 8, 16, 32}
@@ -81,6 +89,14 @@ func All() []Experiment {
 		{ID: "8b", Caption: "Comparison of execution times for LU with Class A", Bench: "LU", Class: npb.ClassA, Procs: luProcs, ChainLens: []int{3, 4}, Kind: Predictions},
 		{ID: "8c", Caption: "Comparison of execution times for LU with Class B", Bench: "LU", Class: npb.ClassB, Procs: luProcs, ChainLens: []int{3, 4}, Kind: Predictions},
 		{ID: "4.1", Caption: "Coupling-value transitions across cache-capacity boundaries", Bench: "MEM", Kind: CacheTransitions},
+		// Each ablation is one configuration (its first processor count);
+		// the two BT rows share one memoized campaign.
+		{ID: "ablation-chain", Caption: "Ablation: chain length vs prediction error", Bench: "BT", Class: npb.ClassW, Procs: []int{4}, ChainLens: []int{2, 3, 4, 5}, Kind: Predictions, variant: chainAblation},
+		{ID: "ablation-weighting", Caption: "Ablation: coefficient weighting", Bench: "BT", Class: npb.ClassW, Procs: []int{4}, ChainLens: []int{2, 3, 4, 5}, Kind: Predictions, variant: weightingAblation},
+		{ID: "ablation-net", Caption: "Ablation: interconnect cost model", Bench: "LU", Class: npb.ClassW, Procs: []int{4}, ChainLens: []int{3}, Kind: Predictions, variant: netAblation},
+		{ID: "ablation-trim", Caption: "Ablation: block aggregation", Bench: "LU", Class: npb.ClassW, Procs: []int{4}, ChainLens: []int{3}, Kind: Predictions, variant: trimAblation},
+		{ID: "ext-ft", Caption: "Extension: FT", Bench: "FT", Class: npb.ClassA, Procs: []int{4}, ChainLens: []int{2, 4}, Kind: Predictions, variant: ftExtension},
+		{ID: "ext-shared", Caption: "Extension: disjoint vs shared working sets", Bench: "MEM", Kind: CacheTransitions, variant: sharedExtension},
 	}
 }
 
@@ -271,6 +287,7 @@ func (e Experiment) studyFor(s Scale, procs, trips int) (*harness.Study, error) 
 		Passes:      s.Passes,
 		ActualRuns:  s.actualRunsFor(e.Class),
 		Parallel:    s.Parallel,
+		TrimFrac:    e.trimFrac,
 		Cache:       cache,
 		WorldDigest: WorldDigest(prob, s.Net),
 	}}
@@ -314,6 +331,9 @@ func ResetCache() {
 
 // Run executes the experiment at the given scale and renders its table.
 func (e Experiment) Run(s Scale) (*Result, error) {
+	if e.variant != nil {
+		return e.variant(e, s)
+	}
 	switch e.Kind {
 	case DataSets:
 		return e.runDataSets()
@@ -355,11 +375,16 @@ func (e Experiment) runDataSets() (*Result, error) {
 	return &Result{Exp: e, Text: tb.String()}, nil
 }
 
-func (e Experiment) runStudies(s Scale) (*Result, error) {
-	trips := s.Trips
-	if trips <= 0 {
-		trips = DefaultTrips(e.Class)
+// tripsAt is the loop trip count the experiment runs with at a scale.
+func (e Experiment) tripsAt(s Scale) int {
+	if s.Trips > 0 {
+		return s.Trips
 	}
+	return DefaultTrips(e.Class)
+}
+
+func (e Experiment) runStudies(s Scale) (*Result, error) {
+	trips := e.tripsAt(s)
 	res := &Result{Exp: e, TripsUsed: trips}
 	for _, procs := range e.Procs {
 		study, err := e.studyFor(s, procs, trips)
@@ -469,19 +494,24 @@ func CacheSweepSizes() []int {
 	return memmodel.GeometricSizes(16<<10, 64<<20, 13)
 }
 
-func (e Experiment) runCacheSweep(s Scale) (*Result, error) {
-	sizes := CacheSweepSizes()
-	blocks := s.Blocks
+// sweepAxis is the Section 4.1 sweep's working-set axis, timed blocks
+// per point and streaming volume at a scale.
+func sweepAxis(s Scale) (sizes []int, blocks, minBytes int) {
+	sizes, minBytes = CacheSweepSizes(), 48<<20
+	blocks = s.Blocks
 	if blocks <= 0 {
 		blocks = 3
 	}
-	minBytes := 48 << 20
 	if s.GridOverride > 0 {
 		// Smoke mode: a tiny axis with minimal streaming volume.
 		sizes = memmodel.GeometricSizes(8<<10, 128<<10, 4)
 		minBytes = 1 << 20
 	}
-	points, err := memmodel.Sweep(sizes, blocks, minBytes)
+	return sizes, blocks, minBytes
+}
+
+func (e Experiment) runCacheSweep(s Scale) (*Result, error) {
+	points, err := memmodel.Sweep(sweepAxis(s))
 	if err != nil {
 		return nil, err
 	}

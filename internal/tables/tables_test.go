@@ -9,18 +9,28 @@ import (
 	"testing"
 
 	"repro/internal/npb"
+	"repro/internal/plan"
 )
 
 func TestAllCoversEveryPaperTable(t *testing.T) {
-	want := []string{"1", "2a", "2b", "3a", "3b", "4a", "4b", "5", "6a", "6b", "6c", "7", "8a", "8b", "8c", "4.1"}
+	// The 16 paper tables come first and in paper order ("4.1" is how
+	// benchmark/campaign.go finds the sweep); the ablations and extensions
+	// follow.
+	want := []string{"1", "2a", "2b", "3a", "3b", "4a", "4b", "5", "6a", "6b", "6c", "7", "8a", "8b", "8c", "4.1",
+		"ablation-chain", "ablation-weighting", "ablation-net", "ablation-trim", "ext-ft", "ext-shared"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("%d experiments, want %d", len(all), len(want))
 	}
+	seen := map[string]bool{}
 	for i, id := range want {
 		if all[i].ID != id {
 			t.Errorf("experiment %d has ID %q, want %q", i, all[i].ID, id)
 		}
+		if seen[all[i].ID] {
+			t.Errorf("ID %q appears twice: Find would never reach the second", all[i].ID)
+		}
+		seen[all[i].ID] = true
 	}
 }
 
@@ -165,6 +175,33 @@ func TestStudyCacheSharedBetweenPairedTables(t *testing.T) {
 	}
 	if resC.Studies[0].Study.Exec.CacheHits != 0 {
 		t.Error("ResetCache did not clear the measurement cache")
+	}
+}
+
+// The trimming ablation's two studies differ in the block aggregation and
+// in nothing else: the raw-mean study re-measures its windows untrimmed
+// and shares the base study's actual runs through the job cache.
+func TestTrimAblationVariesOnlyTheAggregation(t *testing.T) {
+	ResetCache()
+	e, _ := Find("ablation-trim")
+	res, err := e.Run(Scale{Trips: 2, Blocks: 3, GridOverride: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trims []float64
+	for _, ps := range res.Studies {
+		for _, r := range ps.Study.Provenance {
+			if r.Kind == string(plan.KindWindow) {
+				trims = append(trims, r.TrimFrac)
+				break
+			}
+		}
+	}
+	if len(trims) != 2 || trims[0] <= 0 || trims[1] != 0 {
+		t.Errorf("effective window trims %v, want the default then the raw mean's 0", trims)
+	}
+	if base, raw := res.Studies[0].Study, res.Studies[1].Study; base.Actual != raw.Actual {
+		t.Errorf("the two rows compare against different actual times: %v, %v", base.Actual, raw.Actual)
 	}
 }
 

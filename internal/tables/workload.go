@@ -14,8 +14,8 @@ import (
 )
 
 // This file is the one place a benchmark name is turned into a runnable
-// workload. cmd/couple, cmd/kcserved and the experiment index all build
-// through it, which is what keeps their job keys (workload name +
+// workload. cmd/couple, cmd/npbrun, cmd/kcserved and the experiment index
+// all build through it, which is what keeps their job keys (workload name +
 // WorldDigest) interchangeable: a cache warmed by one binary serves the
 // others.
 
