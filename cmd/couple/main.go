@@ -246,9 +246,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	if backendName == "measured+analytic" {
-		if err := analyticCompare(study, q, *analyticBand); err != nil {
+		cmp, err := analyticCompare(study, q, *analyticBand)
+		if err != nil {
 			return fmt.Errorf("analytic comparison: %w", err)
 		}
+		// A from-cache study is the cache's own shared copy (see
+		// harness.Engine.RunFromCacheCtx): annotate a copy of it.
+		annotated := *study
+		annotated.AnalyticCmp = cmp
+		study = &annotated
 	}
 
 	// The full report: tables, predictions, and — only when the study
@@ -379,32 +385,32 @@ func runBackend(ctx context.Context, stdout io.Writer, name, latticeSpec, cacheD
 	return nil
 }
 
-// analyticCompare attaches the per-window measured-vs-analytic
-// comparison to a measured study, feeding the report's disagreement
-// columns.
-func analyticCompare(study *harness.Study, q predict.Query, bandFloor float64) error {
+// analyticCompare builds the per-window measured-vs-analytic comparison
+// for a measured study, which feeds the report's disagreement columns.
+func analyticCompare(study *harness.Study, q predict.Query, bandFloor float64) ([]harness.AnalyticWindow, error) {
 	ab := tables.NewAnalytic()
 	if bandFloor > 0 {
 		ab.BandFloor = bandFloor
 	}
 	bands, err := ab.WindowBands(q)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	byKey := make(map[string]predict.WindowBand, len(bands))
 	for _, b := range bands {
 		byKey[core.Key(b.Window)] = b
 	}
+	var cmp []harness.AnalyticWindow
 	for _, L := range study.ChainLens() {
 		for _, wc := range study.Details[L].Couplings {
 			b, ok := byKey[wc.Key()]
 			if !ok {
 				continue
 			}
-			study.AnalyticCmp = append(study.AnalyticCmp, harness.AnalyticWindow{
+			cmp = append(cmp, harness.AnalyticWindow{
 				Key: wc.Key(), Measured: wc.C, Analytic: b.C, Lo: b.Lo, Hi: b.Hi,
 			})
 		}
 	}
-	return nil
+	return cmp, nil
 }

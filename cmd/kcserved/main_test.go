@@ -248,9 +248,11 @@ func TestServedMetricsJSONAndProm(t *testing.T) {
 // choices are for a busy two-CPU host: a request that loses the CPU
 // between two spans reports a gap many times its own length, which drags
 // an aggregate anywhere (26% has been seen) and, in a concurrent burst
-// whose requests preempt each other, most traces at once. Measured quiet
-// and under load the median stays within 96-98%, and falls to 83-89% when
-// the smallest real stage (respond) loses its span.
+// whose requests preempt each other, most traces at once. With the warm
+// study memoised a traced request is ~13 us, so the ~0.5 us of span
+// boundaries is what is left uncovered: the median measures 95-96% quiet
+// or beside a CPU-bound neighbour, and read 88-90% before wrap()'s prelude
+// had its "setup" span.
 func TestStageSpansCoverPredictWallTime(t *testing.T) {
 	n := start(t, "-addr", "127.0.0.1:0", "-cache-dir", warm(t))
 	for i := 0; i < 17; i++ {

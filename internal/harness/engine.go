@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -436,25 +437,98 @@ func (e Engine) RunFromCache(trips int, chainLens []int) (*Study, error) {
 }
 
 // RunFromCacheCtx is RunFromCache with request-trace attribution: the
-// serving layer's warm path. When ctx carries an obs request span the
-// three stages land as children — "plan", "cache.load" (whose own
-// children are the individual disk reads, if any; memory hits stay
-// unlisted), and "analyze" — which together must account for the
-// resolution's wall time. With no span in ctx the cost is one nil check
-// per stage, keeping the warm path's allocation profile intact.
+// serving layer's warm path. The analysed study is memoised on the cache
+// itself (plan.Cache.Derive) under studyKey, so only the first call for a
+// configuration plans, loads and analyses; every later one is a key
+// render and one lookup, until a measurement the cache holds changes.
+//
+// The returned study is shared: every caller with the same configuration
+// gets the same *Study, concurrently, for as long as it stays valid.
+// Treat it as immutable — copy whatever you need to change.
+//
+// When ctx carries an obs span the call records one child, "cache.memo",
+// detail "hit" or "miss". Under a miss sit the stages of the build —
+// "plan", "cache.load" (whose own children are the individual disk
+// reads, if any; memory hits stay unlisted) and "analyze" — which
+// together must account for its wall time. With no span in ctx the cost
+// is one nil check per stage.
 func (e Engine) RunFromCacheCtx(ctx context.Context, trips int, chainLens []int) (*Study, error) {
 	o := e.Opts.withDefaults()
 	if o.Cache == nil {
-		return nil, fmt.Errorf("harness: a from-cache run needs Options.Cache")
+		return nil, errors.New("harness: a from-cache run needs Options.Cache")
 	}
-	w := e.Workload
+	in := planInputs(e.Workload, trips, chainLens, o)
+	sp, mctx := obs.StartSpan(ctx, "cache.memo", "hit")
+	v, err := o.Cache.Derive(studyKey(e.Workload, in), func() (any, error) {
+		sp.SetDetail("miss")
+		return loadStudy(mctx, e.Workload, in, o.Cache)
+	})
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	st := v.(*Study)
+	if o.Metrics != nil && st.Exec.Planned > 0 {
+		// Every served job is a cache hit by construction, memoised or
+		// not; the counter keeps long-running query services' hit rates
+		// observable.
+		o.Metrics.Counter("harness.cache.hit").Add(int64(st.Exec.Planned))
+	}
+	return st, nil
+}
+
+// studyKey renders the identity of a from-cache study for the memo:
+// everything plan.StudyJobs and Analyze consume — the kernel lists and
+// every plan.Inputs field — and therefore everything loadStudy's result
+// depends on besides the cache entries themselves. Strings are written
+// length-first so no choice of kernel or workload names can make two
+// configurations render alike.
+func studyKey(w Workload, in plan.Inputs) string {
+	pre, loop, post := w.Kernels()
+	b := make([]byte, 0, 256)
+	str := func(s string) {
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, ':')
+		b = append(b, s...)
+	}
+	num := func(n int) {
+		b = strconv.AppendInt(b, int64(n), 10)
+		b = append(b, ' ')
+	}
+	str(in.Workload)
+	str(in.WorldDigest)
+	str(in.FaultDigest)
+	num(in.Procs)
+	num(in.Trips)
+	num(in.Blocks)
+	num(in.Passes)
+	num(in.ActualRuns)
+	b = strconv.AppendFloat(b, in.TrimFrac, 'g', -1, 64)
+	b = append(b, ' ')
+	num(len(in.ChainLens))
+	for _, l := range in.ChainLens {
+		num(l)
+	}
+	for _, group := range [3][]string{pre, loop, post} {
+		num(len(group))
+		for _, k := range group {
+			str(k)
+		}
+	}
+	return string(b)
+}
+
+// loadStudy is the memo's build: plan the campaign, take every job from
+// the cache — failing with ErrCacheMiss on the first one it does not
+// hold — and analyse. Its result is a function of its arguments and the
+// entries read, which is what lets RunFromCacheCtx keep it.
+func loadStudy(ctx context.Context, w Workload, in plan.Inputs, cache *plan.Cache) (*Study, error) {
 	planSpan, _ := obs.StartSpan(ctx, "plan", w.Name())
-	app, err := appFor(w, trips)
+	app, err := appFor(w, in.Trips)
 	if err != nil {
 		planSpan.End()
 		return nil, err
 	}
-	in := planInputs(w, trips, chainLens, o)
 	jobs, err := plan.StudyJobs(app, in)
 	planSpan.End()
 	if err != nil {
@@ -463,9 +537,9 @@ func (e Engine) RunFromCacheCtx(ctx context.Context, trips int, chainLens []int)
 	loadSpan, loadCtx := obs.StartSpan(ctx, "cache.load", fmt.Sprintf("jobs=%d", len(jobs)))
 	m := core.NewMeasurements()
 	var provenance []MeasurementRecord
-	actuals := make([]float64, 0, o.ActualRuns)
+	actuals := make([]float64, 0, in.ActualRuns)
 	for _, j := range jobs {
-		res, ok := o.Cache.GetCtx(loadCtx, j)
+		res, ok := cache.GetCtx(loadCtx, j)
 		if !ok {
 			loadSpan.SetDetail(fmt.Sprintf("jobs=%d missing=%s", len(jobs), j.Key()))
 			loadSpan.End()
@@ -491,20 +565,15 @@ func (e Engine) RunFromCacheCtx(ctx context.Context, trips int, chainLens []int)
 		Raw:     actuals,
 		Cached:  true,
 	})
-	if o.Metrics != nil && len(jobs) > 0 {
-		// Every served job is a cache hit by construction; the counter
-		// keeps long-running query services' hit rates observable.
-		o.Metrics.Counter("harness.cache.hit").Add(int64(len(jobs)))
-	}
 	analyzeSpan, _ := obs.StartSpan(ctx, "analyze", "")
-	an, err := Analyze(app, m, actual, chainLens, nil, false)
+	an, err := Analyze(app, m, actual, in.ChainLens, nil, false)
 	analyzeSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	return &Study{
 		Workload:     w.Name(),
-		Trips:        trips,
+		Trips:        in.Trips,
 		App:          app,
 		Measurements: m,
 		Actual:       actual,

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -293,5 +296,204 @@ func TestSkippedJobsAfterFatalFailure(t *testing.T) {
 	}
 	if errors.Is(err, plan.ErrSkipped) {
 		t.Error("study error must be the real failure, not ErrSkipped")
+	}
+}
+
+// TestMemoisedStudiesMatchAFreshCache is the memo's differential test:
+// seeded random histories of everything that can happen to a cache —
+// jobs arriving, jobs put again unchanged, jobs replaced, Reset — with
+// from-cache studies asked for in between. Whatever the history, the
+// study RunFromCache answers with must equal, value for value, the one a
+// fresh cache holding the same entries produces, and the two must agree
+// on when the answer is a miss.
+func TestMemoisedStudiesMatchAFreshCache(t *testing.T) {
+	w := fourKernelSynthetic()
+	configs := []struct {
+		trips  int
+		chains []int
+		opts   Options
+	}{
+		{10, []int{2}, Options{}},
+		{10, []int{2, 3}, Options{}},
+		{5, []int{2, 3}, Options{ActualRuns: 3}},
+		{10, []int{4}, Options{Blocks: 5, TrimFrac: 0.34}},
+	}
+	type held struct {
+		job plan.Job
+		res plan.Result
+	}
+	memoHits := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cache := plan.NewCache()
+		// holds mirrors the cache: key → the job and result last put.
+		holds := map[string]held{}
+		var keys []string // holds' keys in arrival order, for seeded picks
+		put := func(j plan.Job, r plan.Result) {
+			if err := cache.Put(j, r); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := holds[j.Key()]; !ok {
+				keys = append(keys, j.Key())
+			}
+			holds[j.Key()] = held{j, r}
+		}
+		result := func() plan.Result {
+			return plan.Result{Seconds: 0.5 + rng.Float64(), Raw: []float64{rng.Float64(), rng.Float64()}, Passes: 1}
+		}
+		last := make([]*Study, len(configs))
+		for step := 0; step < 400; step++ {
+			ci := rng.Intn(len(configs))
+			cfg := configs[ci]
+			opts := cfg.opts
+			opts.Cache = cache
+			eng := Engine{Workload: w, Opts: opts}
+			switch p := rng.Intn(100); {
+			case p < 40: // a job the cache does not hold yet arrives
+				jobs, err := eng.Plan(cfg.trips, cfg.chains)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range jobs {
+					if _, ok := holds[j.Key()]; !ok {
+						put(j, result())
+						break
+					}
+				}
+			case p < 50 && len(keys) > 0: // put again, unchanged
+				h := holds[keys[rng.Intn(len(keys))]]
+				put(h.job, plan.Result{Seconds: h.res.Seconds, Raw: append([]float64(nil), h.res.Raw...), Passes: h.res.Passes})
+			case p < 62 && len(keys) > 0: // replaced by a different measurement
+				put(holds[keys[rng.Intn(len(keys))]].job, result())
+			case p < 64:
+				cache.Reset()
+				holds, keys = map[string]held{}, nil
+			default:
+				got, gotErr := eng.RunFromCache(cfg.trips, cfg.chains)
+				fresh := plan.NewCache()
+				for _, k := range keys {
+					if err := fresh.Put(holds[k].job, holds[k].res); err != nil {
+						t.Fatal(err)
+					}
+				}
+				opts.Cache = fresh
+				want, wantErr := Engine{Workload: w, Opts: opts}.RunFromCache(cfg.trips, cfg.chains)
+				if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrCacheMiss) != errors.Is(wantErr, ErrCacheMiss) {
+					t.Fatalf("seed %d step %d config %d: shared cache answered %v, a fresh one %v", seed, step, ci, gotErr, wantErr)
+				}
+				if gotErr == nil && !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d config %d: memoised study differs from a fresh cache's\n got: %+v\nwant: %+v", seed, step, ci, got, want)
+				}
+				if got != nil && got == last[ci] {
+					memoHits++
+				}
+				last[ci] = got
+			}
+		}
+	}
+	if memoHits == 0 {
+		t.Error("no history ever answered from the memo: the test did not exercise it")
+	}
+}
+
+// TestRunFromCacheMemoHitKeepsItsSideEffects: answering from the memo
+// skips the work, not what an operator watches — the hit counter still
+// advances by the study's planned jobs, and a traced call still records
+// a span for the lookup. The call that builds keeps its three stage
+// spans, under the one that says the memo missed.
+func TestRunFromCacheMemoHitKeepsItsSideEffects(t *testing.T) {
+	cache := plan.NewCache()
+	if _, err := RunStudy(fourKernelSynthetic(), 10, []int{2, 4}, Options{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	eng := Engine{Workload: fourKernelSynthetic(), Opts: Options{Cache: cache, Metrics: reg}}
+	// stages lists a trace's spans as "parent>name detail".
+	stages := func(tr *obs.Trace) []string {
+		var names []string
+		for _, s := range tr.Spans() {
+			names = append(names, fmt.Sprintf("%d>%s %s", s.Parent, s.Name, s.Detail))
+		}
+		return names
+	}
+
+	tr := obs.NewTrace(nil)
+	built, err := eng.RunFromCacheCtx(obs.ContextWithTrace(context.Background(), tr), 10, []int{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := int64(built.Exec.Planned)
+	if got := reg.Counter("harness.cache.hit").Value(); got != planned || planned == 0 {
+		t.Fatalf("after the building call harness.cache.hit = %d, want the %d planned jobs", got, planned)
+	}
+	want := []string{"-1>cache.memo miss", "0>plan toy", fmt.Sprintf("0>cache.load jobs=%d", planned), "0>analyze "}
+	if got := stages(tr); !reflect.DeepEqual(got, want) {
+		t.Errorf("building call recorded %q, want %q", got, want)
+	}
+
+	tr = obs.NewTrace(nil)
+	again, err := eng.RunFromCacheCtx(obs.ContextWithTrace(context.Background(), tr), 10, []int{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != built {
+		t.Error("the second call analysed again instead of returning the memoised study")
+	}
+	if got := reg.Counter("harness.cache.hit").Value(); got != 2*planned {
+		t.Errorf("after the memo hit harness.cache.hit = %d, want %d", got, 2*planned)
+	}
+	if got := stages(tr); !reflect.DeepEqual(got, []string{"-1>cache.memo hit"}) {
+		t.Errorf("memo hit recorded %q, want one cache.memo span", got)
+	}
+}
+
+// TestStudyKeyCoversEveryInput: the memo key must move with everything
+// the memoised study depends on. Every field of plan.Inputs is perturbed
+// by reflection, so a field added there and forgotten in studyKey fails
+// here; the kernel lists are perturbed by hand, including the
+// regroupings and separator-bearing names a plain join would conflate.
+func TestStudyKeyCoversEveryInput(t *testing.T) {
+	w := fourKernelSynthetic()
+	base := plan.Inputs{
+		Workload: "toy", Procs: 4, WorldDigest: "grid=8", FaultDigest: "seed=1",
+		Trips: 10, ChainLens: []int{2, 3}, Blocks: 3, Passes: 1, TrimFrac: 0.34, ActualRuns: 3,
+	}
+	ref := studyKey(w, base)
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		in := base
+		f := reflect.ValueOf(&in).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.01)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]int{2, 4}))
+		default:
+			t.Fatalf("plan.Inputs.%s has kind %s: teach this test to perturb it", reflect.TypeOf(base).Field(i).Name, f.Kind())
+		}
+		if studyKey(w, in) == ref {
+			t.Errorf("changing plan.Inputs.%s does not change the study key", reflect.TypeOf(base).Field(i).Name)
+		}
+	}
+
+	kernels := func(pre, loop, post []string) string {
+		return studyKey(&Synthetic{SyntheticName: "toy", Pre: pre, Loop: loop, Post: post}, base)
+	}
+	keys := map[string]string{}
+	for name, k := range map[string]string{
+		"base":             kernels([]string{"INIT"}, []string{"A", "B", "C"}, []string{"FINAL"}),
+		"loop reordered":   kernels([]string{"INIT"}, []string{"B", "A", "C"}, []string{"FINAL"}),
+		"kernel regrouped": kernels([]string{"INIT", "A"}, []string{"B", "C"}, []string{"FINAL"}),
+		"post emptied":     kernels([]string{"INIT"}, []string{"A", "B", "C", "FINAL"}, nil),
+		"names joined":     kernels([]string{"INIT"}, []string{"A,B", "C"}, []string{"FINAL"}),
+		"length in a name": kernels([]string{"INIT"}, []string{"A1:B", "C"}, []string{"FINAL"}),
+	} {
+		if other, dup := keys[k]; dup {
+			t.Errorf("kernel lists %q and %q share a study key", name, other)
+		}
+		keys[k] = name
 	}
 }

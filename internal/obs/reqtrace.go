@@ -99,10 +99,11 @@ func (rt *RequestTracer) Start(endpoint string) *Trace {
 		Endpoint: endpoint,
 		Seq:      seq,
 		clock:    rt.clock,
-		epoch:    rt.clock.Now(),
 		spans:    make([]Span, 1, requestSpanCap),
 	}
 	t.spans[0] = Span{Name: endpoint, Rank: -1, Track: TrackStages, Parent: -1}
+	// Stamped last: a request is not billed for building its own recorder.
+	t.epoch = rt.clock.Now()
 	return t
 }
 

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/singleflight"
 )
@@ -37,6 +39,17 @@ type entry struct {
 	Result    Result `json:"result"`
 }
 
+// memoCap bounds the derived-value memo (Derive). The values it holds in
+// practice are analysed studies, a few kilobytes each, so the memo's
+// ceiling is a few megabytes however long the process serves.
+const memoCap = 512
+
+// derived is one memoised value with the epoch it was built in.
+type derived struct {
+	epoch uint64
+	val   any
+}
+
 // errCacheMiss marks a disk lookup that found nothing servable (missing
 // file, corrupt JSON, canonical mismatch). It is internal to Get: callers
 // only ever see the boolean miss.
@@ -46,16 +59,21 @@ var errCacheMiss = errors.New("plan: cache miss")
 // map, optionally backed by a directory holding one JSON file per key.
 // Safe for concurrent use.
 //
-// Concurrency contract: the mutex guards only the in-memory map and is
-// never held across disk I/O — executor workers at -parallel N must not
-// serialize on each other's cache reads. Cold disk reads of the same key
-// are collapsed by a per-key singleflight group instead, so a read
-// stampede costs one os.ReadFile, and concurrent Puts write distinct temp
-// files before atomically renaming into place.
+// Concurrency contract: the mutex guards only the in-memory state and is
+// never held across disk I/O or a Derive build — executor workers at
+// -parallel N must not serialize on each other's cache reads. Cold disk
+// reads of the same key are collapsed by a per-key singleflight group
+// instead, so a read stampede costs one os.ReadFile, and concurrent Puts
+// write distinct temp files before atomically renaming into place.
 type Cache struct {
-	mu  sync.Mutex // guards mem only — never held across disk I/O
+	mu  sync.Mutex // guards mem, memo and epoch — never held across disk I/O
 	mem map[string]entry
-	dir string
+	// memo holds values derived from the entries (see Derive). epoch
+	// counts the events that can change such a value: an in-memory entry
+	// replaced by a different one, and Reset.
+	memo  *lru.Cache[string, derived]
+	epoch uint64
+	dir   string
 	// disk collapses concurrent cold reads of one key into a single
 	// os.ReadFile (see Get).
 	disk singleflight.Group[string, entry]
@@ -66,7 +84,7 @@ type Cache struct {
 
 // NewCache returns an in-memory cache.
 func NewCache() *Cache {
-	return &Cache{mem: make(map[string]entry)}
+	return &Cache{mem: make(map[string]entry), memo: lru.New[string, derived](memoCap, nil)}
 }
 
 // NewDirCache returns a cache persisted under dir (created if missing):
@@ -77,7 +95,9 @@ func NewDirCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("plan: cache dir: %w", err)
 	}
-	return &Cache{mem: make(map[string]entry), dir: dir}, nil
+	c := NewCache()
+	c.dir = dir
+	return c, nil
 }
 
 // Dir returns the persistence directory ("" for in-memory caches).
@@ -95,9 +115,11 @@ func (c *Cache) Get(j Job) (Result, bool) {
 // outcome. Memory hits stay span-free — they are the warm path and cost
 // nothing to attribute at the layer above (the engine's cache.load span
 // already covers them).
+//
+//kcvet:hotpath one call per job of every study that is not already memoised
 func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 	canonical := j.Canonical()
-	key := j.Key()
+	key := keyOf(canonical)
 	c.mu.Lock()
 	e, ok := c.mem[key]
 	c.mu.Unlock()
@@ -132,8 +154,14 @@ func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 			// a miss, not poison the in-memory map.
 			return entry{}, errCacheMiss
 		}
+		// Memory still wins if a Put landed during the read: replacing
+		// its entry here would change a value without moving the epoch.
 		c.mu.Lock()
-		c.mem[key] = e
+		if cur, ok := c.mem[key]; ok {
+			e = cur
+		} else {
+			c.mem[key] = e
+		}
 		c.mu.Unlock()
 		return e, nil
 	})
@@ -153,8 +181,13 @@ func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 // itself is done).
 func (c *Cache) Put(j Job, r Result) error {
 	e := entry{Canonical: j.Canonical(), Result: r}
-	key := j.Key()
+	key := keyOf(e.Canonical)
 	c.mu.Lock()
+	// Only an overwrite that changes something moves the epoch (see
+	// Derive). DeepEqual, so a field added to Result is compared too.
+	if old, ok := c.mem[key]; ok && !reflect.DeepEqual(old, e) {
+		c.epoch++
+	}
 	c.mem[key] = e
 	c.mu.Unlock()
 	if c.dir == "" {
@@ -199,12 +232,55 @@ func (c *Cache) Len() int {
 	return len(c.mem)
 }
 
-// Reset drops the in-memory entries. Directory entries are kept — Reset
-// forgets, it does not delete.
+// Reset drops the in-memory entries and everything derived from them.
+// Directory entries are kept — Reset forgets, it does not delete.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mem = make(map[string]entry)
+	// A fresh memo frees what was derived; the epoch also kills whatever a
+	// build still in flight is about to store.
+	c.memo = lru.New[string, derived](memoCap, nil)
+	c.epoch++
+}
+
+// Derive memoises a value computed from the cache's entries: it returns
+// the value stored under key, or calls build, stores what it returns and
+// returns that. key must name everything build reads — which jobs it
+// looks up and every parameter of what it computes from them — and the
+// value is shared by every later caller, so it must not be written to.
+//
+// A stored value is served only while the epoch it was built in is still
+// current. The epoch is read before build starts and moves when Put
+// replaces an in-memory entry with a different one and on Reset, so a
+// value built from entries that have since changed — even one whose build
+// raced the change — is never served again. A Put of a new job moves
+// nothing: build must fail when a job it needs is missing (as a from-cache
+// study does), so a stored value read only jobs that were already in
+// memory, and a job that was not cannot be one of them. A failed build
+// stores nothing and is retried by the next caller.
+//
+// The mutex is not held while build runs; concurrent first callers of one
+// key each build, and the last store wins. The memo keeps the memoCap
+// most recently used values.
+//
+//kcvet:hotpath a memo hit is all the cache work a warm query does
+func (c *Cache) Derive(key string, build func() (any, error)) (any, error) {
+	c.mu.Lock()
+	d, ok := c.memo.Get(key)
+	epoch := c.epoch
+	c.mu.Unlock()
+	if ok && d.epoch == epoch {
+		return d.val, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.memo.Put(key, derived{epoch: epoch, val: v})
+	c.mu.Unlock()
+	return v, nil
 }
 
 func (c *Cache) path(key string) string {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,4 +282,195 @@ func TestDirCacheRejectsCorruptAndMismatchedEntries(t *testing.T) {
 	if _, ok := c.Get(j); ok {
 		t.Error("mismatched canonical served as a hit")
 	}
+}
+
+// seconds is the build the Derive tests memoise: the job's current value,
+// failing — as a from-cache study does — when the cache does not hold it.
+func seconds(c *Cache, j Job, builds *int) func() (any, error) {
+	return func() (any, error) {
+		*builds++
+		r, ok := c.Get(j)
+		if !ok {
+			return nil, errCacheMiss
+		}
+		return r.Seconds, nil
+	}
+}
+
+// TestDeriveContract: a memoised value survives everything that cannot
+// have changed it and nothing that can.
+func TestDeriveContract(t *testing.T) {
+	j := WindowJob(btInputs(), []string{"ADD"})
+	other := WindowJob(btInputs(), []string{"X_SOLVE"})
+	first := Result{Seconds: 1, Raw: []float64{0.9, 1.1}, TrimFrac: 0.34, Passes: 1}
+	put := func(t *testing.T, c *Cache, j Job, r Result) {
+		t.Helper()
+		if err := c.Put(j, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		between func(t *testing.T, c *Cache)
+		rebuilt bool
+		want    float64
+	}{
+		{"nothing happens", func(*testing.T, *Cache) {}, false, 1},
+		{"same result put again", func(t *testing.T, c *Cache) {
+			put(t, c, j, Result{Seconds: 1, Raw: []float64{0.9, 1.1}, TrimFrac: 0.34, Passes: 1})
+		}, false, 1},
+		{"another job put", func(t *testing.T, c *Cache) { put(t, c, other, Result{Seconds: 7}) }, false, 1},
+		{"different seconds", func(t *testing.T, c *Cache) { put(t, c, j, Result{Seconds: 2}) }, true, 2},
+		{"different raw block only", func(t *testing.T, c *Cache) {
+			put(t, c, j, Result{Seconds: 1, Raw: []float64{0.9, 1.2}, TrimFrac: 0.34, Passes: 1})
+		}, true, 1},
+		{"reset then refilled", func(t *testing.T, c *Cache) {
+			c.Reset()
+			put(t, c, j, Result{Seconds: 3})
+		}, true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache()
+			put(t, c, j, first)
+			builds := 0
+			if v, err := c.Derive("k", seconds(c, j, &builds)); err != nil || v != 1.0 || builds != 1 {
+				t.Fatalf("first Derive = %v, %v after %d builds", v, err, builds)
+			}
+			tc.between(t, c)
+			v, err := c.Derive("k", seconds(c, j, &builds))
+			if err != nil || v != tc.want {
+				t.Fatalf("second Derive = %v, %v; want %v", v, err, tc.want)
+			}
+			if rebuilt := builds == 2; rebuilt != tc.rebuilt {
+				t.Errorf("rebuilt = %v, want %v", rebuilt, tc.rebuilt)
+			}
+		})
+	}
+
+	t.Run("failed build is retried", func(t *testing.T) {
+		c := NewCache()
+		builds := 0
+		if _, err := c.Derive("k", seconds(c, j, &builds)); err == nil {
+			t.Fatal("a build over a missing job succeeded")
+		}
+		put(t, c, j, first)
+		if v, err := c.Derive("k", seconds(c, j, &builds)); err != nil || v != 1.0 || builds != 2 {
+			t.Fatalf("Derive after the job arrived = %v, %v after %d builds; the failure was memoised", v, err, builds)
+		}
+	})
+
+	t.Run("capacity evicts the least recent", func(t *testing.T) {
+		c := NewCache()
+		put(t, c, j, first)
+		builds := 0
+		key := func(i int) string { return "k" + strconv.Itoa(i) }
+		for i := 0; i <= memoCap; i++ {
+			if _, err := c.Derive(key(i), seconds(c, j, &builds)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		builds = 0
+		if _, err := c.Derive(key(memoCap), seconds(c, j, &builds)); err != nil || builds != 0 {
+			t.Errorf("newest of %d keys was rebuilt (%d builds, %v)", memoCap+1, builds, err)
+		}
+		if _, err := c.Derive(key(0), seconds(c, j, &builds)); err != nil || builds != 1 {
+			t.Errorf("oldest of %d keys was still held (%d builds, %v)", memoCap+1, builds, err)
+		}
+	})
+}
+
+// TestDeriveOverwriteDuringBuild: a job is overwritten while a build that
+// already read it is still running. That caller gets what it built; no
+// later caller may, because the value describes an entry that is gone.
+func TestDeriveOverwriteDuringBuild(t *testing.T) {
+	c := NewCache()
+	j := WindowJob(btInputs(), []string{"ADD"})
+	if err := c.Put(j, Result{Seconds: 1}); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	read := seconds(c, j, &builds)
+	inBuild, release := make(chan struct{}), make(chan struct{})
+	racing := make(chan any, 1)
+	go func() {
+		v, err := c.Derive("k", func() (any, error) {
+			v, err := read()
+			close(inBuild)
+			<-release
+			return v, err
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		racing <- v
+	}()
+	<-inBuild
+	if err := c.Put(j, Result{Seconds: 2}); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if v := <-racing; v != 1.0 {
+		t.Errorf("the racing build returned %v, want the 1 it read", v)
+	}
+	for i := 0; i < 3; i++ {
+		if v, err := c.Derive("k", read); err != nil || v != 2.0 {
+			t.Fatalf("Derive %d after the overwrite = %v, %v: a value built before it was served", i, v, err)
+		}
+	}
+	if builds != 2 {
+		t.Errorf("%d builds, want the racing one and one rebuild", builds)
+	}
+}
+
+// TestDeriveConcurrentOverwrites hammers one key from readers while a
+// writer keeps replacing the job it is built from. Whatever interleaving
+// the scheduler picks, a Derive that starts after Put(v) returned must
+// not answer with anything older than v.
+func TestDeriveConcurrentOverwrites(t *testing.T) {
+	c := NewCache()
+	j := WindowJob(btInputs(), []string{"ADD"})
+	if err := c.Put(j, Result{Seconds: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var committed atomic.Int64
+	committed.Store(1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				floor := float64(committed.Load())
+				v, err := c.Derive("k", func() (any, error) {
+					r, ok := c.Get(j)
+					if !ok {
+						return nil, errCacheMiss
+					}
+					return r.Seconds, nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v.(float64) < floor {
+					t.Errorf("Derive answered %v after Put(%v) had returned", v, floor)
+					return
+				}
+			}
+		}()
+	}
+	for v := int64(2); v <= 300; v++ {
+		if err := c.Put(j, Result{Seconds: float64(v)}); err != nil {
+			t.Fatal(err)
+		}
+		committed.Store(v)
+	}
+	close(stop)
+	wg.Wait()
 }

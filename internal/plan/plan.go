@@ -13,7 +13,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/core"
 )
@@ -86,25 +86,67 @@ func (j Job) Label() string {
 // times do not depend on it) and actual jobs exclude the block/pass/trim
 // knobs (a full run has none), so e.g. studies at different trip counts
 // share their window measurements.
+//
+// It is one append pass over a sized buffer: every cache Get and Put
+// renders it, so a cold study pays it per job. The bytes are those of the
+// fmt.Fprintf("...|trim=%g|...") rendering it replaced (both format a
+// float64 as strconv's shortest 'g'), which the golden tests pin — a cache
+// directory is addressed by the hash of this string.
+//
+//kcvet:hotpath rendered for every job of every cache lookup and store
 func (j Job) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v1|kind=%s|wl=%s|procs=%d", j.Kind, j.Spec.Workload, j.Spec.Procs)
-	if j.Kind == KindActual {
-		fmt.Fprintf(&b, "|trips=%d|run=%d", j.Spec.Trips, j.Spec.Run)
-	} else {
-		fmt.Fprintf(&b, "|win=%s|blocks=%d|passes=%d|trim=%g",
-			core.Key(j.Spec.Window), j.Spec.Blocks, j.Spec.Passes, j.Spec.TrimFrac)
+	s := &j.Spec
+	n := 96 + len(s.Workload) + len(s.WorldDigest) + len(s.FaultDigest)
+	for _, k := range s.Window {
+		n += len(k) + 1
 	}
-	fmt.Fprintf(&b, "|world=%s|fault=%s", j.Spec.WorldDigest, j.Spec.FaultDigest)
-	return b.String()
+	b := make([]byte, 0, n)
+	b = append(b, "v1|kind="...)
+	b = append(b, j.Kind...)
+	b = append(b, "|wl="...)
+	b = append(b, s.Workload...)
+	b = append(b, "|procs="...)
+	b = strconv.AppendInt(b, int64(s.Procs), 10)
+	if j.Kind == KindActual {
+		b = append(b, "|trips="...)
+		b = strconv.AppendInt(b, int64(s.Trips), 10)
+		b = append(b, "|run="...)
+		b = strconv.AppendInt(b, int64(s.Run), 10)
+	} else {
+		b = append(b, "|win="...)
+		if len(s.Window) > 0 {
+			b = append(b, s.Window[0]...)
+			for _, k := range s.Window[1:] {
+				//kcvet:ignore hotalloc appends fill the buffer sized above from these same strings; growth needs integers and a trim wider than its 96 spare bytes
+				b = append(append(b, '|'), k...)
+			}
+		}
+		b = append(b, "|blocks="...)
+		b = strconv.AppendInt(b, int64(s.Blocks), 10)
+		b = append(b, "|passes="...)
+		b = strconv.AppendInt(b, int64(s.Passes), 10)
+		b = append(b, "|trim="...)
+		b = strconv.AppendFloat(b, s.TrimFrac, 'g', -1, 64)
+	}
+	b = append(b, "|world="...)
+	b = append(b, s.WorldDigest...)
+	b = append(b, "|fault="...)
+	b = append(b, s.FaultDigest...)
+	return string(b)
 }
 
 // Key returns the content-addressed job key: the hex SHA-256 of the
 // canonical string, truncated to 24 characters (96 bits — far beyond any
 // plausible campaign size, short enough for filenames and logs).
-func (j Job) Key() string {
-	sum := sha256.Sum256([]byte(j.Canonical()))
-	return hex.EncodeToString(sum[:])[:24]
+func (j Job) Key() string { return keyOf(j.Canonical()) }
+
+// keyOf hashes a canonical string into its job key, for callers that
+// already hold the string.
+func keyOf(canonical string) string {
+	sum := sha256.Sum256([]byte(canonical))
+	var hexed [24]byte
+	hex.Encode(hexed[:], sum[:12])
+	return string(hexed[:])
 }
 
 // Inputs parameterizes a study's plan: everything StudyJobs needs beyond

@@ -3,6 +3,7 @@ package plan
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,19 +39,15 @@ func btInputs() Inputs {
 	}
 }
 
-// TestStudyPlanGolden pins the plan order and job keys for a BT class S
-// study — the deterministic-order contract the serial executor and the
-// byte-identical `-parallel 1` mode rest on. Regenerate with -update.
-func TestStudyPlanGolden(t *testing.T) {
-	jobs, err := StudyJobs(btApp(t), btInputs())
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkJobsGolden renders each job as "kind key canonical" and compares
+// the listing with testdata/<name>. Regenerate with -update.
+func checkJobsGolden(t *testing.T, name string, jobs []Job) {
+	t.Helper()
 	var b strings.Builder
 	for _, j := range jobs {
 		fmt.Fprintf(&b, "%-8s %-24s %s\n", j.Kind, j.Key(), j.Canonical())
 	}
-	golden := filepath.Join("testdata", "bt_plan.golden")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -64,8 +61,47 @@ func TestStudyPlanGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
 	if b.String() != string(want) {
-		t.Errorf("plan drifted from golden (run with -update if intended):\n got:\n%s\nwant:\n%s", b.String(), want)
+		t.Errorf("%s drifted from golden (run with -update if intended):\n got:\n%s\nwant:\n%s", name, b.String(), want)
 	}
+}
+
+// TestStudyPlanGolden pins the plan order and job keys for a BT class S
+// study — the deterministic-order contract the serial executor and the
+// byte-identical `-parallel 1` mode rest on.
+func TestStudyPlanGolden(t *testing.T) {
+	jobs, err := StudyJobs(btApp(t), btInputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJobsGolden(t, "bt_plan.golden", jobs)
+}
+
+// TestCanonicalEdgeGolden pins the key pre-image where the BT study's
+// inputs do not reach: trims that %g renders in exponent form or as a
+// non-number, a fault digest, actual runs with large trip counts, a
+// rankless workload, an empty window. The golden was written by the
+// fmt.Fprintf("...|trim=%g|...") implementation, so it holds the append
+// implementation to those bytes — a key that drifted would turn every
+// cache directory written before it cold.
+func TestCanonicalEdgeGolden(t *testing.T) {
+	faulty := btInputs()
+	faulty.FaultDigest = "spec=delay:X_SOLVE:1:0.5:2ms;seed=7"
+	faulty.Trips = 250
+	var jobs []Job
+	tenth := 0.1 // a variable, so tenth+0.2 rounds at run time to 0.30000000000000004
+	for _, trim := range []float64{0.34, 1e-7, -1, 0.5, tenth + 0.2, 1e21, 123456789, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		in := faulty
+		in.TrimFrac = trim
+		jobs = append(jobs, WindowJob(in, []string{"COPY_FACES", "X_SOLVE", "Y_SOLVE"}))
+	}
+	jobs = append(jobs,
+		WindowJob(faulty, []string{"ADD"}),
+		WindowJob(faulty, nil),
+		ActualJob(faulty, 0),
+		ActualJob(faulty, 2),
+		ActualJob(Inputs{Workload: "syn|thetic %d", Procs: 0, Trips: -3}, -1),
+	)
+	checkJobsGolden(t, "canonical_edge.golden", jobs)
 }
 
 // TestStudyPlanDeterministic: same inputs, same order and keys — across

@@ -37,9 +37,8 @@ func peerHopFrom(ctx context.Context) bool {
 // ever coexist on one node (disagreeing ring views), they collapse into
 // different flights instead of the fill waiting on the proxy that is
 // waiting on the peer that sent the fill.
-func (s *Server) resolvePeer(ctx context.Context, q Query, owner string) (predict.Prediction, error) {
+func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (predict.Prediction, error) {
 	tr := obs.TraceFrom(ctx)
-	key := q.Key()
 	if pr, ok := s.cluster.Replica(key); ok {
 		tr.Annotate("cluster", "replica")
 		return pr, nil
@@ -103,7 +102,7 @@ func (s *Server) resolvePeer(ctx context.Context, q Query, owner string) (predic
 		// the cluster only concentrates where the work usually lands.
 		s.reg.Counter("cluster.fill.fallback").Inc()
 		tr.Annotate("cluster", "fallback-local")
-		lpr, _, lerr := s.resolveLocal(ctx, q)
+		lpr, _, lerr := s.resolveLocal(ctx, q, key)
 		return lpr, lerr
 	}
 	s.reg.Counter("cluster.proxied").Inc()
@@ -136,9 +135,10 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) error {
 		sp.End()
 		return statusError{http.StatusBadRequest, err}
 	}
-	sp.SetDetail(q.Key())
+	key := q.Key()
+	sp.SetDetail(key)
 	sp.End()
-	pr, token, err := s.resolveLocal(ctx, q)
+	pr, token, err := s.resolveLocal(ctx, q, key)
 	if err != nil {
 		return err
 	}
@@ -146,5 +146,5 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) error {
 		w.Header().Set(cluster.FlightTokenHeader, token)
 	}
 	s.reg.Counter("cluster.fill.served").Inc()
-	return writeJSON(w, http.StatusOK, cluster.FillResponse{Key: q.Key(), Prediction: pr})
+	return writeJSON(w, http.StatusOK, cluster.FillResponse{Key: key, Prediction: pr})
 }

@@ -320,13 +320,13 @@ func (s *Server) measureOnce(ctx context.Context, eng harness.Engine, q predict.
 // already crossed a peer hop; standalone (or as owner), by resolving
 // locally. The hop check is the forwarding loop guard — a query never
 // travels more than one hop, whatever the peers' ring views claim.
-func (s *Server) resolve(ctx context.Context, q Query) (predict.Prediction, error) {
+func (s *Server) resolve(ctx context.Context, q Query, key string) (predict.Prediction, error) {
 	if s.cluster != nil && !peerHopFrom(ctx) {
-		if owner, self := s.cluster.Owner(q.Key()); !self {
-			return s.resolvePeer(ctx, q, owner)
+		if owner, self := s.cluster.Owner(key); !self {
+			return s.resolvePeer(ctx, q, key, owner)
 		}
 	}
-	pr, _, err := s.resolveLocal(ctx, q)
+	pr, _, err := s.resolveLocal(ctx, q, key)
 	return pr, err
 }
 
@@ -347,7 +347,10 @@ func (s *Server) resolve(ctx context.Context, q Query) (predict.Prediction, erro
 // the flight keeps going for whoever is still waiting, and this
 // request's trace is finished only once the flight lands (see wrap),
 // because the detached work keeps writing spans into it.
-func (s *Server) resolveLocal(ctx context.Context, q Query) (predict.Prediction, string, error) {
+//
+// key is q.Key(): the request's entry point builds it once and every
+// layer below shares it.
+func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict.Prediction, string, error) {
 	tr := obs.TraceFrom(ctx)
 	sp, sfctx := obs.StartSpan(ctx, "singleflight", "")
 	fn := func(fl *singleflight.Flight) (predict.Prediction, error) {
@@ -364,7 +367,7 @@ func (s *Server) resolveLocal(ctx context.Context, q Query) (predict.Prediction,
 	var shared bool
 	var fl *singleflight.Flight
 	if _, hasDeadline := ctx.Deadline(); hasDeadline {
-		ch := s.sf.DoFlightCh(q.Key(), fn)
+		ch := s.sf.DoFlightCh(key, fn)
 		select {
 		case res := <-ch:
 			pr, err, shared, fl = res.Val, res.Err, res.Shared, res.Flight
@@ -384,7 +387,7 @@ func (s *Server) resolveLocal(ctx context.Context, q Query) (predict.Prediction,
 		// No deadline: run the flight synchronously on this goroutine —
 		// the unguarded warm path stays allocation-identical to the
 		// pre-hardening server.
-		pr, err, shared, fl = s.sf.DoFlight(q.Key(), fn)
+		pr, err, shared, fl = s.sf.DoFlight(key, fn)
 	}
 	if shared {
 		s.reg.Counter("serve.singleflight.shared").Inc()
@@ -496,22 +499,29 @@ type finishCtxKey struct{}
 // the admission controller. Shed requests answer 503 with Retry-After,
 // spent budgets answer 504; both bodies are deterministic.
 func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
+	// The endpoint's instruments are resolved here, once: a request must
+	// not concatenate metric names or take the registry's mutex.
 	window := s.windows[name]
+	inflight := s.reg.Gauge("serve.inflight")
+	count := s.reg.Counter("serve.req." + name + ".count")
+	errCount := s.reg.Counter("serve.req." + name + ".errors")
+	latency := s.reg.Histogram("serve.req." + name + ".latency_ns")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Gauge("serve.inflight").Add(1)
-		defer s.reg.Gauge("serve.inflight").Add(-1)
-		s.reg.Counter("serve.req." + name + ".count").Inc()
+		inflight.Add(1)
+		defer inflight.Add(-1)
+		count.Inc()
 		var tr *obs.Trace
 		if traced {
 			tr = s.tracer.Start(name) // nil tracer → nil trace, all hooks no-op
 		}
+		// "setup" covers what happens to a request before its handler
+		// runs — installing the trace, injected latency, the deadline
+		// budget — so a trace has no unexplained time ahead of "parse".
+		setup := tr.Root().StartChild("setup", "")
 		var fin *deferredFinish
 		if tr != nil {
 			w.Header().Set("X-Trace-Id", tr.ID)
-			ctx := obs.ContextWithTrace(r.Context(), tr)
-			fin = &deferredFinish{}
-			ctx = context.WithValue(ctx, finishCtxKey{}, fin)
-			r = r.WithContext(ctx)
+			r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
 		}
 		if guarded {
 			// Handler latency injection hits only guarded endpoints, so
@@ -523,10 +533,17 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 				ctx, cancel := context.WithTimeout(r.Context(), budget)
 				defer cancel()
 				ctx = context.WithValue(ctx, budgetCtxKey{}, budgetInfo{endpoint: name, budget: budget})
+				if tr != nil {
+					// Only a budget can abandon a flight, so only a budgeted
+					// traced request needs somewhere to leave one.
+					fin = &deferredFinish{}
+					ctx = context.WithValue(ctx, finishCtxKey{}, fin)
+				}
 				r = r.WithContext(ctx)
 			}
 			s.retryBudget().OnRequest()
 		}
+		setup.End()
 		start := time.Now()
 		var err error
 		if guarded && s.guard != nil && s.guard.Admission != nil {
@@ -542,12 +559,10 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 			err = h(w, r)
 		}
 		dur := time.Since(start)
-		s.reg.Histogram("serve.req." + name + ".latency_ns").Observe(dur.Nanoseconds())
-		window.Observe(dur.Nanoseconds())
 		status := http.StatusOK
 		var errMsg string
 		if err != nil {
-			s.reg.Counter("serve.req." + name + ".errors").Inc()
+			errCount.Inc()
 			status = statusOf(err)
 			var shed *guard.ShedError
 			if errors.As(err, &shed) {
@@ -575,6 +590,10 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 		} else {
 			s.tracer.Finish(tr, status, errMsg)
 		}
+		// The trace is closed before wrap's own bookkeeping, which is not
+		// the request's to account for.
+		latency.Observe(dur.Nanoseconds())
+		window.Observe(dur.Nanoseconds())
 		s.logAccess(name, tr, status, dur, errMsg)
 	})
 }
@@ -725,12 +744,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	sp, _ := obs.StartSpan(r.Context(), "respond", "")
 	st := pr.Study
 	if pr.Backend != "" {
 		w.Header().Set("X-Backend", pr.Backend)
 	}
 	tagDegraded(w, degraded)
-	sp, _ := obs.StartSpan(r.Context(), "respond", "")
 	lens := st.ChainLens()
 	preds := make([]Predictor, len(lens)+1)
 	preds[0] = Predictor{
@@ -807,12 +826,12 @@ func (s *Server) handleCouplings(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	sp, _ := obs.StartSpan(r.Context(), "respond", "")
 	st := pr.Study
 	if pr.Backend != "" {
 		w.Header().Set("X-Backend", pr.Backend)
 	}
 	tagDegraded(w, degraded)
-	sp, _ := obs.StartSpan(r.Context(), "respond", "")
 	lens := st.ChainLens()
 	resp := CouplingsResponse{
 		Workload: st.Workload,
@@ -851,12 +870,12 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	sp, _ := obs.StartSpan(r.Context(), "respond", "")
 	st := pr.Study
 	if pr.Backend != "" {
 		w.Header().Set("X-Backend", pr.Backend)
 	}
 	tagDegraded(w, degraded)
-	sp, _ := obs.StartSpan(r.Context(), "respond", "")
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if degraded != "" {
 		fmt.Fprintf(w, "DEGRADED: serving %s answer\n", degraded)
@@ -887,15 +906,20 @@ func (s *Server) study(r *http.Request) (predict.Prediction, string, error) {
 		sp.End()
 		return predict.Prediction{}, "", statusError{http.StatusBadRequest, err}
 	}
-	sp.SetDetail(q.Key())
+	key := q.Key()
+	sp.SetDetail(key)
 	sp.End()
-	pr, err := s.resolve(ctx, q)
+	pr, err := s.resolve(ctx, q, key)
 	if err == nil {
-		s.staleCache().Put(q.Key(), q.FamilyKey(), pr)
+		// Without a guard there is no ladder to feed: skip the family key
+		// and the boxing of pr that the call's arguments would cost.
+		if stale := s.staleCache(); stale != nil {
+			stale.Put(key, q.FamilyKey(), pr)
+		}
 		return pr, "", nil
 	}
 	if statusOf(err) >= 500 {
-		if v, mode, ok := s.staleCache().Get(q.Key(), q.FamilyKey()); ok {
+		if v, mode, ok := s.staleCache().Get(key, q.FamilyKey()); ok {
 			s.reg.Counter("serve.degraded").Inc()
 			tr := obs.TraceFrom(ctx)
 			tr.Annotate("degraded", mode)

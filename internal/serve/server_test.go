@@ -266,7 +266,10 @@ func TestPredictSingleflightCollapse(t *testing.T) {
 
 // TestConcurrentMixedRequests hammers every endpoint from 100 goroutines
 // — the race-detector workout for the whole serving path, including the
-// cache's lock discipline underneath it.
+// cache's lock discipline underneath it. The three study endpoints ask
+// for one key, so they all render the one *harness.Study the cache
+// memoises for it: a handler that wrote to that study would race here,
+// and one that changed it would change a body.
 func TestConcurrentMixedRequests(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := New(Config{Cache: warmedCache(t), Metrics: reg})
@@ -283,6 +286,12 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		"/healthz",
 		"/metrics",
 	}
+	// The study endpoints' bodies before the burst; every body inside it
+	// must match.
+	ref := make([][]byte, 3)
+	for i := range ref {
+		ref[i] = get(t, ts.URL, paths[i], http.StatusOK)
+	}
 	const n = 100
 	var wg sync.WaitGroup
 	errc := make(chan error, n)
@@ -290,19 +299,24 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			path := paths[i%len(paths)]
+			pi := i % len(paths)
+			path := paths[pi]
 			resp, err := http.Get(ts.URL + path)
 			if err != nil {
 				errc <- err
 				return
 			}
 			defer resp.Body.Close()
-			if _, err := io.ReadAll(resp.Body); err != nil {
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
 				errc <- err
 				return
 			}
 			if resp.StatusCode != http.StatusOK {
 				errc <- fmt.Errorf("GET %s = %d", path, resp.StatusCode)
+			}
+			if pi < len(ref) && !bytes.Equal(body, ref[pi]) {
+				errc <- fmt.Errorf("GET %s under concurrency differs from its body before it:\n%s\n---\n%s", path, body, ref[pi])
 			}
 		}(i)
 	}
@@ -313,6 +327,60 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	}
 	if got := reg.Gauge("serve.inflight").Value(); got != 0 {
 		t.Errorf("inflight gauge = %d after drain, want 0", got)
+	}
+}
+
+// TestColdThenWarmBodies: only a from-cache analysis fills the study
+// memo, never the measurement that warmed the cache. So on every study
+// endpoint the request that measures a cold key answers as the
+// measurement it was (executed > 0), and the next two answer from the
+// cache, byte for byte alike, every planned job a hit.
+func TestColdThenWarmBodies(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := New(Config{Cache: plan.NewCache(), Metrics: reg, Measure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i, endpoint := range []string{"/predict", "/couplings", "/study"} {
+		// One cold key per endpoint, so each sees its own first request.
+		qs := fmt.Sprintf("bench=BT&grid=%d&trips=1&procs=4&chains=2&blocks=1", 6+2*i)
+		measured := reg.Counter("serve.measure.ondemand").Value()
+		cold := get(t, ts.URL, endpoint+"?"+qs, http.StatusOK)
+		if got := reg.Counter("serve.measure.ondemand").Value(); got != measured+1 {
+			t.Fatalf("%s: cold request measured %d times, want once", endpoint, got-measured)
+		}
+		warm1 := get(t, ts.URL, endpoint+"?"+qs, http.StatusOK)
+		warm2 := get(t, ts.URL, endpoint+"?"+qs, http.StatusOK)
+		if got := reg.Counter("serve.measure.ondemand").Value(); got != measured+1 {
+			t.Errorf("%s: a warm request measured again", endpoint)
+		}
+		if !bytes.Equal(warm1, warm2) {
+			t.Errorf("%s: warm bodies differ:\n%s\n---\n%s", endpoint, warm1, warm2)
+		}
+		if endpoint != "/predict" {
+			// These bodies carry no execution record, so the measuring
+			// request and the memoised analysis must render alike.
+			if !bytes.Equal(cold, warm1) {
+				t.Errorf("%s: the measured study and its from-cache analysis render differently:\n%s\n---\n%s", endpoint, cold, warm1)
+			}
+			continue
+		}
+		var first, second PredictResponse
+		if err := json.Unmarshal(cold, &first); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(warm1, &second); err != nil {
+			t.Fatal(err)
+		}
+		if first.Exec.Executed == 0 {
+			t.Errorf("cold /predict exec = %+v, want executed > 0", first.Exec)
+		}
+		if second.Exec.Executed != 0 || second.Exec.Planned == 0 || second.Exec.CacheHits != second.Exec.Planned {
+			t.Errorf("warm /predict exec = %+v, want every planned job a cache hit", second.Exec)
+		}
 	}
 }
 
