@@ -78,38 +78,29 @@ func BlockTridiagSolve(a, b, c []Mat5, r []Vec5) error {
 	chat := make([]Mat5, n)
 	rhat := make([]Vec5, n)
 
-	var lu LU5
-	var bt Mat5
-	var rt Vec5
-	var tmpM Mat5
-	var tmpV Vec5
-
+	var lu Mat5
 	for i := 0; i < n; i++ {
-		bt = b[i]
-		rt = r[i]
+		lu = b[i]
+		rhat[i] = r[i]
 		if i > 0 {
 			// Substitute x_{i-1} = rhat_{i-1} - Chat_{i-1} x_i:
 			//   (B_i - A_i·Chat_{i-1}) x_i + C_i x_{i+1} = r_i - A_i·rhat_{i-1}
-			MulMM(&tmpM, &a[i], &chat[i-1])
-			SubMM(&bt, &bt, &tmpM)
-			MulMV(&tmpV, &a[i], &rhat[i-1])
-			SubMV(&rt, &rt, &tmpV)
+			SubMulMM(&lu, &a[i], &chat[i-1])
+			SubMulMV(&rhat[i], &rhat[i], &a[i], &rhat[i-1])
 		}
-		if err := lu.Factor(&bt); err != nil {
+		if err := FactorLU(&lu); err != nil {
 			return fmt.Errorf("linalg: block row %d: %w", i, err)
 		}
 		if i < n-1 {
 			chat[i] = c[i]
-			lu.SolveMat(&chat[i])
+			SolveLUMat(&lu, &chat[i])
 		}
-		rhat[i] = rt
-		lu.SolveVec(&rhat[i])
+		SolveLUVec(&lu, &rhat[i])
 	}
 	// Back substitution.
 	r[n-1] = rhat[n-1]
 	for i := n - 2; i >= 0; i-- {
-		MulMV(&tmpV, &chat[i], &r[i+1])
-		SubMV(&r[i], &rhat[i], &tmpV)
+		SubMulMV(&r[i], &rhat[i], &chat[i], &r[i+1])
 	}
 	return nil
 }

@@ -106,14 +106,21 @@ type state struct {
 	u, rhs, forcing *npb.Field
 	u0, rhs0        []float64 // snapshots for Refresh
 
+	// Global coordinates of the cells this rank owns, and exact's sine
+	// and cosine factors over them in the two argument orders initialize
+	// uses: (x, y, z) for the solution, (y, z, x) for the forcing.
+	gx, gy, gz         []float64
+	exactXYZ, exactYZX *npb.FactorTable
+
 	commY, commZ *mpi.Comm // line communicators along y and z
 
-	// Face-exchange buffers (COPY_FACES).
-	faceY, faceZ []float64
+	// Face-exchange neighbors (-1 at a physical boundary) and buffers
+	// (COPY_FACES).
+	loY, hiY, loZ, hiZ int
+	faceY, faceZ       []float64
 
 	// Distributed-solve work arrays, sized for the largest line family.
 	chat []linalg.Mat5
-	rhat []linalg.Vec5
 	fwd  []float64
 	bwd  []float64
 
@@ -147,15 +154,22 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.commY = st.cart.Sub(0)
 	st.commZ = st.cart.Sub(1)
 
+	st.loY, st.hiY = st.cart.Shift(0, 1)
+	st.loZ, st.hiZ = st.cart.Shift(1, 1)
 	st.faceY = make([]float64, st.nx*st.nzl*5)
 	st.faceZ = make([]float64, st.nx*st.nyl*5)
 
 	cells := st.nx * st.nyl * st.nzl
 	st.chat = make([]linalg.Mat5, cells)
-	st.rhat = make([]linalg.Vec5, cells)
 	maxLines := max(st.nx*st.nzl, st.nx*st.nyl, st.nyl*st.nzl)
 	st.fwd = make([]float64, maxLines*30)
 	st.bwd = make([]float64, maxLines*5)
+
+	st.gx = gridCoords(0, st.nx, p.N1)
+	st.gy = gridCoords(st.ry.Lo, st.nyl, p.N2)
+	st.gz = gridCoords(st.rz.Lo, st.nzl, p.N3)
+	st.exactXYZ = npb.NewFactorTable(st.gx, st.gy, st.gz, exactSin, exactCos)
+	st.exactYZX = npb.NewFactorTable(st.gy, st.gz, st.gx, exactSin, exactCos)
 
 	// Full setup outside any timed region: initial solution, forcing,
 	// ghost faces and a first right-hand side, then snapshots so Refresh
@@ -200,42 +214,71 @@ func (st *state) Refresh() {
 // Norms returns the verification norms computed by the last FINAL.
 func (st *state) Norms() [5]float64 { return st.norms }
 
-// exact is the smooth reference field the initial condition and forcing
-// are built from; x, y, z are global coordinates normalized to [0,1].
-func exact(c int, x, y, z float64) float64 {
+// gridCoords returns the global coordinates, normalized to [0,1], of the n
+// points starting at lo of a dimension with total points.
+func gridCoords(lo, n, total int) []float64 {
+	h := 1.0 / float64(total-1)
+	g := make([]float64, n)
+	for i := range g {
+		g[i] = float64(lo+i) * h
+	}
+	return g
+}
+
+// The smooth reference field the initial condition and forcing are built
+// from is, for component c at global coordinates x, y, z normalized to [0,1],
+//
+//	exact(c, x, y, z) = 1 + 0.3·exactSin(c, x, y)·exactCos(c, z) + 0.2·(c+1)·x·y·z
+//
+// The trigonometric factors separate, so newState tabulates them
+// (npb.FactorTable) and initialize assembles the field with exactFrom.
+
+func exactSin(c int, x, y float64) float64 {
 	fc := float64(c + 1)
-	return 1.0 + 0.3*math.Sin(math.Pi*(x+0.7*fc*y))*math.Cos(math.Pi*(z+0.3*fc)) +
+	return math.Sin(math.Pi * (x + 0.7*fc*y))
+}
+
+func exactCos(c int, z float64) float64 {
+	fc := float64(c + 1)
+	return math.Cos(math.Pi * (z + 0.3*fc))
+}
+
+func exactFrom(c int, sin, cos, x, y, z float64) float64 {
+	fc := float64(c + 1)
+	return 1.0 + 0.3*sin*cos +
 		0.2*fc*x*y*z
 }
 
 // initialize fills the solution with the exact field and builds the static
 // forcing term. No communication.
 func (st *state) initialize() {
-	p := st.cfg.Problem
-	hx := 1.0 / float64(p.N1-1)
-	hy := 1.0 / float64(p.N2-1)
-	hz := 1.0 / float64(p.N3-1)
-	for k := 0; k < st.nzl; k++ {
-		gz := float64(st.rz.Lo+k) * hz
-		for j := 0; j < st.nyl; j++ {
-			gy := float64(st.ry.Lo+j) * hy
+	for k, gz := range st.gz {
+		uCos := st.exactXYZ.One(k)
+		for j, gy := range st.gy {
+			fSin := st.exactYZX.Two(j, k)
 			base := st.u.Idx(0, j, k)
 			fbase := st.forcing.Idx(0, j, k)
-			for i := 0; i < st.nx; i++ {
-				gx := float64(i) * hx
+			for i, gx := range st.gx {
+				uSin := st.exactXYZ.Two(i, j)
+				fCos := st.exactYZX.One(i)
 				for c := 0; c < 5; c++ {
-					v := exact(c, gx, gy, gz)
-					st.u.Data[base+i*5+c] = v
-					st.forcing.Data[fbase+i*5+c] = 0.2 * exact((c+2)%5, gy, gz, gx)
+					cf := (c + 2) % 5 // the forcing is built from another component
+					st.u.Data[base+i*5+c] = exactFrom(c, uSin[c], uCos[c], gx, gy, gz)
+					st.forcing.Data[fbase+i*5+c] = 0.2 * exactFrom(cf, fSin[cf], fCos[cf], gy, gz, gx)
 				}
 			}
 		}
 	}
 }
 
-// flux is the nonlinear per-component flux the stencil differences.
-func flux(u []float64, c int) float64 {
-	return u[c] * (1 + fluxEps*u[(c+1)%5])
+// flux stores the nonlinear flux the stencil differences, component c of
+// it being u_c·(1 + fluxEps·u_{(c+1) mod 5}), for one cell.
+func flux(f, u *linalg.Vec5) {
+	f[0] = u[0] * (1 + fluxEps*u[1])
+	f[1] = u[1] * (1 + fluxEps*u[2])
+	f[2] = u[2] * (1 + fluxEps*u[3])
+	f[3] = u[3] * (1 + fluxEps*u[4])
+	f[4] = u[4] * (1 + fluxEps*u[0])
 }
 
 // copyFaces exchanges the four ghost faces of u with the y and z neighbors
@@ -260,7 +303,7 @@ func (st *state) exchangeFaces() {
 	)
 	u := st.u
 	// Y direction.
-	loY, hiY := st.cart.Shift(0, 1)
+	loY, hiY := st.loY, st.hiY
 	if hiY >= 0 {
 		u.PackFaceJ(st.nyl-1, st.faceY)
 		st.c.Send(hiY, tagYHi, st.faceY)
@@ -282,7 +325,7 @@ func (st *state) exchangeFaces() {
 		copyPlaneJ(u, st.nyl-1, st.nyl)
 	}
 	// Z direction.
-	loZ, hiZ := st.cart.Shift(1, 1)
+	loZ, hiZ := st.loZ, st.hiZ
 	if hiZ >= 0 {
 		u.PackFaceK(st.nzl-1, st.faceZ)
 		st.c.Send(hiZ, tagZHi, st.faceZ)
@@ -324,11 +367,16 @@ func copyPlaneK(f *npb.Field, kSrc, kDst int) {
 	}
 }
 
+// computeRHS evaluates rhs = dt·(forcing - 0.05·u + (δ²x + δ²y + δ²z)flux(u))
+// over the tile, reading the ghost layer exchangeFaces just filled.
+//
+//kcvet:hotpath the stencil half of COPY_FACES runs every solver iteration
 func (st *state) computeRHS() {
 	u, rhs, forcing := st.u, st.rhs, st.forcing
 	dt := st.cfg.Problem.Dt
 	sj := u.StrideJ()
 	sk := u.StrideK()
+	var fc, fxm, fxp, fym, fyp, fzm, fzp linalg.Vec5
 	for k := 0; k < st.nzl; k++ {
 		for j := 0; j < st.nyl; j++ {
 			ub := u.Idx(0, j, k)
@@ -346,16 +394,20 @@ func (st *state) computeRHS() {
 				if i == st.nx-1 {
 					xp = cell
 				}
-				ym := cell - sj
-				yp := cell + sj
-				zm := cell - sk
-				zp := cell + sk
+				uc := at5(u.Data, cell)
+				flux(&fc, uc)
+				flux(&fxm, at5(u.Data, xm))
+				flux(&fxp, at5(u.Data, xp))
+				flux(&fym, at5(u.Data, cell-sj))
+				flux(&fyp, at5(u.Data, cell+sj))
+				flux(&fzm, at5(u.Data, cell-sk))
+				flux(&fzp, at5(u.Data, cell+sk))
+				out := at5(rhs.Data, rb+i*5)
+				frc := at5(forcing.Data, fb+i*5)
 				for c := 0; c < 5; c++ {
-					center := 6 * flux(u.Data[cell:cell+5], c)
-					lap := flux(u.Data[xm:xm+5], c) + flux(u.Data[xp:xp+5], c) +
-						flux(u.Data[ym:ym+5], c) + flux(u.Data[yp:yp+5], c) +
-						flux(u.Data[zm:zm+5], c) + flux(u.Data[zp:zp+5], c) - center
-					rhs.Data[rb+i*5+c] = dt * (forcing.Data[fb+i*5+c] - u.Data[cell+c]*0.05 + lap)
+					center := 6 * fc[c]
+					lap := fxm[c] + fxp[c] + fym[c] + fyp[c] + fzm[c] + fzp[c] - center
+					out[c] = dt * (frc[c] - uc[c]*0.05 + lap)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package bt
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,16 @@ func TestSolutionEvolves(t *testing.T) {
 	}
 }
 
+// mulMV stores a·v into dst.
+func mulMV(dst *linalg.Vec5, a *linalg.Mat5, v *linalg.Vec5) {
+	for i := 0; i < 5; i++ {
+		dst[i] = 0
+		for k := 0; k < 5; k++ {
+			dst[i] += a[i*5+k] * v[k]
+		}
+	}
+}
+
 // residualCheck verifies that the post-solve rhs (the solution v) satisfies
 // the block-tridiagonal system built from u along the given dimension, for
 // a single-rank state.
@@ -130,21 +141,17 @@ func residualCheck(t *testing.T, st *state, n, nLines int, uBase func(int) int, 
 		for tt := 0; tt < n; tt++ {
 			cu := uOff + tt*uStride
 			cr := rOff + tt*rStride
-			buildBlocks(uData[cu-uStride:cu-uStride+5], uData[cu:cu+5], uData[cu+uStride:cu+uStride+5], &a, &b, &c)
-			var vt, vp, vn linalg.Vec5
-			copy(vt[:], v[cr:cr+5])
-			linalg.MulMV(&bv, &b, &vt)
+			buildBlocks(at5(uData, cu-uStride), at5(uData, cu), at5(uData, cu+uStride), &a, &b, &c)
+			mulMV(&bv, &b, at5(v, cr))
 			sum = bv
 			if tt > 0 {
-				copy(vp[:], v[cr-rStride:cr-rStride+5])
-				linalg.MulMV(&av, &a, &vp)
+				mulMV(&av, &a, at5(v, cr-rStride))
 				for e := range sum {
 					sum[e] += av[e]
 				}
 			}
 			if tt < n-1 {
-				copy(vn[:], v[cr+rStride:cr+rStride+5])
-				linalg.MulMV(&cv, &c, &vn)
+				mulMV(&cv, &c, at5(v, cr+rStride))
 				for e := range sum {
 					sum[e] += cv[e]
 				}
@@ -254,6 +261,14 @@ func TestRunKernelUnknown(t *testing.T) {
 	})
 }
 
+// exact is the reference field evaluated cell by cell, as initialize did
+// before its sine and cosine factors were tabulated.
+func exact(c int, x, y, z float64) float64 {
+	fc := float64(c + 1)
+	return 1.0 + 0.3*math.Sin(math.Pi*(x+0.7*fc*y))*math.Cos(math.Pi*(z+0.3*fc)) +
+		0.2*fc*x*y*z
+}
+
 func TestGhostExchangeMatchesNeighborInterior(t *testing.T) {
 	// On a 2x2 grid, after copyFaces each rank's low-y ghost plane must
 	// equal its y-neighbor's high interior plane. We verify via the
@@ -333,4 +348,41 @@ func TestUnevenTileDecomposition(t *testing.T) {
 			t.Errorf("norm[%d]: %g vs %g", c, got[c], ref[c])
 		}
 	}
+}
+
+func TestPoisonedSolutionPanics(t *testing.T) {
+	// One NaN in u makes every block built from it NaN. A NaN pivot
+	// compares false against any threshold, so a guard written as
+	// "|piv| < tiny" waves it through and the run "verifies" with NaN
+	// norms; the solver must stop instead.
+	withState(t, tinyConfig(6, 1), func(st *state) {
+		st.u.Set(2, 3, 2, 1, math.NaN())
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "bt: lost diagonal dominance") {
+				t.Errorf("xSolve on a NaN solution: recovered %q, want the lost-dominance panic", msg)
+			}
+		}()
+		st.xSolve()
+	})
+}
+
+func TestSolversDoNotAllocate(t *testing.T) {
+	// The line solves and the stencil run inside timed windows: per-call
+	// garbage there is GC noise in the very numbers the study divides.
+	withState(t, tinyConfig(8, 1), func(st *state) {
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{KXSolve, st.xSolve}, {KYSolve, st.ySolve}, {KZSolve, st.zSolve}, {KCopyFaces, st.copyFaces},
+		} {
+			k.run() // warm: the first call may size message buffers
+			st.Refresh()
+			if n := testing.AllocsPerRun(5, k.run); n != 0 {
+				t.Errorf("%s allocates %v times per call, want 0", k.name, n)
+			}
+			st.Refresh()
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package bt
 
 import (
+	"fmt"
+
 	"repro/internal/linalg"
 	"repro/internal/mpi"
 )
@@ -46,6 +48,12 @@ func (st *state) zSolve() {
 		st.commZ, tagZFwd, tagZBwd)
 }
 
+// at5 views the five components stored at data[off:] as a vector, without
+// copying them.
+func at5(data []float64, off int) *linalg.Vec5 {
+	return (*linalg.Vec5)(data[off : off+5])
+}
+
 // buildBlocks assembles the three 5×5 blocks of one row of the implicit
 // system from the solution at the previous, current and next positions
 // along the solve dimension:
@@ -55,23 +63,34 @@ func (st *state) zSolve() {
 //
 // The rank-one perturbations keep the blocks solution-dependent (so the
 // kernels genuinely reread u) while preserving the diagonal dominance the
-// pivot-free factorization needs.
-func buildBlocks(uPrev, uCur, uNext []float64, a, b, c *linalg.Mat5) {
-	he := eps / 2
-	for i := 0; i < 5; i++ {
-		up := he * uPrev[i]
-		uc := eps * uCur[i]
-		un := he * uNext[i]
-		for j := 0; j < 5; j++ {
-			w := jacWeights[j]
-			a[i*5+j] = up * w
-			b[i*5+j] = uc * w
-			c[i*5+j] = un * w
-		}
-		a[i*5+i] -= rr
-		b[i*5+i] += 1 + 2*rr
-		c[i*5+i] -= rr
-	}
+// pivot-free factorization needs. The elimination treats them as dense
+// blocks all the same: it keeps NPB BT's operation count (see DESIGN.md §2).
+func buildBlocks(uPrev, uCur, uNext *linalg.Vec5, a, b, c *linalg.Mat5) {
+	const (
+		he = eps / 2
+		dB = 1 + 2*rr
+	)
+	w0, w1, w2, w3, w4 := jacWeights[0], jacWeights[1], jacWeights[2], jacWeights[3], jacWeights[4]
+	up, uc, un := he*uPrev[0], eps*uCur[0], he*uNext[0]
+	a[0], a[1], a[2], a[3], a[4] = up*w0-rr, up*w1, up*w2, up*w3, up*w4
+	b[0], b[1], b[2], b[3], b[4] = uc*w0+dB, uc*w1, uc*w2, uc*w3, uc*w4
+	c[0], c[1], c[2], c[3], c[4] = un*w0-rr, un*w1, un*w2, un*w3, un*w4
+	up, uc, un = he*uPrev[1], eps*uCur[1], he*uNext[1]
+	a[5], a[6], a[7], a[8], a[9] = up*w0, up*w1-rr, up*w2, up*w3, up*w4
+	b[5], b[6], b[7], b[8], b[9] = uc*w0, uc*w1+dB, uc*w2, uc*w3, uc*w4
+	c[5], c[6], c[7], c[8], c[9] = un*w0, un*w1-rr, un*w2, un*w3, un*w4
+	up, uc, un = he*uPrev[2], eps*uCur[2], he*uNext[2]
+	a[10], a[11], a[12], a[13], a[14] = up*w0, up*w1, up*w2-rr, up*w3, up*w4
+	b[10], b[11], b[12], b[13], b[14] = uc*w0, uc*w1, uc*w2+dB, uc*w3, uc*w4
+	c[10], c[11], c[12], c[13], c[14] = un*w0, un*w1, un*w2-rr, un*w3, un*w4
+	up, uc, un = he*uPrev[3], eps*uCur[3], he*uNext[3]
+	a[15], a[16], a[17], a[18], a[19] = up*w0, up*w1, up*w2, up*w3-rr, up*w4
+	b[15], b[16], b[17], b[18], b[19] = uc*w0, uc*w1, uc*w2, uc*w3+dB, uc*w4
+	c[15], c[16], c[17], c[18], c[19] = un*w0, un*w1, un*w2, un*w3-rr, un*w4
+	up, uc, un = he*uPrev[4], eps*uCur[4], he*uNext[4]
+	a[20], a[21], a[22], a[23], a[24] = up*w0, up*w1, up*w2, up*w3, up*w4-rr
+	b[20], b[21], b[22], b[23], b[24] = uc*w0, uc*w1, uc*w2, uc*w3, uc*w4+dB
+	c[20], c[21], c[22], c[23], c[24] = un*w0, un*w1, un*w2, un*w3, un*w4-rr
 }
 
 // solveLines runs the (possibly distributed) block-Thomas elimination for
@@ -86,6 +105,14 @@ func buildBlocks(uPrev, uCur, uNext []float64, a, b, c *linalg.Mat5) {
 // x_t = rhat_t - chat_t·x_{t+1}; continuing the elimination on the next
 // rank only needs (chat, rhat) of the last local row, so the forward
 // message carries 30 floats per line and the backward message 5.
+//
+// Nothing is copied that does not have to be: C is assembled in its chat
+// slot and solved there; the right-hand side is normalized where it lies,
+// so the field holds r, then rhat, then x at each position and there is no
+// rhat array; the previous row is a pointer into chat and the field (or
+// into the received message).
+//
+//kcvet:hotpath the block elimination is nine tenths of a BT study's CPU time
 func (st *state) solveLines(n, nLines int, uBase func(int) int, uStride int,
 	rBase func(int) int, rStride int, comm *mpi.Comm, tagFwd, tagBwd int) {
 
@@ -100,56 +127,47 @@ func (st *state) solveLines(n, nLines int, uBase func(int) int, uStride int,
 		comm.Recv(comm.Rank()-1, tagFwd, fwd)
 	}
 
-	var a, b, c, tmpM linalg.Mat5
-	var rt, tmpV linalg.Vec5
-	var lu linalg.LU5
+	var a, b linalg.Mat5
 	uData := st.u.Data
 	rData := st.rhs.Data
 
 	for l := 0; l < nLines; l++ {
 		uOff := uBase(l)
 		rOff := rBase(l)
-		var prevC linalg.Mat5
-		var prevR linalg.Vec5
-		hasPrev := false
+		// The normalized row before the current one: the previous
+		// rank's last for t = 0, none on the first rank.
+		var prevC *linalg.Mat5
+		var prevR *linalg.Vec5
 		if !first {
 			bo := l * 30
-			copy(prevC[:], fwd[bo:bo+25])
-			copy(prevR[:], fwd[bo+25:bo+30])
-			hasPrev = true
+			prevC = (*linalg.Mat5)(fwd[bo : bo+25])
+			prevR = at5(fwd, bo+25)
 		}
 		for t := 0; t < n; t++ {
 			cu := uOff + t*uStride
-			cr := rOff + t*rStride
+			chat := &st.chat[l*n+t]
+			r := at5(rData, rOff+t*rStride)
 			// u_{t-1} and u_{t+1}: at tile edges these land in the
 			// ghost layer, which COPY_FACES keeps current; at
 			// physical boundaries the corresponding block is unused
 			// by the elimination, and the ghost holds the
 			// zero-gradient copy, so the access stays in bounds.
-			buildBlocks(uData[cu-uStride:cu-uStride+5], uData[cu:cu+5], uData[cu+uStride:cu+uStride+5], &a, &b, &c)
-			copy(rt[:], rData[cr:cr+5])
-			if hasPrev {
-				linalg.MulMM(&tmpM, &a, &prevC)
-				linalg.SubMM(&b, &b, &tmpM)
-				linalg.MulMV(&tmpV, &a, &prevR)
-				linalg.SubMV(&rt, &rt, &tmpV)
+			buildBlocks(at5(uData, cu-uStride), at5(uData, cu), at5(uData, cu+uStride), &a, &b, chat)
+			if prevC != nil {
+				linalg.SubMulMM(&b, &a, prevC)
+				linalg.SubMulMV(r, r, &a, prevR)
 			}
-			if err := lu.Factor(&b); err != nil {
-				panic("bt: lost diagonal dominance: " + err.Error())
+			if err := linalg.FactorLU(&b); err != nil {
+				panic(fmt.Sprintf("bt: lost diagonal dominance at line %d position %d: %v", l, t, err))
 			}
-			idx := l*n + t
 			if last && t == n-1 {
 				// Global last row: no x_{t+1} term.
-				st.chat[idx] = linalg.Mat5{}
+				*chat = linalg.Mat5{}
 			} else {
-				lu.SolveMat(&c)
-				st.chat[idx] = c
+				linalg.SolveLUMat(&b, chat)
 			}
-			lu.SolveVec(&rt)
-			st.rhat[idx] = rt
-			prevC = st.chat[idx]
-			prevR = rt
-			hasPrev = true
+			linalg.SolveLUVec(&b, r)
+			prevC, prevR = chat, r
 		}
 		if !last {
 			bo := l * 30
@@ -168,22 +186,20 @@ func (st *state) solveLines(n, nLines int, uBase func(int) int, uStride int,
 	}
 	for l := 0; l < nLines; l++ {
 		rOff := rBase(l)
-		var vNext linalg.Vec5
+		// x_{t+1}: the next rank's first solution vector to begin with,
+		// or, on the last rank, x_{n-1} = rhat_{n-1}, already in place.
+		xNext := at5(bwd, l*5)
 		start := n - 1
 		if last {
-			vNext = st.rhat[l*n+n-1]
-			copy(rData[rOff+(n-1)*rStride:rOff+(n-1)*rStride+5], vNext[:])
+			xNext = at5(rData, rOff+(n-1)*rStride)
 			start = n - 2
-		} else {
-			copy(vNext[:], bwd[l*5:l*5+5])
 		}
 		for t := start; t >= 0; t-- {
-			idx := l*n + t
-			linalg.MulMV(&tmpV, &st.chat[idx], &vNext)
-			linalg.SubMV(&vNext, &st.rhat[idx], &tmpV)
-			copy(rData[rOff+t*rStride:rOff+t*rStride+5], vNext[:])
+			x := at5(rData, rOff+t*rStride)
+			linalg.SubMulMV(x, x, &st.chat[l*n+t], xNext)
+			xNext = x
 		}
-		copy(bwd[l*5:l*5+5], vNext[:])
+		copy(bwd[l*5:l*5+5], xNext[:])
 	}
 	if !first {
 		comm.Send(comm.Rank()-1, tagBwd, bwd)

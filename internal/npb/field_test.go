@@ -256,3 +256,29 @@ func TestProblemCells(t *testing.T) {
 		t.Errorf("Cells = %d", p.Cells())
 	}
 }
+
+func TestFactorTable(t *testing.T) {
+	// Distinct lengths per axis so a transposed index cannot hide.
+	p := []float64{0.1, 0.2, 0.3}
+	q := []float64{1.5, 2.5}
+	r := []float64{7, 8, 9, 10}
+	two := func(c int, p, q float64) float64 { return float64(c+1)*p + 100*q }
+	one := func(c int, r float64) float64 { return r - float64(c) }
+	tab := NewFactorTable(p, q, r, two, one)
+	for ip, pv := range p {
+		for iq, qv := range q {
+			for c, got := range tab.Two(ip, iq) {
+				if want := two(c, pv, qv); got != want {
+					t.Errorf("Two(%d,%d)[%d] = %v, want %v", ip, iq, c, got, want)
+				}
+			}
+		}
+	}
+	for ir, rv := range r {
+		for c, got := range tab.One(ir) {
+			if want := one(c, rv); got != want {
+				t.Errorf("One(%d)[%d] = %v, want %v", ir, c, got, want)
+			}
+		}
+	}
+}

@@ -103,6 +103,12 @@ type state struct {
 	u, rsd, frct *npb.Field
 	u0, rsd0     []float64
 
+	// Global coordinates of the cells this rank owns, and exact's sine
+	// and cosine factors over them in the two argument orders in use:
+	// (x, y, z) for INITIALIZATION and ERROR, (y, z, x) for ERHS.
+	gx, gy, gz         []float64
+	exactXYZ, exactYZX *npb.FactorTable
+
 	// Sweep boundary buffers: one column (nyl·5) and one row (nxl·5).
 	colBuf, rowBuf []float64
 	faceX, faceY   []float64
@@ -141,6 +147,12 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.rowBuf = make([]float64, st.nxl*5)
 	st.faceX = make([]float64, st.nyl*st.nz*5)
 	st.faceY = make([]float64, st.nxl*st.nz*5)
+
+	st.gx = gridCoords(st.rx.Lo, st.nxl, p.N1)
+	st.gy = gridCoords(st.ry.Lo, st.nyl, p.N2)
+	st.gz = gridCoords(0, st.nz, p.N3)
+	st.exactXYZ = npb.NewFactorTable(st.gx, st.gy, st.gz, exactSin, exactCos)
+	st.exactYZX = npb.NewFactorTable(st.gy, st.gz, st.gx, exactSin, exactCos)
 
 	st.initialize()
 	st.erhs()
@@ -198,29 +210,50 @@ func (st *state) ErrNorms() [5]float64 { return st.errNorms }
 // Surface returns the surface integral computed by the last PINTGR.
 func (st *state) Surface() float64 { return st.surface }
 
-// exact is the smooth reference field.
-func exact(c int, x, y, z float64) float64 {
-	fc := float64(c + 1)
-	return 1.0 + 0.3*math.Sin(math.Pi*(0.8*x+0.5*fc*y))*math.Cos(math.Pi*(0.6*z+0.2*fc)) +
-		0.1*fc*x*z
+// gridCoords returns the global coordinates, normalized to [0,1], of the n
+// points starting at lo of a dimension with total points.
+func gridCoords(lo, n, total int) []float64 {
+	g := make([]float64, n)
+	for i := range g {
+		g[i] = float64(lo+i) / float64(total-1)
+	}
+	return g
 }
 
-func (st *state) globalXYZ(i, j, k int) (float64, float64, float64) {
-	p := st.cfg.Problem
-	return float64(st.rx.Lo+i) / float64(p.N1-1),
-		float64(st.ry.Lo+j) / float64(p.N2-1),
-		float64(k) / float64(p.N3-1)
+// The smooth reference field is, for component c at global coordinates
+// x, y, z normalized to [0,1],
+//
+//	exact(c, x, y, z) = 1 + 0.3·exactSin(c, x, y)·exactCos(c, z) + 0.1·(c+1)·x·z
+//
+// The trigonometric factors separate, so newState tabulates them
+// (npb.FactorTable) and the kernels assemble the field with exactFrom.
+
+func exactSin(c int, x, y float64) float64 {
+	fc := float64(c + 1)
+	return math.Sin(math.Pi * (0.8*x + 0.5*fc*y))
+}
+
+func exactCos(c int, z float64) float64 {
+	fc := float64(c + 1)
+	return math.Cos(math.Pi * (0.6*z + 0.2*fc))
+}
+
+func exactFrom(c int, sin, cos, x, z float64) float64 {
+	fc := float64(c + 1)
+	return 1.0 + 0.3*sin*cos +
+		0.1*fc*x*z
 }
 
 // initialize fills the solution with the smooth reference field.
 func (st *state) initialize() {
-	for k := 0; k < st.nz; k++ {
-		for j := 0; j < st.nyl; j++ {
+	for k, gz := range st.gz {
+		cos := st.exactXYZ.One(k)
+		for j := range st.gy {
 			base := st.u.Idx(0, j, k)
-			for i := 0; i < st.nxl; i++ {
-				gx, gy, gz := st.globalXYZ(i, j, k)
+			for i, gx := range st.gx {
+				sin := st.exactXYZ.Two(i, j)
 				for c := 0; c < 5; c++ {
-					st.u.Data[base+i*5+c] = exact(c, gx, gy, gz)
+					st.u.Data[base+i*5+c] = exactFrom(c, sin[c], cos[c], gx, gz)
 				}
 			}
 		}
@@ -229,13 +262,15 @@ func (st *state) initialize() {
 
 // erhs computes the static forcing field.
 func (st *state) erhs() {
-	for k := 0; k < st.nz; k++ {
-		for j := 0; j < st.nyl; j++ {
+	for k := range st.gz {
+		for j, gy := range st.gy {
+			sin := st.exactYZX.Two(j, k)
 			base := st.frct.Idx(0, j, k)
-			for i := 0; i < st.nxl; i++ {
-				gx, gy, gz := st.globalXYZ(i, j, k)
+			for i, gx := range st.gx {
+				cos := st.exactYZX.One(i)
 				for c := 0; c < 5; c++ {
-					st.frct.Data[base+i*5+c] = 0.2 * exact((c+1)%5, gy, gz, gx)
+					cf := (c + 1) % 5 // the forcing is built from another component
+					st.frct.Data[base+i*5+c] = 0.2 * exactFrom(cf, sin[cf], cos[cf], gy, gx)
 				}
 			}
 		}

@@ -293,13 +293,14 @@ func (st *state) ssorRS() {
 func (st *state) errorNorms() {
 	var local [5]float64
 	u := st.u
-	for k := 0; k < st.nz; k++ {
-		for j := 0; j < st.nyl; j++ {
+	for k, gz := range st.gz {
+		cos := st.exactXYZ.One(k)
+		for j := range st.gy {
 			base := u.Idx(0, j, k)
-			for i := 0; i < st.nxl; i++ {
-				gx, gy, gz := st.globalXYZ(i, j, k)
+			for i, gx := range st.gx {
+				sin := st.exactXYZ.Two(i, j)
 				for c := 0; c < 5; c++ {
-					d := u.Data[base+i*5+c] - exact(c, gx, gy, gz)
+					d := u.Data[base+i*5+c] - exactFrom(c, sin[c], cos[c], gx, gz)
 					local[c] += d * d
 				}
 			}

@@ -64,6 +64,8 @@ func coeffs(u []float64, cu, stride, c int) (a2, a1, b, c1, c2 float64) {
 // held as x_t = rh_t - d1_t·x_{t+1} - d2_t·x_{t+2}; the elimination of the
 // next row needs the previous two normalized rows, so rank boundaries pass
 // exactly those. The right-hand side is overwritten with the solution.
+//
+//kcvet:hotpath the three line solves are the bulk of every SP loop iteration
 func (st *state) solveLines(n, nLines int, uBase func(int) int, uStride int,
 	rBase func(int) int, rStride int, comm *mpi.Comm, tagFwd, tagBwd int) {
 

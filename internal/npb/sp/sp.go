@@ -108,6 +108,12 @@ type state struct {
 	u, rhs, forcing *npb.Field
 	u0, rhs0        []float64
 
+	// Global coordinates of the cells this rank owns, and exact's cosine
+	// and sine factors over them in the two argument orders initialize
+	// uses: (x, y, z) for the solution, (z, x, y) for the forcing.
+	gx, gy, gz         []float64
+	exactXYZ, exactZXY *npb.FactorTable
+
 	commY, commZ *mpi.Comm
 
 	faceY, faceZ []float64 // one plane each; exchanged twice for depth 2
@@ -158,6 +164,12 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.fwd = make([]float64, maxLines*30)
 	st.bwd = make([]float64, maxLines*10)
 
+	st.gx = gridCoords(0, st.nx, p.N1)
+	st.gy = gridCoords(st.ry.Lo, st.nyl, p.N2)
+	st.gz = gridCoords(st.rz.Lo, st.nzl, p.N3)
+	st.exactXYZ = npb.NewFactorTable(st.gx, st.gy, st.gz, exactCos, exactSin)
+	st.exactZXY = npb.NewFactorTable(st.gz, st.gx, st.gy, exactCos, exactSin)
+
 	st.initialize()
 	st.copyFaces()
 	st.u0 = append([]float64(nil), st.u.Data...)
@@ -199,29 +211,55 @@ func (st *state) Refresh() {
 // Norms returns the verification norms computed by the last FINAL.
 func (st *state) Norms() [5]float64 { return st.norms }
 
-// exact is the smooth reference field for initialization and forcing.
-func exact(c int, x, y, z float64) float64 {
+// gridCoords returns the global coordinates, normalized to [0,1], of the n
+// points starting at lo of a dimension with total points.
+func gridCoords(lo, n, total int) []float64 {
+	h := 1.0 / float64(total-1)
+	g := make([]float64, n)
+	for i := range g {
+		g[i] = float64(lo+i) * h
+	}
+	return g
+}
+
+// The smooth reference field for initialization and forcing is, for
+// component c at global coordinates x, y, z normalized to [0,1],
+//
+//	exact(c, x, y, z) = 1 + 0.25·exactCos(c, x, y)·exactSin(c, z) + 0.15·(c+1)·(x + y·z)
+//
+// The trigonometric factors separate, so newState tabulates them
+// (npb.FactorTable) and initialize assembles the field with exactFrom.
+
+func exactCos(c int, x, y float64) float64 {
 	fc := float64(c + 1)
-	return 1.0 + 0.25*math.Cos(math.Pi*(x*fc+y))*math.Sin(math.Pi*(z+0.4*fc)) +
+	return math.Cos(math.Pi * (x*fc + y))
+}
+
+func exactSin(c int, z float64) float64 {
+	fc := float64(c + 1)
+	return math.Sin(math.Pi * (z + 0.4*fc))
+}
+
+func exactFrom(c int, cos, sin, x, y, z float64) float64 {
+	fc := float64(c + 1)
+	return 1.0 + 0.25*cos*sin +
 		0.15*fc*(x+y*z)
 }
 
 func (st *state) initialize() {
-	p := st.cfg.Problem
-	hx := 1.0 / float64(p.N1-1)
-	hy := 1.0 / float64(p.N2-1)
-	hz := 1.0 / float64(p.N3-1)
-	for k := 0; k < st.nzl; k++ {
-		gz := float64(st.rz.Lo+k) * hz
-		for j := 0; j < st.nyl; j++ {
-			gy := float64(st.ry.Lo+j) * hy
+	for k, gz := range st.gz {
+		uSin := st.exactXYZ.One(k)
+		for j, gy := range st.gy {
+			fSin := st.exactZXY.One(j)
 			base := st.u.Idx(0, j, k)
 			fbase := st.forcing.Idx(0, j, k)
-			for i := 0; i < st.nx; i++ {
-				gx := float64(i) * hx
+			for i, gx := range st.gx {
+				uCos := st.exactXYZ.Two(i, j)
+				fCos := st.exactZXY.Two(k, i)
 				for c := 0; c < 5; c++ {
-					st.u.Data[base+i*5+c] = exact(c, gx, gy, gz)
-					st.forcing.Data[fbase+i*5+c] = 0.2 * exact((c+3)%5, gz, gx, gy)
+					cf := (c + 3) % 5 // the forcing is built from another component
+					st.u.Data[base+i*5+c] = exactFrom(c, uCos[c], uSin[c], gx, gy, gz)
+					st.forcing.Data[fbase+i*5+c] = 0.2 * exactFrom(cf, fCos[cf], fSin[cf], gz, gx, gy)
 				}
 			}
 		}

@@ -241,6 +241,14 @@ func TestRunKernelUnknown(t *testing.T) {
 	})
 }
 
+// exact is the reference field evaluated cell by cell, as initialize did
+// before its cosine and sine factors were tabulated.
+func exact(c int, x, y, z float64) float64 {
+	fc := float64(c + 1)
+	return 1.0 + 0.25*math.Cos(math.Pi*(x*fc+y))*math.Sin(math.Pi*(z+0.4*fc)) +
+		0.15*fc*(x+y*z)
+}
+
 func TestTwoDeepGhostExchange(t *testing.T) {
 	// After setup the depth-2 ghosts must hold the neighbor's interior
 	// (checked against the known initialization function).
