@@ -84,11 +84,20 @@ func (c *Cart) Shift(dim, disp int) (src, dst int) {
 	if dim < 0 || dim >= len(c.dims) {
 		panic(fmt.Sprintf("mpi: Shift dimension %d out of range", dim))
 	}
-	from := append([]int(nil), c.coords...)
-	to := append([]int(nil), c.coords...)
-	from[dim] -= disp
-	to[dim] += disp
-	return c.RankOf(from...), c.RankOf(to...)
+	// Ranks are row-major, so one step along dim is the product of the
+	// later dimensions.
+	stride := 1
+	for _, d := range c.dims[dim+1:] {
+		stride *= d
+	}
+	src, dst = -1, -1
+	if x := c.coords[dim] - disp; x >= 0 && x < c.dims[dim] {
+		src = c.comm.Rank() - disp*stride
+	}
+	if x := c.coords[dim] + disp; x >= 0 && x < c.dims[dim] {
+		dst = c.comm.Rank() + disp*stride
+	}
+	return src, dst
 }
 
 // Sub splits the communicator into one sub-communicator per line of the

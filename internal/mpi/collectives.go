@@ -66,8 +66,13 @@ func (c *Comm) Reduce(root int, op Op, in []float64, out []float64) {
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("mpi: Reduce root %d out of range [0,%d)", root, n))
 	}
-	acc := append([]float64(nil), in...)
-	tmp := make([]float64, len(in))
+	// Scratch from the message pool: LU's SSOR_RS reduces its norms inside
+	// timed windows, where two slices a call would be the only garbage.
+	accP, tmpP := c.world.getBuf(len(in)), c.world.getBuf(len(in))
+	defer c.world.putBuf(accP)
+	defer c.world.putBuf(tmpP)
+	acc, tmp := accP.f64, tmpP.f64
+	copy(acc, in)
 	relrank := (c.rank - root + n) % n
 	mask := 1
 	for mask < n {

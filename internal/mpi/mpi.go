@@ -95,44 +95,58 @@ type teardown struct{ msg string }
 
 func (t teardown) String() string { return t.msg }
 
-// getBuf returns a length-n payload slice, recycled when possible.
-func (w *World) getBuf(n int) []float64 {
-	if v := w.bufPool.Get(); v != nil {
-		s := v.([]float64)
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]float64, n)
+// payload is what a message carries and what the world's pools hold: a
+// pointer to one, because a pooled slice would box its header into the
+// pool's `any` on every Put — an allocation per message received.
+type payload struct {
+	f64 []float64
+	raw []byte
 }
 
-// putBuf recycles a payload slice whose contents have been copied out.
-func (w *World) putBuf(s []float64) {
-	if cap(s) > 0 {
-		w.bufPool.Put(s[:0]) //nolint:staticcheck // slice header boxing is fine here
-	}
-}
-
-// getRaw returns a length-n byte payload slice, recycled when possible.
+// getBuf returns a payload holding a length-n float64 slice, recycled when
+// possible.
 //
 //kcvet:hotpath per-message allocation on the send path is GC noise in timing measurements
-func (w *World) getRaw(n int) []byte {
-	if v := w.rawPool.Get(); v != nil {
-		s := v.([]byte)
-		if cap(s) >= n {
-			return s[:n]
-		}
+func (w *World) getBuf(n int) *payload {
+	p, _ := w.bufPool.Get().(*payload)
+	if p == nil {
+		p = new(payload)
 	}
-	return make([]byte, n)
+	if cap(p.f64) < n {
+		p.f64 = make([]float64, n)
+	}
+	p.f64 = p.f64[:n]
+	return p
+}
+
+// putBuf recycles a float64 payload whose contents have been copied out,
+// or given away (RecvNew), in which case only the holder comes back.
+//
+//kcvet:hotpath see getBuf
+func (w *World) putBuf(p *payload) {
+	w.bufPool.Put(p)
+}
+
+// getRaw is getBuf for byte payloads.
+//
+//kcvet:hotpath see getBuf
+func (w *World) getRaw(n int) *payload {
+	p, _ := w.rawPool.Get().(*payload)
+	if p == nil {
+		p = new(payload)
+	}
+	if cap(p.raw) < n {
+		p.raw = make([]byte, n)
+	}
+	p.raw = p.raw[:n]
+	return p
 }
 
 // putRaw recycles a byte payload whose contents have been copied out.
 //
-//kcvet:hotpath see getRaw
-func (w *World) putRaw(s []byte) {
-	if cap(s) > 0 {
-		w.rawPool.Put(s[:0]) //nolint:staticcheck // slice header boxing is fine here
-	}
+//kcvet:hotpath see getBuf
+func (w *World) putRaw(p *payload) {
+	w.rawPool.Put(p)
 }
 
 // Option configures a World.

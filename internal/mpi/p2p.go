@@ -7,15 +7,14 @@ import (
 	"time"
 )
 
-// message is the unit carried between ranks. Exactly one of f64 and raw is
-// set, recording which typed Send produced it so a mismatched Recv fails
-// loudly instead of silently reinterpreting bytes.
+// message is the unit carried between ranks. Exactly one of the payload's
+// f64 and raw is in use; isFloat records which typed Send produced it so a
+// mismatched Recv fails loudly instead of silently reinterpreting bytes.
 type message struct {
 	src       int // sender's rank within the communicator identified by ctx
 	tag       int
 	ctx       int
-	f64       []float64
-	raw       []byte
+	*payload  // from the world's pool; the receiver returns it
 	isFloat   bool
 	deliverAt time.Time // zero when no network model or fault delay applies
 }
@@ -230,6 +229,8 @@ const (
 // Send delivers a copy of buf to dest with the given tag. Sends are eager
 // and never block: the payload is copied into the destination mailbox, so
 // the caller may reuse buf immediately (MPI buffered-send semantics).
+//
+//kcvet:hotpath LU's pipelined sweeps send twice per plane inside timed windows
 func (c *Comm) Send(dest int, tag int, buf []float64) {
 	c.validateTag(tag)
 	c.send(dest, tag, buf, nil, true)
@@ -252,16 +253,15 @@ func (c *Comm) send(dest, tag int, f64 []float64, raw []byte, isFloat bool) {
 	}
 	wdest := c.worldOf(dest)
 	m := message{src: c.rank, tag: tag, ctx: c.ctx, isFloat: isFloat}
+	var bytes int
 	if isFloat {
-		m.f64 = c.world.getBuf(len(f64))
+		m.payload = c.world.getBuf(len(f64))
 		copy(m.f64, f64)
+		bytes = 8 * len(f64)
 	} else {
-		m.raw = c.world.getRaw(len(raw))
+		m.payload = c.world.getRaw(len(raw))
 		copy(m.raw, raw)
-	}
-	bytes := len(m.raw)
-	if isFloat {
-		bytes = 8 * len(m.f64)
+		bytes = len(raw)
 	}
 	var faultDelay time.Duration
 	if c.world.inj != nil {
@@ -282,6 +282,8 @@ func (c *Comm) send(dest, tag int, f64 []float64, raw []byte, isFloat bool) {
 // communicator and copies it into buf. buf must be at least as large as the
 // incoming payload. src may be AnySource and tag AnyTag. The returned Status
 // reports the actual source, tag and element count.
+//
+//kcvet:hotpath LU's pipelined sweeps receive twice per plane inside timed windows
 func (c *Comm) Recv(src int, tag int, buf []float64) Status {
 	if tag != AnyTag {
 		c.validateTag(tag)
@@ -293,9 +295,8 @@ func (c *Comm) Recv(src int, tag int, buf []float64) Status {
 	if len(m.f64) > len(buf) {
 		panic(fmt.Sprintf("mpi: Recv buffer too small: need %d float64s, have %d", len(m.f64), len(buf)))
 	}
-	copy(buf, m.f64)
-	n := len(m.f64)
-	c.world.putBuf(m.f64)
+	n := copy(buf, m.f64)
+	c.world.putBuf(m.payload)
 	return Status{Source: m.src, Tag: m.tag, Count: n}
 }
 
@@ -311,9 +312,8 @@ func (c *Comm) RecvBytes(src int, tag int, buf []byte) Status {
 	if len(m.raw) > len(buf) {
 		panic(fmt.Sprintf("mpi: RecvBytes buffer too small: need %d bytes, have %d", len(m.raw), len(buf)))
 	}
-	copy(buf, m.raw)
-	n := len(m.raw)
-	c.world.putRaw(m.raw)
+	n := copy(buf, m.raw)
+	c.world.putRaw(m.payload)
 	return Status{Source: m.src, Tag: m.tag, Count: n}
 }
 
@@ -326,7 +326,11 @@ func (c *Comm) RecvNew(src int, tag int) ([]float64, Status) {
 	if !m.isFloat {
 		panic(fmt.Sprintf("mpi: RecvNew matched a byte message from src=%d tag=%d", m.src, m.tag))
 	}
-	return m.f64, Status{Source: m.src, Tag: m.tag, Count: len(m.f64)}
+	// The caller keeps the slice; only its holder goes back to the pool.
+	data := m.f64
+	m.f64 = nil
+	c.world.putBuf(m.payload)
+	return data, Status{Source: m.src, Tag: m.tag, Count: len(data)}
 }
 
 // recv is the common blocking-receive path behind Recv/RecvBytes/RecvNew.
@@ -376,9 +380,8 @@ func (c *Comm) internalRecv(src, tag int, buf []float64) Status {
 	if len(m.f64) > len(buf) {
 		panic(fmt.Sprintf("mpi: internal recv buffer too small: need %d, have %d", len(m.f64), len(buf)))
 	}
-	copy(buf, m.f64)
-	n := len(m.f64)
-	c.world.putBuf(m.f64)
+	n := copy(buf, m.f64)
+	c.world.putBuf(m.payload)
 	return Status{Source: m.src, Tag: m.tag, Count: n}
 }
 

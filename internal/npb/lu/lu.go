@@ -10,9 +10,14 @@
 // applies the lower- and upper-triangular sweeps (SSOR_LT / SSOR_UT) in
 // diagonal-pipelined order: every z-plane waits for its west/south (resp.
 // east/north) neighbor's boundary values — a relatively large number of
-// small communications, which makes LU very sensitive to small-message
-// performance, exactly the behaviour the paper calls out — and finally
-// SSOR_RS updates the solution and computes the iteration's residual norms.
+// small communications — and finally SSOR_RS updates the solution and
+// computes the iteration's residual norms.
+//
+// The paper calls LU very sensitive to small-message performance. Here that
+// is a property of the modelled interconnect only (mpi.WithNetModel, paper
+// -table ablation-net): with in-process ranks a class-W study is arithmetic
+// — the sweeps, the residual stencil and per-world set-up — and the message
+// path is a tenth of its CPU time (DESIGN §2).
 package lu
 
 import (
@@ -80,13 +85,12 @@ func Factory(cfg Config) (npb.Factory, error) {
 // weights of the triangular couplings, and eps their solution dependence.
 // Sweep stability needs omega·(la+lb+lc)·(1+O(eps)) < 1.
 const (
-	omega   = 0.9
-	omega2  = 0.8
-	la      = 0.30
-	lb      = 0.25
-	lc      = 0.20
-	eps     = 0.02
-	fluxEps = 0.10
+	omega  = 0.9
+	omega2 = 0.8
+	la     = 0.30
+	lb     = 0.25
+	lc     = 0.20
+	eps    = 0.02
 )
 
 // state is one rank's LU instance.
@@ -100,7 +104,11 @@ type state struct {
 	rx, ry       grid.Range
 	nxl, nyl, nz int
 
+	// Pencil neighbors, -1 at a physical boundary.
+	loX, hiX, loY, hiY int
+
 	u, rsd, frct *npb.Field
+	stencil      *npb.Stencil
 	u0, rsd0     []float64
 
 	// Global coordinates of the cells this rank owns, and exact's sine
@@ -142,7 +150,11 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.u = npb.NewField(5, st.nxl, st.nyl, st.nz, 1)
 	st.rsd = npb.NewField(5, st.nxl, st.nyl, st.nz, 1)
 	st.frct = npb.NewField(5, st.nxl, st.nyl, st.nz, 0)
+	// The flux of component c pairs it with c+1; z is the rank-local axis.
+	st.stencil = npb.NewStencil(st.u, 1, npb.AxisZ)
 
+	st.loX, st.hiX = st.cart.Shift(0, 1)
+	st.loY, st.hiY = st.cart.Shift(1, 1)
 	st.colBuf = make([]float64, st.nyl*5)
 	st.rowBuf = make([]float64, st.nxl*5)
 	st.faceX = make([]float64, st.nyl*st.nz*5)
@@ -282,8 +294,4 @@ func (st *state) erhs() {
 // which must stay zero.
 func (st *state) ssorInit() {
 	st.rsd.Zero()
-}
-
-func flux(u []float64, c int) float64 {
-	return u[c] * (1 + fluxEps*u[(c+1)%5])
 }

@@ -33,7 +33,7 @@ func (st *state) ssorIter() {
 //kcvet:hotpath runs every solver iteration inside timed measurement windows
 func (st *state) exchangeFaces() {
 	u := st.u
-	loX, hiX := st.cart.Shift(0, 1)
+	loX, hiX := st.loX, st.hiX
 	if hiX >= 0 {
 		u.PackFaceI(st.nxl-1, st.faceX)
 		st.c.Send(hiX, tagXHi, st.faceX)
@@ -55,7 +55,7 @@ func (st *state) exchangeFaces() {
 		copyPlaneI(u, st.nxl-1, st.nxl)
 	}
 
-	loY, hiY := st.cart.Shift(1, 1)
+	loY, hiY := st.loY, st.hiY
 	if hiY >= 0 {
 		u.PackFaceJ(st.nyl-1, st.faceY)
 		st.c.Send(hiY, tagYHi, st.faceY)
@@ -96,42 +96,31 @@ func copyPlaneJ(f *npb.Field, jSrc, jDst int) {
 	}
 }
 
+// computeResidual evaluates rsd = dt·(frct - 0.05·u + (δ²x + δ²y + δ²z)flux(u))
+// over the pencil, reading the ghost layer exchangeFaces just filled.
+//
+//kcvet:hotpath the stencil half of SSOR_ITER runs every solver iteration
 func (st *state) computeResidual() {
-	u, rsd, frct := st.u, st.rsd, st.frct
-	dt := st.cfg.Problem.Dt
-	sj := u.StrideJ()
-	sk := u.StrideK()
-	for k := 0; k < st.nz; k++ {
-		for j := 0; j < st.nyl; j++ {
-			ub := u.Idx(0, j, k)
-			rb := rsd.Idx(0, j, k)
-			fb := frct.Idx(0, j, k)
-			for i := 0; i < st.nxl; i++ {
-				cell := ub + i*5
-				xm := cell - 5
-				xp := cell + 5
-				ym := cell - sj
-				yp := cell + sj
-				// z is rank-local: clamp at the physical boundary.
-				zm := cell - sk
-				if k == 0 {
-					zm = cell
-				}
-				zp := cell + sk
-				if k == st.nz-1 {
-					zp = cell
-				}
-				rcell := rb + i*5
-				for c := 0; c < 5; c++ {
-					center := 6 * flux(u.Data[cell:cell+5], c)
-					lap := flux(u.Data[xm:xm+5], c) + flux(u.Data[xp:xp+5], c) +
-						flux(u.Data[ym:ym+5], c) + flux(u.Data[yp:yp+5], c) +
-						flux(u.Data[zm:zm+5], c) + flux(u.Data[zp:zp+5], c) - center
-					rsd.Data[rcell+c] = dt * (frct.Data[fb+i*5+c] - u.Data[cell+c]*0.05 + lap)
-				}
-			}
-		}
-	}
+	st.stencil.Apply(st.rsd, st.frct, st.u, st.cfg.Problem.Dt)
+}
+
+// relax is one value of either triangular sweep on a plane that has a
+// neighbor plane: a, b and c are the already-swept neighbors along x, y and
+// z, uc the solution at the cell.
+func relax(v, a, b, c, uc float64) float64 {
+	t := la*a + lb*b
+	t += lc * c
+	d := 1 + eps*uc
+	return (v - omega*t*(1+eps*uc)) / d
+}
+
+// relaxOpen is relax on the plane each sweep starts from, which has no
+// neighbor plane. The ghost plane there is zero, but adding lc·0 would turn
+// a -0 sum into +0: the missing term is not an optimisation.
+func relaxOpen(v, a, b, uc float64) float64 {
+	t := la*a + lb*b
+	d := 1 + eps*uc
+	return (v - omega*t*(1+eps*uc)) / d
 }
 
 // ssorLT applies the lower-triangular sweep (D+ωL)⁻¹ in place on rsd,
@@ -140,93 +129,99 @@ func (st *state) computeResidual() {
 // ascending (j, i) order, then forwards its own east column and north row.
 // Dependencies only point toward lower (cx, cy, k), so eager sends keep the
 // diagonal pipeline deadlock-free.
+//
+// cell and west are the same row one cell apart: west[i] is the value the
+// sweep stored at cell[i-5] (the ghost column's for the first cell), so a
+// row runs at the latency of that chain — a multiply, three adds, two
+// multiplies and a divide per cell.
+//
+//kcvet:hotpath one pipelined sweep per solver iteration inside timed windows
 func (st *state) ssorLT() {
 	u, rsd := st.u, st.rsd
-	loX, hiX := st.cart.Shift(0, 1)
-	loY, hiY := st.cart.Shift(1, 1)
-	si := rsd.StrideI()
-	sj := rsd.StrideJ()
-	sk := rsd.StrideK()
+	n := st.nxl * 5
+	si, sj, sk := rsd.StrideI(), rsd.StrideJ(), rsd.StrideK()
 	for k := 0; k < st.nz; k++ {
-		if loX >= 0 {
-			st.c.Recv(loX, tagLTWest, st.colBuf)
+		if st.loX >= 0 {
+			st.c.Recv(st.loX, tagLTWest, st.colBuf)
 			unpackCol(rsd, -1, k, st.colBuf)
 		}
-		if loY >= 0 {
-			st.c.Recv(loY, tagLTSouth, st.rowBuf)
+		if st.loY >= 0 {
+			st.c.Recv(st.loY, tagLTSouth, st.rowBuf)
 			unpackRow(rsd, -1, k, st.rowBuf)
 		}
 		for j := 0; j < st.nyl; j++ {
 			rb := rsd.Idx(0, j, k)
 			ub := u.Idx(0, j, k)
-			for i := 0; i < st.nxl; i++ {
-				cell := rb + i*5
-				ucell := ub + i*5
-				for c := 0; c < 5; c++ {
-					uc := u.Data[ucell+c]
-					low := la*rsd.Data[cell-si+c] + lb*rsd.Data[cell-sj+c]
-					if k > 0 {
-						low += lc * rsd.Data[cell-sk+c]
-					}
-					d := 1 + eps*uc
-					rsd.Data[cell+c] = (rsd.Data[cell+c] - omega*low*(1+eps*uc)) / d
+			cell := rsd.Data[rb:][:n]
+			west := rsd.Data[rb-si:][:n]
+			south := rsd.Data[rb-sj:][:n]
+			uRow := u.Data[ub:][:n]
+			if k == 0 {
+				for i := range cell {
+					cell[i] = relaxOpen(cell[i], west[i], south[i], uRow[i])
 				}
+				continue
+			}
+			below := rsd.Data[rb-sk:][:n]
+			for i := range cell {
+				cell[i] = relax(cell[i], west[i], south[i], below[i], uRow[i])
 			}
 		}
-		if hiX >= 0 {
+		if st.hiX >= 0 {
 			packCol(rsd, st.nxl-1, k, st.colBuf)
-			st.c.Send(hiX, tagLTWest, st.colBuf)
+			st.c.Send(st.hiX, tagLTWest, st.colBuf)
 		}
-		if hiY >= 0 {
+		if st.hiY >= 0 {
 			packRow(rsd, st.nyl-1, k, st.rowBuf)
-			st.c.Send(hiY, tagLTSouth, st.rowBuf)
+			st.c.Send(st.hiY, tagLTSouth, st.rowBuf)
 		}
 	}
 }
 
 // ssorUT applies the upper-triangular sweep in place on rsd, pipelined in
 // the reverse direction: planes descend in k, cells descend in (j, i), and
-// boundary values flow from the east and north pencils.
+// boundary values flow from the east and north pencils; east[i] is the
+// value the sweep stored at cell[i+5].
+//
+//kcvet:hotpath one pipelined sweep per solver iteration inside timed windows
 func (st *state) ssorUT() {
 	u, rsd := st.u, st.rsd
-	loX, hiX := st.cart.Shift(0, 1)
-	loY, hiY := st.cart.Shift(1, 1)
-	si := rsd.StrideI()
-	sj := rsd.StrideJ()
-	sk := rsd.StrideK()
+	n := st.nxl * 5
+	si, sj, sk := rsd.StrideI(), rsd.StrideJ(), rsd.StrideK()
 	for k := st.nz - 1; k >= 0; k-- {
-		if hiX >= 0 {
-			st.c.Recv(hiX, tagUTEast, st.colBuf)
+		if st.hiX >= 0 {
+			st.c.Recv(st.hiX, tagUTEast, st.colBuf)
 			unpackCol(rsd, st.nxl, k, st.colBuf)
 		}
-		if hiY >= 0 {
-			st.c.Recv(hiY, tagUTNorth, st.rowBuf)
+		if st.hiY >= 0 {
+			st.c.Recv(st.hiY, tagUTNorth, st.rowBuf)
 			unpackRow(rsd, st.nyl, k, st.rowBuf)
 		}
 		for j := st.nyl - 1; j >= 0; j-- {
 			rb := rsd.Idx(0, j, k)
 			ub := u.Idx(0, j, k)
-			for i := st.nxl - 1; i >= 0; i-- {
-				cell := rb + i*5
-				ucell := ub + i*5
-				for c := 0; c < 5; c++ {
-					uc := u.Data[ucell+c]
-					up := la*rsd.Data[cell+si+c] + lb*rsd.Data[cell+sj+c]
-					if k < st.nz-1 {
-						up += lc * rsd.Data[cell+sk+c]
-					}
-					d := 1 + eps*uc
-					rsd.Data[cell+c] = (rsd.Data[cell+c] - omega*up*(1+eps*uc)) / d
+			cell := rsd.Data[rb:][:n]
+			east := rsd.Data[rb+si:][:n]
+			north := rsd.Data[rb+sj:][:n]
+			uRow := u.Data[ub:][:n]
+			if k == st.nz-1 {
+				for i := n - 1; i >= 0; i-- {
+					cell[i] = relaxOpen(cell[i], east[i], north[i], uRow[i])
 				}
+				continue
+			}
+			above := rsd.Data[rb+sk:][:n]
+			for i := n - 1; i >= 0; i-- {
+				cell[i] = relax(cell[i], east[i], north[i], above[i], uRow[i])
 			}
 		}
-		if loX >= 0 {
+		if st.loX >= 0 {
 			packCol(rsd, 0, k, st.colBuf)
-			st.c.Send(loX, tagUTEast, st.colBuf)
+			st.c.Send(st.loX, tagUTEast, st.colBuf)
 		}
-		if loY >= 0 {
+		if st.loY >= 0 {
 			packRow(rsd, 0, k, st.rowBuf)
-			st.c.Send(loY, tagUTNorth, st.rowBuf)
+			st.c.Send(st.loY, tagUTNorth, st.rowBuf)
 		}
 	}
 }
@@ -264,19 +259,30 @@ func unpackRow(f *npb.Field, j, k int, buf []float64) {
 
 // ssorRS updates the solution u += ω₂·rsd and computes the iteration's
 // residual norms with an allreduce — the Newton-residual stage.
+//
+//kcvet:hotpath the solution update runs every solver iteration inside timed windows
 func (st *state) ssorRS() {
 	u, rsd := st.u, st.rsd
+	n := st.nxl * 5
 	var local [5]float64
 	for k := 0; k < st.nz; k++ {
 		for j := 0; j < st.nyl; j++ {
 			ub := u.Idx(0, j, k)
 			rb := rsd.Idx(0, j, k)
-			for i := 0; i < st.nxl; i++ {
-				for c := 0; c < 5; c++ {
-					v := rsd.Data[rb+i*5+c]
-					u.Data[ub+i*5+c] += omega2 * v
-					local[c] += v * v
-				}
+			uRow := u.Data[ub:][:n]
+			rRow := rsd.Data[rb:][:n]
+			for i := 0; i+5 <= n; i += 5 {
+				uc, v := (*[5]float64)(uRow[i:i+5]), (*[5]float64)(rRow[i:i+5])
+				uc[0] += omega2 * v[0]
+				uc[1] += omega2 * v[1]
+				uc[2] += omega2 * v[2]
+				uc[3] += omega2 * v[3]
+				uc[4] += omega2 * v[4]
+				local[0] += v[0] * v[0]
+				local[1] += v[1] * v[1]
+				local[2] += v[2] * v[2]
+				local[3] += v[3] * v[3]
+				local[4] += v[4] * v[4]
 			}
 		}
 	}

@@ -22,6 +22,12 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# sync.Pool drops Puts under -race, so the zero-allocation assertions over
+# pooled message paths (mpi round trips, the 4-rank kernels) skip above
+# and run here.
+echo "==> go test -run NotAllocate ./internal/mpi ./internal/npb/..."
+go test -run NotAllocate ./internal/mpi ./internal/npb/...
+
 # kcvet publishes its findings as a JSON build artifact whether or not
 # the gate passes; CI systems archive /tmp/kcvet-findings.json.
 echo "==> go run ./cmd/kcvet -json ./... (artifact: /tmp/kcvet-findings.json)"
