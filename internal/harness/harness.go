@@ -128,12 +128,15 @@ type WindowDetailer interface {
 	MeasureWindowDetail(window []string, o Options) (npb.WindowMeasurement, error)
 }
 
-// NPBWorkload adapts an npb.Factory (BT, SP or LU) to the harness.
+// NPBWorkload adapts an npb.Factory (BT, SP, LU or FT) to the harness.
 type NPBWorkload struct {
 	// WorkloadName identifies the benchmark instance, e.g. "BT.A.4".
 	WorkloadName string
-	// Factory builds per-rank state.
-	Factory npb.Factory
+	// Factory runs the workload's worlds. It hands the rank state of one
+	// measurement's world to the next, so the workload — and the engine
+	// holding it: one study, one request — is what bounds that state's
+	// lifetime.
+	Factory *npb.Factory
 	// Pre, Loop and Post are the kernel groups.
 	Pre, Loop, Post []string
 	// Procs is the rank count.
@@ -167,21 +170,46 @@ func (w *NPBWorkload) MeasureWindow(window []string, o Options) (float64, error)
 // npb.MeasureWindowDetail, keeping per-block provenance.
 func (w *NPBWorkload) MeasureWindowDetail(window []string, o Options) (npb.WindowMeasurement, error) {
 	o = o.withDefaults()
-	return npb.MeasureWindowDetail(w.Factory, window, npb.MeasureOptions{
+	wm, err := npb.MeasureWindowDetail(w.Factory, window, npb.MeasureOptions{
 		Procs:     w.Procs,
 		Blocks:    o.Blocks,
 		Passes:    o.Passes,
 		TrimFrac:  o.TrimFrac,
 		WorldOpts: w.WorldOpts,
 	})
+	if err == nil {
+		countWorld(o.Metrics, wm.World)
+	}
+	return wm, err
 }
 
 // MeasureActual implements Workload via npb.MeasureFull.
 func (w *NPBWorkload) MeasureActual(trips int, o Options) (float64, error) {
-	return npb.MeasureFull(w.Factory, w.Pre, w.Loop, trips, w.Post, npb.MeasureOptions{
+	secs, world, err := npb.MeasureFull(w.Factory, w.Pre, w.Loop, trips, w.Post, npb.MeasureOptions{
 		Procs:     w.Procs,
 		WorldOpts: w.WorldOpts,
 	})
+	if err == nil {
+		countWorld(o.Metrics, world)
+	}
+	return secs, err
+}
+
+// countWorld publishes where a finished measurement's world got its rank
+// state, and how many of its timed regions a garbage collection completed
+// under — what the forced collection ahead of every world used to be
+// trusted to prevent (read against harness.blocks.timed plus
+// harness.measure.actual.count).
+func countWorld(m *obs.Registry, ws npb.WorldStats) {
+	if m == nil {
+		return
+	}
+	if ws.Recycled {
+		m.Counter("harness.worlds.recycled").Inc()
+	} else {
+		m.Counter("harness.worlds.fresh").Inc()
+	}
+	m.Counter("harness.timed.gc_overlapped").Add(int64(ws.GCOverlapped))
 }
 
 // PredictionResult is one predictor's outcome against the measured time.

@@ -60,16 +60,6 @@ type World struct {
 	// check per operation.
 	inj Injector
 
-	// bufPool recycles float64 message payloads: solver workloads send
-	// the same-shaped messages millions of times, and per-send
-	// allocation would turn the GC into a dominant noise source in the
-	// timing measurements this runtime exists to support.
-	bufPool sync.Pool
-
-	// rawPool recycles byte message payloads the same way; harness
-	// control traffic (SendBytes/RecvBytes) rides the same warm path.
-	rawPool sync.Pool
-
 	failMu   sync.Mutex
 	failures []RankFailure
 }
@@ -95,9 +85,20 @@ type teardown struct{ msg string }
 
 func (t teardown) String() string { return t.msg }
 
-// payload is what a message carries and what the world's pools hold: a
-// pointer to one, because a pooled slice would box its header into the
-// pool's `any` on every Put — an allocation per message received.
+// bufPool recycles float64 message payloads: solver workloads send the
+// same-shaped messages millions of times, and per-send allocation would
+// turn the GC into a dominant noise source in the timing measurements this
+// runtime exists to support. rawPool does the same for byte payloads;
+// harness control traffic (SendBytes/RecvBytes) rides the same warm path.
+// They belong to the process, not to a World: a study runs one short world
+// a measurement, and with a pool each, every world grew its payloads again
+// (0.3 MB for a BT.W.4 window — a fifth of what a study allocates, once its
+// rank state is recycled too).
+var bufPool, rawPool sync.Pool
+
+// payload is what a message carries and what the pools hold: a pointer to
+// one, because a pooled slice would box its header into the pool's `any`
+// on every Put — an allocation per message received.
 type payload struct {
 	f64 []float64
 	raw []byte
@@ -108,7 +109,7 @@ type payload struct {
 //
 //kcvet:hotpath per-message allocation on the send path is GC noise in timing measurements
 func (w *World) getBuf(n int) *payload {
-	p, _ := w.bufPool.Get().(*payload)
+	p, _ := bufPool.Get().(*payload)
 	if p == nil {
 		p = new(payload)
 	}
@@ -124,14 +125,14 @@ func (w *World) getBuf(n int) *payload {
 //
 //kcvet:hotpath see getBuf
 func (w *World) putBuf(p *payload) {
-	w.bufPool.Put(p)
+	bufPool.Put(p)
 }
 
 // getRaw is getBuf for byte payloads.
 //
 //kcvet:hotpath see getBuf
 func (w *World) getRaw(n int) *payload {
-	p, _ := w.rawPool.Get().(*payload)
+	p, _ := rawPool.Get().(*payload)
 	if p == nil {
 		p = new(payload)
 	}
@@ -146,7 +147,7 @@ func (w *World) getRaw(n int) *payload {
 //
 //kcvet:hotpath see getBuf
 func (w *World) putRaw(p *payload) {
-	w.rawPool.Put(p)
+	rawPool.Put(p)
 }
 
 // Option configures a World.

@@ -14,7 +14,7 @@ type message struct {
 	src       int // sender's rank within the communicator identified by ctx
 	tag       int
 	ctx       int
-	*payload  // from the world's pool; the receiver returns it
+	*payload  // from the process's pool; the receiver returns it
 	isFloat   bool
 	deliverAt time.Time // zero when no network model or fault delay applies
 }
@@ -244,7 +244,7 @@ func (c *Comm) SendBytes(dest int, tag int, buf []byte) {
 
 // send is the common eager-send path for float64 and byte payloads.
 //
-//kcvet:hotpath one call per message sent; payloads ride the world's pools
+//kcvet:hotpath one call per message sent; payloads ride the process's pools
 func (c *Comm) send(dest, tag int, f64 []float64, raw []byte, isFloat bool) {
 	ob := c.world.obs
 	var start time.Time

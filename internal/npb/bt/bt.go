@@ -66,15 +66,16 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Factory returns the per-rank state builder for the configuration; pass
-// it to the npb measurement runners.
-func Factory(cfg Config) (npb.Factory, error) {
+// Factory returns the factory of the configuration's worlds; pass it to
+// the npb measurement runners. Its worlds after the first rebind the rank
+// state of the ones before (see Rebind).
+func Factory(cfg Config) (*npb.Factory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return func(c *mpi.Comm) (npb.KernelSet, error) {
+	return npb.NewFactory(func(c *mpi.Comm) (npb.KernelSet, error) {
 		return newState(c, cfg)
-	}, nil
+	}), nil
 }
 
 // Solver model constants: rr is the implicit weight (diagonal dominance
@@ -132,8 +133,8 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{c: c, cfg: cfg, s: s}
-	st.cart = mpi.NewCart(c, s, s) // dims: (y, z)
+	st := &state{cfg: cfg, s: s}
+	st.bind(c)
 	co := st.cart.Coords()
 	st.cy, st.cz = co[0], co[1]
 	p := cfg.Problem
@@ -152,11 +153,6 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	// The flux of component c pairs it with c+1; x is the rank-local axis.
 	st.stencil = npb.NewStencil(st.u, 1, npb.AxisX)
 
-	st.commY = st.cart.Sub(0)
-	st.commZ = st.cart.Sub(1)
-
-	st.loY, st.hiY = st.cart.Shift(0, 1)
-	st.loZ, st.hiZ = st.cart.Shift(1, 1)
 	st.faceY = make([]float64, st.nx*st.nzl*5)
 	st.faceZ = make([]float64, st.nx*st.nyl*5)
 
@@ -180,6 +176,36 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.u0 = append([]float64(nil), st.u.Data...)
 	st.rhs0 = append([]float64(nil), st.rhs.Data...)
 	return st, nil
+}
+
+// bind attaches the state to its rank of a world: the communicator, the
+// process grid over it (dims: y, z), the line communicators of the
+// distributed solves and the face-exchange neighbours. Forming the line
+// communicators is collective, so every rank of the world binds.
+func (st *state) bind(c *mpi.Comm) {
+	st.c = c
+	st.cart = mpi.NewCart(c, st.s, st.s)
+	st.commY = st.cart.Sub(0)
+	st.commZ = st.cart.Sub(1)
+	st.loY, st.hiY = st.cart.Shift(0, 1)
+	st.loZ, st.hiZ = st.cart.Shift(1, 1)
+}
+
+// Rebind implements npb.Rebinder: the state a finished world left serves
+// the same rank of the next. newState's result is a pure function of
+// (configuration, rank) — the forcing is static, the factor tables and
+// coordinates never change, Refresh restores u and rhs bit for bit — so
+// what remains is the world itself. The set-up face exchange is not
+// repeated (its result is in the u0 snapshot), which is why a world must
+// not mix rebound and built ranks (npb.Factory). chat, fwd, bwd, the face
+// buffers and the stencil ring keep the last world's bytes: each is
+// written before it is read.
+//
+//kcvet:hotpath every world of a cold study after its first starts here
+func (st *state) Rebind(c *mpi.Comm) {
+	st.bind(c)
+	st.Refresh()
+	st.norms = [5]float64{}
 }
 
 // RunKernel dispatches one application-order execution of the named kernel.

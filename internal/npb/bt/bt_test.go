@@ -329,7 +329,7 @@ func TestMeasureFullSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre, loop, post := KernelNames()
-	secs, err := npb.MeasureFull(f, pre, loop, 2, post, npb.MeasureOptions{Procs: 1})
+	secs, _, err := npb.MeasureFull(f, pre, loop, 2, post, npb.MeasureOptions{Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

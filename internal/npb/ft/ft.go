@@ -80,14 +80,15 @@ func ClassProblem(c npb.Class) (Config, error) {
 	return Config{}, fmt.Errorf("ft: no class %q", c)
 }
 
-// Factory returns the per-rank state builder for the configuration.
-func Factory(cfg Config) (npb.Factory, error) {
+// Factory returns the factory of the configuration's worlds. FT's state
+// is not an npb.Rebinder, so every world builds its own.
+func Factory(cfg Config) (*npb.Factory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return func(c *mpi.Comm) (npb.KernelSet, error) {
+	return npb.NewFactory(func(c *mpi.Comm) (npb.KernelSet, error) {
 		return newState(c, cfg)
-	}, nil
+	}), nil
 }
 
 // state is one rank's FT instance. Complex values are interleaved

@@ -16,8 +16,8 @@
 // The paper calls LU very sensitive to small-message performance. Here that
 // is a property of the modelled interconnect only (mpi.WithNetModel, paper
 // -table ablation-net): with in-process ranks a class-W study is arithmetic
-// — the sweeps, the residual stencil and per-world set-up — and the message
-// path is a tenth of its CPU time (DESIGN §2).
+// — the sweeps and the residual stencil — and the message path is well
+// under a tenth of its CPU time (DESIGN §2).
 package lu
 
 import (
@@ -70,14 +70,15 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Factory returns the per-rank state builder for the configuration.
-func Factory(cfg Config) (npb.Factory, error) {
+// Factory returns the factory of the configuration's worlds. Its worlds
+// after the first rebind the rank state of the ones before (see Rebind).
+func Factory(cfg Config) (*npb.Factory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return func(c *mpi.Comm) (npb.KernelSet, error) {
+	return npb.NewFactory(func(c *mpi.Comm) (npb.KernelSet, error) {
 		return newState(c, cfg)
-	}, nil
+	}), nil
 }
 
 // SSOR model constants: omega is the relaxation factor of the triangular
@@ -133,8 +134,8 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{c: c, cfg: cfg, px: px, py: py}
-	st.cart = mpi.NewCart(c, px, py)
+	st := &state{cfg: cfg, px: px, py: py}
+	st.bind(c)
 	co := st.cart.Coords()
 	st.cx, st.cy = co[0], co[1]
 	p := cfg.Problem
@@ -153,8 +154,6 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	// The flux of component c pairs it with c+1; z is the rank-local axis.
 	st.stencil = npb.NewStencil(st.u, 1, npb.AxisZ)
 
-	st.loX, st.hiX = st.cart.Shift(0, 1)
-	st.loY, st.hiY = st.cart.Shift(1, 1)
 	st.colBuf = make([]float64, st.nyl*5)
 	st.rowBuf = make([]float64, st.nxl*5)
 	st.faceX = make([]float64, st.nyl*st.nz*5)
@@ -173,6 +172,33 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.u0 = append([]float64(nil), st.u.Data...)
 	st.rsd0 = append([]float64(nil), st.rsd.Data...)
 	return st, nil
+}
+
+// bind attaches the state to its rank of a world: the communicator, the
+// pencil grid over it and the pencil's neighbours. LU sends on the world
+// communicator alone, so binding exchanges nothing.
+func (st *state) bind(c *mpi.Comm) {
+	st.c = c
+	st.cart = mpi.NewCart(c, st.px, st.py)
+	st.loX, st.hiX = st.cart.Shift(0, 1)
+	st.loY, st.hiY = st.cart.Shift(1, 1)
+}
+
+// Rebind implements npb.Rebinder: the state a finished world left serves
+// the same rank of the next. newState's result is a pure function of
+// (configuration, rank) — the forcing is static, the factor tables and
+// coordinates never change, Refresh restores u and rsd bit for bit, ghost
+// layers included — so what remains is the world itself. Set-up's SSOR_ITER
+// and its face exchange are not repeated (their result is in the
+// snapshots), which is why a world must not mix rebound and built ranks
+// (npb.Factory). The sweep and face buffers and the stencil ring keep the
+// last world's bytes: each is written before it is read.
+//
+//kcvet:hotpath every world of a cold study after its first starts here
+func (st *state) Rebind(c *mpi.Comm) {
+	st.bind(c)
+	st.Refresh()
+	st.resNorms, st.errNorms, st.norms, st.surface = [5]float64{}, [5]float64{}, [5]float64{}, 0
 }
 
 // RunKernel dispatches one application-order execution of the named kernel.

@@ -123,12 +123,8 @@ func TestResidualDecreasesOverIterations(t *testing.T) {
 	}
 	pre, loop, post := KernelNames()
 	var early, late float64
-	err = mpi.Run(1, func(c *mpi.Comm) {
-		ksAny, err := f(c)
-		if err != nil {
-			panic(err)
-		}
-		st := ksAny.(*state)
+	err = f.Run(1, func(_ *mpi.Comm, ks npb.KernelSet, _ bool) {
+		st := ks.(*state)
 		for _, k := range pre {
 			st.RunKernel(k)
 		}

@@ -37,15 +37,15 @@ func (k *countingKernels) RunKernel(name string) error {
 
 func (k *countingKernels) Refresh() { k.refreshs.Add(1) }
 
-func newCountingFactory(names []string, delay time.Duration, failOn string) (Factory, map[string]*atomic.Int64, *atomic.Int64) {
+func newCountingFactory(names []string, delay time.Duration, failOn string) (*Factory, map[string]*atomic.Int64, *atomic.Int64) {
 	runs := map[string]*atomic.Int64{}
 	for _, n := range names {
 		runs[n] = &atomic.Int64{}
 	}
 	refreshs := &atomic.Int64{}
-	f := func(c *mpi.Comm) (KernelSet, error) {
+	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) {
 		return &countingKernels{runs: runs, refreshs: refreshs, delay: delay, failOn: failOn}, nil
-	}
+	})
 	return f, runs, refreshs
 }
 
@@ -92,7 +92,7 @@ func TestMeasureWindowKernelFailure(t *testing.T) {
 }
 
 func TestMeasureWindowFactoryFailure(t *testing.T) {
-	f := func(c *mpi.Comm) (KernelSet, error) { return nil, errors.New("no state") }
+	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) { return nil, errors.New("no state") })
 	_, err := MeasureWindow(f, []string{"a"}, MeasureOptions{Procs: 1})
 	if err == nil || !strings.Contains(err.Error(), "no state") {
 		t.Errorf("want setup failure surfaced, got %v", err)
@@ -101,7 +101,7 @@ func TestMeasureWindowFactoryFailure(t *testing.T) {
 
 func TestMeasureFullStructure(t *testing.T) {
 	f, runs, _ := newCountingFactory([]string{"init", "a", "b", "final"}, 0, "")
-	secs, err := MeasureFull(f, []string{"init"}, []string{"a", "b"}, 5, []string{"final"}, MeasureOptions{Procs: 2})
+	secs, _, err := MeasureFull(f, []string{"init"}, []string{"a", "b"}, 5, []string{"final"}, MeasureOptions{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestMeasureFullStructure(t *testing.T) {
 
 func TestMeasureFullValidation(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "")
-	if _, err := MeasureFull(f, nil, nil, 1, nil, MeasureOptions{Procs: 1}); err == nil {
+	if _, _, err := MeasureFull(f, nil, nil, 1, nil, MeasureOptions{Procs: 1}); err == nil {
 		t.Error("empty loop should fail")
 	}
-	if _, err := MeasureFull(f, nil, []string{"a"}, 0, nil, MeasureOptions{Procs: 1}); err == nil {
+	if _, _, err := MeasureFull(f, nil, []string{"a"}, 0, nil, MeasureOptions{Procs: 1}); err == nil {
 		t.Error("zero trips should fail")
 	}
 }
@@ -196,9 +196,9 @@ func TestMeasureWindowDetailProvenance(t *testing.T) {
 // per-kernel breakdowns.
 func TestMeasureWindowPhaseAttribution(t *testing.T) {
 	ob := mpi.NewObserver(nil, nil)
-	f := func(c *mpi.Comm) (KernelSet, error) {
+	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) {
 		return exchangingKernels{c: c}, nil
-	}
+	})
 	_, err := MeasureWindow(f, []string{"PING"}, MeasureOptions{
 		Procs: 2, Blocks: 2, Passes: 1,
 		WorldOpts: []mpi.Option{mpi.WithObserver(ob)},

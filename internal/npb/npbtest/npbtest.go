@@ -9,13 +9,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
@@ -27,13 +30,17 @@ var update = flag.Bool("update", false, "rewrite testdata/fields.golden; read np
 // so -0.0 against 0.0 and a one-ulp drift both show.
 func BitsDigest(vals ...[]float64) string {
 	h := sha256.New()
-	var b [8]byte
+	b := make([]byte, 0, 4096) // hashed a block at a time: a Write a value is most of the cost under -race
 	for _, vs := range vals {
 		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			if len(b) == cap(b) {
+				h.Write(b)
+				b = b[:0]
+			}
 		}
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -160,5 +167,155 @@ func CheckFieldsGolden(t *testing.T, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("fields drifted from the reference implementation's bits (do not regenerate; find the reordered operation):\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// FieldsGoldenLines runs the three-trip application on a new factory's
+// first two worlds and returns each world's golden lines, one a rank:
+// digests(state) are its fields and norms digests. The first world builds
+// its state; the second rebinds it, poison overwrites its scratch arrays
+// before the run, and it must write the same lines.
+func FieldsGoldenLines(t *testing.T, f *npb.Factory, n, procs int, pre, loop, post []string,
+	poison func(npb.KernelSet), digests func(npb.KernelSet) (fields, norms string)) (built, recycled string) {
+	t.Helper()
+	world := func(wantFresh bool) string {
+		lines := make([]string, procs)
+		err := f.Run(procs, func(c *mpi.Comm, ks npb.KernelSet, fresh bool) {
+			if fresh != wantFresh {
+				panic(fmt.Sprintf("fresh = %v, want %v", fresh, wantFresh))
+			}
+			if !fresh {
+				poison(ks)
+			}
+			RunApp(ks, pre, loop, 3, post)
+			fields, norms := digests(ks)
+			lines[c.Rank()] = fmt.Sprintf("n=%d procs=%d rank=%d fields=%s norms=%s\n", n, procs, c.Rank(), fields, norms)
+		}, mpi.WithRecvTimeout(30*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(lines, "")
+	}
+	return world(true), world(false)
+}
+
+// msgLog is an mpi.Injector that injects nothing and records the identity —
+// destination, tag, length — of every message each rank sends, in order.
+// A rank writes only its own slot, on its own goroutine.
+type msgLog [][]string
+
+func (l msgLog) Op(int, string) mpi.OpFault { return mpi.OpFault{} }
+
+func (l msgLog) Message(src, dest, tag, bytes int) mpi.MsgFault {
+	l[src] = append(l[src], fmt.Sprintf("%d/%d/%d", dest, tag, bytes))
+	return mpi.MsgFault{}
+}
+
+// rings returns the ring's windows of the given length, one starting at
+// every kernel, wrapping — the windows a study measures.
+func rings(loop []string, length int) [][]string {
+	wins := make([][]string, len(loop))
+	for i := range loop {
+		for j := 0; j < length; j++ {
+			wins[i] = append(wins[i], loop[(i+j)%len(loop)])
+		}
+	}
+	return wins
+}
+
+// CheckRecycledMatchesFresh holds a benchmark's Rebind to its contract: a
+// world that rebinds the state another world left computes, bit for bit and
+// message for message, what the same world computes on state built for it.
+//
+// One factory runs the full three-trip application and then, as a study
+// does, one world after another on the state the last one left: the full
+// application again, every kernel alone, every ring window of two and three
+// kernels, the latter two as a measurement runs them (a pass, Refresh, a
+// pass). Each of those worlds, B, also runs on a factory of its own. B's
+// record is
+// bits(state) after every kernel and every Refresh, then the rank's
+// messages; the two records must be equal. bits covers the fields with
+// their ghosts and every norm. A window that starts mid-ring is the case
+// that would read a scratch array the last world left, so before a rebound
+// B runs, poison overwrites every scratch array with NaN: "written before
+// read" is shown, not argued.
+//
+// Message contents are not logged (mpi has no payload tap): every payload is
+// packed from the fields and lands in them, ghosts included, so a differing
+// byte shows in bits after the kernel that received it.
+func CheckRecycledMatchesFresh(t *testing.T, newFactory func() *npb.Factory, procs int,
+	pre, loop, post []string, poison func(npb.KernelSet), bits func(npb.KernelSet) string) {
+	t.Helper()
+	var app []string
+	app = append(app, pre...)
+	for trip := 0; trip < 3; trip++ {
+		app = append(app, loop...)
+	}
+	app = append(app, post...)
+	type world struct {
+		name   string
+		passes [][]string
+	}
+	worlds := []world{{"app", [][]string{app}}}
+	for _, k := range app[:len(pre)+len(loop)] {
+		worlds = append(worlds, world{k, [][]string{{k}, {k}}})
+	}
+	for _, k := range post {
+		worlds = append(worlds, world{k, [][]string{{k}, {k}}})
+	}
+	for _, length := range []int{2, 3} {
+		for _, win := range rings(loop, length) {
+			worlds = append(worlds, world{strings.Join(win, "|"), [][]string{win, win}})
+		}
+	}
+	run := func(f *npb.Factory, b world, wantFresh bool) string {
+		log := make(msgLog, procs)
+		records := make([]string, procs)
+		err := f.Run(procs, func(c *mpi.Comm, ks npb.KernelSet, fresh bool) {
+			if fresh != wantFresh {
+				panic(fmt.Sprintf("world %s: fresh = %v, want %v", b.name, fresh, wantFresh))
+			}
+			if !fresh {
+				poison(ks)
+			}
+			r := c.Rank()
+			log[r] = log[r][:0] // set-up's messages are not B's
+			var rec strings.Builder
+			for p, pass := range b.passes {
+				if p > 0 {
+					ks.Refresh()
+					fmt.Fprintf(&rec, "refresh=%s\n", bits(ks))
+				}
+				for _, k := range pass {
+					if err := ks.RunKernel(k); err != nil {
+						panic(err)
+					}
+					fmt.Fprintf(&rec, "%s=%s\n", k, bits(ks))
+				}
+			}
+			fmt.Fprintf(&rec, "sent=%s\n", strings.Join(log[r], " "))
+			records[r] = rec.String()
+		}, mpi.WithInjector(log), mpi.WithRecvTimeout(30*time.Second))
+		if err != nil {
+			t.Fatalf("world %s: %v", b.name, err)
+		}
+		return strings.Join(records, "")
+	}
+	f := newFactory()
+	run(f, worlds[0], true)
+	for _, b := range worlds {
+		got, want := run(f, b, false), run(newFactory(), b, true)
+		if got != want {
+			t.Errorf("procs=%d world %s on recycled state drifted from the same world on fresh state:\n got:\n%s\nwant:\n%s", procs, b.name, got, want)
+		}
+	}
+}
+
+// Poison overwrites every value with NaN.
+func Poison(arrays ...[]float64) {
+	for _, a := range arrays {
+		for i := range a {
+			a[i] = math.NaN()
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package sp
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/npb"
 	"repro/internal/npb/npbtest"
 )
 
@@ -15,20 +15,22 @@ import (
 // touching it.
 func TestFieldsGolden(t *testing.T) {
 	npbtest.SkipUnlessAMD64(t)
-	var got strings.Builder
+	pre, loop, post := KernelNames()
+	// Each case runs as a factory's first world and again as its second,
+	// which rebinds the state the first left, scratch arrays poisoned, and
+	// must write the same golden.
+	var built, recycled strings.Builder
 	for _, tc := range []struct{ n, procs int }{{12, 1}, {12, 4}} {
-		lines := make([]string, tc.procs)
-		withState(t, tinyConfig(tc.n, tc.procs), func(st *state) {
-			pre, loop, post := KernelNames()
-			npbtest.RunApp(st, pre, loop, 3, post)
-			lines[st.c.Rank()] = fmt.Sprintf("n=%d procs=%d rank=%d fields=%s norms=%s\n",
-				tc.n, tc.procs, st.c.Rank(),
-				npbtest.BitsDigest(st.u.Data, st.rhs.Data, st.forcing.Data),
-				npbtest.BitsDigest(st.norms[:]))
-		})
-		for _, l := range lines {
-			got.WriteString(l)
-		}
+		b, r := npbtest.FieldsGoldenLines(t, tinyFactory(t, tc.n, tc.procs), tc.n, tc.procs, pre, loop, post,
+			func(ks npb.KernelSet) { ks.(*state).poisonScratch() },
+			func(ks npb.KernelSet) (string, string) {
+				st := ks.(*state)
+				return npbtest.BitsDigest(st.u.Data, st.rhs.Data, st.forcing.Data),
+					npbtest.BitsDigest(st.norms[:])
+			})
+		built.WriteString(b)
+		recycled.WriteString(r)
 	}
-	npbtest.CheckFieldsGolden(t, got.String())
+	npbtest.CheckFieldsGolden(t, built.String())
+	npbtest.CheckFieldsGolden(t, recycled.String())
 }

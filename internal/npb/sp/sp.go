@@ -68,14 +68,15 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Factory returns the per-rank state builder for the configuration.
-func Factory(cfg Config) (npb.Factory, error) {
+// Factory returns the factory of the configuration's worlds. Its worlds
+// after the first rebind the rank state of the ones before (see Rebind).
+func Factory(cfg Config) (*npb.Factory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return func(c *mpi.Comm) (npb.KernelSet, error) {
+	return npb.NewFactory(func(c *mpi.Comm) (npb.KernelSet, error) {
 		return newState(c, cfg)
-	}, nil
+	}), nil
 }
 
 // Solver model constants: r1/r2 weight the ±1/±2 off-diagonals, eps scales
@@ -115,7 +116,9 @@ type state struct {
 
 	commY, commZ *mpi.Comm
 
-	faceY, faceZ []float64 // one plane each; exchanged twice for depth 2
+	// Face-exchange neighbors (-1 at a physical boundary) and buffers.
+	loY, hiY, loZ, hiZ int
+	faceY, faceZ       []float64 // one plane each; exchanged twice for depth 2
 
 	// Pentadiagonal work arrays: normalized (d1, d2, rh) per cell per
 	// component, plus boundary buffers.
@@ -131,8 +134,8 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{c: c, cfg: cfg, s: s}
-	st.cart = mpi.NewCart(c, s, s)
+	st := &state{cfg: cfg, s: s}
+	st.bind(c)
 	co := st.cart.Coords()
 	st.cy, st.cz = co[0], co[1]
 	p := cfg.Problem
@@ -150,9 +153,6 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.forcing = npb.NewField(5, st.nx, st.nyl, st.nzl, 0)
 	// The flux of component c pairs it with c+2; x is the rank-local axis.
 	st.stencil = npb.NewStencil(st.u, 2, npb.AxisX)
-
-	st.commY = st.cart.Sub(0)
-	st.commZ = st.cart.Sub(1)
 
 	st.faceY = make([]float64, st.nx*st.nzl*5)
 	st.faceZ = make([]float64, st.nx*st.nyl*5)
@@ -176,6 +176,36 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.u0 = append([]float64(nil), st.u.Data...)
 	st.rhs0 = append([]float64(nil), st.rhs.Data...)
 	return st, nil
+}
+
+// bind attaches the state to its rank of a world: the communicator, the
+// process grid over it (dims: y, z), the line communicators of the
+// distributed solves and the face-exchange neighbours. Forming the line
+// communicators is collective, so every rank of the world binds.
+func (st *state) bind(c *mpi.Comm) {
+	st.c = c
+	st.cart = mpi.NewCart(c, st.s, st.s)
+	st.commY = st.cart.Sub(0)
+	st.commZ = st.cart.Sub(1)
+	st.loY, st.hiY = st.cart.Shift(0, 1)
+	st.loZ, st.hiZ = st.cart.Shift(1, 1)
+}
+
+// Rebind implements npb.Rebinder: the state a finished world left serves
+// the same rank of the next. newState's result is a pure function of
+// (configuration, rank) — the forcing is static, the factor tables and
+// coordinates never change, Refresh restores u and rhs bit for bit — so
+// what remains is the world itself. The set-up face exchange is not
+// repeated (its result is in the u0 snapshot), which is why a world must
+// not mix rebound and built ranks (npb.Factory). d1, d2, rh, fwd, bwd, the
+// face buffers and the stencil ring keep the last world's bytes: each is
+// written before it is read.
+//
+//kcvet:hotpath every world of a cold study after its first starts here
+func (st *state) Rebind(c *mpi.Comm) {
+	st.bind(c)
+	st.Refresh()
+	st.norms = [5]float64{}
 }
 
 // RunKernel dispatches one application-order execution of the named kernel.
@@ -288,7 +318,7 @@ const (
 //kcvet:hotpath runs every solver iteration inside timed measurement windows
 func (st *state) exchangeFaces() {
 	u := st.u
-	loY, hiY := st.cart.Shift(0, 1)
+	loY, hiY := st.loY, st.hiY
 	// Send both depths in each direction, then receive both.
 	if hiY >= 0 {
 		u.PackFaceJ(st.nyl-1, st.faceY)
@@ -321,7 +351,7 @@ func (st *state) exchangeFaces() {
 		copyPlaneJ(u, st.nyl-1, st.nyl+1)
 	}
 
-	loZ, hiZ := st.cart.Shift(1, 1)
+	loZ, hiZ := st.loZ, st.hiZ
 	if hiZ >= 0 {
 		u.PackFaceK(st.nzl-1, st.faceZ)
 		st.c.Send(hiZ, tagZ0, st.faceZ)

@@ -50,6 +50,12 @@ func NewStencil(u *Field, shift int, clamp Axis) *Stencil {
 	return &Stencil{shift: shift, clamp: clamp, ring: make([]float64, 3*(u.Nx+2)*(u.Ny+2)*5)}
 }
 
+// Scratch returns the flux ring. Apply fills each plane of it before reading
+// the plane, so a Stencil carries nothing from one call — or one world — to
+// the next; the recycled-state tests overwrite it with NaN to hold Apply to
+// that.
+func (s *Stencil) Scratch() []float64 { return s.ring }
+
 // Apply stores the stencil of u and the forcing frc into out's interior.
 // The three fields share their interior shape; u is the one NewStencil saw.
 //

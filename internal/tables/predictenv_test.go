@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/predict"
 )
@@ -149,4 +150,48 @@ func TestBackendConfigRunOverride(t *testing.T) {
 	if !called {
 		t.Fatal("Run override was not used")
 	}
+}
+
+// TestCampaignRecyclesWorlds runs class-S studies of the three solvers
+// through the measured backend at Parallel 2 and reads the counters the
+// harness keeps about their worlds: a study builds rank state for at most
+// as many worlds as run at once and every other world rebinds it, and the
+// number of timed regions a garbage collection completed under — what the
+// forced collection ahead of every world used to be trusted to prevent —
+// is on record beside the number timed.
+func TestCampaignRecyclesWorlds(t *testing.T) {
+	const parallel = 2
+	reg := obs.NewRegistry()
+	run := BackendConfig{Cache: plan.NewCache(), Parallel: parallel, Metrics: reg}.StudyRunner()
+	studies, executed := 0, 0
+	for _, bench := range []string{"BT", "SP", "LU"} {
+		q := predict.Query{Bench: bench, Class: "S", Procs: 4, Chains: []int{2, 3}, Trips: 2, Blocks: 3, Passes: 1}
+		st, err := run(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Workload(), err)
+		}
+		if !st.Health.Clean() {
+			t.Errorf("%s: unclean health %+v", q.Workload(), st.Health)
+		}
+		studies++
+		executed += st.Exec.Executed
+	}
+	snap := reg.Snapshot()
+	count := func(name string) int {
+		c, _ := snap.Counter(name)
+		return int(c.Value)
+	}
+	fresh, recycled := count("harness.worlds.fresh"), count("harness.worlds.recycled")
+	if fresh+recycled != executed {
+		t.Errorf("%d fresh + %d recycled worlds, want the %d measurements executed", fresh, recycled, executed)
+	}
+	if fresh < studies || fresh > studies*parallel {
+		t.Errorf("%d worlds built their state, want %d..%d: one factory a study, one set a worker", fresh, studies, studies*parallel)
+	}
+	if recycled == 0 {
+		t.Error("no world rebound another's state")
+	}
+	timed := count("harness.blocks.timed") + count("harness.measure.actual.count")
+	t.Logf("%d worlds (%d built, %d recycled); a collection completed under %d of %d timed regions",
+		executed, fresh, recycled, count("harness.timed.gc_overlapped"), timed)
 }

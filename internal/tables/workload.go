@@ -58,7 +58,7 @@ func GridProblem(bench string, prob npb.Problem, grid int) npb.Problem {
 // rank-count configuration, named the canonical "BENCH.CLASS.PROCS".
 func NewWorkload(bench string, class npb.Class, prob npb.Problem, procs int, worldOpts []mpi.Option) (*harness.NPBWorkload, error) {
 	var (
-		factory         npb.Factory
+		factory         *npb.Factory
 		pre, loop, post []string
 		err             error
 	)
