@@ -205,6 +205,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if err != nil {
 			return err
 		}
+		defer cache.Close()
 		opts.Cache = cache
 	}
 	if inj != nil {
@@ -356,6 +357,7 @@ func runBackend(ctx context.Context, stdout io.Writer, name, latticeSpec, cacheD
 		if err != nil {
 			return err
 		}
+		defer cache.Close()
 		cfg.Cache = cache
 	}
 	if latticeSpec != "" {

@@ -174,6 +174,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 	if err != nil {
 		return fmt.Errorf("-cache-dir: %w", err)
 	}
+	// Deferred first, so it runs last: after the drain and the dumps. A
+	// measurement that outlived the drain then reports a failed persist.
+	defer cache.Close()
 	reg := obs.NewRegistry()
 	var tracer *obs.RequestTracer
 	if !*notrace {

@@ -77,6 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		m := mpi.IBMSPModel()
 		scale.Net = &m
 	}
+	defer tables.CloseDirCaches()
 
 	var procsOverride []int
 	if *procs != "" {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -154,16 +153,16 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}
 }
 
-// TestCachePutErrorsAreCountedNotFatal: a cache directory that cannot be
-// written (full disk, read-only mount) must show up on the
-// harness.cache.put_error counter while the study itself still succeeds.
+// TestCachePutErrorsAreCountedNotFatal: a cache whose log cannot be
+// appended to (full disk, read-only mount — here: closed) must show up on
+// the harness.cache.put_error counter while the study itself still
+// succeeds.
 func TestCachePutErrorsAreCountedNotFatal(t *testing.T) {
-	dir := t.TempDir() + "/gone"
-	cache, err := plan.NewDirCache(dir)
+	cache, err := plan.NewDirCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(dir); err != nil {
+	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()

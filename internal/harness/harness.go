@@ -133,10 +133,17 @@ type NPBWorkload struct {
 	// WorkloadName identifies the benchmark instance, e.g. "BT.A.4".
 	WorkloadName string
 	// Factory runs the workload's worlds. It hands the rank state of one
-	// measurement's world to the next, so the workload — and the engine
-	// holding it: one study, one request — is what bounds that state's
-	// lifetime.
+	// measurement's world to the next, so without a Pool the workload —
+	// and the engine holding it: one study, one request — is what bounds
+	// that state's lifetime.
 	Factory *npb.Factory
+	// Pool, when non-nil, is asked ahead of every world for the factory
+	// of the configuration PoolKey names, and holds Factory as that if it
+	// has none: the state then lives as long as the pool, and the next
+	// study of the configuration rebinds it. The pool is not touched
+	// before a world runs — a study answered from the cache never does.
+	Pool    *npb.Pool
+	PoolKey npb.PoolKey
 	// Pre, Loop and Post are the kernel groups.
 	Pre, Loop, Post []string
 	// Procs is the rank count.
@@ -147,6 +154,9 @@ type NPBWorkload struct {
 
 // Name implements Workload.
 func (w *NPBWorkload) Name() string { return w.WorkloadName }
+
+// factory returns the factory the next world runs through.
+func (w *NPBWorkload) factory() *npb.Factory { return w.Pool.Factory(w.PoolKey, w.Factory) }
 
 // RankCount reports the world's rank count for job planning: the same
 // benchmark at a different rank count is a different measurement.
@@ -170,7 +180,7 @@ func (w *NPBWorkload) MeasureWindow(window []string, o Options) (float64, error)
 // npb.MeasureWindowDetail, keeping per-block provenance.
 func (w *NPBWorkload) MeasureWindowDetail(window []string, o Options) (npb.WindowMeasurement, error) {
 	o = o.withDefaults()
-	wm, err := npb.MeasureWindowDetail(w.Factory, window, npb.MeasureOptions{
+	wm, err := npb.MeasureWindowDetail(w.factory(), window, npb.MeasureOptions{
 		Procs:     w.Procs,
 		Blocks:    o.Blocks,
 		Passes:    o.Passes,
@@ -185,7 +195,7 @@ func (w *NPBWorkload) MeasureWindowDetail(window []string, o Options) (npb.Windo
 
 // MeasureActual implements Workload via npb.MeasureFull.
 func (w *NPBWorkload) MeasureActual(trips int, o Options) (float64, error) {
-	secs, world, err := npb.MeasureFull(w.Factory, w.Pre, w.Loop, trips, w.Post, npb.MeasureOptions{
+	secs, world, err := npb.MeasureFull(w.factory(), w.Pre, w.Loop, trips, w.Post, npb.MeasureOptions{
 		Procs:     w.Procs,
 		WorldOpts: w.WorldOpts,
 	})

@@ -2,8 +2,9 @@
 // move-to-front on every hit, evict from the back past capacity, tell the
 // owner what left. It holds immutable answers for the serving layer —
 // cluster's hot-key replicas and guard's stale-answer ladder are both
-// instantiations — and is deliberately not synchronized: each owner
-// already serializes access under the mutex that guards its other state.
+// instantiations — and npb's retained rank state, and is deliberately not
+// synchronized: each owner already serializes access under the mutex that
+// guards its other state.
 package lru
 
 import "container/list"
@@ -50,12 +51,24 @@ func (c *Cache[K, V]) Put(key K, val V) {
 	}
 	c.m[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
 	for c.order.Len() > c.cap {
-		e := c.order.Remove(c.order.Back()).(*entry[K, V])
-		delete(c.m, e.key)
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.val)
-		}
+		c.EvictOldest()
 	}
+}
+
+// EvictOldest pushes out the least recently used entry, as capacity would,
+// for an owner that bounds what it retains by something other than a
+// count. It reports whether there was one.
+func (c *Cache[K, V]) EvictOldest() bool {
+	back := c.order.Back()
+	if back == nil {
+		return false
+	}
+	e := c.order.Remove(back).(*entry[K, V])
+	delete(c.m, e.key)
+	if c.onEvict != nil {
+		c.onEvict(e.key, e.val)
+	}
+	return true
 }
 
 // Len returns the number of retained entries.

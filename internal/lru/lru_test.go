@@ -32,3 +32,19 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Error("empty cache hit")
 	}
 }
+
+// TestEvictOldest: an owner that bounds by weight evicts by hand, in the
+// same order and through the same callback capacity uses.
+func TestEvictOldest(t *testing.T) {
+	var evicted []string
+	c := New(8, func(k string, _ int) { evicted = append(evicted, k) })
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Get("a")
+	if !c.EvictOldest() || !c.EvictOldest() || c.EvictOldest() {
+		t.Fatal("EvictOldest: want true, true, then false on an empty cache")
+	}
+	if got := fmt.Sprint(evicted); got != "[b a]" || c.Len() != 0 {
+		t.Errorf("evicted %s with %d left, want [b a] and none", got, c.Len())
+	}
+}

@@ -52,9 +52,9 @@ type Rebinder interface {
 // A set returns to the factory only from a world in which no rank failed,
 // and only if its kernel sets are Rebinders (BT, SP, LU; FT and test
 // doubles are built for every world). Idle sets never outnumber the
-// worlds that have run at once, and they die with the factory: one study,
-// one request. There is no switch; a caller that wants new state makes a
-// new factory.
+// worlds that have run at once, and they die with the factory — with the
+// study that made it, or, when a Pool holds it, with the pool's holder.
+// There is no switch; a caller that wants new state makes a new factory.
 type Factory struct {
 	build func(c *mpi.Comm) (KernelSet, error)
 

@@ -49,6 +49,12 @@ func (k *pooledKernels) RunKernel(name string) error {
 // worlds it has built state for.
 func newPooledFactory() (*Factory, *atomic.Int64) {
 	var built atomic.Int64
+	return pooledFactory(&built), &built
+}
+
+// pooledFactory returns a factory of rebindable fakes that counts the
+// worlds it builds state for in built, which several factories may share.
+func pooledFactory(built *atomic.Int64) *Factory {
 	return NewFactory(func(c *mpi.Comm) (KernelSet, error) {
 		// The ranks of one world agree on its serial number through rank 0.
 		id := make([]float64, 1)
@@ -57,7 +63,7 @@ func newPooledFactory() (*Factory, *atomic.Int64) {
 		}
 		c.Bcast(0, id)
 		return &pooledKernels{c: c, origin: int64(id[0])}, nil
-	}), &built
+	})
 }
 
 func (f *Factory) idleSets() int {
@@ -66,16 +72,16 @@ func (f *Factory) idleSets() int {
 	return len(f.idle)
 }
 
-// TestRecycleWholeWorldsUnderParallelTwo drives one factory from two
-// workers, as plan.Executor does at Parallel 2, through 240 tiny worlds, and
-// asserts inside each what the factory promises: every rank's state came
-// from one world — all built here or all left by one earlier world, never a
-// mix, which would leave the built ranks' set-up exchange unmatched — no
-// state serves two worlds at once, and the idle sets never outnumber the
-// workers.
-func TestRecycleWholeWorldsUnderParallelTwo(t *testing.T) {
-	const procs, workers, worlds = 4, 2, 240
-	f, built := newPooledFactory()
+// driveWholeWorlds runs worlds tiny worlds of procs ranks from workers
+// goroutines, as plan.Executor does at Parallel 2 and a server does at
+// MeasureWorkers 2, each through the factory factoryFor returns for it. It
+// asserts inside each world what a factory promises: every rank's state
+// came from one world — all built here or all left by one earlier world,
+// never a mix, which would leave the built ranks' set-up exchange
+// unmatched — and no state serves two worlds at once. It returns how many
+// worlds rebound their state.
+func driveWholeWorlds(t *testing.T, procs, workers, worlds int, factoryFor func() *Factory) int64 {
+	t.Helper()
 	var recycled atomic.Int64
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -84,6 +90,7 @@ func TestRecycleWholeWorldsUnderParallelTwo(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for range jobs {
+				f := factoryFor()
 				origins := make([]int64, procs)
 				freshOn := make([]bool, procs)
 				err := f.Run(procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
@@ -120,11 +127,21 @@ func TestRecycleWholeWorldsUnderParallelTwo(t *testing.T) {
 	}
 	close(jobs)
 	wg.Wait()
+	return recycled.Load()
+}
+
+// TestRecycleWholeWorldsUnderParallelTwo drives one factory from two
+// workers through 240 tiny worlds: whole worlds only (driveWholeWorlds),
+// and the idle sets never outnumber the workers.
+func TestRecycleWholeWorldsUnderParallelTwo(t *testing.T) {
+	const procs, workers, worlds = 4, 2, 240
+	f, built := newPooledFactory()
+	recycled := driveWholeWorlds(t, procs, workers, worlds, func() *Factory { return f })
 	if b := built.Load(); b < 1 || b > workers {
 		t.Errorf("built state for %d worlds, want 1..%d: a world builds only when every set is in use", b, workers)
 	}
-	if got := built.Load() + recycled.Load(); got != worlds {
-		t.Errorf("%d built + %d recycled worlds, want %d", built.Load(), recycled.Load(), worlds)
+	if got := built.Load() + recycled; got != worlds {
+		t.Errorf("%d built + %d recycled worlds, want %d", built.Load(), recycled, worlds)
 	}
 }
 

@@ -1,13 +1,17 @@
 package plan
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 
 	"repro/internal/lru"
@@ -32,11 +36,30 @@ type Result struct {
 
 // entry is the persisted form of one cache slot. The canonical pre-image
 // rides along so a disk entry can be audited and so a key truncation
-// collision (or a stale file from an older key scheme) reads as a miss,
+// collision (or a stale record from an older key scheme) reads as a miss,
 // never as a wrong result.
 type entry struct {
 	Canonical string `json:"canonical"`
 	Result    Result `json:"result"`
+}
+
+// logName is the one file a cache directory holds: every Put appends a
+// record "<key> <entry as compact JSON>\n" to it, and nothing is ever
+// rewritten. The last complete record of a key is its value.
+const logName = "measurements.log"
+
+// keyLen is the length of a job key: keyOf's 24 hex digits.
+const keyLen = 24
+
+// tornMark ends a line whose writer did not. No JSON value ends in '!', so
+// a record cut anywhere — even just before its newline — stays a miss for
+// every later reader, as it was for the one that found it torn.
+const tornMark = "!\n"
+
+// span locates the JSON of one record in the log.
+type span struct {
+	off int64
+	n   int
 }
 
 // memoCap bounds the derived-value memo (Derive). The values it holds in
@@ -50,36 +73,45 @@ type derived struct {
 	val   any
 }
 
-// errCacheMiss marks a disk lookup that found nothing servable (missing
-// file, corrupt JSON, canonical mismatch). It is internal to Get: callers
+// errCacheMiss marks a disk lookup that found nothing servable (no
+// record, corrupt JSON, canonical mismatch). It is internal to Get: callers
 // only ever see the boolean miss.
 var errCacheMiss = errors.New("plan: cache miss")
 
 // Cache is a content-addressed measurement cache: an always-on in-memory
-// map, optionally backed by a directory holding one JSON file per key.
-// Safe for concurrent use.
+// map, optionally backed by a directory holding one append-only log.
+// Safe for concurrent use, and several caches — in one process or many —
+// may share a directory.
 //
 // Concurrency contract: the mutex guards only the in-memory state and is
 // never held across disk I/O or a Derive build — executor workers at
 // -parallel N must not serialize on each other's cache reads. Cold disk
 // reads of the same key are collapsed by a per-key singleflight group
-// instead, so a read stampede costs one os.ReadFile, and concurrent Puts
-// write distinct temp files before atomically renaming into place.
+// instead, so a read stampede costs one read. A Put is one write(2) of
+// one whole record on an O_APPEND descriptor: the kernel places each
+// write at the end of the file under the inode's lock, so records of
+// concurrent writers — goroutines or processes — never interleave, and a
+// reader indexes a record only once its newline is there.
 type Cache struct {
-	mu  sync.Mutex // guards mem, memo and epoch — never held across disk I/O
+	mu  sync.Mutex // guards mem, memo, epoch, index and scanned — never held across disk I/O
 	mem map[string]entry
 	// memo holds values derived from the entries (see Derive). epoch
 	// counts the events that can change such a value: an in-memory entry
 	// replaced by a different one, and Reset.
 	memo  *lru.Cache[string, derived]
 	epoch uint64
-	dir   string
+	// log is the directory's measurement log, nil for an in-memory cache.
+	log *os.File
+	// index maps a key to its last complete record in log[:scanned]; what
+	// lies beyond scanned — this cache's own Puts, which mem answers, and
+	// other writers' — is indexed when a lookup misses (indexTail).
+	index   map[string]span
+	scanned int64
 	// disk collapses concurrent cold reads of one key into a single
-	// os.ReadFile (see Get).
+	// read (see Get).
 	disk singleflight.Group[string, entry]
-	// readFile replaces os.ReadFile in tests that count or block disk
-	// reads; nil means the real thing.
-	readFile func(path string) ([]byte, error)
+	// guard, when set, is called around every disk lookup (SetReadGuard).
+	guard func(read func() error) error
 }
 
 // NewCache returns an in-memory cache.
@@ -88,23 +120,89 @@ func NewCache() *Cache {
 }
 
 // NewDirCache returns a cache persisted under dir (created if missing):
-// every Put writes a JSON file, and a Get that misses memory falls back
-// to disk — so a cache directory outlives the process and a later run
-// (or couple -from-cache) can reuse the whole campaign.
+// every Put appends a record to the directory's log, and a Get that
+// misses memory falls back to it — so a cache directory outlives the
+// process and a later run (or couple -from-cache) can reuse the whole
+// campaign. Opening reads the log once to index it; entries a release
+// before the log left as one <key>.json each are moved into it first.
 func NewDirCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("plan: cache dir: %w", err)
 	}
+	path := filepath.Join(dir, logName)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		// A directory this process may only read still serves what it
+		// holds; every Put then reports its failed append.
+		ro, roErr := os.Open(path)
+		if roErr != nil {
+			return nil, fmt.Errorf("plan: cache dir: %w", err)
+		}
+		f = ro
+	}
 	c := NewCache()
-	c.dir = dir
+	c.log, c.index = f, make(map[string]span)
+	if err := c.adoptKeyFiles(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := c.indexTail(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("plan: cache dir: %w", err)
+	}
+	// What is left beyond scanned is a record some writer did not finish
+	// (a full disk, a kill mid-write). End that line, so that the next
+	// append starts its own. If the writer is alive after all and the rest
+	// of its record lands first, the mark is a line of its own.
+	if fi, err := f.Stat(); err == nil && fi.Size() > c.scanned {
+		f.Write([]byte(tornMark))
+	}
 	return c, nil
 }
 
-// Dir returns the persistence directory ("" for in-memory caches).
-func (c *Cache) Dir() string { return c.dir }
+// Close releases the log's descriptor. Everything Put returned nil for is
+// already in the file — there is no buffer to flush, and no fsync either:
+// as before the log, a record survives the process, not a power cut.
+// After Close memory hits still serve, a disk lookup is a miss and a Put
+// returns an error. A cache that is never closed gives its descriptor back
+// when it is collected.
+func (c *Cache) Close() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.Close()
+}
+
+// adoptKeyFiles moves dir, if it was written before the log, into it: every
+// <key>.json that decodes and whose canonical hashes to its name is
+// appended as a record, then removed. A file that does not is left where
+// it is. Two processes opening at once may both append a file's entry;
+// the records are equal and the second Remove finds nothing.
+func (c *Cache) adoptKeyFiles(dir string) error {
+	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return fmt.Errorf("plan: cache dir: %w", err)
+	}
+	for _, name := range names {
+		key := strings.TrimSuffix(filepath.Base(name), ".json")
+		data, err := os.ReadFile(name)
+		if err != nil {
+			continue
+		}
+		var e entry
+		if json.Unmarshal(data, &e) != nil || keyOf(e.Canonical) != key {
+			continue
+		}
+		if err := c.append(key, e); err != nil {
+			return fmt.Errorf("plan: cache dir: adopt %s: %w", filepath.Base(name), err)
+		}
+		os.Remove(name)
+	}
+	return nil
+}
 
 // Get returns the cached result for the job, consulting memory first and
-// then the directory. Corrupt or mismatched disk entries are misses.
+// then the directory's log. Corrupt or mismatched records are misses.
 func (c *Cache) Get(j Job) (Result, bool) {
 	return c.GetCtx(context.Background(), j)
 }
@@ -129,7 +227,7 @@ func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 		}
 		return e.Result, true
 	}
-	if c.dir == "" {
+	if c.log == nil {
 		return Result{}, false
 	}
 	sp, _ := obs.StartSpan(ctx, "cache.disk", key)
@@ -145,12 +243,22 @@ func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 		if ok {
 			return e, nil
 		}
-		data, err := c.read(c.path(key))
+		var data []byte
+		read := func() (err error) {
+			data, err = c.readLog(key)
+			return err
+		}
+		var err error
+		if c.guard != nil {
+			err = c.guard(read)
+		} else {
+			err = read()
+		}
 		if err != nil {
 			return entry{}, errCacheMiss
 		}
 		if err := json.Unmarshal(data, &e); err != nil || e.Canonical != canonical {
-			// Never memoize a corrupt or mismatched file: it must stay
+			// Never memoize a corrupt or mismatched record: it must stay
 			// a miss, not poison the in-memory map.
 			return entry{}, errCacheMiss
 		}
@@ -175,9 +283,9 @@ func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 	return e.Result, true
 }
 
-// Put stores the job's result, persisting it when the cache has a
-// directory. The in-memory store always succeeds; only disk errors are
-// returned (the caller may treat them as non-fatal — the measurement
+// Put stores the job's result, appending it to the log when the cache
+// has a directory. The in-memory store always succeeds; only disk errors
+// are returned (the caller may treat them as non-fatal — the measurement
 // itself is done).
 func (c *Cache) Put(j Job, r Result) error {
 	e := entry{Canonical: j.Canonical(), Result: r}
@@ -190,39 +298,137 @@ func (c *Cache) Put(j Job, r Result) error {
 	}
 	c.mem[key] = e
 	c.mu.Unlock()
-	if c.dir == "" {
+	if c.log == nil {
 		return nil
 	}
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("plan: cache encode: %w", err)
-	}
-	// Atomic write outside the lock: each writer fills its own temp file
-	// and renames it into place, so a reader never sees a half-written
-	// entry and concurrent Puts of one key never interleave bytes.
-	f, err := os.CreateTemp(c.dir, key+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("plan: cache write: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("plan: cache write: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("plan: cache write: %w", err)
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("plan: cache write: %w", err)
-	}
-	if err := os.Rename(tmp, c.path(key)); err != nil {
-		os.Remove(tmp)
+	if err := c.append(key, e); err != nil {
 		return fmt.Errorf("plan: cache write: %w", err)
 	}
 	return nil
+}
+
+// append encodes one record and writes it with one write(2). This cache
+// does not index it: mem answers for what it Put itself, and a lookup that
+// gets past mem (after Reset) finds the record in the tail like any other
+// writer's.
+//
+//kcvet:hotpath the whole disk cost of a Put: one per measured job, between two worlds of a cold study
+func (c *Cache) append(key string, e entry) error {
+	var line bytes.Buffer
+	line.WriteString(key)
+	line.WriteByte(' ')
+	if err := json.NewEncoder(&line).Encode(e); err != nil { // compact, and ends the line
+		return err
+	}
+	if n, err := c.log.Write(line.Bytes()); err != nil {
+		if n > 0 {
+			// Part of the record is in the file. End its line, so that
+			// the next record is not read as the rest of this one.
+			c.log.Write([]byte(tornMark))
+		}
+		return err
+	}
+	return nil
+}
+
+// record is one line of the log as a scan found it.
+type record struct {
+	key string
+	span
+}
+
+// scanLog returns the complete records in data, a stretch of the log that
+// starts at offset base on a record boundary, in file order, and the
+// length of the complete lines: an unterminated tail is left for the scan
+// that finds its newline. A line that is not "<24 hex digits> <bytes>" is
+// skipped; whether the bytes are an entry is the reader's question.
+func scanLog(data []byte, base int64) (recs []record, used int) {
+	for {
+		nl := bytes.IndexByte(data[used:], '\n')
+		if nl < 0 {
+			return recs, used
+		}
+		line := data[used : used+nl]
+		if len(line) > keyLen+1 && line[keyLen] == ' ' && isKey(line[:keyLen]) {
+			recs = append(recs, record{string(line[:keyLen]), span{off: base + int64(used+keyLen+1), n: len(line) - keyLen - 1}})
+		}
+		used += nl + 1
+	}
+}
+
+// isKey reports whether b is all lower-case hex digits, as keyOf's are.
+func isKey(b []byte) bool {
+	for _, ch := range b {
+		if (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// indexTail indexes what was appended to the log since the last scan, by
+// this cache or any other writer. Concurrent calls may scan the same
+// stretch; merging is idempotent and ordered by offset.
+func (c *Cache) indexTail() error {
+	c.mu.Lock()
+	from := c.scanned
+	c.mu.Unlock()
+	fi, err := c.log.Stat()
+	if err != nil {
+		return err
+	}
+	if fi.Size() <= from {
+		return nil
+	}
+	buf := make([]byte, fi.Size()-from)
+	n, err := c.log.ReadAt(buf, from)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return err
+	}
+	recs, used := scanLog(buf[:n], from)
+	c.mu.Lock()
+	for _, r := range recs {
+		if cur, ok := c.index[r.key]; !ok || cur.off < r.off {
+			c.index[r.key] = r.span
+		}
+	}
+	if end := from + int64(used); end > c.scanned {
+		c.scanned = end
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// indexed looks key up in the index.
+func (c *Cache) indexed(key string) (span, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sp, ok := c.index[key]
+	return sp, ok
+}
+
+// readLog returns the JSON of key's last record: from the index, or after
+// one fstat and a scan of whatever the log grew by. fs.ErrNotExist means
+// the log holds no record of the key; any other error is the disk's.
+func (c *Cache) readLog(key string) ([]byte, error) {
+	sp, ok := c.indexed(key)
+	if !ok {
+		if err := c.indexTail(); err != nil {
+			return nil, err
+		}
+		if sp, ok = c.indexed(key); !ok {
+			return nil, fs.ErrNotExist
+		}
+	}
+	buf := make([]byte, sp.n)
+	if _, err := c.log.ReadAt(buf, sp.off); err != nil {
+		if errors.Is(err, io.EOF) {
+			// Someone cut the log short under the index.
+			return nil, fs.ErrNotExist
+		}
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Len returns the number of in-memory entries.
@@ -233,7 +439,7 @@ func (c *Cache) Len() int {
 }
 
 // Reset drops the in-memory entries and everything derived from them.
-// Directory entries are kept — Reset forgets, it does not delete.
+// The log and its index are kept — Reset forgets, it does not delete.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,25 +489,15 @@ func (c *Cache) Derive(key string, build func() (any, error)) (any, error) {
 	return v, nil
 }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-// SetReadFile replaces the function cold disk reads go through
-// (os.ReadFile when nil). The serving layer chains fault injection and
-// a circuit breaker in front of the real read; tests count or block
-// reads. A failing read — injected, broken disk, or breaker fail-fast —
-// is a cache miss, never a wrong result. Install before the cache is
-// shared across goroutines: the field is read without synchronization
-// on the hot path.
-func (c *Cache) SetReadFile(fn func(path string) ([]byte, error)) {
-	c.readFile = fn
-}
-
-// read goes through the installed read function when one is set.
-func (c *Cache) read(path string) ([]byte, error) {
-	if c.readFile != nil {
-		return c.readFile(path)
-	}
-	return os.ReadFile(path)
+// SetReadGuard installs fn around every disk lookup: fn decides whether
+// and when to call read, which does the lookup's I/O, and returns read's
+// error or its own. The serving layer puts fault injection and a circuit
+// breaker there; tests count or block lookups. read returns
+// fs.ErrNotExist when the log simply holds no record of the key — the
+// normal cold miss, not a failure of the disk. Any error from fn —
+// injected, broken disk, or breaker fail-fast — is a cache miss, never a
+// wrong result. Install before the cache is shared across goroutines: the
+// field is read without synchronization on the hot path.
+func (c *Cache) SetReadGuard(fn func(read func() error) error) {
+	c.guard = fn
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,15 +139,14 @@ func TestExecutorServesCacheAfterFatalFailure(t *testing.T) {
 // TestExecutorSurfacesCachePutErrors: a persist failure must reach the
 // OnCacheError hook while the outcome stays a success.
 func TestExecutorSurfacesCachePutErrors(t *testing.T) {
-	dir := t.TempDir() + "/gone"
-	cache, err := NewDirCache(dir)
+	cache, err := NewDirCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Removing the directory makes every Put's temp-file create fail —
-	// works regardless of the uid the tests run as (root ignores file
-	// modes, so a chmod-based setup would not).
-	if err := os.RemoveAll(dir); err != nil {
+	// A closed cache fails every append — whatever uid the tests run as
+	// (root ignores file modes, and an open descriptor outlives its
+	// directory, so neither chmod nor removal would).
+	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
 	jobs := testJobs(3)

@@ -17,7 +17,6 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -173,10 +172,12 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range endpointNames {
 		s.windows[name] = obs.NewWindowHistogram(0)
 	}
+	// Pooled: the rank state on-demand measurements build is the server's,
+	// bounded, and outlives the request that built it.
 	s.substrate = tables.BackendConfig{
 		Cache: cfg.Cache, Metrics: reg, Lattice: cfg.Lattice,
 		Run: s.runMeasured, RunFromCache: s.runCached,
-	}
+	}.Pooled()
 	if cfg.Net {
 		m := mpi.IBMSPModel()
 		s.substrate.Net = &m
@@ -188,38 +189,38 @@ func New(cfg Config) (*Server, error) {
 	if s.guard != nil || s.inject != nil {
 		// Chain fault injection and the disk breaker in front of the
 		// cache's cold reads. Installed here, before the cache is served
-		// from, because SetReadFile is read unsynchronized on the hot
+		// from, because SetReadGuard is read unsynchronized on the hot
 		// path. A failing or fast-failed read is a cache miss — never a
 		// wrong result.
-		s.cache.SetReadFile(s.readCacheFile)
+		s.cache.SetReadGuard(s.guardCacheRead)
 	}
 	return s, nil
 }
 
-// readCacheFile is the guarded disk read behind cache misses: injected
+// guardCacheRead is the guard around the cache's disk lookups: injected
 // latency first (a slow disk is slow before it answers), then the disk
-// breaker's verdict, then injected failure, then the real read. A
-// missing file is a normal cold miss and never counts against the
+// breaker's verdict, then injected failure, then the real read. A key the
+// log has no record of is a normal cold miss and never counts against the
 // breaker — only I/O failures (real or injected) do.
-func (s *Server) readCacheFile(path string) ([]byte, error) {
+func (s *Server) guardCacheRead(read func() error) error {
 	if d := s.inject.DiskDelay(); d > 0 {
 		time.Sleep(d)
 	}
 	tk, err := s.diskBreaker().Allow()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.inject.DiskErr(); err != nil {
 		tk.Done(err)
-		return nil, err
+		return err
 	}
-	data, err := os.ReadFile(path)
+	err = read()
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		tk.Done(err)
-		return nil, err
+		return err
 	}
 	tk.Done(nil)
-	return data, err
+	return err
 }
 
 // diskBreaker, measureBreaker and retryBudget return the guard's parts

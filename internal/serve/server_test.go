@@ -425,6 +425,15 @@ func TestOnDemandMeasurementWarmsCache(t *testing.T) {
 		t.Errorf("ondemand counter = %d after warm query, want still 1", got)
 	}
 
+	// Everything the study measured is one line each of one file.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "measurements.log" {
+		t.Errorf("cache directory after an on-demand study holds %v, want the log alone", ents)
+	}
+
 	// A measurement-disabled service over the same directory now serves
 	// the query the measured one warmed.
 	cache2, err := plan.NewDirCache(dir)
@@ -512,5 +521,85 @@ func TestParseQueryCanonicalKey(t *testing.T) {
 	// one singleflight identity.
 	if x, y := parse("class=S&trips=0"), parse("class=S&trips=60"); x.Key() != y.Key() {
 		t.Errorf("trips=0 key %q != trips=60 key %q", x.Key(), y.Key())
+	}
+}
+
+// measuringServer starts a server that measures misses on demand over a
+// fresh cache directory.
+func measuringServer(t *testing.T, workers int) (*httptest.Server, *obs.Registry) {
+	t.Helper()
+	cache, err := plan.NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	reg := obs.NewRegistry()
+	srv, err := New(Config{Cache: cache, Metrics: reg, Measure: true, MeasureWorkers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, reg
+}
+
+// TestColdRequestsOfOneConfigurationShareRankState: rank state is the
+// server's, not the request's. Two cold requests that differ only in
+// their chains run their worlds through one factory: the first world of
+// the first request builds, every world after it — the second request's
+// first included — rebinds.
+func TestColdRequestsOfOneConfigurationShareRankState(t *testing.T) {
+	ts, reg := measuringServer(t, 1)
+	executed := 0
+	for _, chains := range []string{"2", "3"} {
+		var resp PredictResponse
+		if err := json.Unmarshal(get(t, ts.URL, "/predict?bench=LU&grid=6&trips=1&procs=4&blocks=1&chains="+chains, http.StatusOK), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Exec.Executed == 0 {
+			t.Fatalf("chains=%s ran no world: the request was not cold", chains)
+		}
+		executed += resp.Exec.Executed
+	}
+	fresh, recycled := reg.Counter("harness.worlds.fresh").Value(), reg.Counter("harness.worlds.recycled").Value()
+	if fresh != 1 || recycled != int64(executed-1) {
+		t.Errorf("%d worlds built and %d rebound their state over %d measurements; want 1 and %d", fresh, recycled, executed, executed-1)
+	}
+}
+
+// TestConcurrentColdRequestsOfOneConfiguration: at MeasureWorkers 2 two
+// requests of one configuration measure at once through one factory. A
+// world that mixed built and rebound ranks would leave a set-up exchange
+// unmatched and fail or hang; both answer, and state was built for at
+// most the two worlds that can run at once.
+func TestConcurrentColdRequestsOfOneConfiguration(t *testing.T) {
+	ts, reg := measuringServer(t, 2)
+	var wg sync.WaitGroup
+	executed := make([]int, 2)
+	for i, chains := range []string{"2", "3"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/predict?bench=BT&grid=6&trips=1&procs=4&blocks=2&chains=" + chains)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var pr PredictResponse
+			if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("chains=%s: status %d, %v", chains, resp.StatusCode, err)
+				return
+			}
+			executed[i] = pr.Exec.Executed
+		}()
+	}
+	wg.Wait()
+	fresh, recycled := reg.Counter("harness.worlds.fresh").Value(), reg.Counter("harness.worlds.recycled").Value()
+	if fresh < 1 || fresh > 2 {
+		t.Errorf("%d worlds built their state, want 1 or 2", fresh)
+	}
+	if total := int64(executed[0] + executed[1]); fresh+recycled != total {
+		t.Errorf("%d built + %d rebound worlds, want the %d measurements executed", fresh, recycled, total)
 	}
 }

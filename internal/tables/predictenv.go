@@ -86,6 +86,31 @@ type BackendConfig struct {
 	// Run and RunFromCache, when non-nil, replace the engine-based study
 	// functions — the serving layer injects its guarded paths here.
 	Run, RunFromCache predict.StudyFn
+
+	// pool, when non-nil, keeps the rank state of the configurations this
+	// config's engines measure (Pooled).
+	pool *npb.Pool
+}
+
+// maxRetainedCells bounds the rank state one holder — a server, a study
+// runner — keeps between studies (npb.Pool). A 4-rank world's built state
+// is 0.23–0.47 kB a cell at class W and above, 0.5–0.7 kB at class S's 12³
+// and about 1 kB at 6³, where ghost layers outweigh the interior (DESIGN
+// §10 has the table). 65 536 cells therefore hold any one class W
+// configuration (BT 32³: 15 MB, SP 36³: 19 MB, LU 33³: 10 MB) or some
+// forty class S ones (1.1 MB each), 30–45 MB at the very most, times the
+// worlds of one configuration that ran at once. Class A (64³ = 262 144
+// cells, 61–113 MB a set) and class B (102³, some 450 MB) do not fit and
+// are built per study, as every configuration was.
+const maxRetainedCells = 1 << 16
+
+// Pooled returns the config with a new, empty pool of rank state behind
+// its engines. The pool lives as long as the returned value and its
+// copies: the second measuring study of a configuration rebinds the state
+// the first one built.
+func (c BackendConfig) Pooled() BackendConfig {
+	c.pool = npb.NewPool(maxRetainedCells)
+	return c
 }
 
 func (c BackendConfig) cache() *plan.Cache {
@@ -112,6 +137,7 @@ func (c BackendConfig) Engine(q predict.Query) (harness.Engine, error) {
 	if err != nil {
 		return harness.Engine{}, err
 	}
+	w.Pool, w.PoolKey = c.pool, npb.PoolKey{Bench: q.Bench, Problem: prob, Procs: q.Procs}
 	return harness.Engine{Workload: w, Opts: harness.Options{
 		Blocks: q.Blocks, Passes: q.Passes, ActualRuns: 3,
 		Parallel:    c.Parallel,
@@ -122,10 +148,14 @@ func (c BackendConfig) Engine(q predict.Query) (harness.Engine, error) {
 }
 
 // StudyRunner returns the measured StudyFn: plan, execute (or reuse) and
-// analyze the full study.
+// analyze the full study. The runner keeps the rank state of what it
+// measures for the studies it is asked for next.
 func (c BackendConfig) StudyRunner() predict.StudyFn {
 	if c.Run != nil {
 		return c.Run
+	}
+	if c.pool == nil {
+		c = c.Pooled()
 	}
 	return func(ctx context.Context, q predict.Query) (*harness.Study, error) {
 		eng, err := c.Engine(q)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/predict"
@@ -194,4 +195,77 @@ func TestCampaignRecyclesWorlds(t *testing.T) {
 	timed := count("harness.blocks.timed") + count("harness.measure.actual.count")
 	t.Logf("%d worlds (%d built, %d recycled); a collection completed under %d of %d timed regions",
 		executed, fresh, recycled, count("harness.timed.gc_overlapped"), timed)
+}
+
+// worldCounts reads how many worlds built and rebound their rank state.
+func worldCounts(reg *obs.Registry) (fresh, recycled int64) {
+	return reg.Counter("harness.worlds.fresh").Value(), reg.Counter("harness.worlds.recycled").Value()
+}
+
+// TestPoolOutlivesTheStudy: one runner, three studies. The second study of
+// a configuration builds nothing — its first world rebinds what the first
+// study left — and a study answered from the cache never asks the pool.
+func TestPoolOutlivesTheStudy(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := BackendConfig{Cache: plan.NewCache(), Metrics: reg}.Pooled()
+	run := cfg.StudyRunner()
+	q := predict.Query{Bench: "BT", Class: "S", Grid: 6, Procs: 4, Chains: []int{2}, Trips: 1, Blocks: 1, Passes: 1}
+	for _, chains := range [][]int{{2}, {3}} {
+		q.Chains = chains
+		if _, err := run(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fresh, recycled := worldCounts(reg); fresh != 1 || recycled == 0 {
+		t.Errorf("two studies of one configuration: %d worlds built, %d rebound; want 1 and the rest", fresh, recycled)
+	}
+
+	// The same two studies again, warm, through a config with a pool of
+	// its own: no world runs, so the pool must still be empty — it hands
+	// back whatever factory it is shown first.
+	warm := BackendConfig{Cache: cfg.Cache, Metrics: reg}.Pooled()
+	if st, err := warm.StudyRunner()(context.Background(), q); err != nil || st.Exec.Executed != 0 {
+		t.Fatalf("warm study: executed %d, %v", st.Exec.Executed, err)
+	}
+	eng, err := warm.Engine(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := eng.Workload.(*harness.NPBWorkload)
+	other, err := NewWorkload(q.Bench, q.Class, w.PoolKey.Problem, q.Procs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Pool.Factory(w.PoolKey, other.Factory); got != other.Factory {
+		t.Error("a study answered from the cache put a factory in the pool")
+	}
+}
+
+// TestPoolEvictionRebuilds: with room for one of two configurations, going
+// back to the first builds its state again — and what the cache answers
+// for it has not moved.
+func TestPoolEvictionRebuilds(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := BackendConfig{Cache: plan.NewCache(), Metrics: reg, pool: npb.NewPool(600)} // 8³ = 512 fits, 8³ + 6³ does not
+	run := cfg.StudyRunner()
+	study := func(grid int, chains ...int) string {
+		t.Helper()
+		st, err := run(context.Background(), predict.Query{Bench: "LU", Class: "S", Grid: grid, Procs: 4, Chains: chains, Trips: 1, Blocks: 1, Passes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return harness.RenderStudy(st)
+	}
+	first := study(8, 2)
+	study(6, 2) // pushes 8³ out
+	if fresh, _ := worldCounts(reg); fresh != 2 {
+		t.Fatalf("two configurations built state %d times", fresh)
+	}
+	study(8, 3)
+	if fresh, _ := worldCounts(reg); fresh != 3 {
+		t.Errorf("%d worlds built state, want 3: the evicted configuration builds again", fresh)
+	}
+	if again := study(8, 2); again != first {
+		t.Errorf("the first study renders differently after its state was evicted:\n%s\nwas\n%s", again, first)
+	}
 }

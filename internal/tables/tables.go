@@ -249,8 +249,22 @@ func (s Scale) cache() (*plan.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := dirCaches.LoadOrStore(s.CacheDir, c)
+	actual, loaded := dirCaches.LoadOrStore(s.CacheDir, c)
+	if loaded {
+		c.Close()
+	}
 	return actual.(*plan.Cache), nil
+}
+
+// CloseDirCaches closes and forgets every persistent cache a campaign
+// opened through Scale.CacheDir; the next study of a directory reopens it.
+// For the end of a process's run, once its studies are done.
+func CloseDirCaches() {
+	dirCaches.Range(func(dir, c any) bool {
+		dirCaches.Delete(dir)
+		c.(*plan.Cache).Close()
+		return true
+	})
 }
 
 // WorldDigest captures world configuration that changes measured values

@@ -22,12 +22,20 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# Ten seconds of arbitrary bytes as a cache log: opening never fails, and
+# Get agrees with the plainest reading of the format (the committed corpus
+# under internal/plan/testdata/fuzz already ran above as a unit test).
+# Minimizing each input that reaches new coverage is off: with it the ten
+# seconds go to a dozen inputs instead of some ten thousand.
+echo "==> go test -run '^\$' -fuzz FuzzCacheLogScan -fuzztime 10s -fuzzminimizetime 0s ./internal/plan"
+go test -run '^$' -fuzz FuzzCacheLogScan -fuzztime 10s -fuzzminimizetime 0s ./internal/plan
+
 # sync.Pool drops Puts under -race, so the zero-allocation assertions over
 # pooled message paths (mpi round trips, the 4-rank kernels) and the
 # allocation bound on a world that recycles its rank state skip above and
-# run here.
-echo "==> go test -run 'NotAllocate|Recycle' ./internal/mpi ./internal/npb/..."
-go test -run 'NotAllocate|Recycle' ./internal/mpi ./internal/npb/...
+# run here, with the rank-state pool's tests beside them.
+echo "==> go test -run 'NotAllocate|Recycle|Pool' ./internal/mpi ./internal/npb/..."
+go test -run 'NotAllocate|Recycle|Pool' ./internal/mpi ./internal/npb/...
 
 # kcvet publishes its findings as a JSON build artifact whether or not
 # the gate passes; CI systems archive /tmp/kcvet-findings.json.
