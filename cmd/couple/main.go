@@ -7,6 +7,14 @@
 //	couple -bench LU -class W -procs 8 -chains 3 -trips 20
 //	couple -bench SP -grid 12 -procs 4 -chains 2   # custom tiny grid
 //
+// With -ref the windows are not measured at all: only the isolated kernels
+// and the application itself run, and the coupling values come from a
+// reference configuration already in the -cache-dir — the experiment
+// reduction of the paper's future-work section.
+//
+//	couple -bench BT -grid 6 -chains 2,5 -cache-dir c              # measure the reference
+//	couple -bench BT -grid 8 -chains 2,5 -cache-dir c -ref 'bench=BT&grid=6'
+//
 // Observability (see DESIGN.md §8): -trace-out writes a Perfetto-loadable
 // trace of the campaign (harness measurement spans plus per-rank MPI
 // spans), -metrics-out a run manifest with the metric snapshot and
@@ -19,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -33,7 +42,6 @@ import (
 	"repro/internal/obscli"
 	"repro/internal/plan"
 	"repro/internal/predict"
-	"repro/internal/prophesy"
 	"repro/internal/stats"
 	"repro/internal/tables"
 )
@@ -61,9 +69,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		passes = fs.Int("passes", 1, "window passes per block")
 		grid   = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 		net    = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
-		saveDB = fs.String("save", "", "append this study's measurements to a coupling repository (JSON file)")
-		reuse  = fs.String("reuse", "", "repository to reuse coupling values from: only isolated kernels are measured fresh")
-		ref    = fs.String("ref", "", "reference configuration for -reuse as workload.class.procs (e.g. BT.W.4)")
+		ref    = fs.String("ref", "",
+			"reuse the coupling values of a reference configuration, one -lattice item (e.g. \"bench=BT&grid=6\") already measured into -cache-dir at these -chains; only the isolated kernels and the application are measured")
 
 		parallel  = fs.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
 		cacheDir  = fs.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
@@ -89,6 +96,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	if *fromCache && *cacheDir == "" {
 		return errors.New("-from-cache needs -cache-dir")
+	}
+	backendName := strings.ToLower(strings.TrimSpace(*backend))
+	if *ref != "" {
+		switch {
+		case *cacheDir == "":
+			return errors.New("-ref needs -cache-dir: the reference's measurements are read from it")
+		case *fromCache:
+			return errors.New("-ref and -from-cache exclude each other: -ref measures the isolated kernels, -from-cache measures nothing")
+		case backendName != "" && backendName != "measured":
+			return fmt.Errorf("-ref needs -backend measured, not -backend %s: it measures the isolated kernels", backendName)
+		}
 	}
 
 	var chainLens []int
@@ -174,7 +192,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		Bench: benchName, Class: cls, Procs: *procs, Chains: chainLens,
 		Trips: nTrips, Blocks: *blocks, Passes: *passes, Grid: *grid,
 	}
-	backendName := strings.ToLower(strings.TrimSpace(*backend))
 	switch backendName {
 	case "", "measured", "measured+analytic":
 		// The measured path continues below; measured+analytic decorates
@@ -183,11 +200,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return runBackend(ctx, stdout, backendName, *lattice, *cacheDir, *net, *parallel, *analyticBand, q)
 	}
 
-	if *reuse != "" {
-		return runReuse(stdout, w, *reuse, *ref, cls, nTrips, chainLens, *blocks, *passes)
-	}
-
-	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n\n", w.WorkloadName, prob, nTrips, chainLens)
 	var netModel *mpi.NetModel
 	if *net {
 		m := mpi.IBMSPModel()
@@ -215,6 +227,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		opts.MaxRetries = faultFlags.Retries
 		opts.Degrade = true
 	}
+	// With -ref the campaign has no windows: the reference, loaded before
+	// anything is measured so an unwarmed one fails at once, supplies their
+	// coupling values.
+	var refStudy *harness.Study
+	campaign := chainLens
+	if *ref != "" {
+		cfg := tables.BackendConfig{Cache: opts.Cache, Net: netModel, Metrics: sink.Registry}
+		if refStudy, err = reference(ctx, cfg, *ref, *chains, chainLens, *cacheDir); err != nil {
+			return err
+		}
+		man.Extra["ref"] = *ref
+		campaign = nil
+	}
+	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n", w.WorkloadName, prob, nTrips, chainLens)
+	if refStudy != nil {
+		fmt.Fprintf(stdout, "couplings: reused from %s\n", strings.TrimSpace(*ref))
+	}
+	fmt.Fprintln(stdout)
+
 	eng := harness.Engine{Workload: w, Opts: opts}
 	if *fromCache {
 		// Pure re-analysis: every measurement must already be in the
@@ -224,7 +255,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		// The campaign trace rides the context the way a request trace
 		// does, so -trace-out shows the plan/execute/assemble/analyze
 		// stages and one measure span per world beside the rank tracks.
-		study, err = eng.RunCtx(obs.ContextWithTrace(ctx, sink.Trace), nTrips, chainLens)
+		study, err = eng.RunCtx(obs.ContextWithTrace(ctx, sink.Trace), nTrips, campaign)
 	}
 	if err != nil {
 		if inj != nil {
@@ -233,21 +264,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("study failed: %w", err)
 	}
 
-	if *saveDB != "" {
-		db, err := prophesy.OpenFile(*saveDB)
-		if err != nil {
-			return fmt.Errorf("open repository: %w", err)
+	if refStudy != nil {
+		if study, err = predict.Reuse(study, refStudy, chainLens); err != nil {
+			return err
 		}
-		key := prophesy.Key{Workload: benchName, Class: string(cls), Procs: *procs}
-		prophesy.ImportStudy(db, key, study)
-		if err := db.SaveFile(*saveDB); err != nil {
-			return fmt.Errorf("save repository: %w", err)
-		}
-		fmt.Fprintf(stdout, "saved %d measurements for %s to %s\n\n", db.Len(), key, *saveDB)
 	}
 
 	if backendName == "measured+analytic" {
-		cmp, err := analyticCompare(study, q, *analyticBand)
+		cmp, err := analyticCompare(ctx, study, q, *analyticBand)
 		if err != nil {
 			return fmt.Errorf("analytic comparison: %w", err)
 		}
@@ -276,70 +300,40 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	return nil
 }
 
-// runReuse is the experiment-reduction flow of the paper's future-work
-// section: only the isolated kernels (and one actual run for comparison)
-// are measured fresh; the window couplings come from the repository's
-// reference configuration.
-func runReuse(stdout io.Writer, w *harness.NPBWorkload, dbPath, refSpec string, cls npb.Class, trips int, chainLens []int, blocks, passes int) error {
-	db, err := prophesy.OpenFile(dbPath)
+// reference loads the study whose coupling values -ref reuses from the
+// cache: one -lattice item, read at this run's chain lengths through the
+// cached backend's own runner. A reference that is not fully measured is
+// harness.ErrCacheMiss, with the command that would measure it.
+func reference(ctx context.Context, cfg tables.BackendConfig, spec, chainsFlag string, chains []int, cacheDir string) (*harness.Study, error) {
+	item := strings.TrimSpace(spec)
+	if item == "" || strings.Contains(item, ";") {
+		return nil, fmt.Errorf("-ref takes exactly one -lattice item, got %q", spec)
+	}
+	v, err := url.ParseQuery(item)
 	if err != nil {
-		return fmt.Errorf("open repository: %w", err)
+		return nil, fmt.Errorf("-ref %q: %w", spec, err)
 	}
-	refKey := prophesy.Key{Workload: strings.SplitN(w.WorkloadName, ".", 2)[0], Class: string(cls), Procs: w.Procs}
-	if refSpec != "" {
-		parts := strings.Split(refSpec, ".")
-		if len(parts) != 3 {
-			return fmt.Errorf("bad -ref %q, want workload.class.procs", refSpec)
-		}
-		p, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return fmt.Errorf("bad -ref procs: %w", err)
-		}
-		refKey = prophesy.Key{Workload: parts[0], Class: parts[1], Procs: p}
+	if v.Has("chains") {
+		return nil, fmt.Errorf("-ref %q names chains, and -chains already does: the reference is read at this run's chain lengths", spec)
 	}
-	fmt.Fprintf(stdout, "reuse study: %s with couplings from %s (%s)\n\n", w.WorkloadName, refKey, dbPath)
-
-	app := core.App{Name: w.WorkloadName, Pre: w.Pre, Loop: core.Ring(w.Loop), Post: w.Post, Trips: trips}
-	opts := harness.Options{Blocks: blocks, Passes: passes}
-	isolated := map[string]float64{}
-	for _, k := range app.KernelsSorted() {
-		v, err := w.MeasureWindow([]string{k}, opts)
-		if err != nil {
-			return fmt.Errorf("isolated %s: %w", k, err)
-		}
-		isolated[k] = v
-	}
-	actual, err := w.MeasureActual(trips, opts)
+	rq, err := tables.ParseQuery(v)
 	if err != nil {
-		return fmt.Errorf("actual run: %w", err)
+		return nil, fmt.Errorf("-ref %q: %w", spec, err)
 	}
-
-	pt := stats.NewTable("Predictions from reused couplings", "Predictor", "Seconds", "Relative Error")
-	pt.AddRow("Actual", stats.Seconds(actual), "-")
-	var sum float64
-	for _, k := range app.Pre {
-		sum += isolated[k]
-	}
-	for _, k := range app.Post {
-		sum += isolated[k]
-	}
-	var loop float64
-	for _, k := range app.Loop {
-		loop += isolated[k]
-	}
-	sum += float64(trips) * loop
-	pt.AddRow("Summation (fresh)", stats.Seconds(sum), stats.Percent(stats.RelativeError(sum, actual)))
-	for _, L := range chainLens {
-		pred, err := prophesy.PredictWithReusedCouplings(db, refKey, app, isolated, L)
-		if err != nil {
-			return fmt.Errorf("reuse L=%d: %w", L, err)
+	rq.Chains = chains
+	st, err := cfg.CacheRunner()(ctx, rq)
+	if errors.Is(err, harness.ErrCacheMiss) {
+		warm := fmt.Sprintf("couple -bench %s -class %s -procs %d -grid %d -trips %d -blocks %d -passes %d -chains %s -cache-dir %s",
+			rq.Bench, rq.Class, rq.Procs, rq.Grid, rq.Trips, rq.Blocks, rq.Passes, chainsFlag, cacheDir)
+		if cfg.Net != nil {
+			warm += " -net"
 		}
-		saved, _ := prophesy.MeasurementsSaved(app.Loop, L)
-		pt.AddRow(fmt.Sprintf("Coupling: %d kernels (reused, %d windows saved)", L, saved),
-			stats.Seconds(pred.Total), stats.Percent(stats.RelativeError(pred.Total, actual)))
+		return nil, fmt.Errorf("-ref %q is not measured in -cache-dir %s: %w\nmeasure it first: %s", spec, cacheDir, err, warm)
 	}
-	fmt.Fprintln(stdout, pt.String())
-	return nil
+	if err != nil {
+		return nil, fmt.Errorf("-ref %q: %w", spec, err)
+	}
+	return st, nil
 }
 
 // runBackend answers the study question through a non-measured predictor
@@ -389,17 +383,17 @@ func runBackend(ctx context.Context, stdout io.Writer, name, latticeSpec, cacheD
 
 // analyticCompare builds the per-window measured-vs-analytic comparison
 // for a measured study, which feeds the report's disagreement columns.
-func analyticCompare(study *harness.Study, q predict.Query, bandFloor float64) ([]harness.AnalyticWindow, error) {
+func analyticCompare(ctx context.Context, study *harness.Study, q predict.Query, bandFloor float64) ([]harness.AnalyticWindow, error) {
 	ab := tables.NewAnalytic()
 	if bandFloor > 0 {
 		ab.BandFloor = bandFloor
 	}
-	bands, err := ab.WindowBands(q)
+	pr, err := ab.Predict(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	byKey := make(map[string]predict.WindowBand, len(bands))
-	for _, b := range bands {
+	byKey := make(map[string]predict.WindowBand, len(pr.Windows))
+	for _, b := range pr.Windows {
 		byKey[core.Key(b.Window)] = b
 	}
 	var cmp []harness.AnalyticWindow

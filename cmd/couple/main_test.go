@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
@@ -114,8 +116,8 @@ func TestSurvivesSeededDelayFault(t *testing.T) {
 	}
 }
 
-// TestEveryPathClosesTheSink: the backend, reuse and error paths used to
-// leave run() without sink.Close, so -metrics-out wrote nothing there and
+// TestEveryPathClosesTheSink: the backend and error paths used to leave
+// run() without sink.Close, so -metrics-out wrote nothing there and
 // -pprof left its CPU profile running (which fails the next -pprof run in
 // this process).
 func TestEveryPathClosesTheSink(t *testing.T) {
@@ -153,4 +155,115 @@ func TestEveryPathClosesTheSink(t *testing.T) {
 			t.Errorf("manifest health = %+v, want the returned error %q", man.Health, err)
 		}
 	})
+}
+
+// refItem is the reference configuration of the -ref gates, as the -ref
+// flag takes it; refArgs measures it.
+const refItem = "bench=BT&grid=6&trips=2&blocks=1"
+
+var refArgs = []string{"-bench", "BT", "-grid", "6", "-trips", "2", "-procs", "4", "-blocks", "1", "-chains", "2,5"}
+
+// TestRefReusesCachedCouplings: with -ref the grid-8 study measures its 7
+// isolated kernels and 3 application runs and not one window — the
+// coupling values are the grid-6 study's, read from the cache — and it
+// does so through the engine: cached, counted, and fault-tolerant.
+func TestRefReusesCachedCouplings(t *testing.T) {
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), append(append([]string{}, refArgs...), "-cache-dir", cache), &out, &errb); err != nil {
+		t.Fatalf("measuring the reference: %v\nstderr:\n%s", err, errb.String())
+	}
+
+	manifest := filepath.Join(dir, "m.json")
+	args := []string{"-chains", "2,5", "-blocks", "1", "-cache-dir", cache, "-ref", refItem}
+	cold, stderr, err := couple(append(args, "-metrics-out", manifest)...)
+	if err != nil {
+		t.Fatalf("-ref run: %v\nstderr:\n%s", err, stderr)
+	}
+	if want := "couple: cache hits=0 misses=10 planned=10\n"; stderr != want {
+		t.Errorf("stderr = %q, want %q (7 isolated kernels + 3 application runs)", stderr, want)
+	}
+	for _, row := range []string{"couplings: reused from " + refItem, "Summation", "Coupling: 2 kernels", "Coupling: 5 kernels"} {
+		if !strings.Contains(cold, row) {
+			t.Errorf("report lacks %q:\n%s", row, cold)
+		}
+	}
+	man, err := obs.ReadManifestFile(manifest)
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	for name, want := range map[string]int64{
+		"harness.measure.isolated.count": 7,
+		"harness.measure.actual.count":   3,
+		"harness.measure.window.count":   0,
+	} {
+		if c, _ := man.Metrics.Counter(name); c.Value != want {
+			t.Errorf("manifest counter %s = %d, want %d", name, c.Value, want)
+		}
+	}
+
+	warm, stderr, err := couple(args...)
+	if err != nil {
+		t.Fatalf("second -ref run: %v\nstderr:\n%s", err, stderr)
+	}
+	if want := "couple: cache hits=10 misses=0 planned=10\n"; stderr != want {
+		t.Errorf("second run stderr = %q, want %q", stderr, want)
+	}
+	if warm != cold {
+		t.Errorf("second run differs from the first\nfirst:\n%s\nsecond:\n%s", cold, warm)
+	}
+
+	faulted, stderr, err := couple(append(args, "-fault-spec", "delay:p=0.2,mean=200us", "-fault-seed", "3")...)
+	if err != nil {
+		t.Fatalf("-ref under delay faults: %v\nstderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(faulted, "Coupling: 5 kernels") {
+		t.Errorf("no prediction in the faulted report:\n%s", faulted)
+	}
+}
+
+// TestRefFlagConflicts: a -ref that cannot do what it says is an error
+// naming the flags involved, never a silently different study.
+func TestRefFlagConflicts(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"no cache", []string{"-ref", refItem}, []string{"-ref", "-cache-dir"}},
+		{"from cache", []string{"-ref", refItem, "-cache-dir", dir, "-from-cache"}, []string{"-ref", "-from-cache"}},
+		{"analytic backend", []string{"-ref", refItem, "-cache-dir", dir, "-backend", "analytic"}, []string{"-ref", "-backend analytic"}},
+		{"compared backend", []string{"-ref", refItem, "-cache-dir", dir, "-backend", "measured+analytic"}, []string{"-ref", "-backend measured+analytic"}},
+		{"two items", []string{"-ref", refItem + ";bench=BT&grid=8", "-cache-dir", dir}, []string{"-ref", "exactly one"}},
+		{"no item", []string{"-ref", " ", "-cache-dir", dir}, []string{"-ref", "exactly one"}},
+		{"names chains", []string{"-ref", refItem + "&chains=2", "-cache-dir", dir}, []string{"-ref", "-chains"}},
+		{"unknown parameter", []string{"-ref", "bench=BT&gird=6", "-cache-dir", dir}, []string{"-ref", `"gird"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, _, err := couple(tc.args...)
+			if err == nil {
+				t.Fatalf("accepted:\n%s", out)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %q", err, w)
+				}
+			}
+			if strings.Contains(out, "Predictions") {
+				t.Errorf("a refused run printed a study:\n%s", out)
+			}
+		})
+	}
+
+	// An unmeasured reference is a cache miss, with the command that
+	// measures it.
+	_, _, err := couple("-chains", "2,5", "-cache-dir", dir, "-ref", refItem)
+	if !errors.Is(err, harness.ErrCacheMiss) {
+		t.Fatalf("unmeasured reference: err = %v, want harness.ErrCacheMiss", err)
+	}
+	if want := "couple -bench BT -class S -procs 4 -grid 6 -trips 2 -blocks 1 -passes 1 -chains 2,5 -cache-dir " + dir; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q lacks the warming command %q", err, want)
+	}
 }

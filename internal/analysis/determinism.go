@@ -19,7 +19,6 @@ import (
 var determinismScope = map[string]bool{
 	"repro/internal/core":     true,
 	"repro/internal/fault":    true,
-	"repro/internal/model":    true,
 	"repro/internal/memmodel": true,
 	"repro/internal/obs":      true,
 	"repro/internal/plan":     true,

@@ -49,25 +49,3 @@ func ExampleApp_CouplingPrediction() {
 	// summation: 1.20s
 	// coupling:  1.38s (C = 1.15)
 }
-
-// Multi-path control flow: a loop that takes a checkpoint path every
-// tenth iteration.
-func ExampleMultiPathApp_CouplingPrediction() {
-	app := core.MultiPathApp{
-		Name: "checkpointed",
-		Paths: []core.Path{
-			{Ring: core.Ring{"COMPUTE", "EXCHANGE"}, Trips: 90},
-			{Ring: core.Ring{"COMPUTE", "CHECKPOINT"}, Trips: 10},
-		},
-	}
-	m := core.NewMeasurements()
-	m.Isolated["COMPUTE"] = 0.010
-	m.Isolated["EXCHANGE"] = 0.002
-	m.Isolated["CHECKPOINT"] = 0.050
-	m.Window["COMPUTE|EXCHANGE"] = 0.0138
-	m.Window["COMPUTE|CHECKPOINT"] = 0.0540 // constructive: 0.060 expected
-
-	pred, _ := app.CouplingPrediction(m, 2, core.CoefficientOptions{})
-	fmt.Printf("total: %.3fs over %d paths\n", pred.Total, len(pred.PerPath))
-	// Output: total: 1.782s over 2 paths
-}

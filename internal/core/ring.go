@@ -86,32 +86,3 @@ func (r Ring) WindowsContaining(k string, L int) ([][]string, error) {
 func Key(window []string) string {
 	return strings.Join(window, "|")
 }
-
-// ParseKey splits a canonical window key back into kernel names.
-func ParseKey(key string) []string {
-	if key == "" {
-		return nil
-	}
-	return strings.Split(key, "|")
-}
-
-// RequiredWindows lists the canonical keys of every measurement needed to
-// build a chain-length-L coupling prediction for the ring: the isolated
-// kernels (length-1 keys) plus all length-L windows. The harness uses this
-// to plan its measurement campaign.
-func (r Ring) RequiredWindows(L int) ([]string, error) {
-	ws, err := r.Windows(L)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, len(r)+len(ws))
-	for _, k := range r {
-		keys = append(keys, k)
-	}
-	if L > 1 {
-		for _, w := range ws {
-			keys = append(keys, Key(w))
-		}
-	}
-	return keys, nil
-}

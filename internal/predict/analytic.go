@@ -78,51 +78,25 @@ func (a *Analytic) bandFloor() float64 {
 	return DefaultBandFloor
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor. Isolated times are priced traffic; a
+// window's coupling value is the capacity-overlap bracket of its kernels'
+// combined working set.
 func (a *Analytic) Predict(ctx context.Context, q Query) (Prediction, error) {
 	if a.Problem == nil || a.App == nil {
 		return Prediction{}, fmt.Errorf("predict: analytic backend needs Problem and App builders")
 	}
-	app, m, windows, maxSpread, err := a.model(q)
-	if err != nil {
-		return Prediction{}, err
-	}
-	st, err := synthesizeStudy(app, m, q)
-	if err != nil {
-		return Prediction{}, err
-	}
-	pr := FromStudy(st, ProvAnalytic)
-	pr.Windows = windows
-	pr.Band = relBand(pr.Value, pr.Band, a.bandFloor()+maxSpread)
-	return pr, nil
-}
-
-// WindowBands returns only the per-window coupling bands for the query —
-// the quantity the study report's measured-vs-analytic disagreement
-// column compares, without synthesizing a full prediction.
-func (a *Analytic) WindowBands(q Query) ([]WindowBand, error) {
-	if a.Problem == nil || a.App == nil {
-		return nil, fmt.Errorf("predict: analytic backend needs Problem and App builders")
-	}
-	_, _, windows, _, err := a.model(q)
-	return windows, err
-}
-
-// model builds the analytic measurement set: per-kernel isolated times
-// from priced traffic, per-window chained times from capacity-overlap
-// coupling values.
-func (a *Analytic) model(q Query) (core.App, core.Measurements, []WindowBand, float64, error) {
 	prob, err := a.Problem(q)
 	if err != nil {
-		return core.App{}, core.Measurements{}, nil, 0, err
+		return Prediction{}, err
 	}
 	app, err := a.App(q)
 	if err != nil {
-		return core.App{}, core.Measurements{}, nil, 0, err
+		return Prediction{}, err
 	}
 	app.Trips = q.Trips
+	app.Name = q.Workload()
 	if procs := q.Procs; procs < 1 {
-		return core.App{}, core.Measurements{}, nil, 0, fmt.Errorf("predict: analytic backend needs procs >= 1, got %d", procs)
+		return Prediction{}, fmt.Errorf("predict: analytic backend needs procs >= 1, got %d", procs)
 	}
 
 	h := a.hierarchy()
@@ -131,59 +105,38 @@ func (a *Analytic) model(q Query) (core.App, core.Measurements, []WindowBand, fl
 
 	// Every kernel streams its per-rank working set once per execution:
 	// the uniform-profile approximation. Kernel-specific reuse profiles
-	// would slot in here without changing the window algebra below.
+	// would slot in here without changing the composition.
 	profile := memmodel.KernelProfile{WorkingSet: perRank, Traffic: perRank}
-	m := core.NewMeasurements()
+	isolated := make(map[string]float64)
 	for _, k := range app.KernelsSorted() {
-		m.Isolated[k] = profile.Traffic * h.CostFor(profile.WorkingSet) / a.bandwidth()
+		isolated[k] = profile.Traffic * h.CostFor(profile.WorkingSet) / a.bandwidth()
 	}
 
-	var bands []WindowBand
-	var maxSpread float64
-	for _, L := range sortedChains(q.Chains) {
-		if L < 2 {
-			continue
+	floor := a.bandFloor()
+	st, windows, maxSpread, err := synthesize(app, isolated, 0, q.Chains, func(w []string) (c, lo, hi float64, err error) {
+		profs := make([]memmodel.KernelProfile, len(w))
+		for i, k := range w {
+			p := profile
+			p.Name = k
+			profs[i] = p
 		}
-		windows, err := app.Loop.Windows(L)
-		if err != nil {
-			return core.App{}, core.Measurements{}, nil, 0, err
-		}
-		for _, w := range windows {
-			key := core.Key(w)
-			if _, done := m.Window[key]; done {
-				continue
+		c, lo, hi = memmodel.PredictWindowCoupling(h, profs)
+		// The scenario spread collapses to a point when every scenario
+		// lands in the same cache level; the band floor keeps the stated
+		// uncertainty honest there — the model's coupling is coarse even
+		// when its capacity verdict is unambiguous.
+		if c > 0 {
+			if wide := c * (1 - floor); wide < lo {
+				lo = wide
 			}
-			profs := make([]memmodel.KernelProfile, len(w))
-			for i, k := range w {
-				p := profile
-				p.Name = k
-				profs[i] = p
-			}
-			c, lo, hi := memmodel.PredictWindowCoupling(h, profs)
-			var iso float64
-			for _, k := range w {
-				iso += m.Isolated[k]
-			}
-			m.Window[key] = c * iso
-			// The scenario spread collapses to a point when every scenario
-			// lands in the same cache level; the band floor keeps the
-			// stated uncertainty honest there — the model's coupling is
-			// coarse even when its capacity verdict is unambiguous.
-			if floor := a.bandFloor(); c > 0 {
-				if wide := c * (1 - floor); wide < lo {
-					lo = wide
-				}
-				if wide := c * (1 + floor); wide > hi {
-					hi = wide
-				}
-			}
-			bands = append(bands, WindowBand{Window: append([]string(nil), w...), C: c, Lo: lo, Hi: hi})
-			if c > 0 {
-				if spread := (hi - lo) / (2 * c); spread > maxSpread {
-					maxSpread = spread
-				}
+			if wide := c * (1 + floor); wide > hi {
+				hi = wide
 			}
 		}
+		return c, lo, hi, nil
+	})
+	if err != nil {
+		return Prediction{}, err
 	}
-	return app, m, bands, maxSpread, nil
+	return modelled(st, ProvAnalytic, windows, floor+maxSpread), nil
 }

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/linalg"
 	"repro/internal/memmodel"
-	"repro/internal/model"
 	"repro/internal/npb"
 	"repro/internal/obs"
 )
@@ -56,15 +56,20 @@ type Interpolated struct {
 // Name implements Predictor.
 func (ip *Interpolated) Name() string { return string(ProvInterpolated) }
 
-// latticePoint is one loaded lattice study with its model parameters.
+// latticePoint is one loaded lattice study with its place on the two
+// axes the models are fitted over.
 type latticePoint struct {
-	q      Query
-	st     *harness.Study
-	params model.Params
+	q  Query
+	st *harness.Study
+	// cells is the global cell count, the isolated-time axis.
+	cells float64
 	// x is the per-rank cell count — the working-set axis the step model
 	// is fitted over (cache capacity is contended per processor).
 	x float64
 }
+
+// cellsOf is a problem's global cell count.
+func cellsOf(p npb.Problem) float64 { return float64(p.N1) * float64(p.N2) * float64(p.N3) }
 
 // Predict implements Predictor. It refuses (ErrUnanswerable) when fewer
 // than two lattice points are loadable for the target's benchmark — one
@@ -87,8 +92,8 @@ func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error
 	if err != nil {
 		return Prediction{}, err
 	}
-	target := model.Params{N1: prob.N1, N2: prob.N2, N3: prob.N3, Procs: q.Procs}
-	targetX := target.Cells() / float64(q.Procs)
+	targetCells := cellsOf(prob)
+	targetX := targetCells / float64(q.Procs)
 
 	// The target app keeps the lattice's kernel structure — same
 	// benchmark, same ring — with the target's trip count.
@@ -96,24 +101,39 @@ func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error
 	app.Trips = q.Trips
 	app.Name = q.Workload()
 
-	m, maxResid, err := ip.isolatedTimes(app, pts, target)
+	isolated, maxResid, err := isolatedTimes(app, pts, targetCells)
 	if err != nil {
 		return Prediction{}, err
 	}
-	windows, maxSpread, err := ip.windowCouplings(app, pts, q, targetX, m)
+	xs := make([]float64, len(pts))
+	for i, pt := range pts {
+		xs[i] = pt.x
+	}
+	// A window's coupling value is a step model fitted over the lattice's
+	// measured C series (ordered by per-rank working set), evaluated at
+	// the target size; the containing plateau's spread is its band — the
+	// finite-transition model's own uncertainty.
+	st, windows, maxSpread, err := synthesize(app, isolated, 0, q.Chains, func(w []string) (c, lo, hi float64, err error) {
+		cs := make([]float64, len(pts))
+		for i, pt := range pts {
+			wc, err := pt.st.Measurements.CouplingOf(w)
+			if err != nil {
+				return 0, 0, 0, Unanswerable(fmt.Errorf(
+					"predict: lattice study %s has no coupling for window %s: %w", pt.q.Key(), core.Key(w), err))
+			}
+			cs[i] = wc.C
+		}
+		step, err := memmodel.FitStep(xs, cs, ip.threshold())
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		c, lo, hi = step.Eval(targetX)
+		return c, lo, hi, nil
+	})
 	if err != nil {
 		return Prediction{}, err
 	}
-
-	st, err := synthesizeStudy(app, m, q)
-	if err != nil {
-		return Prediction{}, err
-	}
-	pr := FromStudy(st, ProvInterpolated)
-	pr.Windows = windows
-	rel := ip.bandFloor() + maxResid + maxSpread
-	pr.Band = relBand(pr.Value, pr.Band, rel)
-	return pr, nil
+	return modelled(st, ProvInterpolated, windows, ip.bandFloor()+maxResid+maxSpread), nil
 }
 
 func (ip *Interpolated) threshold() float64 {
@@ -149,174 +169,77 @@ func (ip *Interpolated) load(ctx context.Context, q Query) ([]latticePoint, erro
 			// decides whether the backend can still answer.
 			continue
 		}
-		p := model.Params{N1: prob.N1, N2: prob.N2, N3: prob.N3, Procs: lq.Procs}
-		pts = append(pts, latticePoint{
-			q:      lq,
-			st:     st,
-			params: p,
-			x:      p.Cells() / float64(lq.Procs),
-		})
+		cells := cellsOf(prob)
+		pts = append(pts, latticePoint{q: lq, st: st, cells: cells, x: cells / float64(lq.Procs)})
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
 	return pts, nil
 }
 
-// isolatedTimes calibrates one scaling model per kernel on the lattice's
+// isolatedTimes fits one scaling model per kernel to the lattice's
 // isolated measurements and evaluates it at the target, returning the
-// synthesized measurement set (isolated entries only) and the largest
-// relative calibration residual across kernels — the model's own error
-// estimate, folded into the band.
+// modelled isolated times and the largest relative residual of any fit at
+// any lattice point — the model's own error estimate, folded into the
+// band.
 //
-// The terms are Constant + CellsTotal: the simulated ranks are goroutines
-// time-sharing the host's CPUs, so kernel wall-clock tracks total work,
-// not per-rank work (the examples/crosssize calibration note).
-func (ip *Interpolated) isolatedTimes(app core.App, pts []latticePoint, target model.Params) (core.Measurements, float64, error) {
-	m := core.NewMeasurements()
+// The model is t = c₀ + c₁·cells, total cells rather than cells per rank:
+// the simulated ranks are goroutines time-sharing the host's CPUs, so
+// kernel wall-clock follows total work, not per-rank work.
+func isolatedTimes(app core.App, pts []latticePoint, targetCells float64) (map[string]float64, float64, error) {
+	isolated := make(map[string]float64)
+	cells := make([]float64, len(pts))
+	secs := make([]float64, len(pts))
 	var maxResid float64
 	for _, k := range app.KernelsSorted() {
-		km := model.NewKernelModel(k, model.Constant(), model.CellsTotal())
-		obsv := make([]model.Observation, 0, len(pts))
-		for _, pt := range pts {
+		for i, pt := range pts {
 			iso, ok := pt.st.Measurements.Isolated[k]
 			if !ok {
-				return core.Measurements{}, 0, Unanswerable(fmt.Errorf(
+				return nil, 0, Unanswerable(fmt.Errorf(
 					"predict: lattice study %s has no isolated measurement for kernel %q", pt.q.Key(), k))
 			}
-			obsv = append(obsv, model.Observation{Params: pt.params, Seconds: iso})
+			cells[i], secs[i] = pt.cells, iso
 		}
-		if err := km.Calibrate(obsv); err != nil {
-			return core.Measurements{}, 0, Unanswerable(fmt.Errorf("predict: calibrating %q: %w", k, err))
-		}
-		resid, err := km.Residuals(obsv)
+		coef, err := fitLine(cells, secs)
 		if err != nil {
-			return core.Measurements{}, 0, err
+			return nil, 0, Unanswerable(fmt.Errorf("predict: kernel %q: %w", k, err))
 		}
-		for _, r := range resid {
-			if a := math.Abs(r); a > maxResid && !math.IsInf(a, 1) {
+		for i := range pts {
+			// A zero measurement has no relative residual (±Inf or NaN).
+			if a := math.Abs((coef[0] + coef[1]*cells[i] - secs[i]) / secs[i]); a > maxResid && !math.IsInf(a, 1) {
 				maxResid = a
 			}
 		}
-		v, err := km.Predict(target)
-		if err != nil {
-			return core.Measurements{}, 0, err
-		}
+		v := coef[0] + coef[1]*targetCells
 		// A least-squares extrapolation can undershoot into nonsense;
 		// clamp to a tiny positive time so the composition algebra's
 		// non-negativity invariants hold.
 		if v <= 0 {
 			v = 1e-12
 		}
-		m.Isolated[k] = v
+		isolated[k] = v
 	}
-	return m, maxResid, nil
+	return isolated, maxResid, nil
 }
 
-// windowCouplings predicts every requested window's coupling value by
-// fitting a step model over the lattice's measured C series (ordered by
-// per-rank working set) and evaluating at the target size. The synthesized
-// window measurements P_S = C·ΣP_k are written into m; the returned bands
-// carry the plateau spread, and maxSpread is the largest relative spread —
-// the finite-transition model's own uncertainty.
-func (ip *Interpolated) windowCouplings(app core.App, pts []latticePoint, q Query, targetX float64, m core.Measurements) ([]WindowBand, float64, error) {
-	xs := make([]float64, len(pts))
-	for i, pt := range pts {
-		xs[i] = pt.x
-	}
-	var bands []WindowBand
-	var maxSpread float64
-	for _, L := range sortedChains(q.Chains) {
-		if L < 2 {
-			continue
-		}
-		windows, err := app.Loop.Windows(L)
-		if err != nil {
-			return nil, 0, Unanswerable(fmt.Errorf("predict: target windows at L=%d: %w", L, err))
-		}
-		for _, w := range windows {
-			key := core.Key(w)
-			if _, done := m.Window[key]; done {
-				continue
+// fitLine fits y = c₀ + c₁·x by ordinary least squares: the normal
+// equations (XᵀX)·c = Xᵀy, solved densely. It fails on a singular design —
+// every x the same, so a fixed cost and a per-cell one cannot be told
+// apart.
+func fitLine(xs, ys []float64) ([]float64, error) {
+	xtx := [][]float64{{0, 0}, {0, 0}}
+	xty := []float64{0, 0}
+	for n, x := range xs {
+		row := [2]float64{1, x}
+		for i := range row {
+			for j := range row {
+				xtx[i][j] += row[i] * row[j]
 			}
-			cs := make([]float64, len(pts))
-			for i, pt := range pts {
-				wc, err := pt.st.Measurements.CouplingOf(w)
-				if err != nil {
-					return nil, 0, Unanswerable(fmt.Errorf(
-						"predict: lattice study %s has no coupling for window %s: %w", pt.q.Key(), key, err))
-				}
-				cs[i] = wc.C
-			}
-			step, err := memmodel.FitStep(xs, cs, ip.threshold())
-			if err != nil {
-				return nil, 0, err
-			}
-			c, lo, hi := step.Eval(targetX)
-			var iso float64
-			for _, k := range w {
-				iso += m.Isolated[k]
-			}
-			m.Window[key] = c * iso
-			bands = append(bands, WindowBand{Window: append([]string(nil), w...), C: c, Lo: lo, Hi: hi})
-			if c > 0 {
-				if spread := (hi - lo) / (2 * c); spread > maxSpread {
-					maxSpread = spread
-				}
-			}
+			xty[i] += row[i] * ys[n]
 		}
 	}
-	return bands, maxSpread, nil
-}
-
-// sortedChains returns the chain lengths ascending without mutating the
-// query's slice.
-func sortedChains(chains []int) []int {
-	s := append([]int(nil), chains...)
-	sort.Ints(s)
-	return s
-}
-
-// synthesizeStudy runs the pure analysis tail over synthesized
-// measurements, producing a study shaped exactly like a measured one so
-// every rendering layer works unchanged. There is no ground truth, so
-// Actual stays zero and the relative errors are cleared rather than left
-// at +Inf (which would poison JSON encoding downstream).
-func synthesizeStudy(app core.App, m core.Measurements, q Query) (*harness.Study, error) {
-	chains := sortedChains(q.Chains)
-	an, err := harness.Analyze(app, m, 0, chains, nil, false)
+	coef, err := linalg.DenseSolve(xtx, xty)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("singular design — the lattice cannot tell a fixed cost from a per-cell one: %w", err)
 	}
-	an.Summation.RelErr = 0
-	for _, l := range chains {
-		if pr, ok := an.Couplings[l]; ok {
-			pr.RelErr = 0
-			an.Couplings[l] = pr
-		}
-	}
-	return &harness.Study{
-		Workload:     q.Workload(),
-		Trips:        q.Trips,
-		App:          app,
-		Measurements: m,
-		Summation:    an.Summation,
-		Couplings:    an.Couplings,
-		Details:      an.Details,
-	}, nil
-}
-
-// relBand widens a prediction's band to at least ±rel around the value,
-// keeping any wider model-choice spread it already had.
-func relBand(v float64, b Band, rel float64) Band {
-	lo := v * (1 - rel)
-	hi := v * (1 + rel)
-	if b.Lo < lo {
-		lo = b.Lo
-	}
-	if b.Hi > hi {
-		hi = b.Hi
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	return Band{Lo: lo, Hi: hi}
+	return coef, nil
 }

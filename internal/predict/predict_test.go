@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -163,7 +166,7 @@ func synthQuery(grid int) Query {
 }
 
 // synthStudyFn resolves a query to a synthetic study whose kernel costs
-// scale with total cells (the CellsTotal substrate law) and whose pair
+// scale with total cells (the law isolatedTimes fits) and whose pair
 // coupling is constant across sizes — a one-plateau lattice.
 func synthStudyFn(t *testing.T) StudyFn {
 	return func(ctx context.Context, q Query) (*harness.Study, error) {
@@ -225,6 +228,7 @@ func TestInterpolatedSyntheticLattice(t *testing.T) {
 	if pr.Band.Lo >= pr.Band.Hi {
 		t.Fatalf("band [%g, %g] must have positive width", pr.Band.Lo, pr.Band.Hi)
 	}
+	checkComposed(t, pr.Study, pr.Windows)
 
 	// The constant-coupling lattice must interpolate to one plateau: the
 	// predicted window C matches the lattice's measured C.
@@ -259,6 +263,40 @@ func TestInterpolatedRefusesThinLattice(t *testing.T) {
 	ip.Lattice = []Query{synthQuery(6), synthQuery(10)}
 	if _, err := ip.Predict(context.Background(), synthQuery(10)); !errors.Is(err, ErrUnanswerable) {
 		t.Fatalf("self-seeded err = %v, want unanswerable", err)
+	}
+
+	// Two points of one size cannot tell a fixed cost from a per-cell
+	// one: a singular fit is a refusal too.
+	twin := synthQuery(6)
+	twin.Blocks++
+	ip.Lattice = []Query{synthQuery(6), twin}
+	if _, err := ip.Predict(context.Background(), synthQuery(10)); !errors.Is(err, ErrUnanswerable) || !strings.Contains(err.Error(), "singular design") {
+		t.Fatalf("one-size lattice err = %v, want an unanswerable singular design", err)
+	}
+}
+
+// Times generated exactly from a fixed cost plus a per-cell one must come
+// back from the fit exactly, at any spread of sizes.
+func TestFitLineRecoversCoefficients(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		c0 := 0.001 + rng.Float64()
+		c1 := 1e-8 + 1e-6*rng.Float64()
+		var xs, ys []float64
+		for _, n := range []int{8, 12, 16, 24, 32} {
+			x := float64(n * n * n)
+			xs, ys = append(xs, x), append(ys, c0+c1*x)
+		}
+		coef, err := fitLine(xs, ys)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if math.Abs(coef[0]-c0) > 1e-6*(1+c0) || math.Abs(coef[1]-c1) > 1e-9*(1+c1) {
+			t.Fatalf("trial %d: fit (%g, %g), want (%g, %g)", trial, coef[0], coef[1], c0, c1)
+		}
+	}
+	if _, err := fitLine([]float64{512, 512}, []float64{1, 1}); err == nil {
+		t.Fatal("two observations at one size must be a singular design")
 	}
 }
 
@@ -297,15 +335,7 @@ func TestAnalyticPredictsFromGeometry(t *testing.T) {
 	if pr.Study == nil || pr.Study.Summation.Predicted <= 0 {
 		t.Fatal("analytic prediction must synthesize a full study")
 	}
-
-	// WindowBands must agree with the full prediction's bands.
-	wbs, err := an.WindowBands(q)
-	if err != nil {
-		t.Fatalf("WindowBands: %v", err)
-	}
-	if len(wbs) != len(pr.Windows) {
-		t.Fatalf("WindowBands = %d entries, Predict carried %d", len(wbs), len(pr.Windows))
-	}
+	checkComposed(t, pr.Study, pr.Windows)
 }
 
 // Query.Key must separate every axis the cache separates.

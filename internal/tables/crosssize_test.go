@@ -8,14 +8,13 @@ import (
 	"repro/internal/predict"
 )
 
-// TestCrossSizeInterpolation promotes examples/crosssize into a
-// regression test for the interpolated backend: warm a lattice of small
-// BT grids, interpolate a grid that was never measured, then measure it
-// for real and require the held-out truth to land inside the backend's
-// own stated confidence band. This is the paper's future-work scenario —
-// reusing measured coupling values to predict new configurations without
-// a new measurement campaign — run end to end through the predictor
-// interface rather than hand-wired like the example.
+// TestCrossSizeInterpolation is the interpolated backend's regression
+// test on real measurements: warm a lattice of small BT grids, interpolate
+// a grid that was never measured, then measure it for real and require
+// the held-out truth to land inside the backend's own stated confidence
+// band. This is the paper's future-work scenario — reusing measured
+// coupling values to predict new configurations without a new measurement
+// campaign — run end to end through the predictor interface.
 func TestCrossSizeInterpolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real measurements")

@@ -17,8 +17,9 @@ go vet ./...
 # Every binary is held to account here: cmd/kcserved, cmd/couple,
 # cmd/npbrun and cmd/paper each test their process in-process through
 # run() (hardened node and 3-node fleet; parallel campaign, warm-cache
-# reuse, analytic agreement, seeded faults, rank crash), so this line
-# race-checks them along with everything else.
+# reuse, analytic agreement, seeded faults, -ref coupling reuse and its
+# flag conflicts, rank crash), so this line race-checks them along with
+# everything else.
 echo "==> go test -race ./..."
 go test -race ./...
 
