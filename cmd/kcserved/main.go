@@ -57,8 +57,10 @@
 // degradation ladder that serves provenance-tagged stale or
 // nearby-family answers (X-Degraded header) before shedding. A plain
 // kcserved serves exactly the pre-hardening bytes. -fault-spec injects
-// serving-layer chaos (disk delays/errors, measurement failures,
-// handler latency) deterministically from -fault-seed.
+// serving-layer chaos deterministically from -fault-seed: the Serving
+// classes of the one fault grammar (cache disk delays and errors,
+// measurement failures, handler latency, peer-fetch delays and errors);
+// the MPI-world classes couple and npbrun take are refused.
 package main
 
 import (
@@ -137,7 +139,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 		brkProbes    = fs.Int("breaker-probes", 0, "concurrent half-open probes a breaker admits (default 1)")
 		retryBudget  = fs.Float64("retry-budget", 0, "retry tokens earned per request for the token-bucket retry budget (default 0.1)")
 		staleCap     = fs.Int("stale", 64, "stale-answer cache capacity for degraded serving (0 disables the ladder)")
-		faultSpec    = fs.String("fault-spec", "", "serving-layer chaos spec: diskslow:/diskerr:/measure:/handler:/peerdelay:/peererr: clauses joined by ';'")
+		faultSpec    = fs.String("fault-spec", "", "serving-layer chaos spec: "+fault.Serving.Usage())
 		faultSeed    = fs.Uint64("fault-seed", 1, "seed for fault injection decisions and breaker cooldown jitter")
 
 		peers       = fs.String("peers", "", "comma-separated fleet member addresses (enables clustering; every node must get the same set)")
@@ -218,13 +220,15 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 			Metrics:         reg,
 		})
 	}
-	var inj *fault.ServeInjector
-	if *faultSpec != "" {
-		spec, err := fault.ParseServe(*faultSpec)
-		if err != nil {
-			return fmt.Errorf("-fault-spec: %w", err)
-		}
-		inj = fault.NewServeInjector(spec, *faultSeed, reg)
+	spec, err := fault.Parse(*faultSpec)
+	if err == nil {
+		err = spec.Only(fault.Serving)
+	}
+	if err != nil {
+		return fmt.Errorf("-fault-spec: %w", err)
+	}
+	inj := fault.NewServeInjector(spec, *faultSeed, reg)
+	if inj != nil {
 		fmt.Fprintf(stderr, "kcserved: CHAOS fault injection active: %s (seed %d)\n", spec, *faultSeed)
 	}
 	var cl *cluster.Cluster

@@ -738,6 +738,8 @@ func TestGuardAssembly(t *testing.T) {
 		{"self not in peers", []string{"-cache-dir", dir, "-peers", "127.0.0.1:1,127.0.0.1:2", "-self", "127.0.0.1:3"}, "-self"},
 		{"no cache dir", nil, "-cache-dir"},
 		{"bad fault spec", []string{"-cache-dir", dir, "-fault-spec", "gremlins:p=1"}, "-fault-spec"},
+		{"fault spec without a clause", []string{"-cache-dir", dir, "-fault-spec", ";"}, "-fault-spec"},
+		{"MPI-world fault class", []string{"-cache-dir", dir, "-fault-spec", "delay:mean=1ms"}, "couple and npbrun"},
 		{"bad lattice", []string{"-cache-dir", dir, "-lattice", "bench=BT&gird=6"}, "-lattice"},
 		{"unknown backend", []string{"-cache-dir", dir, "-backends", "vibes"}, "vibes"},
 	} {

@@ -176,7 +176,7 @@ func TestFetchStatusErrors(t *testing.T) {
 // TestFetchInjectedPeerErr: the peererr chaos clause fails the fetch
 // before it leaves the node and counts against the breaker.
 func TestFetchInjectedPeerErr(t *testing.T) {
-	spec, err := fault.ParseServe("peererr:count=2")
+	spec, err := fault.Parse("peererr:count=2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,12 +232,6 @@ func (inj *Injector) doom(keeper int) {
 	inj.events = kept
 }
 
-// Spec returns the injector's parsed spec.
-func (inj *Injector) Spec() Spec { return inj.spec }
-
-// Seed returns the injector's seed.
-func (inj *Injector) Seed() uint64 { return inj.seed }
-
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche over
 // uint64, the standard cheap deterministic hash for seeded simulation.
 func splitmix64(x uint64) uint64 {

@@ -65,6 +65,11 @@ func TestParseRejects(t *testing.T) {
 		"delay:mean=1ms,mean=2ms", // duplicate key
 		"delay:mean=1ms,bogus=3",  // unknown key
 		"delay:",                  // no parameters
+		"delay:p=0.1,mean=1ms;delay:p=0.9,mean=5ms", // repeated class
+		"diskerr:count=2;diskerr:p=1",               // repeated serving class
+		";",                                         // text but no clause
+		"collective:op=allreduc,delay=1ms",          // not a collective
+		"delay:p=NaN,mean=1ms",                      // probability not a number
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -352,7 +357,7 @@ func TestFlagsRegisterAndBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj == nil || inj.Seed() != 99 {
+	if inj == nil || inj.seed != 99 {
 		t.Fatalf("inj=%v", inj)
 	}
 	if f.Retries != 5 {
@@ -378,12 +383,18 @@ func TestFlagsDisabled(t *testing.T) {
 }
 
 func TestFlagsRejectBadSpec(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := Register(fs)
-	if err := fs.Parse([]string{"-fault-spec", "warp:speed=9"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Build(); err == nil {
-		t.Fatal("Build accepted a bad spec")
+	for spec, want := range map[string]string{
+		"warp:speed=9":                   `"warp"`,
+		";":                              "no class clause",
+		"delay:mean=1ms;diskerr:count=2": `class "diskerr" is for the -fault-spec of kcserved`,
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		f := Register(fs)
+		if err := fs.Parse([]string{"-fault-spec", spec}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Build(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Build(%q) = %v, want an error containing %s", spec, err, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -13,10 +14,11 @@ import (
 const DefaultWatchdog = 30 * time.Second
 
 // Flags bundles the fault-injection command-line surface shared by the
-// binaries (-fault-spec, -fault-seed, -fault-retries, -watchdog).
+// binaries that run MPI worlds (-fault-spec, -fault-seed, -fault-retries,
+// -watchdog).
 type Flags struct {
-	// Spec is the fault specification in the Parse grammar; empty disables
-	// injection entirely.
+	// Spec is the fault specification in the Parse grammar, World classes
+	// only; blank disables injection entirely.
 	Spec string
 	// Seed drives every fault decision; the same seed reproduces the same
 	// schedule byte-for-byte.
@@ -33,8 +35,7 @@ type Flags struct {
 // populate.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Spec, "fault-spec", "",
-		"fault injection spec, e.g. 'delay:p=0.2,mean=200us;crash:rank=1,at=50' (classes: delay, drop, straggler, collective, crash)")
+	fs.StringVar(&f.Spec, "fault-spec", "", "fault injection spec: "+World.Usage())
 	fs.Uint64Var(&f.Seed, "fault-seed", 1,
 		"seed for the deterministic fault schedule; same seed, same schedule")
 	fs.IntVar(&f.Retries, "fault-retries", 2,
@@ -45,7 +46,7 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Enabled reports whether a fault spec was given.
-func (f *Flags) Enabled() bool { return f.Spec != "" }
+func (f *Flags) Enabled() bool { return strings.TrimSpace(f.Spec) != "" }
 
 // WatchdogTimeout resolves the effective watchdog timeout.
 func (f *Flags) WatchdogTimeout() time.Duration {
@@ -71,17 +72,17 @@ func (f *Flags) Digest() string {
 }
 
 // Build parses the spec and returns the injector, or nil when injection is
-// disabled.
+// disabled. A Serving class is an error naming the command that takes it.
 func (f *Flags) Build() (*Injector, error) {
 	if !f.Enabled() {
 		return nil, nil
 	}
 	spec, err := Parse(f.Spec)
+	if err == nil {
+		err = spec.Only(World)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if spec.Empty() {
-		return nil, fmt.Errorf("fault: spec %q parses to no active fault classes", f.Spec)
 	}
 	return New(spec, f.Seed), nil
 }

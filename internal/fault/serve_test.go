@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseServe(t *testing.T) {
-	spec, err := ParseServe("diskslow:p=0.5,mean=2ms;diskerr:count=8;measure:p=0.3;handler:delay=5ms,p=0.1")
+	spec, err := Parse("diskslow:p=0.5,mean=2ms;diskerr:count=8;measure:p=0.3;handler:delay=5ms,p=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,8 @@ func TestParseServe(t *testing.T) {
 		t.Errorf("handler: %+v", spec.Handler)
 	}
 
-	// Canonical rendering round-trips through ParseServe.
-	s2, err := ParseServe(spec.String())
+	// Canonical rendering round-trips through Parse.
+	s2, err := Parse(spec.String())
 	if err != nil {
 		t.Fatalf("round-trip parse of %q: %v", spec.String(), err)
 	}
@@ -35,7 +35,7 @@ func TestParseServe(t *testing.T) {
 		t.Errorf("round-trip changed spec: %q vs %q", s2.String(), spec.String())
 	}
 
-	if s, err := ParseServe(""); err != nil || !s.Empty() {
+	if s, err := Parse(""); err != nil || !s.Empty() {
 		t.Errorf("empty spec: (%v, %v)", s, err)
 	}
 
@@ -45,14 +45,18 @@ func TestParseServe(t *testing.T) {
 		"measure:x=1",          // unknown key
 		"diskslow:p=0.5",       // missing mean
 		"handler:p=0.5",        // missing delay
-		"slowdisk:p=0.5",       // unknown class (MPI classes don't leak in)
+		"slowdisk:p=0.5",       // unknown class
 		"delay:p=0.2,mean=1ms", // MPI-world class rejected here
 		"diskerr:p=0.5,p=0.5",  // duplicate key
 		"handler:delay=-1ms",   // negative duration
 		"measure:p=1.5",        // probability out of range
 	} {
-		if _, err := ParseServe(bad); err == nil {
-			t.Errorf("ParseServe(%q): want error", bad)
+		spec, err := Parse(bad)
+		if err == nil {
+			err = spec.Only(Serving)
+		}
+		if err == nil {
+			t.Errorf("Parse(%q).Only(Serving): want error", bad)
 		}
 	}
 }
@@ -61,7 +65,7 @@ func TestParseServe(t *testing.T) {
 // seed) produce identical decision schedules; a different seed produces
 // a different one (for these parameters).
 func TestServeInjectorDeterministic(t *testing.T) {
-	spec, err := ParseServe("diskslow:p=0.5,mean=2ms;diskerr:p=0.5;measure:p=0.5;handler:delay=1ms,p=0.5")
+	spec, err := Parse("diskslow:p=0.5,mean=2ms;diskerr:p=0.5;measure:p=0.5;handler:delay=1ms,p=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestServeInjectorDeterministic(t *testing.T) {
 // TestServeInjectorCountBurst: count=N fails exactly the first N
 // operations — the chaos gate's breaker-recovery shape.
 func TestServeInjectorCountBurst(t *testing.T) {
-	spec, err := ParseServe("measure:count=3;diskerr:count=2")
+	spec, err := Parse("measure:count=3;diskerr:count=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestServeInjectorCountBurst(t *testing.T) {
 // TestServeInjectorProbabilityRate: over many draws the injection rate
 // tracks p (the u01 stream is uniform enough for a coarse bound).
 func TestServeInjectorProbabilityRate(t *testing.T) {
-	spec, err := ParseServe("diskerr:p=0.3")
+	spec, err := Parse("diskerr:p=0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +160,18 @@ func TestServeInjectorNilSafe(t *testing.T) {
 	if i.DiskDelay() != 0 || i.DiskErr() != nil || i.MeasureErr() != nil || i.HandlerDelay() != 0 {
 		t.Error("nil injector must inject nothing")
 	}
-	if !i.Spec().Empty() {
-		t.Error("nil injector spec must be empty")
-	}
-	if NewServeInjector(ServeSpec{}, 1, nil) != nil {
+	if NewServeInjector(Spec{}, 1, nil) != nil {
 		t.Error("empty spec must build a nil injector")
+	}
+	if NewServeInjector(Spec{Delay: &DelaySpec{P: 1, Mean: time.Millisecond}}, 1, nil) != nil {
+		t.Error("a spec with no Serving class must build a nil injector")
 	}
 }
 
 // TestServeInjectorJitterBounds: injected disk delays stay inside
 // mean·[1-jitter, 1+jitter].
 func TestServeInjectorJitterBounds(t *testing.T) {
-	spec, err := ParseServe("diskslow:p=1,mean=10ms,jitter=0.5")
+	spec, err := Parse("diskslow:p=1,mean=10ms,jitter=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}

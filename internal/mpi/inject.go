@@ -56,6 +56,13 @@ type Injector interface {
 	Message(src, dest, tag, bytes int) MsgFault
 }
 
+// Collectives lists every collective name the runtime passes to
+// Injector.Op; "send" and "recv" are the only other ops it passes.
+var Collectives = []string{
+	"barrier", "bcast", "reduce", "allreduce", "gather", "allgather", "scatter", "alltoall", "scan",
+	"gatherv", "scatterv", "allgatherv", "reducescatter", "split",
+}
+
 // WorldStarter is an optional Injector extension. Launch calls WorldStart
 // once, before any rank starts, on every world the injector is attached
 // to. It gives the injector a deterministic boundary between worlds: a

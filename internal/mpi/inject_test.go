@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,6 +209,54 @@ func TestInjectedLossFailsWorldStructured(t *testing.T) {
 	}, WithInjector(inj), WithRecvTimeout(10*time.Second))
 	if err == nil || !strings.Contains(err.Error(), "lost after resend budget") {
 		t.Fatalf("want lost-message failure, got %v", err)
+	}
+}
+
+// TestCollectivesListsEveryCollectiveOp: every collective, run under a
+// recording injector, passes Op a name Collectives lists — the names a
+// fault spec's collective op is checked against — and together they
+// pass all of them.
+func TestCollectivesListsEveryCollectiveOp(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	inj := &stubInjector{op: func(rank int, op string) OpFault {
+		mu.Lock()
+		seen[op] = true
+		mu.Unlock()
+		return OpFault{}
+	}}
+	const n = 3
+	err := Run(n, func(c *Comm) {
+		one, all, counts := []float64{1}, make([]float64, n), []int{1, 1, 1}
+		c.Barrier()
+		c.Bcast(0, one)
+		c.Reduce(0, OpSum, one, make([]float64, 1))
+		c.Allreduce(OpSum, one, make([]float64, 1))
+		c.Gather(0, one, all)
+		c.Allgather(one, all)
+		c.Scatter(0, all, one)
+		c.Alltoall(all, make([]float64, n))
+		c.Scan(OpSum, one, make([]float64, 1))
+		c.Gatherv(0, one, counts, all)
+		c.Scatterv(0, all, counts, one)
+		c.Allgatherv(one, counts, all)
+		c.ReduceScatter(OpSum, all, counts, one)
+		c.Split(0, c.Rank())
+	}, WithInjector(inj), WithRecvTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(seen, "send")
+	delete(seen, "recv")
+	for op := range seen {
+		if !slices.Contains(Collectives, op) {
+			t.Errorf("collective %q reaches the injector but is not in Collectives", op)
+		}
+	}
+	for _, op := range Collectives {
+		if !seen[op] {
+			t.Errorf("Collectives lists %q, which no collective passed the injector", op)
+		}
 	}
 }
 

@@ -51,9 +51,11 @@ const logName = "measurements.log"
 // keyLen is the length of a job key: keyOf's 24 hex digits.
 const keyLen = 24
 
-// tornMark ends a line whose writer did not. No JSON value ends in '!', so
-// a record cut anywhere — even just before its newline — stays a miss for
-// every later reader, as it was for the one that found it torn.
+// tornMark ends a line whose writer did not. No JSON value ends in '!', and
+// scanLog never takes a line that does for a record, so a record cut
+// anywhere — even just before its newline — is not its key's value for any
+// reader: the key keeps its last complete record, whether it is looked up
+// before or after the marked line is scanned.
 const tornMark = "!\n"
 
 // span locates the JSON of one record in the log.
@@ -341,7 +343,8 @@ type record struct {
 // starts at offset base on a record boundary, in file order, and the
 // length of the complete lines: an unterminated tail is left for the scan
 // that finds its newline. A line that is not "<24 hex digits> <bytes>" is
-// skipped; whether the bytes are an entry is the reader's question.
+// skipped, and so is one that ends in tornMark's '!'; whether the bytes
+// are an entry is the reader's question.
 func scanLog(data []byte, base int64) (recs []record, used int) {
 	for {
 		nl := bytes.IndexByte(data[used:], '\n')
@@ -349,7 +352,7 @@ func scanLog(data []byte, base int64) (recs []record, used int) {
 			return recs, used
 		}
 		line := data[used : used+nl]
-		if len(line) > keyLen+1 && line[keyLen] == ' ' && isKey(line[:keyLen]) {
+		if len(line) > keyLen+1 && line[keyLen] == ' ' && isKey(line[:keyLen]) && line[len(line)-1] != tornMark[0] {
 			recs = append(recs, record{string(line[:keyLen]), span{off: base + int64(used+keyLen+1), n: len(line) - keyLen - 1}})
 		}
 		used += nl + 1

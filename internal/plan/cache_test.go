@@ -642,9 +642,10 @@ func fuzzJobs() []Job {
 // FuzzCacheLogScan opens arbitrary bytes as a log. Opening never fails or
 // panics, no indexed span reaches outside the bytes, and for each of
 // fuzzJobs Get agrees with the plainest reading of the format: the last
-// newline-terminated line that starts with the job's key and a space, if
-// its remainder decodes to an entry with the job's canonical — so
-// whatever Get returns hashes to the key it was asked for.
+// newline-terminated line that starts with the job's key and a space and
+// does not end in tornMark's '!', if its remainder decodes to an entry
+// with the job's canonical — so whatever Get returns hashes to the key it
+// was asked for, in whatever order the jobs are asked.
 func FuzzCacheLogScan(f *testing.F) {
 	jobs := fuzzJobs()
 	var whole []byte
@@ -662,11 +663,11 @@ func FuzzCacheLogScan(f *testing.F) {
 		}
 		lines := bytes.Split(data, []byte("\n"))
 		lines = lines[:len(lines)-1] // what follows the last newline is not a line yet
-		for _, j := range jobs {
+		check := func(c *Cache, j Job) {
 			var want *entry
 			prefix := []byte(j.Key() + " ")
 			for _, line := range lines {
-				if len(line) > len(prefix) && bytes.HasPrefix(line, prefix) {
+				if len(line) > len(prefix) && bytes.HasPrefix(line, prefix) && line[len(line)-1] != tornMark[0] {
 					var e entry
 					want = nil
 					if json.Unmarshal(line[len(prefix):], &e) == nil && e.Canonical == j.Canonical() {
@@ -685,6 +686,15 @@ func FuzzCacheLogScan(f *testing.F) {
 			case want != nil && keyOf(want.Canonical) != j.Key():
 				t.Fatalf("%s: served an entry that hashes to %s", j.Key(), keyOf(want.Canonical))
 			}
+		}
+		// A miss scans the tail, which must not change another key's
+		// answer: a second cache over the same bytes is asked in reverse.
+		reversed := openLogOf(t, t.TempDir(), data)
+		for i := range jobs {
+			check(c, jobs[i])
+		}
+		for i := range jobs {
+			check(reversed, jobs[len(jobs)-1-i])
 		}
 	})
 }

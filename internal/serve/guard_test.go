@@ -204,7 +204,7 @@ func TestMeasureBreakerOpensAndRecovers(t *testing.T) {
 		Seed:            1,
 		Metrics:         reg,
 	})
-	spec, err := fault.ParseServe("measure:count=2")
+	spec, err := fault.Parse("measure:count=2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,13 @@ go test -race ./...
 echo "==> go test -run '^\$' -fuzz FuzzCacheLogScan -fuzztime 10s -fuzzminimizetime 0s ./internal/plan"
 go test -run '^$' -fuzz FuzzCacheLogScan -fuzztime 10s -fuzzminimizetime 0s ./internal/plan
 
+# Ten seconds of arbitrary text as a -fault-spec: Parse never panics, a
+# spec it takes renders to a canonical form that parses back to itself and
+# suits exactly its own command, and a refusal names the class it is
+# about. go test -fuzz takes one target per run, hence a line of its own.
+echo "==> go test -run '^\$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s ./internal/fault"
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s ./internal/fault
+
 # sync.Pool drops Puts under -race, so the zero-allocation assertions over
 # pooled message paths (mpi round trips, the 4-rank kernels) and the
 # allocation bound on a world that recycles its rank state skip above and
