@@ -243,7 +243,10 @@ func TestServedMetricsJSONAndProm(t *testing.T) {
 
 // TestStageSpansCoverPredictWallTime: in the /predict traces the flight
 // recorder retains, the stage spans account for the wall time the traces
-// report — no serving stage runs untraced. The statistic is the median of
+// report — no serving stage runs untraced. The first request finds the
+// study memo empty and resolves in a flight; every later one is answered
+// from the memo, and its stages are setup, parse, cache.memo and respond,
+// with no singleflight among them. The statistic is the median of
 // per-trace coverage over sequential warm requests, bounded at 92%. Both
 // choices are for a busy two-CPU host: a request that loses the CPU
 // between two spans reports a gap many times its own length, which drags
@@ -264,15 +267,28 @@ func TestStageSpansCoverPredictWallTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	var coverage []float64
+	flights := 0
 	for _, tr := range dump.Slowest {
 		if tr.Endpoint != "predict" || tr.Status != http.StatusOK {
 			continue
 		}
 		var covered int64
+		var stages []string
 		for _, c := range tr.Root.Children {
 			covered += c.DurNs
+			stages = append(stages, c.Name)
 		}
 		coverage = append(coverage, float64(covered)/float64(tr.TotalNs))
+		switch got := strings.Join(stages, " "); got {
+		case "setup parse cache.memo respond":
+		case "setup parse cache.memo singleflight respond":
+			flights++
+		default:
+			t.Errorf("trace %s has stages %q", tr.ID, got)
+		}
+	}
+	if flights > 1 {
+		t.Errorf("%d retained /predict traces took a flight, want at most the first request's", flights)
 	}
 	if len(coverage) == 0 {
 		t.Fatalf("/debug/requests retained no /predict traces: %+v", dump)

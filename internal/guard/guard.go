@@ -162,12 +162,26 @@ func (g *Guard) LeaderBudget() time.Duration {
 // bounded by the leader budget when one is configured. Nil-safe: a nil
 // Guard still severs cancellation, it just leaves the work unbounded.
 func (g *Guard) Detach(ctx context.Context) (context.Context, context.CancelFunc) {
-	ctx = context.WithoutCancel(ctx)
+	ctx = &detached{parent: ctx}
 	if b := g.LeaderBudget(); b > 0 {
 		return context.WithTimeout(ctx, b)
 	}
 	return ctx, func() {}
 }
+
+// detached is context.WithoutCancel with a pointer receiver: no
+// deadline, no Done channel, no error, and every value of its parent.
+// WithoutCancel's context is a value type whose Value boxes a copy of
+// itself on every lookup that starts at it, and a flight's trace lookups
+// start there. One difference: context.Cause on a detached context
+// reports the parent's cause, where WithoutCancel's reports nil. Cause
+// means something only once Done is closed, and this Done never is.
+type detached struct{ parent context.Context }
+
+func (*detached) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (*detached) Done() <-chan struct{}       { return nil }
+func (*detached) Err() error                  { return nil }
+func (d *detached) Value(key any) any         { return d.parent.Value(key) }
 
 // Budgets maps endpoint names to deadline budgets.
 type Budgets struct {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestBudgetsResolution(t *testing.T) {
@@ -98,6 +100,25 @@ func TestDetachSeversCancellation(t *testing.T) {
 	}
 	if _, ok := dctx2.Deadline(); ok {
 		t.Error("nil guard must not impose a deadline")
+	}
+}
+
+// TestDetachedLookupsDoNotAllocate: a flight looks its trace up through
+// the detached context at every span it opens. The lookup finds the
+// caller's trace, and allocates nothing, with and without a leader budget.
+func TestDetachedLookupsDoNotAllocate(t *testing.T) {
+	tr := obs.NewTrace(nil)
+	parent, cancel := context.WithCancel(obs.ContextWithTrace(context.Background(), tr))
+	defer cancel()
+	for _, g := range []*Guard{nil, New(Config{LeaderBudget: time.Hour})} {
+		dctx, dcancel := g.Detach(parent)
+		if got := obs.TraceFrom(dctx); got != tr {
+			t.Fatalf("detached context carries trace %p, want the caller's %p", got, tr)
+		}
+		if n := testing.AllocsPerRun(100, func() { obs.TraceFrom(dctx) }); n != 0 {
+			t.Errorf("a trace lookup through Detach allocates %.0f times, want 0", n)
+		}
+		dcancel()
 	}
 }
 

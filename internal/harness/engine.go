@@ -468,13 +468,38 @@ func (e Engine) RunFromCacheCtx(ctx context.Context, trips int, chainLens []int)
 		return nil, err
 	}
 	st := v.(*Study)
+	countCacheHits(o, st)
+	return st, nil
+}
+
+// FromMemo returns the study RunFromCacheCtx would return if the cache's
+// memo holds it now, and false if it does not. It looks the study up
+// under the same studyKey and does nothing else — no plan, no job read,
+// no analysis — so it never reads disk or waits. A hit counts
+// harness.cache.hit as RunFromCacheCtx does.
+//
+//kcvet:hotpath a memoised answer is looked up here on the request's own goroutine
+func (e Engine) FromMemo(trips int, chainLens []int) (*Study, bool) {
+	o := e.Opts.withDefaults()
+	if o.Cache == nil {
+		return nil, false
+	}
+	v, ok := o.Cache.Peek(studyKey(e.Workload, planInputs(e.Workload, trips, chainLens, o)))
+	if !ok {
+		return nil, false
+	}
+	st := v.(*Study)
+	countCacheHits(o, st)
+	return st, true
+}
+
+// countCacheHits counts a from-cache study's jobs as cache hits. Every
+// served job is one by construction, memoised or not; the counter keeps
+// long-running query services' hit rates observable.
+func countCacheHits(o Options, st *Study) {
 	if o.Metrics != nil && st.Exec.Planned > 0 {
-		// Every served job is a cache hit by construction, memoised or
-		// not; the counter keeps long-running query services' hit rates
-		// observable.
 		o.Metrics.Counter("harness.cache.hit").Add(int64(st.Exec.Planned))
 	}
-	return st, nil
 }
 
 // studyKey renders the identity of a from-cache study for the memo:

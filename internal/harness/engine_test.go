@@ -446,6 +446,47 @@ func TestRunFromCacheMemoHitKeepsItsSideEffects(t *testing.T) {
 	}
 }
 
+// TestFromMemoOnlyReadsTheMemo: the memo-only lookup finds the study
+// RunFromCacheCtx memoised and nothing else — not a study whose every job
+// the cache holds but nobody has analysed, not one a Reset forgot — and
+// counts its hit as RunFromCacheCtx does.
+func TestFromMemoOnlyReadsTheMemo(t *testing.T) {
+	cache := plan.NewCache()
+	if _, err := RunStudy(fourKernelSynthetic(), 10, []int{2, 4}, Options{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	eng := Engine{Workload: fourKernelSynthetic(), Opts: Options{Cache: cache, Metrics: reg}}
+	hits := reg.Counter("harness.cache.hit")
+	if st, ok := eng.FromMemo(10, []int{2, 4}); ok || st != nil {
+		t.Fatalf("FromMemo = %p, %v before any from-cache analysis", st, ok)
+	}
+	if got := hits.Value(); got != 0 {
+		t.Errorf("a memo miss counted %d cache hits", got)
+	}
+	built, err := eng.RunFromCache(10, []int{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := int64(built.Exec.Planned)
+	if st, ok := eng.FromMemo(10, []int{2, 4}); !ok || st != built {
+		t.Fatalf("FromMemo = %p, %v; want the memoised study %p", st, ok, built)
+	}
+	if got := hits.Value(); got != 2*planned {
+		t.Errorf("harness.cache.hit = %d after a build and a memo hit, want %d", got, 2*planned)
+	}
+	if _, ok := eng.FromMemo(10, []int{2}); ok {
+		t.Error("FromMemo answered a configuration nobody analysed")
+	}
+	cache.Reset()
+	if _, ok := eng.FromMemo(10, []int{2, 4}); ok {
+		t.Error("FromMemo answered after Reset")
+	}
+	if _, ok := (Engine{Workload: fourKernelSynthetic()}).FromMemo(10, []int{2, 4}); ok {
+		t.Error("FromMemo answered without a cache")
+	}
+}
+
 // TestStudyKeyCoversEveryInput: the memo key must move with everything
 // the memoised study depends on. Every field of plan.Inputs is perturbed
 // by reflection, so a field added there and forgotten in studyKey fails

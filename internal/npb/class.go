@@ -5,7 +5,10 @@
 // runner that times kernel windows across a world of ranks.
 package npb
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Class identifies a NAS problem class.
 type Class string
@@ -27,9 +30,17 @@ type Problem struct {
 	Dt         float64
 }
 
-// String renders the grid size the way the paper's data-set tables do.
+// String renders the grid size the way the paper's data-set tables do,
+// "N1 x N2 x N3". Every served query renders it into its world digest, so
+// it appends rather than formats.
 func (p Problem) String() string {
-	return fmt.Sprintf("%d x %d x %d", p.N1, p.N2, p.N3)
+	b := make([]byte, 0, 24)
+	b = strconv.AppendInt(b, int64(p.N1), 10)
+	b = append(b, " x "...)
+	b = strconv.AppendInt(b, int64(p.N2), 10)
+	b = append(b, " x "...)
+	b = strconv.AppendInt(b, int64(p.N3), 10)
+	return string(b)
 }
 
 // Cells returns the number of grid cells.

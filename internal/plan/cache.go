@@ -475,12 +475,9 @@ func (c *Cache) Reset() {
 //
 //kcvet:hotpath a memo hit is all the cache work a warm query does
 func (c *Cache) Derive(key string, build func() (any, error)) (any, error) {
-	c.mu.Lock()
-	d, ok := c.memo.Get(key)
-	epoch := c.epoch
-	c.mu.Unlock()
-	if ok && d.epoch == epoch {
-		return d.val, nil
+	v, epoch, ok := c.memoised(key)
+	if ok {
+		return v, nil
 	}
 	v, err := build()
 	if err != nil {
@@ -490,6 +487,30 @@ func (c *Cache) Derive(key string, build func() (any, error)) (any, error) {
 	c.memo.Put(key, derived{epoch: epoch, val: v})
 	c.mu.Unlock()
 	return v, nil
+}
+
+// Peek returns what Derive would return for key without building: the
+// value stored under key if it was built in the current epoch, and false
+// otherwise. It never builds, never reads disk and leaves the memo as it
+// finds it.
+//
+//kcvet:hotpath a memoised answer is one Peek on the request's own goroutine
+func (c *Cache) Peek(key string) (any, bool) {
+	v, _, ok := c.memoised(key)
+	return v, ok
+}
+
+// memoised looks key up in the memo. It returns the current epoch, and
+// the value stored under key if that was built in this epoch.
+func (c *Cache) memoised(key string) (any, uint64, bool) {
+	c.mu.Lock()
+	d, ok := c.memo.Get(key)
+	epoch := c.epoch
+	c.mu.Unlock()
+	if !ok || d.epoch != epoch {
+		return nil, epoch, false
+	}
+	return d.val, epoch, true
 }
 
 // SetReadGuard installs fn around every disk lookup: fn decides whether

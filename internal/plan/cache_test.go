@@ -752,6 +752,11 @@ func TestDeriveContract(t *testing.T) {
 				t.Fatalf("first Derive = %v, %v after %d builds", v, err, builds)
 			}
 			tc.between(t, c)
+			// Peek holds a value exactly when Derive would not build, and
+			// it is the value Derive returns.
+			if v, ok := c.Peek("k"); ok == tc.rebuilt || (ok && v != tc.want) {
+				t.Errorf("Peek = %v, %v; want a hit on %v exactly when Derive does not rebuild", v, ok, tc.want)
+			}
 			v, err := c.Derive("k", seconds(c, j, &builds))
 			if err != nil || v != tc.want {
 				t.Fatalf("second Derive = %v, %v; want %v", v, err, tc.want)
@@ -767,6 +772,9 @@ func TestDeriveContract(t *testing.T) {
 		builds := 0
 		if _, err := c.Derive("k", seconds(c, j, &builds)); err == nil {
 			t.Fatal("a build over a missing job succeeded")
+		}
+		if v, ok := c.Peek("k"); ok || v != nil {
+			t.Errorf("Peek after a failed build = %v, %v; nothing was stored", v, ok)
 		}
 		put(t, c, j, first)
 		if v, err := c.Derive("k", seconds(c, j, &builds)); err != nil || v != 1.0 || builds != 2 {

@@ -140,3 +140,10 @@ func (a *Analytic) Predict(ctx context.Context, q Query) (Prediction, error) {
 	}
 	return modelled(st, ProvAnalytic, windows, floor+maxSpread), nil
 }
+
+// Peek implements Peeker: the analytic answer is arithmetic on the query,
+// so it is always given without waiting.
+func (a *Analytic) Peek(ctx context.Context, q Query) (Prediction, bool) {
+	pr, err := a.Predict(ctx, q)
+	return pr, err == nil
+}

@@ -147,6 +147,14 @@ type Predictor interface {
 	Predict(ctx context.Context, q Query) (Prediction, error)
 }
 
+// Peeker is a backend that can sometimes answer without I/O, measurement
+// or waiting: a memoised study, arithmetic on the query. Peek reports
+// false when it cannot answer that way, and the caller then asks Predict,
+// whose answer to the same query is the one Peek gives when it can.
+type Peeker interface {
+	Peek(ctx context.Context, q Query) (Prediction, bool)
+}
+
 // ErrUnanswerable marks a backend's "not my query" refusal: the chain
 // tries the next backend instead of failing. Wrap a concrete cause with
 // Unanswerable so the cause stays inspectable (a cold-cache refusal still
@@ -178,6 +186,11 @@ type chainEntry struct {
 	hit     *obs.Counter
 	pass    *obs.Counter
 	errored *obs.Counter
+	// peek is p as a Peeker, nil when p cannot peek; peekSpan names the
+	// stage a peek is: a memo read for the cached backend, the backend
+	// itself for any other.
+	peek     Peeker
+	peekSpan string
 }
 
 // Chain tries backends in order and answers with the first one that can:
@@ -196,6 +209,12 @@ func NewChain(reg *obs.Registry, backends ...Predictor) *Chain {
 	c := &Chain{entries: make([]chainEntry, len(backends))}
 	for i, b := range backends {
 		e := chainEntry{p: b, span: "backend." + b.Name()}
+		if pk, ok := b.(Peeker); ok {
+			e.peek, e.peekSpan = pk, e.span
+			if _, cached := b.(*Cached); cached {
+				e.peekSpan = "cache.memo"
+			}
+		}
 		if reg != nil {
 			e.hit = reg.Counter("predict.backend." + b.Name() + ".hit")
 			e.pass = reg.Counter("predict.backend." + b.Name() + ".pass")
@@ -217,6 +236,31 @@ func (c *Chain) Backends() []string {
 
 // Name implements Predictor, so chains nest.
 func (c *Chain) Name() string { return "chain" }
+
+// Peek implements Peeker by asking the chain's first backend only: a
+// later backend's answer is Predict's only once every backend before it
+// has refused, and that is not known without asking them. A peeked
+// answer is counted and annotated as Predict's would be, inside one span
+// ("cache.memo" for the cached backend, detail "hit" or "miss").
+//
+//kcvet:hotpath kcserved's warm /predict answers here, ahead of its flight
+func (c *Chain) Peek(ctx context.Context, q Query) (Prediction, bool) {
+	if len(c.entries) == 0 || c.entries[0].peek == nil {
+		return Prediction{}, false
+	}
+	e := &c.entries[0]
+	sp, pctx := obs.StartSpan(ctx, e.peekSpan, "hit")
+	defer sp.End()
+	pr, ok := e.peek.Peek(pctx, q)
+	if !ok {
+		sp.SetDetail("miss")
+		return Prediction{}, false
+	}
+	inc(e.hit)
+	pr.Backend = e.p.Name()
+	obs.TraceFrom(ctx).Annotate("backend", e.p.Name())
+	return pr, true
+}
 
 // Predict implements Predictor.
 //
@@ -305,12 +349,18 @@ func (m *Measured) Predict(ctx context.Context, q Query) (Prediction, error) {
 	return FromStudy(st, ProvMeasured), nil
 }
 
+// MemoFn returns the study a StudyFn would return for a query if it is
+// already memoised, without I/O or waiting, and false if it is not.
+type MemoFn func(ctx context.Context, q Query) (*harness.Study, bool)
+
 // Cached answers by pure re-analysis of a warmed measurement cache; a
 // cache miss is a refusal (ErrUnanswerable wrapping the miss), letting a
 // chain fall through to interpolation, the analytic model, or on-demand
 // measurement.
 type Cached struct {
 	Run StudyFn
+	// Memo, when non-nil, is Run's memo: Peek answers from it.
+	Memo MemoFn
 }
 
 // Name implements Predictor.
@@ -326,4 +376,16 @@ func (c *Cached) Predict(ctx context.Context, q Query) (Prediction, error) {
 		return Prediction{}, err
 	}
 	return FromStudy(st, ProvCached), nil
+}
+
+// Peek implements Peeker: it answers when Memo holds the query's study.
+func (c *Cached) Peek(ctx context.Context, q Query) (Prediction, bool) {
+	if c.Memo == nil {
+		return Prediction{}, false
+	}
+	st, ok := c.Memo(ctx, q)
+	if !ok {
+		return Prediction{}, false
+	}
+	return FromStudy(st, ProvCached), true
 }

@@ -114,6 +114,52 @@ func TestChainAllRefuseKeepsCauses(t *testing.T) {
 	}
 }
 
+// Peek asks the first backend only, and a peeked answer is counted and
+// named as Predict's would be. A memo miss, a first backend that cannot
+// peek and an empty chain all leave the query to Predict; a peekable
+// backend behind another is never asked.
+func TestChainPeeksFirstBackendOnly(t *testing.T) {
+	st := synthEngine(t, flatBase(), nil, 4, []int{2})
+	held := false
+	cached := &Cached{
+		Run: func(ctx context.Context, q Query) (*harness.Study, error) { return st, nil },
+		Memo: func(ctx context.Context, q Query) (*harness.Study, bool) {
+			if !held {
+				return nil, false
+			}
+			return st, true
+		},
+	}
+	reg := obs.NewRegistry()
+	ch := NewChain(reg, cached, &stub{name: "measured"})
+	if _, ok := ch.Peek(context.Background(), Query{}); ok {
+		t.Fatal("Peek answered from an empty memo")
+	}
+	held = true
+	pr, ok := ch.Peek(context.Background(), Query{})
+	if !ok || pr.Backend != "cached" || pr.Provenance != ProvCached || pr.Study != st {
+		t.Fatalf("Peek = %+v, %v; want the memoised study from cached", pr, ok)
+	}
+	want, err := ch.Predict(context.Background(), Query{})
+	if err != nil || want.Value != pr.Value || want.Band != pr.Band || want.Backend != pr.Backend {
+		t.Errorf("Predict = %+v, %v; Peek gave %+v", want, err, pr)
+	}
+	if v := reg.Counter("predict.backend.cached.hit").Value(); v != 2 {
+		t.Errorf("cached.hit = %d after one peek and one predict, want 2", v)
+	}
+
+	behind := NewChain(nil, &stub{name: "measured"}, cached)
+	if _, ok := behind.Peek(context.Background(), Query{}); ok {
+		t.Error("Peek asked a backend behind one that cannot peek")
+	}
+	if _, ok := NewChain(nil).Peek(context.Background(), Query{}); ok {
+		t.Error("an empty chain peeked an answer")
+	}
+	if _, ok := (&Cached{Run: cached.Run}).Peek(context.Background(), Query{}); ok {
+		t.Error("a cached backend without a memo peeked an answer")
+	}
+}
+
 func TestEmptyChainRefuses(t *testing.T) {
 	_, err := NewChain(nil).Predict(context.Background(), Query{})
 	if !errors.Is(err, ErrUnanswerable) {

@@ -48,7 +48,8 @@ func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (p
 	hot := s.cluster.NoteRequest(key)
 	sp, sfctx := obs.StartSpan(ctx, "peer.fill", owner)
 	rawQuery := q.Encode()
-	fn := func(fl *singleflight.Flight) (predict.Prediction, error) {
+	fn := func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
+		defer recoverFlight(&err)
 		if tr != nil {
 			fl.SetToken(tr.ID)
 		}

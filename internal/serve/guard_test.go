@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -297,10 +296,25 @@ func TestStaleDegradationLadder(t *testing.T) {
 		t.Error("healthy body mentions degradation — byte determinism broken")
 	}
 
-	// The service goes dark: every analysis now fails.
-	srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
-		return predict.Prediction{}, errors.New("analysis backend down")
+	// The service goes dark below the memo that now holds this answer: it
+	// restarts over the same directory — a fresh cache, an empty memo —
+	// with every disk read and every measurement failing. A failed read
+	// alone is a cold miss, and a miss is a 404 that never degrades; the
+	// failed measurement behind it is the 5xx. The guard, and with it the
+	// stale cache, outlives the restart.
+	spec, err := fault.Parse("diskerr:p=1;measure:p=1")
+	if err != nil {
+		t.Fatal(err)
 	}
+	dark, err := New(Config{
+		Cache: warmedCache(t), Metrics: reg, Guard: g, Measure: true,
+		Inject: fault.NewServeInjector(spec, 1, reg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts = httptest.NewServer(dark.Handler())
+	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/predict?" + warmQS)
 	if err != nil {

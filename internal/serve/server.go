@@ -132,6 +132,10 @@ type Server struct {
 	// Built once at construction — the warm path only does a map lookup.
 	chains map[string]*predict.Chain
 
+	// analyses counts flights: resolutions that went through singleflight
+	// because no answer could be given without waiting.
+	analyses *obs.Counter
+
 	// analyze resolves one query to a prediction; overridable in tests
 	// to observe or stall resolution. The context carries the request
 	// trace.
@@ -166,6 +170,7 @@ func New(cfg Config) (*Server, error) {
 		inject:     cfg.Inject,
 		cluster:    cfg.Cluster,
 		windows:    make(map[string]*obs.WindowHistogram, len(endpointNames)),
+		analyses:   reg.Counter("serve.analysis.count"),
 		version:    buildVersion(),
 		accessLog:  cfg.AccessLog,
 	}
@@ -331,7 +336,12 @@ func (s *Server) resolve(ctx context.Context, q Query, key string) (predict.Pred
 	return pr, err
 }
 
-// resolveLocal answers a query through the local singleflight group: N
+// resolveLocal answers a query locally. An answer the first backend of
+// the query's chain can give without I/O, measurement or waiting — a
+// memoised study, the analytic model (predict.Chain.Peek) — is given on
+// the request's own goroutine: the flight is for work that can block.
+//
+// Every other query goes through the local singleflight group: N
 // identical in-flight queries cost one analysis (or one on-demand
 // measurement), and the followers share the leader's study. The leader
 // publishes its trace ID through the flight token, so a follower's trace
@@ -353,12 +363,21 @@ func (s *Server) resolve(ctx context.Context, q Query, key string) (predict.Pred
 // layer below shares it.
 func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict.Prediction, string, error) {
 	tr := obs.TraceFrom(ctx)
+	if ch := s.chains[q.Backend]; ch != nil {
+		if pr, ok := ch.Peek(ctx, q.PredictQuery()); ok {
+			if pr.Provenance == predict.ProvCached {
+				tr.Annotate("cache", "hit")
+			}
+			return pr, "", nil
+		}
+	}
 	sp, sfctx := obs.StartSpan(ctx, "singleflight", "")
-	fn := func(fl *singleflight.Flight) (predict.Prediction, error) {
+	fn := func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
+		defer recoverFlight(&err)
 		if tr != nil {
 			fl.SetToken(tr.ID)
 		}
-		s.reg.Counter("serve.analysis.count").Inc()
+		s.analyses.Inc()
 		dctx, dcancel := s.guard.Detach(sfctx)
 		defer dcancel()
 		return s.analyze(dctx, q)
@@ -385,9 +404,8 @@ func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict
 			return predict.Prediction{}, "", budgetErr(ctx, ctx.Err())
 		}
 	} else {
-		// No deadline: run the flight synchronously on this goroutine —
-		// the unguarded warm path stays allocation-identical to the
-		// pre-hardening server.
+		// No deadline: nothing to wait against, so the flight runs
+		// synchronously on this goroutine.
 		pr, err, shared, fl = s.sf.DoFlight(key, fn)
 	}
 	if shared {
@@ -403,6 +421,17 @@ func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict
 	sp.End()
 	token, _ := fl.Token().(string)
 	return pr, token, err
+}
+
+// recoverFlight, deferred first in a flight body, turns a panic in it
+// into the flight's error: the leader and every follower answer the same
+// 500, with or without a guard, and the server goes on serving. Under a
+// guard the body runs on DoFlightCh's goroutine, where a panic that got
+// past it would end the process.
+func recoverFlight(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("serve: panic while resolving the query: %v", r)
+	}
 }
 
 // Handler returns the service's HTTP mux. Only the query endpoints are

@@ -13,8 +13,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/predict"
@@ -327,6 +330,39 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	}
 	if got := reg.Gauge("serve.inflight").Value(); got != 0 {
 		t.Errorf("inflight gauge = %d after drain, want 0", got)
+	}
+}
+
+// TestPanicInAFlightIsA500: a panic while resolving a query answers 500
+// and the server goes on serving. With a guard the flight runs on a
+// goroutine of its own, where a panic nothing recovers ends the process;
+// without one net/http would recover it and drop the connection. Both
+// servers answer the same body.
+func TestPanicInAFlightIsA500(t *testing.T) {
+	var bodies [][]byte
+	for _, g := range []*guard.Guard{nil, guard.New(guard.Config{Deadline: 5 * time.Second})} {
+		srv, err := New(Config{Cache: warmedCache(t), Guard: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := srv.analyze
+		var calls atomic.Int32
+		srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
+			if calls.Add(1) == 1 {
+				panic("analysis blew up")
+			}
+			return inner(ctx, q)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		bodies = append(bodies, get(t, ts.URL, "/predict?"+warmQS, http.StatusInternalServerError))
+		get(t, ts.URL, "/predict?"+warmQS, http.StatusOK)
+		ts.Close()
+	}
+	if !bytes.Contains(bodies[0], []byte("analysis blew up")) {
+		t.Errorf("500 body does not name the panic: %s", bodies[0])
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("the guarded server's 500 differs from the unguarded one's:\n%s\n---\n%s", bodies[1], bodies[0])
 	}
 }
 

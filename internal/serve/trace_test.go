@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/timing"
@@ -50,17 +52,30 @@ func TestPredictTraceHeaderAndSpans(t *testing.T) {
 		t.Errorf("first trace ID = %q, want t-00000001", h)
 	}
 
+	// The first request found the memo empty and took the flight; the
+	// second was answered from the memo on its own goroutine.
 	dump := tracer.Recorder().Snapshot()
 	if dump.Seen != 2 {
 		t.Fatalf("recorder saw %d traces, want 2", dump.Seen)
 	}
-	stages := map[string]bool{}
-	for _, c := range dump.Slowest[0].Root.Children {
-		stages[c.Name] = true
+	want := map[string]string{
+		"t-00000001": "setup parse cache.memo:miss singleflight respond",
+		"t-00000002": "setup parse cache.memo:hit respond",
 	}
-	for _, want := range []string{"parse", "singleflight", "respond"} {
-		if !stages[want] {
-			t.Errorf("trace missing %q stage: %+v", want, dump.Slowest[0].Root)
+	for _, td := range dump.Slowest {
+		var stages []string
+		for _, c := range td.Root.Children {
+			stage := c.Name
+			if c.Name == "cache.memo" {
+				stage += ":" + c.Detail
+			}
+			stages = append(stages, stage)
+		}
+		if got := strings.Join(stages, " "); got != want[td.ID] {
+			t.Errorf("trace %s stages %q, want %q", td.ID, got, want[td.ID])
+		}
+		if role := attr(td, "singleflight"); (role == "") != (td.ID == "t-00000002") {
+			t.Errorf("trace %s singleflight role %q", td.ID, role)
 		}
 	}
 }
@@ -205,17 +220,21 @@ func TestDebugRequestsDisabled(t *testing.T) {
 	}
 }
 
-// TestTracedWarmPredictAllocs prices the tracer on the warm /predict
-// path in allocations, handler to handler with no network in between:
-// a trace, its span list, its ID, the context values that carry it and
-// one context per stage — at most 33 a request, the figure the
-// tree-of-pointers layout this replaced cost end to end. The untraced
-// server pays nothing: with no trace in the context every
+// TestTracedWarmPredictAllocs prices the tracer and the guard on the warm
+// /predict path in allocations, handler to handler with no network in
+// between. Tracing: a trace, its span list, its ID, the context values
+// that carry it and one context per stage — at most 33 a request, the
+// figure the tree-of-pointers layout this replaced cost end to end. The
+// untraced server pays nothing for it: with no trace in the context every
 // instrumentation point is one failed lookup and the zero handle's
-// methods are no-ops, so none of them allocates.
+// methods are no-ops, so none of them allocates. Guarding: the deadline
+// context and the budget value it carries, and the stale-cache put of
+// the answer — at most 12 more. A warm answer is given on the request's
+// own goroutine, guard or not: no flight runs.
 func TestTracedWarmPredictAllocs(t *testing.T) {
 	allocs := func(cfg Config) float64 {
-		cfg.Cache = warmedCache(t)
+		reg := obs.NewRegistry()
+		cfg.Cache, cfg.Metrics = warmedCache(t), reg
 		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -229,12 +248,21 @@ func TestTracedWarmPredictAllocs(t *testing.T) {
 				t.Fatalf("warm /predict = %d: %s", rec.Code, rec.Body)
 			}
 		}
-		serve() // first request loads the disk tier into memory
-		return testing.AllocsPerRun(200, serve)
+		serve() // first request loads the disk tier and fills the memo
+		flights := reg.Counter("serve.analysis.count").Value()
+		n := testing.AllocsPerRun(200, serve)
+		if got := reg.Counter("serve.analysis.count").Value(); got != flights {
+			t.Errorf("warm requests took %d flights, want none", got-flights)
+		}
+		return n
 	}
 	plain := allocs(Config{})
 	traced := allocs(Config{Tracer: obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(0, 0)})})
-	t.Logf("warm /predict allocs: untraced %.0f, traced %.0f", plain, traced)
+	guarded := allocs(Config{Guard: guard.New(guard.Config{
+		Deadline: 10 * time.Second, LeaderBudget: 10 * time.Second,
+		MaxInflight: 64, StaleCap: 64,
+	})})
+	t.Logf("warm /predict allocs: untraced %.0f, traced %.0f, guarded %.0f", plain, traced, guarded)
 	// The untraced figure has a ceiling of its own: a warm request builds
 	// its engine, renders one key, finds the memoised study and marshals
 	// it. At 434 it planned, hashed and analysed the study again.
@@ -243,6 +271,9 @@ func TestTracedWarmPredictAllocs(t *testing.T) {
 	}
 	if delta := traced - plain; delta > 33 {
 		t.Errorf("tracing costs %.0f allocs per warm /predict (%.0f vs %.0f), budget 33", delta, traced, plain)
+	}
+	if delta := guarded - plain; delta > 12 {
+		t.Errorf("the guard costs %.0f allocs per warm /predict (%.0f vs %.0f), budget 12", delta, guarded, plain)
 	}
 	ctx := t.Context()
 	if n := testing.AllocsPerRun(100, func() {

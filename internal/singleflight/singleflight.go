@@ -146,10 +146,12 @@ type FlightResult[V any] struct {
 // the caller's cancellation or the early-returning caller takes every
 // follower's work down with it.
 //
-// A panicking fn releases its waiters with ErrLeaderPanicked first, but
-// the panic then unwinds the flight's own goroutine — with no caller
-// stack to recover on, it crashes the process, as any unrecovered
-// goroutine panic does.
+// A panic in fn is the caller's to recover, and only fn can: it runs on
+// the flight's own goroutine, so a recover on the caller's stack never
+// sees it, and a panic that unwinds out of fn releases the waiters with
+// ErrLeaderPanicked and then ends the process, as any unrecovered
+// goroutine panic does. A caller that must survive one recovers inside
+// fn and returns the panic as fn's error.
 func (g *Group[K, V]) DoFlightCh(key K, fn func(*Flight) (V, error)) <-chan FlightResult[V] {
 	ch := make(chan FlightResult[V], 1)
 	go func() {

@@ -182,6 +182,20 @@ func (c BackendConfig) CacheRunner() predict.StudyFn {
 	}
 }
 
+// CacheMemo returns the cached backend's memo lookup: the study
+// CacheRunner would return for a query if the cache's memo holds it now
+// (harness.Engine.FromMemo), found without planning, reading or
+// analysing.
+func (c BackendConfig) CacheMemo() predict.MemoFn {
+	return func(ctx context.Context, q predict.Query) (*harness.Study, bool) {
+		eng, err := c.Engine(q)
+		if err != nil {
+			return nil, false
+		}
+		return eng.FromMemo(q.Trips, q.Chains)
+	}
+}
+
 // NewBackend constructs one backend by name: measured, cached,
 // interpolated or analytic.
 func NewBackend(name string, cfg BackendConfig) (predict.Predictor, error) {
@@ -189,7 +203,7 @@ func NewBackend(name string, cfg BackendConfig) (predict.Predictor, error) {
 	case string(predict.ProvMeasured):
 		return &predict.Measured{Run: cfg.StudyRunner()}, nil
 	case string(predict.ProvCached):
-		return &predict.Cached{Run: cfg.CacheRunner()}, nil
+		return &predict.Cached{Run: cfg.CacheRunner(), Memo: cfg.CacheMemo()}, nil
 	case string(predict.ProvInterpolated):
 		return &predict.Interpolated{
 			Source:  cfg.CacheRunner(),

@@ -101,6 +101,23 @@ func TestBackendCacheKeyCompatibility(t *testing.T) {
 	}
 }
 
+// The workload name and the world digest are written into every job key
+// on disk, and the engine renders both per served query. Their bytes are
+// pinned here, so a directory an older campaign warmed keeps answering
+// whatever renders them.
+func TestEngineKeyInputsKeepTheirBytes(t *testing.T) {
+	eng, err := BackendConfig{}.Engine(predict.Query{Bench: "bt", Class: "W", Procs: 16, Chains: []int{2}, Trips: 1, Blocks: 1, Passes: 1, Grid: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.Workload.Name(), "BT.W.16"; got != want {
+		t.Errorf("workload name %q, want %q", got, want)
+	}
+	if got, want := eng.Opts.WorldDigest, "grid=12 x 12 x 12"; got != want {
+		t.Errorf("world digest %q, want %q", got, want)
+	}
+}
+
 // Scale.Backend must route a table's studies through the named backend:
 // analytic regenerates the table with no measurements (Actual == 0).
 func TestScaleBackendRouting(t *testing.T) {

@@ -2,6 +2,7 @@ package tables
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/harness"
@@ -62,7 +63,8 @@ func NewWorkload(bench string, class npb.Class, prob npb.Problem, procs int, wor
 		pre, loop, post []string
 		err             error
 	)
-	switch strings.ToUpper(bench) {
+	upper := strings.ToUpper(bench)
+	switch upper {
 	case "BT":
 		factory, err = bt.Factory(bt.Config{Problem: prob, Procs: procs})
 		pre, loop, post = bt.KernelNames()
@@ -82,7 +84,8 @@ func NewWorkload(bench string, class npb.Class, prob npb.Problem, procs int, wor
 		return nil, err
 	}
 	return &harness.NPBWorkload{
-		WorkloadName: fmt.Sprintf("%s.%s.%d", strings.ToUpper(bench), class, procs),
+		// Every served query builds one; concatenation, not formatting.
+		WorkloadName: upper + "." + string(class) + "." + strconv.Itoa(procs),
 		Factory:      factory,
 		Pre:          pre, Loop: loop, Post: post,
 		Procs:     procs,
