@@ -95,13 +95,7 @@ func NewAdmission(max, depth int, clock timing.Clock, reg *obs.Registry) *Admiss
 // Release.
 func (a *Admission) Acquire(ctx context.Context) error {
 	a.mu.Lock()
-	if a.inflight < a.max && len(a.queue) == 0 {
-		a.inflight++
-		g := a.inflightGauge
-		v := int64(a.inflight)
-		a.mu.Unlock()
-		g.Set(v)
-		a.admitted.Add(1)
+	if a.grantLocked() {
 		return nil
 	}
 	// Saturated. Shed now if this request could never finish in budget:
@@ -147,6 +141,36 @@ func (a *Admission) Acquire(ctx context.Context) error {
 		}
 		return ctx.Err()
 	}
+}
+
+// TryAcquire claims an admission slot when one is free and no request
+// queues for it, without waiting, shedding or looking at a context; false
+// means Acquire would queue or shed. A caller that has a deadline to arm
+// for a wait arms it only after a false return. Every true return must
+// be paired with one Release.
+func (a *Admission) TryAcquire() bool {
+	a.mu.Lock()
+	if a.grantLocked() {
+		return true
+	}
+	a.mu.Unlock()
+	return false
+}
+
+// grantLocked admits the caller when a slot is free and nobody waits
+// ahead of it. Called with a.mu held; it unlocks a.mu if and only if it
+// admits.
+func (a *Admission) grantLocked() bool {
+	if a.inflight >= a.max || len(a.queue) > 0 {
+		return false
+	}
+	a.inflight++
+	g := a.inflightGauge
+	v := int64(a.inflight)
+	a.mu.Unlock()
+	g.Set(v)
+	a.admitted.Add(1)
+	return true
 }
 
 // Release returns an admission slot, feeding the observed service time

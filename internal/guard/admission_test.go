@@ -145,6 +145,43 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestAdmissionTryAcquireNeverQueues: TryAcquire takes a free slot, and
+// with none free it refuses without queueing or shedding; a slot released
+// while a waiter queues goes to the waiter, not to a TryAcquire.
+func TestAdmissionTryAcquireNeverQueues(t *testing.T) {
+	a := NewAdmission(1, 4, nil, nil)
+	if !a.TryAcquire() {
+		t.Fatal("TryAcquire refused a free slot")
+	}
+	if a.TryAcquire() {
+		t.Fatal("TryAcquire admitted past the bound")
+	}
+	if q := a.Queued(); q != 0 {
+		t.Fatalf("a refused TryAcquire queued: %d waiting", q)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- a.Acquire(context.Background()) }()
+	waitFor(t, "waiter queued", func() bool { return a.Queued() == 1 })
+	if a.TryAcquire() {
+		t.Fatal("TryAcquire admitted past the bound with a waiter queued")
+	}
+	a.Release(0) // the waiter gets the slot
+	if err := <-granted; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	if a.TryAcquire() {
+		t.Fatal("TryAcquire admitted while the waiter holds the slot")
+	}
+	a.Release(0)
+	if !a.TryAcquire() {
+		t.Fatal("TryAcquire refused the slot the waiter released")
+	}
+	a.Release(0)
+	if n := a.Inflight(); n != 0 {
+		t.Fatalf("inflight = %d after every release, want 0", n)
+	}
+}
+
 // TestAdmissionQueueFullSheds fills slots and queue, then asserts the
 // next request sheds with the deterministic queue-full reason.
 func TestAdmissionQueueFullSheds(t *testing.T) {

@@ -79,9 +79,17 @@ func (rt *RequestTracer) Recorder() *FlightRecorder {
 	return rt.rec
 }
 
-// requestSpanCap is the span capacity a request trace starts with: a warm
-// /predict opens about ten stages, so the list is allocated once.
-const requestSpanCap = 12
+// requestTrace is a request's Trace with inline room for what a warm
+// request records — root, setup, guard.queue, parse, cache.memo and
+// respond, and its cache/backend/cluster annotations — so Start
+// allocates one object. A cold request's spans outgrow the room and
+// continue on the heap by append. Traces are never pooled: the flight
+// recorder keeps pointers to them.
+type requestTrace struct {
+	Trace
+	spanBuf [7]Span
+	attrBuf [3]Attr
+}
 
 // Start opens a trace for one request: a fresh ID, an epoch at now, and
 // a root span (index 0) covering the handler. Nil-safe: a nil tracer
@@ -91,16 +99,12 @@ func (rt *RequestTracer) Start(endpoint string) *Trace {
 		return nil
 	}
 	seq := rt.seq.Add(1)
-	id := make([]byte, 0, len(rt.prefix)+8)
-	id = append(id, rt.prefix...)
-	id = appendSeq(id, seq)
-	t := &Trace{
-		ID:       string(id),
-		Endpoint: endpoint,
-		Seq:      seq,
-		clock:    rt.clock,
-		spans:    make([]Span, 1, requestSpanCap),
-	}
+	var idbuf [24]byte
+	rq := new(requestTrace)
+	t := &rq.Trace
+	t.ID = string(appendSeq(append(idbuf[:0], rt.prefix...), seq))
+	t.Endpoint, t.Seq, t.clock = endpoint, seq, rt.clock
+	t.spans, t.attrs = rq.spanBuf[:1], rq.attrBuf[:0]
 	t.spans[0] = Span{Name: endpoint, Rank: -1, Track: TrackStages, Parent: -1}
 	// Stamped last: a request is not billed for building its own recorder.
 	t.epoch = rt.clock.Now()

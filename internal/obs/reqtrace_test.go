@@ -237,9 +237,9 @@ func TestAutoFlushOnSlowAndError(t *testing.T) {
 
 // TestConcurrentSpansUnderOneParent: executor-style fan-out — many
 // goroutines opening and closing children of one span — must be safe
-// and lose nothing: not a span, and not an End. The span list regrows
-// several times under the workers (it starts at requestSpanCap), and the
-// parent ends while they are still appending, so an End that wrote into
+// and lose nothing: not a span, and not an End. The span list leaves the
+// trace's inline room and regrows several times under the workers, and
+// the parent ends while they are still appending, so an End that wrote into
 // a backing array a concurrent append had just outgrown would leave a
 // span with Elapsed 0 here. Run with -race and without.
 func TestConcurrentSpansUnderOneParent(t *testing.T) {

@@ -256,7 +256,8 @@ func (r SpanRef) Span() Span {
 }
 
 // spanCtxKey carries the current SpanRef — and through it the trace —
-// in a context.
+// in a context: a *Trace stands for its root, which spares boxing a
+// SpanRef for every request.
 type spanCtxKey struct{}
 
 // ContextWithTrace returns a context whose current span is the trace's
@@ -266,14 +267,19 @@ func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, spanCtxKey{}, t.Root())
+	return context.WithValue(ctx, spanCtxKey{}, t)
 }
 
 // SpanFrom returns the context's current span, the zero SpanRef when
 // tracing is off.
 func SpanFrom(ctx context.Context) SpanRef {
-	r, _ := ctx.Value(spanCtxKey{}).(SpanRef)
-	return r
+	switch v := ctx.Value(spanCtxKey{}).(type) {
+	case SpanRef:
+		return v
+	case *Trace:
+		return v.Root()
+	}
+	return SpanRef{}
 }
 
 // TraceFrom returns the context's trace, nil when tracing is off.

@@ -157,7 +157,7 @@ func (s *Server) runMeasured(ctx context.Context, q predict.Query) (*harness.Stu
 	if err != nil {
 		return nil, err
 	}
-	qsp, _ := obs.StartSpan(ctx, "measure.queue", "")
+	qsp := obs.SpanFrom(ctx).StartChild("measure.queue", "")
 	s.measureSem <- struct{}{}
 	qsp.End()
 	defer func() { <-s.measureSem }()

@@ -36,7 +36,8 @@ func peerHopFrom(ctx context.Context) bool {
 // bare key, so if an inbound fill and an outbound proxy for the same key
 // ever coexist on one node (disagreeing ring views), they collapse into
 // different flights instead of the fill waiting on the proxy that is
-// waiting on the peer that sent the fill.
+// waiting on the peer that sent the fill. A request with a budget waits
+// for the fill against it (see flight).
 func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (predict.Prediction, error) {
 	tr := obs.TraceFrom(ctx)
 	if pr, ok := s.cluster.Replica(key); ok {
@@ -48,8 +49,8 @@ func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (p
 	hot := s.cluster.NoteRequest(key)
 	sp, sfctx := obs.StartSpan(ctx, "peer.fill", owner)
 	rawQuery := q.Encode()
-	fn := func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
-		defer recoverFlight(&err)
+	res, err := s.flight(ctx, sp, "peer|"+key, func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
+		defer recoverPanic(&err)
 		if tr != nil {
 			fl.SetToken(tr.ID)
 		}
@@ -67,36 +68,19 @@ func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (p
 			obs.TraceFrom(sfctx).Annotate("peer_flight", token)
 		}
 		return pr, nil
+	})
+	if err != nil {
+		return predict.Prediction{}, err
 	}
-	var pr predict.Prediction
-	var err error
-	var shared bool
-	var fl *singleflight.Flight
-	if _, hasDeadline := ctx.Deadline(); hasDeadline {
-		ch := s.sf.DoFlightCh("peer|"+key, fn)
-		select {
-		case res := <-ch:
-			pr, err, shared, fl = res.Val, res.Err, res.Shared, res.Flight
-		case <-ctx.Done():
-			if fin, ok := ctx.Value(finishCtxKey{}).(*deferredFinish); ok {
-				fin.wait = ch
-			}
-			tr.Annotate("singleflight", "abandoned")
-			sp.SetDetail("abandoned")
-			sp.End()
-			return predict.Prediction{}, budgetErr(ctx, ctx.Err())
-		}
-	} else {
-		pr, err, shared, fl = s.sf.DoFlight("peer|"+key, fn)
-	}
-	if shared {
+	if res.Shared {
 		s.reg.Counter("serve.singleflight.shared").Inc()
 		tr.Annotate("singleflight", "follower")
-		if leader, ok := fl.Token().(string); ok {
+		if leader, ok := res.Flight.Token().(string); ok {
 			tr.Annotate("singleflight_leader", leader)
 		}
 	}
 	sp.End()
+	pr, err := res.Val, res.Err
 	if err != nil {
 		// Any fetch failure — open breaker, transport, owner-side error —
 		// degrades to resolving here: every node can answer every query,
@@ -130,7 +114,7 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) error {
 			errors.New(cluster.FillPath + " is peer-internal (missing " + cluster.HopHeader + " header)")}
 	}
 	ctx := r.Context()
-	sp, _ := obs.StartSpan(ctx, "parse", "")
+	sp := obs.SpanFrom(ctx).StartChild("parse", "")
 	q, err := ParseQuery(r.URL.Query())
 	if err != nil {
 		sp.End()

@@ -187,6 +187,61 @@ func TestAdmissionShedsWith503AndRetryAfter(t *testing.T) {
 	}
 }
 
+// TestQueuedRequestAnswers504WhenItsBudgetRunsOut: the queue is a point
+// where a request waits, so its budget's deadline fires there too. One
+// slot, held by a /predict stalled in analysis under a long budget; a
+// /couplings queued behind it with a short budget answers the
+// deterministic 504 body without ever being admitted, and no slot leaks.
+func TestQueuedRequestAnswers504WhenItsBudgetRunsOut(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := guard.New(guard.Config{
+		MaxInflight: 1,
+		QueueDepth:  1,
+		DeadlineFor: map[string]time.Duration{"predict": time.Minute, "couplings": 30 * time.Millisecond},
+		Metrics:     reg,
+	})
+	srv, err := New(Config{Cache: warmedCache(t), Metrics: reg, Guard: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	inner := srv.analyze
+	srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
+		once.Do(func() { close(entered) })
+		<-release
+		return inner(ctx, q)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	first := make(chan []byte, 1)
+	go func() { first <- get(t, ts.URL, "/predict?"+warmQS, http.StatusOK) }()
+	<-entered // the /predict holds the only slot, stalled in analysis
+
+	body := get(t, ts.URL, "/couplings?"+warmQS, http.StatusGatewayTimeout)
+	const want = "{\n  \"error\": \"guard: deadline budget 30ms exceeded for couplings\"\n}\n"
+	if string(body) != want {
+		t.Errorf("queued 504 body = %q, want %q", body, want)
+	}
+	if got := reg.Counter("guard.admission.waited").Value(); got != 1 {
+		t.Errorf("guard.admission.waited = %d, want 1: the /couplings did not queue", got)
+	}
+	if got := reg.Counter("serve.deadline_exceeded").Value(); got != 1 {
+		t.Errorf("serve.deadline_exceeded = %d, want 1", got)
+	}
+
+	close(release)
+	<-first
+	if got := g.Admission.Inflight(); got != 0 {
+		t.Errorf("inflight = %d after drain, want 0", got)
+	}
+	if got := g.Admission.Queued(); got != 0 {
+		t.Errorf("queued = %d after drain, want 0", got)
+	}
+}
+
 // TestMeasureBreakerOpensAndRecovers drives the full circuit cycle
 // through the serving layer with injected measurement failures:
 // closed → open (failures), fast-fail 503 while open, half-open probe

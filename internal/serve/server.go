@@ -10,6 +10,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -305,7 +306,7 @@ func (s *Server) measureOnce(ctx context.Context, eng harness.Engine, q predict.
 	if tk.Probe() {
 		// A half-open probe is load-bearing for recovery; make it visible
 		// in the trace tree and on the trace itself.
-		psp, _ := obs.StartSpan(mctx, "breaker.probe", "measure")
+		psp := obs.SpanFrom(mctx).StartChild("breaker.probe", "measure")
 		psp.End()
 		obs.TraceFrom(ctx).Annotate("breaker.probe", "measure")
 	}
@@ -352,12 +353,8 @@ func (s *Server) resolve(ctx context.Context, q Query, key string) (predict.Pred
 // The flight body detaches from the requesting caller's cancellation:
 // followers piled onto a flight must survive the leader's own requester
 // giving up (deadline spent, connection dropped), so the leader runs on
-// the guard's leader budget instead of any one caller's. When the
-// request carries a deadline, resolveLocal waits for the flight in a
-// select and answers deterministically the moment the budget runs out —
-// the flight keeps going for whoever is still waiting, and this
-// request's trace is finished only once the flight lands (see wrap),
-// because the detached work keeps writing spans into it.
+// the guard's leader budget instead of any one caller's. A request with
+// a budget waits for the flight against it (see flight).
 //
 // key is q.Key(): the request's entry point builds it once and every
 // layer below shares it.
@@ -372,8 +369,8 @@ func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict
 		}
 	}
 	sp, sfctx := obs.StartSpan(ctx, "singleflight", "")
-	fn := func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
-		defer recoverFlight(&err)
+	res, err := s.flight(ctx, sp, key, func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
+		defer recoverPanic(&err)
 		if tr != nil {
 			fl.SetToken(tr.ID)
 		}
@@ -381,37 +378,14 @@ func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict
 		dctx, dcancel := s.guard.Detach(sfctx)
 		defer dcancel()
 		return s.analyze(dctx, q)
+	})
+	if err != nil {
+		return predict.Prediction{}, "", err
 	}
-	var pr predict.Prediction
-	var err error
-	var shared bool
-	var fl *singleflight.Flight
-	if _, hasDeadline := ctx.Deadline(); hasDeadline {
-		ch := s.sf.DoFlightCh(key, fn)
-		select {
-		case res := <-ch:
-			pr, err, shared, fl = res.Val, res.Err, res.Shared, res.Flight
-		case <-ctx.Done():
-			// Budget spent while the flight was still working. Hand the
-			// flight channel to wrap so the trace outlives this answer,
-			// and answer with the deterministic deadline body.
-			if fin, ok := ctx.Value(finishCtxKey{}).(*deferredFinish); ok {
-				fin.wait = ch
-			}
-			tr.Annotate("singleflight", "abandoned")
-			sp.SetDetail("abandoned")
-			sp.End()
-			return predict.Prediction{}, "", budgetErr(ctx, ctx.Err())
-		}
-	} else {
-		// No deadline: nothing to wait against, so the flight runs
-		// synchronously on this goroutine.
-		pr, err, shared, fl = s.sf.DoFlight(key, fn)
-	}
-	if shared {
+	if res.Shared {
 		s.reg.Counter("serve.singleflight.shared").Inc()
 		tr.Annotate("singleflight", "follower")
-		if leader, ok := fl.Token().(string); ok {
+		if leader, ok := res.Flight.Token().(string); ok {
 			tr.Annotate("singleflight_leader", leader)
 			sp.SetDetail("waited on " + leader)
 		}
@@ -419,16 +393,51 @@ func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict
 		tr.Annotate("singleflight", "leader")
 	}
 	sp.End()
-	token, _ := fl.Token().(string)
-	return pr, token, err
+	token, _ := res.Flight.Token().(string)
+	return res.Val, token, res.Err
 }
 
-// recoverFlight, deferred first in a flight body, turns a panic in it
-// into the flight's error: the leader and every follower answer the same
-// 500, with or without a guard, and the server goes on serving. Under a
-// guard the body runs on DoFlightCh's goroutine, where a panic that got
-// past it would end the process.
-func recoverFlight(err *error) {
+// flight runs fn as key's singleflight flight and waits for its result.
+// A request with a budget waits in a select against the budget's
+// deadline, armed here, and answers deterministically the moment the
+// budget runs out: the flight keeps going for whoever is still waiting,
+// and its channel is left on the budget so wrap finishes this request's
+// trace only once the flight lands, because the detached work keeps
+// writing spans into it. An abandoned wait ends sp, the request's
+// flight span. Without a deadline there is nothing to wait against, so
+// the flight runs synchronously on this goroutine.
+func (s *Server) flight(ctx context.Context, sp obs.SpanRef, key string, fn func(*singleflight.Flight) (predict.Prediction, error)) (singleflight.FlightResult[predict.Prediction], error) {
+	ctx, cancel := arm(ctx)
+	defer cancel()
+	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
+		var res singleflight.FlightResult[predict.Prediction]
+		res.Val, res.Err, res.Shared, res.Flight = s.sf.DoFlight(key, fn)
+		return res, nil
+	}
+	ch := s.sf.DoFlightCh(key, fn)
+	select {
+	case res := <-ch:
+		return res, nil
+	case <-ctx.Done():
+		if b := budgetFrom(ctx); b != nil {
+			b.wait = ch
+		}
+		obs.TraceFrom(ctx).Annotate("singleflight", "abandoned")
+		sp.SetDetail("abandoned")
+		sp.End()
+		return singleflight.FlightResult[predict.Prediction]{}, budgetErr(ctx, ctx.Err())
+	}
+}
+
+// recoverPanic, deferred first in a flight body and around every
+// handler, turns a panic into the error the caller returns: the request —
+// and, in a flight, every follower — answers the same 500, with or
+// without a guard, and the server goes on serving. Under a guard a
+// flight body runs on DoFlightCh's goroutine, where a panic that got past
+// it would end the process; on the request's own goroutine net/http
+// would drop the connection, and an admitted request would keep its
+// admission slot.
+func recoverPanic(err *error) {
 	if r := recover(); r != nil {
 		*err = fmt.Errorf("serve: panic while resolving the query: %v", r)
 	}
@@ -487,36 +496,67 @@ func statusOf(err error) int {
 	}
 }
 
-// budgetInfo rides the request context so layers that only see a dead
-// context can still render the deterministic deadline body (which budget,
-// which endpoint) instead of the bare context sentinel.
-type budgetInfo struct {
+// budget is a guarded request's deadline budget: which endpoint, how
+// long, and the deadline that fixes — entry time plus budget, taken after
+// any injected handler delay. It rides the request context as one value,
+// so layers that only see a dead context can still render the
+// deterministic deadline body. No timer stands behind it until the
+// request reaches a point where it can wait (arm): a request answered at
+// once never builds one.
+type budget struct {
 	endpoint string
 	budget   time.Duration
+	deadline time.Time
+	// wait is the flight this request stopped waiting for when its
+	// budget ran out. Set and read on the handler goroutine only: while
+	// it is non-nil the detached flight is still writing spans into the
+	// request's trace, so wrap must not finish (snapshot into the flight
+	// recorder) the trace until the flight lands.
+	wait <-chan singleflight.FlightResult[predict.Prediction]
 }
 
 type budgetCtxKey struct{}
+
+// withBudget returns ctx carrying the endpoint's budget, starting now,
+// or ctx and nil when the guard gives the endpoint none.
+//
+//kcvet:hotpath every guarded request starts its budget here
+func (s *Server) withBudget(ctx context.Context, endpoint string) (context.Context, *budget) {
+	d := s.guard.Budget(endpoint)
+	if d <= 0 {
+		return ctx, nil
+	}
+	b := &budget{endpoint: endpoint, budget: d, deadline: time.Now().Add(d)}
+	return context.WithValue(ctx, budgetCtxKey{}, b), b
+}
+
+func budgetFrom(ctx context.Context) *budget {
+	b, _ := ctx.Value(budgetCtxKey{}).(*budget)
+	return b
+}
+
+// arm bounds ctx by its request's budget deadline, for a point where the
+// request can wait: queued for admission, waiting on a flight. Without a
+// budget ctx comes back as it is.
+//
+//kcvet:hotpath a guarded request that waits arms its deadline here, once per wait
+func arm(ctx context.Context) (context.Context, context.CancelFunc) {
+	b := budgetFrom(ctx)
+	if b == nil {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, b.deadline)
+}
 
 // budgetErr upgrades a context error into the deterministic guard error
 // for the request's configured budget; errors that are not context
 // expiry (shed, breaker) pass through unchanged.
 func budgetErr(ctx context.Context, err error) error {
-	if bi, ok := ctx.Value(budgetCtxKey{}).(budgetInfo); ok && errors.Is(err, context.DeadlineExceeded) {
-		return &guard.DeadlineError{Endpoint: bi.endpoint, Budget: bi.budget}
+	if b := budgetFrom(ctx); b != nil && errors.Is(err, context.DeadlineExceeded) {
+		return &guard.DeadlineError{Endpoint: b.endpoint, Budget: b.budget}
 	}
 	return err
 }
-
-// deferredFinish lets resolve hand an abandoned flight back to wrap. Set
-// and read on the handler goroutine only — no lock. While wait is
-// non-nil the detached leader is still writing spans into this request's
-// trace, so the trace must not be finished (snapshotted into the flight
-// recorder) until the flight lands.
-type deferredFinish struct {
-	wait <-chan singleflight.FlightResult[predict.Prediction]
-}
-
-type finishCtxKey struct{}
 
 // wrap gives every endpoint the same observability: request and error
 // counters, cumulative and sliding-window latency histograms, the shared
@@ -527,7 +567,8 @@ type finishCtxKey struct{}
 // Guarded endpoints additionally pass through the overload hardening:
 // injected handler latency (chaos), the endpoint's deadline budget, and
 // the admission controller. Shed requests answer 503 with Retry-After,
-// spent budgets answer 504; both bodies are deterministic.
+// spent budgets answer 504; both bodies are deterministic. A panic in a
+// handler answers 500 (see callHandler).
 func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
 	// The endpoint's instruments are resolved here, once: a request must
 	// not concatenate metric names or take the registry's mutex.
@@ -536,6 +577,10 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 	count := s.reg.Counter("serve.req." + name + ".count")
 	errCount := s.reg.Counter("serve.req." + name + ".errors")
 	latency := s.reg.Histogram("serve.req." + name + ".latency_ns")
+	var adm *guard.Admission
+	if guarded && s.guard != nil {
+		adm = s.guard.Admission
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		inflight.Add(1)
 		defer inflight.Add(-1)
@@ -548,46 +593,27 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 		// runs — installing the trace, injected latency, the deadline
 		// budget — so a trace has no unexplained time ahead of "parse".
 		setup := tr.Root().StartChild("setup", "")
-		var fin *deferredFinish
+		ctx := r.Context()
 		if tr != nil {
 			w.Header().Set("X-Trace-Id", tr.ID)
-			r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
+			ctx = obs.ContextWithTrace(ctx, tr)
 		}
+		var b *budget
 		if guarded {
 			// Handler latency injection hits only guarded endpoints, so
 			// /healthz stays a stable liveness signal during chaos.
 			if d := s.inject.HandlerDelay(); d > 0 {
 				time.Sleep(d)
 			}
-			if budget := s.guard.Budget(name); budget > 0 {
-				ctx, cancel := context.WithTimeout(r.Context(), budget)
-				defer cancel()
-				ctx = context.WithValue(ctx, budgetCtxKey{}, budgetInfo{endpoint: name, budget: budget})
-				if tr != nil {
-					// Only a budget can abandon a flight, so only a budgeted
-					// traced request needs somewhere to leave one.
-					fin = &deferredFinish{}
-					ctx = context.WithValue(ctx, finishCtxKey{}, fin)
-				}
-				r = r.WithContext(ctx)
-			}
+			ctx, b = s.withBudget(ctx, name)
 			s.retryBudget().OnRequest()
+		}
+		if tr != nil || b != nil {
+			r = r.WithContext(ctx)
 		}
 		setup.End()
 		start := time.Now()
-		var err error
-		if guarded && s.guard != nil && s.guard.Admission != nil {
-			if err = s.admit(r.Context()); err == nil {
-				// The EWMA behind deadline-aware shedding wants pure
-				// service time, so the release measures from grant — the
-				// latency histogram above still sees queue wait.
-				hstart := time.Now()
-				err = h(w, r)
-				s.guard.Admission.Release(time.Since(hstart))
-			}
-		} else {
-			err = h(w, r)
-		}
+		err := s.callHandler(adm, h, w, r)
 		dur := time.Since(start)
 		status := http.StatusOK
 		var errMsg string
@@ -607,12 +633,12 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 			errMsg = err.Error()
 			writeJSON(w, status, errorBody(err, errMsg))
 		}
-		if fin != nil && fin.wait != nil {
+		if tr != nil && b != nil && b.wait != nil {
 			// A detached flight is still writing spans into this trace;
 			// finish (and record) it only once the flight lands, so the
 			// flight recorder never snapshots a trace mid-write and the
 			// abandoned request's full span tree survives for debugging.
-			wait, st, em := fin.wait, status, errMsg
+			wait, st, em := b.wait, status, errMsg
 			go func() {
 				<-wait
 				s.tracer.Finish(tr, st, em)
@@ -628,18 +654,43 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 	})
 }
 
+// callHandler calls h, admitted first when adm is non-nil, and answers a
+// panic anywhere in it as recoverPanic does. The admission slot is
+// released however h ends, panic included.
+func (s *Server) callHandler(adm *guard.Admission, h func(http.ResponseWriter, *http.Request) error, w http.ResponseWriter, r *http.Request) (err error) {
+	defer recoverPanic(&err)
+	if adm != nil {
+		if err := s.admit(r.Context(), adm); err != nil {
+			return err
+		}
+		// The EWMA behind deadline-aware shedding wants pure service
+		// time, so the release measures from grant — wrap's latency
+		// histogram still sees the queue wait.
+		granted := time.Now()
+		defer func() { adm.Release(time.Since(granted)) }()
+	}
+	return h(w, r)
+}
+
 // admit runs the request through the admission controller, recording the
-// queue wait and any shed as spans. Context expiry while queued maps to
-// the deterministic deadline body via budgetErr.
-func (s *Server) admit(ctx context.Context) error {
-	qsp, _ := obs.StartSpan(ctx, "guard.queue", "")
-	err := s.guard.Admission.Acquire(ctx)
+// queue wait and any shed as spans. A free slot is taken at once; only a
+// request that must queue arms its budget's deadline, and expiry while
+// queued maps to the deterministic deadline body via budgetErr.
+func (s *Server) admit(ctx context.Context, adm *guard.Admission) error {
+	qsp := obs.SpanFrom(ctx).StartChild("guard.queue", "")
+	if adm.TryAcquire() {
+		qsp.End()
+		return nil
+	}
+	wctx, cancel := arm(ctx)
+	err := adm.Acquire(wctx)
+	cancel()
 	qsp.End()
 	if err == nil {
 		return nil
 	}
 	err = budgetErr(ctx, err)
-	ssp, _ := obs.StartSpan(ctx, "guard.shed", err.Error())
+	ssp := obs.SpanFrom(ctx).StartChild("guard.shed", err.Error())
 	ssp.End()
 	return err
 }
@@ -706,18 +757,47 @@ func errorBody(err error, errMsg string) errorResponse {
 	return errorResponse{Error: errMsg}
 }
 
-// writeJSON writes v indented with a trailing newline. Responses are
-// built from ordered slices (never bare maps), so for a given cache
-// state a query's body is byte-identical across requests, restarts and
-// concurrency levels.
+// jsonWriter is a reusable render target: an encoder that indents like
+// json.MarshalIndent(v, "", "  ") and escapes HTML like it, writing into
+// buf. The encoder's own indent scratch is reused with it.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// maxPooledJSON bounds the buffer a jsonWriter may keep between renders:
+// a large debug or metrics dump is rendered once and dropped, so the
+// pool does not pin it.
+const maxPooledJSON = 64 << 10
+
+// writeJSON writes v indented with a trailing newline — the bytes of
+// json.MarshalIndent(v, "", "  ") and "\n" — from a pooled encoder, so a
+// render leaves no buffer behind. Responses are built from ordered slices
+// (never bare maps), so for a given cache state a query's body is
+// byte-identical across requests, restarts and concurrency levels.
+//
+//kcvet:hotpath every warm /predict answer is rendered here
 func writeJSON(w http.ResponseWriter, code int, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	jw := jsonWriters.Get().(*jsonWriter)
+	defer func() {
+		if jw.buf.Cap() <= maxPooledJSON {
+			jw.buf.Reset()
+			jsonWriters.Put(jw)
+		}
+	}()
+	if err := jw.enc.Encode(v); err != nil {
 		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, err = w.Write(append(b, '\n'))
+	_, err := w.Write(jw.buf.Bytes())
 	return err
 }
 
@@ -774,7 +854,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	sp, _ := obs.StartSpan(r.Context(), "respond", "")
+	sp := obs.SpanFrom(r.Context()).StartChild("respond", "")
 	st := pr.Study
 	if pr.Backend != "" {
 		w.Header().Set("X-Backend", pr.Backend)
@@ -856,7 +936,7 @@ func (s *Server) handleCouplings(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	sp, _ := obs.StartSpan(r.Context(), "respond", "")
+	sp := obs.SpanFrom(r.Context()).StartChild("respond", "")
 	st := pr.Study
 	if pr.Backend != "" {
 		w.Header().Set("X-Backend", pr.Backend)
@@ -900,7 +980,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	sp, _ := obs.StartSpan(r.Context(), "respond", "")
+	sp := obs.SpanFrom(r.Context()).StartChild("respond", "")
 	st := pr.Study
 	if pr.Backend != "" {
 		w.Header().Set("X-Backend", pr.Backend)
@@ -930,7 +1010,7 @@ func (s *Server) study(r *http.Request) (predict.Prediction, string, error) {
 		ctx = withPeerHop(ctx)
 		s.reg.Counter("cluster.hop.local").Inc()
 	}
-	sp, _ := obs.StartSpan(ctx, "parse", "")
+	sp := obs.SpanFrom(ctx).StartChild("parse", "")
 	q, err := ParseQuery(r.URL.Query())
 	if err != nil {
 		sp.End()

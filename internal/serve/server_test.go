@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -334,36 +337,156 @@ func TestConcurrentMixedRequests(t *testing.T) {
 }
 
 // TestPanicInAFlightIsA500: a panic while resolving a query answers 500
-// and the server goes on serving. With a guard the flight runs on a
-// goroutine of its own, where a panic nothing recovers ends the process;
-// without one net/http would recover it and drop the connection. Both
-// servers answer the same body.
+// and the server goes on serving, wherever it happens. In a flight's
+// analysis: with a guard the flight runs on a goroutine of its own, where
+// a panic nothing recovers ends the process. In the memo peek, on the
+// request's own goroutine: net/http would drop the connection, and an
+// admitted request would keep its admission slot for good. Guarded and
+// unguarded servers answer the same body, and the slot comes back.
 func TestPanicInAFlightIsA500(t *testing.T) {
-	var bodies [][]byte
-	for _, g := range []*guard.Guard{nil, guard.New(guard.Config{Deadline: 5 * time.Second})} {
-		srv, err := New(Config{Cache: warmedCache(t), Guard: g})
+	for _, site := range []string{"analysis", "peek"} {
+		var bodies [][]byte
+		for _, g := range []*guard.Guard{nil, guard.New(guard.Config{Deadline: 5 * time.Second, MaxInflight: 1})} {
+			srv, err := New(Config{Cache: warmedCache(t), Guard: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var calls atomic.Int32
+			switch site {
+			case "analysis":
+				inner := srv.analyze
+				srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
+					if calls.Add(1) == 1 {
+						panic("analysis blew up")
+					}
+					return inner(ctx, q)
+				}
+			case "peek":
+				srv.chains[""] = predict.NewChain(nil, panickyPeek{srv.chains[""], &calls})
+			}
+			ts := httptest.NewServer(srv.Handler())
+			bodies = append(bodies, get(t, ts.URL, "/predict?"+warmQS, http.StatusInternalServerError))
+			get(t, ts.URL, "/predict?"+warmQS, http.StatusOK)
+			ts.Close()
+			if g != nil {
+				if n := g.Admission.Inflight(); n != 0 {
+					t.Errorf("%s: %d admission slots held after the requests, want 0", site, n)
+				}
+			}
+		}
+		if !bytes.Contains(bodies[0], []byte(site+" blew up")) {
+			t.Errorf("%s: 500 body does not name the panic: %s", site, bodies[0])
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("%s: the guarded server's 500 differs from the unguarded one's:\n%s\n---\n%s", site, bodies[1], bodies[0])
+		}
+	}
+}
+
+// panickyPeek is a chain whose first peek panics.
+type panickyPeek struct {
+	*predict.Chain
+	calls *atomic.Int32
+}
+
+func (p panickyPeek) Peek(ctx context.Context, q predict.Query) (predict.Prediction, bool) {
+	if p.calls.Add(1) == 1 {
+		panic("peek blew up")
+	}
+	return p.Chain.Peek(ctx, q)
+}
+
+// TestWriteJSONIsMarshalIndent: the pooled render writes exactly
+// json.MarshalIndent(v, "", "  ") and a newline for every body the
+// service renders — HTML-escaped strings included — from many goroutines
+// at once; a failed render writes nothing and leaves no bytes in the
+// pool, and a body too large to keep in the pool renders the same.
+func TestWriteJSONIsMarshalIndent(t *testing.T) {
+	srv, err := New(Config{Cache: warmedCache(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := srv.analyze(t.Context(), warmQuery(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const esc = "<b>a & b</b> \u2028"
+	rec := obs.NewFlightRecorder(4, 4)
+	rt := obs.NewRequestTracer(obs.TracerConfig{Recorder: rec})
+	for _, status := range []int{http.StatusOK, http.StatusInternalServerError} {
+		tr := rt.Start("predict")
+		tr.Root().StartChild("parse", esc).End()
+		tr.Annotate("cache", esc)
+		errMsg := ""
+		if status != http.StatusOK {
+			errMsg = esc
+		}
+		rt.Finish(tr, status, errMsg)
+	}
+	pooled := PredictResponse{
+		Workload: esc, Trips: 2, ActualSeconds: 0.25,
+		Predictors: []Predictor{{Label: esc, Seconds: 1.0 / 3}, {Label: "Coupling: 2 kernels", ChainLen: 2, Seconds: 0.3, RelativeError: 1e-9}},
+		Exec:       pr.Study.Exec, Degraded: "stale", Backend: "analytic", Provenance: "analytic",
+		Confidence: &predict.Band{Lo: 0.1, Hi: 0.2}, WindowBands: []predict.WindowBand{{Window: []string{esc}, C: 0.9, Lo: 0.8, Hi: 1}},
+	}
+	big := pooled
+	big.Predictors = make([]Predictor, 1000)
+	for i := range big.Predictors {
+		big.Predictors[i] = Predictor{Label: esc, ChainLen: i, Seconds: float64(i) / 7}
+	}
+	values := []any{
+		pooled,
+		CouplingsResponse{Workload: esc, Trips: 2, Chains: []ChainCouplings{{
+			ChainLen: 2, PredictedSeconds: 0.5,
+			Coefficients: []KernelCoefficient{{Kernel: esc, Alpha: 0.5}},
+			Windows:      []WindowCoupling{{Window: []string{"x<", "y&"}, ChainedSeconds: 1, ExpectedSeconds: 1.1, Coupling: 0.9}},
+		}}},
+		cluster.FillResponse{Key: esc, Prediction: pr},
+		errorBody(&missError{err: errors.New(esc), backends: []string{"cached", "analytic"}}, esc),
+		errorBody(errors.New(esc), esc),
+		healthResponse{Status: "ok"},
+		rec.Snapshot(),
+		big,
+	}
+	want := make([][]byte, len(values))
+	for i, v := range values {
+		b, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		inner := srv.analyze
-		var calls atomic.Int32
-		srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
-			if calls.Add(1) == 1 {
-				panic("analysis blew up")
+		want[i] = append(b, '\n')
+	}
+	if len(want[len(want)-1]) <= maxPooledJSON {
+		t.Fatalf("the large body is %d bytes, not above the pool's %d", len(want[len(want)-1]), maxPooledJSON)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				w := httptest.NewRecorder()
+				if i%5 == 0 {
+					if err := writeJSON(w, http.StatusOK, math.NaN()); err == nil || w.Body.Len() != 0 {
+						t.Errorf("rendering NaN: err %v, wrote %q", err, w.Body)
+					}
+					continue
+				}
+				k := (g + i) % len(values)
+				if err := writeJSON(w, http.StatusCreated, values[k]); err != nil {
+					t.Errorf("body %d: %v", k, err)
+					continue
+				}
+				if w.Code != http.StatusCreated || w.Header().Get("Content-Type") != "application/json" {
+					t.Errorf("body %d: status %d, Content-Type %q", k, w.Code, w.Header().Get("Content-Type"))
+				}
+				if !bytes.Equal(w.Body.Bytes(), want[k]) {
+					t.Errorf("body %d differs from MarshalIndent:\n%s\n---\n%s", k, w.Body.Bytes(), want[k])
+				}
 			}
-			return inner(ctx, q)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		bodies = append(bodies, get(t, ts.URL, "/predict?"+warmQS, http.StatusInternalServerError))
-		get(t, ts.URL, "/predict?"+warmQS, http.StatusOK)
-		ts.Close()
+		}(g)
 	}
-	if !bytes.Contains(bodies[0], []byte("analysis blew up")) {
-		t.Errorf("500 body does not name the panic: %s", bodies[0])
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Errorf("the guarded server's 500 differs from the unguarded one's:\n%s\n---\n%s", bodies[1], bodies[0])
-	}
+	wg.Wait()
 }
 
 // TestColdThenWarmBodies: only a from-cache analysis fills the study

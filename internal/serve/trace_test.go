@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -222,15 +223,25 @@ func TestDebugRequestsDisabled(t *testing.T) {
 
 // TestTracedWarmPredictAllocs prices the tracer and the guard on the warm
 // /predict path in allocations, handler to handler with no network in
-// between. Tracing: a trace, its span list, its ID, the context values
-// that carry it and one context per stage — at most 33 a request, the
-// figure the tree-of-pointers layout this replaced cost end to end. The
-// untraced server pays nothing for it: with no trace in the context every
-// instrumentation point is one failed lookup and the zero handle's
-// methods are no-ops, so none of them allocates. Guarding: the deadline
-// context and the budget value it carries, and the stale-cache put of
-// the answer — at most 12 more. A warm answer is given on the request's
-// own goroutine, guard or not: no flight runs.
+// between. A warm answer is given on the request's own goroutine, guard
+// or not: no flight runs. The budgets are what the path costs:
+//
+//   - untraced, 37: the engine and its key, the query parse, the
+//     response and the recorder's header copies; the render reuses a
+//     pooled encoder and buffer.
+//   - tracing, 7 more: the trace with its spans inline, its ID, the
+//     context value carrying it, the request copy that installs it, its
+//     X-Trace-Id header, and the memo peek's stage context. A span whose
+//     context nothing below needs opens none.
+//   - guarding, 5 more: the budget and the context value carrying it, the
+//     request copy, and the stale cache's family key and boxed answer. No
+//     deadline timer: a warm answer waits nowhere, so nothing arms one.
+//   - both, as a fleet node runs (benchmark serve_fleet's guard), 11
+//     more: the two above sharing one request copy.
+//
+// sync.Pool drops a quarter of its Puts under the race detector, so the
+// budgets are checked in a plain build (scripts/ci.sh runs this test in
+// its plain line); a -race run still checks that no flight runs.
 func TestTracedWarmPredictAllocs(t *testing.T) {
 	allocs := func(cfg Config) float64 {
 		reg := obs.NewRegistry()
@@ -256,24 +267,40 @@ func TestTracedWarmPredictAllocs(t *testing.T) {
 		}
 		return n
 	}
+	tracer := func() *obs.RequestTracer {
+		return obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(0, 0)})
+	}
 	plain := allocs(Config{})
-	traced := allocs(Config{Tracer: obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(0, 0)})})
+	traced := allocs(Config{Tracer: tracer()})
 	guarded := allocs(Config{Guard: guard.New(guard.Config{
 		Deadline: 10 * time.Second, LeaderBudget: 10 * time.Second,
 		MaxInflight: 64, StaleCap: 64,
 	})})
-	t.Logf("warm /predict allocs: untraced %.0f, traced %.0f, guarded %.0f", plain, traced, guarded)
-	// The untraced figure has a ceiling of its own: a warm request builds
-	// its engine, renders one key, finds the memoised study and marshals
-	// it. At 434 it planned, hashed and analysed the study again.
-	if plain > 80 {
-		t.Errorf("an untraced warm /predict costs %.0f allocs, ceiling 80: the warm path is re-deriving its answer", plain)
-	}
-	if delta := traced - plain; delta > 33 {
-		t.Errorf("tracing costs %.0f allocs per warm /predict (%.0f vs %.0f), budget 33", delta, traced, plain)
-	}
-	if delta := guarded - plain; delta > 12 {
-		t.Errorf("the guard costs %.0f allocs per warm /predict (%.0f vs %.0f), budget 12", delta, guarded, plain)
+	fleet := allocs(Config{Tracer: tracer(), Guard: guard.New(guard.Config{
+		Deadline: 10 * time.Second, LeaderBudget: 10 * time.Second,
+		MaxInflight: 64, QueueDepth: 128, RetryRatio: 0.1, StaleCap: 64, Seed: 1,
+	})})
+	t.Logf("warm /predict allocs: untraced %.0f, traced %.0f, guarded %.0f, guarded and traced %.0f", plain, traced, guarded, fleet)
+	if raceEnabled() {
+		t.Log("allocation budgets not checked: sync.Pool drops Puts under -race")
+	} else {
+		// At 434 the untraced path planned, hashed and analysed the study
+		// again on every request.
+		if plain > 37 {
+			t.Errorf("an untraced warm /predict costs %.0f allocs, budget 37: the warm path is re-deriving or re-rendering its answer", plain)
+		}
+		for _, c := range []struct {
+			name        string
+			got, budget float64
+		}{
+			{"tracing", traced, 7},
+			{"the guard", guarded, 5},
+			{"the guard and tracing", fleet, 11},
+		} {
+			if delta := c.got - plain; delta > c.budget {
+				t.Errorf("%s costs %.0f allocs per warm /predict (%.0f vs %.0f), budget %.0f", c.name, delta, c.got, plain, c.budget)
+			}
+		}
 	}
 	ctx := t.Context()
 	if n := testing.AllocsPerRun(100, func() {
@@ -284,4 +311,18 @@ func TestTracedWarmPredictAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("an untraced instrumentation point allocates %.0f times, want 0", n)
 	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	if bi == nil {
+		return false
+	}
+	for _, st := range bi.Settings {
+		if st.Key == "-race" {
+			return st.Value == "true"
+		}
+	}
+	return false
 }

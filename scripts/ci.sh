@@ -39,11 +39,12 @@ echo "==> go test -run '^\$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s 
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s ./internal/fault
 
 # sync.Pool drops Puts under -race, so the zero-allocation assertions over
-# pooled message paths (mpi round trips, the 4-rank kernels) and the
-# allocation bound on a world that recycles its rank state skip above and
-# run here, with the rank-state pool's tests beside them.
-echo "==> go test -run 'NotAllocate|Recycle|Pool' ./internal/mpi ./internal/npb/..."
-go test -run 'NotAllocate|Recycle|Pool' ./internal/mpi ./internal/npb/...
+# pooled message paths (mpi round trips, the 4-rank kernels), the
+# allocation bound on a world that recycles its rank state and the warm
+# /predict allocation budgets (its render encoder is pooled) skip above
+# and run here, with the rank-state pool's tests beside them.
+echo "==> go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs' ./internal/mpi ./internal/npb/... ./internal/serve"
+go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs' ./internal/mpi ./internal/npb/... ./internal/serve
 
 # kcvet publishes its findings as a JSON build artifact whether or not
 # the gate passes; CI systems archive /tmp/kcvet-findings.json.
