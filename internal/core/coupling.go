@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Regime classifies a coupling value per Section 2 of the paper.
 type Regime int
@@ -55,9 +58,17 @@ func Coupling(chained float64, isolated []float64, metric Metric, weights []floa
 		metric = Time
 	}
 	if len(isolated) == 0 {
-		return 0, fmt.Errorf("core: coupling of empty window")
+		return 0, errEmptyWindow
 	}
-	expected := metric.Combine(isolated, weights)
+	return ratio(chained, metric.Combine(isolated, weights))
+}
+
+// errEmptyWindow is the coupling of a window with no kernels.
+var errEmptyWindow = errors.New("core: coupling of empty window")
+
+// ratio is C_S = chained/expected once the no-interaction expectation is
+// known, refusing the values a coupling cannot be formed from.
+func ratio(chained, expected float64) (float64, error) {
 	if expected <= 0 {
 		return 0, fmt.Errorf("core: non-positive no-interaction expectation %v", expected)
 	}

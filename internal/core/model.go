@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Measurements holds the raw inputs to the composition algebra, all in the
@@ -22,37 +24,59 @@ func NewMeasurements() Measurements {
 	}
 }
 
-// isolatedOf gathers the isolated values of a window's kernels.
-func (m Measurements) isolatedOf(window []string) ([]float64, error) {
-	vals := make([]float64, len(window))
-	for i, k := range window {
+// isolatedSum returns the time metric's no-interaction expectation of a
+// window — Time.Combine of its kernels' isolated values — summed as it
+// gathers them, in the same order and with the same compensation.
+func (m Measurements) isolatedSum(window []string) (float64, error) {
+	var sum stats.Kahan
+	for _, k := range window {
 		v, ok := m.Isolated[k]
 		if !ok {
-			return nil, fmt.Errorf("core: missing isolated measurement for kernel %q", k)
+			return 0, missingIsolated(k)
 		}
-		vals[i] = v
+		sum.Add(v)
 	}
-	return vals, nil
+	return sum.Sum(), nil
+}
+
+// missingIsolated is the error of a kernel with no isolated measurement.
+func missingIsolated(k string) error {
+	return fmt.Errorf("core: missing isolated measurement for kernel %q", k)
 }
 
 // CouplingOf computes the window's coupling value from the measurement set
 // using the time metric.
 func (m Measurements) CouplingOf(window []string) (WindowCoupling, error) {
-	iso, err := m.isolatedOf(window)
+	var kb [keyBuf]byte
+	wc, err := m.couplingOf(window, appendKey(kb[:0], window))
 	if err != nil {
 		return WindowCoupling{}, err
 	}
-	key := Key(window)
-	chained, ok := m.Window[key]
-	if !ok {
-		return WindowCoupling{}, fmt.Errorf("core: missing window measurement for %q", key)
-	}
-	c, err := Coupling(chained, iso, Time, nil)
+	wc.Window = append([]string(nil), window...)
+	return wc, nil
+}
+
+// couplingOf is CouplingOf with the window's key already joined — as
+// bytes, which the lookup of its measurement does not copy. The result
+// holds window itself, not a copy.
+func (m Measurements) couplingOf(window []string, key []byte) (WindowCoupling, error) {
+	expected, err := m.isolatedSum(window)
 	if err != nil {
-		return WindowCoupling{}, fmt.Errorf("core: window %q: %w", key, err)
+		return WindowCoupling{}, err
+	}
+	chained, ok := m.Window[string(key)]
+	if !ok {
+		return WindowCoupling{}, fmt.Errorf("core: missing window measurement for %q", string(key))
+	}
+	if len(window) == 0 {
+		return WindowCoupling{}, fmt.Errorf("core: window %q: %w", string(key), errEmptyWindow)
+	}
+	c, err := ratio(chained, expected)
+	if err != nil {
+		return WindowCoupling{}, fmt.Errorf("core: window %q: %w", string(key), err)
 	}
 	return WindowCoupling{
-		Window:   append([]string(nil), window...),
+		Window:   window,
 		Chained:  chained,
 		Expected: chained / c,
 		C:        c,
@@ -86,25 +110,24 @@ func Coefficients(ring Ring, L int, m Measurements, opts CoefficientOptions) (ma
 		return nil, nil, err
 	}
 	couplings := make([]WindowCoupling, 0, len(windows))
-	byKey := make(map[string]WindowCoupling, len(windows))
+	var kb [keyBuf]byte
 	for _, w := range windows {
 		var wc WindowCoupling
 		if L == 1 {
 			// Isolated "windows" have C = 1 by definition; synthesize
 			// them so L=1 cleanly degenerates to summation.
-			iso, err := m.isolatedOf(w)
-			if err != nil {
-				return nil, nil, err
+			v, ok := m.Isolated[w[0]]
+			if !ok {
+				return nil, nil, missingIsolated(w[0])
 			}
-			wc = WindowCoupling{Window: append([]string(nil), w...), Chained: iso[0], Expected: iso[0], C: 1}
+			wc = WindowCoupling{Window: w, Chained: v, Expected: v, C: 1}
 		} else {
-			wc, err = m.CouplingOf(w)
+			wc, err = m.couplingOf(w, appendKey(kb[:0], w))
 			if err != nil {
 				return nil, nil, err
 			}
 		}
 		couplings = append(couplings, wc)
-		byKey[wc.Key()] = wc
 	}
 
 	coeffs := make(map[string]float64, len(ring))
@@ -165,12 +188,14 @@ func (a App) Validate() error {
 // onceTime sums the isolated times of the pre- and post-kernels.
 func (a App) onceTime(m Measurements) (float64, error) {
 	var t float64
-	for _, k := range append(append([]string(nil), a.Pre...), a.Post...) {
-		v, ok := m.Isolated[k]
-		if !ok {
-			return 0, fmt.Errorf("core: missing isolated measurement for one-shot kernel %q", k)
+	for _, once := range [2][]string{a.Pre, a.Post} {
+		for _, k := range once {
+			v, ok := m.Isolated[k]
+			if !ok {
+				return 0, fmt.Errorf("core: missing isolated measurement for one-shot kernel %q", k)
+			}
+			t += v
 		}
-		t += v
 	}
 	return t, nil
 }
@@ -186,12 +211,12 @@ func (a App) SummationPrediction(m Measurements) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	iso, err := m.isolatedOf(a.Loop)
-	if err != nil {
-		return 0, err
-	}
 	var loop float64
-	for _, v := range iso {
+	for _, k := range a.Loop {
+		v, ok := m.Isolated[k]
+		if !ok {
+			return 0, missingIsolated(k)
+		}
 		loop += v
 	}
 	return once + float64(a.Trips)*loop, nil

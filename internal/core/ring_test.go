@@ -27,6 +27,14 @@ func TestWindowsPairwise(t *testing.T) {
 	if !reflect.DeepEqual(ws, want) {
 		t.Errorf("Windows(2) = %v, want %v", ws, want)
 	}
+	// The windows share one array; appending to one must not write into
+	// the next.
+	for i := range ws {
+		_ = append(ws[i], "X")
+	}
+	if !reflect.DeepEqual(ws, want) {
+		t.Errorf("after appending to each window, Windows(2) = %v, want %v", ws, want)
+	}
 }
 
 func TestWindowsChainOfThree(t *testing.T) {

@@ -1,8 +1,8 @@
 package harness
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -64,7 +64,7 @@ func Analyze(app core.App, m core.Measurements, actual float64, chainLens []int,
 			an.Degraded = append(an.Degraded, degraded...)
 		}
 		an.Couplings[L] = PredictionResult{
-			Label:     fmt.Sprintf("Coupling: %d kernels", L),
+			Label:     "Coupling: " + strconv.Itoa(L) + " kernels",
 			Predicted: pred.Total,
 			RelErr:    stats.RelativeError(pred.Total, actual),
 			ChainLen:  L,

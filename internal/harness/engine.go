@@ -547,6 +547,8 @@ func studyKey(w Workload, in plan.Inputs) string {
 // the cache — failing with ErrCacheMiss on the first one it does not
 // hold — and analyse. Its result is a function of its arguments and the
 // entries read, which is what lets RunFromCacheCtx keep it.
+//
+//kcvet:hotpath every first question a restarted server or couple -from-cache answers is built here
 func loadStudy(ctx context.Context, w Workload, in plan.Inputs, cache *plan.Cache) (*Study, error) {
 	planSpan, _ := obs.StartSpan(ctx, "plan", w.Name())
 	app, err := appFor(w, in.Trips)
@@ -559,37 +561,66 @@ func loadStudy(ctx context.Context, w Workload, in plan.Inputs, cache *plan.Cach
 	if err != nil {
 		return nil, err
 	}
-	loadSpan, loadCtx := obs.StartSpan(ctx, "cache.load", fmt.Sprintf("jobs=%d", len(jobs)))
-	m := core.NewMeasurements()
-	var provenance []MeasurementRecord
-	actuals := make([]float64, 0, in.ActualRuns)
-	for _, j := range jobs {
-		res, ok := cache.GetCtx(loadCtx, j)
+	traced := obs.TraceFrom(ctx) != nil
+	detail := ""
+	if traced {
+		detail = "jobs=" + strconv.Itoa(len(jobs))
+	}
+	loadSpan, loadCtx := obs.StartSpan(ctx, "cache.load", detail)
+	// Everything below is sized from the plan, so nothing grows.
+	var isolated, windows, runs int
+	for i := range jobs {
+		switch jobs[i].Kind {
+		case plan.KindIsolated:
+			isolated++
+		case plan.KindWindow:
+			windows++
+		case plan.KindActual:
+			runs++
+		}
+	}
+	m := core.Measurements{Isolated: make(map[string]float64, isolated), Window: make(map[string]float64, windows)}
+	provenance := make([]MeasurementRecord, isolated+windows+1)
+	actuals := make([]float64, runs)
+	var missing *plan.Job
+	recs, run := 0, 0
+	for i := range jobs {
+		j := &jobs[i]
+		res, ok := cache.GetCtx(loadCtx, *j)
 		if !ok {
-			loadSpan.SetDetail(fmt.Sprintf("jobs=%d missing=%s", len(jobs), j.Key()))
-			loadSpan.End()
-			return nil, fmt.Errorf("harness: %w for %s %s (key %s); run the study against this cache first", ErrCacheMiss, j.Kind, j.Label(), j.Key())
+			missing = j
+			break
 		}
 		switch j.Kind {
 		case plan.KindIsolated:
 			m.Isolated[j.Label()] = res.Seconds
-			provenance = append(provenance, record(j, res, true))
+			provenance[recs] = record(*j, res, true)
+			recs++
 		case plan.KindWindow:
 			m.Window[j.Label()] = res.Seconds
-			provenance = append(provenance, record(j, res, true))
+			provenance[recs] = record(*j, res, true)
+			recs++
 		case plan.KindActual:
-			actuals = append(actuals, res.Seconds)
+			actuals[run] = res.Seconds
+			run++
 		}
+	}
+	if missing != nil {
+		if traced {
+			loadSpan.SetDetail(detail + " missing=" + missing.Key())
+		}
+		loadSpan.End()
+		return nil, &missError{*missing}
 	}
 	loadSpan.End()
 	actual := stats.Median(actuals)
-	provenance = append(provenance, MeasurementRecord{
+	provenance[recs] = MeasurementRecord{
 		Key:     w.Name(),
 		Kind:    KindActual,
 		Seconds: actual,
 		Raw:     actuals,
 		Cached:  true,
-	})
+	}
 	analyzeSpan, _ := obs.StartSpan(ctx, "analyze", "")
 	an, err := Analyze(app, m, actual, in.ChainLens, nil, false)
 	analyzeSpan.End()
@@ -609,3 +640,13 @@ func loadStudy(ctx context.Context, w Workload, in plan.Inputs, cache *plan.Cach
 		Exec:         ExecStats{Planned: len(jobs), CacheHits: len(jobs)},
 	}, nil
 }
+
+// missError is loadStudy's failure for a job the cache does not hold. It
+// is rendered when it is read, not when the study fails.
+type missError struct{ job plan.Job }
+
+func (e *missError) Error() string {
+	return fmt.Sprintf("harness: %v for %s %s (key %s); run the study against this cache first", ErrCacheMiss, e.job.Kind, e.job.Label(), e.job.Key())
+}
+
+func (e *missError) Unwrap() error { return ErrCacheMiss }

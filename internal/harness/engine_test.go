@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -204,25 +205,55 @@ func TestFaultDigestKeepsInjectedResultsOutOfCleanCache(t *testing.T) {
 	}
 }
 
+// TestRunFromCache: a study rebuilt from the cache is the measured one —
+// from the memory tier of the cache that measured it, and from its
+// directory reopened by a new cache, where every job is a disk read.
 func TestRunFromCache(t *testing.T) {
-	cache := plan.NewCache()
-	opts := Options{Cache: cache}
+	dir := t.TempDir()
+	cache, err := plan.NewDirCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	opts := Options{Cache: cache, ActualRuns: 3}
 	measured, err := RunStudy(fourKernelSynthetic(), 10, []int{2, 4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Engine{Workload: fourKernelSynthetic(), Opts: opts}.RunFromCache(10, []int{2, 4})
+	reopened, err := plan.NewDirCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Actual != measured.Actual {
-		t.Errorf("re-analyzed actual %v != %v", re.Actual, measured.Actual)
+	defer reopened.Close()
+	// Every record of the from-cache study is a cached one.
+	provenance := append([]MeasurementRecord(nil), measured.Provenance...)
+	for i := range provenance {
+		provenance[i].Cached = true
 	}
-	if !reflect.DeepEqual(re.Couplings, measured.Couplings) || !reflect.DeepEqual(re.Summation, measured.Summation) {
-		t.Error("re-analysis differs from the measured study")
-	}
-	if re.Exec.CacheHits != re.Exec.Planned || re.Exec.Executed != 0 {
-		t.Errorf("from-cache exec = %+v", re.Exec)
+	for _, tc := range []struct {
+		name  string
+		cache *plan.Cache
+	}{{"memory", cache}, {"reopened directory", reopened}} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := opts
+			o.Cache = tc.cache
+			re, err := Engine{Workload: fourKernelSynthetic(), Opts: o}.RunFromCache(10, []int{2, 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re.Actual != measured.Actual {
+				t.Errorf("re-analyzed actual %v != %v", re.Actual, measured.Actual)
+			}
+			if !reflect.DeepEqual(re.Couplings, measured.Couplings) || !reflect.DeepEqual(re.Details, measured.Details) || !reflect.DeepEqual(re.Summation, measured.Summation) {
+				t.Error("re-analysis differs from the measured study")
+			}
+			if !reflect.DeepEqual(re.Measurements, measured.Measurements) || !reflect.DeepEqual(re.Provenance, provenance) {
+				t.Errorf("from-cache provenance differs from the measured study's\n got: %+v\nwant: %+v", re.Provenance, provenance)
+			}
+			if re.Exec.CacheHits != re.Exec.Planned || re.Exec.Executed != 0 {
+				t.Errorf("from-cache exec = %+v", re.Exec)
+			}
+		})
 	}
 }
 
@@ -536,4 +567,65 @@ func TestStudyKeyCoversEveryInput(t *testing.T) {
 		}
 		keys[k] = name
 	}
+}
+
+// btShapedSynthetic is a synthetic workload with BT's kernel structure:
+// one kernel before the loop, a five-kernel ring, one after. At chain
+// lengths 2 and 3 with three actual runs its study plans 20 jobs.
+func btShapedSynthetic() *Synthetic {
+	return &Synthetic{
+		SyntheticName: "bt-shaped",
+		Pre:           []string{"INITIALIZATION"},
+		Loop:          []string{"COPY_FACES", "X_SOLVE", "Y_SOLVE", "Z_SOLVE", "ADD"},
+		Post:          []string{"FINAL"},
+		Base: map[string]float64{
+			"INITIALIZATION": 3, "FINAL": 1,
+			"COPY_FACES": 0.4, "X_SOLVE": 2.1, "Y_SOLVE": 2.3, "Z_SOLVE": 2.2, "ADD": 0.3,
+		},
+		Delta: map[string]float64{"COPY_FACES|X_SOLVE": -0.2, "Z_SOLVE|ADD": 0.1},
+	}
+}
+
+// TestFromCacheStudyAllocs bounds what assembling a from-cache study out
+// of the memory tier allocates: plan, lookups, provenance and analysis of
+// a 20-job BT-shaped study. It cost 239 allocations while every lookup
+// rendered and hashed its job's strings, every window key was joined at
+// each use and every window list was copied; 47 once each is built once.
+// Under -race the figure is logged, not checked.
+func TestFromCacheStudyAllocs(t *testing.T) {
+	w := btShapedSynthetic()
+	chains := []int{2, 3}
+	o := Options{Cache: plan.NewCache(), ActualRuns: 3}
+	if _, err := RunStudy(w, 10, chains, o); err != nil {
+		t.Fatal(err)
+	}
+	in := planInputs(w, 10, chains, o.withDefaults())
+	ctx := context.Background()
+	var st *Study
+	var err error
+	allocs := testing.AllocsPerRun(50, func() { st, err = loadStudy(ctx, w, in, o.Cache) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Exec.Planned != 20 {
+		t.Fatalf("the study plans %d jobs, want 20", st.Exec.Planned)
+	}
+	t.Logf("a 20-job from-cache study allocates %.0f times", allocs)
+	if !raceEnabled() && allocs > 47 {
+		t.Errorf("a 20-job from-cache study allocates %.0f times, budget 47: a job, window key or window list is being rebuilt per use", allocs)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	if bi == nil {
+		return false
+	}
+	for _, st := range bi.Settings {
+		if st.Key == "-race" {
+			return st.Value == "true"
+		}
+	}
+	return false
 }

@@ -88,15 +88,17 @@ var errCacheMiss = errors.New("plan: cache miss")
 // Concurrency contract: the mutex guards only the in-memory state and is
 // never held across disk I/O or a Derive build — executor workers at
 // -parallel N must not serialize on each other's cache reads. Cold disk
-// reads of the same key are collapsed by a per-key singleflight group
+// reads of the same job are collapsed by a per-job singleflight group
 // instead, so a read stampede costs one read. A Put is one write(2) of
 // one whole record on an O_APPEND descriptor: the kernel places each
 // write at the end of the file under the inode's lock, so records of
 // concurrent writers — goroutines or processes — never interleave, and a
 // reader indexes a record only once its newline is there.
 type Cache struct {
-	mu  sync.Mutex // guards mem, memo, epoch, index and scanned — never held across disk I/O
-	mem map[string]entry
+	mu sync.Mutex // guards mem, memo, epoch, index and scanned — never held across disk I/O
+	// mem holds the results this cache knows, by canonical string: a
+	// lookup renders the job's and hashes nothing.
+	mem map[string]Result
 	// memo holds values derived from the entries (see Derive). epoch
 	// counts the events that can change such a value: an in-memory entry
 	// replaced by a different one, and Reset.
@@ -109,16 +111,16 @@ type Cache struct {
 	// other writers' — is indexed when a lookup misses (indexTail).
 	index   map[string]span
 	scanned int64
-	// disk collapses concurrent cold reads of one key into a single
-	// read (see Get).
-	disk singleflight.Group[string, entry]
+	// disk collapses concurrent cold reads of one job into a single
+	// read (see Get); it is keyed by canonical string, like mem.
+	disk singleflight.Group[string, Result]
 	// guard, when set, is called around every disk lookup (SetReadGuard).
 	guard func(read func() error) error
 }
 
 // NewCache returns an in-memory cache.
 func NewCache() *Cache {
-	return &Cache{mem: make(map[string]entry), memo: lru.New[string, derived](memoCap, nil)}
+	return &Cache{mem: make(map[string]Result), memo: lru.New[string, derived](memoCap, nil)}
 }
 
 // NewDirCache returns a cache persisted under dir (created if missing):
@@ -218,32 +220,32 @@ func (c *Cache) Get(j Job) (Result, bool) {
 //
 //kcvet:hotpath one call per job of every study that is not already memoised
 func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
-	canonical := j.Canonical()
-	key := keyOf(canonical)
+	// A memory hit is a map lookup by the canonical string, rendered on
+	// the stack: it allocates nothing and hashes nothing.
+	var buf [canonicalBuf]byte
+	cb := j.appendCanonical(buf[:0])
 	c.mu.Lock()
-	e, ok := c.mem[key]
+	r, ok := c.mem[string(cb)]
 	c.mu.Unlock()
 	if ok {
-		if e.Canonical != canonical {
-			return Result{}, false
-		}
-		return e.Result, true
+		return r, true
 	}
 	if c.log == nil {
 		return Result{}, false
 	}
+	canonical, key := string(cb), keyOf(cb)
 	sp, _ := obs.StartSpan(ctx, "cache.disk", key)
-	// Cold read: one flight per key, so N concurrent Gets of the same
-	// uncached job cost a single disk read; Gets of distinct keys
+	// Cold read: one flight per job, so N concurrent Gets of the same
+	// uncached job cost a single disk read; Gets of distinct jobs
 	// proceed fully in parallel.
-	e, err, _ := c.disk.Do(key, func() (entry, error) {
+	r, err, _ := c.disk.Do(canonical, func() (Result, error) {
 		// A Put (or another flight's fill) may have landed while this
 		// caller queued; memory wins over disk.
 		c.mu.Lock()
-		e, ok := c.mem[key]
+		r, ok := c.mem[canonical]
 		c.mu.Unlock()
 		if ok {
-			return e, nil
+			return r, nil
 		}
 		var data []byte
 		read := func() (err error) {
@@ -257,32 +259,37 @@ func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 			err = read()
 		}
 		if err != nil {
-			return entry{}, errCacheMiss
+			return Result{}, errCacheMiss
 		}
-		if err := json.Unmarshal(data, &e); err != nil || e.Canonical != canonical {
+		e, ok := decodeEntry(data, canonical)
+		if !ok {
 			// Never memoize a corrupt or mismatched record: it must stay
 			// a miss, not poison the in-memory map.
-			return entry{}, errCacheMiss
+			return Result{}, errCacheMiss
 		}
 		// Memory still wins if a Put landed during the read: replacing
 		// its entry here would change a value without moving the epoch.
 		c.mu.Lock()
-		if cur, ok := c.mem[key]; ok {
-			e = cur
+		if cur, ok := c.mem[canonical]; ok {
+			e.Result = cur
 		} else {
-			c.mem[key] = e
+			c.mem[canonical] = e.Result
 		}
 		c.mu.Unlock()
-		return e, nil
+		return e.Result, nil
 	})
-	if err != nil || e.Canonical != canonical {
-		sp.SetDetail(key + " miss")
+	if sp != (obs.SpanRef{}) { // untraced, there is no detail to render
+		if err == nil {
+			sp.SetDetail(key + " hit")
+		} else {
+			sp.SetDetail(key + " miss")
+		}
 		sp.End()
+	}
+	if err != nil {
 		return Result{}, false
 	}
-	sp.SetDetail(key + " hit")
-	sp.End()
-	return e.Result, true
+	return r, true
 }
 
 // Put stores the job's result, appending it to the log when the cache
@@ -290,20 +297,19 @@ func (c *Cache) GetCtx(ctx context.Context, j Job) (Result, bool) {
 // are returned (the caller may treat them as non-fatal — the measurement
 // itself is done).
 func (c *Cache) Put(j Job, r Result) error {
-	e := entry{Canonical: j.Canonical(), Result: r}
-	key := keyOf(e.Canonical)
+	canonical := j.Canonical()
 	c.mu.Lock()
 	// Only an overwrite that changes something moves the epoch (see
 	// Derive). DeepEqual, so a field added to Result is compared too.
-	if old, ok := c.mem[key]; ok && !reflect.DeepEqual(old, e) {
+	if old, ok := c.mem[canonical]; ok && !reflect.DeepEqual(old, r) {
 		c.epoch++
 	}
-	c.mem[key] = e
+	c.mem[canonical] = r
 	c.mu.Unlock()
 	if c.log == nil {
 		return nil
 	}
-	if err := c.append(key, e); err != nil {
+	if err := c.append(keyOf(canonical), entry{Canonical: canonical, Result: r}); err != nil {
 		return fmt.Errorf("plan: cache write: %w", err)
 	}
 	return nil
@@ -446,7 +452,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mem = make(map[string]entry)
+	c.mem = make(map[string]Result)
 	// A fresh memo frees what was derived; the epoch also kills whatever a
 	// build still in flight is about to store.
 	c.memo = lru.New[string, derived](memoCap, nil)

@@ -39,6 +39,24 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheMemoryHitDoesNotAllocate: a lookup the memory tier answers
+// renders the job's canonical string on the stack and hashes nothing, so
+// a from-cache study pays nothing per job it already holds.
+func TestCacheMemoryHitDoesNotAllocate(t *testing.T) {
+	c := NewCache()
+	j := WindowJob(btInputs(), []string{"COPY_FACES", "X_SOLVE"})
+	if err := c.Put(j, Result{Seconds: 1.5, Raw: []float64{1.4, 1.6}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Get(j); !ok {
+			t.Fatal("miss")
+		}
+	}); n != 0 {
+		t.Errorf("a memory hit allocates %.0f times, want 0", n)
+	}
+}
+
 // TestCacheFaultDigestSeparation: the fault digest is part of the key, so
 // results measured under injection never serve a clean study (and vice
 // versa) — the cache-correctness property ISSUE 4 calls out.
@@ -345,6 +363,29 @@ func TestDirCacheRejectsCorruptAndMismatchedEntries(t *testing.T) {
 	if r, ok := openLogOf(t, t.TempDir(), good).Get(j); !ok || r.Seconds != 1 {
 		t.Fatalf("intact record = %+v, %v", r, ok)
 	}
+
+	// Records append does not write — fields reordered, unknown or
+	// repeated, whitespace, escapes, a numeric edge — are read as
+	// json.Unmarshal reads them, hit or miss, nil Raw or empty. The record
+	// reader takes the reader-takes-* ones and hands the rest over.
+	byKey := map[string]Job{}
+	for _, j := range fuzzJobs() {
+		byKey[j.Key()] = j
+	}
+	for name, data := range readerCorpus(t) {
+		t.Run(name, func(t *testing.T) {
+			line := bytes.TrimSuffix(data, []byte("\n"))
+			j, ok := byKey[string(line[:keyLen])]
+			if !ok || bytes.Count(data, []byte("\n")) != 1 || line[keyLen] != ' ' {
+				t.Fatalf("corpus entry is not one record of a fuzz job: %q", data)
+			}
+			_, taken := readRecord(line[keyLen+1:], j.Canonical())
+			if want := strings.HasPrefix(name, "reader-takes-"); taken != want {
+				t.Errorf("the record reader took the record: %v, want %v", taken, want)
+			}
+			checkLogAgainstJSON(t, data)
+		})
+	}
 }
 
 // TestDirCacheTornTail: a log that ends inside a record — any prefix of
@@ -628,14 +669,22 @@ func TestDirCacheClose(t *testing.T) {
 }
 
 // fuzzJobs are the jobs FuzzCacheLogScan asks a fuzzed log for; the
-// committed corpus is built from their records.
+// committed corpus is built from their records. The last two have
+// canonicals the record writer must escape: one holds a '/' and an '&'
+// (written "\u0026"); the other holds quotes, placed so that the canonical
+// written unescaped into a record is valid JSON naming another canonical.
 func fuzzJobs() []Job {
 	in := btInputs()
+	escaped, quoted := in, in
+	escaped.WorldDigest += " net=lat/bw&jitter"
+	quoted.FaultDigest = `seed=1","note":"x`
 	return []Job{
 		WindowJob(in, []string{"ADD"}),
 		WindowJob(in, []string{"X_SOLVE"}),
 		WindowJob(in, []string{"COPY_FACES", "X_SOLVE"}),
 		ActualJob(in, 0),
+		WindowJob(escaped, []string{"ADD"}),
+		WindowJob(quoted, []string{"ADD"}),
 	}
 }
 
@@ -643,60 +692,92 @@ func fuzzJobs() []Job {
 // panics, no indexed span reaches outside the bytes, and for each of
 // fuzzJobs Get agrees with the plainest reading of the format: the last
 // newline-terminated line that starts with the job's key and a space and
-// does not end in tornMark's '!', if its remainder decodes to an entry
-// with the job's canonical — so whatever Get returns hashes to the key it
-// was asked for, in whatever order the jobs are asked.
+// does not end in tornMark's '!', if json.Unmarshal decodes its remainder
+// to an entry with the job's canonical — so whatever Get returns hashes
+// to the key it was asked for, in whatever order the jobs are asked, and
+// the record reader reads every record it takes as json.Unmarshal does.
 func FuzzCacheLogScan(f *testing.F) {
-	jobs := fuzzJobs()
 	var whole []byte
-	for i, j := range jobs {
+	for i, j := range fuzzJobs() {
 		whole = append(whole, logLine(f, j, Result{Seconds: float64(i + 1), Raw: []float64{0.5, 1.5}, TrimFrac: 0.34, Passes: 1})...)
 	}
-	f.Add(whole) // the damaged variants are testdata/fuzz/FuzzCacheLogScan
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := openLogOf(t, t.TempDir(), data)
-		for key, sp := range c.index {
-			// Opening indexes complete lines only, and those lie in data.
-			if sp.off < keyLen+1 || sp.n < 1 || sp.off+int64(sp.n) > int64(len(data)) {
-				t.Fatalf("key %s indexed at [%d,+%d) of a %d-byte log", key, sp.off, sp.n, len(data))
-			}
+	f.Add(whole) // the damaged and reordered variants are testdata/fuzz/FuzzCacheLogScan
+	f.Fuzz(checkLogAgainstJSON)
+}
+
+// checkLogAgainstJSON is FuzzCacheLogScan's property, for one log.
+func checkLogAgainstJSON(t *testing.T, data []byte) {
+	jobs := fuzzJobs()
+	c := openLogOf(t, t.TempDir(), data)
+	for key, sp := range c.index {
+		// Opening indexes complete lines only, and those lie in data.
+		if sp.off < keyLen+1 || sp.n < 1 || sp.off+int64(sp.n) > int64(len(data)) {
+			t.Fatalf("key %s indexed at [%d,+%d) of a %d-byte log", key, sp.off, sp.n, len(data))
 		}
-		lines := bytes.Split(data, []byte("\n"))
-		lines = lines[:len(lines)-1] // what follows the last newline is not a line yet
-		check := func(c *Cache, j Job) {
-			var want *entry
-			prefix := []byte(j.Key() + " ")
-			for _, line := range lines {
-				if len(line) > len(prefix) && bytes.HasPrefix(line, prefix) && line[len(line)-1] != tornMark[0] {
-					var e entry
-					want = nil
-					if json.Unmarshal(line[len(prefix):], &e) == nil && e.Canonical == j.Canonical() {
-						want = &e
-					}
+	}
+	lines := bytes.Split(data, []byte("\n"))
+	lines = lines[:len(lines)-1] // what follows the last newline is not a line yet
+	check := func(c *Cache, j Job) {
+		var want *entry
+		prefix := []byte(j.Key() + " ")
+		for _, line := range lines {
+			if len(line) > len(prefix) && bytes.HasPrefix(line, prefix) && line[len(line)-1] != tornMark[0] {
+				var e entry
+				want = nil
+				if json.Unmarshal(line[len(prefix):], &e) == nil && e.Canonical == j.Canonical() {
+					want = &e
 				}
 			}
-			got, ok := c.Get(j)
-			switch {
-			case want == nil && ok:
-				t.Fatalf("%s: Get served %+v from a log that has no such record", j.Key(), got)
-			case want != nil && !ok:
-				t.Fatalf("%s: Get missed %+v", j.Key(), want.Result)
-			case want != nil && !reflect.DeepEqual(got, want.Result):
-				t.Fatalf("%s: Get = %+v, the log says %+v", j.Key(), got, want.Result)
-			case want != nil && keyOf(want.Canonical) != j.Key():
-				t.Fatalf("%s: served an entry that hashes to %s", j.Key(), keyOf(want.Canonical))
-			}
 		}
-		// A miss scans the tail, which must not change another key's
-		// answer: a second cache over the same bytes is asked in reverse.
-		reversed := openLogOf(t, t.TempDir(), data)
-		for i := range jobs {
-			check(c, jobs[i])
+		got, ok := c.Get(j)
+		switch {
+		case want == nil && ok:
+			t.Fatalf("%s: Get served %+v from a log that has no such record", j.Key(), got)
+		case want != nil && !ok:
+			t.Fatalf("%s: Get missed %+v", j.Key(), want.Result)
+		case want != nil && !reflect.DeepEqual(got, want.Result): // a nil Raw is not an empty one
+			t.Fatalf("%s: Get = %#v, the log says %#v", j.Key(), got, want.Result)
+		case want != nil && keyOf(want.Canonical) != j.Key():
+			t.Fatalf("%s: served an entry that hashes to %s", j.Key(), keyOf(want.Canonical))
 		}
-		for i := range jobs {
-			check(reversed, jobs[len(jobs)-1-i])
+	}
+	// A miss scans the tail, which must not change another key's
+	// answer: a second cache over the same bytes is asked in reverse.
+	reversed := openLogOf(t, t.TempDir(), data)
+	for i := range jobs {
+		check(c, jobs[i])
+	}
+	for i := range jobs {
+		check(reversed, jobs[len(jobs)-1-i])
+	}
+}
+
+// readerCorpus returns the committed FuzzCacheLogScan inputs named
+// reader-takes-* and reader-refuses-*: one record each, for one of
+// fuzzJobs, laid out the way append writes or not.
+func readerCorpus(t *testing.T) map[string][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCacheLogScan", "reader-*"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no reader-* corpus entries (%v)", err)
+	}
+	corpus := map[string][]byte{}
+	for _, name := range names {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		// A corpus file is a header line and one []byte("...") literal.
+		header, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(lit, "[]byte(")
+		quoted, ok2 := strings.CutSuffix(quoted, ")")
+		data, err := strconv.Unquote(quoted)
+		if header != "go test fuzz v1" || !ok || !ok2 || err != nil {
+			t.Fatalf("%s is not a one-value corpus entry", name)
+		}
+		corpus[filepath.Base(name)] = []byte(data)
+	}
+	return corpus
 }
 
 // seconds is the build the Derive tests memoise: the job's current value,

@@ -69,13 +69,19 @@ type Spec struct {
 type Job struct {
 	Kind Kind
 	Spec Spec
+	// label is Label's value, rendered once by the constructors below;
+	// empty in a Job built by hand, whose Label renders it on each call.
+	label string
 }
 
 // Label is the human-readable handle used in provenance, reports and
 // errors: the kernel/window key for measurements, the workload name for
 // actual runs.
 func (j Job) Label() string {
-	if j.Kind == KindActual {
+	switch {
+	case j.label != "":
+		return j.label
+	case j.Kind == KindActual:
 		return j.Spec.Workload
 	}
 	return core.Key(j.Spec.Window)
@@ -87,20 +93,34 @@ func (j Job) Label() string {
 // knobs (a full run has none), so e.g. studies at different trip counts
 // share their window measurements.
 //
-// It is one append pass over a sized buffer: every cache Get and Put
-// renders it, so a cold study pays it per job. The bytes are those of the
-// fmt.Fprintf("...|trim=%g|...") rendering it replaced (both format a
-// float64 as strconv's shortest 'g'), which the golden tests pin — a cache
-// directory is addressed by the hash of this string.
+// The bytes are those of the fmt.Fprintf("...|trim=%g|...") rendering
+// appendCanonical replaced (both format a float64 as strconv's shortest
+// 'g'), which the golden tests pin — a cache directory is addressed by the
+// hash of this string.
+func (j Job) Canonical() string {
+	var buf [canonicalBuf]byte
+	return string(j.appendCanonical(buf[:0]))
+}
+
+// Key returns the content-addressed job key: the hex SHA-256 of the
+// canonical string, truncated to 24 characters (96 bits — far beyond any
+// plausible campaign size, short enough for filenames and logs).
+func (j Job) Key() string {
+	var buf [canonicalBuf]byte
+	return keyOf(j.appendCanonical(buf[:0]))
+}
+
+// canonicalBuf is the stack buffer a canonical string is rendered into:
+// room for the canonical strings of every workload in this repository (a
+// five-kernel window under a network model and a fault spec is under 200
+// bytes); a longer one grows onto the heap.
+const canonicalBuf = 256
+
+// appendCanonical appends the canonical string to b in one pass.
 //
 //kcvet:hotpath rendered for every job of every cache lookup and store
-func (j Job) Canonical() string {
+func (j *Job) appendCanonical(b []byte) []byte {
 	s := &j.Spec
-	n := 96 + len(s.Workload) + len(s.WorldDigest) + len(s.FaultDigest)
-	for _, k := range s.Window {
-		n += len(k) + 1
-	}
-	b := make([]byte, 0, n)
 	b = append(b, "v1|kind="...)
 	b = append(b, j.Kind...)
 	b = append(b, "|wl="...)
@@ -117,7 +137,7 @@ func (j Job) Canonical() string {
 		if len(s.Window) > 0 {
 			b = append(b, s.Window[0]...)
 			for _, k := range s.Window[1:] {
-				//kcvet:ignore hotalloc appends fill the buffer sized above from these same strings; growth needs integers and a trim wider than its 96 spare bytes
+				//kcvet:ignore hotalloc appends fill the caller's stack buffer; only a canonical longer than canonicalBuf grows onto the heap
 				b = append(append(b, '|'), k...)
 			}
 		}
@@ -132,21 +152,15 @@ func (j Job) Canonical() string {
 	b = append(b, s.WorldDigest...)
 	b = append(b, "|fault="...)
 	b = append(b, s.FaultDigest...)
-	return string(b)
+	return b
 }
 
-// Key returns the content-addressed job key: the hex SHA-256 of the
-// canonical string, truncated to 24 characters (96 bits — far beyond any
-// plausible campaign size, short enough for filenames and logs).
-func (j Job) Key() string { return keyOf(j.Canonical()) }
-
-// keyOf hashes a canonical string into its job key, for callers that
-// already hold the string.
-func keyOf(canonical string) string {
+// keyOf hashes a canonical string into its job key.
+func keyOf[S string | []byte](canonical S) string {
 	sum := sha256.Sum256([]byte(canonical))
-	var hexed [24]byte
-	hex.Encode(hexed[:], sum[:12])
-	return string(hexed[:])
+	var key [keyLen]byte
+	hex.Encode(key[:], sum[:keyLen/2])
+	return string(key[:])
 }
 
 // Inputs parameterizes a study's plan: everything StudyJobs needs beyond
@@ -170,16 +184,24 @@ type Inputs struct {
 }
 
 // WindowJob builds the job measuring one window (or one isolated kernel,
-// when the window has a single element) under these inputs.
+// when the window has a single element) under these inputs. The job
+// holds a copy of window.
 func WindowJob(in Inputs, window []string) Job {
+	window = append([]string(nil), window...)
+	return windowJob(in, window, core.Key(window))
+}
+
+// windowJob is WindowJob for a window the job may keep, whose key the
+// caller has already joined.
+func windowJob(in Inputs, window []string, key string) Job {
 	kind := KindWindow
 	if len(window) == 1 {
 		kind = KindIsolated
 	}
-	return Job{Kind: kind, Spec: Spec{
+	return Job{Kind: kind, label: key, Spec: Spec{
 		Workload:    in.Workload,
 		Procs:       in.Procs,
-		Window:      append([]string(nil), window...),
+		Window:      window,
 		Blocks:      in.Blocks,
 		Passes:      in.Passes,
 		TrimFrac:    in.TrimFrac,
@@ -190,7 +212,7 @@ func WindowJob(in Inputs, window []string) Job {
 
 // ActualJob builds the job for full-application run number run.
 func ActualJob(in Inputs, run int) Job {
-	return Job{Kind: KindActual, Spec: Spec{
+	return Job{Kind: KindActual, label: in.Workload, Spec: Spec{
 		Workload:    in.Workload,
 		Procs:       in.Procs,
 		Trips:       in.Trips,
@@ -206,14 +228,18 @@ func ActualJob(in Inputs, run int) Job {
 // windows in ring order), then the actual runs. The order is part of the
 // pipeline's contract — it is what a serial executor measures in, and it
 // is pinned by a golden test.
+//
+// The jobs' windows are views into arrays this call allocates and shares
+// between them: read them, never write to them.
 func StudyJobs(app core.App, in Inputs) ([]Job, error) {
-	var jobs []Job
-	for _, k := range app.KernelsSorted() {
-		jobs = append(jobs, WindowJob(in, []string{k}))
+	kernels := app.KernelsSorted()
+	jobs := make([]Job, 0, len(kernels)+len(in.ChainLens)*len(app.Loop)+in.ActualRuns)
+	for i, k := range kernels {
+		jobs = append(jobs, windowJob(in, kernels[i:i+1:i+1], k))
 	}
 	sorted := append([]int(nil), in.ChainLens...)
 	sort.Ints(sorted)
-	seen := make(map[string]bool)
+	seen := make(map[string]bool, len(sorted)*len(app.Loop))
 	for _, L := range sorted {
 		if L < 2 || L > len(app.Loop) {
 			return nil, fmt.Errorf("plan: chain length %d out of range [2,%d]", L, len(app.Loop))
@@ -228,7 +254,7 @@ func StudyJobs(app core.App, in Inputs) ([]Job, error) {
 				continue
 			}
 			seen[key] = true
-			jobs = append(jobs, WindowJob(in, win))
+			jobs = append(jobs, windowJob(in, win, key))
 		}
 	}
 	for r := 0; r < in.ActualRuns; r++ {

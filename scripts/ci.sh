@@ -42,9 +42,11 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s ./internal/
 # pooled message paths (mpi round trips, the 4-rank kernels), the
 # allocation bound on a world that recycles its rank state and the warm
 # /predict allocation budgets (its render encoder is pooled) skip above
-# and run here, with the rank-state pool's tests beside them.
-echo "==> go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs' ./internal/mpi ./internal/npb/... ./internal/serve"
-go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs' ./internal/mpi ./internal/npb/... ./internal/serve
+# and run here, with the rank-state pool's tests beside them. So does the
+# from-cache study's allocation budget, which the race build's
+# instrumentation could move.
+echo "==> go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs|FromCacheStudyAllocs' ./internal/mpi ./internal/npb/... ./internal/serve ./internal/harness"
+go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs|FromCacheStudyAllocs' ./internal/mpi ./internal/npb/... ./internal/serve ./internal/harness
 
 # kcvet publishes its findings as a JSON build artifact whether or not
 # the gate passes; CI systems archive /tmp/kcvet-findings.json.
