@@ -59,14 +59,15 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("couple", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := tables.QueryProtocol(predict.Query{})
 	var (
 		bench  = fs.String("bench", "BT", "benchmark: BT, SP, LU or FT")
 		class  = fs.String("class", "S", "problem class: S, W, A or B")
 		procs  = fs.Int("procs", 4, "processor (rank) count")
 		chains = fs.String("chains", "2", "comma-separated coupling chain lengths")
 		trips  = fs.Int("trips", 0, "loop trip count (0 = scaled class default)")
-		blocks = fs.Int("blocks", 3, "timed blocks per measurement")
-		passes = fs.Int("passes", 1, "window passes per block")
+		blocks = fs.Int("blocks", def.Blocks, "timed blocks per measurement")
+		passes = fs.Int("passes", def.Passes, "window passes per block")
 		grid   = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 		net    = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
 		ref    = fs.String("ref", "",
@@ -172,9 +173,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		err = errors.Join(err, sink.Close(man))
 	}()
 
+	// Without -cache-dir the study measures into a cache of its own.
+	cfg := tables.BackendConfig{Cache: plan.NewCache(), Parallel: *parallel}
 	var worldOpts []mpi.Option
 	if *net {
-		worldOpts = append(worldOpts, mpi.WithNetModel(mpi.IBMSPModel()))
+		m := mpi.IBMSPModel()
+		cfg.Net = &m
+		worldOpts = append(worldOpts, mpi.WithNetModel(m))
 	}
 	worldOpts = append(worldOpts, sink.WorldOpts()...)
 	if inj != nil {
@@ -183,49 +188,39 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if wd := faultFlags.WatchdogTimeout(); wd > 0 {
 		worldOpts = append(worldOpts, mpi.WithRecvTimeout(wd))
 	}
-	w, err := tables.NewWorkload(benchName, cls, prob, *procs, worldOpts)
-	if err != nil {
-		return err
-	}
-
-	q := predict.Query{
-		Bench: benchName, Class: cls, Procs: *procs, Chains: chainLens,
-		Trips: nTrips, Blocks: *blocks, Passes: *passes, Grid: *grid,
-	}
-	switch backendName {
-	case "", "measured", "measured+analytic":
-		// The measured path continues below; measured+analytic decorates
-		// its study with the analytic comparison before rendering.
-	default:
-		return runBackend(ctx, stdout, backendName, *lattice, *cacheDir, *net, *parallel, *analyticBand, q)
-	}
-
-	var netModel *mpi.NetModel
-	if *net {
-		m := mpi.IBMSPModel()
-		netModel = &m
-	}
-	opts := harness.Options{
-		Blocks: *blocks, Passes: *passes, ActualRuns: 3,
-		Metrics:     sink.Registry,
-		Parallel:    *parallel,
-		WorldDigest: tables.WorldDigest(prob, netModel),
-		FaultDigest: faultFlags.Digest(),
-	}
 	if *cacheDir != "" {
 		cache, err := plan.NewDirCache(*cacheDir)
 		if err != nil {
 			return err
 		}
 		defer cache.Close()
-		opts.Cache = cache
+		cfg.Cache = cache
 	}
+
+	q := predict.Query{
+		Bench: benchName, Class: cls, Procs: *procs, Chains: chainLens,
+		Trips: nTrips, Blocks: *blocks, Passes: *passes, Grid: *grid,
+	}
+	eng, err := measuredEngine(cfg, q, worldOpts, faultFlags.Digest())
+	if err != nil {
+		return err
+	}
+	switch backendName {
+	case "", "measured", "measured+analytic":
+		// The measured path continues below; measured+analytic decorates
+		// its study with the analytic comparison before rendering.
+	default:
+		return runBackend(ctx, stdout, backendName, *lattice, *analyticBand, cfg, q)
+	}
+
+	cfg.Metrics = sink.Registry
+	eng.Opts.Metrics = sink.Registry
 	if inj != nil {
 		// Under fault injection the harness degrades instead of dying:
 		// failed measurements are retried, then folded down the
 		// degradation ladder.
-		opts.MaxRetries = faultFlags.Retries
-		opts.Degrade = true
+		eng.Opts.MaxRetries = faultFlags.Retries
+		eng.Opts.Degrade = true
 	}
 	// With -ref the campaign has no windows: the reference, loaded before
 	// anything is measured so an unwarmed one fails at once, supplies their
@@ -233,20 +228,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	var refStudy *harness.Study
 	campaign := chainLens
 	if *ref != "" {
-		cfg := tables.BackendConfig{Cache: opts.Cache, Net: netModel, Metrics: sink.Registry}
 		if refStudy, err = reference(ctx, cfg, *ref, *chains, chainLens, *cacheDir); err != nil {
 			return err
 		}
 		man.Extra["ref"] = *ref
 		campaign = nil
 	}
-	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n", w.WorkloadName, prob, nTrips, chainLens)
+	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n", eng.Workload.Name(), prob, nTrips, chainLens)
 	if refStudy != nil {
 		fmt.Fprintf(stdout, "couplings: reused from %s\n", strings.TrimSpace(*ref))
 	}
 	fmt.Fprintln(stdout)
 
-	eng := harness.Engine{Workload: w, Opts: opts}
 	if *fromCache {
 		// Pure re-analysis: every measurement must already be in the
 		// cache; no world is spawned.
@@ -293,7 +286,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 	// Cache statistics go to stderr so the study report on stdout stays
 	// byte-identical whether or not the cache served it.
-	if opts.Cache != nil || *parallel > 1 {
+	if *cacheDir != "" || *parallel > 1 {
 		fmt.Fprintf(stderr, "couple: cache hits=%d misses=%d planned=%d\n",
 			study.Exec.CacheHits, study.Exec.Executed, study.Exec.Planned)
 	}
@@ -336,24 +329,25 @@ func reference(ctx context.Context, cfg tables.BackendConfig, spec, chainsFlag s
 	return st, nil
 }
 
+// measuredEngine is the engine couple's measured path runs: cfg's own
+// Engine, whose protocol and job keys are the ones kcserved reads, with
+// couple's world options (interconnect model, trace sink, fault injector,
+// watchdog) on its workload and the fault configuration in its keys.
+func measuredEngine(cfg tables.BackendConfig, q predict.Query, worldOpts []mpi.Option, faultDigest string) (harness.Engine, error) {
+	eng, err := cfg.Engine(q)
+	if err != nil {
+		return harness.Engine{}, err
+	}
+	eng.Workload.(*harness.NPBWorkload).WorldOpts = worldOpts
+	eng.Opts.FaultDigest = faultDigest
+	return eng, nil
+}
+
 // runBackend answers the study question through a non-measured predictor
 // backend: the same interface kcserved serves, driven from the command
 // line. Cached and interpolated need a warmed -cache-dir; analytic needs
 // nothing but the query's geometry.
-func runBackend(ctx context.Context, stdout io.Writer, name, latticeSpec, cacheDir string, net bool, parallel int, bandFloor float64, q predict.Query) error {
-	cfg := tables.BackendConfig{Parallel: parallel}
-	if net {
-		m := mpi.IBMSPModel()
-		cfg.Net = &m
-	}
-	if cacheDir != "" {
-		cache, err := plan.NewDirCache(cacheDir)
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		cfg.Cache = cache
-	}
+func runBackend(ctx context.Context, stdout io.Writer, name, latticeSpec string, bandFloor float64, cfg tables.BackendConfig, q predict.Query) error {
 	if latticeSpec != "" {
 		l, err := tables.ParseLattice(latticeSpec)
 		if err != nil {

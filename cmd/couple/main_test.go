@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"net/url"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/tables"
 )
 
 // These tests hold the process to account through run(), the function
@@ -265,5 +271,60 @@ func TestRefFlagConflicts(t *testing.T) {
 	}
 	if want := "couple -bench BT -class S -procs 4 -grid 6 -trips 2 -blocks 1 -passes 1 -chains 2,5 -cache-dir " + dir; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q lacks the warming command %q", err, want)
+	}
+}
+
+// TestMeasuredPathPlansTheServersJobs: the jobs couple's measured path
+// stores are exactly the ones kcserved's engine plans for the same query,
+// so a couple warm-up serves the server with hits only.
+func TestMeasuredPathPlansTheServersJobs(t *testing.T) {
+	dir := t.TempDir()
+	if _, stderr, err := couple("-chains", "2,3", "-cache-dir", dir); err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr)
+	}
+	q, err := tables.ParseQuery(url.Values{"bench": {"BT"}, "grid": {"8"}, "trips": {"2"}, "procs": {"4"}, "chains": {"2,3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := tables.BackendConfig{}.Engine(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := eng.Plan(q.Trips, q.Chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planned []string
+	for _, j := range jobs {
+		planned = append(planned, j.Key())
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "measurements.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored []string
+	for _, line := range strings.Split(strings.TrimSpace(string(log)), "\n") {
+		stored = append(stored, strings.SplitN(line, " ", 2)[0])
+	}
+	slices.Sort(planned)
+	slices.Sort(stored)
+	if !slices.Equal(planned, stored) {
+		t.Errorf("couple stored jobs\n%v\nthe server's engine plans\n%v", stored, planned)
+	}
+}
+
+// TestHelpIsPinned: the flags' -h text, defaults included, is the
+// golden's, so the shared presets behind the defaults cannot drift.
+func TestHelpIsPinned(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
+	}
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); got != string(want) {
+		t.Errorf("-h output changed:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -769,5 +771,21 @@ func TestGuardAssembly(t *testing.T) {
 				t.Errorf("run(%v) = %v, want an error naming %s", tc.flags, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestHelpIsPinned: the flags' -h text, defaults included, is the
+// golden's, so the shared presets behind the defaults cannot drift.
+func TestHelpIsPinned(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
+	}
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); got != string(want) {
+		t.Errorf("-h output changed:\n%s\nwant:\n%s", got, want)
 	}
 }

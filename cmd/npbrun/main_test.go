@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -121,5 +124,21 @@ func TestRepeatWithTraceIsRefusedBeforeAnySinkOpens(t *testing.T) {
 		if _, err := os.Stat(prof); !os.IsNotExist(err) {
 			t.Errorf("%v: the refused run opened its profile (stat: %v)", traceFlag, err)
 		}
+	}
+}
+
+// TestHelpIsPinned: the flags' -h text, defaults included, is the
+// golden's, so the shared presets behind the defaults cannot drift.
+func TestHelpIsPinned(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
+	}
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); got != string(want) {
+		t.Errorf("-h output changed:\n%s\nwant:\n%s", got, want)
 	}
 }

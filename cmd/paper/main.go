@@ -65,13 +65,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Parallel: *parallel, CacheDir: *cacheDir,
 	}
 	if *fast {
-		scale.GridOverride = 8
-		if scale.Trips == 0 {
-			scale.Trips = 2
-		}
-		if scale.Blocks == 0 {
-			scale.Blocks = 2
-		}
+		scale = scale.Fast()
 	}
 	if *net {
 		m := mpi.IBMSPModel()

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -75,5 +79,21 @@ func TestAblationAndExtensionTables(t *testing.T) {
 		if !strings.Contains(out, "[table "+id+" regenerated in ") {
 			t.Errorf("table %s: no regeneration footer:\n%s", id, out)
 		}
+	}
+}
+
+// TestHelpIsPinned: the flags' -h text, defaults included, is the
+// golden's, so the shared presets behind the defaults cannot drift.
+func TestHelpIsPinned(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
+	}
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); got != string(want) {
+		t.Errorf("-h output changed:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"log"
 	"strings"
 
+	"repro/internal/harness"
 	"repro/internal/memmodel"
 	"repro/internal/stats"
 )
@@ -37,7 +38,7 @@ func main() {
 	}
 
 	fmt.Println("sweeping per-kernel working set across the cache hierarchy...")
-	points, err := memmodel.Sweep(sizes, blocks, volume)
+	points, err := memmodel.Sweep(sizes, harness.Options{Blocks: blocks, TrimFrac: memmodel.SweepTrim}, volume)
 	if err != nil {
 		log.Fatal(err)
 	}

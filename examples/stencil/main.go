@@ -30,16 +30,14 @@ type heatApp struct {
 	grid, next []float64
 	flux       []float64
 	norm       float64
-	blocks     int
 }
 
-func newHeatApp(n, blocks int) *heatApp {
+func newHeatApp(n int) *heatApp {
 	a := &heatApp{
-		n:      n,
-		grid:   make([]float64, n*n),
-		next:   make([]float64, n*n),
-		flux:   make([]float64, 4*n),
-		blocks: blocks,
+		n:    n,
+		grid: make([]float64, n*n),
+		next: make([]float64, n*n),
+		flux: make([]float64, 4*n),
 	}
 	a.reset()
 	return a
@@ -111,17 +109,14 @@ func (a *heatApp) run(name string) {
 }
 
 // MeasureWindow implements harness.Workload with the repetition harness:
-// the window sits in a loop, state is refreshed between timed blocks.
-func (a *heatApp) MeasureWindow(window []string, _ harness.Options) (float64, error) {
+// the window sits in a loop timed under o's protocol, state is refreshed
+// between timed blocks.
+func (a *heatApp) MeasureWindow(window []string, o harness.Options) (float64, error) {
 	res, err := timing.Measure(func() {
 		for _, k := range window {
 			a.run(k)
 		}
-	}, timing.Options{
-		Blocks:         a.blocks,
-		PassesPerBlock: 20,
-		BetweenBlocks:  a.reset,
-	})
+	}, o.Protocol(), timing.Options{BetweenBlocks: a.reset})
 	if err != nil {
 		return 0, err
 	}
@@ -146,10 +141,10 @@ func main() {
 	trips := flag.Int("trips", 100, "loop trips of the measured application")
 	flag.Parse()
 
-	app := newHeatApp(*n, 5)
+	app := newHeatApp(*n)
 	fmt.Printf("2-D heat diffusion, %dx%d grid, 3-kernel loop, %d trips\n\n", *n, *n, *trips)
 
-	study, err := harness.RunStudy(app, *trips, []int{2, 3}, harness.Options{ActualRuns: 3})
+	study, err := harness.RunStudy(app, *trips, []int{2, 3}, harness.Options{Blocks: 5, Passes: 20, ActualRuns: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

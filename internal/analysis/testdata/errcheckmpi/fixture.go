@@ -8,10 +8,10 @@ import (
 )
 
 func dropped() {
-	mpi.Run(2, func(c *mpi.Comm) { c.Barrier() }) // finding
-	timing.Measure(func() {}, timing.Options{})   // finding
-	go mpi.Run(1, func(c *mpi.Comm) {})           // finding
-	defer mpi.Run(1, func(c *mpi.Comm) {})        // finding
+	mpi.Run(2, func(c *mpi.Comm) { c.Barrier() })                  // finding
+	timing.Measure(func() {}, timing.Protocol{}, timing.Options{}) // finding
+	go mpi.Run(1, func(c *mpi.Comm) {})                            // finding
+	defer mpi.Run(1, func(c *mpi.Comm) {})                         // finding
 	w := mpi.NewWorld(1)
 	w.Launch(func(c *mpi.Comm) {}) // finding
 }
@@ -20,7 +20,7 @@ func handled() error {
 	if err := mpi.Run(2, func(c *mpi.Comm) { c.Barrier() }); err != nil {
 		return err
 	}
-	res, err := timing.Measure(func() {}, timing.Options{})
+	res, err := timing.Measure(func() {}, timing.Protocol{}, timing.Options{})
 	_ = res
 	_ = mpi.Run(1, func(c *mpi.Comm) {}) // ok: discard is visible in the source
 	_ = timing.Once(func() {}, nil)      // ok: Once returns no error

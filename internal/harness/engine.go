@@ -71,7 +71,7 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 }
 
 // planInputs builds the plan parameters for a workload under the
-// (defaulted) options. The rank count is part of each job's identity —
+// options' resolved protocol. The rank count is part of each job's identity —
 // the same benchmark at a different rank count is a different
 // measurement; rankless synthetic workloads contribute zero.
 func planInputs(w Workload, trips int, chainLens []int, o Options) plan.Inputs {
@@ -79,15 +79,16 @@ func planInputs(w Workload, trips int, chainLens []int, o Options) plan.Inputs {
 	if r, ok := w.(interface{ RankCount() int }); ok {
 		procs = r.RankCount()
 	}
+	p := o.Protocol()
 	return plan.Inputs{
 		Workload:    w.Name(),
 		Procs:       procs,
 		Trips:       trips,
 		ChainLens:   chainLens,
-		Blocks:      o.Blocks,
-		Passes:      o.Passes,
-		TrimFrac:    o.TrimFrac,
-		ActualRuns:  o.ActualRuns,
+		Blocks:      p.Blocks,
+		Passes:      p.Passes,
+		TrimFrac:    p.Trim,
+		ActualRuns:  p.ActualRuns,
 		WorldDigest: o.WorldDigest,
 		FaultDigest: o.FaultDigest,
 	}
@@ -102,12 +103,11 @@ func appFor(w Workload, trips int) (core.App, error) {
 
 // Plan enumerates the study's measurement jobs without running anything.
 func (e Engine) Plan(trips int, chainLens []int) ([]plan.Job, error) {
-	o := e.Opts.withDefaults()
 	app, err := appFor(e.Workload, trips)
 	if err != nil {
 		return nil, err
 	}
-	return plan.StudyJobs(app, planInputs(e.Workload, trips, chainLens, o))
+	return plan.StudyJobs(app, planInputs(e.Workload, trips, chainLens, e.Opts))
 }
 
 // record converts a job result into the study's provenance form.
@@ -130,6 +130,19 @@ func record(j plan.Job, res plan.Result, cached bool) MeasurementRecord {
 type measurer struct {
 	w Workload
 	o Options
+}
+
+// newMeasurer returns the measurer of w under o, its retry backoff
+// resolved: 50ms unless o sets one, slept with time.Sleep unless a test
+// replaced it.
+func newMeasurer(w Workload, o Options) *measurer {
+	if o.RetryBackoff <= 0 {
+		o.RetryBackoff = 50 * time.Millisecond
+	}
+	if o.sleep == nil {
+		o.sleep = time.Sleep
+	}
+	return &measurer{w: w, o: o}
 }
 
 // measure runs one job under the retry budget: each failed attempt is
@@ -185,7 +198,7 @@ func (r *measurer) measureOnce(ctx context.Context, j plan.Job) (plan.Result, er
 		} else {
 			var v float64
 			v, err = r.w.MeasureWindow(j.Spec.Window, o)
-			wm = npb.WindowMeasurement{Window: j.Spec.Window, PerPass: v, TrimFrac: o.TrimFrac, Passes: o.Passes}
+			wm = npb.WindowMeasurement{Window: j.Spec.Window, PerPass: v, TrimFrac: o.TrimFrac, Passes: o.Protocol().Passes}
 		}
 		res = plan.Result{Seconds: wm.PerPass, Raw: wm.Blocks, TrimFrac: wm.TrimFrac, Passes: wm.Passes}
 	}
@@ -223,7 +236,8 @@ func (e Engine) Run(trips int, chainLens []int) (*Study, error) {
 // on-demand measurement or a campaign can show where its wall time went.
 // With no span in ctx the only cost is one nil check per stage.
 func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study, error) {
-	o := e.Opts.withDefaults()
+	o := e.Opts
+	parallel := max(o.Parallel, 1)
 	w := e.Workload
 	planSpan, _ := obs.StartSpan(ctx, "plan", w.Name())
 	app, err := appFor(w, trips)
@@ -244,7 +258,7 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 		cache = plan.NewCache()
 	}
 
-	run := &measurer{w: w, o: o}
+	run := newMeasurer(w, o)
 	attempts := make([][]RetryRecord, len(jobs))
 	// A failed cache persist never fails the study — the measurement is
 	// done — but it must be visible: a counter for dashboards and one
@@ -259,9 +273,9 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 			fmt.Fprintf(os.Stderr, "harness: cache persist failed (measurements stay in memory; further persist errors suppressed): %v\n", err)
 		})
 	}
-	execSpan, execCtx := obs.StartSpan(ctx, "execute", fmt.Sprintf("jobs=%d parallel=%d", len(jobs), o.Parallel))
+	execSpan, execCtx := obs.StartSpan(ctx, "execute", fmt.Sprintf("jobs=%d parallel=%d", len(jobs), parallel))
 	ex := plan.Executor{
-		Parallel: o.Parallel,
+		Parallel: parallel,
 		Cache:    cache,
 		Fatal: func(j plan.Job) bool {
 			// Window failures degrade when asked to; everything else is
@@ -289,7 +303,7 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 	measured := make(map[string][]string)
 	failed := make(map[string]bool)
 	execStats := ExecStats{Planned: len(jobs)}
-	actuals := make([]float64, 0, o.ActualRuns)
+	actuals := make([]float64, 0, in.ActualRuns)
 	actualAllCached := true
 
 	recordFailure := func(key string, err error) {
@@ -453,22 +467,21 @@ func (e Engine) RunFromCache(trips int, chainLens []int) (*Study, error) {
 // together must account for its wall time. With no span in ctx the cost
 // is one nil check per stage.
 func (e Engine) RunFromCacheCtx(ctx context.Context, trips int, chainLens []int) (*Study, error) {
-	o := e.Opts.withDefaults()
-	if o.Cache == nil {
+	if e.Opts.Cache == nil {
 		return nil, errors.New("harness: a from-cache run needs Options.Cache")
 	}
-	in := planInputs(e.Workload, trips, chainLens, o)
+	in := planInputs(e.Workload, trips, chainLens, e.Opts)
 	sp, mctx := obs.StartSpan(ctx, "cache.memo", "hit")
-	v, err := o.Cache.Derive(studyKey(e.Workload, in), func() (any, error) {
+	v, err := e.Opts.Cache.Derive(studyKey(e.Workload, in), func() (any, error) {
 		sp.SetDetail("miss")
-		return loadStudy(mctx, e.Workload, in, o.Cache)
+		return loadStudy(mctx, e.Workload, in, e.Opts.Cache)
 	})
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	st := v.(*Study)
-	countCacheHits(o, st)
+	countCacheHits(e.Opts, st)
 	return st, nil
 }
 
@@ -480,16 +493,15 @@ func (e Engine) RunFromCacheCtx(ctx context.Context, trips int, chainLens []int)
 //
 //kcvet:hotpath a memoised answer is looked up here on the request's own goroutine
 func (e Engine) FromMemo(trips int, chainLens []int) (*Study, bool) {
-	o := e.Opts.withDefaults()
-	if o.Cache == nil {
+	if e.Opts.Cache == nil {
 		return nil, false
 	}
-	v, ok := o.Cache.Peek(studyKey(e.Workload, planInputs(e.Workload, trips, chainLens, o)))
+	v, ok := e.Opts.Cache.Peek(studyKey(e.Workload, planInputs(e.Workload, trips, chainLens, e.Opts)))
 	if !ok {
 		return nil, false
 	}
 	st := v.(*Study)
-	countCacheHits(o, st)
+	countCacheHits(e.Opts, st)
 	return st, true
 }
 

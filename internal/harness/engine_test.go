@@ -599,7 +599,7 @@ func TestFromCacheStudyAllocs(t *testing.T) {
 	if _, err := RunStudy(w, 10, chains, o); err != nil {
 		t.Fatal(err)
 	}
-	in := planInputs(w, 10, chains, o.withDefaults())
+	in := planInputs(w, 10, chains, o)
 	ctx := context.Background()
 	var st *Study
 	var err error

@@ -15,24 +15,24 @@ import (
 	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/timing"
 )
 
-// Options tunes how much measurement effort a study spends.
+// Options tunes how much measurement effort a study spends. Blocks,
+// Passes, TrimFrac and ActualRuns are the study's timing.Protocol, kept
+// as flat fields; only Protocol interprets them.
 type Options struct {
 	// Blocks is the number of independently timed blocks per window
-	// measurement (default 3).
+	// measurement.
 	Blocks int
-	// Passes is the number of window passes per block (default 1).
+	// Passes is the number of window passes per block.
 	Passes int
 	// ActualRuns is how many times the full application is run; the
-	// median is reported (default 1).
+	// median is reported.
 	ActualRuns int
-	// TrimFrac is the two-sided trim fraction when aggregating a window
-	// measurement's timed blocks. Zero picks the workload's default
-	// (median-of-blocks for NPB workloads); negative forces the raw
-	// mean — the knob behind the trimming ablation. Note -0.0 == 0, so a
-	// negative zero selects the default, and NaN is normalized to the
-	// default by the measurement layer rather than propagated.
+	// TrimFrac is the requested trim of a window measurement's timed
+	// blocks (timing.Protocol.Trim); the trimming ablation's -1 asks for
+	// the raw mean.
 	TrimFrac float64
 	// Metrics, when non-nil, receives harness-level observability:
 	// windows measured, blocks timed, per-pass time distributions.
@@ -82,25 +82,14 @@ type Options struct {
 	sleep func(time.Duration)
 }
 
-func (o Options) withDefaults() Options {
-	if o.Blocks <= 0 {
-		o.Blocks = 3
-	}
-	if o.Passes <= 0 {
-		o.Passes = 1
-	}
-	if o.ActualRuns <= 0 {
-		o.ActualRuns = 1
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	if o.sleep == nil {
-		o.sleep = time.Sleep
-	}
+// Protocol returns the study's measurement protocol, resolved.
+func (o Options) Protocol() timing.Protocol {
+	return timing.Protocol{Blocks: o.Blocks, Passes: o.Passes, Trim: o.TrimFrac, ActualRuns: o.ActualRuns}.Resolved()
+}
+
+// WithProtocol returns o measuring under protocol p.
+func (o Options) WithProtocol(p timing.Protocol) Options {
+	o.Blocks, o.Passes, o.TrimFrac, o.ActualRuns = p.Blocks, p.Passes, p.Trim, p.ActualRuns
 	return o
 }
 
@@ -179,12 +168,8 @@ func (w *NPBWorkload) MeasureWindow(window []string, o Options) (float64, error)
 // MeasureWindowDetail implements WindowDetailer via
 // npb.MeasureWindowDetail, keeping per-block provenance.
 func (w *NPBWorkload) MeasureWindowDetail(window []string, o Options) (npb.WindowMeasurement, error) {
-	o = o.withDefaults()
-	wm, err := npb.MeasureWindowDetail(w.factory(), window, npb.MeasureOptions{
+	wm, err := npb.MeasureWindowDetail(w.factory(), window, o.Protocol(), npb.MeasureOptions{
 		Procs:     w.Procs,
-		Blocks:    o.Blocks,
-		Passes:    o.Passes,
-		TrimFrac:  o.TrimFrac,
 		WorldOpts: w.WorldOpts,
 	})
 	if err == nil {

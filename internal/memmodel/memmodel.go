@@ -77,13 +77,12 @@ func NewSharedKernel(name string, owner *Kernel) *Kernel {
 }
 
 // PairWorkload adapts two kernels into a harness.Workload whose loop ring
-// is [A, B], measured with real wall-clock timing. MinBlockBytes controls
-// how many bytes each timed block streams (per-pass times below the clock
-// resolution are otherwise meaningless); the default is 64 MiB.
+// is [A, B], measured with real wall-clock timing under the options'
+// protocol. MinBlockBytes controls how many bytes each timed block streams
+// (per-pass times below the clock resolution are otherwise meaningless);
+// the default is 64 MiB.
 type PairWorkload struct {
 	A, B *Kernel
-	// Blocks is the number of timed blocks per measurement (default 5).
-	Blocks int
 	// MinBlockBytes sets the streaming volume of one timed block
 	// (default 64 MiB).
 	MinBlockBytes int
@@ -109,8 +108,10 @@ func (p *PairWorkload) kernel(name string) (*Kernel, error) {
 	return nil, fmt.Errorf("memmodel: unknown kernel %q", name)
 }
 
-// MeasureWindow implements harness.Workload with wall-clock timing.
-func (p *PairWorkload) MeasureWindow(window []string, _ harness.Options) (float64, error) {
+// MeasureWindow implements harness.Workload with wall-clock timing: o's
+// protocol times the blocks and aggregates them, and the streaming volume
+// of a block, not o.Passes, sets the passes each block times.
+func (p *PairWorkload) MeasureWindow(window []string, o harness.Options) (float64, error) {
 	ks := make([]*Kernel, len(window))
 	bytesPerPass := 0
 	for i, name := range window {
@@ -128,19 +129,13 @@ func (p *PairWorkload) MeasureWindow(window []string, _ harness.Options) (float6
 	if minBytes <= 0 {
 		minBytes = 64 << 20
 	}
-	passes := minBytes / bytesPerPass
-	if passes < 1 {
-		passes = 1
-	}
-	blocks := p.Blocks
-	if blocks <= 0 {
-		blocks = 5
-	}
+	proto := o.Protocol()
+	proto.Passes = max(minBytes/bytesPerPass, 1)
 	res, err := timing.Measure(func() {
 		for _, k := range ks {
 			k.Run()
 		}
-	}, timing.Options{Blocks: blocks, PassesPerBlock: passes})
+	}, proto, timing.Options{})
 	if err != nil {
 		return 0, err
 	}
@@ -156,6 +151,13 @@ func (p *PairWorkload) MeasureActual(trips int, o harness.Options) (float64, err
 	return float64(trips) * per, nil
 }
 
+// SweepTrim is the trim a sweep point's blocks are aggregated with: -1,
+// the raw mean. Over ten 3-block runs of the §4.1 sweep on a 2-vCPU Xeon
+// host, with every point's coupling computed from the same blocks under
+// both rules, the raw mean's median per-point IQR was 0.113 against
+// 0.145 for the median of the blocks (timing.DefaultTrim).
+const SweepTrim = -1
+
 // SweepPoint is one working-set size's measured pair coupling.
 type SweepPoint struct {
 	// Bytes is the per-kernel working-set size.
@@ -165,58 +167,37 @@ type SweepPoint struct {
 }
 
 // Sweep measures the pair coupling of two disjoint streaming kernels at
-// each working-set size and returns the series in input order. blocks and
-// minBlockBytes are passed to PairWorkload (zero for defaults).
-func Sweep(sizes []int, blocks, minBlockBytes int) ([]SweepPoint, error) {
-	points := make([]SweepPoint, 0, len(sizes))
-	for _, bytes := range sizes {
-		a := NewKernel("A", bytes)
-		b := NewKernel("B", bytes)
-		p := &PairWorkload{A: a, B: b, Blocks: blocks, MinBlockBytes: minBlockBytes}
-		pa, err := p.MeasureWindow([]string{"A"}, harness.Options{})
-		if err != nil {
-			return nil, err
-		}
-		pb, err := p.MeasureWindow([]string{"B"}, harness.Options{})
-		if err != nil {
-			return nil, err
-		}
-		pab, err := p.MeasureWindow([]string{"A", "B"}, harness.Options{})
-		if err != nil {
-			return nil, err
-		}
-		c, err := core.PairCoupling(pab, pa, pb)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, SweepPoint{Bytes: bytes, C: c})
-	}
-	return points, nil
+// each working-set size under o's protocol and returns the series in
+// input order. minBlockBytes is passed to PairWorkload (zero for the
+// default).
+func Sweep(sizes []int, o harness.Options, minBlockBytes int) ([]SweepPoint, error) {
+	return sweepPairs(sizes, o, minBlockBytes, func(_ *Kernel, bytes int) *Kernel { return NewKernel("B", bytes) })
 }
 
 // SweepShared is Sweep for a producer/consumer pair sharing one array:
 // the second kernel re-reads the first's working set. Comparing its series
 // against Sweep's at equal sizes separates capacity effects (present only
 // in the disjoint pair) from fixed chaining overheads.
-func SweepShared(sizes []int, blocks, minBlockBytes int) ([]SweepPoint, error) {
+func SweepShared(sizes []int, o harness.Options, minBlockBytes int) ([]SweepPoint, error) {
+	return sweepPairs(sizes, o, minBlockBytes, func(a *Kernel, _ int) *Kernel { return NewSharedKernel("B", a) })
+}
+
+// sweepPairs measures the pair of kernel A and the B that newB makes for
+// it at each working-set size.
+func sweepPairs(sizes []int, o harness.Options, minBlockBytes int, newB func(a *Kernel, bytes int) *Kernel) ([]SweepPoint, error) {
 	points := make([]SweepPoint, 0, len(sizes))
 	for _, bytes := range sizes {
 		a := NewKernel("A", bytes)
-		b := NewSharedKernel("B", a)
-		p := &PairWorkload{A: a, B: b, Blocks: blocks, MinBlockBytes: minBlockBytes}
-		pa, err := p.MeasureWindow([]string{"A"}, harness.Options{})
-		if err != nil {
-			return nil, err
+		p := &PairWorkload{A: a, B: newB(a, bytes), MinBlockBytes: minBlockBytes}
+		var t [3]float64
+		for i, w := range [3][]string{{"A"}, {"B"}, {"A", "B"}} {
+			v, err := p.MeasureWindow(w, o)
+			if err != nil {
+				return nil, err
+			}
+			t[i] = v
 		}
-		pb, err := p.MeasureWindow([]string{"B"}, harness.Options{})
-		if err != nil {
-			return nil, err
-		}
-		pab, err := p.MeasureWindow([]string{"A", "B"}, harness.Options{})
-		if err != nil {
-			return nil, err
-		}
-		c, err := core.PairCoupling(pab, pa, pb)
+		c, err := core.PairCoupling(t[2], t[0], t[1])
 		if err != nil {
 			return nil, err
 		}

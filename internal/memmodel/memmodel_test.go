@@ -50,9 +50,10 @@ func TestPairWorkloadKernelGroups(t *testing.T) {
 }
 
 func TestPairWorkloadMeasuresPositiveTimes(t *testing.T) {
-	p := &PairWorkload{A: NewKernel("A", 4096), B: NewKernel("B", 4096), Blocks: 2, MinBlockBytes: 1 << 20}
+	p := &PairWorkload{A: NewKernel("A", 4096), B: NewKernel("B", 4096), MinBlockBytes: 1 << 20}
+	o := harness.Options{Blocks: 2}
 	for _, w := range [][]string{{"A"}, {"B"}, {"A", "B"}} {
-		v, err := p.MeasureWindow(w, harness.Options{})
+		v, err := p.MeasureWindow(w, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,18 +61,19 @@ func TestPairWorkloadMeasuresPositiveTimes(t *testing.T) {
 			t.Errorf("window %v measured %v", w, v)
 		}
 	}
-	if _, err := p.MeasureWindow([]string{"Z"}, harness.Options{}); err == nil {
+	if _, err := p.MeasureWindow([]string{"Z"}, o); err == nil {
 		t.Error("unknown kernel should fail")
 	}
 }
 
 func TestPairWorkloadActualScalesWithTrips(t *testing.T) {
-	p := &PairWorkload{A: NewKernel("A", 4096), B: NewKernel("B", 4096), Blocks: 2, MinBlockBytes: 1 << 20}
-	one, err := p.MeasureActual(1, harness.Options{})
+	p := &PairWorkload{A: NewKernel("A", 4096), B: NewKernel("B", 4096), MinBlockBytes: 1 << 20}
+	o := harness.Options{Blocks: 2}
+	one, err := p.MeasureActual(1, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten, err := p.MeasureActual(10, harness.Options{})
+	ten, err := p.MeasureActual(10, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestPlateaus(t *testing.T) {
 func TestSweepSmallSmoke(t *testing.T) {
 	// Tiny sweep with minimal streaming volume: checks plumbing, not
 	// cache physics (which belongs to the bench harness).
-	pts, err := Sweep([]int{1 << 10, 1 << 12}, 2, 1<<20)
+	pts, err := Sweep([]int{1 << 10, 1 << 12}, harness.Options{Blocks: 2}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestSharedKernelAliasesOwner(t *testing.T) {
 }
 
 func TestSweepSharedSmoke(t *testing.T) {
-	pts, err := SweepShared([]int{1 << 10, 1 << 12}, 2, 1<<20)
+	pts, err := SweepShared([]int{1 << 10, 1 << 12}, harness.Options{Blocks: 2}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

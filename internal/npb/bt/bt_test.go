@@ -10,6 +10,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/npb/npbtest"
+	"repro/internal/timing"
 )
 
 func tinyConfig(n, procs int) Config {
@@ -308,10 +309,8 @@ func TestMeasureWindowSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, err := npb.MeasureWindow(f, []string{KXSolve, KYSolve}, npb.MeasureOptions{
+	secs, err := npb.MeasureWindow(f, []string{KXSolve, KYSolve}, timing.Protocol{Blocks: 2, Passes: 2}, npb.MeasureOptions{
 		Procs:     4,
-		Blocks:    2,
-		Passes:    2,
 		WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 	})
 	if err != nil {

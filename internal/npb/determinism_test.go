@@ -13,6 +13,7 @@ import (
 	"repro/internal/npb/npbtest"
 	"repro/internal/npb/sp"
 	"repro/internal/tables"
+	"repro/internal/timing"
 )
 
 // normed is the verification interface every benchmark state implements.
@@ -131,10 +132,8 @@ func TestBenchmarksSurviveArbitraryKernelWindows(t *testing.T) {
 			}
 			windows = append(windows, []string{loop[len(loop)-1], loop[0]})
 			for _, win := range windows {
-				if _, err := npb.MeasureWindow(factory, win, npb.MeasureOptions{
+				if _, err := npb.MeasureWindow(factory, win, timing.Protocol{Blocks: 2, Passes: 3}, npb.MeasureOptions{
 					Procs:     4,
-					Blocks:    2,
-					Passes:    3,
 					WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 				}); err != nil {
 					t.Fatalf("window %v: %v", win, err)
@@ -169,7 +168,7 @@ func TestRecycledWorldDoesNotAllocateFields(t *testing.T) {
 			measure := func() (uint64, npb.WindowMeasurement) {
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
-				wm, err := npb.MeasureWindowDetail(f, loop, npb.MeasureOptions{Procs: procs})
+				wm, err := npb.MeasureWindowDetail(f, loop, timing.Protocol{}, npb.MeasureOptions{Procs: procs})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/timing"
 )
 
 // pooledKernels is a KernelSet that can be rebound. It knows the world that
@@ -180,7 +181,7 @@ func TestFailedWorldRecyclesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f, built := newPooledFactory()
 			measure := func(kernel string, opts []mpi.Option) (WindowMeasurement, error) {
-				return MeasureWindowDetail(f, []string{kernel}, MeasureOptions{Procs: 4, Blocks: 1, WorldOpts: opts})
+				return MeasureWindowDetail(f, []string{kernel}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4, WorldOpts: opts})
 			}
 			if _, err := measure("ok", nil); err != nil {
 				t.Fatal(err)
@@ -214,7 +215,7 @@ func TestFailedWorldRecyclesNothing(t *testing.T) {
 func TestUnrebindableStateIsNeverPooled(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "")
 	for i := 0; i < 3; i++ {
-		wm, err := MeasureWindowDetail(f, []string{"a"}, MeasureOptions{Procs: 2})
+		wm, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

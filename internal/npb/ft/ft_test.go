@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
+	"repro/internal/timing"
 )
 
 func withState(t *testing.T, cfg Config, fn func(*state)) {
@@ -244,10 +245,8 @@ func TestMeasureWindowSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, err := npb.MeasureWindow(f, []string{KFFTX, KTranspose}, npb.MeasureOptions{
+	secs, err := npb.MeasureWindow(f, []string{KFFTX, KTranspose}, timing.Protocol{Blocks: 2, Passes: 2}, npb.MeasureOptions{
 		Procs:     4,
-		Blocks:    2,
-		Passes:    2,
 		WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 	})
 	if err != nil {

@@ -2,13 +2,12 @@ package npb
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/metrics"
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/stats"
+	"repro/internal/timing"
 )
 
 // quiesce synchronizes the ranks ahead of a timed region, and in a world
@@ -52,46 +51,13 @@ type WorldStats struct {
 	GCOverlapped int
 }
 
-// MeasureOptions configures a timed measurement across a world of ranks.
+// MeasureOptions configures the world a measurement runs in; how much it
+// times, and how it aggregates, is the timing.Protocol's.
 type MeasureOptions struct {
 	// Procs is the number of ranks.
 	Procs int
-	// Blocks is the number of independently timed blocks (default 3).
-	Blocks int
-	// Passes is how many passes through the window each block times
-	// (default 1).
-	Passes int
-	// TrimFrac is the two-sided trim for aggregating blocks. Zero picks
-	// the default (median-like 0.34 for Blocks >= 3); negative forces
-	// the raw mean — the knob behind the trimming ablation. Because
-	// -0.0 == 0 in Go, a negative zero still selects the default, and a
-	// NaN is normalized to the default rather than leaking into the
-	// aggregation (int(Blocks*NaN) is unspecified).
-	TrimFrac float64
 	// WorldOpts configures the mpi.World, e.g. a network cost model.
 	WorldOpts []mpi.Option
-}
-
-func (o MeasureOptions) withDefaults() MeasureOptions {
-	if o.Blocks <= 0 {
-		o.Blocks = 3
-	}
-	if o.Passes <= 0 {
-		o.Passes = 1
-	}
-	if math.IsNaN(o.TrimFrac) {
-		o.TrimFrac = 0 // NaN compares false with everything; treat as unset
-	}
-	if o.TrimFrac == 0 && o.Blocks >= 3 {
-		// Timing on a shared host has a heavy upper tail (GC cycles,
-		// scheduler interference); trimming toward the median is far
-		// more robust than the mean for small block counts.
-		o.TrimFrac = 0.34
-	}
-	if o.TrimFrac < 0 {
-		o.TrimFrac = 0 // explicit raw mean (the trimming ablation)
-	}
-	return o
 }
 
 // WindowMeasurement is the full record of one window measurement: the
@@ -107,8 +73,8 @@ type WindowMeasurement struct {
 	// Blocks holds each timed block's per-pass seconds in block order,
 	// before trimming.
 	Blocks []float64
-	// TrimFrac is the effective two-sided trim applied (after sentinel
-	// resolution: 0 here means the raw mean was used).
+	// TrimFrac is the trim timing.Protocol.Aggregate applied (0: the raw
+	// mean).
 	TrimFrac float64
 	// Passes is the number of window passes each block timed.
 	Passes int
@@ -133,9 +99,10 @@ func runKernels(c *mpi.Comm, ks KernelSet, names []string) {
 // paper's methodology: the window sits in a loop that dominates the
 // measurement, all setup is outside the timed region, and barriers bound
 // each block so the slowest rank defines parallel time.
-// It returns the per-pass wall-clock seconds (trimmed mean across blocks).
-func MeasureWindow(f *Factory, window []string, o MeasureOptions) (float64, error) {
-	wm, err := MeasureWindowDetail(f, window, o)
+// It returns the per-pass wall-clock seconds, aggregated across blocks
+// under the protocol.
+func MeasureWindow(f *Factory, window []string, p timing.Protocol, o MeasureOptions) (float64, error) {
+	wm, err := MeasureWindowDetail(f, window, p, o)
 	if err != nil {
 		return 0, err
 	}
@@ -144,12 +111,12 @@ func MeasureWindow(f *Factory, window []string, o MeasureOptions) (float64, erro
 
 // MeasureWindowDetail is MeasureWindow keeping the per-block timings and
 // trim decision — the provenance behind each reported coupling value.
-func MeasureWindowDetail(f *Factory, window []string, o MeasureOptions) (WindowMeasurement, error) {
+func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o MeasureOptions) (WindowMeasurement, error) {
 	if len(window) == 0 {
 		return WindowMeasurement{}, fmt.Errorf("npb: empty measurement window")
 	}
-	o = o.withDefaults()
-	blockTimes := make([]float64, 0, o.Blocks)
+	p = p.Resolved()
+	blockTimes := make([]float64, 0, p.Blocks)
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
 		// One untimed warmup pass: the first execution after setup pays
@@ -164,7 +131,7 @@ func MeasureWindowDetail(f *Factory, window []string, o MeasureOptions) (WindowM
 			gc = gcCyclesSample()
 		}
 		quiesce(c, fresh)
-		for b := 0; b < o.Blocks; b++ {
+		for b := 0; b < p.Blocks; b++ {
 			if b > 0 {
 				ks.Refresh()
 			}
@@ -175,12 +142,12 @@ func MeasureWindowDetail(f *Factory, window []string, o MeasureOptions) (WindowM
 				gc0 = gcCycles(gc)
 				t0 = c.Wtime()
 			}
-			for p := 0; p < o.Passes; p++ {
+			for i := 0; i < p.Passes; i++ {
 				runKernels(c, ks, window)
 			}
 			c.Barrier()
 			if c.Rank() == 0 {
-				blockTimes = append(blockTimes, c.Wtime().Sub(t0).Seconds()/float64(o.Passes))
+				blockTimes = append(blockTimes, c.Wtime().Sub(t0).Seconds()/float64(p.Passes))
 				if gcCycles(gc) != gc0 {
 					world.GCOverlapped++
 				}
@@ -190,12 +157,13 @@ func MeasureWindowDetail(f *Factory, window []string, o MeasureOptions) (WindowM
 	if err != nil {
 		return WindowMeasurement{}, err
 	}
+	perPass, trim := p.Aggregate(blockTimes)
 	return WindowMeasurement{
 		Window:   append([]string(nil), window...),
-		PerPass:  stats.TrimmedMean(blockTimes, o.TrimFrac),
+		PerPass:  perPass,
 		Blocks:   blockTimes,
-		TrimFrac: o.TrimFrac,
-		Passes:   o.Passes,
+		TrimFrac: trim,
+		Passes:   p.Passes,
 		World:    world,
 	}, nil
 }
@@ -221,7 +189,6 @@ func MeasureFull(f *Factory, pre, loop []string, trips int, post []string, o Mea
 	if len(loop) == 0 || trips < 1 {
 		return 0, WorldStats{}, fmt.Errorf("npb: full run needs a loop ring and trips >= 1")
 	}
-	o = o.withDefaults()
 	var elapsed float64
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/stats"
+	"repro/internal/timing"
 )
 
 // countingKernels is a deterministic KernelSet for testing the runner.
@@ -51,11 +52,7 @@ func newCountingFactory(names []string, delay time.Duration, failOn string) (*Fa
 
 func TestMeasureWindowCountsAndTiming(t *testing.T) {
 	f, runs, refreshs := newCountingFactory([]string{"a", "b"}, 2*time.Millisecond, "")
-	secs, err := MeasureWindow(f, []string{"a", "b"}, MeasureOptions{
-		Procs:  2,
-		Blocks: 3,
-		Passes: 2,
-	})
+	secs, err := MeasureWindow(f, []string{"a", "b"}, timing.Protocol{Blocks: 3, Passes: 2}, MeasureOptions{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +75,14 @@ func TestMeasureWindowCountsAndTiming(t *testing.T) {
 
 func TestMeasureWindowEmptyWindow(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "")
-	if _, err := MeasureWindow(f, nil, MeasureOptions{Procs: 1}); err == nil {
+	if _, err := MeasureWindow(f, nil, timing.Protocol{}, MeasureOptions{Procs: 1}); err == nil {
 		t.Error("empty window should fail")
 	}
 }
 
 func TestMeasureWindowKernelFailure(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "a")
-	_, err := MeasureWindow(f, []string{"a"}, MeasureOptions{Procs: 2})
+	_, err := MeasureWindow(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Errorf("want injected failure surfaced, got %v", err)
 	}
@@ -93,7 +90,7 @@ func TestMeasureWindowKernelFailure(t *testing.T) {
 
 func TestMeasureWindowFactoryFailure(t *testing.T) {
 	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) { return nil, errors.New("no state") })
-	_, err := MeasureWindow(f, []string{"a"}, MeasureOptions{Procs: 1})
+	_, err := MeasureWindow(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 1})
 	if err == nil || !strings.Contains(err.Error(), "no state") {
 		t.Errorf("want setup failure surfaced, got %v", err)
 	}
@@ -151,24 +148,36 @@ func TestRunOnceReportOnRankZero(t *testing.T) {
 
 // TestMeasureOptionsTrimFracSentinels pins the sentinel semantics at this
 // layer too: -0.0 compares equal to zero and must select the default
-// trim (never the raw-mean ablation), and NaN must be normalized to the
-// default instead of flowing into stats.TrimmedMean.
+// trim (never the raw-mean ablation), NaN must select the default
+// instead of flowing into stats.TrimmedMean, and a negative trim is the
+// raw mean. The recorded trim is the one the protocol applied.
 func TestMeasureOptionsTrimFracSentinels(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	if o := (MeasureOptions{TrimFrac: negZero, Blocks: 3}).withDefaults(); o.TrimFrac != 0.34 {
-		t.Errorf("-0.0 selected TrimFrac %v, want the 0.34 default", o.TrimFrac)
-	}
-	if o := (MeasureOptions{TrimFrac: math.NaN(), Blocks: 3}).withDefaults(); o.TrimFrac != 0.34 {
-		t.Errorf("NaN selected TrimFrac %v, want the 0.34 default", o.TrimFrac)
-	}
-	if o := (MeasureOptions{TrimFrac: -1, Blocks: 3}).withDefaults(); o.TrimFrac != 0 {
-		t.Errorf("negative sentinel resolved to %v, want 0 (raw mean)", o.TrimFrac)
+	f, _, _ := newCountingFactory([]string{"a"}, 0, "")
+	for _, tc := range []struct {
+		name string
+		trim float64
+		want float64
+	}{
+		{"-0.0", math.Copysign(0, -1), timing.DefaultTrim},
+		{"NaN", math.NaN(), timing.DefaultTrim},
+		{"-1", -1, 0},
+	} {
+		wm, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{Blocks: 3, Trim: tc.trim}, MeasureOptions{Procs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wm.TrimFrac != tc.want {
+			t.Errorf("%s selected TrimFrac %v, want %v", tc.name, wm.TrimFrac, tc.want)
+		}
+		if got := stats.TrimmedMean(wm.Blocks, wm.TrimFrac); got != wm.PerPass {
+			t.Errorf("%s: PerPass %v not reproducible from Blocks+TrimFrac (%v)", tc.name, wm.PerPass, got)
+		}
 	}
 }
 
 func TestMeasureWindowDetailProvenance(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, time.Millisecond, "")
-	wm, err := MeasureWindowDetail(f, []string{"a"}, MeasureOptions{Procs: 1, Blocks: 4, Passes: 2})
+	wm, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{Blocks: 4, Passes: 2}, MeasureOptions{Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +208,8 @@ func TestMeasureWindowPhaseAttribution(t *testing.T) {
 	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) {
 		return exchangingKernels{c: c}, nil
 	})
-	_, err := MeasureWindow(f, []string{"PING"}, MeasureOptions{
-		Procs: 2, Blocks: 2, Passes: 1,
+	_, err := MeasureWindow(f, []string{"PING"}, timing.Protocol{Blocks: 2, Passes: 1}, MeasureOptions{
+		Procs:     2,
 		WorldOpts: []mpi.Option{mpi.WithObserver(ob)},
 	})
 	if err != nil {

@@ -3,6 +3,8 @@ package npb
 import (
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/timing"
 )
 
 func poolKey(n, procs int) PoolKey {
@@ -17,7 +19,7 @@ func TestPoolOneFactoryPerConfiguration(t *testing.T) {
 	p := NewPool(1 << 16)
 	measure := func(f *Factory) WindowMeasurement {
 		t.Helper()
-		wm, err := MeasureWindowDetail(f, []string{"ok"}, MeasureOptions{Procs: 4, Blocks: 1})
+		wm, err := MeasureWindowDetail(f, []string{"ok"}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +98,7 @@ func TestPoolFailedWorldReturnsNothing(t *testing.T) {
 		// Each call is a new study with a factory of its own, as an
 		// engine has; the pool decides which one runs the world.
 		f := p.Factory(poolKey(12, 4), pooledFactory(&built))
-		return MeasureWindowDetail(f, []string{kernel}, MeasureOptions{Procs: 4, Blocks: 1})
+		return MeasureWindowDetail(f, []string{kernel}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4})
 	}
 	if _, err := measure("ok"); err != nil {
 		t.Fatal(err)

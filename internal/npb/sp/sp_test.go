@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
+	"repro/internal/timing"
 )
 
 func tinyConfig(n, procs int) Config {
@@ -295,10 +296,8 @@ func TestMeasureWindowSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, err := npb.MeasureWindow(f, []string{KTxinvr, KXSolve}, npb.MeasureOptions{
+	secs, err := npb.MeasureWindow(f, []string{KTxinvr, KXSolve}, timing.Protocol{Blocks: 2, Passes: 2}, npb.MeasureOptions{
 		Procs:     4,
-		Blocks:    2,
-		Passes:    2,
 		WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 	})
 	if err != nil {

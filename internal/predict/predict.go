@@ -60,7 +60,15 @@ type Query struct {
 // Key is the query's canonical identity, used to hold lattice points
 // apart from the target they interpolate.
 func (q Query) Key() string {
-	b := make([]byte, 0, 64)
+	return string(q.AppendKey(make([]byte, 0, 64)))
+}
+
+// AppendKey appends Key's bytes to b: "BENCH.CLASS.pPROCS gGRID tTRIPS
+// bBLOCKS xPASSES cCHAINS", chains comma-separated. serve.Query's key is
+// this one plus its backend pin.
+//
+//kcvet:hotpath renders the key of every served query
+func (q *Query) AppendKey(b []byte) []byte {
 	b = append(b, q.Bench...)
 	b = append(b, '.')
 	b = append(b, string(q.Class)...)
@@ -77,11 +85,12 @@ func (q Query) Key() string {
 	b = append(b, " c"...)
 	for i, c := range q.Chains {
 		if i > 0 {
+			//kcvet:ignore hotalloc appends fill the caller's buffer; a key longer than its capacity needs a pathological chain list
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return string(b)
+	return b
 }
 
 // Workload returns the canonical workload name for the query,

@@ -26,22 +26,6 @@ type HTTPTimeouts struct {
 	Idle time.Duration
 }
 
-func (t HTTPTimeouts) withDefaults() HTTPTimeouts {
-	def := func(d *time.Duration, fallback time.Duration) {
-		switch {
-		case *d == 0:
-			*d = fallback
-		case *d < 0:
-			*d = 0 // explicit "no timeout"
-		}
-	}
-	def(&t.ReadHeader, 5*time.Second)
-	def(&t.Read, 30*time.Second)
-	def(&t.Write, 2*time.Minute)
-	def(&t.Idle, 2*time.Minute)
-	return t
-}
-
 // NewHTTPServer returns an http.Server for the service with every socket
 // timeout set. http.Server's zero timeouts mean "wait forever", which
 // lets a handful of deliberately slow clients (slowloris) exhaust the
@@ -49,13 +33,21 @@ func (t HTTPTimeouts) withDefaults() HTTPTimeouts {
 // deadline budgets on its handlers but none on its sockets is only half
 // hardened.
 func NewHTTPServer(addr string, h http.Handler, t HTTPTimeouts) *http.Server {
-	t = t.withDefaults()
+	timeout := func(d, fallback time.Duration) time.Duration {
+		switch {
+		case d == 0:
+			return fallback
+		case d < 0:
+			return 0 // explicit "no timeout"
+		}
+		return d
+	}
 	return &http.Server{
 		Addr:              addr,
 		Handler:           h,
-		ReadHeaderTimeout: t.ReadHeader,
-		ReadTimeout:       t.Read,
-		WriteTimeout:      t.Write,
-		IdleTimeout:       t.Idle,
+		ReadHeaderTimeout: timeout(t.ReadHeader, 5*time.Second),
+		ReadTimeout:       timeout(t.Read, 30*time.Second),
+		WriteTimeout:      timeout(t.Write, 2*time.Minute),
+		IdleTimeout:       timeout(t.Idle, 2*time.Minute),
 	}
 }

@@ -5,51 +5,26 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/npb"
 	"repro/internal/predict"
 	"repro/internal/tables"
 )
 
-// Query is one prediction request: which benchmark configuration the
-// caller wants predictions for. Its fields mirror cmd/couple's flags —
-// the same defaults, the same grid-override semantics — because a query
-// only makes sense against a cache that a couple (or tables) campaign
-// warmed, and the cache is keyed on exactly these parameters.
+// Query is one prediction request: the predictor interface's query —
+// cmd/couple's flags, with the same defaults, because a query only makes
+// sense against a cache that a couple (or tables) campaign warmed, and the
+// cache is keyed on exactly these parameters — plus the serving layer's
+// backend pin.
 type Query struct {
-	// Bench is the benchmark name: BT, SP, LU or FT.
-	Bench string
-	// Class is the NPB problem class.
-	Class npb.Class
-	// Procs is the rank count.
-	Procs int
-	// Chains holds the requested coupling chain lengths, ascending and
-	// deduplicated.
-	Chains []int
-	// Trips is the effective loop trip count (the class default is
-	// resolved at parse time so equivalent queries share one identity).
-	Trips int
-	// Blocks and Passes are the measurement repetition parameters.
-	Blocks int
-	// Passes is the window passes per timed block.
-	Passes int
-	// Grid is the n³ (n² for FT) grid override; zero means the class
-	// problem size.
-	Grid int
+	predict.Query
 	// Backend, when non-empty, pins the query to one named predictor
 	// backend instead of the server's default chain. Empty on ordinary
 	// queries, so warm-path keys keep their pre-backend bytes.
 	Backend string
 }
 
-// PredictQuery converts the HTTP query to the predictor interface's
-// query type (the backend pin is routing state, not query identity at
-// that layer).
-func (q Query) PredictQuery() predict.Query {
-	return predict.Query{
-		Bench: q.Bench, Class: q.Class, Procs: q.Procs, Chains: q.Chains,
-		Trips: q.Trips, Blocks: q.Blocks, Passes: q.Passes, Grid: q.Grid,
-	}
-}
+// PredictQuery returns the predictor interface's query (the backend pin
+// is routing state, not query identity at that layer).
+func (q Query) PredictQuery() predict.Query { return q.Query }
 
 // ParseQuery builds a Query from URL parameters: tables.ParseQuery's
 // strict parse and defaults (cmd/couple's: BT class S on 4 ranks, chain
@@ -61,11 +36,7 @@ func ParseQuery(v url.Values) (Query, error) {
 	if err != nil {
 		return Query{}, err
 	}
-	return Query{
-		Bench: pq.Bench, Class: pq.Class, Procs: pq.Procs, Chains: pq.Chains,
-		Trips: pq.Trips, Blocks: pq.Blocks, Passes: pq.Passes, Grid: pq.Grid,
-		Backend: strings.ToLower(strings.TrimSpace(v.Get("backend"))),
-	}, nil
+	return Query{Query: pq, Backend: strings.ToLower(strings.TrimSpace(v.Get("backend")))}, nil
 }
 
 // Encode renders the query back into URL parameters, every resolved
@@ -136,28 +107,7 @@ func (q Query) FamilyKey() string {
 
 //kcvet:hotpath runs once per request on the /predict warm path
 func (q Query) Key() string {
-	b := make([]byte, 0, 64)
-	b = append(b, q.Bench...)
-	b = append(b, '.')
-	b = append(b, string(q.Class)...)
-	b = append(b, ".p"...)
-	b = strconv.AppendInt(b, int64(q.Procs), 10)
-	b = append(b, " g"...)
-	b = strconv.AppendInt(b, int64(q.Grid), 10)
-	b = append(b, " t"...)
-	b = strconv.AppendInt(b, int64(q.Trips), 10)
-	b = append(b, " b"...)
-	b = strconv.AppendInt(b, int64(q.Blocks), 10)
-	b = append(b, " x"...)
-	b = strconv.AppendInt(b, int64(q.Passes), 10)
-	b = append(b, " c"...)
-	for i, c := range q.Chains {
-		if i > 0 {
-			//kcvet:ignore hotalloc appends fill a capacity-64 scratch buffer; growth needs a pathological chain list
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(c), 10)
-	}
+	b := q.Query.AppendKey(make([]byte, 0, 64))
 	if q.Backend != "" {
 		// Backend-pinned queries resolve in their own singleflight and
 		// stale-cache identity; the suffix is absent on default-chain

@@ -64,7 +64,7 @@ func TestParseQueryRejectsEmptyValues(t *testing.T) {
 // backend pin exactly as the exact-key identity does, so the degradation
 // ladder never crosses provenance pins.
 func TestFamilyKeyScopedToBackendPin(t *testing.T) {
-	base := Query{Bench: "BT", Class: "S", Procs: 4, Grid: 8}
+	base := Query{Query: predict.Query{Bench: "BT", Class: "S", Procs: 4, Grid: 8}}
 	pinned := base
 	pinned.Backend = "analytic"
 	if base.FamilyKey() == pinned.FamilyKey() {
@@ -167,5 +167,32 @@ func TestDegradationLadderRespectsBackendPin(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Degraded"); got != "" {
 		t.Errorf("pinned request tagged X-Degraded %q, want no degradation", got)
+	}
+}
+
+// TestKeyBytes pins the rendered keys: the singleflight, stale-answer and
+// cluster-ownership identity of a query. serve.Query's key is
+// predict.Query's plus the backend pin, and neither may change bytes.
+func TestKeyBytes(t *testing.T) {
+	for qs, want := range map[string]string{
+		"":                                      "BT.S.p4 g0 t60 b3 x1 c2",
+		"bench=lu&class=W&procs=8&chains=4,3,3": "LU.W.p8 g0 t20 b3 x1 c3,4",
+		"bench=BT&grid=6&trips=2&blocks=2&passes=4": "BT.S.p4 g6 t2 b2 x4 c2",
+		"bench=BT&grid=8&backend=Analytic":          "BT.S.p4 g8 t60 b3 x1 c2 kanalytic",
+	} {
+		v, err := url.ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ParseQuery(v)
+		if err != nil {
+			t.Fatalf("%q: %v", qs, err)
+		}
+		if got := q.Key(); got != want {
+			t.Errorf("%q keys as %q, want %q", qs, got, want)
+		}
+		if q.Backend == "" && q.PredictQuery().Key() != want {
+			t.Errorf("%q: predict.Query keys as %q, want serve.Query's %q", qs, q.PredictQuery().Key(), want)
+		}
 	}
 }

@@ -107,7 +107,7 @@ func trimAblation(e Experiment, s Scale) (*Result, error) {
 		return nil, err
 	}
 	rawMean := e
-	rawMean.trimFrac = -1
+	rawMean.trim = -1
 	raw, err := rawMean.single(s)
 	if err != nil {
 		return nil, err
@@ -147,11 +147,11 @@ func ftExtension(e Experiment, s Scale) (*Result, error) {
 // with a producer/consumer pair sharing one array, isolating cache
 // capacity as the mechanism behind the transitions.
 func sharedExtension(e Experiment, s Scale) (*Result, error) {
-	disjoint, err := memmodel.Sweep(sweepAxis(s))
+	disjoint, err := memmodel.Sweep(e.sweepAxis(s))
 	if err != nil {
 		return nil, err
 	}
-	shared, err := memmodel.SweepShared(sweepAxis(s))
+	shared, err := memmodel.SweepShared(e.sweepAxis(s))
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/predict"
+	"repro/internal/timing"
 )
 
 // This file is the canonical binding between the predict package's
@@ -120,10 +121,18 @@ func (c BackendConfig) cache() *plan.Cache {
 	return jobCache
 }
 
+// QueryProtocol is the measurement protocol of a backend query: the
+// query's blocks and passes — 3 and 1 when it leaves them zero, which are
+// also couple's flag defaults and ParseQuery's — the default trim rule,
+// and the median of 3 actual runs.
+func QueryProtocol(q predict.Query) timing.Protocol {
+	return timing.Protocol{Blocks: q.Blocks, Passes: q.Passes, ActualRuns: 3}.Resolved()
+}
+
 // Engine builds the measurement engine for one backend query. Its
-// workload construction and harness options (ActualRuns above all) are
-// the cache-key contract: every binary that measures or re-analyzes a
-// study builds its engine here, so their job keys agree.
+// workload construction and harness options (the QueryProtocol above
+// all) are the cache-key contract: every binary that measures or
+// re-analyzes a study builds its engine here, so their job keys agree.
 func (c BackendConfig) Engine(q predict.Query) (harness.Engine, error) {
 	prob, err := PredictProblem(q)
 	if err != nil {
@@ -139,12 +148,11 @@ func (c BackendConfig) Engine(q predict.Query) (harness.Engine, error) {
 	}
 	w.Pool, w.PoolKey = c.pool, npb.PoolKey{Bench: q.Bench, Problem: prob, Procs: q.Procs}
 	return harness.Engine{Workload: w, Opts: harness.Options{
-		Blocks: q.Blocks, Passes: q.Passes, ActualRuns: 3,
 		Parallel:    c.Parallel,
 		Cache:       c.cache(),
 		Metrics:     c.Metrics,
 		WorldDigest: WorldDigest(prob, c.Net),
-	}}, nil
+	}.WithProtocol(QueryProtocol(q))}, nil
 }
 
 // StudyRunner returns the measured StudyFn: plan, execute (or reuse) and
@@ -265,10 +273,11 @@ var queryParams = map[string]string{
 }
 
 // ParseQuery builds a predict.Query from URL parameters, applying
-// cmd/couple's defaults: BT class S on 4 ranks, chain length 2, 3 blocks
-// × 1 pass, class-default trips. It is the one parser behind kcserved's
-// query string and every -lattice item. The benchmark/class pair is
-// validated here so a bad query fails before any cache work happens.
+// cmd/couple's defaults: BT class S on 4 ranks, chain length 2, the
+// QueryProtocol's blocks and passes, class-default trips. It is the one
+// parser behind kcserved's query string and every -lattice item. The
+// benchmark/class pair is validated here so a bad query fails before any
+// cache work happens.
 //
 // extra names parameters the caller consumes itself (the serving layer's
 // backend pin): they get the same given-once, non-empty validation and
@@ -331,10 +340,11 @@ func ParseQuery(v url.Values, extra ...string) (predict.Query, error) {
 	if q.Procs, err = getInt("procs", 4, 1); err != nil {
 		return predict.Query{}, err
 	}
-	if q.Blocks, err = getInt("blocks", 3, 1); err != nil {
+	def := QueryProtocol(predict.Query{})
+	if q.Blocks, err = getInt("blocks", def.Blocks, 1); err != nil {
 		return predict.Query{}, err
 	}
-	if q.Passes, err = getInt("passes", 1, 1); err != nil {
+	if q.Passes, err = getInt("passes", def.Passes, 1); err != nil {
 		return predict.Query{}, err
 	}
 	if q.Grid, err = getInt("grid", 0, 0); err != nil {

@@ -118,37 +118,6 @@ func TestEngineKeyInputsKeepTheirBytes(t *testing.T) {
 	}
 }
 
-// Scale.Backend must route a table's studies through the named backend:
-// analytic regenerates the table with no measurements (Actual == 0).
-func TestScaleBackendRouting(t *testing.T) {
-	e, ok := Find("2a")
-	if !ok {
-		t.Fatal("table 2a missing")
-	}
-	e.Procs = []int{4}
-	res, err := e.Run(Scale{Trips: 2, Blocks: 1, GridOverride: 6, Backend: "analytic"})
-	if err != nil {
-		t.Fatalf("analytic table run: %v", err)
-	}
-	if len(res.Studies) != 1 {
-		t.Fatalf("studies = %d, want 1", len(res.Studies))
-	}
-	st := res.Studies[0].Study
-	if st.Actual != 0 {
-		t.Fatalf("analytic study Actual = %g, want 0 (no measurement happened)", st.Actual)
-	}
-	if len(st.Measurements.Isolated) == 0 || st.Summation.Predicted <= 0 {
-		t.Fatalf("analytic study lacks synthesized measurements: %+v", st)
-	}
-	if !strings.Contains(res.Text, "Coupling values") {
-		t.Fatalf("rendering missing: %q", res.Text)
-	}
-
-	if _, err := e.Run(Scale{Trips: 2, Backend: "psychic"}); err == nil {
-		t.Fatal("unknown Scale.Backend should fail")
-	}
-}
-
 // The injected Run override must replace the engine path entirely.
 func TestBackendConfigRunOverride(t *testing.T) {
 	called := false

@@ -6,7 +6,6 @@
 package tables
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -16,8 +15,8 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/plan"
-	"repro/internal/predict"
 	"repro/internal/stats"
+	"repro/internal/timing"
 )
 
 // Kind says what a table shows.
@@ -56,9 +55,9 @@ type Experiment struct {
 	// variant, when non-nil, runs the experiment in place of its Kind:
 	// the ablations and extensions of ablations.go.
 	variant func(Experiment, Scale) (*Result, error)
-	// trimFrac is the block-aggregation trim handed to the harness
-	// (zero = its default); only the trimming ablation varies it.
-	trimFrac float64
+	// trim is the requested block-aggregation trim (timing.Protocol.Trim);
+	// only the trimming ablation varies it.
+	trim float64
 }
 
 // All returns every experiment: the paper's evaluation in paper order,
@@ -117,14 +116,10 @@ type Scale struct {
 	// down from the paper's counts; the relative errors the tables
 	// compare are nearly independent of it).
 	Trips int
-	// Blocks is timed blocks per window measurement (0 = 5, or 3 for
-	// class B); the trimmed-median aggregation needs a few blocks to
-	// reject GC and scheduler spikes.
-	Blocks int
-	// Passes is window passes per block (0 = 1).
-	Passes int
-	// ActualRuns is how many full-application runs the "Actual" row is
-	// the median of (0 = 3, or 2 for class B).
+	// Blocks, Passes and ActualRuns override the measurement protocol
+	// (Experiment.protocol) when positive.
+	Blocks     int
+	Passes     int
 	ActualRuns int
 	// GridOverride, when positive, replaces the class grid with a tiny
 	// n³ grid — used by tests and smoke runs.
@@ -137,14 +132,21 @@ type Scale struct {
 	// CacheDir, when non-empty, persists the measurement cache there so
 	// repeated campaigns reuse results across processes.
 	CacheDir string
-	// Backend, when non-empty, routes every study through the named
-	// predictor backend (measured, cached, interpolated, analytic)
-	// instead of the default measured path — the paper tables can be
-	// regenerated per-backend to compare what each one would report.
-	Backend string
-	// Lattice seeds the interpolated backend's step models; ignored by
-	// the other backends.
-	Lattice []predict.Query
+
+	// fast marks paper -fast's smoke-test scale (Fast).
+	fast bool
+}
+
+// Fast returns s at paper -fast's smoke-test scale: 8³ grids, and 2
+// trips unless s sets them; Experiment.protocol times 2 blocks at it
+// unless s sets them.
+func (s Scale) Fast() Scale {
+	s.fast = true
+	s.GridOverride = 8
+	if s.Trips == 0 {
+		s.Trips = 2
+	}
+	return s
 }
 
 // DefaultTrips returns the scaled-down loop trip count used for a class
@@ -166,24 +168,35 @@ func DefaultTrips(class npb.Class) int {
 	}
 }
 
-func (s Scale) blocksFor(class npb.Class) int {
-	if s.Blocks > 0 {
-		return s.Blocks
+// protocol is the measurement protocol of the experiment's studies, or
+// of its sweep's points, at scale s: the one place the tables decide it.
+// What s sets wins. Otherwise a study times 5 blocks and reports the
+// median of 3 actual runs — 3 blocks and 2 runs for class B, whose
+// worlds are the largest — a §4.1 sweep point times 3 blocks aggregated
+// by memmodel.SweepTrim, and paper -fast times 2 blocks of everything.
+func (e Experiment) protocol(s Scale) timing.Protocol {
+	p := timing.Protocol{Blocks: s.Blocks, Passes: s.Passes, Trim: e.trim, ActualRuns: s.ActualRuns}
+	classB := e.Class == npb.ClassB
+	if p.Blocks <= 0 {
+		switch {
+		case s.fast:
+			p.Blocks = 2
+		case classB || e.Kind == CacheTransitions:
+			p.Blocks = 3
+		default:
+			p.Blocks = 5
+		}
 	}
-	if class == npb.ClassB {
-		return 3
+	if p.ActualRuns <= 0 {
+		p.ActualRuns = 3
+		if classB {
+			p.ActualRuns = 2
+		}
 	}
-	return 5
-}
-
-func (s Scale) actualRunsFor(class npb.Class) int {
-	if s.ActualRuns > 0 {
-		return s.ActualRuns
+	if e.Kind == CacheTransitions {
+		p.Trim = memmodel.SweepTrim
 	}
-	if class == npb.ClassB {
-		return 2
-	}
-	return 3
+	return p.Resolved()
 }
 
 // ProcStudy is one processor count's study within a table.
@@ -281,9 +294,6 @@ func WorldDigest(prob npb.Problem, net *mpi.NetModel) string {
 }
 
 func (e Experiment) studyFor(s Scale, procs, trips int) (*harness.Study, error) {
-	if s.Backend != "" && s.Backend != string(predict.ProvMeasured) {
-		return e.backendStudy(s, procs, trips)
-	}
 	w, err := e.workload(s, procs)
 	if err != nil {
 		return nil, err
@@ -297,40 +307,11 @@ func (e Experiment) studyFor(s Scale, procs, trips int) (*harness.Study, error) 
 		return nil, err
 	}
 	eng := harness.Engine{Workload: w, Opts: harness.Options{
-		Blocks:      s.blocksFor(e.Class),
-		Passes:      s.Passes,
-		ActualRuns:  s.actualRunsFor(e.Class),
 		Parallel:    s.Parallel,
-		TrimFrac:    e.trimFrac,
 		Cache:       cache,
 		WorldDigest: WorldDigest(prob, s.Net),
-	}}
+	}.WithProtocol(e.protocol(s))}
 	return eng.Run(trips, e.ChainLens)
-}
-
-// backendStudy answers one processor count's study through the predictor
-// interface instead of the measured engine path.
-func (e Experiment) backendStudy(s Scale, procs, trips int) (*harness.Study, error) {
-	cache, err := s.cache()
-	if err != nil {
-		return nil, err
-	}
-	b, err := NewBackend(s.Backend, BackendConfig{
-		Cache: cache, Net: s.Net, Parallel: s.Parallel, Lattice: s.Lattice,
-	})
-	if err != nil {
-		return nil, err
-	}
-	q := predict.Query{
-		Bench: e.Bench, Class: e.Class, Procs: procs,
-		Chains: e.ChainLens, Trips: trips,
-		Blocks: s.blocksFor(e.Class), Passes: s.Passes, Grid: s.GridOverride,
-	}
-	pr, err := b.Predict(context.Background(), q)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Study, nil
 }
 
 // ResetCache clears the in-memory measurement cache (tests and benchmarks
@@ -508,24 +489,20 @@ func CacheSweepSizes() []int {
 	return memmodel.GeometricSizes(16<<10, 64<<20, 13)
 }
 
-// sweepAxis is the Section 4.1 sweep's working-set axis, timed blocks
-// per point and streaming volume at a scale.
-func sweepAxis(s Scale) (sizes []int, blocks, minBytes int) {
+// sweepAxis is the Section 4.1 sweep's working-set axis, measurement
+// options per point and streaming volume at a scale.
+func (e Experiment) sweepAxis(s Scale) (sizes []int, o harness.Options, minBytes int) {
 	sizes, minBytes = CacheSweepSizes(), 48<<20
-	blocks = s.Blocks
-	if blocks <= 0 {
-		blocks = 3
-	}
 	if s.GridOverride > 0 {
 		// Smoke mode: a tiny axis with minimal streaming volume.
 		sizes = memmodel.GeometricSizes(8<<10, 128<<10, 4)
 		minBytes = 1 << 20
 	}
-	return sizes, blocks, minBytes
+	return sizes, harness.Options{}.WithProtocol(e.protocol(s)), minBytes
 }
 
 func (e Experiment) runCacheSweep(s Scale) (*Result, error) {
-	points, err := memmodel.Sweep(sweepAxis(s))
+	points, err := memmodel.Sweep(e.sweepAxis(s))
 	if err != nil {
 		return nil, err
 	}

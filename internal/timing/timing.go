@@ -1,8 +1,11 @@
 // Package timing implements the measurement methodology of the coupling
 // paper: a kernel (or a window of kernels) is placed inside a loop so that
 // the loop dominates execution time, the loop is timed with a monotonic
-// clock, and everything outside the loop is excluded. Repetitions are
-// aggregated with a trimmed mean to suppress scheduler noise.
+// clock, and everything outside the loop is excluded. A Protocol decides
+// how many blocks and passes are timed and how the blocks are aggregated:
+// from 3 blocks up, a trim of a third from each end (the median of 3 to 5
+// blocks) suppresses scheduler noise; below 3 blocks, or when the raw mean
+// is asked for, the blocks are averaged.
 package timing
 
 import (
@@ -53,21 +56,72 @@ func (f *FakeClock) Now() time.Time {
 	return f.T
 }
 
-// Options controls a repeated measurement.
-type Options struct {
-	// Blocks is the number of independently timed blocks. The per-pass
-	// time is aggregated across blocks with a trimmed mean.
+// Protocol is the measurement protocol: how many blocks are timed, how
+// many passes of the measured function each block times, how the blocks'
+// per-pass times are aggregated, and how many full application runs an
+// actual time is the median of. Resolved and Aggregate are the one rule
+// for its defaults and its trim; DESIGN.md's "Measurement protocol"
+// section lists the presets built on it.
+type Protocol struct {
+	// Blocks is the number of independently timed blocks (0 = 3).
 	Blocks int
-	// PassesPerBlock is how many times the measured function runs inside
-	// one timed block. The paper runs each kernel "50 times"; the
-	// equivalent knob here is Blocks×PassesPerBlock.
-	PassesPerBlock int
-	// TrimFrac is the two-sided trim fraction for aggregating block
-	// times. Zero (including -0.0) picks the default: 0.1 when
-	// Blocks >= 5, otherwise no trimming. A negative value is the
-	// explicit raw-mean sentinel (the trimming ablation). NaN is
-	// normalized to the default rather than silently selecting a path.
-	TrimFrac float64
+	// Passes is how many times the measured function runs inside one
+	// timed block (0 = 1). The paper runs each kernel "50 times"; the
+	// equivalent here is Blocks×Passes.
+	Passes int
+	// Trim is the requested two-sided trim of the block times: see
+	// Aggregate. A requested trim is part of a measurement's identity,
+	// so Resolved leaves it as it is.
+	Trim float64
+	// ActualRuns is how many full application runs an actual time is the
+	// median of (0 = 1).
+	ActualRuns int
+}
+
+// DefaultTrim is the trim a zero Trim requests at 3 or more blocks: on a
+// shared host block times have a heavy upper tail (GC cycles, scheduler
+// interference), and at a handful of blocks trimming a third from each
+// end is a median, far more robust than the mean.
+const DefaultTrim = 0.34
+
+// Resolved returns p with its zero counts resolved: 3 blocks, 1 pass, 1
+// actual run. A negative count counts as zero.
+func (p Protocol) Resolved() Protocol {
+	if p.Blocks <= 0 {
+		p.Blocks = 3
+	}
+	if p.Passes <= 0 {
+		p.Passes = 1
+	}
+	if p.ActualRuns <= 0 {
+		p.ActualRuns = 1
+	}
+	return p
+}
+
+// Aggregate returns the per-pass value of the timed blocks under the
+// protocol's trim rule, and the trim it applied. A requested trim below
+// 0 is the raw mean (applied trim 0). A requested trim of 0, -0.0 or NaN
+// is DefaultTrim at 3 or more blocks and the raw mean below that. Any
+// other trim is applied as requested: stats.TrimmedMean drops
+// int(len(blocks)·trim) blocks from each end, so a small trim drops
+// nothing at a small block count.
+func (p Protocol) Aggregate(blocks []float64) (perPass, trim float64) {
+	trim = p.Trim
+	switch {
+	case trim < 0:
+		trim = 0
+	case trim == 0 || math.IsNaN(trim):
+		trim = 0
+		if len(blocks) >= 3 {
+			trim = DefaultTrim
+		}
+	}
+	return stats.TrimmedMean(blocks, trim), trim
+}
+
+// Options carries what a measurement needs beyond its protocol.
+type Options struct {
 	// Clock is the time source (WallClock when nil).
 	Clock Clock
 	// BetweenBlocks, when non-nil, runs between timed blocks outside the
@@ -76,29 +130,10 @@ type Options struct {
 	BetweenBlocks func()
 }
 
-func (o Options) withDefaults() Options {
-	if o.Blocks <= 0 {
-		o.Blocks = 5
-	}
-	if o.PassesPerBlock <= 0 {
-		o.PassesPerBlock = 1
-	}
-	if math.IsNaN(o.TrimFrac) {
-		o.TrimFrac = 0 // NaN compares false with everything; treat as unset
-	}
-	if o.TrimFrac == 0 && o.Blocks >= 5 {
-		o.TrimFrac = 0.1
-	}
-	if o.Clock == nil {
-		o.Clock = WallClock
-	}
-	return o
-}
-
 // Result is the outcome of a repeated measurement.
 type Result struct {
-	// PerPass is the aggregated (trimmed-mean) time of one pass of the
-	// measured function, in seconds.
+	// PerPass is the aggregated (Protocol.Aggregate) time of one pass of
+	// the measured function, in seconds.
 	PerPass float64
 	// Blocks holds the raw per-pass time of each timed block, in seconds.
 	Blocks []float64
@@ -109,29 +144,34 @@ type Result struct {
 // ErrNilFunc is returned when Measure is given a nil function.
 var ErrNilFunc = errors.New("timing: nil function")
 
-// Measure times fn according to opts and returns the per-pass statistics.
+// Measure times fn under protocol p and returns the per-pass statistics.
 // Only the passes themselves are inside the timed region; BetweenBlocks and
 // all bookkeeping are excluded, implementing the paper's "subtract the time
 // required for the application beyond the given kernel" methodology.
-func Measure(fn func(), opts Options) (Result, error) {
+func Measure(fn func(), p Protocol, o Options) (Result, error) {
 	if fn == nil {
 		return Result{}, ErrNilFunc
 	}
-	o := opts.withDefaults()
-	blocks := make([]float64, 0, o.Blocks)
-	for b := 0; b < o.Blocks; b++ {
+	p = p.Resolved()
+	clock := o.Clock
+	if clock == nil {
+		clock = WallClock
+	}
+	blocks := make([]float64, 0, p.Blocks)
+	for b := 0; b < p.Blocks; b++ {
 		if b > 0 && o.BetweenBlocks != nil {
 			o.BetweenBlocks()
 		}
-		start := o.Clock.Now()
-		for p := 0; p < o.PassesPerBlock; p++ {
+		start := clock.Now()
+		for i := 0; i < p.Passes; i++ {
 			fn()
 		}
-		elapsed := o.Clock.Now().Sub(start)
-		blocks = append(blocks, elapsed.Seconds()/float64(o.PassesPerBlock))
+		elapsed := clock.Now().Sub(start)
+		blocks = append(blocks, elapsed.Seconds()/float64(p.Passes))
 	}
+	perPass, _ := p.Aggregate(blocks)
 	return Result{
-		PerPass: stats.TrimmedMean(blocks, o.TrimFrac),
+		PerPass: perPass,
 		Blocks:  blocks,
 		Summary: stats.Summarize(blocks),
 	}, nil

@@ -12,11 +12,7 @@ func TestMeasureWithFakeClock(t *testing.T) {
 	// appears to take 1ms regardless of passes.
 	clock := &FakeClock{Steps: []time.Duration{time.Millisecond}}
 	calls := 0
-	res, err := Measure(func() { calls++ }, Options{
-		Blocks:         4,
-		PassesPerBlock: 10,
-		Clock:          clock,
-	})
+	res, err := Measure(func() { calls++ }, Protocol{Blocks: 4, Passes: 10}, Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +36,9 @@ func TestMeasureWithFakeClock(t *testing.T) {
 func TestMeasureBetweenBlocksExcludedFromTiming(t *testing.T) {
 	clock := &FakeClock{Steps: []time.Duration{time.Millisecond}}
 	resets := 0
-	res, err := Measure(func() {}, Options{
-		Blocks:         3,
-		PassesPerBlock: 1,
-		Clock:          clock,
-		BetweenBlocks:  func() { resets++ },
+	res, err := Measure(func() {}, Protocol{Blocks: 3, Passes: 1}, Options{
+		Clock:         clock,
+		BetweenBlocks: func() { resets++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +64,7 @@ func TestMeasureTrimsOutliers(t *testing.T) {
 		time.Millisecond,
 	}
 	clock := &FakeClock{Steps: steps}
-	res, err := Measure(func() {}, Options{Blocks: 5, PassesPerBlock: 1, Clock: clock, TrimFrac: 0.2})
+	res, err := Measure(func() {}, Protocol{Blocks: 5, Passes: 1, Trim: 0.2}, Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +75,17 @@ func TestMeasureTrimsOutliers(t *testing.T) {
 }
 
 func TestMeasureDefaults(t *testing.T) {
-	res, err := Measure(func() {}, Options{Clock: &FakeClock{Steps: []time.Duration{time.Microsecond}}})
+	res, err := Measure(func() {}, Protocol{}, Options{Clock: &FakeClock{Steps: []time.Duration{time.Microsecond}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Blocks) != 5 {
-		t.Errorf("default Blocks should be 5, measured %d", len(res.Blocks))
+	if len(res.Blocks) != 3 {
+		t.Errorf("the zero protocol should time 3 blocks, measured %d", len(res.Blocks))
 	}
 }
 
 func TestMeasureNilFunc(t *testing.T) {
-	if _, err := Measure(nil, Options{}); err != ErrNilFunc {
+	if _, err := Measure(nil, Protocol{}, Options{}); err != ErrNilFunc {
 		t.Errorf("want ErrNilFunc, got %v", err)
 	}
 }
@@ -147,19 +141,28 @@ func TestFakeClockConcurrentRanks(t *testing.T) {
 	}
 }
 
-// TestTrimFracSentinels pins the TrimFrac sentinel semantics: -0.0
-// compares equal to zero and must select the default trim, never the
-// raw-mean ablation path, and NaN must be normalized to the default
-// rather than flowing into the aggregation.
+// TestTrimFracSentinels pins the trim sentinel semantics: -0.0 compares
+// equal to zero and must select the default trim, never the raw-mean
+// ablation path; NaN must select the default rather than flow into the
+// aggregation; and Resolved must keep a negative request, or the
+// raw-mean ablation is lost.
 func TestTrimFracSentinels(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	if o := (Options{TrimFrac: negZero, Blocks: 5}).withDefaults(); o.TrimFrac != 0.1 {
-		t.Errorf("-0.0 selected TrimFrac %v, want the 0.1 default", o.TrimFrac)
+	blocks := []float64{1, 2, 3, 4, 100}
+	for _, tc := range []struct {
+		name        string
+		trim        float64
+		wantApplied float64
+	}{
+		{"-0.0", math.Copysign(0, -1), DefaultTrim},
+		{"NaN", math.NaN(), DefaultTrim},
+		{"-1", -1, 0},
+	} {
+		p := Protocol{Blocks: len(blocks), Trim: tc.trim}
+		if _, applied := p.Aggregate(blocks); applied != tc.wantApplied {
+			t.Errorf("%s applied trim %v, want %v", tc.name, applied, tc.wantApplied)
+		}
 	}
-	if o := (Options{TrimFrac: math.NaN(), Blocks: 5}).withDefaults(); o.TrimFrac != 0.1 {
-		t.Errorf("NaN selected TrimFrac %v, want the 0.1 default", o.TrimFrac)
-	}
-	if o := (Options{TrimFrac: -1, Blocks: 5}).withDefaults(); o.TrimFrac != -1 {
-		t.Errorf("negative sentinel rewritten to %v; raw-mean ablation lost", o.TrimFrac)
+	if r := (Protocol{Trim: -1}).Resolved(); r.Trim != -1 {
+		t.Errorf("negative sentinel rewritten to %v; raw-mean ablation lost", r.Trim)
 	}
 }
