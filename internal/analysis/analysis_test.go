@@ -20,7 +20,6 @@ var fixtureCases = []struct {
 	analyzer *Analyzer
 }{
 	{"mpisafety", MPISafety},
-	{"mpisafetywild", MPISafety},
 	{"determinism", Determinism},
 	{"faultpkg", Determinism},
 	{"obsregistry", Determinism},

@@ -17,11 +17,8 @@ const mpiPkgPath = "repro/internal/mpi"
 // collectiveMethods are the mpi.Comm operations every rank of the
 // communicator must reach together.
 var collectiveMethods = map[string]bool{
-	"Barrier": true, "Bcast": true, "Reduce": true, "Allreduce": true,
-	"AllreduceScalar": true, "Gather": true, "Allgather": true,
-	"Scatter": true, "Alltoall": true, "Scan": true, "Gatherv": true,
-	"Scatterv": true, "Allgatherv": true, "ReduceScatter": true,
-	"Split": true, "Dup": true,
+	"Barrier": true, "Bcast": true, "Allreduce": true,
+	"AllreduceScalar": true, "Alltoall": true, "Split": true,
 }
 
 // rankMethods are the mpi.Comm / mpi.Cart accessors whose value differs
@@ -37,7 +34,7 @@ var rankMethods = map[string]bool{
 //     collective, others do not, and every reaching rank blocks forever;
 //   - point-to-point traffic whose constant tags cannot pair up within the
 //     package (a tag that is sent but never received, or received but never
-//     sent, with no AnyTag wildcard receive to absorb it);
+//     sent);
 //   - user point-to-point calls with negative constant tags, which collide
 //     with the runtime's reserved internal tag space and panic at runtime.
 var MPISafety = &Analyzer{
@@ -210,20 +207,14 @@ type tagCensus struct {
 	recvs    []tagSite
 	sendTags map[int64]bool
 	recvTags map[int64]bool
-	wildcard bool // some Recv uses AnyTag
 }
 
 func newTagCensus() *tagCensus {
 	return &tagCensus{sendTags: map[int64]bool{}, recvTags: map[int64]bool{}}
 }
 
-// p2pTagArgs maps each point-to-point method of mpi.Comm to the indices of
-// its tag arguments, split by direction.
-var p2pSendTagArg = map[string]int{"Send": 1, "SendBytes": 1, "Isend": 1}
-var p2pRecvTagArg = map[string]int{"Recv": 1, "RecvBytes": 1, "RecvNew": 1, "Irecv": 1, "Probe": 1}
-
-// Sendrecv carries one tag of each direction.
-const sendrecvSendTagArg, sendrecvRecvTagArg = 1, 4
+// p2pTagArg is the index of the tag argument of mpi.Comm's Send and Recv.
+const p2pTagArg = 1
 
 func (tc *tagCensus) collect(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -235,16 +226,11 @@ func (tc *tagCensus) collect(pass *Pass, fd *ast.FuncDecl) {
 		if !fnFromPkg(fn, mpiPkgPath) || recvNamed(fn) != "Comm" {
 			return true
 		}
-		name := fn.Name()
-		if i, ok := p2pSendTagArg[name]; ok {
-			tc.addSite(pass, call, i, true)
-		}
-		if i, ok := p2pRecvTagArg[name]; ok {
-			tc.addSite(pass, call, i, false)
-		}
-		if name == "Sendrecv" {
-			tc.addSite(pass, call, sendrecvSendTagArg, true)
-			tc.addSite(pass, call, sendrecvRecvTagArg, false)
+		switch fn.Name() {
+		case "Send":
+			tc.addSite(pass, call, p2pTagArg, true)
+		case "Recv":
+			tc.addSite(pass, call, p2pTagArg, false)
 		}
 		return true
 	})
@@ -260,13 +246,11 @@ func (tc *tagCensus) addSite(pass *Pass, call *ast.CallExpr, argIdx int, send bo
 		return // dynamic tags are beyond a lexical census
 	}
 	if tag < 0 {
+		dir := "receive"
 		if send {
-			pass.Reportf(arg.Pos(), "negative tag %d in send: tags below 0 are reserved for the runtime's collectives and panic at runtime", tag)
-		} else if !isAnyTag(pass, arg) {
-			pass.Reportf(arg.Pos(), "negative tag %d in receive: only mpi.AnyTag (-1) is meaningful below 0", tag)
-		} else {
-			tc.wildcard = true
+			dir = "send"
 		}
+		pass.Reportf(arg.Pos(), "negative tag %d in %s: tags below 0 are reserved for the runtime's collectives and panic at runtime", tag, dir)
 		return
 	}
 	site := tagSite{pos: arg.Pos(), tag: tag}
@@ -279,23 +263,13 @@ func (tc *tagCensus) addSite(pass *Pass, call *ast.CallExpr, argIdx int, send bo
 	}
 }
 
-// isAnyTag reports whether the expression is spelled via the mpi.AnyTag
-// constant (as opposed to a stray -1 literal, which still works but hides
-// the intent; both are accepted here).
-func isAnyTag(pass *Pass, e ast.Expr) bool {
-	v, ok := intConstOf(pass.Info, e)
-	return ok && v == -1
-}
-
 func (tc *tagCensus) report(pass *Pass) {
 	sites := make([]tagSite, 0, len(tc.sends)+len(tc.recvs))
 	kind := map[token.Pos]string{}
-	if !tc.wildcard {
-		for _, s := range tc.sends {
-			if !tc.recvTags[s.tag] {
-				sites = append(sites, s)
-				kind[s.pos] = "sent but never received"
-			}
+	for _, s := range tc.sends {
+		if !tc.recvTags[s.tag] {
+			sites = append(sites, s)
+			kind[s.pos] = "sent but never received"
 		}
 	}
 	for _, s := range tc.recvs {

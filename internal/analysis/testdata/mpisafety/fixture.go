@@ -46,7 +46,7 @@ func pairedTags(c *mpi.Comm) {
 	c.Recv(0, tagOrphanRecv, buf) // finding: nothing ever sends 99
 	c.Send(1, tagOrphanSend, buf) // finding: nothing ever receives 55
 	c.Send(1, -3, buf)            // finding: reserved internal tag space
-	c.Recv(0, -7, buf)            // finding: negative non-wildcard receive tag
+	c.Recv(0, -7, buf)            // finding: reserved internal tag space
 	dynamic := c.Rank() + 100
 	c.Send(1, dynamic, buf) // ok: dynamic tags are outside the census
 }

@@ -69,6 +69,7 @@ func TestParseRejects(t *testing.T) {
 		"diskerr:count=2;diskerr:p=1",               // repeated serving class
 		";",                                         // text but no clause
 		"collective:op=allreduc,delay=1ms",          // not a collective
+		"collective:op=scan,delay=1ms",              // a collective the runtime no longer has
 		"delay:p=NaN,mean=1ms",                      // probability not a number
 	} {
 		if _, err := Parse(bad); err == nil {

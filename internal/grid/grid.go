@@ -72,44 +72,3 @@ func PencilDims(p int) (px, py int, err error) {
 	}
 	return px, py, nil
 }
-
-// Decomp2D describes a rank's tile in a 2-D decomposition of an
-// (N1 × N2) index space over a (P1 × P2) process grid.
-type Decomp2D struct {
-	P1, P2 int   // process grid shape
-	C1, C2 int   // this rank's process coordinates
-	R1, R2 Range // owned index ranges along each dimension
-}
-
-// NewDecomp2D computes rank r's tile for n1×n2 indices over a p1×p2
-// process grid, with ranks laid out row-major ((c1, c2) -> c1*p2 + c2,
-// matching mpi.Cart).
-func NewDecomp2D(n1, n2, p1, p2, r int) Decomp2D {
-	if r < 0 || r >= p1*p2 {
-		panic(fmt.Sprintf("grid: rank %d out of range for %dx%d grid", r, p1, p2))
-	}
-	c1, c2 := r/p2, r%p2
-	return Decomp2D{
-		P1: p1, P2: p2,
-		C1: c1, C2: c2,
-		R1: Block1D(n1, p1, c1),
-		R2: Block1D(n2, p2, c2),
-	}
-}
-
-// Rank returns the rank at process coordinates (c1, c2), or -1 when the
-// coordinates fall outside the process grid.
-func (d Decomp2D) Rank(c1, c2 int) int {
-	if c1 < 0 || c1 >= d.P1 || c2 < 0 || c2 >= d.P2 {
-		return -1
-	}
-	return c1*d.P2 + c2
-}
-
-// Neighbors returns the ranks adjacent to this tile in the four cardinal
-// directions along the two decomposed dimensions; -1 marks a physical
-// boundary.
-func (d Decomp2D) Neighbors() (lo1, hi1, lo2, hi2 int) {
-	return d.Rank(d.C1-1, d.C2), d.Rank(d.C1+1, d.C2),
-		d.Rank(d.C1, d.C2-1), d.Rank(d.C1, d.C2+1)
-}

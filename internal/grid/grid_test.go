@@ -124,53 +124,3 @@ func TestPencilDims(t *testing.T) {
 		t.Error("PencilDims(6) should fail")
 	}
 }
-
-func TestDecomp2DTilesCoverDomain(t *testing.T) {
-	const n1, n2, p1, p2 = 13, 9, 3, 2
-	covered := make([][]int, n1)
-	for i := range covered {
-		covered[i] = make([]int, n2)
-	}
-	for r := 0; r < p1*p2; r++ {
-		d := NewDecomp2D(n1, n2, p1, p2, r)
-		for i := d.R1.Lo; i < d.R1.Hi; i++ {
-			for j := d.R2.Lo; j < d.R2.Hi; j++ {
-				covered[i][j]++
-			}
-		}
-	}
-	for i := range covered {
-		for j := range covered[i] {
-			if covered[i][j] != 1 {
-				t.Fatalf("cell (%d,%d) covered %d times", i, j, covered[i][j])
-			}
-		}
-	}
-}
-
-func TestDecomp2DNeighbors(t *testing.T) {
-	// 3x2 process grid, rank layout row-major:
-	//   0 1
-	//   2 3
-	//   4 5
-	d := NewDecomp2D(12, 12, 3, 2, 3) // coords (1,1)
-	lo1, hi1, lo2, hi2 := d.Neighbors()
-	if lo1 != 1 || hi1 != 5 || lo2 != 2 || hi2 != -1 {
-		t.Errorf("neighbors of rank 3 = (%d,%d,%d,%d), want (1,5,2,-1)", lo1, hi1, lo2, hi2)
-	}
-	d0 := NewDecomp2D(12, 12, 3, 2, 0)
-	lo1, hi1, lo2, hi2 = d0.Neighbors()
-	if lo1 != -1 || hi1 != 2 || lo2 != -1 || hi2 != 1 {
-		t.Errorf("neighbors of rank 0 = (%d,%d,%d,%d), want (-1,2,-1,1)", lo1, hi1, lo2, hi2)
-	}
-}
-
-func TestDecomp2DRankRoundTrip(t *testing.T) {
-	const p1, p2 = 4, 3
-	for r := 0; r < p1*p2; r++ {
-		d := NewDecomp2D(20, 20, p1, p2, r)
-		if got := d.Rank(d.C1, d.C2); got != r {
-			t.Errorf("Rank(CoordsOf(%d)) = %d", r, got)
-		}
-	}
-}

@@ -29,23 +29,8 @@ func NewCart(comm *Comm, dims ...int) *Cart {
 	return c
 }
 
-// Dims2D factors n into the most square pair (a, b) with a*b == n and
-// a <= b, the equivalent of MPI_Dims_create for two dimensions.
-func Dims2D(n int) (int, int) {
-	best := 1
-	for a := 1; a*a <= n; a++ {
-		if n%a == 0 {
-			best = a
-		}
-	}
-	return best, n / best
-}
-
 // Comm returns the underlying communicator.
 func (c *Cart) Comm() *Comm { return c.comm }
-
-// Dims returns a copy of the topology's dimensions.
-func (c *Cart) Dims() []int { return append([]int(nil), c.dims...) }
 
 // Coords returns a copy of the calling rank's coordinates.
 func (c *Cart) Coords() []int { return append([]int(nil), c.coords...) }

@@ -16,8 +16,8 @@ func (c *Comm) Barrier() {
 	for step := 1; step < n; step <<= 1 {
 		dst := (c.rank + step) % n
 		src := (c.rank - step + n) % n
-		c.internalSend(dst, tagBarrier, token)
-		c.internalRecv(src, tagBarrier, buf)
+		c.send(dst, tagBarrier, token)
+		c.recv(src, tagBarrier, buf)
 	}
 }
 
@@ -41,7 +41,7 @@ func (c *Comm) Bcast(root int, buf []float64) {
 	for mask < n {
 		if relrank&mask != 0 {
 			src := ((relrank &^ mask) + root) % n
-			c.internalRecv(src, tagBcast, buf)
+			c.recv(src, tagBcast, buf)
 			break
 		}
 		mask <<= 1
@@ -51,20 +51,21 @@ func (c *Comm) Bcast(root int, buf []float64) {
 	for mask > 0 {
 		if relrank+mask < n {
 			dst := ((relrank + mask) + root) % n
-			c.internalSend(dst, tagBcast, buf)
+			c.send(dst, tagBcast, buf)
 		}
 		mask >>= 1
 	}
 }
 
-// Reduce combines each rank's contribution elementwise with op, leaving the
+// reduce combines each rank's contribution elementwise with op, leaving the
 // result in out on root (out is ignored on other ranks and may be nil
 // there). in and out must not alias. Every rank must pass equal-length in.
-func (c *Comm) Reduce(root int, op Op, in []float64, out []float64) {
+// Allreduce is its only caller.
+func (c *Comm) reduce(root int, op Op, in []float64, out []float64) {
 	defer c.beginCollective("reduce", 8*len(in))()
 	n := len(c.group)
 	if root < 0 || root >= n {
-		panic(fmt.Sprintf("mpi: Reduce root %d out of range [0,%d)", root, n))
+		panic(fmt.Sprintf("mpi: reduce root %d out of range [0,%d)", root, n))
 	}
 	// Scratch from the message pool: LU's SSOR_RS reduces its norms inside
 	// timed windows, where two slices a call would be the only garbage.
@@ -78,13 +79,13 @@ func (c *Comm) Reduce(root int, op Op, in []float64, out []float64) {
 	for mask < n {
 		if relrank&mask != 0 {
 			dst := ((relrank &^ mask) + root) % n
-			c.internalSend(dst, tagReduce, acc)
+			c.send(dst, tagReduce, acc)
 			break
 		}
 		src := relrank | mask
 		if src < n {
 			wsrc := (src + root) % n
-			c.internalRecv(wsrc, tagReduce, tmp)
+			c.recv(wsrc, tagReduce, tmp)
 			for i := range acc {
 				acc[i] = op.fn(acc[i], tmp[i])
 			}
@@ -93,7 +94,7 @@ func (c *Comm) Reduce(root int, op Op, in []float64, out []float64) {
 	}
 	if c.rank == root {
 		if len(out) < len(in) {
-			panic("mpi: Reduce output buffer too small on root")
+			panic("mpi: reduce output buffer too small on root")
 		}
 		copy(out, acc)
 	}
@@ -108,7 +109,7 @@ func (c *Comm) Allreduce(op Op, in []float64, out []float64) {
 	if len(out) < len(in) {
 		panic("mpi: Allreduce output buffer too small")
 	}
-	c.Reduce(0, op, in, out)
+	c.reduce(0, op, in, out)
 	c.Bcast(0, out[:len(in)])
 }
 
@@ -120,21 +121,21 @@ func (c *Comm) AllreduceScalar(op Op, x float64) float64 {
 	return out[0]
 }
 
-// Gather collects each rank's equal-length contribution into out on root,
+// gather collects each rank's equal-length contribution into out on root,
 // ordered by rank: out[r*len(in) : (r+1)*len(in)] holds rank r's data.
-// out is ignored on non-root ranks.
-func (c *Comm) Gather(root int, in []float64, out []float64) {
+// out is ignored on non-root ranks. Split is its only caller.
+func (c *Comm) gather(root int, in []float64, out []float64) {
 	defer c.beginCollective("gather", 8*len(in))()
 	n := len(c.group)
 	if root < 0 || root >= n {
-		panic(fmt.Sprintf("mpi: Gather root %d out of range [0,%d)", root, n))
+		panic(fmt.Sprintf("mpi: gather root %d out of range [0,%d)", root, n))
 	}
 	if c.rank != root {
-		c.internalSend(root, tagGather, in)
+		c.send(root, tagGather, in)
 		return
 	}
 	if len(out) < n*len(in) {
-		panic("mpi: Gather output buffer too small on root")
+		panic("mpi: gather output buffer too small on root")
 	}
 	copy(out[root*len(in):], in)
 	tmp := make([]float64, len(in))
@@ -142,58 +143,9 @@ func (c *Comm) Gather(root int, in []float64, out []float64) {
 		if r == root {
 			continue
 		}
-		c.internalRecv(r, tagGather, tmp)
+		c.recv(r, tagGather, tmp)
 		copy(out[r*len(in):], tmp)
 	}
-}
-
-// Allgather collects each rank's equal-length contribution into out on
-// every rank, ordered by rank. Implemented with the ring algorithm:
-// n-1 steps, each passing the most recently received block to the right.
-func (c *Comm) Allgather(in []float64, out []float64) {
-	defer c.beginCollective("allgather", 8*len(in))()
-	n := len(c.group)
-	k := len(in)
-	if len(out) < n*k {
-		panic("mpi: Allgather output buffer too small")
-	}
-	copy(out[c.rank*k:], in)
-	if n == 1 {
-		return
-	}
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		sendBlock := (c.rank - step + n) % n
-		recvBlock := (c.rank - step - 1 + n) % n
-		c.internalSend(right, tagAllgather, out[sendBlock*k:(sendBlock+1)*k])
-		c.internalRecv(left, tagAllgather, out[recvBlock*k:(recvBlock+1)*k])
-	}
-}
-
-// Scatter distributes root's buffer in equal blocks: rank r receives
-// in[r*len(out) : (r+1)*len(out)] into out. in is ignored on non-root ranks.
-func (c *Comm) Scatter(root int, in []float64, out []float64) {
-	defer c.beginCollective("scatter", 8*len(out))()
-	n := len(c.group)
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("mpi: Scatter root %d out of range [0,%d)", root, n))
-	}
-	k := len(out)
-	if c.rank == root {
-		if len(in) < n*k {
-			panic("mpi: Scatter input buffer too small on root")
-		}
-		for r := 0; r < n; r++ {
-			if r == root {
-				copy(out, in[r*k:(r+1)*k])
-				continue
-			}
-			c.internalSend(r, tagScatter, in[r*k:(r+1)*k])
-		}
-		return
-	}
-	c.internalRecv(root, tagScatter, out)
 }
 
 // Alltoall performs a complete exchange: rank r sends
@@ -215,31 +167,7 @@ func (c *Comm) Alltoall(in []float64, out []float64) {
 	for step := 1; step < n; step++ {
 		dst := (c.rank + step) % n
 		src := (c.rank - step + n) % n
-		c.internalSend(dst, tagAlltoall, in[dst*k:(dst+1)*k])
-		c.internalRecv(src, tagAlltoall, out[src*k:(src+1)*k])
-	}
-}
-
-// Scan computes the inclusive prefix reduction: rank r's out holds
-// op(in_0, in_1, ..., in_r) elementwise. Linear chain implementation.
-func (c *Comm) Scan(op Op, in []float64, out []float64) {
-	defer c.beginCollective("scan", 8*len(in))()
-	n := len(c.group)
-	if len(out) < len(in) {
-		panic("mpi: Scan output buffer too small")
-	}
-	copy(out, in)
-	if n == 1 {
-		return
-	}
-	if c.rank > 0 {
-		tmp := make([]float64, len(in))
-		c.internalRecv(c.rank-1, tagScan, tmp)
-		for i := range in {
-			out[i] = op.fn(tmp[i], in[i])
-		}
-	}
-	if c.rank < n-1 {
-		c.internalSend(c.rank+1, tagScan, out[:len(in)])
+		c.send(dst, tagAlltoall, in[dst*k:(dst+1)*k])
+		c.recv(src, tagAlltoall, out[src*k:(src+1)*k])
 	}
 }

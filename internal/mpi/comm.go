@@ -19,7 +19,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	// are allocated from the world's counter only on rank 0 so that all
 	// members of a group agree on theirs.
 	pairs := make([]float64, 2*n)
-	c.Gather(0, []float64{float64(color), float64(key)}, pairs)
+	c.gather(0, []float64{float64(color), float64(key)}, pairs)
 
 	// assignment[r] = {ctx, newRank, groupSize, groupMembers...} flattened:
 	// we broadcast, per rank, its context id and its new rank, plus the
@@ -112,10 +112,4 @@ func (c *Comm) Split(color, key int) *Comm {
 		group[i] = c.group[parentRank] // translate to world ranks
 	}
 	return &Comm{world: c.world, ctx: myCtx, rank: myNewRank, group: group}
-}
-
-// Dup returns a communicator with the same group but a fresh matching
-// context, so libraries can communicate without colliding with user tags.
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.rank)
 }

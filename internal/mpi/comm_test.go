@@ -107,18 +107,6 @@ func TestNestedSplit(t *testing.T) {
 	})
 }
 
-func TestDup(t *testing.T) {
-	run(t, 3, func(c *Comm) {
-		d := c.Dup()
-		if d.Rank() != c.Rank() || d.Size() != c.Size() {
-			t.Errorf("Dup changed shape: %d/%d vs %d/%d", d.Rank(), d.Size(), c.Rank(), c.Size())
-		}
-		if got := d.AllreduceScalar(OpSum, 1); got != 3 {
-			t.Errorf("dup allreduce = %v", got)
-		}
-	})
-}
-
 func TestCartBasics(t *testing.T) {
 	run(t, 6, func(c *Comm) {
 		cart := NewCart(c, 2, 3)
@@ -188,18 +176,5 @@ func TestCartDimsMismatchPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("NewCart with wrong dims should panic")
-	}
-}
-
-func TestDims2D(t *testing.T) {
-	cases := []struct{ n, a, b int }{
-		{1, 1, 1}, {2, 1, 2}, {4, 2, 2}, {6, 2, 3}, {9, 3, 3},
-		{12, 3, 4}, {16, 4, 4}, {7, 1, 7}, {36, 6, 6},
-	}
-	for _, c := range cases {
-		a, b := Dims2D(c.n)
-		if a != c.a || b != c.b {
-			t.Errorf("Dims2D(%d) = (%d,%d), want (%d,%d)", c.n, a, b, c.a, c.b)
-		}
 	}
 }

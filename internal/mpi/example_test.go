@@ -18,15 +18,17 @@ func ExampleRun() {
 }
 
 // Point-to-point ring: each rank passes its rank to the right and prints
-// what it got from the left.
-func ExampleComm_Sendrecv() {
+// what it got from the left. Sends are eager, so every rank may send
+// before it receives without deadlocking the ring.
+func ExampleComm_Send() {
 	const n = 3
 	got := make([]float64, n)
 	_ = mpi.Run(n, func(c *mpi.Comm) {
 		right := (c.Rank() + 1) % n
 		left := (c.Rank() - 1 + n) % n
 		in := make([]float64, 1)
-		c.Sendrecv(right, 0, []float64{float64(c.Rank())}, left, 0, in)
+		c.Send(right, 0, []float64{float64(c.Rank())})
+		c.Recv(left, 0, in)
 		got[c.Rank()] = in[0]
 	})
 	fmt.Println(got)

@@ -57,10 +57,11 @@ type Injector interface {
 }
 
 // Collectives lists every collective name the runtime passes to
-// Injector.Op; "send" and "recv" are the only other ops it passes.
+// Injector.Op; "send" and "recv" are the only other ops it passes. Reduce
+// and gather are not callable on their own, but Allreduce and Split enter
+// them, so a fault spec may still name them.
 var Collectives = []string{
-	"barrier", "bcast", "reduce", "allreduce", "gather", "allgather", "scatter", "alltoall", "scan",
-	"gatherv", "scatterv", "allgatherv", "reducescatter", "split",
+	"barrier", "bcast", "reduce", "allreduce", "gather", "alltoall", "split",
 }
 
 // WorldStarter is an optional Injector extension. Launch calls WorldStart

@@ -1,9 +1,10 @@
 // Package mpi is a message-passing runtime modeled on the MPI subset that
 // the NAS Parallel Benchmarks use. Ranks are goroutines inside one process;
 // point-to-point messages are matched on (source, tag, communicator) in
-// arrival order, and the usual collectives (barrier, broadcast, reduce,
-// allreduce, gather, allgather, scatter, alltoall) are built on top of the
-// point-to-point layer with binomial-tree and ring algorithms.
+// arrival order, and the collectives the kernels use (barrier, broadcast,
+// allreduce, alltoall, communicator split) are built on top of the
+// point-to-point layer with dissemination, binomial-tree and pairwise
+// exchange algorithms.
 //
 // The package stands in for the IBM SP's MPI in the coupling-paper
 // reproduction: the kernels of BT, SP and LU communicate through it, and an
@@ -24,12 +25,6 @@ import (
 	"repro/internal/timing"
 )
 
-// AnySource matches a message from any sender in Recv.
-const AnySource = -1
-
-// AnyTag matches a message with any non-negative tag in Recv.
-const AnyTag = -1
-
 // worldContext is the context id of the world communicator. Communicator
 // contexts isolate message matching between communicators.
 const worldContext = 0
@@ -43,7 +38,6 @@ type World struct {
 	nextCtx  atomic.Int64
 	net      *NetModel
 	deadline time.Duration // zero means no receive timeout
-	clock    timing.Clock  // Wtime source; never nil after NewWorld
 
 	// obs, when non-nil, receives metrics and spans for every runtime
 	// operation; phases holds each world rank's current phase label
@@ -73,12 +67,12 @@ type RankFailure struct {
 	// Err describes the failure.
 	Err error
 	// Stack is the failing goroutine's stack, nil for structured failures
-	// (watchdog stalls, lost messages, aborts) whose origin is explicit.
+	// (watchdog stalls, lost messages) whose origin is explicit.
 	Stack []byte
 }
 
 // teardown is the panic value used to unwind ranks after the world has
-// already recorded a failure (poisoned mailboxes, aborts, watchdog
+// already recorded a failure (poisoned mailboxes, lost messages, watchdog
 // stalls). Launch recognizes it and does not record a second failure for
 // the merely-unwinding rank.
 type teardown struct{ msg string }
@@ -88,20 +82,17 @@ func (t teardown) String() string { return t.msg }
 // bufPool recycles float64 message payloads: solver workloads send the
 // same-shaped messages millions of times, and per-send allocation would
 // turn the GC into a dominant noise source in the timing measurements this
-// runtime exists to support. rawPool does the same for byte payloads;
-// harness control traffic (SendBytes/RecvBytes) rides the same warm path.
-// They belong to the process, not to a World: a study runs one short world
-// a measurement, and with a pool each, every world grew its payloads again
-// (0.3 MB for a BT.W.4 window — a fifth of what a study allocates, once its
-// rank state is recycled too).
-var bufPool, rawPool sync.Pool
+// runtime exists to support. It belongs to the process, not to a World: a
+// study runs one short world a measurement, and with a pool each, every
+// world grew its payloads again (0.3 MB for a BT.W.4 window — a fifth of
+// what a study allocates, once its rank state is recycled too).
+var bufPool sync.Pool
 
-// payload is what a message carries and what the pools hold: a pointer to
+// payload is what a message carries and what the pool holds: a pointer to
 // one, because a pooled slice would box its header into the pool's `any`
 // on every Put — an allocation per message received.
 type payload struct {
 	f64 []float64
-	raw []byte
 }
 
 // getBuf returns a payload holding a length-n float64 slice, recycled when
@@ -120,34 +111,11 @@ func (w *World) getBuf(n int) *payload {
 	return p
 }
 
-// putBuf recycles a float64 payload whose contents have been copied out,
-// or given away (RecvNew), in which case only the holder comes back.
+// putBuf recycles a float64 payload whose contents have been copied out.
 //
 //kcvet:hotpath see getBuf
 func (w *World) putBuf(p *payload) {
 	bufPool.Put(p)
-}
-
-// getRaw is getBuf for byte payloads.
-//
-//kcvet:hotpath see getBuf
-func (w *World) getRaw(n int) *payload {
-	p, _ := rawPool.Get().(*payload)
-	if p == nil {
-		p = new(payload)
-	}
-	if cap(p.raw) < n {
-		p.raw = make([]byte, n)
-	}
-	p.raw = p.raw[:n]
-	return p
-}
-
-// putRaw recycles a byte payload whose contents have been copied out.
-//
-//kcvet:hotpath see getBuf
-func (w *World) putRaw(p *payload) {
-	rawPool.Put(p)
 }
 
 // Option configures a World.
@@ -162,23 +130,12 @@ func WithNetModel(m NetModel) Option {
 	}
 }
 
-// WithRecvTimeout arms the progress watchdog: any receive or probe that
-// waits longer than d fails the world with a who-waits-on-whom diagnostic
-// of every rank's pending mailbox (see World.stallReport), turning a
-// silent deadlock into an actionable report. Zero disables the watchdog.
+// WithRecvTimeout arms the progress watchdog: any receive that waits
+// longer than d fails the world with a who-waits-on-whom diagnostic of
+// every rank's pending mailbox (see World.stallReport), turning a silent
+// deadlock into an actionable report. Zero disables the watchdog.
 func WithRecvTimeout(d time.Duration) Option {
 	return func(w *World) { w.deadline = d }
-}
-
-// WithClock routes Comm.Wtime through the given clock, so FakeClock-driven
-// and fault-injected runs stay deterministic. The default is the wall
-// clock.
-func WithClock(c timing.Clock) Option {
-	return func(w *World) {
-		if c != nil {
-			w.clock = c
-		}
-	}
 }
 
 // NewWorld creates a World with n ranks. n must be positive.
@@ -186,7 +143,7 @@ func NewWorld(n int, opts ...Option) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("mpi: world size %d must be positive", n))
 	}
-	w := &World{size: n, boxes: make([]*mailbox, n), clock: timing.WallClock}
+	w := &World{size: n, boxes: make([]*mailbox, n)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox(w, i)
 	}
@@ -321,25 +278,14 @@ func (c *Comm) Size() int { return len(c.group) }
 // WorldRank returns the caller's rank in the world communicator.
 func (c *Comm) WorldRank() int { return c.group[c.rank] }
 
-// Wtime returns the current reading of the world's clock; it mirrors
+// Wtime returns the current reading of the wall clock; it mirrors
 // MPI_Wtime and exists so benchmark kernels read time through the same
-// façade they communicate through. The clock is the wall clock unless
-// WithClock injected another (e.g. a timing.FakeClock in tests), keeping
-// fault-delayed and fake-clock runs deterministic.
-func (c *Comm) Wtime() time.Time { return c.world.clock.Now() }
+// façade they communicate through.
+func (c *Comm) Wtime() time.Time { return timing.WallClock.Now() }
 
 func (c *Comm) worldOf(commRank int) int {
 	if commRank < 0 || commRank >= len(c.group) {
 		panic(fmt.Sprintf("mpi: rank %d out of range for communicator of size %d", commRank, len(c.group)))
 	}
 	return c.group[commRank]
-}
-
-// Abort tears down the world by recording a structured failure and waking
-// all waiting ranks. It mirrors MPI_Abort and is intended for
-// unrecoverable rank-local errors.
-func (c *Comm) Abort(reason string) {
-	err := fmt.Errorf("mpi: abort from rank %d: %s", c.rank, reason)
-	c.world.fail(c.group[c.rank], err, nil)
-	panic(teardown{err.Error()})
 }

@@ -13,9 +13,7 @@ import (
 // instruments; the per-op metric handle map is built once at Observer
 // construction so the hot path never takes a lock.
 var collectiveOps = []string{
-	"allgather", "allgatherv", "allreduce", "alltoall", "barrier",
-	"bcast", "gather", "gatherv", "reduce", "reducescatter",
-	"scan", "scatter", "scatterv", "split",
+	"allreduce", "alltoall", "barrier", "bcast", "gather", "reduce", "split",
 }
 
 // collectiveMetrics bundles one collective operation's handles.
@@ -58,8 +56,8 @@ type kernelMetrics struct {
 //	mpi.kernel.<name>.{send.count,send.bytes,recv.count,recv.bytes,recv.wait_ns}
 //
 // Collectives are implemented on the point-to-point layer and sometimes
-// on each other (Allreduce = Reduce + Bcast, Dup = Split), so inner
-// operations contribute to their own metrics too: mpi.send.count includes
+// on each other (Allreduce = reduce + Bcast, Split = gather + Bcast), so
+// inner operations contribute to their own metrics too: mpi.send.count includes
 // collective-internal traffic, and an Allreduce shows up under allreduce,
 // reduce and bcast. Spans nest the same way, which is exactly what the
 // per-rank Perfetto tracks render.

@@ -131,15 +131,15 @@ func TestObserverContextChurn(t *testing.T) {
 	snap, _ := observedRun(t, 4, false, func(c *Comm) {
 		sub := c.Split(c.Rank()%2, c.Rank())
 		sub.Barrier()
-		d := c.Dup()
-		d.Barrier()
+		whole := c.Split(0, c.Rank())
+		whole.Barrier()
 	})
-	// Split creates 2 contexts, Dup (a Split with one color) creates 1.
+	// A two-color Split creates 2 contexts, a one-color Split 1.
 	if c, _ := snap.Counter("mpi.context.created"); c.Value != 3 {
 		t.Errorf("context.created = %d, want 3", c.Value)
 	}
 	if c, _ := snap.Counter("mpi.collective.split.count"); c.Value != 8 {
-		t.Errorf("split.count = %d, want 8 (4 ranks × Split+Dup)", c.Value)
+		t.Errorf("split.count = %d, want 8 (4 ranks × 2 Splits)", c.Value)
 	}
 }
 

@@ -2,8 +2,8 @@ package mpi
 
 import "math"
 
-// Op is a reduction operator over float64 vectors. Reduce and Allreduce
-// apply it elementwise; it must be associative and commutative for the
+// Op is a reduction operator over float64 vectors. Allreduce applies it
+// elementwise; it must be associative and commutative for the
 // tree-based reduction to be well defined.
 type Op struct {
 	name string
@@ -23,8 +23,3 @@ var (
 	OpMax  = Op{"max", math.Max}
 	OpMin  = Op{"min", math.Min}
 )
-
-// CustomOp wraps a user-supplied associative, commutative combiner.
-func CustomOp(name string, fn func(a, b float64) float64) Op {
-	return Op{name: name, fn: fn}
-}

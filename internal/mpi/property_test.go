@@ -33,41 +33,12 @@ func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
 		ok := true
 		err := Run(n, func(c *Comm) {
 			out := make([]float64, 3)
-			c.Reduce(0, op, data[c.Rank()], out)
+			c.reduce(0, op, data[c.Rank()], out)
 			if c.Rank() == 0 {
 				for i := range want {
 					if math.Abs(out[i]-want[i]) > 1e-9 {
 						ok = false
 					}
-				}
-			}
-		}, WithRecvTimeout(10*time.Second))
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestAllgatherIsGatherEverywhereProperty: every rank's allgather output
-// equals what a root would assemble by gathering.
-func TestAllgatherIsGatherEverywhereProperty(t *testing.T) {
-	f := func(seed int64, sizeRaw uint8) bool {
-		n := int(sizeRaw)%6 + 1
-		rng := rand.New(rand.NewSource(seed))
-		data := make([][]float64, n)
-		want := make([]float64, 0, 2*n)
-		for r := range data {
-			data[r] = []float64{math.Floor(rng.Float64() * 100), math.Floor(rng.Float64() * 100)}
-			want = append(want, data[r]...)
-		}
-		ok := true
-		err := Run(n, func(c *Comm) {
-			out := make([]float64, 2*n)
-			c.Allgather(data[c.Rank()], out)
-			for i := range want {
-				if out[i] != want[i] {
-					ok = false
 				}
 			}
 		}, WithRecvTimeout(10*time.Second))
@@ -122,26 +93,27 @@ func TestSplitPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestBcastScatterGatherPipeline chains three collectives with data
+// TestBcastAlltoallGatherPipeline chains three collectives with data
 // dependencies, a structural test that contexts and tags never cross.
-func TestBcastScatterGatherPipeline(t *testing.T) {
+func TestBcastAlltoallGatherPipeline(t *testing.T) {
 	const n = 5
 	run(t, n, func(c *Comm) {
-		// Root broadcasts a base, scatters per-rank offsets, gathers
-		// rank results, repeats with the gathered data.
+		// Root broadcasts a base, hands out per-rank offsets through an
+		// alltoall (the other ranks' blocks are zero), gathers rank
+		// results, repeats with the gathered data.
 		base := []float64{0}
-		var chunks []float64
+		chunks := make([]float64, n)
 		if c.Rank() == 0 {
 			base[0] = 100
 			chunks = []float64{1, 2, 3, 4, 5}
 		}
 		for iter := 0; iter < 5; iter++ {
 			c.Bcast(0, base)
-			mine := make([]float64, 1)
-			c.Scatter(0, chunks, mine)
-			mine[0] += base[0]
+			got := make([]float64, n)
+			c.Alltoall(chunks, got)
+			mine := []float64{got[0] + base[0]}
 			gathered := make([]float64, n)
-			c.Gather(0, mine, gathered)
+			c.gather(0, mine, gathered)
 			if c.Rank() == 0 {
 				for r := 0; r < n; r++ {
 					want := base[0] + float64(r+1) + float64(iter)

@@ -229,7 +229,8 @@ func (k exchangingKernels) RunKernel(string) error {
 	buf := []float64{float64(k.c.Rank())}
 	out := make([]float64, 1)
 	peer := 1 - k.c.Rank()
-	k.c.Sendrecv(peer, 0, buf, peer, 0, out)
+	k.c.Send(peer, 0, buf)
+	k.c.Recv(peer, 0, out)
 	return nil
 }
 

@@ -157,18 +157,6 @@ func RelativeError(predicted, actual float64) float64 {
 	return math.Abs(predicted-actual) / math.Abs(actual)
 }
 
-// SignedRelativeError returns (predicted-actual) / |actual|, preserving the
-// direction of the error (negative means under-prediction).
-func SignedRelativeError(predicted, actual float64) float64 {
-	if actual == 0 {
-		if predicted == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (predicted - actual) / math.Abs(actual)
-}
-
 // WeightedMean returns Σ w_i·x_i / Σ w_i. This is the exact form of the
 // coefficient formulas in Section 3 of the paper, where the x_i are coupling
 // values and the w_i are the measured times of the corresponding kernel
@@ -214,15 +202,4 @@ func Summarize(xs []float64) Summary {
 		Max:         Max(xs),
 		TrimmedMean: TrimmedMean(xs, 0.1),
 	}
-}
-
-// CoefficientOfVariation returns StdDev/Mean, a scale-free noise indicator
-// used to decide whether a measurement needs more repetitions. It returns 0
-// for an empty sample set or zero mean.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
 }

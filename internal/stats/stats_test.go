@@ -153,15 +153,6 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestSignedRelativeError(t *testing.T) {
-	if got := SignedRelativeError(90, 100); !almostEqual(got, -0.10, 1e-12) {
-		t.Errorf("under-prediction should be negative, got %v", got)
-	}
-	if got := SignedRelativeError(110, 100); !almostEqual(got, 0.10, 1e-12) {
-		t.Errorf("over-prediction should be positive, got %v", got)
-	}
-}
-
 func TestWeightedMean(t *testing.T) {
 	// The paper's alpha coefficient for BT: weighted average of two
 	// coupling values by their window times.
@@ -214,19 +205,5 @@ func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
 		t.Errorf("unexpected summary: %+v", s)
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	if got := CoefficientOfVariation([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("CV of constant series = %v, want 0", got)
-	}
-	if got := CoefficientOfVariation(nil); got != 0 {
-		t.Errorf("CV of empty = %v, want 0", got)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	want := StdDev(xs) / 5
-	if got := CoefficientOfVariation(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("CV = %v, want %v", got, want)
 	}
 }
