@@ -57,13 +57,23 @@ type Config struct {
 
 // Validate checks the BT-specific constraints.
 func (cfg Config) Validate() error {
-	if _, err := grid.SquareSide(cfg.Procs); err != nil {
-		return fmt.Errorf("bt: %w", err)
+	_, err := cfg.tiling()
+	return err
+}
+
+// tiling cuts the grid over a √P×√P process grid in y and z, x rank-local,
+// with a one-plane halo: a face travels toward lower y under tag 50 and
+// toward higher y under 51, along z under 52 and 53.
+func (cfg Config) tiling() (npb.Tiling, error) {
+	s, err := grid.SquareSide(cfg.Procs)
+	if err != nil {
+		return npb.Tiling{}, fmt.Errorf("bt: %w", err)
 	}
-	if cfg.Problem.N1 < 3 || cfg.Problem.N2 < 3 || cfg.Problem.N3 < 3 {
-		return fmt.Errorf("bt: grid %s too small", cfg.Problem)
+	p := cfg.Problem
+	if p.N1 < 3 || p.N2 < 3 || p.N3 < 3 {
+		return npb.Tiling{}, fmt.Errorf("bt: grid %s too small", p)
 	}
-	return nil
+	return npb.NewTiling("bt", p, [2]npb.Axis{npb.AxisY, npb.AxisZ}, [2]int{s, s}, 1, npb.HaloTags{{{50}, {51}}, {{52}, {53}}})
 }
 
 // Factory returns the factory of the configuration's worlds; pass it to
@@ -92,19 +102,13 @@ var jacWeights = [5]float64{0.9, -0.6, 0.75, -0.45, 0.55}
 
 // state is one rank's BT instance.
 type state struct {
-	c    *mpi.Comm
-	cart *mpi.Cart
-	cfg  Config
+	*npb.Rank
+	cfg Config
 
-	// Decomposition: x full, y and z split over an s×s grid.
-	s            int
-	cy, cz       int
-	ry, rz       grid.Range
-	nx, nyl, nzl int
+	nx, nyl, nzl int // the tile: x whole, y and z cut
 
 	u, rhs, forcing *npb.Field
 	stencil         *npb.Stencil
-	u0, rhs0        []float64 // snapshots for Refresh
 
 	// Global coordinates of the cells this rank owns, and exact's sine
 	// and cosine factors over them in the two argument orders initialize
@@ -113,11 +117,6 @@ type state struct {
 	exactXYZ, exactYZX *npb.FactorTable
 
 	commY, commZ *mpi.Comm // line communicators along y and z
-
-	// Face-exchange neighbors (-1 at a physical boundary) and buffers
-	// (COPY_FACES).
-	loY, hiY, loZ, hiZ int
-	faceY, faceZ       []float64
 
 	// Distributed-solve work arrays, sized for the largest line family.
 	chat []linalg.Mat5
@@ -129,32 +128,16 @@ type state struct {
 }
 
 func newState(c *mpi.Comm, cfg Config) (*state, error) {
-	s, err := grid.SquareSide(cfg.Procs)
+	t, err := cfg.tiling()
 	if err != nil {
 		return nil, err
 	}
-	st := &state{cfg: cfg, s: s}
-	st.bind(c)
-	co := st.cart.Coords()
-	st.cy, st.cz = co[0], co[1]
-	p := cfg.Problem
-	st.nx = p.N1
-	st.ry = grid.Block1D(p.N2, s, st.cy)
-	st.rz = grid.Block1D(p.N3, s, st.cz)
-	st.nyl = st.ry.N()
-	st.nzl = st.rz.N()
-	if st.nyl < 1 || st.nzl < 1 {
-		return nil, fmt.Errorf("bt: rank (%d,%d) owns an empty tile of %s", st.cy, st.cz, p)
-	}
-
-	st.u = npb.NewField(5, st.nx, st.nyl, st.nzl, 1)
-	st.rhs = npb.NewField(5, st.nx, st.nyl, st.nzl, 0)
-	st.forcing = npb.NewField(5, st.nx, st.nyl, st.nzl, 0)
+	st := &state{Rank: npb.NewRank(c, t), cfg: cfg}
+	st.lines()
+	st.nx, st.nyl, st.nzl = st.Extent()
+	st.u, st.rhs, st.forcing = st.Field(1), st.Field(0), st.Field(0)
 	// The flux of component c pairs it with c+1; x is the rank-local axis.
 	st.stencil = npb.NewStencil(st.u, 1, npb.AxisX)
-
-	st.faceY = make([]float64, st.nx*st.nzl*5)
-	st.faceZ = make([]float64, st.nx*st.nyl*5)
 
 	cells := st.nx * st.nyl * st.nzl
 	st.chat = make([]linalg.Mat5, cells)
@@ -162,9 +145,7 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.fwd = make([]float64, maxLines*30)
 	st.bwd = make([]float64, maxLines*5)
 
-	st.gx = gridCoords(0, st.nx, p.N1)
-	st.gy = gridCoords(st.ry.Lo, st.nyl, p.N2)
-	st.gz = gridCoords(st.rz.Lo, st.nzl, p.N3)
+	st.gx, st.gy, st.gz = st.Coords(npb.AxisX), st.Coords(npb.AxisY), st.Coords(npb.AxisZ)
 	st.exactXYZ = npb.NewFactorTable(st.gx, st.gy, st.gz, exactSin, exactCos)
 	st.exactYZX = npb.NewFactorTable(st.gy, st.gz, st.gx, exactSin, exactCos)
 
@@ -173,37 +154,23 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	// can restore numerical state cheaply.
 	st.initialize()
 	st.copyFaces()
-	st.u0 = append([]float64(nil), st.u.Data...)
-	st.rhs0 = append([]float64(nil), st.rhs.Data...)
+	st.Snapshot(st.u, st.rhs)
 	return st, nil
 }
 
-// bind attaches the state to its rank of a world: the communicator, the
-// process grid over it (dims: y, z), the line communicators of the
-// distributed solves and the face-exchange neighbours. Forming the line
-// communicators is collective, so every rank of the world binds.
-func (st *state) bind(c *mpi.Comm) {
-	st.c = c
-	st.cart = mpi.NewCart(c, st.s, st.s)
-	st.commY = st.cart.Sub(0)
-	st.commZ = st.cart.Sub(1)
-	st.loY, st.hiY = st.cart.Shift(0, 1)
-	st.loZ, st.hiZ = st.cart.Shift(1, 1)
-}
+// lines forms the y and z solves' line communicators, collectively.
+func (st *state) lines() { st.commY, st.commZ = st.Cart().Sub(0), st.Cart().Sub(1) }
 
-// Rebind implements npb.Rebinder: the state a finished world left serves
-// the same rank of the next. newState's result is a pure function of
-// (configuration, rank) — the forcing is static, the factor tables and
-// coordinates never change, Refresh restores u and rhs bit for bit — so
-// what remains is the world itself. The set-up face exchange is not
-// repeated (its result is in the u0 snapshot), which is why a world must
-// not mix rebound and built ranks (npb.Factory). chat, fwd, bwd, the face
-// buffers and the stencil ring keep the last world's bytes: each is
-// written before it is read.
+// Rebind implements npb.Rebinder (see npb.Rank): set-up's face exchange is
+// not repeated — its result is in the u snapshot — which is why a world must
+// not mix rebound and built ranks (npb.Factory). chat, fwd, bwd and the
+// stencil ring keep the last world's bytes: each is written before it is
+// read.
 //
 //kcvet:hotpath every world of a cold study after its first starts here
 func (st *state) Rebind(c *mpi.Comm) {
-	st.bind(c)
+	st.Bind(c)
+	st.lines()
 	st.Refresh()
 	st.norms = [5]float64{}
 }
@@ -224,33 +191,15 @@ func (st *state) RunKernel(name string) error {
 	case KAdd:
 		st.add()
 	case KFinal:
-		st.final()
+		st.norms = st.FinalNorms(st.u)
 	default:
 		return fmt.Errorf("bt: unknown kernel %q", name)
 	}
 	return nil
 }
 
-// Refresh restores the post-setup solution and right-hand side so repeated
-// window measurement blocks see identical numerical state.
-func (st *state) Refresh() {
-	copy(st.u.Data, st.u0)
-	copy(st.rhs.Data, st.rhs0)
-}
-
 // Norms returns the verification norms computed by the last FINAL.
 func (st *state) Norms() [5]float64 { return st.norms }
-
-// gridCoords returns the global coordinates, normalized to [0,1], of the n
-// points starting at lo of a dimension with total points.
-func gridCoords(lo, n, total int) []float64 {
-	h := 1.0 / float64(total-1)
-	g := make([]float64, n)
-	for i := range g {
-		g[i] = float64(lo+i) * h
-	}
-	return g
-}
 
 // The smooth reference field the initial condition and forcing are built
 // from is, for component c at global coordinates x, y, z normalized to [0,1],
@@ -303,89 +252,12 @@ func (st *state) initialize() {
 // physical-boundary ghosts by zero-gradient extrapolation, and then
 // evaluates rhs = forcing - dt·(δ²x + δ²y + δ²z)flux(u).
 func (st *state) copyFaces() {
-	st.exchangeFaces()
+	st.Exchange(st.u)
 	st.computeRHS()
 }
 
-// exchangeFaces is the per-iteration halo exchange; face buffers are
-// preallocated in newState so the steady state allocates nothing.
-//
-//kcvet:hotpath runs every solver iteration inside timed measurement windows
-func (st *state) exchangeFaces() {
-	const (
-		tagYLo = 50 // toward lower y
-		tagYHi = 51
-		tagZLo = 52
-		tagZHi = 53
-	)
-	u := st.u
-	// Y direction.
-	loY, hiY := st.loY, st.hiY
-	if hiY >= 0 {
-		u.PackFaceJ(st.nyl-1, st.faceY)
-		st.c.Send(hiY, tagYHi, st.faceY)
-	}
-	if loY >= 0 {
-		u.PackFaceJ(0, st.faceY)
-		st.c.Send(loY, tagYLo, st.faceY)
-	}
-	if loY >= 0 {
-		st.c.Recv(loY, tagYHi, st.faceY)
-		u.UnpackFaceJ(-1, st.faceY)
-	} else {
-		copyPlaneJ(u, 0, -1)
-	}
-	if hiY >= 0 {
-		st.c.Recv(hiY, tagYLo, st.faceY)
-		u.UnpackFaceJ(st.nyl, st.faceY)
-	} else {
-		copyPlaneJ(u, st.nyl-1, st.nyl)
-	}
-	// Z direction.
-	loZ, hiZ := st.loZ, st.hiZ
-	if hiZ >= 0 {
-		u.PackFaceK(st.nzl-1, st.faceZ)
-		st.c.Send(hiZ, tagZHi, st.faceZ)
-	}
-	if loZ >= 0 {
-		u.PackFaceK(0, st.faceZ)
-		st.c.Send(loZ, tagZLo, st.faceZ)
-	}
-	if loZ >= 0 {
-		st.c.Recv(loZ, tagZHi, st.faceZ)
-		u.UnpackFaceK(-1, st.faceZ)
-	} else {
-		copyPlaneK(u, 0, -1)
-	}
-	if hiZ >= 0 {
-		st.c.Recv(hiZ, tagZLo, st.faceZ)
-		u.UnpackFaceK(st.nzl, st.faceZ)
-	} else {
-		copyPlaneK(u, st.nzl-1, st.nzl)
-	}
-}
-
-// copyPlaneJ duplicates interior plane jSrc into plane jDst (zero-gradient
-// physical boundary).
-func copyPlaneJ(f *npb.Field, jSrc, jDst int) {
-	for k := 0; k < f.Nz; k++ {
-		src := f.Idx(0, jSrc, k)
-		dst := f.Idx(0, jDst, k)
-		copy(f.Data[dst:dst+f.Nx*f.NC], f.Data[src:src+f.Nx*f.NC])
-	}
-}
-
-// copyPlaneK duplicates interior plane kSrc into plane kDst.
-func copyPlaneK(f *npb.Field, kSrc, kDst int) {
-	for j := 0; j < f.Ny; j++ {
-		src := f.Idx(0, j, kSrc)
-		dst := f.Idx(0, j, kDst)
-		copy(f.Data[dst:dst+f.Nx*f.NC], f.Data[src:src+f.Nx*f.NC])
-	}
-}
-
 // computeRHS evaluates rhs = dt·(forcing - 0.05·u + (δ²x + δ²y + δ²z)flux(u))
-// over the tile, reading the ghost layer exchangeFaces just filled.
+// over the tile, reading the ghost layer Exchange just filled.
 func (st *state) computeRHS() {
 	st.stencil.Apply(st.rhs, st.forcing, st.u, st.cfg.Problem.Dt)
 }
@@ -404,29 +276,5 @@ func (st *state) add() {
 				uRow[i] += rRow[i]
 			}
 		}
-	}
-}
-
-// final computes the global solution norms (one per component) with an
-// allreduce — the verification stage.
-func (st *state) final() {
-	var local [5]float64
-	u := st.u
-	for k := 0; k < st.nzl; k++ {
-		for j := 0; j < st.nyl; j++ {
-			base := u.Idx(0, j, k)
-			for i := 0; i < st.nx; i++ {
-				for c := 0; c < 5; c++ {
-					v := u.Data[base+i*5+c]
-					local[c] += v * v
-				}
-			}
-		}
-	}
-	var global [5]float64
-	st.c.Allreduce(mpi.OpSum, local[:], global[:])
-	cells := float64(st.cfg.Problem.Cells())
-	for c := 0; c < 5; c++ {
-		st.norms[c] = math.Sqrt(global[c] / cells)
 	}
 }

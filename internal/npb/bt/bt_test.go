@@ -58,6 +58,13 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := Factory(tinyConfig(8, 5)); err == nil {
 		t.Error("Factory should validate")
 	}
+	// The tile rule: every rank owns at least one plane along y and z.
+	if err := tinyConfig(3, 9).Validate(); err != nil {
+		t.Errorf("one-plane tiles rejected: %v", err)
+	}
+	if err := tinyConfig(3, 16).Validate(); err == nil {
+		t.Error("3 points over a 4×4 grid leave ranks no cells and should fail")
+	}
 }
 
 // runNorms executes the full application and returns the verification
@@ -282,11 +289,11 @@ func TestGhostExchangeMatchesNeighborInterior(t *testing.T) {
 		hx := 1.0 / float64(p.N1-1)
 		hy := 1.0 / float64(p.N2-1)
 		hz := 1.0 / float64(p.N3-1)
-		if st.ry.Lo > 0 { // has a real y-neighbor below
+		if ry, rz := st.Owned(npb.AxisY), st.Owned(npb.AxisZ); ry.Lo > 0 { // has a real y-neighbor below
 			j := -1
-			gy := float64(st.ry.Lo+j) * hy
+			gy := float64(ry.Lo+j) * hy
 			for k := 0; k < st.nzl; k++ {
-				gz := float64(st.rz.Lo+k) * hz
+				gz := float64(rz.Lo+k) * hz
 				for i := 0; i < st.nx; i++ {
 					gx := float64(i) * hx
 					for c := 0; c < 5; c++ {

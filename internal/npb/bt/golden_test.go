@@ -11,7 +11,7 @@ import (
 // TestFieldsGolden pins every bit of the solution, right-hand side and
 // forcing fields (ghosts included) and of the verification norms after a
 // three-trip run, per rank, for even and uneven decompositions. The golden
-// predates the fused block kernels: see npbtest.CheckFieldsGolden before
+// predates the fused block kernels: see npbtest.CheckGolden before
 // touching it.
 func TestFieldsGolden(t *testing.T) {
 	npbtest.SkipUnlessAMD64(t)
@@ -31,6 +31,6 @@ func TestFieldsGolden(t *testing.T) {
 		built.WriteString(b)
 		recycled.WriteString(r)
 	}
-	npbtest.CheckFieldsGolden(t, built.String())
-	npbtest.CheckFieldsGolden(t, recycled.String())
+	npbtest.CheckGolden(t, "fields.golden", built.String())
+	npbtest.CheckGolden(t, "fields.golden", recycled.String())
 }

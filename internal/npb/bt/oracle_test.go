@@ -80,7 +80,7 @@ func TestComputeRHSMatchesLoopNest(t *testing.T) {
 		for _, nan := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/procs=%d/nan=%v", cfg.Problem, cfg.Procs, nan), func(t *testing.T) {
 				withState(t, cfg, func(st *state) {
-					rng := rand.New(rand.NewSource(int64(1000*ci + st.c.Rank())))
+					rng := rand.New(rand.NewSource(int64(1000*ci + st.Comm().Rank())))
 					npbtest.FillRandom(rng, st.u.Data, nan)
 					npbtest.FillRandom(rng, st.forcing.Data, false)
 					npbtest.FillRandom(rng, st.rhs.Data, false)
@@ -90,7 +90,7 @@ func TestComputeRHSMatchesLoopNest(t *testing.T) {
 					st.computeRHS()
 					if npbtest.BitsDigest(st.rhs.Data) != npbtest.BitsDigest(ref.rhs.Data) {
 						t.Errorf("rank %d (%d×%d×%d): stencil bits differ from the loop nest's",
-							st.c.Rank(), st.nx, st.nyl, st.nzl)
+							st.Comm().Rank(), st.nx, st.nyl, st.nzl)
 					}
 				})
 			})

@@ -19,7 +19,7 @@ func (st *state) poisonScratch() {
 	for i := range st.chat {
 		npbtest.Poison(st.chat[i][:])
 	}
-	npbtest.Poison(st.fwd, st.bwd, st.faceY, st.faceZ, st.stencil.Scratch())
+	npbtest.Poison(st.fwd, st.bwd, st.Scratch(), st.stencil.Scratch())
 }
 
 // tinyFactory is the factory of a tiny instance's worlds.

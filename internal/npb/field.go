@@ -2,6 +2,16 @@ package npb
 
 import "fmt"
 
+// Axis names a grid dimension.
+type Axis int
+
+// The grid's axes: x fastest in a Field's storage, z slowest.
+const (
+	AxisX Axis = iota
+	AxisY
+	AxisZ
+)
+
 // Field is a 3-D grid of NC-component cells with a ghost layer of width G
 // on every side, stored in one flat slice with the component index fastest:
 //
@@ -82,77 +92,57 @@ func (f *Field) Clone() *Field {
 	return g
 }
 
-// PackFaceJ copies the cell components of the j=jIdx plane (interior
-// coordinates, all i and k) into buf and returns the number of floats
-// packed. buf must hold Nx*Nz*NC values.
-func (f *Field) PackFaceJ(jIdx int, buf []float64) int {
+// plane is the walk over the interior cells of one plane of a field, normal
+// to an axis: rows of runs, in the order a face travels in a message — the
+// higher of the two other axes outer, the lower inner. A run is one cell's
+// NC values, or a whole x-row where the plane's rows run along x.
+type plane struct {
+	base          int // flat offset of the plane's first cell
+	rows, rowStep int
+	runs, runStep int // runs per row, and the flat distance between them
+	run           int // values per run
+}
+
+func (f *Field) plane(a Axis, at int) plane {
+	switch a {
+	case AxisX:
+		return plane{base: f.Idx(at, 0, 0), rows: f.Nz, rowStep: f.StrideK(), runs: f.Ny, runStep: f.StrideJ(), run: f.NC}
+	case AxisY:
+		return plane{base: f.Idx(0, at, 0), rows: f.Nz, rowStep: f.StrideK(), runs: 1, run: f.Nx * f.NC}
+	default:
+		return plane{base: f.Idx(0, 0, at), rows: f.Ny, rowStep: f.StrideJ(), runs: 1, run: f.Nx * f.NC}
+	}
+}
+
+// movePlane copies the plane at index at normal to a into buf when pack is
+// set, and buf into the plane otherwise, in the plane's walk order. It
+// returns the number of values moved; buf must hold that many.
+func (f *Field) movePlane(a Axis, at int, buf []float64, pack bool) int {
+	p := f.plane(a, at)
 	n := 0
-	for k := 0; k < f.Nz; k++ {
-		for i := 0; i < f.Nx; i++ {
-			base := f.Idx(i, jIdx, k)
-			n += copy(buf[n:n+f.NC], f.Data[base:base+f.NC])
+	for r := 0; r < p.rows; r++ {
+		for q := 0; q < p.runs; q++ {
+			cell := f.Data[p.base+r*p.rowStep+q*p.runStep:][:p.run]
+			if pack {
+				copy(buf[n:n+p.run], cell)
+			} else {
+				copy(cell, buf[n:n+p.run])
+			}
+			n += p.run
 		}
 	}
 	return n
 }
 
-// UnpackFaceJ writes buf into the j=jIdx plane (typically a ghost plane,
-// jIdx = -1 or Ny).
-func (f *Field) UnpackFaceJ(jIdx int, buf []float64) {
-	n := 0
-	for k := 0; k < f.Nz; k++ {
-		for i := 0; i < f.Nx; i++ {
-			base := f.Idx(i, jIdx, k)
-			copy(f.Data[base:base+f.NC], buf[n:n+f.NC])
-			n += f.NC
-		}
-	}
-}
-
-// PackFaceK copies the k=kIdx plane (all i and j) into buf.
-func (f *Field) PackFaceK(kIdx int, buf []float64) int {
-	n := 0
-	for j := 0; j < f.Ny; j++ {
-		for i := 0; i < f.Nx; i++ {
-			base := f.Idx(i, j, kIdx)
-			n += copy(buf[n:n+f.NC], f.Data[base:base+f.NC])
-		}
-	}
-	return n
-}
-
-// UnpackFaceK writes buf into the k=kIdx plane.
-func (f *Field) UnpackFaceK(kIdx int, buf []float64) {
-	n := 0
-	for j := 0; j < f.Ny; j++ {
-		for i := 0; i < f.Nx; i++ {
-			base := f.Idx(i, j, kIdx)
-			copy(f.Data[base:base+f.NC], buf[n:n+f.NC])
-			n += f.NC
-		}
-	}
-}
-
-// PackFaceI copies the i=iIdx plane (all j and k) into buf.
-func (f *Field) PackFaceI(iIdx int, buf []float64) int {
-	n := 0
-	for k := 0; k < f.Nz; k++ {
-		for j := 0; j < f.Ny; j++ {
-			base := f.Idx(iIdx, j, k)
-			n += copy(buf[n:n+f.NC], f.Data[base:base+f.NC])
-		}
-	}
-	return n
-}
-
-// UnpackFaceI writes buf into the i=iIdx plane.
-func (f *Field) UnpackFaceI(iIdx int, buf []float64) {
-	n := 0
-	for k := 0; k < f.Nz; k++ {
-		for j := 0; j < f.Ny; j++ {
-			base := f.Idx(iIdx, j, k)
-			copy(f.Data[base:base+f.NC], buf[n:n+f.NC])
-			n += f.NC
+// CopyPlane copies the interior cells of plane src normal to a into plane
+// dst: the zero-gradient ghost at a physical boundary.
+func (f *Field) CopyPlane(a Axis, src, dst int) {
+	p := f.plane(a, src)
+	shift := f.plane(a, dst).base - p.base
+	for r := 0; r < p.rows; r++ {
+		for q := 0; q < p.runs; q++ {
+			at := p.base + r*p.rowStep + q*p.runStep
+			copy(f.Data[at+shift:at+shift+p.run], f.Data[at:at+p.run])
 		}
 	}
 }

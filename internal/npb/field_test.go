@@ -117,7 +117,22 @@ func TestFieldInvalidShapePanics(t *testing.T) {
 	NewField(0, 1, 1, 1, 0)
 }
 
-func TestPackUnpackFaces(t *testing.T) {
+// cell maps a position p along axis a and (q, r) along the other two,
+// lower first, to (i, j, k).
+func cell(a Axis, p, q, r int) (i, j, k int) {
+	switch a {
+	case AxisX:
+		return p, q, r
+	case AxisY:
+		return q, p, r
+	}
+	return q, r, p
+}
+
+func TestPlaneWalkMovesFaces(t *testing.T) {
+	// Planes normal to each axis, packed from f's interior and unpacked
+	// into g's ghost layer. A face travels with the higher of the two
+	// other axes outer, the lower inner.
 	f := NewField(2, 3, 4, 5, 1)
 	for k := 0; k < f.Nz; k++ {
 		for j := 0; j < f.Ny; j++ {
@@ -128,71 +143,76 @@ func TestPackUnpackFaces(t *testing.T) {
 			}
 		}
 	}
-	// J faces.
-	buf := make([]float64, f.Nx*f.Nz*f.NC)
-	n := f.PackFaceJ(2, buf)
-	if n != len(buf) {
-		t.Fatalf("PackFaceJ packed %d, want %d", n, len(buf))
-	}
-	g := NewField(2, 3, 4, 5, 1)
-	g.UnpackFaceJ(-1, buf)
-	for k := 0; k < f.Nz; k++ {
-		for i := 0; i < f.Nx; i++ {
-			for c := 0; c < 2; c++ {
-				if g.At(c, i, -1, k) != f.At(c, i, 2, k) {
-					t.Fatalf("J face mismatch at i=%d k=%d c=%d", i, k, c)
-				}
-			}
+	for _, tc := range []struct {
+		a        Axis
+		src, dst int
+		nq, nr   int // interior extents of the other two axes, lower first
+	}{
+		{AxisY, 2, -1, f.Nx, f.Nz},
+		{AxisZ, 1, 5, f.Nx, f.Ny},
+		{AxisX, 0, -1, f.Ny, f.Nz},
+	} {
+		buf := make([]float64, tc.nq*tc.nr*f.NC)
+		if n := f.movePlane(tc.a, tc.src, buf, true); n != len(buf) {
+			t.Fatalf("axis %d: packed %d, want %d", tc.a, n, len(buf))
 		}
-	}
-	// K faces.
-	buf = make([]float64, f.Nx*f.Ny*f.NC)
-	f.PackFaceK(1, buf)
-	g.UnpackFaceK(5, buf)
-	for j := 0; j < f.Ny; j++ {
-		for i := 0; i < f.Nx; i++ {
-			for c := 0; c < 2; c++ {
-				if g.At(c, i, j, 5) != f.At(c, i, j, 1) {
-					t.Fatalf("K face mismatch at i=%d j=%d c=%d", i, j, c)
-				}
-			}
-		}
-	}
-	// I faces.
-	buf = make([]float64, f.Ny*f.Nz*f.NC)
-	f.PackFaceI(0, buf)
-	g.UnpackFaceI(-1, buf)
-	for k := 0; k < f.Nz; k++ {
-		for j := 0; j < f.Ny; j++ {
-			for c := 0; c < 2; c++ {
-				if g.At(c, -1, j, k) != f.At(c, 0, j, k) {
-					t.Fatalf("I face mismatch at j=%d k=%d c=%d", j, k, c)
+		g := NewField(2, 3, 4, 5, 1)
+		g.movePlane(tc.a, tc.dst, buf, false)
+		for r := 0; r < tc.nr; r++ {
+			for q := 0; q < tc.nq; q++ {
+				si, sj, sk := cell(tc.a, tc.src, q, r)
+				di, dj, dk := cell(tc.a, tc.dst, q, r)
+				for c := 0; c < 2; c++ {
+					want := f.At(c, si, sj, sk)
+					if got := g.At(c, di, dj, dk); got != want {
+						t.Fatalf("axis %d: ghost (%d,%d,%d) c=%d = %v, want %v", tc.a, di, dj, dk, c, got, want)
+					}
+					if got := buf[(r*tc.nq+q)*f.NC+c]; got != want {
+						t.Fatalf("axis %d: face value (q=%d, r=%d) c=%d = %v, want %v", tc.a, q, r, c, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-func TestPackFaceProperty(t *testing.T) {
+func TestPlaneWalkProperty(t *testing.T) {
 	// Property: pack→unpack into the same plane of a fresh field is the
-	// identity on that plane and leaves everything else zero.
-	f := func(seed int64) bool {
+	// identity on that plane's interior cells and leaves everything else
+	// zero; CopyPlane then duplicates exactly those cells into another
+	// plane.
+	f := func(seed int64, axis uint8) bool {
+		a := Axis(axis % 3)
 		ff := NewField(3, 4, 4, 4, 1)
 		for i := range ff.Data {
 			ff.Data[i] = float64((seed+int64(i)*2654435761)%1000) / 7
 		}
-		buf := make([]float64, ff.Nx*ff.Nz*ff.NC)
-		ff.PackFaceJ(1, buf)
+		buf := make([]float64, 4*4*3)
+		ff.movePlane(a, 1, buf, true)
 		gg := NewField(3, 4, 4, 4, 1)
-		gg.UnpackFaceJ(1, buf)
-		for k := 0; k < ff.Nz; k++ {
-			for i := 0; i < ff.Nx; i++ {
-				for c := 0; c < 3; c++ {
-					if gg.At(c, i, 1, k) != ff.At(c, i, 1, k) {
-						return false
-					}
-					if gg.At(c, i, 0, k) != 0 {
-						return false
+		gg.movePlane(a, 1, buf, false)
+		hh := gg.Clone()
+		hh.CopyPlane(a, 1, 2)
+		for r := -1; r <= 4; r++ {
+			for q := -1; q <= 4; q++ {
+				for p := -1; p <= 4; p++ {
+					interior := q >= 0 && q < 4 && r >= 0 && r < 4
+					i, j, k := cell(a, p, q, r)
+					si, sj, sk := cell(a, 1, q, r)
+					for c := 0; c < 3; c++ {
+						want := 0.0
+						if interior && p == 1 {
+							want = ff.At(c, i, j, k)
+						}
+						if gg.At(c, i, j, k) != want {
+							return false
+						}
+						if interior && p == 2 {
+							want = ff.At(c, si, sj, sk)
+						}
+						if hh.At(c, i, j, k) != want {
+							return false
+						}
 					}
 				}
 			}

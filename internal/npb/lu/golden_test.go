@@ -12,7 +12,7 @@ import (
 // fields (ghosts included) and of the residual, error and solution norms
 // and the surface integral after a three-trip run, per rank, serial and on
 // 2×2 pencils. The golden predates the tabulated exact() factors: see
-// npbtest.CheckFieldsGolden before touching it.
+// npbtest.CheckGolden before touching it.
 func TestFieldsGolden(t *testing.T) {
 	npbtest.SkipUnlessAMD64(t)
 	pre, loop, post := KernelNames()
@@ -31,6 +31,6 @@ func TestFieldsGolden(t *testing.T) {
 		built.WriteString(b)
 		recycled.WriteString(r)
 	}
-	npbtest.CheckFieldsGolden(t, built.String())
-	npbtest.CheckFieldsGolden(t, recycled.String())
+	npbtest.CheckGolden(t, "fields.golden", built.String())
+	npbtest.CheckGolden(t, "fields.golden", recycled.String())
 }

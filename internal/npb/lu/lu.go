@@ -61,13 +61,24 @@ type Config struct {
 
 // Validate checks the LU-specific constraints.
 func (cfg Config) Validate() error {
-	if !grid.IsPowerOfTwo(cfg.Procs) {
-		return fmt.Errorf("lu: %d processes is not a power of two", cfg.Procs)
+	_, err := cfg.tiling()
+	return err
+}
+
+// tiling cuts the grid into pencils over the px×py process grid of
+// grid.PencilDims in x and y, z rank-local, with a one-plane halo: a face
+// travels toward lower x under tag 70 and toward higher x under 71, along
+// y under 72 and 73.
+func (cfg Config) tiling() (npb.Tiling, error) {
+	px, py, err := grid.PencilDims(cfg.Procs)
+	if err != nil {
+		return npb.Tiling{}, fmt.Errorf("lu: %w", err)
 	}
-	if cfg.Problem.N1 < 3 || cfg.Problem.N2 < 3 || cfg.Problem.N3 < 3 {
-		return fmt.Errorf("lu: grid %s too small", cfg.Problem)
+	p := cfg.Problem
+	if p.N1 < 3 || p.N2 < 3 || p.N3 < 3 {
+		return npb.Tiling{}, fmt.Errorf("lu: grid %s too small", p)
 	}
-	return nil
+	return npb.NewTiling("lu", p, [2]npb.Axis{npb.AxisX, npb.AxisY}, [2]int{px, py}, 1, npb.HaloTags{{{70}, {71}}, {{72}, {73}}})
 }
 
 // Factory returns the factory of the configuration's worlds. Its worlds
@@ -96,21 +107,13 @@ const (
 
 // state is one rank's LU instance.
 type state struct {
-	c    *mpi.Comm
-	cart *mpi.Cart
-	cfg  Config
+	*npb.Rank
+	cfg Config
 
-	px, py       int
-	cx, cy       int
-	rx, ry       grid.Range
-	nxl, nyl, nz int
-
-	// Pencil neighbors, -1 at a physical boundary.
-	loX, hiX, loY, hiY int
+	nxl, nyl, nz int // the pencil: x and y cut, z whole
 
 	u, rsd, frct *npb.Field
 	stencil      *npb.Stencil
-	u0, rsd0     []float64
 
 	// Global coordinates of the cells this rank owns, and exact's sine
 	// and cosine factors over them in the two argument orders in use:
@@ -120,7 +123,6 @@ type state struct {
 
 	// Sweep boundary buffers: one column (nyl·5) and one row (nxl·5).
 	colBuf, rowBuf []float64
-	faceX, faceY   []float64
 
 	// Norms computed by SSOR_RS (residual), ERROR and FINAL.
 	resNorms [5]float64
@@ -130,38 +132,20 @@ type state struct {
 }
 
 func newState(c *mpi.Comm, cfg Config) (*state, error) {
-	px, py, err := grid.PencilDims(cfg.Procs)
+	t, err := cfg.tiling()
 	if err != nil {
 		return nil, err
 	}
-	st := &state{cfg: cfg, px: px, py: py}
-	st.bind(c)
-	co := st.cart.Coords()
-	st.cx, st.cy = co[0], co[1]
-	p := cfg.Problem
-	st.rx = grid.Block1D(p.N1, px, st.cx)
-	st.ry = grid.Block1D(p.N2, py, st.cy)
-	st.nxl = st.rx.N()
-	st.nyl = st.ry.N()
-	st.nz = p.N3
-	if st.nxl < 1 || st.nyl < 1 {
-		return nil, fmt.Errorf("lu: rank (%d,%d) owns an empty pencil of %s", st.cx, st.cy, p)
-	}
-
-	st.u = npb.NewField(5, st.nxl, st.nyl, st.nz, 1)
-	st.rsd = npb.NewField(5, st.nxl, st.nyl, st.nz, 1)
-	st.frct = npb.NewField(5, st.nxl, st.nyl, st.nz, 0)
+	st := &state{Rank: npb.NewRank(c, t), cfg: cfg}
+	st.nxl, st.nyl, st.nz = st.Extent()
+	st.u, st.rsd, st.frct = st.Field(1), st.Field(1), st.Field(0)
 	// The flux of component c pairs it with c+1; z is the rank-local axis.
 	st.stencil = npb.NewStencil(st.u, 1, npb.AxisZ)
 
 	st.colBuf = make([]float64, st.nyl*5)
 	st.rowBuf = make([]float64, st.nxl*5)
-	st.faceX = make([]float64, st.nyl*st.nz*5)
-	st.faceY = make([]float64, st.nxl*st.nz*5)
 
-	st.gx = gridCoords(st.rx.Lo, st.nxl, p.N1)
-	st.gy = gridCoords(st.ry.Lo, st.nyl, p.N2)
-	st.gz = gridCoords(0, st.nz, p.N3)
+	st.gx, st.gy, st.gz = st.CoordsDivided(npb.AxisX), st.CoordsDivided(npb.AxisY), st.CoordsDivided(npb.AxisZ)
 	st.exactXYZ = npb.NewFactorTable(st.gx, st.gy, st.gz, exactSin, exactCos)
 	st.exactYZX = npb.NewFactorTable(st.gy, st.gz, st.gx, exactSin, exactCos)
 
@@ -169,34 +153,20 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.erhs()
 	st.ssorInit()
 	st.ssorIter()
-	st.u0 = append([]float64(nil), st.u.Data...)
-	st.rsd0 = append([]float64(nil), st.rsd.Data...)
+	st.Snapshot(st.u, st.rsd)
 	return st, nil
 }
 
-// bind attaches the state to its rank of a world: the communicator, the
-// pencil grid over it and the pencil's neighbours. LU sends on the world
-// communicator alone, so binding exchanges nothing.
-func (st *state) bind(c *mpi.Comm) {
-	st.c = c
-	st.cart = mpi.NewCart(c, st.px, st.py)
-	st.loX, st.hiX = st.cart.Shift(0, 1)
-	st.loY, st.hiY = st.cart.Shift(1, 1)
-}
-
-// Rebind implements npb.Rebinder: the state a finished world left serves
-// the same rank of the next. newState's result is a pure function of
-// (configuration, rank) — the forcing is static, the factor tables and
-// coordinates never change, Refresh restores u and rsd bit for bit, ghost
-// layers included — so what remains is the world itself. Set-up's SSOR_ITER
-// and its face exchange are not repeated (their result is in the
-// snapshots), which is why a world must not mix rebound and built ranks
-// (npb.Factory). The sweep and face buffers and the stencil ring keep the
-// last world's bytes: each is written before it is read.
+// Rebind implements npb.Rebinder (see npb.Rank). LU sends on the world
+// communicator alone, so binding exchanges nothing. Set-up's SSOR_ITER and
+// its face exchange are not repeated — their result is in the snapshots —
+// which is why a world must not mix rebound and built ranks (npb.Factory).
+// The sweep buffers and the stencil ring keep the last world's bytes: each
+// is written before it is read.
 //
 //kcvet:hotpath every world of a cold study after its first starts here
 func (st *state) Rebind(c *mpi.Comm) {
-	st.bind(c)
+	st.Bind(c)
 	st.Refresh()
 	st.resNorms, st.errNorms, st.norms, st.surface = [5]float64{}, [5]float64{}, [5]float64{}, 0
 }
@@ -223,17 +193,11 @@ func (st *state) RunKernel(name string) error {
 	case KPintgr:
 		st.pintgr()
 	case KFinal:
-		st.final()
+		st.norms = st.FinalNorms(st.u)
 	default:
 		return fmt.Errorf("lu: unknown kernel %q", name)
 	}
 	return nil
-}
-
-// Refresh restores the post-setup numerical state.
-func (st *state) Refresh() {
-	copy(st.u.Data, st.u0)
-	copy(st.rsd.Data, st.rsd0)
 }
 
 // Norms returns the verification norms computed by the last FINAL.
@@ -247,16 +211,6 @@ func (st *state) ErrNorms() [5]float64 { return st.errNorms }
 
 // Surface returns the surface integral computed by the last PINTGR.
 func (st *state) Surface() float64 { return st.surface }
-
-// gridCoords returns the global coordinates, normalized to [0,1], of the n
-// points starting at lo of a dimension with total points.
-func gridCoords(lo, n, total int) []float64 {
-	g := make([]float64, n)
-	for i := range g {
-		g[i] = float64(lo+i) / float64(total-1)
-	}
-	return g
-}
 
 // The smooth reference field is, for component c at global coordinates
 // x, y, z normalized to [0,1],

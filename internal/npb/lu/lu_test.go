@@ -53,6 +53,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := tinyConfig(2, 2).Validate(); err == nil {
 		t.Error("too-small grid should fail")
 	}
+	// The tile rule: every pencil is at least one plane wide along x and y.
+	if err := tinyConfig(4, 16).Validate(); err != nil {
+		t.Errorf("one-plane pencils rejected: %v", err)
+	}
+	if err := tinyConfig(3, 16).Validate(); err == nil {
+		t.Error("3 points over a 4×4 pencil grid leave ranks no cells and should fail")
+	}
 }
 
 func runNorms(t *testing.T, n, procs, trips int) ([5]float64, [5]float64, float64) {
@@ -308,8 +315,8 @@ func TestPencilShapes(t *testing.T) {
 	// 8 ranks: pencil grid 4×2 (halve x, y, x).
 	cfg := tinyConfig(8, 8)
 	withState(t, cfg, func(st *state) {
-		if st.px != 4 || st.py != 2 {
-			t.Errorf("pencil dims (%d,%d), want (4,2)", st.px, st.py)
+		if st.nxl != 2 || st.nyl != 4 {
+			t.Errorf("pencil %d×%d, want 2×4 (a 4×2 pencil grid over 8×8)", st.nxl, st.nyl)
 		}
 		if st.nz != 8 {
 			t.Errorf("pencils must keep full z, got %d", st.nz)

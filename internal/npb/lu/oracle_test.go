@@ -58,18 +58,18 @@ func (st *state) loopNestResidual() {
 
 func (st *state) loopNestLT() {
 	u, rsd := st.u, st.rsd
-	loX, hiX := st.cart.Shift(0, 1)
-	loY, hiY := st.cart.Shift(1, 1)
+	loX, hiX := st.Neighbours(0)
+	loY, hiY := st.Neighbours(1)
 	si := rsd.StrideI()
 	sj := rsd.StrideJ()
 	sk := rsd.StrideK()
 	for k := 0; k < st.nz; k++ {
 		if loX >= 0 {
-			st.c.Recv(loX, tagLTWest, st.colBuf)
+			st.Comm().Recv(loX, tagLTWest, st.colBuf)
 			unpackCol(rsd, -1, k, st.colBuf)
 		}
 		if loY >= 0 {
-			st.c.Recv(loY, tagLTSouth, st.rowBuf)
+			st.Comm().Recv(loY, tagLTSouth, st.rowBuf)
 			unpackRow(rsd, -1, k, st.rowBuf)
 		}
 		for j := 0; j < st.nyl; j++ {
@@ -91,29 +91,29 @@ func (st *state) loopNestLT() {
 		}
 		if hiX >= 0 {
 			packCol(rsd, st.nxl-1, k, st.colBuf)
-			st.c.Send(hiX, tagLTWest, st.colBuf)
+			st.Comm().Send(hiX, tagLTWest, st.colBuf)
 		}
 		if hiY >= 0 {
 			packRow(rsd, st.nyl-1, k, st.rowBuf)
-			st.c.Send(hiY, tagLTSouth, st.rowBuf)
+			st.Comm().Send(hiY, tagLTSouth, st.rowBuf)
 		}
 	}
 }
 
 func (st *state) loopNestUT() {
 	u, rsd := st.u, st.rsd
-	loX, hiX := st.cart.Shift(0, 1)
-	loY, hiY := st.cart.Shift(1, 1)
+	loX, hiX := st.Neighbours(0)
+	loY, hiY := st.Neighbours(1)
 	si := rsd.StrideI()
 	sj := rsd.StrideJ()
 	sk := rsd.StrideK()
 	for k := st.nz - 1; k >= 0; k-- {
 		if hiX >= 0 {
-			st.c.Recv(hiX, tagUTEast, st.colBuf)
+			st.Comm().Recv(hiX, tagUTEast, st.colBuf)
 			unpackCol(rsd, st.nxl, k, st.colBuf)
 		}
 		if hiY >= 0 {
-			st.c.Recv(hiY, tagUTNorth, st.rowBuf)
+			st.Comm().Recv(hiY, tagUTNorth, st.rowBuf)
 			unpackRow(rsd, st.nyl, k, st.rowBuf)
 		}
 		for j := st.nyl - 1; j >= 0; j-- {
@@ -135,11 +135,11 @@ func (st *state) loopNestUT() {
 		}
 		if loX >= 0 {
 			packCol(rsd, 0, k, st.colBuf)
-			st.c.Send(loX, tagUTEast, st.colBuf)
+			st.Comm().Send(loX, tagUTEast, st.colBuf)
 		}
 		if loY >= 0 {
 			packRow(rsd, 0, k, st.rowBuf)
-			st.c.Send(loY, tagUTNorth, st.rowBuf)
+			st.Comm().Send(loY, tagUTNorth, st.rowBuf)
 		}
 	}
 }
@@ -161,7 +161,7 @@ func (st *state) loopNestRS() {
 		}
 	}
 	var global [5]float64
-	st.c.Allreduce(mpi.OpSum, local[:], global[:])
+	st.Comm().Allreduce(mpi.OpSum, local[:], global[:])
 	cells := float64(st.cfg.Problem.Cells())
 	for c := 0; c < 5; c++ {
 		st.resNorms[c] = math.Sqrt(global[c] / cells)
@@ -212,7 +212,7 @@ func TestKernelsMatchLoopNests(t *testing.T) {
 		for _, nan := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/procs=%d/nan=%v", cfg.Problem, cfg.Procs, nan), func(t *testing.T) {
 				withState(t, cfg, func(st *state) {
-					rng := rand.New(rand.NewSource(int64(1000*ci + st.c.Rank())))
+					rng := rand.New(rand.NewSource(int64(1000*ci + st.Comm().Rank())))
 					for _, kn := range kernels {
 						npbtest.FillRandom(rng, st.u.Data, false)
 						npbtest.FillRandom(rng, st.frct.Data, false)
@@ -222,7 +222,7 @@ func TestKernelsMatchLoopNests(t *testing.T) {
 						kn.rows(st)
 						if st.bits() != ref.bits() {
 							t.Errorf("rank %d (%d×%d×%d): %s bits differ from the loop nest's",
-								st.c.Rank(), st.nxl, st.nyl, st.nz, kn.name)
+								st.Comm().Rank(), st.nxl, st.nyl, st.nz, kn.name)
 						}
 					}
 				})

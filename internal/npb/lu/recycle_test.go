@@ -17,7 +17,7 @@ func (st *state) worldBits() string {
 // poisonScratch overwrites every array Rebind leaves as the last world had
 // it: each must be written before it is read.
 func (st *state) poisonScratch() {
-	npbtest.Poison(st.colBuf, st.rowBuf, st.faceX, st.faceY, st.stencil.Scratch())
+	npbtest.Poison(st.colBuf, st.rowBuf, st.Scratch(), st.stencil.Scratch())
 }
 
 // tinyFactory is the factory of a tiny instance's worlds.

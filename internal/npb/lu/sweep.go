@@ -1,19 +1,12 @@
 package lu
 
 import (
-	"math"
-
 	"repro/internal/mpi"
 	"repro/internal/npb"
 )
 
-// Message tags.
+// Message tags of the pipelined sweeps.
 const (
-	tagXLo = 70 // u faces toward lower x
-	tagXHi = 71
-	tagYLo = 72
-	tagYHi = 73
-
 	tagLTWest  = 80 // lower sweep: boundary column flowing east
 	tagLTSouth = 81 // lower sweep: boundary row flowing north
 	tagUTEast  = 82 // upper sweep: boundary column flowing west
@@ -23,81 +16,12 @@ const (
 // ssorIter exchanges the solution's ghost faces with the four pencil
 // neighbors and computes the residual rsd = dt·(frct - stencil(u)).
 func (st *state) ssorIter() {
-	st.exchangeFaces()
+	st.Exchange(st.u)
 	st.computeResidual()
 }
 
-// exchangeFaces is the per-iteration halo exchange; face buffers are
-// preallocated in newState so the steady state allocates nothing.
-//
-//kcvet:hotpath runs every solver iteration inside timed measurement windows
-func (st *state) exchangeFaces() {
-	u := st.u
-	loX, hiX := st.loX, st.hiX
-	if hiX >= 0 {
-		u.PackFaceI(st.nxl-1, st.faceX)
-		st.c.Send(hiX, tagXHi, st.faceX)
-	}
-	if loX >= 0 {
-		u.PackFaceI(0, st.faceX)
-		st.c.Send(loX, tagXLo, st.faceX)
-	}
-	if loX >= 0 {
-		st.c.Recv(loX, tagXHi, st.faceX)
-		u.UnpackFaceI(-1, st.faceX)
-	} else {
-		copyPlaneI(u, 0, -1)
-	}
-	if hiX >= 0 {
-		st.c.Recv(hiX, tagXLo, st.faceX)
-		u.UnpackFaceI(st.nxl, st.faceX)
-	} else {
-		copyPlaneI(u, st.nxl-1, st.nxl)
-	}
-
-	loY, hiY := st.loY, st.hiY
-	if hiY >= 0 {
-		u.PackFaceJ(st.nyl-1, st.faceY)
-		st.c.Send(hiY, tagYHi, st.faceY)
-	}
-	if loY >= 0 {
-		u.PackFaceJ(0, st.faceY)
-		st.c.Send(loY, tagYLo, st.faceY)
-	}
-	if loY >= 0 {
-		st.c.Recv(loY, tagYHi, st.faceY)
-		u.UnpackFaceJ(-1, st.faceY)
-	} else {
-		copyPlaneJ(u, 0, -1)
-	}
-	if hiY >= 0 {
-		st.c.Recv(hiY, tagYLo, st.faceY)
-		u.UnpackFaceJ(st.nyl, st.faceY)
-	} else {
-		copyPlaneJ(u, st.nyl-1, st.nyl)
-	}
-}
-
-func copyPlaneI(f *npb.Field, iSrc, iDst int) {
-	for k := 0; k < f.Nz; k++ {
-		for j := 0; j < f.Ny; j++ {
-			src := f.Idx(iSrc, j, k)
-			dst := f.Idx(iDst, j, k)
-			copy(f.Data[dst:dst+f.NC], f.Data[src:src+f.NC])
-		}
-	}
-}
-
-func copyPlaneJ(f *npb.Field, jSrc, jDst int) {
-	for k := 0; k < f.Nz; k++ {
-		src := f.Idx(0, jSrc, k)
-		dst := f.Idx(0, jDst, k)
-		copy(f.Data[dst:dst+f.Nx*f.NC], f.Data[src:src+f.Nx*f.NC])
-	}
-}
-
 // computeResidual evaluates rsd = dt·(frct - 0.05·u + (δ²x + δ²y + δ²z)flux(u))
-// over the pencil, reading the ghost layer exchangeFaces just filled.
+// over the pencil, reading the ghost layer Exchange just filled.
 //
 //kcvet:hotpath the stencil half of SSOR_ITER runs every solver iteration
 func (st *state) computeResidual() {
@@ -137,16 +61,18 @@ func relaxOpen(v, a, b, uc float64) float64 {
 //
 //kcvet:hotpath one pipelined sweep per solver iteration inside timed windows
 func (st *state) ssorLT() {
-	u, rsd := st.u, st.rsd
+	u, rsd, c := st.u, st.rsd, st.Comm()
+	loX, hiX := st.Neighbours(0)
+	loY, hiY := st.Neighbours(1)
 	n := st.nxl * 5
 	si, sj, sk := rsd.StrideI(), rsd.StrideJ(), rsd.StrideK()
 	for k := 0; k < st.nz; k++ {
-		if st.loX >= 0 {
-			st.c.Recv(st.loX, tagLTWest, st.colBuf)
+		if loX >= 0 {
+			c.Recv(loX, tagLTWest, st.colBuf)
 			unpackCol(rsd, -1, k, st.colBuf)
 		}
-		if st.loY >= 0 {
-			st.c.Recv(st.loY, tagLTSouth, st.rowBuf)
+		if loY >= 0 {
+			c.Recv(loY, tagLTSouth, st.rowBuf)
 			unpackRow(rsd, -1, k, st.rowBuf)
 		}
 		for j := 0; j < st.nyl; j++ {
@@ -167,13 +93,13 @@ func (st *state) ssorLT() {
 				cell[i] = relax(cell[i], west[i], south[i], below[i], uRow[i])
 			}
 		}
-		if st.hiX >= 0 {
+		if hiX >= 0 {
 			packCol(rsd, st.nxl-1, k, st.colBuf)
-			st.c.Send(st.hiX, tagLTWest, st.colBuf)
+			c.Send(hiX, tagLTWest, st.colBuf)
 		}
-		if st.hiY >= 0 {
+		if hiY >= 0 {
 			packRow(rsd, st.nyl-1, k, st.rowBuf)
-			st.c.Send(st.hiY, tagLTSouth, st.rowBuf)
+			c.Send(hiY, tagLTSouth, st.rowBuf)
 		}
 	}
 }
@@ -185,16 +111,18 @@ func (st *state) ssorLT() {
 //
 //kcvet:hotpath one pipelined sweep per solver iteration inside timed windows
 func (st *state) ssorUT() {
-	u, rsd := st.u, st.rsd
+	u, rsd, c := st.u, st.rsd, st.Comm()
+	loX, hiX := st.Neighbours(0)
+	loY, hiY := st.Neighbours(1)
 	n := st.nxl * 5
 	si, sj, sk := rsd.StrideI(), rsd.StrideJ(), rsd.StrideK()
 	for k := st.nz - 1; k >= 0; k-- {
-		if st.hiX >= 0 {
-			st.c.Recv(st.hiX, tagUTEast, st.colBuf)
+		if hiX >= 0 {
+			c.Recv(hiX, tagUTEast, st.colBuf)
 			unpackCol(rsd, st.nxl, k, st.colBuf)
 		}
-		if st.hiY >= 0 {
-			st.c.Recv(st.hiY, tagUTNorth, st.rowBuf)
+		if hiY >= 0 {
+			c.Recv(hiY, tagUTNorth, st.rowBuf)
 			unpackRow(rsd, st.nyl, k, st.rowBuf)
 		}
 		for j := st.nyl - 1; j >= 0; j-- {
@@ -215,13 +143,13 @@ func (st *state) ssorUT() {
 				cell[i] = relax(cell[i], east[i], north[i], above[i], uRow[i])
 			}
 		}
-		if st.loX >= 0 {
+		if loX >= 0 {
 			packCol(rsd, 0, k, st.colBuf)
-			st.c.Send(st.loX, tagUTEast, st.colBuf)
+			c.Send(loX, tagUTEast, st.colBuf)
 		}
-		if st.loY >= 0 {
+		if loY >= 0 {
 			packRow(rsd, 0, k, st.rowBuf)
-			st.c.Send(st.loY, tagUTNorth, st.rowBuf)
+			c.Send(loY, tagUTNorth, st.rowBuf)
 		}
 	}
 }
@@ -286,12 +214,7 @@ func (st *state) ssorRS() {
 			}
 		}
 	}
-	var global [5]float64
-	st.c.Allreduce(mpi.OpSum, local[:], global[:])
-	cells := float64(st.cfg.Problem.Cells())
-	for c := 0; c < 5; c++ {
-		st.resNorms[c] = math.Sqrt(global[c] / cells)
-	}
+	st.resNorms = st.RMS(local)
 }
 
 // errorNorms computes the RMS difference between the solution and the
@@ -312,28 +235,23 @@ func (st *state) errorNorms() {
 			}
 		}
 	}
-	var global [5]float64
-	st.c.Allreduce(mpi.OpSum, local[:], global[:])
-	cells := float64(st.cfg.Problem.Cells())
-	for c := 0; c < 5; c++ {
-		st.errNorms[c] = math.Sqrt(global[c] / cells)
-	}
+	st.errNorms = st.RMS(local)
 }
 
 // pintgr computes a surface integral of the first solution component over
 // the physical boundary faces of the global domain.
 func (st *state) pintgr() {
-	u := st.u
+	u, rx, ry := st.u, st.Owned(npb.AxisX), st.Owned(npb.AxisY)
 	local := 0.0
 	// x = 0 and x = N1-1 faces.
-	if st.rx.Lo == 0 {
+	if rx.Lo == 0 {
 		for k := 0; k < st.nz; k++ {
 			for j := 0; j < st.nyl; j++ {
 				local += u.At(0, 0, j, k)
 			}
 		}
 	}
-	if st.rx.Hi == st.cfg.Problem.N1 {
+	if rx.Hi == st.cfg.Problem.N1 {
 		for k := 0; k < st.nz; k++ {
 			for j := 0; j < st.nyl; j++ {
 				local += u.At(0, st.nxl-1, j, k)
@@ -341,14 +259,14 @@ func (st *state) pintgr() {
 		}
 	}
 	// y faces.
-	if st.ry.Lo == 0 {
+	if ry.Lo == 0 {
 		for k := 0; k < st.nz; k++ {
 			for i := 0; i < st.nxl; i++ {
 				local += u.At(0, i, 0, k)
 			}
 		}
 	}
-	if st.ry.Hi == st.cfg.Problem.N2 {
+	if ry.Hi == st.cfg.Problem.N2 {
 		for k := 0; k < st.nz; k++ {
 			for i := 0; i < st.nxl; i++ {
 				local += u.At(0, i, st.nyl-1, k)
@@ -361,28 +279,5 @@ func (st *state) pintgr() {
 			local += u.At(0, i, j, 0) + u.At(0, i, j, st.nz-1)
 		}
 	}
-	st.surface = st.c.AllreduceScalar(mpi.OpSum, local)
-}
-
-// final computes the global verification norms of the solution.
-func (st *state) final() {
-	var local [5]float64
-	u := st.u
-	for k := 0; k < st.nz; k++ {
-		for j := 0; j < st.nyl; j++ {
-			base := u.Idx(0, j, k)
-			for i := 0; i < st.nxl; i++ {
-				for c := 0; c < 5; c++ {
-					v := u.Data[base+i*5+c]
-					local[c] += v * v
-				}
-			}
-		}
-	}
-	var global [5]float64
-	st.c.Allreduce(mpi.OpSum, local[:], global[:])
-	cells := float64(st.cfg.Problem.Cells())
-	for c := 0; c < 5; c++ {
-		st.norms[c] = math.Sqrt(global[c] / cells)
-	}
+	st.surface = st.Comm().AllreduceScalar(mpi.OpSum, local)
 }

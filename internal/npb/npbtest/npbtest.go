@@ -24,7 +24,7 @@ import (
 	"repro/internal/npb"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fields.golden; read npbtest.CheckFieldsGolden first")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden; read npbtest.CheckGolden first")
 
 // BitsDigest is the SHA-256 over the IEEE-754 bit patterns of the values,
 // so -0.0 against 0.0 and a one-ulp drift both show.
@@ -139,19 +139,21 @@ func SkipUnlessAMD64(t *testing.T) {
 	}
 }
 
-// CheckFieldsGolden compares got with the calling package's
-// testdata/fields.golden.
+// CheckGolden compares got with the calling package's testdata/name.
 //
-// DO NOT REGENERATE a fields.golden to make a test pass. Each was written
-// by the implementation that preceded the fused 5×5 block kernels and the
-// tabulated exact() factors — a copying, loop-nest block LU, and sin/cos
-// evaluated per cell and component — and is the proof that those rewrites
-// perform the same IEEE operations in the same order. -update is
-// for a deliberate change of a benchmark's model (constants, stencil,
-// decomposition), never for a kernel optimisation.
-func CheckFieldsGolden(t *testing.T, got string) {
+// DO NOT REGENERATE a golden to make a test pass. Each fields.golden was
+// written by the implementation that preceded the fused 5×5 block kernels
+// and the tabulated exact() factors — a copying, loop-nest block LU, and
+// sin/cos evaluated per cell and component — and is the proof that those
+// rewrites perform the same IEEE operations in the same order.
+// messages.golden was written by the per-benchmark face exchanges the
+// shared halo replaced: every message's destination, tag and length, in
+// order, which fault decisions and spans key on. -update is for a
+// deliberate change of a benchmark's model (constants, stencil,
+// decomposition), never for a kernel optimisation or a refactor.
+func CheckGolden(t *testing.T, name, got string) {
 	t.Helper()
-	golden := filepath.Join("testdata", "fields.golden")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -166,7 +168,7 @@ func CheckFieldsGolden(t *testing.T, got string) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("fields drifted from the reference implementation's bits (do not regenerate; find the reordered operation):\n got:\n%s\nwant:\n%s", got, want)
+		t.Errorf("%s drifted from the reference implementation's (do not regenerate; find what moved):\n got:\n%s\nwant:\n%s", name, got, want)
 	}
 }
 
@@ -209,6 +211,16 @@ func (l msgLog) Op(int, string) mpi.OpFault { return mpi.OpFault{} }
 func (l msgLog) Message(src, dest, tag, bytes int) mpi.MsgFault {
 	l[src] = append(l[src], fmt.Sprintf("%d/%d/%d", dest, tag, bytes))
 	return mpi.MsgFault{}
+}
+
+// RunLogged runs one world of f with the identity of every message each
+// rank sends logged, destination/tag/length in order; fn runs on every rank
+// as Factory.Run's does, with the rank's log, set-up's messages in it.
+func RunLogged(f *npb.Factory, procs int, fn func(c *mpi.Comm, ks npb.KernelSet, fresh bool, sent *[]string)) error {
+	log := make(msgLog, procs)
+	return f.Run(procs, func(c *mpi.Comm, ks npb.KernelSet, fresh bool) {
+		fn(c, ks, fresh, &log[c.Rank()])
+	}, mpi.WithInjector(log), mpi.WithRecvTimeout(30*time.Second))
 }
 
 // rings returns the ring's windows of the given length, one starting at
@@ -269,17 +281,15 @@ func CheckRecycledMatchesFresh(t *testing.T, newFactory func() *npb.Factory, pro
 		}
 	}
 	run := func(f *npb.Factory, b world, wantFresh bool) string {
-		log := make(msgLog, procs)
 		records := make([]string, procs)
-		err := f.Run(procs, func(c *mpi.Comm, ks npb.KernelSet, fresh bool) {
+		err := RunLogged(f, procs, func(c *mpi.Comm, ks npb.KernelSet, fresh bool, sent *[]string) {
 			if fresh != wantFresh {
 				panic(fmt.Sprintf("world %s: fresh = %v, want %v", b.name, fresh, wantFresh))
 			}
 			if !fresh {
 				poison(ks)
 			}
-			r := c.Rank()
-			log[r] = log[r][:0] // set-up's messages are not B's
+			*sent = (*sent)[:0] // set-up's messages are not B's
 			var rec strings.Builder
 			for p, pass := range b.passes {
 				if p > 0 {
@@ -293,9 +303,9 @@ func CheckRecycledMatchesFresh(t *testing.T, newFactory func() *npb.Factory, pro
 					fmt.Fprintf(&rec, "%s=%s\n", k, bits(ks))
 				}
 			}
-			fmt.Fprintf(&rec, "sent=%s\n", strings.Join(log[r], " "))
-			records[r] = rec.String()
-		}, mpi.WithInjector(log), mpi.WithRecvTimeout(30*time.Second))
+			fmt.Fprintf(&rec, "sent=%s\n", strings.Join(*sent, " "))
+			records[c.Rank()] = rec.String()
+		})
 		if err != nil {
 			t.Fatalf("world %s: %v", b.name, err)
 		}

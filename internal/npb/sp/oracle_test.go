@@ -249,7 +249,7 @@ func TestKernelsMatchLoopNests(t *testing.T) {
 		for _, nan := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/procs=%d/nan=%v", cfg.Problem, cfg.Procs, nan), func(t *testing.T) {
 				withState(t, cfg, func(st *state) {
-					rng := rand.New(rand.NewSource(int64(1000*ci + st.c.Rank())))
+					rng := rand.New(rand.NewSource(int64(1000*ci + st.Comm().Rank())))
 					for _, kn := range kernels {
 						npbtest.FillRandom(rng, st.u.Data, false)
 						npbtest.FillRandom(rng, st.forcing.Data, false)
@@ -259,7 +259,7 @@ func TestKernelsMatchLoopNests(t *testing.T) {
 						kn.kernel(st)
 						if st.bits() != ref.bits() {
 							t.Errorf("rank %d (%d×%d×%d): %s bits differ from the loop nest's",
-								st.c.Rank(), st.nx, st.nyl, st.nzl, kn.name)
+								st.Comm().Rank(), st.nx, st.nyl, st.nzl, kn.name)
 						}
 					}
 				})

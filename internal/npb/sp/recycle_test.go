@@ -16,7 +16,7 @@ func (st *state) worldBits() string {
 // poisonScratch overwrites every array Rebind leaves as the last world had
 // it: each must be written before it is read.
 func (st *state) poisonScratch() {
-	npbtest.Poison(st.d1, st.d2, st.rh, st.fwd, st.bwd, st.faceY, st.faceZ, st.stencil.Scratch())
+	npbtest.Poison(st.d1, st.d2, st.rh, st.fwd, st.bwd, st.Scratch(), st.stencil.Scratch())
 }
 
 // tinyFactory is the factory of a tiny instance's worlds.

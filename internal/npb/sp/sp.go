@@ -52,20 +52,27 @@ type Config struct {
 	Procs int
 }
 
-// Validate checks the SP-specific constraints. The two-deep stencil needs
-// at least two interior planes per rank in the decomposed dimensions.
+// Validate checks the SP-specific constraints.
 func (cfg Config) Validate() error {
+	_, err := cfg.tiling()
+	return err
+}
+
+// tiling cuts the grid as BT's is cut — a √P×√P process grid in y and z, x
+// rank-local — with a two-plane halo, because the line solves reach ±2: a
+// face's nearest plane travels along y under tag 50 and the next under 51,
+// along z under 52 and 53, in both directions.
+func (cfg Config) tiling() (npb.Tiling, error) {
 	s, err := grid.SquareSide(cfg.Procs)
 	if err != nil {
-		return fmt.Errorf("sp: %w", err)
+		return npb.Tiling{}, fmt.Errorf("sp: %w", err)
 	}
-	if cfg.Problem.N1 < 5 || cfg.Problem.N2 < 5 || cfg.Problem.N3 < 5 {
-		return fmt.Errorf("sp: grid %s too small for the pentadiagonal stencil", cfg.Problem)
+	p := cfg.Problem
+	if p.N1 < 5 || p.N2 < 5 || p.N3 < 5 {
+		return npb.Tiling{}, fmt.Errorf("sp: grid %s too small for the pentadiagonal stencil", p)
 	}
-	if cfg.Problem.N2/s < 2 || cfg.Problem.N3/s < 2 {
-		return fmt.Errorf("sp: tiles of %s over %d ranks thinner than the 2-deep halo", cfg.Problem, cfg.Procs)
-	}
-	return nil
+	return npb.NewTiling("sp", p, [2]npb.Axis{npb.AxisY, npb.AxisZ}, [2]int{s, s}, 2,
+		npb.HaloTags{{{50, 51}, {50, 51}}, {{52, 53}, {52, 53}}})
 }
 
 // Factory returns the factory of the configuration's worlds. Its worlds
@@ -95,18 +102,13 @@ var txWeights = [5]float64{0.5, -0.35, 0.4, -0.25, 0.3}
 
 // state is one rank's SP instance.
 type state struct {
-	c    *mpi.Comm
-	cart *mpi.Cart
-	cfg  Config
+	*npb.Rank
+	cfg Config
 
-	s            int
-	cy, cz       int
-	ry, rz       grid.Range
-	nx, nyl, nzl int
+	nx, nyl, nzl int // the tile: x whole, y and z cut
 
 	u, rhs, forcing *npb.Field
 	stencil         *npb.Stencil
-	u0, rhs0        []float64
 
 	// Global coordinates of the cells this rank owns, and exact's cosine
 	// and sine factors over them in the two argument orders initialize
@@ -114,11 +116,7 @@ type state struct {
 	gx, gy, gz         []float64
 	exactXYZ, exactZXY *npb.FactorTable
 
-	commY, commZ *mpi.Comm
-
-	// Face-exchange neighbors (-1 at a physical boundary) and buffers.
-	loY, hiY, loZ, hiZ int
-	faceY, faceZ       []float64 // one plane each; exchanged twice for depth 2
+	commY, commZ *mpi.Comm // line communicators along y and z
 
 	// Pentadiagonal work arrays: normalized (d1, d2, rh) per cell per
 	// component, plus boundary buffers.
@@ -130,32 +128,16 @@ type state struct {
 }
 
 func newState(c *mpi.Comm, cfg Config) (*state, error) {
-	s, err := grid.SquareSide(cfg.Procs)
+	t, err := cfg.tiling()
 	if err != nil {
 		return nil, err
 	}
-	st := &state{cfg: cfg, s: s}
-	st.bind(c)
-	co := st.cart.Coords()
-	st.cy, st.cz = co[0], co[1]
-	p := cfg.Problem
-	st.nx = p.N1
-	st.ry = grid.Block1D(p.N2, s, st.cy)
-	st.rz = grid.Block1D(p.N3, s, st.cz)
-	st.nyl = st.ry.N()
-	st.nzl = st.rz.N()
-	if st.nyl < 2 || st.nzl < 2 {
-		return nil, fmt.Errorf("sp: rank (%d,%d) tile %dx%d thinner than the halo", st.cy, st.cz, st.nyl, st.nzl)
-	}
-
-	st.u = npb.NewField(5, st.nx, st.nyl, st.nzl, 2)
-	st.rhs = npb.NewField(5, st.nx, st.nyl, st.nzl, 0)
-	st.forcing = npb.NewField(5, st.nx, st.nyl, st.nzl, 0)
+	st := &state{Rank: npb.NewRank(c, t), cfg: cfg}
+	st.lines()
+	st.nx, st.nyl, st.nzl = st.Extent()
+	st.u, st.rhs, st.forcing = st.Field(2), st.Field(0), st.Field(0)
 	// The flux of component c pairs it with c+2; x is the rank-local axis.
 	st.stencil = npb.NewStencil(st.u, 2, npb.AxisX)
-
-	st.faceY = make([]float64, st.nx*st.nzl*5)
-	st.faceZ = make([]float64, st.nx*st.nyl*5)
 
 	cells := st.nx * st.nyl * st.nzl
 	st.d1 = make([]float64, cells*5)
@@ -165,45 +147,29 @@ func newState(c *mpi.Comm, cfg Config) (*state, error) {
 	st.fwd = make([]float64, maxLines*30)
 	st.bwd = make([]float64, maxLines*10)
 
-	st.gx = gridCoords(0, st.nx, p.N1)
-	st.gy = gridCoords(st.ry.Lo, st.nyl, p.N2)
-	st.gz = gridCoords(st.rz.Lo, st.nzl, p.N3)
+	st.gx, st.gy, st.gz = st.Coords(npb.AxisX), st.Coords(npb.AxisY), st.Coords(npb.AxisZ)
 	st.exactXYZ = npb.NewFactorTable(st.gx, st.gy, st.gz, exactCos, exactSin)
 	st.exactZXY = npb.NewFactorTable(st.gz, st.gx, st.gy, exactCos, exactSin)
 
 	st.initialize()
 	st.copyFaces()
-	st.u0 = append([]float64(nil), st.u.Data...)
-	st.rhs0 = append([]float64(nil), st.rhs.Data...)
+	st.Snapshot(st.u, st.rhs)
 	return st, nil
 }
 
-// bind attaches the state to its rank of a world: the communicator, the
-// process grid over it (dims: y, z), the line communicators of the
-// distributed solves and the face-exchange neighbours. Forming the line
-// communicators is collective, so every rank of the world binds.
-func (st *state) bind(c *mpi.Comm) {
-	st.c = c
-	st.cart = mpi.NewCart(c, st.s, st.s)
-	st.commY = st.cart.Sub(0)
-	st.commZ = st.cart.Sub(1)
-	st.loY, st.hiY = st.cart.Shift(0, 1)
-	st.loZ, st.hiZ = st.cart.Shift(1, 1)
-}
+// lines forms the y and z solves' line communicators, collectively.
+func (st *state) lines() { st.commY, st.commZ = st.Cart().Sub(0), st.Cart().Sub(1) }
 
-// Rebind implements npb.Rebinder: the state a finished world left serves
-// the same rank of the next. newState's result is a pure function of
-// (configuration, rank) — the forcing is static, the factor tables and
-// coordinates never change, Refresh restores u and rhs bit for bit — so
-// what remains is the world itself. The set-up face exchange is not
-// repeated (its result is in the u0 snapshot), which is why a world must
-// not mix rebound and built ranks (npb.Factory). d1, d2, rh, fwd, bwd, the
-// face buffers and the stencil ring keep the last world's bytes: each is
-// written before it is read.
+// Rebind implements npb.Rebinder (see npb.Rank): set-up's face exchange is
+// not repeated — its result is in the u snapshot — which is why a world must
+// not mix rebound and built ranks (npb.Factory). d1, d2, rh, fwd, bwd and
+// the stencil ring keep the last world's bytes: each is written before it
+// is read.
 //
 //kcvet:hotpath every world of a cold study after its first starts here
 func (st *state) Rebind(c *mpi.Comm) {
-	st.bind(c)
+	st.Bind(c)
+	st.lines()
 	st.Refresh()
 	st.norms = [5]float64{}
 }
@@ -226,32 +192,15 @@ func (st *state) RunKernel(name string) error {
 	case KAdd:
 		st.add()
 	case KFinal:
-		st.final()
+		st.norms = st.FinalNorms(st.u)
 	default:
 		return fmt.Errorf("sp: unknown kernel %q", name)
 	}
 	return nil
 }
 
-// Refresh restores the post-setup numerical state.
-func (st *state) Refresh() {
-	copy(st.u.Data, st.u0)
-	copy(st.rhs.Data, st.rhs0)
-}
-
 // Norms returns the verification norms computed by the last FINAL.
 func (st *state) Norms() [5]float64 { return st.norms }
-
-// gridCoords returns the global coordinates, normalized to [0,1], of the n
-// points starting at lo of a dimension with total points.
-func gridCoords(lo, n, total int) []float64 {
-	h := 1.0 / float64(total-1)
-	g := make([]float64, n)
-	for i := range g {
-		g[i] = float64(lo+i) * h
-	}
-	return g
-}
 
 // The smooth reference field for initialization and forcing is, for
 // component c at global coordinates x, y, z normalized to [0,1],
@@ -301,103 +250,8 @@ func (st *state) initialize() {
 // physical-boundary ghosts by zero-gradient extrapolation, and evaluates
 // the stencil right-hand side.
 func (st *state) copyFaces() {
-	st.exchangeFaces()
+	st.Exchange(st.u)
 	st.computeRHS()
-}
-
-const (
-	tagY0 = 50 // plane depth 0
-	tagY1 = 51 // plane depth 1
-	tagZ0 = 52
-	tagZ1 = 53
-)
-
-// exchangeFaces is the per-iteration halo exchange; face buffers are
-// preallocated in newState so the steady state allocates nothing.
-//
-//kcvet:hotpath runs every solver iteration inside timed measurement windows
-func (st *state) exchangeFaces() {
-	u := st.u
-	loY, hiY := st.loY, st.hiY
-	// Send both depths in each direction, then receive both.
-	if hiY >= 0 {
-		u.PackFaceJ(st.nyl-1, st.faceY)
-		st.c.Send(hiY, tagY0, st.faceY)
-		u.PackFaceJ(st.nyl-2, st.faceY)
-		st.c.Send(hiY, tagY1, st.faceY)
-	}
-	if loY >= 0 {
-		u.PackFaceJ(0, st.faceY)
-		st.c.Send(loY, tagY0, st.faceY)
-		u.PackFaceJ(1, st.faceY)
-		st.c.Send(loY, tagY1, st.faceY)
-	}
-	if loY >= 0 {
-		st.c.Recv(loY, tagY0, st.faceY)
-		u.UnpackFaceJ(-1, st.faceY)
-		st.c.Recv(loY, tagY1, st.faceY)
-		u.UnpackFaceJ(-2, st.faceY)
-	} else {
-		copyPlaneJ(u, 0, -1)
-		copyPlaneJ(u, 0, -2)
-	}
-	if hiY >= 0 {
-		st.c.Recv(hiY, tagY0, st.faceY)
-		u.UnpackFaceJ(st.nyl, st.faceY)
-		st.c.Recv(hiY, tagY1, st.faceY)
-		u.UnpackFaceJ(st.nyl+1, st.faceY)
-	} else {
-		copyPlaneJ(u, st.nyl-1, st.nyl)
-		copyPlaneJ(u, st.nyl-1, st.nyl+1)
-	}
-
-	loZ, hiZ := st.loZ, st.hiZ
-	if hiZ >= 0 {
-		u.PackFaceK(st.nzl-1, st.faceZ)
-		st.c.Send(hiZ, tagZ0, st.faceZ)
-		u.PackFaceK(st.nzl-2, st.faceZ)
-		st.c.Send(hiZ, tagZ1, st.faceZ)
-	}
-	if loZ >= 0 {
-		u.PackFaceK(0, st.faceZ)
-		st.c.Send(loZ, tagZ0, st.faceZ)
-		u.PackFaceK(1, st.faceZ)
-		st.c.Send(loZ, tagZ1, st.faceZ)
-	}
-	if loZ >= 0 {
-		st.c.Recv(loZ, tagZ0, st.faceZ)
-		u.UnpackFaceK(-1, st.faceZ)
-		st.c.Recv(loZ, tagZ1, st.faceZ)
-		u.UnpackFaceK(-2, st.faceZ)
-	} else {
-		copyPlaneK(u, 0, -1)
-		copyPlaneK(u, 0, -2)
-	}
-	if hiZ >= 0 {
-		st.c.Recv(hiZ, tagZ0, st.faceZ)
-		u.UnpackFaceK(st.nzl, st.faceZ)
-		st.c.Recv(hiZ, tagZ1, st.faceZ)
-		u.UnpackFaceK(st.nzl+1, st.faceZ)
-	} else {
-		copyPlaneK(u, st.nzl-1, st.nzl)
-		copyPlaneK(u, st.nzl-1, st.nzl+1)
-	}
-}
-
-func copyPlaneJ(f *npb.Field, jSrc, jDst int) {
-	for k := 0; k < f.Nz; k++ {
-		src := f.Idx(0, jSrc, k)
-		dst := f.Idx(0, jDst, k)
-		copy(f.Data[dst:dst+f.Nx*f.NC], f.Data[src:src+f.Nx*f.NC])
-	}
-}
-
-func copyPlaneK(f *npb.Field, kSrc, kDst int) {
-	for j := 0; j < f.Ny; j++ {
-		src := f.Idx(0, j, kSrc)
-		dst := f.Idx(0, j, kDst)
-		copy(f.Data[dst:dst+f.Nx*f.NC], f.Data[src:src+f.Nx*f.NC])
-	}
 }
 
 // computeRHS evaluates rhs = dt·(forcing - 0.05·u + (δ²x + δ²y + δ²z)flux(u))
@@ -445,28 +299,5 @@ func (st *state) add() {
 				uRow[i] += rRow[i]
 			}
 		}
-	}
-}
-
-// final computes the global verification norms.
-func (st *state) final() {
-	var local [5]float64
-	u := st.u
-	for k := 0; k < st.nzl; k++ {
-		for j := 0; j < st.nyl; j++ {
-			base := u.Idx(0, j, k)
-			for i := 0; i < st.nx; i++ {
-				for c := 0; c < 5; c++ {
-					v := u.Data[base+i*5+c]
-					local[c] += v * v
-				}
-			}
-		}
-	}
-	var global [5]float64
-	st.c.Allreduce(mpi.OpSum, local[:], global[:])
-	cells := float64(st.cfg.Problem.Cells())
-	for c := 0; c < 5; c++ {
-		st.norms[c] = math.Sqrt(global[c] / cells)
 	}
 }

@@ -59,6 +59,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := tinyConfig(6, 16).Validate(); err == nil {
 		t.Error("tiles thinner than the halo should fail")
 	}
+	if err := tinyConfig(6, 9).Validate(); err != nil {
+		t.Errorf("two-plane tiles rejected: %v", err)
+	}
+	if err := tinyConfig(5, 9).Validate(); err == nil {
+		t.Error("5 points over a 3×3 grid leave one-plane tiles and should fail")
+	}
 }
 
 func runNorms(t *testing.T, n, procs, trips int) [5]float64 {
@@ -259,11 +265,11 @@ func TestTwoDeepGhostExchange(t *testing.T) {
 		hx := 1.0 / float64(p.N1-1)
 		hy := 1.0 / float64(p.N2-1)
 		hz := 1.0 / float64(p.N3-1)
-		if st.ry.Lo > 0 {
+		if ry, rz := st.Owned(npb.AxisY), st.Owned(npb.AxisZ); ry.Lo > 0 {
 			for _, j := range []int{-1, -2} {
-				gy := float64(st.ry.Lo+j) * hy
+				gy := float64(ry.Lo+j) * hy
 				for k := 0; k < st.nzl; k++ {
-					gz := float64(st.rz.Lo+k) * hz
+					gz := float64(rz.Lo+k) * hz
 					for i := 0; i < st.nx; i++ {
 						gx := float64(i) * hx
 						for c := 0; c < 5; c++ {

@@ -6,15 +6,6 @@ import "fmt"
 // differences.
 const fluxEps = 0.10
 
-// Axis names a grid dimension.
-type Axis int
-
-// The axes a Stencil can clamp.
-const (
-	AxisX Axis = iota
-	AxisZ
-)
-
 // Stencil evaluates the right-hand side BT, SP and LU all difference their
 // solution with,
 //
@@ -46,6 +37,9 @@ func NewStencil(u *Field, shift int, clamp Axis) *Stencil {
 	}
 	if shift != 1 && shift != 2 {
 		panic(fmt.Sprintf("npb: stencil flux shift %d not 1 or 2", shift))
+	}
+	if clamp == AxisY {
+		panic("npb: stencil clamps x or z, not y")
 	}
 	return &Stencil{shift: shift, clamp: clamp, ring: make([]float64, 3*(u.Nx+2)*(u.Ny+2)*5)}
 }

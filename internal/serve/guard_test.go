@@ -325,6 +325,42 @@ func TestMeasureBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
+// TestEmptyTileQueryIsABadRequest: a decomposition that leaves a rank
+// fewer planes than its halo (3 points over a 4×4 process grid) is the
+// query's fault, not the measurement's. It answers 400 before anything
+// runs, so the measure breaker never counts it and the next valid cold
+// query is measured.
+func TestEmptyTileQueryIsABadRequest(t *testing.T) {
+	cache, err := plan.NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := guard.New(guard.Config{BreakerFailures: 2, BreakerCooldown: time.Minute, Seed: 1})
+	srv, err := New(Config{Cache: cache, Measure: true, Guard: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, bench := range []string{"BT", "LU", "BT", "LU"} {
+		body := get(t, ts.URL, "/predict?bench="+bench+"&grid=3&trips=1&procs=16&chains=2&blocks=2", http.StatusBadRequest)
+		if !strings.Contains(string(body), "thinner than the 1-deep halo") {
+			t.Errorf("%s body = %s, want the tile rule", bench, body)
+		}
+		if got := g.Measure.State(); got != guard.StateClosed {
+			t.Fatalf("breaker state after a %s bad query = %v, want closed", bench, got)
+		}
+	}
+	var pr PredictResponse
+	if err := json.Unmarshal(get(t, ts.URL, "/predict?bench=BT&grid=6&trips=1&procs=4&chains=2&blocks=2", http.StatusOK), &pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Exec.Executed == 0 {
+		t.Error("valid cold query served without executing anything")
+	}
+}
+
 // TestStaleDegradationLadder: once a healthy answer has been served, a
 // service failure degrades to the stale answer (tagged, counted, never
 // byte-silent) instead of a 5xx; a family neighbor serves when the exact

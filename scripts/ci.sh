@@ -39,7 +39,8 @@ echo "==> go test -run '^\$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s 
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s ./internal/fault
 
 # sync.Pool drops Puts under -race, so the zero-allocation assertions over
-# pooled message paths (mpi round trips, the 4-rank kernels), the
+# pooled message paths (mpi round trips, the 4-rank kernels, the shared
+# halo exchange's multi-rank cases in npb.TestHaloDoesNotAllocate), the
 # allocation bound on a world that recycles its rank state and the warm
 # /predict allocation budgets (its render encoder is pooled) skip above
 # and run here, with the rank-state pool's tests beside them. So does the
