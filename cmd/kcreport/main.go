@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,45 +33,53 @@ import (
 )
 
 func main() {
-	all := flag.Bool("all", false, "also dump every raw counter, gauge and histogram")
-	requests := flag.Bool("requests", false, "input is a kcserved flight-recorder dump; render request span trees")
-	traceOut := flag.String("trace-out", "", "with -requests, also export the dump as Perfetto trace-event JSON")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: kcreport [-all] <manifest.json>\n       kcreport -requests [-trace-out f.json] <flight-dump.json>")
-		os.Exit(2)
-	}
-	if *requests {
-		if err := runRequests(flag.Arg(0), *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "kcreport: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	man, err := obs.ReadManifestFile(flag.Arg(0))
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "kcreport: %v\n", err)
 		os.Exit(1)
 	}
-
-	printHeader(man)
-	printHealth(man.Health)
-	if man.Metrics == nil {
-		fmt.Println("(manifest carries no metric snapshot)")
-		return
-	}
-	snap := *man.Metrics
-	printP2P(snap)
-	printCollectives(snap)
-	printKernels(snap)
-	printHarness(snap)
-	printGuard(snap)
-	if *all {
-		printRaw(snap)
-	}
 }
 
-func printHeader(man *obs.Manifest) {
+// run is the whole process behind main; every failure, a usage error
+// included, is a returned error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("kcreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	all := fs.Bool("all", false, "also dump every raw counter, gauge and histogram")
+	requests := fs.Bool("requests", false, "input is a kcserved flight-recorder dump; render request span trees")
+	traceOut := fs.String("trace-out", "", "with -requests, also export the dump as Perfetto trace-event JSON")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return errors.New("usage: kcreport [-all] <manifest.json>\n       kcreport -requests [-trace-out f.json] <flight-dump.json>")
+	}
+	if *requests {
+		return runRequests(stdout, fs.Arg(0), *traceOut)
+	}
+	man, err := obs.ReadManifestFile(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+
+	printHeader(stdout, man)
+	printHealth(stdout, man.Health)
+	if man.Metrics == nil {
+		fmt.Fprintln(stdout, "(manifest carries no metric snapshot)")
+		return nil
+	}
+	snap := *man.Metrics
+	printP2P(stdout, snap)
+	printCollectives(stdout, snap)
+	printKernels(stdout, snap)
+	printHarness(stdout, snap)
+	printGuard(stdout, snap)
+	if *all {
+		printRaw(stdout, snap)
+	}
+	return nil
+}
+
+func printHeader(w io.Writer, man *obs.Manifest) {
 	tb := stats.NewTable("Run manifest", "Field", "Value")
 	tb.AddRow("tool", man.Tool)
 	if man.Benchmark != "" {
@@ -100,7 +110,7 @@ func printHeader(man *obs.Manifest) {
 	for _, k := range sortedStrings(keys) {
 		tb.AddRow(k, man.Extra[k])
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 }
 
 // printHealth renders the fault-and-degradation record of the run: the
@@ -108,7 +118,7 @@ func printHeader(man *obs.Manifest) {
 // windows that stayed unmeasurable, coefficients flagged Degraded, and
 // any structured errors. Fault-free clean runs have no health block and
 // print nothing here.
-func printHealth(h *obs.Health) {
+func printHealth(w io.Writer, h *obs.Health) {
 	if h == nil {
 		return
 	}
@@ -126,7 +136,7 @@ func printHealth(h *obs.Health) {
 	tb.AddRowf("retries\t%d", len(h.Retries))
 	tb.AddRowf("failed windows\t%d", len(h.FailedWindows))
 	tb.AddRowf("degraded coefficients\t%d", len(h.DegradedCoefficients))
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 
 	list := func(title string, rows []string) {
 		if len(rows) == 0 {
@@ -136,7 +146,7 @@ func printHealth(h *obs.Health) {
 		for _, r := range rows {
 			t.AddRow(r)
 		}
-		fmt.Println(t.String())
+		fmt.Fprintln(w, t.String())
 	}
 	list("Retries", h.Retries)
 	list("Failed windows", h.FailedWindows)
@@ -145,7 +155,7 @@ func printHealth(h *obs.Health) {
 	list("Fault events", h.FaultEvents)
 }
 
-func printP2P(snap obs.Snapshot) {
+func printP2P(w io.Writer, snap obs.Snapshot) {
 	sends, ok1 := snap.Counter("mpi.send.count")
 	recvs, ok2 := snap.Counter("mpi.recv.count")
 	if !ok1 && !ok2 {
@@ -175,10 +185,10 @@ func printP2P(snap obs.Snapshot) {
 	if c, ok := snap.Counter("mpi.context.created"); ok && c.Value > 0 {
 		tb.AddRowf("contexts created\t%d", c.Value)
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 }
 
-func printCollectives(snap obs.Snapshot) {
+func printCollectives(w io.Writer, snap obs.Snapshot) {
 	// Collective ops present in the snapshot, discovered by name shape
 	// mpi.collective.<op>.count; the snapshot is sorted, so ops render
 	// alphabetically.
@@ -196,11 +206,11 @@ func printCollectives(snap obs.Snapshot) {
 		rows++
 	}
 	if rows > 0 {
-		fmt.Println(tb.String())
+		fmt.Fprintln(w, tb.String())
 	}
 }
 
-func printKernels(snap obs.Snapshot) {
+func printKernels(w io.Writer, snap obs.Snapshot) {
 	// Per-kernel attribution, discovered from mpi.kernel.<name>.send.count.
 	tb := stats.NewTable("Per-kernel communication", "Kernel", "Sends", "Bytes sent", "Recvs", "Bytes recvd", "Recv wait")
 	rows := 0
@@ -218,11 +228,11 @@ func printKernels(snap obs.Snapshot) {
 		rows++
 	}
 	if rows > 0 {
-		fmt.Println(tb.String())
+		fmt.Fprintln(w, tb.String())
 	}
 }
 
-func printHarness(snap obs.Snapshot) {
+func printHarness(w io.Writer, snap obs.Snapshot) {
 	iso, ok := snap.Counter("harness.measure.isolated.count")
 	if !ok {
 		return
@@ -239,7 +249,7 @@ func printHarness(snap obs.Snapshot) {
 		tb.AddRow("per-pass time", fmt.Sprintf("mean %s  min %s  max %s",
 			fmtNs(int64(h.Mean())), fmtNs(h.Min), fmtNs(h.Max)))
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 }
 
 // printGuard renders the serving guard's overload and failure
@@ -248,7 +258,7 @@ func printHarness(snap obs.Snapshot) {
 // one row per circuit breaker (discovered from the
 // guard.breaker.<dep>.state gauge) with its final state and transition
 // counts. Silent for manifests from unguarded runs.
-func printGuard(snap obs.Snapshot) {
+func printGuard(w io.Writer, snap obs.Snapshot) {
 	c := func(name string) int64 {
 		v, _ := snap.Counter(name)
 		return v.Value
@@ -269,7 +279,7 @@ func printGuard(snap obs.Snapshot) {
 	tb.AddRowf("deadline exceeded (504)\t%d", deadlines)
 	tb.AddRowf("degraded answers\t%d", degraded)
 	tb.AddRowf("measurement retries\t%d", c("serve.measure.retry"))
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 
 	bt := stats.NewTable("Circuit breakers", "Dependency", "State", "Opened", "Reopened", "Closed", "Fast-fails")
 	rows := 0
@@ -285,11 +295,11 @@ func printGuard(snap obs.Snapshot) {
 		rows++
 	}
 	if rows > 0 {
-		fmt.Println(bt.String())
+		fmt.Fprintln(w, bt.String())
 	}
 }
 
-func printRaw(snap obs.Snapshot) {
+func printRaw(w io.Writer, snap obs.Snapshot) {
 	tb := stats.NewTable("All metrics", "Name", "Value")
 	for _, c := range snap.Counters {
 		tb.AddRowf("%s\t%d", c.Name, c.Value)
@@ -300,7 +310,7 @@ func printRaw(snap obs.Snapshot) {
 	for _, h := range snap.Histograms {
 		tb.AddRow(h.Name, fmt.Sprintf("n=%d sum=%d min=%d max=%d", h.Count, h.Sum, h.Min, h.Max))
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 }
 
 // cut returns the middle of s when it has the given prefix and suffix.

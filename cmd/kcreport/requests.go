@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/obs"
@@ -14,7 +15,7 @@ import (
 // ring after — with per-stage durations and the share of the request
 // each stage accounts for. With traceOut set the dump is also exported
 // as a Perfetto trace-event file.
-func runRequests(path, traceOut string) error {
+func runRequests(w io.Writer, path, traceOut string) error {
 	d, err := obs.ReadFlightDumpFile(path)
 	if err != nil {
 		return err
@@ -55,25 +56,25 @@ func runRequests(path, traceOut string) error {
 		tb.AddRowf("deadline exceeded (504)\t%d", deadline)
 		tb.AddRowf("degraded answers\t%d", degraded)
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 
-	printGroup("Slowest requests", d.Slowest)
-	printGroup("Errored requests", d.Errored)
+	printGroup(w, "Slowest requests", d.Slowest)
+	printGroup(w, "Errored requests", d.Errored)
 
 	if traceOut != "" {
 		if err := trace.WriteTraceEventFile(traceOut, trace.RequestGroups(d)...); err != nil {
 			return err
 		}
-		fmt.Printf("wrote Perfetto trace: %s\n", traceOut)
+		fmt.Fprintf(w, "wrote Perfetto trace: %s\n", traceOut)
 	}
 	return nil
 }
 
-func printGroup(title string, traces []obs.TraceDump) {
+func printGroup(w io.Writer, title string, traces []obs.TraceDump) {
 	if len(traces) == 0 {
 		return
 	}
-	fmt.Printf("== %s ==\n\n", title)
+	fmt.Fprintf(w, "== %s ==\n\n", title)
 	for _, t := range traces {
 		head := fmt.Sprintf("%s  /%s  %d%s  %s", t.ID, t.Endpoint, t.Status, guardTag(t.Status), fmtNs(t.TotalNs))
 		if len(t.Attrs) > 0 {
@@ -83,12 +84,12 @@ func printGroup(title string, traces []obs.TraceDump) {
 			}
 			head += "  [" + strings.Join(parts, " ") + "]"
 		}
-		fmt.Println(head)
+		fmt.Fprintln(w, head)
 		if t.Err != "" {
-			fmt.Printf("  error: %s\n", t.Err)
+			fmt.Fprintf(w, "  error: %s\n", t.Err)
 		}
-		printSpanTree(t.Root, 1, t.TotalNs)
-		fmt.Println()
+		printSpanTree(w, t.Root, 1, t.TotalNs)
+		fmt.Fprintln(w)
 	}
 }
 
@@ -106,7 +107,7 @@ func guardTag(status int) string {
 
 // printSpanTree renders one span subtree, one line per span: indent,
 // name, duration, share of the whole request, and detail.
-func printSpanTree(s obs.SpanDump, depth int, totalNs int64) {
+func printSpanTree(w io.Writer, s obs.SpanDump, depth int, totalNs int64) {
 	line := fmt.Sprintf("%s%-*s %10s", strings.Repeat("  ", depth), 28-2*depth, s.Name, fmtNs(s.DurNs))
 	if totalNs > 0 {
 		line += fmt.Sprintf(" %5.1f%%", 100*float64(s.DurNs)/float64(totalNs))
@@ -114,8 +115,8 @@ func printSpanTree(s obs.SpanDump, depth int, totalNs int64) {
 	if s.Detail != "" {
 		line += "  " + s.Detail
 	}
-	fmt.Println(line)
+	fmt.Fprintln(w, line)
 	for _, c := range s.Children {
-		printSpanTree(c, depth+1, totalNs)
+		printSpanTree(w, c, depth+1, totalNs)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -364,5 +365,98 @@ func TestRetryGateDeniesRetries(t *testing.T) {
 		RetryGate: func() bool { return true },
 	}); err != nil {
 		t.Fatalf("open gate: %v", err)
+	}
+}
+
+// TestDegradedStudyPinned pins everything a degraded study records besides
+// its predictions: the provenance in order — the ladder's sub-windows in
+// the failed window's place, one served by the cache and one measured
+// after a retry — the execution counts and the health, retries in the
+// order they were spent. A second study loses two windows whose ladders
+// share a sub-window that is lost too: it is measured, and recorded
+// lost, once.
+func TestDegradedStudyPinned(t *testing.T) {
+	render := func(f *flakyWorkload, o Options) string {
+		t.Helper()
+		study, err := RunStudy(f, 10, []int{3}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, r := range study.Provenance {
+			fmt.Fprintf(&got, "%s %s %g raw=%v trim=%g cached=%v\n", r.Kind, r.Key, r.Seconds, r.Raw, r.TrimFrac, r.Cached)
+		}
+		fmt.Fprintf(&got, "exec %+v\n", study.Exec)
+		for _, r := range study.Health.Retries {
+			fmt.Fprintf(&got, "retry %+v\n", r)
+		}
+		for _, w := range study.Health.FailedWindows {
+			fmt.Fprintf(&got, "failed %+v\n", w)
+		}
+		for _, d := range study.Health.Degraded {
+			fmt.Fprintf(&got, "degraded %+v\n", d)
+		}
+		return got.String()
+	}
+	f := &flakyWorkload{
+		Synthetic: fourKernelSynthetic(),
+		transient: map[string]int{"A": 1, "C|D": 1},
+		permanent: map[string]bool{"B|C|D": true},
+	}
+	o := Options{Degrade: true, MaxRetries: 1, RetryBackoff: time.Microsecond, Cache: plan.NewCache()}
+	in := planInputs(f, 10, []int{3}, o)
+	if err := o.Cache.Put(plan.WindowJob(in, []string{"B", "C"}), plan.Result{Seconds: 2.25}); err != nil {
+		t.Fatal(err)
+	}
+	got := render(f, o)
+	const want = `isolated A 1 raw=[] trim=0 cached=false
+isolated B 2 raw=[] trim=0 cached=false
+isolated C 0.5 raw=[] trim=0 cached=false
+isolated D 1.5 raw=[] trim=0 cached=false
+isolated FINAL 1 raw=[] trim=0 cached=false
+isolated INIT 2 raw=[] trim=0 cached=false
+window A|B|C 3.2 raw=[] trim=0 cached=false
+window B|C 2.25 raw=[] trim=0 cached=true
+window C|D 2.4 raw=[] trim=0 cached=false
+window C|D|A 3.4 raw=[] trim=0 cached=false
+window D|A|B 4.2 raw=[] trim=0 cached=false
+actual toy 54.00000000000001 raw=[54.00000000000001] trim=0 cached=false
+exec {Planned:11 Executed:11 CacheHits:1}
+retry {Key:A Kind:isolated Attempt:1 Err:window A: injected transient failure}
+retry {Key:B|C|D Kind:window Attempt:1 Err:window B|C|D: injected permanent failure}
+retry {Key:C|D Kind:window Attempt:1 Err:window C|D: injected transient failure}
+failed {Key:B|C|D Err:window B|C|D: injected permanent failure}
+degraded {Kernel:B ChainLen:3 Mode:partial}
+degraded {Kernel:C ChainLen:3 Mode:partial}
+degraded {Kernel:D ChainLen:3 Mode:partial}
+`
+	if got != want {
+		t.Errorf("degraded study drifted:\n got:\n%s\nwant:\n%s", got, want)
+	}
+
+	f = &flakyWorkload{Synthetic: fourKernelSynthetic(), permanent: map[string]bool{"B|C|D": true, "C|D|A": true, "C|D": true}}
+	got = render(f, Options{Degrade: true})
+	const wantShared = `isolated A 1 raw=[] trim=0 cached=false
+isolated B 2 raw=[] trim=0 cached=false
+isolated C 0.5 raw=[] trim=0 cached=false
+isolated D 1.5 raw=[] trim=0 cached=false
+isolated FINAL 1 raw=[] trim=0 cached=false
+isolated INIT 2 raw=[] trim=0 cached=false
+window A|B|C 3.2 raw=[] trim=0 cached=false
+window B|C 2.5 raw=[] trim=0 cached=false
+window D|A 2.5 raw=[] trim=0 cached=false
+window D|A|B 4.2 raw=[] trim=0 cached=false
+actual toy 54.00000000000001 raw=[54.00000000000001] trim=0 cached=false
+exec {Planned:11 Executed:11 CacheHits:0}
+failed {Key:B|C|D Err:window B|C|D: injected permanent failure}
+failed {Key:C|D Err:window C|D: injected permanent failure}
+failed {Key:C|D|A Err:window C|D|A: injected permanent failure}
+degraded {Kernel:A ChainLen:3 Mode:partial}
+degraded {Kernel:B ChainLen:3 Mode:partial}
+degraded {Kernel:C ChainLen:3 Mode:partial}
+degraded {Kernel:D ChainLen:3 Mode:partial}
+`
+	if got != wantShared {
+		t.Errorf("degraded study with a shared lost sub-window drifted:\n got:\n%s\nwant:\n%s", got, wantShared)
 	}
 }

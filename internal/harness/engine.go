@@ -293,30 +293,28 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 	})
 	execSpan.End()
 
-	// Assembly runs on one goroutine in plan order, so provenance, health
-	// and the measurement maps are deterministic regardless of the worker
-	// count (and byte-identical to the serial pipeline at Parallel == 1).
+	// Settling and assembly run on one goroutine in plan order, so
+	// provenance, health and the measurement maps are deterministic
+	// regardless of the worker count (and byte-identical to the serial
+	// pipeline at Parallel == 1). Settling resolves every failure first: a
+	// fatal one fails the study, jobs skipped after it are dropped, and
+	// under Degrade a lost window is replaced, in its place, by the
+	// sub-windows of its degradation ladder.
 	assembleSpan, assembleCtx := obs.StartSpan(ctx, "assemble", "")
-	m := core.NewMeasurements()
-	var provenance []MeasurementRecord
 	var health StudyHealth
-	measured := make(map[string][]string)
-	failed := make(map[string]bool)
-	execStats := ExecStats{Planned: len(jobs)}
-	actuals := make([]float64, 0, in.ActualRuns)
-	actualAllCached := true
-
-	recordFailure := func(key string, err error) {
-		failed[key] = true
+	kept := make([]plan.Job, 0, len(jobs))
+	keptOut := make([]plan.Outcome, 0, len(jobs))
+	settled := make(map[string]bool) // window keys measured (true) or lost (false)
+	lose := func(key string, err error) {
+		settled[key] = false
 		health.FailedWindows = append(health.FailedWindows, WindowFailure{Key: key, Err: err.Error()})
 		if o.Metrics != nil {
 			o.Metrics.Counter("harness.window.failed").Inc()
 		}
 	}
-	// ladder measures the contiguous sub-windows of a lost window so
-	// shorter-chain couplings can stand in for it. It runs serially
-	// during assembly, routing each sub-window through the same cached,
-	// retried measurement path as planned jobs.
+	// ladder measures the contiguous sub-windows of a lost window, serially,
+	// through the same cached, retried measurement path as planned jobs, so
+	// shorter-chain couplings can stand in for it.
 	var ladder func(win []string)
 	ladder = func(win []string) {
 		subLen := len(win) - 1
@@ -324,112 +322,158 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 			return
 		}
 		for i := 0; i+subLen <= len(win); i++ {
-			sub := win[i : i+subLen]
-			key := core.Key(sub)
-			if _, done := m.Window[key]; done {
+			j := plan.WindowJob(in, win[i:i+subLen])
+			if _, done := settled[j.Label()]; done {
 				continue
 			}
-			if failed[key] {
-				continue
-			}
-			j := plan.WindowJob(in, sub)
-			res, cached := cache.Get(j)
-			if !cached {
+			var out plan.Outcome
+			out.Result, out.Cached = cache.Get(j)
+			if !out.Cached {
 				var retries []RetryRecord
-				var err error
-				res, retries, err = run.measure(assembleCtx, j)
+				out.Result, retries, out.Err = run.measure(assembleCtx, j)
 				health.Retries = append(health.Retries, retries...)
-				if err != nil {
-					recordFailure(key, err)
-					ladder(sub)
+				if out.Err != nil {
+					lose(j.Label(), out.Err)
+					ladder(j.Spec.Window)
 					continue
 				}
-				if err := cache.Put(j, res); err != nil {
+				if err := cache.Put(j, out.Result); err != nil {
 					onCacheError(j, err)
 				}
-				execStats.Executed++
-			} else {
-				execStats.CacheHits++
 			}
-			m.Window[key] = res.Seconds
-			measured[key] = append([]string(nil), sub...)
-			provenance = append(provenance, record(j, res, cached))
+			settled[j.Label()] = true
+			kept, keptOut = append(kept, j), append(keptOut, out)
 		}
 	}
-
 	for i, j := range jobs {
 		out := outcomes[i]
 		health.Retries = append(health.Retries, attempts[i]...)
-		if errors.Is(out.Err, plan.ErrSkipped) {
-			continue
+		switch {
+		case errors.Is(out.Err, plan.ErrSkipped):
+			// Skipped after a fatal failure, which this walk meets too.
+		case out.Err == nil:
+			if j.Kind == plan.KindWindow {
+				settled[j.Label()] = true
+			}
+			kept, keptOut = append(kept, j), append(keptOut, out)
+		case j.Kind == plan.KindIsolated:
+			err = fmt.Errorf("harness: isolated %s: %w", j.Label(), out.Err)
+		case j.Kind == plan.KindActual:
+			err = fmt.Errorf("harness: actual run: %w", out.Err)
+		case !o.Degrade:
+			err = fmt.Errorf("harness: window %s: %w", j.Label(), out.Err)
+		default:
+			lose(j.Label(), out.Err)
+			ladder(j.Spec.Window)
 		}
-		if out.Cached {
-			execStats.CacheHits++
-		} else if out.Err == nil {
-			execStats.Executed++
+		if err != nil {
+			assembleSpan.End()
+			return nil, err
+		}
+	}
+	st, err := assemble(ctx, assembleSpan, app, in, len(jobs), kept, func(i int) (plan.Result, bool, error) {
+		return keptOut[i].Result, keptOut[i].Cached, nil
+	}, o.Degrade, health)
+	if err != nil {
+		return nil, err
+	}
+	if o.Metrics != nil {
+		if st.Exec.CacheHits > 0 {
+			o.Metrics.Counter("harness.cache.hit").Add(int64(st.Exec.CacheHits))
+		}
+		if st.Exec.Executed > 0 {
+			o.Metrics.Counter("harness.cache.miss").Add(int64(st.Exec.Executed))
+		}
+		if len(st.Health.Degraded) > 0 {
+			o.Metrics.Counter("harness.coefficient.degraded").Add(int64(len(st.Health.Degraded)))
+		}
+	}
+	return st, nil
+}
+
+// assemble is the one walk from a study's job results to its Study: jobs
+// in plan order, none failed, the i-th one's result and whether the cache
+// served it read by get. It fills the measurements and the provenance —
+// the actual runs' median record last — counts the executions, and runs
+// Analyze. RunCtx feeds it settled executor outcomes, loadStudy cache
+// reads; an error from get ends the walk and the study. stage is the span
+// the walk runs under; it ends before "analyze" opens.
+//
+//kcvet:hotpath every first question a restarted server or couple -from-cache answers is assembled here
+func assemble(ctx context.Context, stage obs.SpanRef, app core.App, in plan.Inputs, planned int, jobs []plan.Job,
+	get func(i int) (plan.Result, bool, error), degrade bool, health StudyHealth) (*Study, error) {
+	// Everything below is sized from the jobs, so nothing grows.
+	var isolated, windows, runs int
+	for i := range jobs {
+		switch jobs[i].Kind {
+		case plan.KindIsolated:
+			isolated++
+		case plan.KindWindow:
+			windows++
+		case plan.KindActual:
+			runs++
+		}
+	}
+	m := core.Measurements{Isolated: make(map[string]float64, isolated), Window: make(map[string]float64, windows)}
+	provenance := make([]MeasurementRecord, isolated+windows+1)
+	actuals := make([]float64, runs)
+	// Only the degradation ladder's fallback reads which kernels a window
+	// key holds.
+	var measured map[string][]string
+	if degrade {
+		measured = make(map[string][]string, windows)
+	}
+	exec := ExecStats{Planned: planned}
+	actualCached := true
+	recs, run := 0, 0
+	for i := range jobs {
+		j := &jobs[i]
+		res, cached, err := get(i)
+		if err != nil {
+			stage.End()
+			return nil, err
+		}
+		if cached {
+			exec.CacheHits++
+		} else {
+			exec.Executed++
 		}
 		switch j.Kind {
 		case plan.KindIsolated:
-			if out.Err != nil {
-				return nil, fmt.Errorf("harness: isolated %s: %w", j.Label(), out.Err)
-			}
-			m.Isolated[j.Label()] = out.Result.Seconds
-			provenance = append(provenance, record(j, out.Result, out.Cached))
+			m.Isolated[j.Label()] = res.Seconds
 		case plan.KindWindow:
-			key := j.Label()
-			if out.Err != nil {
-				if !o.Degrade {
-					return nil, fmt.Errorf("harness: window %s: %w", key, out.Err)
-				}
-				recordFailure(key, out.Err)
-				ladder(j.Spec.Window)
-				continue
+			m.Window[j.Label()] = res.Seconds
+			if degrade {
+				measured[j.Label()] = j.Spec.Window
 			}
-			m.Window[key] = out.Result.Seconds
-			measured[key] = append([]string(nil), j.Spec.Window...)
-			provenance = append(provenance, record(j, out.Result, out.Cached))
 		case plan.KindActual:
-			if out.Err != nil {
-				return nil, fmt.Errorf("harness: actual run: %w", out.Err)
-			}
-			actuals = append(actuals, out.Result.Seconds)
-			if !out.Cached {
-				actualAllCached = false
-			}
+			actuals[run] = res.Seconds
+			run++
+			actualCached = actualCached && cached
+			continue
 		}
+		provenance[recs] = record(*j, res, cached)
+		recs++
 	}
-	if o.Metrics != nil {
-		if execStats.CacheHits > 0 {
-			o.Metrics.Counter("harness.cache.hit").Add(int64(execStats.CacheHits))
-		}
-		if execStats.Executed > 0 {
-			o.Metrics.Counter("harness.cache.miss").Add(int64(execStats.Executed))
-		}
-	}
-
+	stage.End()
 	actual := stats.Median(actuals)
-	provenance = append(provenance, MeasurementRecord{
-		Key:     w.Name(),
+	provenance[recs] = MeasurementRecord{
+		Key:     app.Name,
 		Kind:    KindActual,
 		Seconds: actual,
 		Raw:     actuals,
-		Cached:  actualAllCached,
-	})
-	assembleSpan.End()
-
+		Cached:  actualCached,
+	}
 	analyzeSpan, _ := obs.StartSpan(ctx, "analyze", "")
-	an, err := Analyze(app, m, actual, chainLens, measured, o.Degrade)
+	an, err := Analyze(app, m, actual, in.ChainLens, measured, degrade)
 	analyzeSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	health.Degraded = an.Degraded
-	if o.Metrics != nil && len(an.Degraded) > 0 {
-		o.Metrics.Counter("harness.coefficient.degraded").Add(int64(len(an.Degraded)))
-	}
 	return &Study{
-		Workload:     w.Name(),
-		Trips:        trips,
+		Workload:     app.Name,
+		Trips:        in.Trips,
 		App:          app,
 		Measurements: m,
 		Actual:       actual,
@@ -438,7 +482,7 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 		Details:      an.Details,
 		Provenance:   provenance,
 		Health:       health,
-		Exec:         execStats,
+		Exec:         exec,
 	}, nil
 }
 
@@ -555,9 +599,9 @@ func studyKey(w Workload, in plan.Inputs) string {
 	return string(b)
 }
 
-// loadStudy is the memo's build: plan the campaign, take every job from
-// the cache — failing with ErrCacheMiss on the first one it does not
-// hold — and analyse. Its result is a function of its arguments and the
+// loadStudy is the memo's build: plan the campaign and assemble it from
+// cache reads — failing with ErrCacheMiss on the first job the cache does
+// not hold. Its result is a function of its arguments and the
 // entries read, which is what lets RunFromCacheCtx keep it.
 //
 //kcvet:hotpath every first question a restarted server or couple -from-cache answers is built here
@@ -579,78 +623,16 @@ func loadStudy(ctx context.Context, w Workload, in plan.Inputs, cache *plan.Cach
 		detail = "jobs=" + strconv.Itoa(len(jobs))
 	}
 	loadSpan, loadCtx := obs.StartSpan(ctx, "cache.load", detail)
-	// Everything below is sized from the plan, so nothing grows.
-	var isolated, windows, runs int
-	for i := range jobs {
-		switch jobs[i].Kind {
-		case plan.KindIsolated:
-			isolated++
-		case plan.KindWindow:
-			windows++
-		case plan.KindActual:
-			runs++
-		}
-	}
-	m := core.Measurements{Isolated: make(map[string]float64, isolated), Window: make(map[string]float64, windows)}
-	provenance := make([]MeasurementRecord, isolated+windows+1)
-	actuals := make([]float64, runs)
-	var missing *plan.Job
-	recs, run := 0, 0
-	for i := range jobs {
-		j := &jobs[i]
-		res, ok := cache.GetCtx(loadCtx, *j)
+	return assemble(ctx, loadSpan, app, in, len(jobs), jobs, func(i int) (plan.Result, bool, error) {
+		res, ok := cache.GetCtx(loadCtx, jobs[i])
 		if !ok {
-			missing = j
-			break
+			if traced {
+				loadSpan.SetDetail(detail + " missing=" + jobs[i].Key())
+			}
+			return res, false, &missError{jobs[i]}
 		}
-		switch j.Kind {
-		case plan.KindIsolated:
-			m.Isolated[j.Label()] = res.Seconds
-			provenance[recs] = record(*j, res, true)
-			recs++
-		case plan.KindWindow:
-			m.Window[j.Label()] = res.Seconds
-			provenance[recs] = record(*j, res, true)
-			recs++
-		case plan.KindActual:
-			actuals[run] = res.Seconds
-			run++
-		}
-	}
-	if missing != nil {
-		if traced {
-			loadSpan.SetDetail(detail + " missing=" + missing.Key())
-		}
-		loadSpan.End()
-		return nil, &missError{*missing}
-	}
-	loadSpan.End()
-	actual := stats.Median(actuals)
-	provenance[recs] = MeasurementRecord{
-		Key:     w.Name(),
-		Kind:    KindActual,
-		Seconds: actual,
-		Raw:     actuals,
-		Cached:  true,
-	}
-	analyzeSpan, _ := obs.StartSpan(ctx, "analyze", "")
-	an, err := Analyze(app, m, actual, in.ChainLens, nil, false)
-	analyzeSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Study{
-		Workload:     w.Name(),
-		Trips:        in.Trips,
-		App:          app,
-		Measurements: m,
-		Actual:       actual,
-		Summation:    an.Summation,
-		Couplings:    an.Couplings,
-		Details:      an.Details,
-		Provenance:   provenance,
-		Exec:         ExecStats{Planned: len(jobs), CacheHits: len(jobs)},
-	}, nil
+		return res, true, nil
+	}, false, StudyHealth{})
 }
 
 // missError is loadStudy's failure for a job the cache does not hold. It

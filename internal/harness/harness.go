@@ -156,7 +156,7 @@ func (w *NPBWorkload) Kernels() (pre, loop, post []string) {
 	return w.Pre, w.Loop, w.Post
 }
 
-// MeasureWindow implements Workload via npb.MeasureWindow.
+// MeasureWindow implements Workload: MeasureWindowDetail's per-pass time.
 func (w *NPBWorkload) MeasureWindow(window []string, o Options) (float64, error) {
 	wm, err := w.MeasureWindowDetail(window, o)
 	if err != nil {

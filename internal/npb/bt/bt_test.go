@@ -316,13 +316,14 @@ func TestMeasureWindowSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, err := npb.MeasureWindow(f, []string{KXSolve, KYSolve}, timing.Protocol{Blocks: 2, Passes: 2}, npb.MeasureOptions{
+	wm, err := npb.MeasureWindowDetail(f, []string{KXSolve, KYSolve}, timing.Protocol{Blocks: 2, Passes: 2}, npb.MeasureOptions{
 		Procs:     4,
 		WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := wm.PerPass
 	if secs <= 0 {
 		t.Errorf("per-pass time %v should be positive", secs)
 	}

@@ -132,7 +132,7 @@ func TestBenchmarksSurviveArbitraryKernelWindows(t *testing.T) {
 			}
 			windows = append(windows, []string{loop[len(loop)-1], loop[0]})
 			for _, win := range windows {
-				if _, err := npb.MeasureWindow(factory, win, timing.Protocol{Blocks: 2, Passes: 3}, npb.MeasureOptions{
+				if _, err := npb.MeasureWindowDetail(factory, win, timing.Protocol{Blocks: 2, Passes: 3}, npb.MeasureOptions{
 					Procs:     4,
 					WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 				}); err != nil {

@@ -10,24 +10,25 @@ import (
 	"repro/internal/timing"
 )
 
-// quiesce synchronizes the ranks ahead of a timed region, and in a world
-// that built its rank state first runs a garbage collection from rank 0, so
-// that the heap pressure set-up accumulated (fields, factor tables,
-// snapshots: megabytes a rank) is unlikely to force a collection inside the
-// region. runtime.GC also waits out a cycle those allocations already
+// quiesce readies a world's rank 0 to time its regions: it records where
+// the world got its rank state and returns the GC-cycle query timed reads.
+// In a world that built its rank state it first runs a garbage collection,
+// so that the heap pressure set-up accumulated (fields, factor tables,
+// snapshots: megabytes a rank) is unlikely to force a collection inside a
+// region; runtime.GC also waits out a cycle those allocations already
 // started. A world that rebound an idle set allocated no fields and collects
 // nothing: a forced collection marks the process's whole live heap — a
 // server's cache included — and WorldStats.GCOverlapped counts what it used
-// to promise. Every rank must call it.
-func quiesce(c *mpi.Comm, fresh bool) {
-	if fresh && c.Rank() == 0 {
+// to promise. The other ranks get nil and wait for rank 0 at the first
+// region's lead barrier.
+func quiesce(c *mpi.Comm, fresh bool, world *WorldStats) []metrics.Sample {
+	if c.Rank() != 0 {
+		return nil
+	}
+	world.Recycled = !fresh
+	if fresh {
 		runtime.GC()
 	}
-	c.Barrier()
-}
-
-// gcCyclesSample is the runtime/metrics query behind gcCycles.
-func gcCyclesSample() []metrics.Sample {
 	return []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 }
 
@@ -39,6 +40,35 @@ func gcCycles(s []metrics.Sample) uint64 {
 	return s[0].Value.Uint64()
 }
 
+// timed runs body on every rank as one timed region — the one rule by
+// which every window block and every full run is timed: a lead barrier,
+// rank 0's clock stamp and GC-cycle read, body, a closing barrier so the
+// slowest rank defines parallel time, rank 0's stamp and GC check. Rank 0
+// is the only stamper; it gets the region's wall-clock seconds and counts
+// a collection that completed inside it in world. The other ranks get 0.
+// gc is quiesce's query.
+//
+//kcvet:hotpath every window block and every full run is timed here
+func timed(c *mpi.Comm, gc []metrics.Sample, world *WorldStats, body func()) float64 {
+	c.Barrier()
+	var t0 time.Time
+	var gc0 uint64
+	if c.Rank() == 0 {
+		gc0 = gcCycles(gc)
+		t0 = c.Wtime()
+	}
+	body()
+	c.Barrier()
+	if c.Rank() != 0 {
+		return 0
+	}
+	secs := c.Wtime().Sub(t0).Seconds()
+	if gcCycles(gc) != gc0 {
+		world.GCOverlapped++
+	}
+	return secs
+}
+
 // WorldStats says where the world behind a measurement got its rank state
 // and whether the collector ran under its timed regions.
 type WorldStats struct {
@@ -47,7 +77,7 @@ type WorldStats struct {
 	Recycled bool
 	// GCOverlapped counts the timed regions (a window measurement's
 	// blocks, a full run's one) during which a garbage-collection cycle
-	// completed, read on rank 0 outside the region's clock stamps.
+	// completed, read on rank 0 outside the region's clock stamps (timed).
 	GCOverlapped int
 }
 
@@ -67,8 +97,8 @@ type MeasureOptions struct {
 type WindowMeasurement struct {
 	// Window is the measured kernel window in application order.
 	Window []string
-	// PerPass is the aggregated per-pass wall-clock seconds — the value
-	// MeasureWindow returns.
+	// PerPass is the aggregated per-pass wall-clock seconds, the value the
+	// predictors consume.
 	PerPass float64
 	// Blocks holds each timed block's per-pass seconds in block order,
 	// before trimming.
@@ -94,23 +124,13 @@ func runKernels(c *mpi.Comm, ks KernelSet, names []string) {
 	c.SetPhase("")
 }
 
-// MeasureWindow runs a world of the factory, and times Blocks×Passes
+// MeasureWindowDetail runs a world of the factory, and times Blocks×Passes
 // executions of the kernel window in application order, following the
 // paper's methodology: the window sits in a loop that dominates the
-// measurement, all setup is outside the timed region, and barriers bound
-// each block so the slowest rank defines parallel time.
-// It returns the per-pass wall-clock seconds, aggregated across blocks
-// under the protocol.
-func MeasureWindow(f *Factory, window []string, p timing.Protocol, o MeasureOptions) (float64, error) {
-	wm, err := MeasureWindowDetail(f, window, p, o)
-	if err != nil {
-		return 0, err
-	}
-	return wm.PerPass, nil
-}
-
-// MeasureWindowDetail is MeasureWindow keeping the per-block timings and
-// trim decision — the provenance behind each reported coupling value.
+// measurement, all setup is outside the timed region, and each block is
+// one timed region. It returns the per-pass wall-clock seconds, aggregated
+// across blocks under the protocol, with the per-block timings and trim
+// decision — the provenance behind each reported coupling value.
 func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o MeasureOptions) (WindowMeasurement, error) {
 	if len(window) == 0 {
 		return WindowMeasurement{}, fmt.Errorf("npb: empty measurement window")
@@ -125,32 +145,18 @@ func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o Measu
 		// world's caches in the state a built one's are in.
 		runKernels(c, ks, window)
 		ks.Refresh()
-		var gc []metrics.Sample
-		if c.Rank() == 0 {
-			world.Recycled = !fresh
-			gc = gcCyclesSample()
-		}
-		quiesce(c, fresh)
+		gc := quiesce(c, fresh, &world)
 		for b := 0; b < p.Blocks; b++ {
 			if b > 0 {
 				ks.Refresh()
 			}
-			c.Barrier()
-			var t0 time.Time
-			var gc0 uint64
-			if c.Rank() == 0 {
-				gc0 = gcCycles(gc)
-				t0 = c.Wtime()
-			}
-			for i := 0; i < p.Passes; i++ {
-				runKernels(c, ks, window)
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				blockTimes = append(blockTimes, c.Wtime().Sub(t0).Seconds()/float64(p.Passes))
-				if gcCycles(gc) != gc0 {
-					world.GCOverlapped++
+			secs := timed(c, gc, &world, func() {
+				for i := 0; i < p.Passes; i++ {
+					runKernels(c, ks, window)
 				}
+			})
+			if c.Rank() == 0 {
+				blockTimes = append(blockTimes, secs/float64(p.Passes))
 			}
 		}
 	}, o.WorldOpts...)
@@ -192,25 +198,10 @@ func MeasureFull(f *Factory, pre, loop []string, trips int, post []string, o Mea
 	var elapsed float64
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
-		var gc []metrics.Sample
+		gc := quiesce(c, fresh, &world)
+		secs := timed(c, gc, &world, func() { runApp(c, ks, pre, loop, trips, post) })
 		if c.Rank() == 0 {
-			world.Recycled = !fresh
-			gc = gcCyclesSample()
-		}
-		quiesce(c, fresh)
-		var t0 time.Time
-		var gc0 uint64
-		if c.Rank() == 0 {
-			gc0 = gcCycles(gc)
-			t0 = c.Wtime()
-		}
-		runApp(c, ks, pre, loop, trips, post)
-		c.Barrier()
-		if c.Rank() == 0 {
-			elapsed = c.Wtime().Sub(t0).Seconds()
-			if gcCycles(gc) != gc0 {
-				world.GCOverlapped++
-			}
+			elapsed = secs
 		}
 	}, o.WorldOpts...)
 	if err != nil {

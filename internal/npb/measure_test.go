@@ -52,10 +52,11 @@ func newCountingFactory(names []string, delay time.Duration, failOn string) (*Fa
 
 func TestMeasureWindowCountsAndTiming(t *testing.T) {
 	f, runs, refreshs := newCountingFactory([]string{"a", "b"}, 2*time.Millisecond, "")
-	secs, err := MeasureWindow(f, []string{"a", "b"}, timing.Protocol{Blocks: 3, Passes: 2}, MeasureOptions{Procs: 2})
+	wm, err := MeasureWindowDetail(f, []string{"a", "b"}, timing.Protocol{Blocks: 3, Passes: 2}, MeasureOptions{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := wm.PerPass
 	// 2 ranks × (1 warmup + 3 blocks × 2 passes) = 14 executions each.
 	if got := runs["a"].Load(); got != 14 {
 		t.Errorf("kernel a ran %d times, want 14", got)
@@ -75,14 +76,14 @@ func TestMeasureWindowCountsAndTiming(t *testing.T) {
 
 func TestMeasureWindowEmptyWindow(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "")
-	if _, err := MeasureWindow(f, nil, timing.Protocol{}, MeasureOptions{Procs: 1}); err == nil {
+	if _, err := MeasureWindowDetail(f, nil, timing.Protocol{}, MeasureOptions{Procs: 1}); err == nil {
 		t.Error("empty window should fail")
 	}
 }
 
 func TestMeasureWindowKernelFailure(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "a")
-	_, err := MeasureWindow(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
+	_, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Errorf("want injected failure surfaced, got %v", err)
 	}
@@ -90,7 +91,7 @@ func TestMeasureWindowKernelFailure(t *testing.T) {
 
 func TestMeasureWindowFactoryFailure(t *testing.T) {
 	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) { return nil, errors.New("no state") })
-	_, err := MeasureWindow(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 1})
+	_, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 1})
 	if err == nil || !strings.Contains(err.Error(), "no state") {
 		t.Errorf("want setup failure surfaced, got %v", err)
 	}
@@ -208,7 +209,7 @@ func TestMeasureWindowPhaseAttribution(t *testing.T) {
 	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) {
 		return exchangingKernels{c: c}, nil
 	})
-	_, err := MeasureWindow(f, []string{"PING"}, timing.Protocol{Blocks: 2, Passes: 1}, MeasureOptions{
+	_, err := MeasureWindowDetail(f, []string{"PING"}, timing.Protocol{Blocks: 2, Passes: 1}, MeasureOptions{
 		Procs:     2,
 		WorldOpts: []mpi.Option{mpi.WithObserver(ob)},
 	})

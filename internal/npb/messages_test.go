@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/npb"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/npb/lu"
 	"repro/internal/npb/npbtest"
 	"repro/internal/npb/sp"
+	"repro/internal/timing"
 )
 
 // TestMessagesGolden pins every rank's message stream — each message's
@@ -20,6 +22,9 @@ import (
 // fields.golden, on a factory's first world, which builds its state, and
 // its second, which rebinds it (see npbtest.CheckGolden before touching
 // it). A line is a rank's message count and the digest of its stream.
+// The measurement worlds follow: a MeasureWindowDetail world (3 blocks of
+// a 2-kernel window) and a MeasureFull world of each benchmark at 4 ranks,
+// built and recycled, their barriers included.
 func TestMessagesGolden(t *testing.T) {
 	type shape struct{ n, procs int }
 	benches := []struct {
@@ -65,5 +70,47 @@ func TestMessagesGolden(t *testing.T) {
 			}
 		}
 	}
+	const procs = 4
+	for _, b := range benches {
+		for _, measure := range []string{"window", "full"} {
+			f, err := b.factory(npb.TinyProblem(12, 3), procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, wantRecycled := range []bool{false, true} {
+				log := make(sentLog, procs)
+				o := npb.MeasureOptions{Procs: procs, WorldOpts: []mpi.Option{mpi.WithInjector(log), mpi.WithRecvTimeout(30 * time.Second)}}
+				var world npb.WorldStats
+				if measure == "window" {
+					var wm npb.WindowMeasurement
+					wm, err = npb.MeasureWindowDetail(f, b.loop[:2], timing.Protocol{Blocks: 3, Passes: 1}, o)
+					world = wm.World
+				} else {
+					_, world, err = npb.MeasureFull(f, b.pre, b.loop, 3, b.post, o)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if world.Recycled != wantRecycled {
+					t.Fatalf("%s %s world: recycled = %v, want %v", b.name, measure, world.Recycled, wantRecycled)
+				}
+				for rank, sent := range log {
+					fmt.Fprintf(&got, "%s measure=%s procs=%d rank=%d recycled=%v msgs=%d sent=%x\n", b.name, measure, procs,
+						rank, world.Recycled, len(sent), sha256.Sum256([]byte(strings.Join(sent, " "))))
+				}
+			}
+		}
+	}
 	npbtest.CheckGolden(t, "messages.golden", got.String())
+}
+
+// sentLog is an mpi.Injector that injects nothing and records the identity
+// — destination, tag, length — of every message each rank sends, in order.
+type sentLog [][]string
+
+func (l sentLog) Op(int, string) mpi.OpFault { return mpi.OpFault{} }
+
+func (l sentLog) Message(src, dest, tag, bytes int) mpi.MsgFault {
+	l[src] = append(l[src], fmt.Sprintf("%d/%d/%d", dest, tag, bytes))
+	return mpi.MsgFault{}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, vet, race-detected tests, and the repo's own
-# static-analysis suite (cmd/kcvet). Any failure fails the gate.
+# Tier-1 CI gate: build, vet, gofmt, race-detected tests, and the repo's
+# own static-analysis suite (cmd/kcvet). Any failure fails the gate.
 # Performance is measured by `go run ./benchmark`, not here.
 #
 # Usage: scripts/ci.sh            # from anywhere inside the repo
@@ -13,6 +13,15 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+# One layout: a file gofmt would rewrite, testdata included, fails the gate.
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "==> gofmt gate FAILED; gofmt -w these:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 # Every binary is held to account here: cmd/kcserved, cmd/couple,
 # cmd/npbrun and cmd/paper each test their process in-process through
