@@ -48,21 +48,6 @@ func Classify(c, tol float64) Regime {
 	}
 }
 
-// Coupling computes C_S = chained / Combine(isolated) — Eq. 2 of the paper
-// (Eq. 1 is the two-kernel special case). chained is the measured
-// performance of the window executed together; isolated holds each member
-// kernel's measurement alone; metric defines the no-interaction combination
-// (Time when nil). weights, used only by rate metrics, may be nil.
-func Coupling(chained float64, isolated []float64, metric Metric, weights []float64) (float64, error) {
-	if metric == nil {
-		metric = Time
-	}
-	if len(isolated) == 0 {
-		return 0, errEmptyWindow
-	}
-	return ratio(chained, metric.Combine(isolated, weights))
-}
-
 // errEmptyWindow is the coupling of a window with no kernels.
 var errEmptyWindow = errors.New("core: coupling of empty window")
 
@@ -78,10 +63,10 @@ func ratio(chained, expected float64) (float64, error) {
 	return chained / expected, nil
 }
 
-// PairCoupling is the two-kernel form C_ij = P_ij / (P_i + P_j) for the
-// time metric — Eq. 1 of the paper.
+// PairCoupling is the two-kernel form C_ij = P_ij / (P_i + P_j) — Eq. 1
+// of the paper.
 func PairCoupling(pij, pi, pj float64) (float64, error) {
-	return Coupling(pij, []float64{pi, pj}, Time, nil)
+	return ratio(pij, pi+pj)
 }
 
 // WindowCoupling records one window's coupling value alongside the
@@ -91,7 +76,8 @@ type WindowCoupling struct {
 	Window []string
 	// Chained is P_S, the measured performance of the window together.
 	Chained float64
-	// Expected is the no-interaction combination of the isolated values.
+	// Expected is the no-interaction expectation: the sum of the isolated
+	// values.
 	Expected float64
 	// C is the coupling value Chained/Expected.
 	C float64

@@ -18,67 +18,38 @@ func TestPairCoupling(t *testing.T) {
 
 func TestCouplingChain(t *testing.T) {
 	// Eq. 2 with a chain of three.
-	c, err := Coupling(3.3, []float64{1, 1, 1}, Time, nil)
+	m := NewMeasurements()
+	m.Isolated["A"], m.Isolated["B"], m.Isolated["C"] = 1, 1, 1
+	m.Window["A|B|C"] = 3.3
+	wc, err := m.CouplingOf([]string{"A", "B", "C"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(c-1.1) > 1e-12 {
-		t.Errorf("C = %v, want 1.1", c)
-	}
-}
-
-func TestCouplingDefaultsToTimeMetric(t *testing.T) {
-	c, err := Coupling(2, []float64{1, 1}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 1 {
-		t.Errorf("C = %v, want 1", c)
+	if math.Abs(wc.C-1.1) > 1e-12 {
+		t.Errorf("C = %v, want 1.1", wc.C)
 	}
 }
 
 func TestCouplingErrors(t *testing.T) {
-	if _, err := Coupling(1, nil, Time, nil); err == nil {
+	m := NewMeasurements()
+	m.Isolated["A"], m.Isolated["Z"] = 1, 0
+	m.Window[""] = 1
+	if _, err := m.CouplingOf(nil); err == nil {
 		t.Error("empty window should fail")
 	}
-	if _, err := Coupling(1, []float64{0, 0}, Time, nil); err == nil {
+	m.Window["Z|Z"] = 1
+	if _, err := m.CouplingOf([]string{"Z", "Z"}); err == nil {
 		t.Error("zero expectation should fail")
 	}
-	if _, err := Coupling(-1, []float64{1}, Time, nil); err == nil {
+	if _, err := PairCoupling(1, 0, 0); err == nil {
+		t.Error("zero pair expectation should fail")
+	}
+	m.Window["A"] = -1
+	if _, err := m.CouplingOf([]string{"A"}); err == nil {
 		t.Error("negative chained measurement should fail")
 	}
-}
-
-func TestCouplingWithRateMetric(t *testing.T) {
-	// Two kernels at 100 and 300 Mflop/s spending 75% and 25% of the
-	// time: expected rate = 0.75*100 + 0.25*300 = 150. Chain measured at
-	// 150 -> C = 1 (no interaction).
-	c, err := Coupling(150, []float64{100, 300}, FlopRate, []float64{0.75, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-1) > 1e-12 {
-		t.Errorf("rate coupling = %v, want 1", c)
-	}
-}
-
-func TestRateMetricFallsBackToMean(t *testing.T) {
-	m := RateMetric{MetricName: "r"}
-	if got := m.Combine([]float64{100, 300}, nil); got != 200 {
-		t.Errorf("unweighted rate combine = %v, want 200", got)
-	}
-	if got := m.Combine([]float64{100, 300}, []float64{0, 0}); got != 200 {
-		t.Errorf("degenerate-weight rate combine = %v, want 200", got)
-	}
-}
-
-func TestAdditiveMetricIgnoresWeights(t *testing.T) {
-	m := AdditiveMetric{MetricName: "t"}
-	if got := m.Combine([]float64{1, 2, 3}, []float64{9, 9, 9}); got != 6 {
-		t.Errorf("additive combine = %v, want 6", got)
-	}
-	if m.Name() != "t" || Time.Name() != "time" || FlopRate.Name() != "flop/s" {
-		t.Error("metric names wrong")
+	if _, err := PairCoupling(-1, 1, 1); err == nil {
+		t.Error("negative chained pair measurement should fail")
 	}
 }
 

@@ -1,7 +1,37 @@
+// Package core implements the kernel-coupling performance-prediction
+// methodology of Taylor, Wu, Geisler and Stevens (HPDC 2002).
+//
+// A kernel is a unit of computation inside an application's main loop. The
+// coupling parameter of a chain of kernels S,
+//
+//	C_S = P_S / Σ_{k∈S} P_k,
+//
+// compares the measured performance of the chain executed together (P_S)
+// against the no-interaction expectation built from each kernel's isolated
+// performance (P_k). C_S < 1 is constructive coupling (shared resources
+// help, e.g. cache reuse between kernels), C_S > 1 is destructive
+// (interference), and C_S = 1 means the kernels do not interact.
+//
+// The one performance metric this reproduction measures is execution
+// time, which is additive: a chain's no-interaction expectation is the sum
+// of its kernels' isolated times. (The paper notes that a rate such as
+// flop/s would combine by a weighted average instead; nothing here
+// measures one.)
+//
+// The package's centerpiece is the composition algebra of Section 3 of the
+// paper: the application time is modeled as T = Σ_k α_k·E_k where E_k is an
+// isolated model of kernel k and the coefficient α_k is the weighted
+// average of the coupling values of every length-L window of the loop's
+// cyclic control flow that contains k, weighted by each window's measured
+// time. Alpha is that fold and App.Compose that sum;
+// App.CouplingPrediction is Alpha over the full length-L window set
+// followed by Compose, and App.SummationPrediction, the traditional
+// baseline, is Compose with every α_k = 1.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -24,9 +54,8 @@ func NewMeasurements() Measurements {
 	}
 }
 
-// isolatedSum returns the time metric's no-interaction expectation of a
-// window — Time.Combine of its kernels' isolated values — summed as it
-// gathers them, in the same order and with the same compensation.
+// isolatedSum returns a window's no-interaction expectation — the sum
+// of its kernels' isolated times — summed as it gathers them.
 func (m Measurements) isolatedSum(window []string) (float64, error) {
 	var sum stats.Kahan
 	for _, k := range window {
@@ -44,8 +73,8 @@ func missingIsolated(k string) error {
 	return fmt.Errorf("core: missing isolated measurement for kernel %q", k)
 }
 
-// CouplingOf computes the window's coupling value from the measurement set
-// using the time metric.
+// CouplingOf computes the window's coupling value from the measurement
+// set.
 func (m Measurements) CouplingOf(window []string) (WindowCoupling, error) {
 	var kb [keyBuf]byte
 	wc, err := m.couplingOf(window, appendKey(kb[:0], window))
@@ -95,16 +124,13 @@ type CoefficientOptions struct {
 	Unweighted bool
 }
 
-// Coefficients computes the composition coefficient α_k for every kernel in
-// the ring, using chain length L, per Section 3 of the paper:
-//
-//	α_k = Σ_{W∋k} C_W·P_W / Σ_{W∋k} P_W
-//
-// where the windows W range over the length-L cyclic windows of the ring
-// that contain k. For L=1 every coefficient is 1 (coupling prediction
-// degenerates to summation); for L=len(ring) every coefficient equals the
-// whole-loop coupling value and the prediction is exact by construction.
-func Coefficients(ring Ring, L int, m Measurements, opts CoefficientOptions) (map[string]float64, []WindowCoupling, error) {
+// coefficients computes the composition coefficient α_k of every kernel
+// in the ring at chain length L: Alpha over the ring's length-L windows,
+// which hold every kernel. For L=1 every coefficient is 1 (coupling
+// prediction degenerates to summation); for L=len(ring) every coefficient
+// equals the whole-loop coupling value and the prediction is exact by
+// construction.
+func coefficients(ring Ring, L int, m Measurements, opts CoefficientOptions) (map[string]float64, []WindowCoupling, error) {
 	windows, err := ring.Windows(L)
 	if err != nil {
 		return nil, nil, err
@@ -132,33 +158,42 @@ func Coefficients(ring Ring, L int, m Measurements, opts CoefficientOptions) (ma
 
 	coeffs := make(map[string]float64, len(ring))
 	for _, k := range ring {
-		var num, den float64
-		for _, wc := range couplings {
-			if !contains(wc.Window, k) {
-				continue
-			}
-			weight := wc.Chained
-			if opts.Unweighted {
-				weight = 1
-			}
-			num += wc.C * weight
-			den += weight
-		}
-		if den == 0 {
+		alpha, _, ok := Alpha(k, couplings, opts)
+		if !ok {
 			return nil, nil, fmt.Errorf("core: zero total weight for kernel %q (all windows measured zero)", k)
 		}
-		coeffs[k] = num / den
+		coeffs[k] = alpha
 	}
 	return coeffs, couplings, nil
 }
 
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
+// Alpha folds the coupling values of the windows in ws that hold kernel k
+// into its composition coefficient, per Section 3 of the paper:
+//
+//	α_k = Σ_{W∋k} C_W·P_W / Σ_{W∋k} P_W
+//
+// summed in the order ws gives (with opts.Unweighted every window weighs
+// 1). held counts the windows that hold k; ok is false when their total
+// weight is zero — none holds k, or every one measured zero — and alpha
+// is then 0.
+func Alpha(k string, ws []WindowCoupling, opts CoefficientOptions) (alpha float64, held int, ok bool) {
+	var num, den float64
+	for _, wc := range ws {
+		if !slices.Contains(wc.Window, k) {
+			continue
 		}
+		weight := wc.Chained
+		if opts.Unweighted {
+			weight = 1
+		}
+		num += wc.C * weight
+		den += weight
+		held++
 	}
-	return false
+	if den == 0 {
+		return 0, held, false
+	}
+	return num / den, held, true
 }
 
 // App describes an application in the paper's shape: optional one-shot
@@ -185,19 +220,35 @@ func (a App) Validate() error {
 	return nil
 }
 
-// onceTime sums the isolated times of the pre- and post-kernels.
-func (a App) onceTime(m Measurements) (float64, error) {
-	var t float64
-	for _, once := range [2][]string{a.Pre, a.Post} {
-		for _, k := range once {
+// Compose is the composition of Section 3 of the paper,
+//
+//	T = Σ_pre P_k + Trips·Σ_loop α_k·P_k + Σ_post P_k
+//
+// with α_k = alpha[k]; a nil alpha is every α_k = 1, the summation
+// baseline.
+func (a App) Compose(m Measurements, alpha map[string]float64) (float64, error) {
+	var once float64
+	for _, ks := range [2][]string{a.Pre, a.Post} {
+		for _, k := range ks {
 			v, ok := m.Isolated[k]
 			if !ok {
 				return 0, fmt.Errorf("core: missing isolated measurement for one-shot kernel %q", k)
 			}
-			t += v
+			once += v
 		}
 	}
-	return t, nil
+	var loop float64
+	for _, k := range a.Loop {
+		v, ok := m.Isolated[k]
+		if !ok {
+			return 0, missingIsolated(k)
+		}
+		if alpha != nil {
+			v = alpha[k] * v
+		}
+		loop += v
+	}
+	return once + float64(a.Trips)*loop, nil
 }
 
 // SummationPrediction is the traditional baseline: the sum of every
@@ -207,19 +258,7 @@ func (a App) SummationPrediction(m Measurements) (float64, error) {
 	if err := a.Validate(); err != nil {
 		return 0, err
 	}
-	once, err := a.onceTime(m)
-	if err != nil {
-		return 0, err
-	}
-	var loop float64
-	for _, k := range a.Loop {
-		v, ok := m.Isolated[k]
-		if !ok {
-			return 0, missingIsolated(k)
-		}
-		loop += v
-	}
-	return once + float64(a.Trips)*loop, nil
+	return a.Compose(m, nil)
 }
 
 // Prediction is the outcome of the coupling predictor, with the
@@ -237,27 +276,22 @@ type Prediction struct {
 }
 
 // CouplingPrediction predicts the application time with the composition
-// algebra at chain length L:
-//
-//	T = Σ_pre P_k + Trips·Σ_loop α_k·P_k + Σ_post P_k
+// algebra at chain length L: Alpha over the ring's length-L windows, then
+// Compose.
 func (a App) CouplingPrediction(m Measurements, L int, opts CoefficientOptions) (Prediction, error) {
 	if err := a.Validate(); err != nil {
 		return Prediction{}, err
 	}
-	once, err := a.onceTime(m)
+	coeffs, couplings, err := coefficients(a.Loop, L, m, opts)
 	if err != nil {
 		return Prediction{}, err
 	}
-	coeffs, couplings, err := Coefficients(a.Loop, L, m, opts)
+	total, err := a.Compose(m, coeffs)
 	if err != nil {
 		return Prediction{}, err
-	}
-	var loop float64
-	for _, k := range a.Loop {
-		loop += coeffs[k] * m.Isolated[k]
 	}
 	return Prediction{
-		Total:        once + float64(a.Trips)*loop,
+		Total:        total,
 		ChainLen:     L,
 		Coefficients: coeffs,
 		Couplings:    couplings,

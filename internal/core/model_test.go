@@ -36,7 +36,7 @@ func TestCoefficientsMatchPaperPairwiseFormulas(t *testing.T) {
 		"D|A": 2.5, // C_DA = 2.5/2.5 = 1.0
 	}
 	m := fourKernelMeasurements(t, iso, win)
-	coeffs, couplings, err := Coefficients(ring, 2, m, CoefficientOptions{})
+	coeffs, couplings, err := coefficients(ring, 2, m, CoefficientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCoefficientsMatchPaperChainOfThreeFormulas(t *testing.T) {
 		"D|A|B": 4.95, // sum 4.5 -> C = 1.1
 	}
 	m := fourKernelMeasurements(t, iso, win)
-	coeffs, _, err := Coefficients(ring, 3, m, CoefficientOptions{})
+	coeffs, _, err := coefficients(ring, 3, m, CoefficientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCoefficientsLengthOneAreUnity(t *testing.T) {
 	ring := Ring{"A", "B", "C"}
 	m := NewMeasurements()
 	m.Isolated["A"], m.Isolated["B"], m.Isolated["C"] = 1, 2, 3
-	coeffs, _, err := Coefficients(ring, 1, m, CoefficientOptions{})
+	coeffs, _, err := coefficients(ring, 1, m, CoefficientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestCoefficientsUnweightedOption(t *testing.T) {
 	m.Window["A|B"] = 4 // C=2, heavy window
 	m.Window["B|C"] = 1 // C=0.5, light window
 	m.Window["C|A"] = 2 // C=1
-	weighted, _, err := Coefficients(ring, 2, m, CoefficientOptions{})
+	weighted, _, err := coefficients(ring, 2, m, CoefficientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unweighted, _, err := Coefficients(ring, 2, m, CoefficientOptions{Unweighted: true})
+	unweighted, _, err := coefficients(ring, 2, m, CoefficientOptions{Unweighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestCoefficientsMissingMeasurement(t *testing.T) {
 	ring := Ring{"A", "B"}
 	m := NewMeasurements()
 	m.Isolated["A"] = 1 // B missing
-	if _, _, err := Coefficients(ring, 2, m, CoefficientOptions{}); err == nil {
+	if _, _, err := coefficients(ring, 2, m, CoefficientOptions{}); err == nil {
 		t.Error("missing isolated measurement should fail")
 	}
 	m.Isolated["B"] = 1 // window missing
-	if _, _, err := Coefficients(ring, 2, m, CoefficientOptions{}); err == nil {
+	if _, _, err := coefficients(ring, 2, m, CoefficientOptions{}); err == nil {
 		t.Error("missing window measurement should fail")
 	}
 }
@@ -269,7 +269,7 @@ func TestCoefficientsAreConvexCombinations(t *testing.T) {
 			// Window time within ±40% of the sum.
 			m.Window[Key(w)] = sum * (0.6 + 0.8*rng.Float64())
 		}
-		coeffs, couplings, err := Coefficients(ring, L, m, CoefficientOptions{})
+		coeffs, couplings, err := coefficients(ring, L, m, CoefficientOptions{})
 		if err != nil {
 			return false
 		}
@@ -387,8 +387,8 @@ func TestCoefficientsScaleInvariantProperty(t *testing.T) {
 		for k, v := range m.Window {
 			scaled.Window[k] = lambda * v
 		}
-		c1, _, err1 := Coefficients(ring, 2, m, CoefficientOptions{})
-		c2, _, err2 := Coefficients(ring, 2, scaled, CoefficientOptions{})
+		c1, _, err1 := coefficients(ring, 2, m, CoefficientOptions{})
+		c2, _, err2 := coefficients(ring, 2, scaled, CoefficientOptions{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -431,5 +431,57 @@ func TestCouplingPredictionMatchesManualFourKernelExpansion(t *testing.T) {
 	want := alpha*2 + beta*3 + gamma*4 + delta*5
 	if math.Abs(pred.Total-want) > 1e-9 {
 		t.Errorf("prediction %v, hand expansion %v", pred.Total, want)
+	}
+}
+
+// TestAlphaWeightsByWindowTime: the paper's α for a kernel in two windows
+// is the average of their coupling values weighted by window time, and a
+// kernel no window holds, or whose windows weigh nothing, has none.
+func TestAlphaWeightsByWindowTime(t *testing.T) {
+	ws := []WindowCoupling{
+		{Window: []string{"A", "B"}, Chained: 3, C: 0.8},
+		{Window: []string{"B", "C"}, Chained: 1, C: 1.2},
+		{Window: []string{"C", "D"}, Chained: 7, C: 2},
+	}
+	alpha, held, ok := Alpha("B", ws, CoefficientOptions{})
+	if want := (0.8*3 + 1.2*1) / 4; !ok || held != 2 || math.Abs(alpha-want) > 1e-12 {
+		t.Errorf("Alpha(B) = %v, %d, %v; want %v, 2, true", alpha, held, ok, want)
+	}
+	if _, held, ok := Alpha("E", ws, CoefficientOptions{}); ok || held != 0 {
+		t.Errorf("Alpha(E) held %d ok %v, want 0 false", held, ok)
+	}
+	zero := []WindowCoupling{{Window: []string{"A", "B"}, Chained: 0, C: 0}}
+	if _, held, ok := Alpha("A", zero, CoefficientOptions{}); ok || held != 1 {
+		t.Errorf("Alpha over a zero-time window held %d ok %v, want 1 false", held, ok)
+	}
+}
+
+// TestAlphaUnweightedIsMeanProperty: with every window weighing 1, α_k is
+// the plain mean of the coupling values of the windows holding k.
+func TestAlphaUnweightedIsMeanProperty(t *testing.T) {
+	f := func(raw []float64) bool {
+		var ws []WindowCoupling
+		var cs []float64
+		for _, x := range raw {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				continue
+			}
+			c := math.Mod(math.Abs(x), 1e6)
+			ws = append(ws, WindowCoupling{Window: []string{"K"}, Chained: 1 + c, C: c})
+			cs = append(cs, c)
+		}
+		alpha, held, ok := Alpha("K", ws, CoefficientOptions{Unweighted: true})
+		if len(cs) == 0 {
+			return !ok && held == 0
+		}
+		var mean float64
+		for _, c := range cs {
+			mean += c
+		}
+		mean /= float64(len(cs))
+		return ok && held == len(cs) && math.Abs(alpha-mean) <= 1e-6*(1+mean)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

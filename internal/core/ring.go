@@ -65,29 +65,6 @@ func (r Ring) Windows(L int) ([][]string, error) {
 	return windows, nil
 }
 
-// WindowsContaining returns the subset of Windows(L) that include kernel k.
-// For L < len(r) every kernel appears in exactly L windows, which is the
-// index set of the paper's coefficient formulas.
-func (r Ring) WindowsContaining(k string, L int) ([][]string, error) {
-	all, err := r.Windows(L)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]string
-	for _, w := range all {
-		for _, name := range w {
-			if name == k {
-				out = append(out, w)
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: kernel %q not in ring %v", k, r)
-	}
-	return out, nil
-}
-
 // Key returns the canonical map key of a window: the kernel names joined
 // with "|". Windows are order-sensitive (the chain A→B is measured with A
 // immediately preceding B), so no sorting is applied.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -82,31 +83,38 @@ func TestWindowsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestWindowsContaining(t *testing.T) {
+// TestWindowsHoldEachKernel pins the index set of the paper's
+// coefficient formulas, which the degradation ladder counts on: each
+// kernel lies in exactly L of the length-L windows, or in the one window
+// at L = len(ring).
+func TestWindowsHoldEachKernel(t *testing.T) {
 	// The paper: for L=3 over A,B,C,D, kernel A appears in ABC, CDA, DAB.
 	r := Ring{"A", "B", "C", "D"}
-	ws, err := r.WindowsContaining("A", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"A", "B", "C"}, {"C", "D", "A"}, {"D", "A", "B"}}
-	if !reflect.DeepEqual(ws, want) {
-		t.Errorf("WindowsContaining(A, 3) = %v, want %v", ws, want)
-	}
-	// Every kernel appears in exactly L windows for L < len(ring).
-	for _, k := range r {
-		for L := 1; L < len(r); L++ {
-			ws, err := r.WindowsContaining(k, L)
-			if err != nil {
-				t.Fatal(err)
+	for L := 1; L <= len(r); L++ {
+		ws, err := r.Windows(L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := L
+		if L == len(r) {
+			want = 1
+		}
+		for _, k := range r {
+			var holding [][]string
+			for _, w := range ws {
+				if slices.Contains(w, k) {
+					holding = append(holding, w)
+				}
 			}
-			if len(ws) != L {
-				t.Errorf("kernel %s, L=%d: in %d windows, want %d", k, L, len(ws), L)
+			if len(holding) != want {
+				t.Errorf("kernel %s, L=%d: in %d windows, want %d", k, L, len(holding), want)
+			}
+			if k == "A" && L == 3 {
+				if w := [][]string{{"A", "B", "C"}, {"C", "D", "A"}, {"D", "A", "B"}}; !reflect.DeepEqual(holding, w) {
+					t.Errorf("windows of length 3 holding A = %v, want %v", holding, w)
+				}
 			}
 		}
-	}
-	if _, err := r.WindowsContaining("Z", 2); err == nil {
-		t.Error("unknown kernel should fail")
 	}
 }
 

@@ -84,18 +84,22 @@ func (h StudyHealth) FillManifest(mh *obs.Health) {
 }
 
 // degradedPrediction computes the chain-length-L coupling prediction from
-// whatever window measurements survived. Per kernel, the degradation
-// ladder is:
+// whatever window measurements survived. It only chooses each kernel's
+// windows; core.Alpha folds them and App.Compose composes. Per kernel, the
+// degradation ladder is:
 //
-//  1. the measured length-L windows containing it (ModePartial when some
-//     are missing),
-//  2. else any other measured window containing it — the ladder's
-//     shorter-chain sub-windows (ModeShorterChain),
-//  3. else α=1, the summation predictor (ModeSummation).
+//  1. the measured length-L windows holding it (ModePartial when fewer
+//     than the len(windows)·L/len(ring) it expects survived),
+//  2. else, when none survived, any other measured multi-kernel window
+//     holding it — the ladder's shorter-chain sub-windows, in sorted-key
+//     order (ModeShorterChain),
+//  3. else, or when its windows weigh nothing, α=1, the summation
+//     predictor (ModeSummation).
 //
 // measured maps every successfully measured window key to its kernel
 // list. Kernels whose full length-L window set survived are computed
-// exactly as core.Coefficients would and are not reported degraded.
+// exactly as core.App.CouplingPrediction would and are not reported
+// degraded.
 func degradedPrediction(app core.App, m core.Measurements, L int, measured map[string][]string) (core.Prediction, []CoefficientHealth, error) {
 	windows, err := app.Loop.Windows(L)
 	if err != nil {
@@ -114,105 +118,67 @@ func degradedPrediction(app core.App, m core.Measurements, L int, measured map[s
 		}
 		lCouplings = append(lCouplings, wc)
 	}
+	expect := len(windows) * L / len(app.Loop)
 
-	// Fallback pool: every other measured multi-kernel window, scanned in
-	// sorted-key order for determinism.
-	fallbackKeys := make([]string, 0, len(measured))
-	for key, w := range measured {
-		if len(w) >= 2 && !lKeys[key] {
-			fallbackKeys = append(fallbackKeys, key)
-		}
-	}
-	sort.Strings(fallbackKeys)
-
+	// pool is every other measured multi-kernel window, built (non-nil)
+	// the first time a kernel needs it.
+	var pool []core.WindowCoupling
 	coeffs := make(map[string]float64, len(app.Loop))
 	var degraded []CoefficientHealth
 	for _, k := range app.Loop {
-		expect := 0
-		for _, w := range windows {
-			if kernelIn(w, k) {
-				expect++
-			}
-		}
-		var num, den float64
-		used := 0
-		for _, wc := range lCouplings {
-			if !kernelIn(wc.Window, k) {
-				continue
-			}
-			num += wc.C * wc.Chained
-			den += wc.Chained
-			used++
-		}
+		alpha, held, ok := core.Alpha(k, lCouplings, core.CoefficientOptions{})
 		mode := ""
-		if used < expect {
+		if held < expect {
 			mode = ModePartial
 		}
-		if used == 0 {
+		if held == 0 {
 			mode = ModeShorterChain
-			for _, key := range fallbackKeys {
-				w := measured[key]
-				if !kernelIn(w, k) {
-					continue
-				}
-				wc, err := m.CouplingOf(w)
-				if err != nil {
+			if pool == nil {
+				if pool, err = fallbackPool(m, measured, lKeys); err != nil {
 					return core.Prediction{}, nil, err
 				}
-				num += wc.C * wc.Chained
-				den += wc.Chained
 			}
+			alpha, _, ok = core.Alpha(k, pool, core.CoefficientOptions{})
 		}
-		if den == 0 {
+		if !ok {
 			mode = ModeSummation
-			coeffs[k] = 1
-		} else {
-			coeffs[k] = num / den
+			alpha = 1
 		}
+		coeffs[k] = alpha
 		if mode != "" {
 			degraded = append(degraded, CoefficientHealth{Kernel: k, ChainLen: L, Mode: mode})
 		}
 	}
 
-	once, err := onceTime(app, m)
+	total, err := app.Compose(m, coeffs)
 	if err != nil {
 		return core.Prediction{}, nil, err
 	}
-	var loop float64
-	for _, k := range app.Loop {
-		iso, ok := m.Isolated[k]
-		if !ok {
-			return core.Prediction{}, nil, fmt.Errorf("harness: missing isolated measurement for kernel %q", k)
-		}
-		loop += coeffs[k] * iso
-	}
 	return core.Prediction{
-		Total:        once + float64(app.Trips)*loop,
+		Total:        total,
 		ChainLen:     L,
 		Coefficients: coeffs,
 		Couplings:    lCouplings,
 	}, degraded, nil
 }
 
-// onceTime sums the isolated times of the pre- and post-kernels (the
-// non-loop part of every prediction).
-func onceTime(app core.App, m core.Measurements) (float64, error) {
-	var t float64
-	for _, k := range append(append([]string(nil), app.Pre...), app.Post...) {
-		v, ok := m.Isolated[k]
-		if !ok {
-			return 0, fmt.Errorf("harness: missing isolated measurement for one-shot kernel %q", k)
-		}
-		t += v
-	}
-	return t, nil
-}
-
-func kernelIn(window []string, k string) bool {
-	for _, x := range window {
-		if x == k {
-			return true
+// fallbackPool returns the couplings of every measured multi-kernel window
+// not among the length-L ones (lKeys), in sorted-key order.
+func fallbackPool(m core.Measurements, measured map[string][]string, lKeys map[string]bool) ([]core.WindowCoupling, error) {
+	keys := make([]string, 0, len(measured))
+	for key, w := range measured {
+		if len(w) >= 2 && !lKeys[key] {
+			keys = append(keys, key)
 		}
 	}
-	return false
+	sort.Strings(keys)
+	pool := make([]core.WindowCoupling, 0, len(keys))
+	for _, key := range keys {
+		wc, err := m.CouplingOf(measured[key])
+		if err != nil {
+			return nil, err
+		}
+		pool = append(pool, wc)
+	}
+	return pool, nil
 }

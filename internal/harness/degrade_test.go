@@ -246,6 +246,89 @@ func TestDegradeIsZeroCostWhenClean(t *testing.T) {
 	}
 }
 
+// TestDegradeFullRingExpectsOneWindow: at L = len(ring) there is one
+// window, so each kernel expects one, not L. Measured, it leaves nothing
+// degraded and the prediction is the clean one bit for bit; lost, every
+// kernel goes down the ladder — to the measured shorter chain that holds
+// it, else to summation.
+func TestDegradeFullRingExpectsOneWindow(t *testing.T) {
+	app := core.App{Name: "toy", Pre: []string{"INIT"}, Loop: core.Ring{"A", "B", "C", "D"}, Post: []string{"FINAL"}, Trips: 10}
+	m := core.NewMeasurements()
+	for k, v := range map[string]float64{"INIT": 2, "FINAL": 1, "A": 1, "B": 2, "C": 0.5, "D": 1.5} {
+		m.Isolated[k] = v
+	}
+	m.Window["A|B|C|D"] = 5.1
+	m.Window["A|B|C"] = 3.2
+	measured := map[string][]string{"A|B|C|D": {"A", "B", "C", "D"}, "A|B|C": {"A", "B", "C"}}
+	clean, err := app.CouplingPrediction(m, 4, core.CoefficientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, degraded, err := degradedPrediction(app, m, 4, measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(degraded) != 0 {
+		t.Errorf("full window measured, degraded = %+v", degraded)
+	}
+	if !reflect.DeepEqual(pred, clean) {
+		t.Errorf("full window measured: prediction %+v, want the clean %+v", pred, clean)
+	}
+
+	delete(m.Window, "A|B|C|D")
+	delete(measured, "A|B|C|D")
+	pred, degraded, err = degradedPrediction(app, m, 4, measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CoefficientHealth{
+		{Kernel: "A", ChainLen: 4, Mode: ModeShorterChain},
+		{Kernel: "B", ChainLen: 4, Mode: ModeShorterChain},
+		{Kernel: "C", ChainLen: 4, Mode: ModeShorterChain},
+		{Kernel: "D", ChainLen: 4, Mode: ModeSummation},
+	}
+	if !reflect.DeepEqual(degraded, want) {
+		t.Errorf("full window lost, degraded = %+v, want %+v", degraded, want)
+	}
+	abc, err := m.CouplingOf([]string{"A", "B", "C"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, d := pred.Coefficients["A"], pred.Coefficients["D"]; a != abc.C*abc.Chained/abc.Chained || d != 1 {
+		t.Errorf("full window lost: α_A = %v, α_D = %v, want C_ABC = %v and 1", a, d, abc.C)
+	}
+}
+
+// TestDegradeZeroTimeWindowsFallToSummation: a kernel whose surviving
+// length-L windows all measured 0 s has windows, just no weight — it falls
+// to summation, not to the shorter-chain pool that holds it.
+func TestDegradeZeroTimeWindowsFallToSummation(t *testing.T) {
+	app := core.App{Name: "toy", Loop: core.Ring{"A", "B", "C", "D"}, Trips: 10}
+	m := core.NewMeasurements()
+	for k, v := range map[string]float64{"A": 1, "B": 2, "C": 0.5, "D": 1.5} {
+		m.Isolated[k] = v
+	}
+	measured := map[string][]string{}
+	for key, v := range map[string]float64{"A|B": 0, "C|D": 2, "D|A": 2.5, "A|B|C": 3} {
+		m.Window[key] = v
+		measured[key] = strings.Split(key, "|")
+	}
+	pred, degraded, err := degradedPrediction(app, m, 2, measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CoefficientHealth{
+		{Kernel: "B", ChainLen: 2, Mode: ModeSummation},
+		{Kernel: "C", ChainLen: 2, Mode: ModePartial},
+	}
+	if !reflect.DeepEqual(degraded, want) {
+		t.Errorf("degraded = %+v, want %+v", degraded, want)
+	}
+	if b := pred.Coefficients["B"]; b != 1 {
+		t.Errorf("α_B = %v, want 1", b)
+	}
+}
+
 func TestStudyHealthClean(t *testing.T) {
 	var h StudyHealth
 	if !h.Clean() {

@@ -330,11 +330,12 @@ func RunStudy(w Workload, trips int, chainLens []int, o Options) (*Study, error)
 }
 
 // BestPredictor returns the prediction (summation or any coupling length)
-// with the smallest relative error.
+// with the smallest relative error. Ties go to summation, then to the
+// shortest chain.
 func (s *Study) BestPredictor() PredictionResult {
 	best := s.Summation
-	for _, p := range s.Couplings {
-		if p.RelErr < best.RelErr {
+	for _, L := range s.ChainLens() {
+		if p := s.Couplings[L]; p.RelErr < best.RelErr {
 			best = p
 		}
 	}

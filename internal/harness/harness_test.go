@@ -111,6 +111,31 @@ func TestRunStudyCouplingBeatsSummationWithInteractions(t *testing.T) {
 	}
 }
 
+// TestBestPredictorBreaksTiesByChainLength: on equal relative error the
+// summation baseline wins, then the shortest chain, on every call — the
+// report's "best predictor:" line must not follow map order.
+func TestBestPredictorBreaksTiesByChainLength(t *testing.T) {
+	s := &Study{
+		Summation: PredictionResult{Label: "Summation", RelErr: 0.2},
+		Couplings: map[int]PredictionResult{
+			5: {Label: "Coupling: 5 kernels", RelErr: 0.1, ChainLen: 5},
+			3: {Label: "Coupling: 3 kernels", RelErr: 0.1, ChainLen: 3},
+			4: {Label: "Coupling: 4 kernels", RelErr: 0.1, ChainLen: 4},
+		},
+	}
+	for range 200 {
+		if got := s.BestPredictor().ChainLen; got != 3 {
+			t.Fatalf("best of a 3-way tie is chain length %d, want 3", got)
+		}
+	}
+	s.Summation.RelErr = 0.1
+	for range 200 {
+		if got := s.BestPredictor(); got.ChainLen != 0 {
+			t.Fatalf("best of a tie with summation is %q, want summation", got.Label)
+		}
+	}
+}
+
 func TestRunStudyNoInteractionAllPredictorsAgree(t *testing.T) {
 	s := fourKernelSynthetic()
 	s.Delta = nil // no interactions at all

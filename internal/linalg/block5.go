@@ -273,13 +273,3 @@ func MaxAbsDiffM(a, b *Mat5) float64 {
 	}
 	return d
 }
-
-// MaxAbsDiffV returns the largest absolute elementwise difference between
-// two vectors.
-func MaxAbsDiffV(a, b *Vec5) float64 {
-	d := 0.0
-	for i := range a {
-		d = math.Max(d, math.Abs(a[i]-b[i]))
-	}
-	return d
-}

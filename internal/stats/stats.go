@@ -1,21 +1,13 @@
 // Package stats provides the small statistical toolkit used throughout the
-// coupling framework: summary statistics over repeated measurements,
-// relative-error computation for comparing predictions against measured
-// times, and weighted averages as used by the coefficient formulas of the
-// coupling composition algebra.
+// coupling framework: compensated sums, means, medians and trimmed means
+// over repeated measurements, relative error for comparing predictions
+// against measured times, and the text tables the reports render.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that require at least one sample.
-var ErrEmpty = errors.New("stats: empty sample set")
-
-// ErrMismatch is returned when paired slices differ in length.
-var ErrMismatch = errors.New("stats: mismatched slice lengths")
 
 // Mean returns the arithmetic mean of xs.
 // It returns 0 for an empty slice.
@@ -56,27 +48,6 @@ func (k *Kahan) Add(x float64) {
 // Sum returns the compensated total of everything added so far.
 func (k *Kahan) Sum() float64 { return k.sum }
 
-// Variance returns the unbiased sample variance of xs.
-// It returns 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss Kahan
-	for _, x := range xs {
-		d := x - m
-		ss.Add(d * d)
-	}
-	return ss.Sum() / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Median returns the median of xs. It returns 0 for an empty slice.
 func Median(xs []float64) float64 {
 	n := len(xs)
@@ -89,34 +60,6 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Min returns the smallest element of xs. It returns 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It returns 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // TrimmedMean returns the mean of xs after discarding the frac fraction of
@@ -155,51 +98,4 @@ func RelativeError(predicted, actual float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(predicted-actual) / math.Abs(actual)
-}
-
-// WeightedMean returns Σ w_i·x_i / Σ w_i. This is the exact form of the
-// coefficient formulas in Section 3 of the paper, where the x_i are coupling
-// values and the w_i are the measured times of the corresponding kernel
-// windows. It returns an error when the slices mismatch, are empty, or the
-// weights sum to zero.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) {
-		return 0, ErrMismatch
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var num, den Kahan
-	for i := range xs {
-		num.Add(xs[i] * ws[i])
-		den.Add(ws[i])
-	}
-	if den.Sum() == 0 {
-		return 0, errors.New("stats: weights sum to zero")
-	}
-	return num.Sum() / den.Sum(), nil
-}
-
-// Summary bundles the descriptive statistics of a sample set.
-type Summary struct {
-	N           int
-	Mean        float64
-	Median      float64
-	StdDev      float64
-	Min         float64
-	Max         float64
-	TrimmedMean float64 // 10% two-sided trim
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:           len(xs),
-		Mean:        Mean(xs),
-		Median:      Median(xs),
-		StdDev:      StdDev(xs),
-		Min:         Min(xs),
-		Max:         Max(xs),
-		TrimmedMean: TrimmedMean(xs, 0.1),
-	}
 }

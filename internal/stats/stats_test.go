@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,20 +41,6 @@ func TestKahanSumPrecision(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Known sample variance: mean=5, squared devs sum = 32, /(n-1)=32/7.
-	if got, want := Variance(xs), 32.0/7.0; !almostEqual(got, want, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got, want := StdDev(xs), math.Sqrt(32.0/7.0); !almostEqual(got, want, 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, want)
-	}
-	if got := Variance([]float64{42}); got != 0 {
-		t.Errorf("Variance of single sample = %v, want 0", got)
-	}
-}
-
 func TestMedian(t *testing.T) {
 	cases := []struct {
 		in   []float64
@@ -77,19 +64,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	Median(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Median mutated its input: %v", xs)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
-	if got := Max(xs); got != 5 {
-		t.Errorf("Max = %v, want 5", got)
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("Min/Max of empty should be 0")
 	}
 }
 
@@ -126,7 +100,7 @@ func TestTrimmedMeanWithinRangeProperty(t *testing.T) {
 		}
 		frac := math.Mod(math.Abs(fracRaw), 1)
 		got := TrimmedMean(xs, frac)
-		return got >= Min(xs)-1e-9 && got <= Max(xs)+1e-9
+		return got >= slices.Min(xs)-1e-9 && got <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -150,60 +124,5 @@ func TestRelativeError(t *testing.T) {
 	}
 	if !math.IsInf(RelativeError(1, 0), 1) {
 		t.Error("RelativeError(1, 0) should be +Inf")
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	// The paper's alpha coefficient for BT: weighted average of two
-	// coupling values by their window times.
-	got, err := WeightedMean([]float64{0.8, 1.2}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (0.8*3 + 1.2*1) / 4; !almostEqual(got, want, 1e-12) {
-		t.Errorf("WeightedMean = %v, want %v", got, want)
-	}
-
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-	if _, err := WeightedMean(nil, nil); err == nil {
-		t.Error("empty inputs should error")
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{1, -1}); err == nil {
-		t.Error("zero-sum weights should error")
-	}
-}
-
-func TestWeightedMeanEqualWeightsIsMeanProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, math.Mod(x, 1e6))
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		ws := make([]float64, len(xs))
-		for i := range ws {
-			ws[i] = 1
-		}
-		got, err := WeightedMean(xs, ws)
-		if err != nil {
-			return false
-		}
-		return almostEqual(got, Mean(xs), 1e-6*(1+math.Abs(Mean(xs))))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("unexpected summary: %+v", s)
 	}
 }

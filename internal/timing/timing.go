@@ -137,8 +137,6 @@ type Result struct {
 	PerPass float64
 	// Blocks holds the raw per-pass time of each timed block, in seconds.
 	Blocks []float64
-	// Summary describes the spread of Blocks.
-	Summary stats.Summary
 }
 
 // ErrNilFunc is returned when Measure is given a nil function.
@@ -170,11 +168,7 @@ func Measure(fn func(), p Protocol, o Options) (Result, error) {
 		blocks = append(blocks, elapsed.Seconds()/float64(p.Passes))
 	}
 	perPass, _ := p.Aggregate(blocks)
-	return Result{
-		PerPass: perPass,
-		Blocks:  blocks,
-		Summary: stats.Summarize(blocks),
-	}, nil
+	return Result{PerPass: perPass, Blocks: blocks}, nil
 }
 
 // Once times a single invocation of fn and returns the elapsed seconds.

@@ -28,9 +28,10 @@ fi
 # run() (hardened node and 3-node fleet; parallel campaign, warm-cache
 # reuse, analytic agreement, seeded faults, -ref coupling reuse and its
 # flag conflicts, rank crash), so this line race-checks them along with
-# everything else.
-echo "==> go test -race ./..."
-go test -race ./...
+# everything else. Tests run in shuffled order so none leans on another's
+# leftovers; a failing run prints its seed, and -shuffle=<seed> replays it.
+echo "==> go test -race -shuffle=on ./..."
+go test -race -shuffle=on ./...
 
 # Ten seconds of arbitrary bytes as a cache log: opening never fails, and
 # Get agrees with the plainest reading of the format (the committed corpus
