@@ -10,7 +10,8 @@
 //
 // Patterns are directories or "./..."-style trees; the default is the
 // whole module. -json renders findings as one JSON object on stdout
-// (CI archives it as a build artifact); the exit status is unchanged.
+// (CI archives it as a build artifact); the exit status is unchanged:
+// 0 clean, 2 on findings or any other failure.
 //
 // Findings are suppressed, with a mandatory justification, by a comment
 // on (or directly above) the offending line:
@@ -25,8 +26,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,21 +38,20 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	only := flag.String("only", "", "comma-separated subset of analyzers to run")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if err := run(flag.Args(), *only, *jsonOut); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if exitStatus(err) != 0 {
 		fmt.Fprintln(os.Stderr, "kcvet:", err)
-		os.Exit(2)
 	}
+	os.Exit(exitStatus(err))
+}
+
+// exitStatus is the process status for run's result: 0 for a clean run,
+// -list or -h; 2 for findings and every other failure.
+func exitStatus(err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 // jsonFinding is one diagnostic in -json output.
@@ -67,7 +69,32 @@ type jsonReport struct {
 	Clean    bool          `json:"clean"`
 }
 
-func run(patterns []string, only string, jsonOut bool) error {
+// run is the whole process behind main; every failure, findings and
+// usage errors included, is a returned error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("kcvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	only := fs.String("only", "", "comma-separated subset of analyzers to run")
+	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *list {
+		for _, a := range analysis.All() {
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
+		}
+		return nil
+	}
+
+	analyzers := analysis.All()
+	if *only != "" {
+		var err error
+		if analyzers, err = analysis.ByName(strings.Split(*only, ",")); err != nil {
+			return err
+		}
+	}
+
 	cwd, err := os.Getwd()
 	if err != nil {
 		return err
@@ -80,22 +107,14 @@ func run(patterns []string, only string, jsonOut bool) error {
 	if err != nil {
 		return err
 	}
-	pkgs, err := loader.LoadPatterns(patterns)
+	pkgs, err := loader.LoadPatterns(fs.Args())
 	if err != nil {
 		return err
 	}
 
-	analyzers := analysis.All()
-	if only != "" {
-		analyzers, err = analysis.ByName(strings.Split(only, ","))
-		if err != nil {
-			return err
-		}
-	}
-
 	for _, p := range pkgs {
 		for _, terr := range p.TypeErrors {
-			fmt.Fprintf(os.Stderr, "kcvet: %s: type error: %v\n", p.Path, terr)
+			fmt.Fprintf(stderr, "kcvet: %s: type error: %v\n", p.Path, terr)
 		}
 	}
 
@@ -106,17 +125,17 @@ func run(patterns []string, only string, jsonOut bool) error {
 		if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			pos.Filename = rel
 		}
-		if jsonOut {
+		if *jsonOut {
 			report.Findings = append(report.Findings, jsonFinding{
 				File: pos.Filename, Line: pos.Line, Col: pos.Column,
 				Analyzer: d.Analyzer, Message: d.Message,
 			})
 		} else {
-			fmt.Printf("%s:%d:%d: %s: %s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
 		}
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
 			return err
@@ -125,8 +144,8 @@ func run(patterns []string, only string, jsonOut bool) error {
 	if len(diags) > 0 {
 		return fmt.Errorf("%d finding(s)", len(diags))
 	}
-	if !jsonOut {
-		fmt.Printf("kcvet: %d package(s) clean\n", len(pkgs))
+	if !*jsonOut {
+		fmt.Fprintf(stdout, "kcvet: %d package(s) clean\n", len(pkgs))
 	}
 	return nil
 }

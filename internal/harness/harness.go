@@ -94,8 +94,9 @@ func (o Options) WithProtocol(p timing.Protocol) Options {
 }
 
 // Workload is an application the harness can measure. Implementations
-// exist for the NPB benchmarks (NPBWorkload) and for deterministic
-// synthetic cost models used in tests and examples (see Synthetic).
+// exist for the NPB benchmarks (NPBWorkload), for the memmodel cache
+// sweep (memmodel.PairWorkload) and for deterministic synthetic cost
+// models (see Synthetic).
 type Workload interface {
 	// Name identifies the workload in reports.
 	Name() string

@@ -11,8 +11,7 @@ import (
 // (a immediately before b, including the wrap-around a window executed in
 // a loop creates) contributes an interaction delta. It lets the harness
 // and the composition algebra be tested end-to-end with exactly
-// reproducible "timings", and serves as the toy application of the
-// quickstart example.
+// reproducible "timings".
 //
 // The model's window cost is
 //

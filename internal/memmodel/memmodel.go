@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/stats"
 	"repro/internal/timing"
 )
 
@@ -227,41 +226,9 @@ func GeometricSizes(lo, hi, count int) []int {
 // series yields few transitions; the count is what the finite-transitions
 // claim is about.
 func Transitions(points []SweepPoint, threshold float64) []int {
-	var idx []int
-	for i := 1; i < len(points); i++ {
-		if abs(points[i].C-points[i-1].C) > threshold {
-			idx = append(idx, i)
-		}
+	cs := make([]float64, len(points))
+	for i, p := range points {
+		cs[i] = p.C
 	}
-	return idx
-}
-
-// Plateaus summarizes a sweep as the mean coupling between transitions.
-func Plateaus(points []SweepPoint, threshold float64) []float64 {
-	if len(points) == 0 {
-		return nil
-	}
-	trans := Transitions(points, threshold)
-	var plateaus []float64
-	start := 0
-	for _, t := range append(trans, len(points)) {
-		seg := points[start:t]
-		if len(seg) == 0 {
-			continue
-		}
-		vals := make([]float64, len(seg))
-		for i, p := range seg {
-			vals[i] = p.C
-		}
-		plateaus = append(plateaus, stats.Mean(vals))
-		start = t
-	}
-	return plateaus
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return TransitionsSeries(cs, threshold)
 }

@@ -124,17 +124,19 @@ func TestTransitionsDetector(t *testing.T) {
 	}
 }
 
+// A sweep with one jump has two plateaus, and FitStep's segments carry
+// each plateau's mean coupling.
 func TestPlateaus(t *testing.T) {
 	pts := []SweepPoint{
 		{C: 1.0}, {C: 1.0},
 		{C: 2.0}, {C: 2.0},
 	}
-	ps := Plateaus(pts, 0.5)
+	ps := plateauMeans(t, pts, 0.5)
 	if len(ps) != 2 || math.Abs(ps[0]-1) > 1e-12 || math.Abs(ps[1]-2) > 1e-12 {
 		t.Errorf("plateaus = %v", ps)
 	}
-	if Plateaus(nil, 0.5) != nil {
-		t.Error("empty plateaus should be nil")
+	if _, err := FitStep(nil, nil, 0.5); err == nil {
+		t.Error("an empty sweep has no plateaus: FitStep(nil) should error")
 	}
 }
 

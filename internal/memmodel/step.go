@@ -6,22 +6,23 @@ import (
 )
 
 // This file turns the paper's §4.1 finite-transition observation into a
-// predictive form. Transitions/Plateaus (memmodel.go) detect the cache-
-// capacity boundaries in a measured sweep; StepModel fits the same
-// structure — a piecewise-constant function with a small number of
-// plateaus — over any (x, value) series so a coupling value can be
-// *predicted* at an unmeasured working-set size, with the plateau's
-// spread as the confidence band. Hierarchy and KernelProfile go one step
-// further and predict the coupling with no measurements at all, from
-// cache-capacity overlap (the Kerncraft/Afzal-style analytic model).
+// predictive form. TransitionsSeries detects the cache-capacity
+// boundaries in a measured sweep (Transitions applies it to a sweep's
+// couplings); StepModel fits the same structure — a piecewise-constant
+// function with a small number of plateaus — over any (x, value) series
+// so a coupling value can be *predicted* at an unmeasured working-set
+// size, with the plateau's spread as the confidence band. Hierarchy and
+// KernelProfile go one step further and predict the coupling with no
+// measurements at all, from cache-capacity overlap (the
+// Kerncraft/Afzal-style analytic model).
 
 // TransitionsSeries returns the indices i (>= 1) where the series value
-// changes by more than threshold relative to the previous point — the
-// generic form of Transitions for any float64 series.
+// changes by more than threshold relative to the previous point: the one
+// transition rule, which Transitions and FitStep both apply.
 func TransitionsSeries(values []float64, threshold float64) []int {
 	var idx []int
 	for i := 1; i < len(values); i++ {
-		if abs(values[i]-values[i-1]) > threshold {
+		if math.Abs(values[i]-values[i-1]) > threshold {
 			idx = append(idx, i)
 		}
 	}

@@ -13,6 +13,26 @@ func sweep(cs ...float64) []SweepPoint {
 	return pts
 }
 
+// plateauMeans fits a step model over a sweep's sizes and couplings and
+// returns each segment's mean: the per-plateau summary of the sweep.
+func plateauMeans(t *testing.T, pts []SweepPoint, threshold float64) []float64 {
+	t.Helper()
+	xs := make([]float64, len(pts))
+	ys := make([]float64, len(pts))
+	for i, p := range pts {
+		xs[i], ys[i] = float64(p.Bytes), p.C
+	}
+	m, err := FitStep(xs, ys, threshold)
+	if err != nil {
+		t.Fatalf("FitStep: %v", err)
+	}
+	means := make([]float64, len(m.Segments))
+	for i, seg := range m.Segments {
+		means[i] = seg.Mean
+	}
+	return means
+}
+
 // A flat C(W) series — the working set never crosses a capacity boundary
 // — must report zero transitions and exactly one plateau, through both
 // the SweepPoint detector and the generic series form.
@@ -24,8 +44,8 @@ func TestTransitionsFlatSeries(t *testing.T) {
 	if got := TransitionsSeries([]float64{1.01, 1.00, 1.02, 1.01, 1.00}, 0.08); len(got) != 0 {
 		t.Fatalf("TransitionsSeries(flat) = %v, want none", got)
 	}
-	if got := Plateaus(pts, 0.08); len(got) != 1 {
-		t.Fatalf("Plateaus(flat) = %v, want exactly one plateau", got)
+	if got := plateauMeans(t, pts, 0.08); len(got) != 1 {
+		t.Fatalf("plateaus(flat) = %v, want exactly one plateau", got)
 	}
 }
 
@@ -37,9 +57,9 @@ func TestTransitionsSingleSample(t *testing.T) {
 	if got := Transitions(pts, 0.08); len(got) != 0 {
 		t.Fatalf("Transitions(single) = %v, want none", got)
 	}
-	plats := Plateaus(pts, 0.08)
+	plats := plateauMeans(t, pts, 0.08)
 	if len(plats) != 1 || plats[0] != 1.37 {
-		t.Fatalf("Plateaus(single) = %v, want [1.37]", plats)
+		t.Fatalf("plateaus(single) = %v, want [1.37]", plats)
 	}
 	m, err := FitStep([]float64{1024}, []float64{1.37}, 0.08)
 	if err != nil {
@@ -58,9 +78,6 @@ func TestTransitionsEmptySweep(t *testing.T) {
 	if got := Transitions(nil, 0.08); got != nil {
 		t.Fatalf("Transitions(nil) = %v, want nil", got)
 	}
-	if got := Plateaus(nil, 0.08); got != nil {
-		t.Fatalf("Plateaus(nil) = %v, want nil", got)
-	}
 	if _, err := FitStep(nil, nil, 0.08); err == nil {
 		t.Fatal("FitStep(nil) should error")
 	}
@@ -78,9 +95,9 @@ func TestTransitionsNoiseAroundBoundary(t *testing.T) {
 	if len(got) != 1 || got[0] != 4 {
 		t.Fatalf("Transitions(noisy boundary) = %v, want [4]", got)
 	}
-	plats := Plateaus(pts, 0.08)
+	plats := plateauMeans(t, pts, 0.08)
 	if len(plats) != 2 {
-		t.Fatalf("Plateaus(noisy boundary) = %v, want two plateaus", plats)
+		t.Fatalf("plateaus(noisy boundary) = %v, want two plateaus", plats)
 	}
 	if math.Abs(plats[0]-1.0075) > 1e-9 || math.Abs(plats[1]-1.4975) > 1e-9 {
 		t.Fatalf("plateau means = %v, want [1.0075, 1.4975]", plats)

@@ -23,13 +23,28 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-# Every binary is held to account here: cmd/kcserved, cmd/couple,
-# cmd/npbrun and cmd/paper each test their process in-process through
-# run() (hardened node and 3-node fleet; parallel campaign, warm-cache
+# Every binary is held to account: a command directory without a test
+# fails the gate before any test runs.
+echo "==> every cmd/* has a _test.go"
+untested=""
+for dir in cmd/*/; do
+    if ! compgen -G "${dir}*_test.go" >/dev/null; then
+        untested="$untested ${dir%/}"
+    fi
+done
+if [ -n "$untested" ]; then
+    echo "==> command test gate FAILED; no _test.go in:$untested" >&2
+    exit 1
+fi
+
+# Each command tests its process in-process through run() (kcserved's
+# hardened node and 3-node fleet; couple's parallel campaign, warm-cache
 # reuse, analytic agreement, seeded faults, -ref coupling reuse and its
-# flag conflicts, rank crash), so this line race-checks them along with
-# everything else. Tests run in shuffled order so none leans on another's
-# leftovers; a failing run prints its seed, and -shuffle=<seed> replays it.
+# flag conflicts; npbrun's rank crash; paper's tables; kcreport's
+# renderings; kcvet's reports and exit statuses), so this line
+# race-checks them along with everything else. Tests run in shuffled
+# order so none leans on another's leftovers; a failing run prints its
+# seed, and -shuffle=<seed> replays it.
 echo "==> go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
