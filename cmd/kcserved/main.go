@@ -48,19 +48,19 @@
 // period still flushes the flight dump and the manifest, then exits 1.
 //
 // Overload and failure hardening is opt-in: passing any guard flag
-// (-deadline*, -max-inflight, -queue, -breaker-*, -retry-budget,
-// -stale) assembles the serving guard — per-endpoint deadline budgets
-// that answer 504 and detach in-flight measurements onto the
-// -deadline-measure budget, an admission controller that queues then
-// sheds 503 + Retry-After, seeded circuit breakers around on-demand
-// measurement and cache disk reads, a token-bucket retry budget, and a
-// degradation ladder that serves provenance-tagged stale or
-// nearby-family answers (X-Degraded header) before shedding. A plain
-// kcserved serves exactly the pre-hardening bytes. -fault-spec injects
-// serving-layer chaos deterministically from -fault-seed: the Serving
-// classes of the one fault grammar (cache disk delays and errors,
-// measurement failures, handler latency, peer-fetch delays and errors);
-// the MPI-world classes couple and npbrun take are refused.
+// (-deadline*, -max-inflight, -queue, -breaker-*, -stale) assembles the
+// serving guard — a per-request deadline budget that answers 504 and
+// detaches in-flight measurements onto the -deadline-measure budget, an
+// admission controller that queues then sheds 503 + Retry-After, seeded
+// circuit breakers around on-demand measurement and cache disk reads, a
+// token-bucket retry budget, and a degradation ladder that serves
+// provenance-tagged stale or nearby-family answers (X-Degraded header)
+// before shedding. A plain kcserved serves exactly the pre-hardening
+// bytes. -fault-spec injects serving-layer chaos deterministically from
+// -fault-seed: the Serving classes of the one fault grammar (cache disk
+// delays and errors, measurement failures, handler latency, peer-fetch
+// delays and errors); the MPI-world classes couple and npbrun take are
+// refused.
 package main
 
 import (
@@ -99,10 +99,9 @@ func main() {
 
 // guardFlags are the flags whose presence assembles the serving guard.
 var guardFlags = map[string]bool{
-	"deadline": true, "deadline-predict": true, "deadline-couplings": true,
-	"deadline-study": true, "deadline-measure": true, "max-inflight": true,
+	"deadline": true, "deadline-measure": true, "max-inflight": true,
 	"queue": true, "breaker-failures": true, "breaker-cooldown": true,
-	"breaker-probes": true, "retry-budget": true, "stale": true,
+	"stale": true,
 }
 
 // run is the whole process behind main: it parses args, serves until ctx
@@ -128,16 +127,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 		flightOut = fs.String("flight-out", "", "flight-recorder dump path, written on errors/slow requests and at shutdown")
 
 		deadline     = fs.Duration("deadline", 0, "default per-request deadline budget for query endpoints (0 = none)")
-		deadlinePred = fs.Duration("deadline-predict", 0, "deadline budget override for /predict")
-		deadlineCoup = fs.Duration("deadline-couplings", 0, "deadline budget override for /couplings")
-		deadlineStud = fs.Duration("deadline-study", 0, "deadline budget override for /study")
 		deadlineMeas = fs.Duration("deadline-measure", 0, "detached on-demand measurement budget once a caller abandons (0 = unbounded)")
 		maxInflight  = fs.Int("max-inflight", 0, "bound on concurrently served query requests; excess queues then sheds 503 (0 = unbounded)")
 		queueDepth   = fs.Int("queue", 0, "admission queue depth (default 2x -max-inflight)")
 		brkFailures  = fs.Int("breaker-failures", 0, "consecutive dependency failures that open a circuit breaker (default 5)")
 		brkCooldown  = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (default 5s)")
-		brkProbes    = fs.Int("breaker-probes", 0, "concurrent half-open probes a breaker admits (default 1)")
-		retryBudget  = fs.Float64("retry-budget", 0, "retry tokens earned per request for the token-bucket retry budget (default 0.1)")
 		staleCap     = fs.Int("stale", 64, "stale-answer cache capacity for degraded serving (0 disables the ladder)")
 		faultSpec    = fs.String("fault-spec", "", "serving-layer chaos spec: "+fault.Serving.Usage())
 		faultSeed    = fs.Uint64("fault-seed", 1, "seed for fault injection decisions and breaker cooldown jitter")
@@ -145,8 +139,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 		peers       = fs.String("peers", "", "comma-separated fleet member addresses (enables clustering; every node must get the same set)")
 		self        = fs.String("self", "", "this node's own entry in -peers (required with -peers)")
 		peerHot     = fs.Int("peer-hot", 0, "requests per window that make a foreign-owned key hot enough to replicate locally (default 8, negative disables)")
-		peerHotWin  = fs.Duration("peer-hot-window", 0, "hot-key tracking window (default 10s)")
-		peerReplica = fs.Int("peer-replicas", 0, "local replica cache capacity for hot foreign-owned keys (default 512)")
 		peerTimeout = fs.Duration("peer-fill-timeout", 0, "peer-fill round-trip budget, including owner-side on-demand measurement (default 30s)")
 
 		httpReadHeader = fs.Duration("http-read-header-timeout", 0, "listener header-read timeout (0 = 5s default, negative disables)")
@@ -202,19 +194,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 	var g *guard.Guard
 	if guardOn {
 		g = guard.New(guard.Config{
-			Deadline: *deadline,
-			DeadlineFor: map[string]time.Duration{
-				"predict":   *deadlinePred,
-				"couplings": *deadlineCoup,
-				"study":     *deadlineStud,
-			},
+			Deadline:        *deadline,
 			LeaderBudget:    *deadlineMeas,
 			MaxInflight:     *maxInflight,
 			QueueDepth:      *queueDepth,
 			BreakerFailures: *brkFailures,
 			BreakerCooldown: *brkCooldown,
-			BreakerProbes:   *brkProbes,
-			RetryRatio:      *retryBudget,
 			StaleCap:        *staleCap,
 			Seed:            *faultSeed,
 			Metrics:         reg,
@@ -240,12 +225,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 			Self:            *self,
 			Peers:           strings.Split(*peers, ","),
 			HotThreshold:    *peerHot,
-			HotWindow:       *peerHotWin,
-			ReplicaCap:      *peerReplica,
 			FillTimeout:     *peerTimeout,
 			BreakerFailures: *brkFailures,
 			BreakerCooldown: *brkCooldown,
-			BreakerProbes:   *brkProbes,
 			Seed:            *faultSeed,
 			Metrics:         reg,
 			Inject:          inj,

@@ -789,3 +789,54 @@ func TestHelpIsPinned(t *testing.T) {
 		t.Errorf("-h output changed:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestReadmeDocumentsEveryFlag: every flag -h lists has a row in
+// README.md's kcserved flag tables, and every `-flag` row there names a
+// live flag, so a removed flag cannot leave a stale row and a new one
+// cannot go undocumented. The tables are those of the kcserved section;
+// a row whose Binary column says `couple` documents couple's flag.
+func TestReadmeDocumentsEveryFlag(t *testing.T) {
+	var help bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
+	}
+	live := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(help.String(), -1) {
+		live[m[1]] = true
+	}
+	if len(live) == 0 {
+		t.Fatalf("no flags in -h output:\n%s", help.String())
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heading = "## Serving predictions: `cmd/kcserved`\n"
+	_, section, ok := strings.Cut(string(readme), heading)
+	if !ok {
+		t.Fatalf("README.md has no %q section", strings.TrimSpace(heading))
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|([^|]*)\\|").FindAllStringSubmatch(section, -1) {
+		if strings.TrimSpace(m[2]) == "`couple`" {
+			continue
+		}
+		documented[m[1]] = true
+		if !live[m[1]] {
+			t.Errorf("README.md documents -%s, which kcserved -h does not list", m[1])
+		}
+	}
+	var missing []string
+	for name := range live {
+		if !documented[name] {
+			missing = append(missing, "-"+name)
+		}
+	}
+	sort.Strings(missing)
+	if len(missing) > 0 {
+		t.Errorf("kcserved flags without a row in README.md's kcserved flag tables: %s", strings.Join(missing, " "))
+	}
+}

@@ -70,29 +70,23 @@ type Config struct {
 	// same set or ring views disagree (the hop guard keeps even that
 	// misconfiguration from looping).
 	Peers []string
-	// Vnodes is the virtual-node count per member (default 128).
-	Vnodes int
 
 	// HotThreshold is how many requests for one foreign-owned key this
-	// node must see within HotWindow before it replicates the key
-	// locally (default 8; negative disables replication).
+	// node must see within hotWindow before it replicates the key into
+	// its replicaCap-entry local store (default 8; negative disables
+	// replication).
 	HotThreshold int
-	// HotWindow is the hot-tracking window (default 10s).
-	HotWindow time.Duration
-	// ReplicaCap bounds the local replica store (default 512).
-	ReplicaCap int
 
 	// FillTimeout bounds one peer-fill round trip, including any
 	// on-demand measurement the owner runs under it (default 30s).
 	FillTimeout time.Duration
 
-	// BreakerFailures/BreakerCooldown/BreakerProbes configure the
-	// per-peer circuit breakers (defaults 3 failures, 2s cooldown, 1
-	// probe). An open breaker takes the peer out of the ownership walk:
-	// its keys rehash to the survivors until a probe closes it.
+	// BreakerFailures/BreakerCooldown configure the per-peer circuit
+	// breakers (defaults 3 failures, 2s cooldown). An open breaker takes
+	// the peer out of the ownership walk: its keys rehash to the
+	// survivors until a probe closes it.
 	BreakerFailures int
 	BreakerCooldown time.Duration
-	BreakerProbes   int
 
 	// Seed drives breaker cooldown jitter.
 	Seed uint64
@@ -141,7 +135,7 @@ func New(cfg Config) (*Cluster, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list %v", cfg.Self, cfg.Peers)
 	}
-	ring, err := NewRing(cfg.Peers, cfg.Vnodes)
+	ring, err := NewRing(cfg.Peers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -164,10 +158,6 @@ func New(cfg Config) (*Cluster, error) {
 	case hotThreshold < 0:
 		hotThreshold = 0 // disables the tracker
 	}
-	replicaCap := cfg.ReplicaCap
-	if replicaCap <= 0 {
-		replicaCap = 512
-	}
 	brkFailures := cfg.BreakerFailures
 	if brkFailures <= 0 {
 		brkFailures = 3
@@ -182,7 +172,7 @@ func New(cfg Config) (*Cluster, error) {
 		inject:   cfg.Inject,
 		client:   &http.Client{Timeout: fillTimeout, Transport: cfg.Transport},
 		breakers: make(map[string]*guard.Breaker, len(ring.Nodes())),
-		hot:      newHotTracker(hotThreshold, cfg.HotWindow, clock),
+		hot:      newHotTracker(hotThreshold, clock),
 
 		fillsSent:    reg.Counter("cluster.fill.sent"),
 		fillErrors:   reg.Counter("cluster.fill.errors"),
@@ -201,7 +191,6 @@ func New(cfg Config) (*Cluster, error) {
 			Name:     "peer_" + metricSafe(n),
 			Failures: brkFailures,
 			Cooldown: brkCooldown,
-			Probes:   cfg.BreakerProbes,
 			Seed:     cfg.Seed,
 			Clock:    clock,
 			Metrics:  cfg.Metrics, // per-peer breaker metrics only when asked for

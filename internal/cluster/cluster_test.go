@@ -202,7 +202,7 @@ func TestFetchInjectedPeerErr(t *testing.T) {
 // window expiry resets the count.
 func TestHotTrackerWindow(t *testing.T) {
 	clock := &timing.FakeClock{}
-	h := newHotTracker(3, 10*time.Second, clock)
+	h := newHotTracker(3, clock)
 	for i := 0; i < 2; i++ {
 		if h.note("k") {
 			t.Fatalf("hot after %d requests, threshold 3", i+1)
@@ -224,13 +224,11 @@ func TestHotTrackerWindow(t *testing.T) {
 
 // TestReplicaCacheLRU: the store stays bounded and evicts oldest-first.
 func TestReplicaCacheLRU(t *testing.T) {
-	c, err := New(Config{
-		Self: "a:1", Peers: []string{"a:1", "b:2"},
-		HotThreshold: 1, ReplicaCap: 2,
-	})
+	c, err := New(Config{Self: "a:1", Peers: []string{"a:1", "b:2"}, HotThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.replicas = newReplicaCache(2)
 	c.Replicate("k1", predict.Prediction{Value: 1})
 	c.Replicate("k2", predict.Prediction{Value: 2})
 	if _, ok := c.Replica("k1"); !ok { // refresh k1

@@ -9,6 +9,13 @@ import (
 	"repro/internal/timing"
 )
 
+const (
+	// hotWindow is the hot-key tracking window.
+	hotWindow = 10 * time.Second
+	// replicaCap bounds the local replica store.
+	replicaCap = 512
+)
+
 // hotTracker decides which foreign-owned keys have earned a local
 // replica: a key whose request rate at THIS node crosses the threshold
 // within one sliding window is hot. Tracking is windowed rather than
@@ -18,7 +25,6 @@ import (
 type hotTracker struct {
 	mu        sync.Mutex
 	clock     timing.Clock
-	window    time.Duration
 	threshold int
 	// counts maps key → its request count in the current window.
 	counts map[string]int
@@ -27,19 +33,15 @@ type hotTracker struct {
 	windowStart time.Time
 }
 
-func newHotTracker(threshold int, window time.Duration, clock timing.Clock) *hotTracker {
+func newHotTracker(threshold int, clock timing.Clock) *hotTracker {
 	if threshold <= 0 {
 		return nil // replication disabled
-	}
-	if window <= 0 {
-		window = 10 * time.Second
 	}
 	if clock == nil {
 		clock = timing.WallClock
 	}
 	return &hotTracker{
 		clock:       clock,
-		window:      window,
 		threshold:   threshold,
 		counts:      make(map[string]int),
 		windowStart: clock.Now(),
@@ -56,7 +58,7 @@ func (h *hotTracker) note(key string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.clock.Now()
-	if now.Sub(h.windowStart) > h.window {
+	if now.Sub(h.windowStart) > hotWindow {
 		h.counts = make(map[string]int)
 		h.windowStart = now
 	}
@@ -75,9 +77,6 @@ type replicaCache struct {
 }
 
 func newReplicaCache(cap int) *replicaCache {
-	if cap <= 0 {
-		return nil
-	}
 	return &replicaCache{lru: lru.New[string, predict.Prediction](cap, nil)}
 }
 

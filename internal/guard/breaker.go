@@ -23,8 +23,8 @@ const (
 	StateClosed BreakerState = iota
 	// StateOpen fails fast until the cooldown elapses.
 	StateOpen
-	// StateHalfOpen admits a bounded number of probes; a probe success
-	// closes the breaker, a probe failure reopens it.
+	// StateHalfOpen admits one probe at a time; a probe success closes
+	// the breaker, a probe failure reopens it.
 	StateHalfOpen
 )
 
@@ -47,18 +47,10 @@ type BreakerConfig struct {
 	// Failures is the consecutive-failure count that trips the breaker
 	// (default 5).
 	Failures int
-	// Cooldown is the open→half-open dwell (default 5s), stretched by a
-	// seed-deterministic jitter so a fleet of breakers tripped together
-	// doesn't probe in lockstep.
+	// Cooldown is the open→half-open dwell (default 5s), stretched by up
+	// to jitterFrac of itself, seed-deterministically, so a fleet of
+	// breakers tripped together doesn't probe in lockstep.
 	Cooldown time.Duration
-	// JitterFrac bounds the cooldown jitter as a fraction of Cooldown
-	// (default 0.1; negative disables jitter).
-	JitterFrac float64
-	// Probes bounds concurrent half-open probes (default 1).
-	Probes int
-	// Successes is the probe-success count that closes the breaker
-	// (default 1).
-	Successes int
 	// Seed drives the deterministic cooldown jitter.
 	Seed uint64
 	// Clock is the time source (WallClock when nil).
@@ -68,10 +60,14 @@ type BreakerConfig struct {
 	Metrics *obs.Registry
 }
 
+// jitterFrac bounds a breaker's cooldown jitter as a fraction of its
+// cooldown.
+const jitterFrac = 0.1
+
 // Breaker is a seeded-deterministic circuit breaker: closed→open after
 // N consecutive failures, open→half-open after a cooldown whose jitter
-// is a pure function of (seed, open count), half-open→closed after M
-// probe successes (or back to open on a probe failure). Time enters only
+// is a pure function of (seed, open count), half-open→closed on one
+// probe success (or back to open on a probe failure). Time enters only
 // through the injected Clock, so a FakeClock test can walk the full
 // state machine exactly.
 //
@@ -79,24 +75,20 @@ type BreakerConfig struct {
 // t.Done(workErr). Ticket is a value type so the fast path allocates
 // nothing.
 type Breaker struct {
-	name       string
-	failures   int
-	cooldown   time.Duration
-	jitterFrac float64
-	probes     int
-	successes  int
-	seed       uint64
-	clock      timing.Clock
+	name     string
+	failures int
+	cooldown time.Duration
+	seed     uint64
+	clock    timing.Clock
 
 	errOpen error // precomputed so fail-fast allocates nothing
 
-	mu           sync.Mutex
-	state        BreakerState
-	consecFails  int
-	openedAt     time.Time
-	opens        uint64 // completed open episodes, drives jitter
-	probing      int
-	probeSuccess int
+	mu          sync.Mutex
+	state       BreakerState
+	consecFails int
+	openedAt    time.Time
+	opens       uint64 // completed open episodes, drives jitter
+	probing     bool   // the half-open probe is out
 
 	stateGauge *obs.Gauge
 	opened     *obs.Counter
@@ -123,15 +115,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.JitterFrac == 0 {
-		cfg.JitterFrac = 0.1
-	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = 1
-	}
-	if cfg.Successes <= 0 {
-		cfg.Successes = 1
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = timing.WallClock
 	}
@@ -140,15 +123,12 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 		reg = obs.NewRegistry()
 	}
 	b := &Breaker{
-		name:       cfg.Name,
-		failures:   cfg.Failures,
-		cooldown:   cfg.Cooldown,
-		jitterFrac: cfg.JitterFrac,
-		probes:     cfg.Probes,
-		successes:  cfg.Successes,
-		seed:       cfg.Seed,
-		clock:      cfg.Clock,
-		errOpen:    fmt.Errorf("guard: %s breaker %w", cfg.Name, ErrBreakerOpen),
+		name:     cfg.Name,
+		failures: cfg.Failures,
+		cooldown: cfg.Cooldown,
+		seed:     cfg.Seed,
+		clock:    cfg.Clock,
+		errOpen:  fmt.Errorf("guard: %s breaker %w", cfg.Name, ErrBreakerOpen),
 	}
 	b.stateGauge = reg.Gauge("guard.breaker." + cfg.Name + ".state")
 	b.opened = reg.Counter("guard.breaker." + cfg.Name + ".opened")
@@ -181,16 +161,15 @@ func (b *Breaker) Allow() (Ticket, error) {
 			return Ticket{}, b.errOpen
 		}
 		b.setStateLocked(StateHalfOpen)
-		b.probeSuccess = 0
-		b.probing = 0
+		b.probing = false
 		fallthrough
 	case StateHalfOpen:
-		if b.probing >= b.probes {
+		if b.probing {
 			b.mu.Unlock()
 			b.fastFail.Add(1)
 			return Ticket{}, b.errOpen
 		}
-		b.probing++
+		b.probing = true
 		b.mu.Unlock()
 		return Ticket{b: b, probe: true, ok: true}, nil
 	}
@@ -205,8 +184,8 @@ func (t Ticket) Done(err error) {
 	}
 	b := t.b
 	b.mu.Lock()
-	if t.probe && b.probing > 0 {
-		b.probing--
+	if t.probe {
+		b.probing = false
 	}
 	if err != nil {
 		switch {
@@ -242,14 +221,11 @@ func (t Ticket) Done(err error) {
 	}
 	switch {
 	case t.probe && b.state == StateHalfOpen:
-		b.probeSuccess++
-		if b.probeSuccess >= b.successes {
-			b.setStateLocked(StateClosed)
-			b.consecFails = 0
-			b.mu.Unlock()
-			b.closed.Add(1)
-			return
-		}
+		b.setStateLocked(StateClosed)
+		b.consecFails = 0
+		b.mu.Unlock()
+		b.closed.Add(1)
+		return
 	case b.state == StateClosed:
 		b.consecFails = 0
 	}
@@ -278,12 +254,9 @@ func (b *Breaker) setStateLocked(s BreakerState) {
 }
 
 // cooldownFor returns the dwell for the numbered open episode: the base
-// cooldown stretched by up to JitterFrac, deterministic in (seed,
+// cooldown stretched by up to jitterFrac, deterministic in (seed,
 // episode) so replays reproduce the exact probe schedule.
 func (b *Breaker) cooldownFor(episode uint64) time.Duration {
-	if b.jitterFrac <= 0 {
-		return b.cooldown
-	}
 	j := u01(splitmix64(b.seed ^ (episode * 0x9e3779b97f4a7c15)))
-	return b.cooldown + time.Duration(float64(b.cooldown)*b.jitterFrac*j)
+	return b.cooldown + time.Duration(float64(b.cooldown)*jitterFrac*j)
 }

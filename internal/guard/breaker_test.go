@@ -19,7 +19,6 @@ func newTestBreaker(t *testing.T, reg *obs.Registry, seed uint64) (*Breaker, *ti
 		Name:     "measure",
 		Failures: 3,
 		Cooldown: time.Second,
-		Probes:   1,
 		Seed:     seed,
 		Clock:    fc,
 		Metrics:  reg,

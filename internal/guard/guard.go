@@ -1,5 +1,5 @@
 // Package guard is the serving layer's overload- and failure-hardening
-// kit: per-endpoint deadline budgets, an admission controller with a
+// kit: per-request deadline budgets, an admission controller with a
 // bounded deadline-aware queue, circuit breakers around the dependencies
 // that can brown out (on-demand measurement, cache disk reads), a
 // token-bucket retry budget so retries never amplify overload, and a
@@ -30,12 +30,9 @@ import (
 // zero StaleCap disables the degradation ladder, so callers opt into
 // exactly the hardening they want.
 type Config struct {
-	// Deadline is the default per-request budget for query endpoints;
-	// zero means no deadline.
+	// Deadline is the per-request budget for every query endpoint; zero
+	// means no deadline.
 	Deadline time.Duration
-	// DeadlineFor overrides the budget per endpoint name ("predict",
-	// "couplings", "study"). A zero entry falls back to Deadline.
-	DeadlineFor map[string]time.Duration
 	// LeaderBudget bounds detached work: a singleflight leader (and the
 	// on-demand measurement it may run) keeps going after its own caller
 	// gives up, but never past this budget. Zero leaves detached work
@@ -53,16 +50,12 @@ type Config struct {
 	// breaker (default 5).
 	BreakerFailures int
 	// BreakerCooldown is how long an open breaker fails fast before
-	// allowing half-open probes (default 5s).
+	// allowing its half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// BreakerProbes bounds concurrent half-open probes (default 1).
-	BreakerProbes int
 
 	// RetryRatio is the retry-budget refill per observed request
 	// (default 0.1: one retry token per ten requests).
 	RetryRatio float64
-	// RetryBurst caps accumulated retry tokens (default 10).
-	RetryBurst float64
 
 	// StaleCap bounds the stale-answer cache behind the degradation
 	// ladder; zero disables stale serving.
@@ -82,8 +75,8 @@ type Config struct {
 // fragile dependencies, Retry before any serving-side retry, and Stale
 // when the full answer fails.
 type Guard struct {
-	budgets Budgets
-	leader  time.Duration
+	deadline time.Duration
+	leader   time.Duration
 
 	// Admission is the bounded-concurrency controller; nil when
 	// MaxInflight was zero.
@@ -106,9 +99,9 @@ func New(cfg Config) *Guard {
 		clock = timing.WallClock
 	}
 	g := &Guard{
-		budgets: Budgets{Default: cfg.Deadline, PerEndpoint: cfg.DeadlineFor},
-		leader:  cfg.LeaderBudget,
-		Retry:   NewRetryBudget(cfg.RetryRatio, cfg.RetryBurst),
+		deadline: cfg.Deadline,
+		leader:   cfg.LeaderBudget,
+		Retry:    NewRetryBudget(cfg.RetryRatio),
 	}
 	if cfg.MaxInflight > 0 {
 		depth := cfg.QueueDepth
@@ -122,7 +115,6 @@ func New(cfg Config) *Guard {
 			Name:     name,
 			Failures: cfg.BreakerFailures,
 			Cooldown: cfg.BreakerCooldown,
-			Probes:   cfg.BreakerProbes,
 			Seed:     cfg.Seed,
 			Clock:    clock,
 			Metrics:  cfg.Metrics,
@@ -136,15 +128,15 @@ func New(cfg Config) *Guard {
 	return g
 }
 
-// Budget returns the deadline budget for an endpoint; zero means no
-// deadline. Nil-safe, allocation-free.
+// Budget returns the deadline budget of a query request; zero means no
+// deadline. Nil-safe.
 //
 //kcvet:hotpath consulted once per request on the /predict warm path
-func (g *Guard) Budget(endpoint string) time.Duration {
+func (g *Guard) Budget() time.Duration {
 	if g == nil {
 		return 0
 	}
-	return g.budgets.For(endpoint)
+	return g.deadline
 }
 
 // LeaderBudget returns the detached-leader budget (zero = unbounded).
@@ -182,24 +174,6 @@ func (*detached) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (*detached) Done() <-chan struct{}       { return nil }
 func (*detached) Err() error                  { return nil }
 func (d *detached) Value(key any) any         { return d.parent.Value(key) }
-
-// Budgets maps endpoint names to deadline budgets.
-type Budgets struct {
-	// Default applies to every endpoint without an explicit entry.
-	Default time.Duration
-	// PerEndpoint overrides Default per endpoint name.
-	PerEndpoint map[string]time.Duration
-}
-
-// For resolves the budget for one endpoint; zero means no deadline.
-//
-//kcvet:hotpath one map lookup per guarded request
-func (b Budgets) For(endpoint string) time.Duration {
-	if d, ok := b.PerEndpoint[endpoint]; ok && d > 0 {
-		return d
-	}
-	return b.Default
-}
 
 // DeadlineError is the deterministic 504 cause: the same budget always
 // renders the same bytes, so deadline-exceeded bodies are byte-stable

@@ -9,22 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-func TestBudgetsResolution(t *testing.T) {
-	b := Budgets{
-		Default:     50 * time.Millisecond,
-		PerEndpoint: map[string]time.Duration{"predict": 200 * time.Millisecond},
-	}
-	if got := b.For("predict"); got != 200*time.Millisecond {
-		t.Errorf("predict: %v, want per-endpoint 200ms", got)
-	}
-	if got := b.For("couplings"); got != 50*time.Millisecond {
-		t.Errorf("couplings: %v, want default 50ms", got)
-	}
-	if got := (Budgets{}).For("predict"); got != 0 {
-		t.Errorf("zero Budgets: %v, want 0 (no deadline)", got)
-	}
-}
-
 func TestDeadlineErrorDeterministicAndIs(t *testing.T) {
 	err := &DeadlineError{Endpoint: "predict", Budget: 50 * time.Millisecond}
 	if want := "guard: deadline budget 50ms exceeded for predict"; err.Error() != want {
@@ -53,7 +37,7 @@ func TestGuardAssemblyDefaults(t *testing.T) {
 	if g.Measure == nil || g.Disk == nil || g.Retry == nil {
 		t.Fatal("breakers and retry budget must always exist")
 	}
-	if g.Budget("predict") != 0 {
+	if g.Budget() != 0 {
 		t.Error("no configured deadline must read as 0")
 	}
 
@@ -61,12 +45,12 @@ func TestGuardAssemblyDefaults(t *testing.T) {
 	if g.Admission == nil || g.Stale == nil {
 		t.Fatal("configured admission/stale missing")
 	}
-	if g.Budget("predict") != time.Second {
-		t.Errorf("budget %v, want 1s", g.Budget("predict"))
+	if g.Budget() != time.Second {
+		t.Errorf("budget %v, want 1s", g.Budget())
 	}
 
 	var nilG *Guard
-	if nilG.Budget("predict") != 0 || nilG.LeaderBudget() != 0 {
+	if nilG.Budget() != 0 || nilG.LeaderBudget() != 0 {
 		t.Error("nil Guard accessors must return zeros")
 	}
 }
@@ -123,10 +107,12 @@ func TestDetachedLookupsDoNotAllocate(t *testing.T) {
 }
 
 func TestRetryBudgetTokenBucket(t *testing.T) {
-	rb := NewRetryBudget(0.5, 2)
-	// Starts full: two retries allowed, then dry.
-	if !rb.Spend() || !rb.Spend() {
-		t.Fatal("bucket must start full")
+	rb := NewRetryBudget(0.5)
+	// Starts full: retryBurst retries allowed, then dry.
+	for i := 0; i < retryBurst; i++ {
+		if !rb.Spend() {
+			t.Fatalf("bucket must start full: retry %d denied", i+1)
+		}
 	}
 	if rb.Spend() {
 		t.Fatal("empty bucket allowed a retry")
@@ -144,8 +130,8 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rb.OnRequest()
 	}
-	if got := rb.Tokens(); got != 2 {
-		t.Errorf("tokens %v, want burst cap 2", got)
+	if got := rb.Tokens(); got != retryBurst {
+		t.Errorf("tokens %v, want burst cap %d", got, retryBurst)
 	}
 
 	var nilRB *RetryBudget

@@ -4,29 +4,28 @@ import "sync"
 
 // RetryBudget is a token bucket that bounds serving-side retries to a
 // fraction of observed traffic: each incoming request deposits Ratio
-// tokens (capped at Burst), each retry withdraws one. Under overload the
-// bucket drains and retries stop amplifying the load; in the steady
-// state occasional retries always have budget. Deliberately time-free —
+// tokens (capped at retryBurst), each retry withdraws one. Under
+// overload the bucket drains and retries stop amplifying the load; in
+// the steady state occasional retries always have budget. Deliberately time-free —
 // refill is per-request, not per-second — so behaviour is deterministic
 // for a given request sequence.
 type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
 	ratio  float64
-	burst  float64
 }
 
-// NewRetryBudget builds a budget earning ratio tokens per request up to
-// burst (defaults 0.1 and 10). The bucket starts full so cold-start
+// retryBurst caps accumulated retry tokens.
+const retryBurst = 10
+
+// NewRetryBudget builds a budget earning ratio tokens per request
+// (default 0.1) up to retryBurst. The bucket starts full so cold-start
 // retries aren't starved.
-func NewRetryBudget(ratio, burst float64) *RetryBudget {
+func NewRetryBudget(ratio float64) *RetryBudget {
 	if ratio <= 0 {
 		ratio = 0.1
 	}
-	if burst <= 0 {
-		burst = 10
-	}
-	return &RetryBudget{tokens: burst, ratio: ratio, burst: burst}
+	return &RetryBudget{tokens: retryBurst, ratio: ratio}
 }
 
 // OnRequest credits the budget for one observed request. Nil-safe.
@@ -36,8 +35,8 @@ func (rb *RetryBudget) OnRequest() {
 	}
 	rb.mu.Lock()
 	rb.tokens += rb.ratio
-	if rb.tokens > rb.burst {
-		rb.tokens = rb.burst
+	if rb.tokens > retryBurst {
+		rb.tokens = retryBurst
 	}
 	rb.mu.Unlock()
 }

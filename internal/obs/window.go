@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -52,9 +53,10 @@ func (w *WindowHistogram) Len() int {
 	return w.n
 }
 
-// Quantiles returns the exact qth quantiles (0 <= q <= 1, nearest-rank)
-// over the current window contents, one per requested q, and the window
-// population they were computed over. An empty window returns zeros.
+// Quantiles returns the exact qth quantiles (0 <= q <= 1, nearest-rank:
+// the ⌈q·n⌉-th smallest of n values, the smallest for q = 0) over the
+// current window contents, one per requested q, and the window population
+// they were computed over. An empty window returns zeros.
 func (w *WindowHistogram) Quantiles(qs ...float64) ([]int64, int) {
 	w.mu.Lock()
 	vals := append([]int64(nil), w.buf[:w.n]...)
@@ -71,7 +73,10 @@ func (w *WindowHistogram) Quantiles(qs ...float64) ([]int64, int) {
 		if q > 1 {
 			q = 1
 		}
-		idx := int(q * float64(len(vals)-1))
+		idx := int(math.Ceil(q*float64(len(vals)))) - 1
+		if idx < 0 {
+			idx = 0
+		}
 		out[i] = vals[idx]
 	}
 	return out, len(vals)

@@ -17,12 +17,23 @@ func TestWindowQuantilesExact(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("n = %d, want 10", n)
 	}
-	// Nearest-rank over 100..1000: min, idx 4 (=500), idx 8 (=900), max.
-	want := []int64{100, 500, 900, 1000}
+	// Nearest-rank over 100..1000, the ⌈q·n⌉-th smallest: min, the 5th
+	// (=500), the 10th (=1000), max.
+	want := []int64{100, 500, 1000, 1000}
 	for i := range want {
 		if qs[i] != want[i] {
 			t.Errorf("q[%d] = %d, want %d", i, qs[i], want[i])
 		}
+	}
+
+	// Over three values p75 is the ⌈2.25⌉ = 3rd smallest, where
+	// floor(q·(n−1)) would read the 2nd.
+	w = NewWindowHistogram(16)
+	for _, v := range []int64{30, 10, 20} {
+		w.Observe(v)
+	}
+	if qs, _ := w.Quantiles(0.75); qs[0] != 30 {
+		t.Errorf("p75 of {10,20,30} = %d, want 30", qs[0])
 	}
 }
 

@@ -14,18 +14,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for the interpolated backend's tunables.
-const (
-	// DefaultTransitionThreshold is the relative coupling change that
-	// counts as a cache-capacity transition when fitting the step model —
-	// the same scale memmodel's sweep tests use.
-	DefaultTransitionThreshold = 0.08
-	// DefaultBandFloor is the minimum relative half-width of a model-based
-	// confidence band: even a perfectly fitting lattice never claims
-	// better than ±25%, because the backend extrapolates structure, not
-	// noise.
-	DefaultBandFloor = 0.25
-)
+// transitionThreshold is the relative coupling change that counts as a
+// cache-capacity transition when fitting the step model — the same scale
+// memmodel's sweep tests use.
+const transitionThreshold = 0.08
+
+// DefaultBandFloor is the minimum relative half-width of a model-based
+// confidence band: even a perfectly fitting lattice never claims better
+// than ±25%, because the backend extrapolates structure, not noise.
+const DefaultBandFloor = 0.25
 
 // Interpolated answers a query from a lattice of already-measured
 // neighboring configurations, with no new measurement: per-kernel isolated
@@ -45,9 +42,6 @@ type Interpolated struct {
 	// Problem maps a query to its problem geometry, for the model
 	// parameters and the working-set axis.
 	Problem func(Query) (npb.Problem, error)
-	// Threshold is the step-model transition threshold;
-	// DefaultTransitionThreshold when zero.
-	Threshold float64
 	// BandFloor is the minimum relative band half-width;
 	// DefaultBandFloor when zero.
 	BandFloor float64
@@ -123,7 +117,7 @@ func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error
 			}
 			cs[i] = wc.C
 		}
-		step, err := memmodel.FitStep(xs, cs, ip.threshold())
+		step, err := memmodel.FitStep(xs, cs, transitionThreshold)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -134,13 +128,6 @@ func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error
 		return Prediction{}, err
 	}
 	return modelled(st, ProvInterpolated, windows, ip.bandFloor()+maxResid+maxSpread), nil
-}
-
-func (ip *Interpolated) threshold() float64 {
-	if ip.Threshold > 0 {
-		return ip.Threshold
-	}
-	return DefaultTransitionThreshold
 }
 
 func (ip *Interpolated) bandFloor() float64 {

@@ -57,14 +57,12 @@ func TestGuardedWarmPredictByteIdentical(t *testing.T) {
 // TestFollowerSurvivesLeaderAbandonment is the leader-cancellation fix's
 // regression test: the singleflight leader's own requester runs out of
 // deadline budget and answers 504, but the flight is detached and keeps
-// working — a follower without a deadline still gets the real answer.
-// Before the fix the leader's context died with its caller and every
-// follower inherited the failure.
+// working — a follower without a deadline (an unguarded resolve, as a
+// peer fill is) still gets the real answer. Before the fix the leader's
+// context died with its caller and every follower inherited the failure.
 func TestFollowerSurvivesLeaderAbandonment(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := guard.New(guard.Config{
-		DeadlineFor: map[string]time.Duration{"predict": 40 * time.Millisecond},
-	})
+	g := guard.New(guard.Config{Deadline: 40 * time.Millisecond})
 	srv, err := New(Config{Cache: warmedCache(t), Metrics: reg, Guard: g})
 	if err != nil {
 		t.Fatal(err)
@@ -94,12 +92,19 @@ func TestFollowerSurvivesLeaderAbandonment(t *testing.T) {
 	}()
 	<-entered
 
-	// Follower: /couplings (no budget) piles onto the same flight key.
-	followerDone := make(chan []byte, 1)
+	// Follower: an unguarded resolve (no budget) piles onto the same
+	// flight key.
+	q := warmQuery(t)
+	key := q.Key()
+	type answer struct {
+		pr  predict.Prediction
+		err error
+	}
+	followerDone := make(chan answer, 1)
 	go func() {
-		followerDone <- get(t, ts.URL, "/couplings?"+warmQS, http.StatusOK)
+		pr, _, err := srv.resolveLocal(context.Background(), q, key)
+		followerDone <- answer{pr, err}
 	}()
-	key := warmQuery(t).Key()
 	for srv.sf.Waiters(key) < 1 {
 		time.Sleep(time.Millisecond)
 	}
@@ -117,12 +122,8 @@ func TestFollowerSurvivesLeaderAbandonment(t *testing.T) {
 	}
 
 	close(release)
-	var cr CouplingsResponse
-	if err := json.Unmarshal(<-followerDone, &cr); err != nil {
-		t.Fatalf("follower body: %v", err)
-	}
-	if len(cr.Chains) == 0 {
-		t.Error("follower got an empty study from the detached flight")
+	if got := <-followerDone; got.err != nil || got.pr.Study == nil {
+		t.Errorf("follower got (%v, study %p) from the detached flight, want the study", got.err, got.pr.Study)
 	}
 }
 
@@ -189,37 +190,27 @@ func TestAdmissionShedsWith503AndRetryAfter(t *testing.T) {
 
 // TestQueuedRequestAnswers504WhenItsBudgetRunsOut: the queue is a point
 // where a request waits, so its budget's deadline fires there too. One
-// slot, held by a /predict stalled in analysis under a long budget; a
-// /couplings queued behind it with a short budget answers the
-// deterministic 504 body without ever being admitted, and no slot leaks.
+// slot, held for the whole test; a /couplings queued behind it answers
+// the deterministic 504 body without ever being admitted, and no slot
+// leaks.
 func TestQueuedRequestAnswers504WhenItsBudgetRunsOut(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := guard.New(guard.Config{
 		MaxInflight: 1,
 		QueueDepth:  1,
-		DeadlineFor: map[string]time.Duration{"predict": time.Minute, "couplings": 30 * time.Millisecond},
+		Deadline:    30 * time.Millisecond,
 		Metrics:     reg,
 	})
 	srv, err := New(Config{Cache: warmedCache(t), Metrics: reg, Guard: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var once sync.Once
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	inner := srv.analyze
-	srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
-		once.Do(func() { close(entered) })
-		<-release
-		return inner(ctx, q)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	first := make(chan []byte, 1)
-	go func() { first <- get(t, ts.URL, "/predict?"+warmQS, http.StatusOK) }()
-	<-entered // the /predict holds the only slot, stalled in analysis
-
+	if err := g.Admission.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	body := get(t, ts.URL, "/couplings?"+warmQS, http.StatusGatewayTimeout)
 	const want = "{\n  \"error\": \"guard: deadline budget 30ms exceeded for couplings\"\n}\n"
 	if string(body) != want {
@@ -232,8 +223,7 @@ func TestQueuedRequestAnswers504WhenItsBudgetRunsOut(t *testing.T) {
 		t.Errorf("serve.deadline_exceeded = %d, want 1", got)
 	}
 
-	close(release)
-	<-first
+	g.Admission.Release(0)
 	if got := g.Admission.Inflight(); got != 0 {
 		t.Errorf("inflight = %d after drain, want 0", got)
 	}

@@ -71,7 +71,7 @@ type Config struct {
 	// itself need not be concurrency-safe.
 	AccessLog io.Writer
 	// Guard, when non-nil, hardens the query endpoints against overload
-	// and dependency failure: per-endpoint deadline budgets (504),
+	// and dependency failure: per-request deadline budgets (504),
 	// bounded-concurrency admission with deadline-aware queue shedding
 	// (503 + Retry-After), circuit breakers around on-demand measurement
 	// and cache disk reads, a token-bucket retry budget, and a
@@ -517,12 +517,12 @@ type budget struct {
 
 type budgetCtxKey struct{}
 
-// withBudget returns ctx carrying the endpoint's budget, starting now,
-// or ctx and nil when the guard gives the endpoint none.
+// withBudget returns ctx carrying the guard's budget for a request to
+// endpoint, starting now, or ctx and nil when the guard sets none.
 //
 //kcvet:hotpath every guarded request starts its budget here
 func (s *Server) withBudget(ctx context.Context, endpoint string) (context.Context, *budget) {
-	d := s.guard.Budget(endpoint)
+	d := s.guard.Budget()
 	if d <= 0 {
 		return ctx, nil
 	}

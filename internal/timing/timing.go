@@ -124,10 +124,6 @@ func (p Protocol) Aggregate(blocks []float64) (perPass, trim float64) {
 type Options struct {
 	// Clock is the time source (WallClock when nil).
 	Clock Clock
-	// BetweenBlocks, when non-nil, runs between timed blocks outside the
-	// measured region — e.g. to restore numerical state that repeated
-	// kernel application would otherwise degrade.
-	BetweenBlocks func()
 }
 
 // Result is the outcome of a repeated measurement.
@@ -143,9 +139,9 @@ type Result struct {
 var ErrNilFunc = errors.New("timing: nil function")
 
 // Measure times fn under protocol p and returns the per-pass statistics.
-// Only the passes themselves are inside the timed region; BetweenBlocks and
-// all bookkeeping are excluded, implementing the paper's "subtract the time
-// required for the application beyond the given kernel" methodology.
+// Only the passes themselves are inside the timed region; all bookkeeping
+// is excluded, implementing the paper's "subtract the time required for
+// the application beyond the given kernel" methodology.
 func Measure(fn func(), p Protocol, o Options) (Result, error) {
 	if fn == nil {
 		return Result{}, ErrNilFunc
@@ -157,9 +153,6 @@ func Measure(fn func(), p Protocol, o Options) (Result, error) {
 	}
 	blocks := make([]float64, 0, p.Blocks)
 	for b := 0; b < p.Blocks; b++ {
-		if b > 0 && o.BetweenBlocks != nil {
-			o.BetweenBlocks()
-		}
 		start := clock.Now()
 		for i := 0; i < p.Passes; i++ {
 			fn()

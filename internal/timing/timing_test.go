@@ -33,28 +33,6 @@ func TestMeasureWithFakeClock(t *testing.T) {
 	}
 }
 
-func TestMeasureBetweenBlocksExcludedFromTiming(t *testing.T) {
-	clock := &FakeClock{Steps: []time.Duration{time.Millisecond}}
-	resets := 0
-	res, err := Measure(func() {}, Protocol{Blocks: 3, Passes: 1}, Options{
-		Clock:         clock,
-		BetweenBlocks: func() { resets++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resets != 2 {
-		t.Errorf("BetweenBlocks ran %d times, want 2 (between 3 blocks)", resets)
-	}
-	// The fake clock only ticks on Now(), so BetweenBlocks cannot leak
-	// into the measured time: all blocks should still read 1ms.
-	for _, b := range res.Blocks {
-		if b != 0.001 {
-			t.Errorf("block time %v polluted by BetweenBlocks", b)
-		}
-	}
-}
-
 func TestMeasureTrimsOutliers(t *testing.T) {
 	// Blocks alternate 1ms..., with one 100ms outlier injected via steps.
 	steps := []time.Duration{

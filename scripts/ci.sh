@@ -63,6 +63,12 @@ go test -run '^$' -fuzz FuzzCacheLogScan -fuzztime 10s -fuzzminimizetime 0s ./in
 echo "==> go test -run '^\$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s ./internal/fault"
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0s ./internal/fault
 
+# Ten seconds of arbitrary text as a served query string: any query
+# ParseQuery takes encodes to a peer-fill wire form that parses back to the
+# same Query with the same Key.
+echo "==> go test -run '^\$' -fuzz FuzzQueryRoundTrip -fuzztime 10s -fuzzminimizetime 0s ./internal/serve"
+go test -run '^$' -fuzz FuzzQueryRoundTrip -fuzztime 10s -fuzzminimizetime 0s ./internal/serve
+
 # sync.Pool drops Puts under -race, so the zero-allocation assertions over
 # pooled message paths (mpi round trips, the 4-rank kernels, the shared
 # halo exchange's multi-rank cases in npb.TestHaloDoesNotAllocate), the
