@@ -7,13 +7,14 @@
 //	couple -bench LU -class W -procs 8 -chains 3 -trips 20
 //	couple -bench SP -grid 12 -procs 4 -chains 2   # custom tiny grid
 //
-// With -ref the windows are not measured at all: only the isolated kernels
-// and the application itself run, and the coupling values come from a
-// reference configuration already in the -cache-dir — the experiment
-// reduction of the paper's future-work section.
+// With -lattice the windows are not measured at all: only the isolated
+// kernels and the application itself run, and every window's coupling
+// value is borrowed from lattice configurations already in the -cache-dir
+// through the §4.1 step model (a one-point lattice lends its own values)
+// — the experiment reduction of the paper's future-work section.
 //
-//	couple -bench BT -grid 6 -chains 2,5 -cache-dir c              # measure the reference
-//	couple -bench BT -grid 8 -chains 2,5 -cache-dir c -ref 'bench=BT&grid=6'
+//	couple -bench BT -grid 6 -chains 2,5 -cache-dir c              # measure the lattice
+//	couple -bench BT -grid 8 -chains 2,5 -cache-dir c -lattice 'bench=BT&grid=6'
 //
 // Observability (see DESIGN.md §8): -trace-out writes a Perfetto-loadable
 // trace of the campaign (harness measurement spans plus per-rank MPI
@@ -27,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -70,8 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		passes = fs.Int("passes", def.Passes, "window passes per block")
 		grid   = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 		net    = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
-		ref    = fs.String("ref", "",
-			"reuse the coupling values of a reference configuration, one -lattice item (e.g. \"bench=BT&grid=6\") already measured into -cache-dir at these -chains; only the isolated kernels and the application are measured")
 
 		parallel  = fs.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
 		cacheDir  = fs.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
@@ -80,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		backend = fs.String("backend", "measured",
 			"predictor backend: measured, cached, interpolated, analytic, or measured+analytic (measure, then compare against the analytic model)")
 		lattice = fs.String("lattice", "",
-			"interpolation lattice: ';'-separated query items, e.g. \"bench=BT&grid=6;bench=BT&grid=8\"")
+			"lattice of configurations measured into -cache-dir to borrow coupling values from: ';'-separated query items without chains, e.g. \"bench=BT&grid=6;bench=BT&grid=8\"; the measured backend then measures only the isolated kernels and the application")
 		analyticBand = fs.Float64("analytic-band", 0,
 			"minimum relative half-width of the analytic confidence band (0 = model default)")
 	)
@@ -99,15 +97,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return errors.New("-from-cache needs -cache-dir")
 	}
 	backendName := strings.ToLower(strings.TrimSpace(*backend))
-	if *ref != "" {
+	if backendName == "" {
+		backendName = "measured"
+	}
+	var latticeQs []predict.Query
+	if *lattice != "" {
 		switch {
-		case *cacheDir == "":
-			return errors.New("-ref needs -cache-dir: the reference's measurements are read from it")
-		case *fromCache:
-			return errors.New("-ref and -from-cache exclude each other: -ref measures the isolated kernels, -from-cache measures nothing")
-		case backendName != "" && backendName != "measured":
-			return fmt.Errorf("-ref needs -backend measured, not -backend %s: it measures the isolated kernels", backendName)
+		case backendName != "measured" && backendName != "interpolated":
+			return fmt.Errorf("-lattice needs -backend measured or interpolated, not -backend %s: no other backend reads it", backendName)
+		case backendName == "measured" && *cacheDir == "":
+			return errors.New("-lattice needs -cache-dir: the lattice's measurements are read from it")
+		case backendName == "measured" && *fromCache:
+			return errors.New("-lattice and -from-cache exclude each other: -lattice measures the isolated kernels, -from-cache measures nothing")
 		}
+		if latticeQs, err = tables.ParseLattice(*lattice); err != nil {
+			return fmt.Errorf("-lattice: %w", err)
+		}
+	}
+	if *analyticBand != 0 && backendName != "analytic" && backendName != "measured+analytic" {
+		return fmt.Errorf("-analytic-band needs -backend analytic or measured+analytic, not -backend %s: no other backend reads it", backendName)
 	}
 
 	var chainLens []int
@@ -174,7 +182,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}()
 
 	// Without -cache-dir the study measures into a cache of its own.
-	cfg := tables.BackendConfig{Cache: plan.NewCache(), Parallel: *parallel}
+	cfg := tables.BackendConfig{Cache: plan.NewCache(), Parallel: *parallel, Lattice: latticeQs}
 	var worldOpts []mpi.Option
 	if *net {
 		m := mpi.IBMSPModel()
@@ -206,11 +214,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 	switch backendName {
-	case "", "measured", "measured+analytic":
+	case "measured", "measured+analytic":
 		// The measured path continues below; measured+analytic decorates
 		// its study with the analytic comparison before rendering.
 	default:
-		return runBackend(ctx, stdout, backendName, *lattice, *analyticBand, cfg, q)
+		return runBackend(ctx, stdout, backendName, *analyticBand, cfg, q)
 	}
 
 	cfg.Metrics = sink.Registry
@@ -222,21 +230,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		eng.Opts.MaxRetries = faultFlags.Retries
 		eng.Opts.Degrade = true
 	}
-	// With -ref the campaign has no windows: the reference, loaded before
-	// anything is measured so an unwarmed one fails at once, supplies their
-	// coupling values.
-	var refStudy *harness.Study
+	// With -lattice the campaign has no windows: the lattice lends their
+	// coupling values once the rest is measured.
 	campaign := chainLens
-	if *ref != "" {
-		if refStudy, err = reference(ctx, cfg, *ref, *chains, chainLens, *cacheDir); err != nil {
-			return err
-		}
-		man.Extra["ref"] = *ref
+	if latticeQs != nil {
+		man.Extra["lattice"] = *lattice
 		campaign = nil
 	}
 	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n", eng.Workload.Name(), prob, nTrips, chainLens)
-	if refStudy != nil {
-		fmt.Fprintf(stdout, "couplings: reused from %s\n", strings.TrimSpace(*ref))
+	if latticeQs != nil {
+		fmt.Fprintf(stdout, "couplings: borrowed from lattice %s\n", strings.TrimSpace(*lattice))
 	}
 	fmt.Fprintln(stdout)
 
@@ -257,8 +260,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("study failed: %w", err)
 	}
 
-	if refStudy != nil {
-		if study, err = predict.Reuse(study, refStudy, chainLens); err != nil {
+	if latticeQs != nil {
+		if study, err = borrow(ctx, cfg, study, q, *lattice, *chains, *cacheDir); err != nil {
 			return err
 		}
 	}
@@ -293,38 +296,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	return nil
 }
 
-// reference loads the study whose coupling values -ref reuses from the
-// cache: one -lattice item, read at this run's chain lengths through the
-// cached backend's own runner. A reference that is not fully measured is
-// harness.ErrCacheMiss, with the command that would measure it.
-func reference(ctx context.Context, cfg tables.BackendConfig, spec, chainsFlag string, chains []int, cacheDir string) (*harness.Study, error) {
-	item := strings.TrimSpace(spec)
-	if item == "" || strings.Contains(item, ";") {
-		return nil, fmt.Errorf("-ref takes exactly one -lattice item, got %q", spec)
-	}
-	v, err := url.ParseQuery(item)
+// borrow fills a study measured without windows with coupling values
+// borrowed from the lattice through the interpolated backend's step
+// model. A lattice none of whose points is fully measured is
+// harness.ErrCacheMiss, with the commands that would measure them.
+func borrow(ctx context.Context, cfg tables.BackendConfig, target *harness.Study, q predict.Query, spec, chainsFlag, cacheDir string) (*harness.Study, error) {
+	lend, err := tables.NewBackend(string(predict.ProvInterpolated), cfg)
 	if err != nil {
-		return nil, fmt.Errorf("-ref %q: %w", spec, err)
+		return nil, err
 	}
-	if v.Has("chains") {
-		return nil, fmt.Errorf("-ref %q names chains, and -chains already does: the reference is read at this run's chain lengths", spec)
-	}
-	rq, err := tables.ParseQuery(v)
-	if err != nil {
-		return nil, fmt.Errorf("-ref %q: %w", spec, err)
-	}
-	rq.Chains = chains
-	st, err := cfg.CacheRunner()(ctx, rq)
+	st, err := lend.(*predict.Interpolated).Borrow(ctx, target, q)
 	if errors.Is(err, harness.ErrCacheMiss) {
-		warm := fmt.Sprintf("couple -bench %s -class %s -procs %d -grid %d -trips %d -blocks %d -passes %d -chains %s -cache-dir %s",
-			rq.Bench, rq.Class, rq.Procs, rq.Grid, rq.Trips, rq.Blocks, rq.Passes, chainsFlag, cacheDir)
-		if cfg.Net != nil {
-			warm += " -net"
+		var warm strings.Builder
+		for _, lq := range cfg.Lattice {
+			fmt.Fprintf(&warm, "\n  couple -bench %s -class %s -procs %d -grid %d -trips %d -blocks %d -passes %d -chains %s -cache-dir %s",
+				lq.Bench, lq.Class, lq.Procs, lq.Grid, lq.Trips, lq.Blocks, lq.Passes, chainsFlag, cacheDir)
+			if cfg.Net != nil {
+				warm.WriteString(" -net")
+			}
 		}
-		return nil, fmt.Errorf("-ref %q is not measured in -cache-dir %s: %w\nmeasure it first: %s", spec, cacheDir, err, warm)
+		return nil, fmt.Errorf("-lattice %q is not measured in -cache-dir %s: %w\nmeasure it first:%s", spec, cacheDir, err, warm.String())
 	}
 	if err != nil {
-		return nil, fmt.Errorf("-ref %q: %w", spec, err)
+		return nil, fmt.Errorf("-lattice %q: %w", spec, err)
 	}
 	return st, nil
 }
@@ -347,14 +341,7 @@ func measuredEngine(cfg tables.BackendConfig, q predict.Query, worldOpts []mpi.O
 // backend: the same interface kcserved serves, driven from the command
 // line. Cached and interpolated need a warmed -cache-dir; analytic needs
 // nothing but the query's geometry.
-func runBackend(ctx context.Context, stdout io.Writer, name, latticeSpec string, bandFloor float64, cfg tables.BackendConfig, q predict.Query) error {
-	if latticeSpec != "" {
-		l, err := tables.ParseLattice(latticeSpec)
-		if err != nil {
-			return err
-		}
-		cfg.Lattice = l
-	}
+func runBackend(ctx context.Context, stdout io.Writer, name string, bandFloor float64, cfg tables.BackendConfig, q predict.Query) error {
 	b, err := tables.NewBackend(name, cfg)
 	if err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -163,16 +164,17 @@ func TestEveryPathClosesTheSink(t *testing.T) {
 	})
 }
 
-// refItem is the reference configuration of the -ref gates, as the -ref
-// flag takes it; refArgs measures it.
+// refItem is the reference configuration the coupling-borrowing gates
+// lend from, as a one-point -lattice; refArgs measures it.
 const refItem = "bench=BT&grid=6&trips=2&blocks=1"
 
 var refArgs = []string{"-bench", "BT", "-grid", "6", "-trips", "2", "-procs", "4", "-blocks", "1", "-chains", "2,5"}
 
-// TestRefReusesCachedCouplings: with -ref the grid-8 study measures its 7
-// isolated kernels and 3 application runs and not one window — the
-// coupling values are the grid-6 study's, read from the cache — and it
-// does so through the engine: cached, counted, and fault-tolerant.
+// TestRefReusesCachedCouplings: with a one-point -lattice the grid-8
+// study measures its 7 isolated kernels and 3 application runs and not
+// one window — the coupling values are the grid-6 study's, read from the
+// cache — and it does so through the engine: cached, counted, and
+// fault-tolerant.
 func TestRefReusesCachedCouplings(t *testing.T) {
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "cache")
@@ -182,15 +184,15 @@ func TestRefReusesCachedCouplings(t *testing.T) {
 	}
 
 	manifest := filepath.Join(dir, "m.json")
-	args := []string{"-chains", "2,5", "-blocks", "1", "-cache-dir", cache, "-ref", refItem}
+	args := []string{"-chains", "2,5", "-blocks", "1", "-cache-dir", cache, "-lattice", refItem}
 	cold, stderr, err := couple(append(args, "-metrics-out", manifest)...)
 	if err != nil {
-		t.Fatalf("-ref run: %v\nstderr:\n%s", err, stderr)
+		t.Fatalf("-lattice run: %v\nstderr:\n%s", err, stderr)
 	}
 	if want := "couple: cache hits=0 misses=10 planned=10\n"; stderr != want {
 		t.Errorf("stderr = %q, want %q (7 isolated kernels + 3 application runs)", stderr, want)
 	}
-	for _, row := range []string{"couplings: reused from " + refItem, "Summation", "Coupling: 2 kernels", "Coupling: 5 kernels"} {
+	for _, row := range []string{"couplings: borrowed from lattice " + refItem, "Summation", "Coupling: 2 kernels", "Coupling: 5 kernels"} {
 		if !strings.Contains(cold, row) {
 			t.Errorf("report lacks %q:\n%s", row, cold)
 		}
@@ -211,7 +213,7 @@ func TestRefReusesCachedCouplings(t *testing.T) {
 
 	warm, stderr, err := couple(args...)
 	if err != nil {
-		t.Fatalf("second -ref run: %v\nstderr:\n%s", err, stderr)
+		t.Fatalf("second -lattice run: %v\nstderr:\n%s", err, stderr)
 	}
 	if want := "couple: cache hits=10 misses=0 planned=10\n"; stderr != want {
 		t.Errorf("second run stderr = %q, want %q", stderr, want)
@@ -222,15 +224,16 @@ func TestRefReusesCachedCouplings(t *testing.T) {
 
 	faulted, stderr, err := couple(append(args, "-fault-spec", "delay:p=0.2,mean=200us", "-fault-seed", "3")...)
 	if err != nil {
-		t.Fatalf("-ref under delay faults: %v\nstderr:\n%s", err, stderr)
+		t.Fatalf("-lattice under delay faults: %v\nstderr:\n%s", err, stderr)
 	}
 	if !strings.Contains(faulted, "Coupling: 5 kernels") {
 		t.Errorf("no prediction in the faulted report:\n%s", faulted)
 	}
 }
 
-// TestRefFlagConflicts: a -ref that cannot do what it says is an error
-// naming the flags involved, never a silently different study.
+// TestRefFlagConflicts: a -lattice or -analytic-band the run would not
+// read is an error naming the flags involved, never a silently different
+// study.
 func TestRefFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -238,14 +241,17 @@ func TestRefFlagConflicts(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{"no cache", []string{"-ref", refItem}, []string{"-ref", "-cache-dir"}},
-		{"from cache", []string{"-ref", refItem, "-cache-dir", dir, "-from-cache"}, []string{"-ref", "-from-cache"}},
-		{"analytic backend", []string{"-ref", refItem, "-cache-dir", dir, "-backend", "analytic"}, []string{"-ref", "-backend analytic"}},
-		{"compared backend", []string{"-ref", refItem, "-cache-dir", dir, "-backend", "measured+analytic"}, []string{"-ref", "-backend measured+analytic"}},
-		{"two items", []string{"-ref", refItem + ";bench=BT&grid=8", "-cache-dir", dir}, []string{"-ref", "exactly one"}},
-		{"no item", []string{"-ref", " ", "-cache-dir", dir}, []string{"-ref", "exactly one"}},
-		{"names chains", []string{"-ref", refItem + "&chains=2", "-cache-dir", dir}, []string{"-ref", "-chains"}},
-		{"unknown parameter", []string{"-ref", "bench=BT&gird=6", "-cache-dir", dir}, []string{"-ref", `"gird"`}},
+		{"no cache", []string{"-lattice", refItem}, []string{"-lattice", "-cache-dir"}},
+		{"from cache", []string{"-lattice", refItem, "-cache-dir", dir, "-from-cache"}, []string{"-lattice", "-from-cache"}},
+		{"analytic backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "analytic"}, []string{"-lattice", "-backend analytic"}},
+		{"cached backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "cached"}, []string{"-lattice", "-backend cached"}},
+		{"compared backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "measured+analytic"}, []string{"-lattice", "-backend measured+analytic"}},
+		{"two items", []string{"-lattice", refItem + ";bench=BT&grid=8&chains=2", "-cache-dir", dir}, []string{"-lattice", "names chains"}},
+		{"no item", []string{"-lattice", " ", "-cache-dir", dir}, []string{"-lattice", "empty"}},
+		{"names chains", []string{"-lattice", refItem + "&chains=2", "-cache-dir", dir}, []string{"-lattice", "chains"}},
+		{"unknown parameter", []string{"-lattice", "bench=BT&gird=6", "-cache-dir", dir}, []string{"-lattice", `"gird"`}},
+		{"band on measured", []string{"-analytic-band", "0.6"}, []string{"-analytic-band", "-backend measured"}},
+		{"band on interpolated", []string{"-analytic-band", "0.6", "-backend", "interpolated", "-lattice", refItem}, []string{"-analytic-band", "-backend interpolated"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, _, err := couple(tc.args...)
@@ -263,14 +269,38 @@ func TestRefFlagConflicts(t *testing.T) {
 		})
 	}
 
-	// An unmeasured reference is a cache miss, with the command that
+	// An unmeasured lattice is a cache miss, with the command that
 	// measures it.
-	_, _, err := couple("-chains", "2,5", "-cache-dir", dir, "-ref", refItem)
+	_, _, err := couple("-chains", "2,5", "-cache-dir", dir, "-lattice", refItem)
 	if !errors.Is(err, harness.ErrCacheMiss) {
-		t.Fatalf("unmeasured reference: err = %v, want harness.ErrCacheMiss", err)
+		t.Fatalf("unmeasured lattice: err = %v, want harness.ErrCacheMiss", err)
 	}
 	if want := "couple -bench BT -class S -procs 4 -grid 6 -trips 2 -blocks 1 -passes 1 -chains 2,5 -cache-dir " + dir; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q lacks the warming command %q", err, want)
+	}
+}
+
+// TestInterpolatedReadsLatticeAtQueryChains: lattice items name no chains,
+// and every point is read at the query's — so a lattice warmed at 2,3
+// answers an interpolated query at 2,3, triples included.
+func TestInterpolatedReadsLatticeAtQueryChains(t *testing.T) {
+	dir := t.TempDir()
+	for _, grid := range []string{"6", "10"} {
+		var out, errb bytes.Buffer
+		args := []string{"-bench", "BT", "-grid", grid, "-trips", "2", "-procs", "4", "-blocks", "1", "-chains", "2,3", "-cache-dir", dir}
+		if err := run(context.Background(), args, &out, &errb); err != nil {
+			t.Fatalf("warming grid %s: %v\nstderr:\n%s", grid, err, errb.String())
+		}
+	}
+	out, stderr, err := couple("-chains", "2,3", "-blocks", "1", "-cache-dir", dir, "-backend", "interpolated",
+		"-lattice", "bench=BT&grid=6&trips=2&blocks=1;bench=BT&grid=10&trips=2&blocks=1")
+	if err != nil {
+		t.Fatalf("interpolated run: %v\nstderr:\n%s", err, stderr)
+	}
+	for _, row := range []string{"provenance interpolated", "Coupling: 2 kernels", "Coupling: 3 kernels"} {
+		if !strings.Contains(out, row) {
+			t.Errorf("report lacks %q:\n%s", row, out)
+		}
 	}
 }
 
@@ -326,5 +356,45 @@ func TestHelpIsPinned(t *testing.T) {
 	}
 	if got := stderr.String(); got != string(want) {
 		t.Errorf("-h output changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestReadmeDocumentsEveryFlag: every flag -h lists has a row in
+// README.md whose Binary column says `couple` or `both`, and every such
+// row names a live flag, so a removed flag cannot leave a stale row and a
+// new one cannot go undocumented.
+func TestReadmeDocumentsEveryFlag(t *testing.T) {
+	var help bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, io.Discard, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
+	}
+	live := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(help.String(), -1) {
+		live[m[1]] = true
+	}
+	if len(live) == 0 {
+		t.Fatalf("no flags in -h output:\n%s", help.String())
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\| `(?:couple|both)` \\|").FindAllStringSubmatch(string(readme), -1) {
+		documented[m[1]] = true
+		if !live[m[1]] {
+			t.Errorf("README.md documents -%s for couple, which couple -h does not list", m[1])
+		}
+	}
+	var missing []string
+	for name := range live {
+		if !documented[name] {
+			missing = append(missing, "-"+name)
+		}
+	}
+	slices.Sort(missing)
+	if len(missing) > 0 {
+		t.Errorf("couple flags without a README.md row: %s", strings.Join(missing, " "))
 	}
 }

@@ -420,37 +420,6 @@ func TestDegradedPredictionAccuracyOrdering(t *testing.T) {
 	}
 }
 
-// TestRetryGateDeniesRetries: with a gate that says no, a transient
-// failure surfaces immediately even though MaxRetries would allow
-// recovery — the serving layer's token bucket uses exactly this hook to
-// keep retries from amplifying an overload. The denial is counted.
-func TestRetryGateDeniesRetries(t *testing.T) {
-	reg := obs.NewRegistry()
-	f := &flakyWorkload{Synthetic: fourKernelSynthetic(), transient: map[string]int{"B|C": 1}}
-	_, err := RunStudy(f, 10, []int{2}, Options{
-		MaxRetries: 2, RetryBackoff: time.Microsecond, Metrics: reg,
-		RetryGate: func() bool { return false },
-	})
-	if err == nil || !strings.Contains(err.Error(), "injected transient failure") {
-		t.Fatalf("err = %v, want the gated-off transient failure", err)
-	}
-	if c, _ := reg.Snapshot().Counter("harness.retry.denied"); c.Value != 1 {
-		t.Errorf("harness.retry.denied = %d, want 1", c.Value)
-	}
-	if c, _ := reg.Snapshot().Counter("harness.retry.count"); c.Value != 0 {
-		t.Errorf("harness.retry.count = %d, want 0", c.Value)
-	}
-
-	// An open gate changes nothing: the same failure recovers.
-	f = &flakyWorkload{Synthetic: fourKernelSynthetic(), transient: map[string]int{"B|C": 1}}
-	if _, err := RunStudy(f, 10, []int{2}, Options{
-		MaxRetries: 2, RetryBackoff: time.Microsecond,
-		RetryGate: func() bool { return true },
-	}); err != nil {
-		t.Fatalf("open gate: %v", err)
-	}
-}
-
 // TestDegradedStudyPinned pins everything a degraded study records besides
 // its predictions: the provenance in order — the ladder's sub-windows in
 // the failed window's place, one served by the cache and one measured

@@ -158,14 +158,6 @@ func (r *measurer) measure(ctx context.Context, j plan.Job) (plan.Result, []Retr
 		if attempt >= r.o.MaxRetries {
 			return plan.Result{}, retries, err
 		}
-		if r.o.RetryGate != nil && !r.o.RetryGate() {
-			// The retry budget is spent: surface the failure now rather
-			// than amplify whatever is already failing.
-			if r.o.Metrics != nil {
-				r.o.Metrics.Counter("harness.retry.denied").Inc()
-			}
-			return plan.Result{}, retries, err
-		}
 		retries = append(retries, RetryRecord{Key: j.Label(), Kind: string(j.Kind), Attempt: attempt + 1, Err: err.Error()})
 		if r.o.Metrics != nil {
 			r.o.Metrics.Counter("harness.retry.count").Inc()

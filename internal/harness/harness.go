@@ -45,13 +45,6 @@ type Options struct {
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt (default 50ms).
 	RetryBackoff time.Duration
-	// RetryGate, when non-nil, is consulted before every retry the
-	// MaxRetries budget would otherwise allow; returning false stops
-	// retrying and surfaces the last error. Serving layers plug a
-	// token-bucket retry budget in here so retries cannot amplify an
-	// overload: under brownout the bucket drains and measurements fail
-	// fast instead of hammering the failing dependency.
-	RetryGate func() bool
 	// Degrade makes the study degrade instead of die: a window still
 	// unmeasurable after the retry budget is recorded in the study's
 	// Health, its coefficients fall back down the degradation ladder

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -31,13 +32,16 @@ const DefaultBandFloor = 0.25
 // finite-transition observation — C_S is piecewise-constant in the
 // per-processor working set, so a step model fitted over the lattice's
 // coupling series evaluates at the target's working-set size and the
-// containing plateau's spread becomes the confidence band.
+// containing plateau's spread becomes the confidence band. Borrow takes
+// the same coupling values for a target whose isolated kernels and
+// application were measured.
 type Interpolated struct {
 	// Source resolves a lattice point to its study; a point whose study
 	// cannot be loaded (cache miss) is skipped, not fatal.
 	Source StudyFn
-	// Lattice lists the candidate seed configurations. Points matching
-	// the target's key, or a different benchmark, are ignored.
+	// Lattice lists the candidate seed configurations, each read at the
+	// query's chain lengths (their own Chains are ignored). Points
+	// matching the target's key, or a different benchmark, are ignored.
 	Lattice []Query
 	// Problem maps a query to its problem geometry, for the model
 	// parameters and the working-set axis.
@@ -69,25 +73,11 @@ func cellsOf(p npb.Problem) float64 { return float64(p.N1) * float64(p.N2) * flo
 // than two lattice points are loadable for the target's benchmark — one
 // point cannot distinguish a plateau from a transition.
 func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error) {
-	if ip.Problem == nil {
-		return Prediction{}, fmt.Errorf("predict: interpolated backend needs a Problem builder")
-	}
-	pts, err := ip.load(ctx, q)
+	pts, targetCells, err := ip.load(ctx, q, 2)
 	if err != nil {
 		return Prediction{}, err
-	}
-	if len(pts) < 2 {
-		return Prediction{}, Unanswerable(fmt.Errorf(
-			"predict: interpolation needs >= 2 cached lattice studies for %s, have %d", q.Bench, len(pts)))
 	}
 	obs.TraceFrom(ctx).Annotate("lattice", fmt.Sprintf("%d points", len(pts)))
-
-	prob, err := ip.Problem(q)
-	if err != nil {
-		return Prediction{}, err
-	}
-	targetCells := cellsOf(prob)
-	targetX := targetCells / float64(q.Procs)
 
 	// The target app keeps the lattice's kernel structure — same
 	// benchmark, same ring — with the target's trip count.
@@ -99,15 +89,47 @@ func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error
 	if err != nil {
 		return Prediction{}, err
 	}
+	st, windows, maxSpread, err := synthesize(app, isolated, 0, q.Chains, stepCoupling(pts, targetCells/float64(q.Procs)))
+	if err != nil {
+		return Prediction{}, err
+	}
+	return modelled(st, ProvInterpolated, windows, ip.bandFloor()+maxResid+maxSpread), nil
+}
+
+// Borrow is the experiment reduction the paper's future-work section asks
+// for. Coupling values move through finitely many transitions across
+// problem sizes and rank counts while isolated times change with every
+// configuration, so target — a study of q's configuration measured with
+// no chain lengths — keeps its isolated times, actual time, provenance,
+// health and execution statistics, and every window's C comes from the
+// lattice's step model (stepCoupling). One loadable point is enough, and
+// lends its own C unchanged.
+func (ip *Interpolated) Borrow(ctx context.Context, target *harness.Study, q Query) (*harness.Study, error) {
+	pts, targetCells, err := ip.load(ctx, q, 1)
+	if err != nil {
+		return nil, err
+	}
+	st, _, _, err := synthesize(target.App, target.Measurements.Isolated, target.Actual, q.Chains, stepCoupling(pts, targetCells/float64(q.Procs)))
+	if err != nil {
+		return nil, err
+	}
+	st.Provenance, st.Health, st.Exec = target.Provenance, target.Health, target.Exec
+	return st, nil
+}
+
+// stepCoupling is the one rule by which a coupling value is borrowed: a
+// window's C at every lattice point, ordered by per-rank working set, is
+// fitted with the §4.1 step model and evaluated at the target's working
+// set x; the containing plateau's spread is the band — the
+// finite-transition model's own uncertainty. A lattice point that lacks
+// the window, or holds a C that is not positive, is a refusal naming the
+// point and the window.
+func stepCoupling(pts []latticePoint, x float64) couplingSource {
 	xs := make([]float64, len(pts))
 	for i, pt := range pts {
 		xs[i] = pt.x
 	}
-	// A window's coupling value is a step model fitted over the lattice's
-	// measured C series (ordered by per-rank working set), evaluated at
-	// the target size; the containing plateau's spread is its band — the
-	// finite-transition model's own uncertainty.
-	st, windows, maxSpread, err := synthesize(app, isolated, 0, q.Chains, func(w []string) (c, lo, hi float64, err error) {
+	return func(w []string) (c, lo, hi float64, err error) {
 		cs := make([]float64, len(pts))
 		for i, pt := range pts {
 			wc, err := pt.st.Measurements.CouplingOf(w)
@@ -115,19 +137,19 @@ func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error
 				return 0, 0, 0, Unanswerable(fmt.Errorf(
 					"predict: lattice study %s has no coupling for window %s: %w", pt.q.Key(), core.Key(w), err))
 			}
+			if wc.C <= 0 {
+				return 0, 0, 0, Unanswerable(fmt.Errorf(
+					"predict: lattice study %s holds coupling %g for window %s, want > 0", pt.q.Key(), wc.C, core.Key(w)))
+			}
 			cs[i] = wc.C
 		}
 		step, err := memmodel.FitStep(xs, cs, transitionThreshold)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		c, lo, hi = step.Eval(targetX)
+		c, lo, hi = step.Eval(x)
 		return c, lo, hi, nil
-	})
-	if err != nil {
-		return Prediction{}, err
 	}
-	return modelled(st, ProvInterpolated, windows, ip.bandFloor()+maxResid+maxSpread), nil
 }
 
 func (ip *Interpolated) bandFloor() float64 {
@@ -138,29 +160,44 @@ func (ip *Interpolated) bandFloor() float64 {
 }
 
 // load resolves the usable lattice points, sorted ascending by working-set
-// axis. The target itself is excluded so held-out validation stays honest.
-func (ip *Interpolated) load(ctx context.Context, q Query) ([]latticePoint, error) {
+// axis, and the target's global cell count. Every point is read at q's
+// chain lengths, and the target itself is excluded so held-out validation
+// stays honest. A point whose study cannot be loaded (a cache miss) is
+// skipped; fewer than need points is a refusal that wraps why each was.
+func (ip *Interpolated) load(ctx context.Context, q Query, need int) ([]latticePoint, float64, error) {
+	if ip.Problem == nil {
+		return nil, 0, fmt.Errorf("predict: interpolated backend needs a Problem builder")
+	}
 	tkey := q.Key()
 	pts := make([]latticePoint, 0, len(ip.Lattice))
+	var missed []error
 	for _, lq := range ip.Lattice {
+		lq.Chains = q.Chains
 		if lq.Bench != q.Bench || lq.Key() == tkey {
 			continue
 		}
 		prob, err := ip.Problem(lq)
 		if err != nil {
-			return nil, fmt.Errorf("predict: lattice point %s: %w", lq.Key(), err)
+			return nil, 0, fmt.Errorf("predict: lattice point %s: %w", lq.Key(), err)
 		}
 		st, err := ip.Source(ctx, lq)
 		if err != nil {
-			// An unloadable point shrinks the lattice; the >= 2 floor
-			// decides whether the backend can still answer.
+			missed = append(missed, fmt.Errorf("lattice point %s: %w", lq.Key(), err))
 			continue
 		}
 		cells := cellsOf(prob)
 		pts = append(pts, latticePoint{q: lq, st: st, cells: cells, x: cells / float64(lq.Procs)})
 	}
+	if len(pts) < need {
+		return nil, 0, Unanswerable(errors.Join(append([]error{fmt.Errorf(
+			"predict: interpolation needs >= %d cached lattice studies for %s, have %d", need, q.Bench, len(pts))}, missed...)...))
+	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
-	return pts, nil
+	prob, err := ip.Problem(q)
+	if err != nil {
+		return nil, 0, err
+	}
+	return pts, cellsOf(prob), nil
 }
 
 // isolatedTimes fits one scaling model per kernel to the lattice's

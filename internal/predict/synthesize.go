@@ -22,7 +22,7 @@ type couplingSource func(window []string) (c, lo, hi float64, err error)
 // returns that study, one band per synthesized window in the order they
 // were made, and the widest relative half-width (hi−lo)/2C among them.
 //
-// actual is the measured application time where there is one (Reuse).
+// actual is the measured application time where there is one (Borrow).
 // With zero there is no ground truth, and the relative errors are cleared
 // rather than left at +Inf, which would poison JSON encoding downstream.
 //
@@ -116,36 +116,4 @@ func modelled(st *harness.Study, prov Provenance, windows []WindowBand, rel floa
 	}
 	pr.Band = Band{Lo: lo, Hi: hi}
 	return pr
-}
-
-// Reuse is the experiment reduction the paper's future-work section asks
-// for: predict a configuration from its own isolated kernel times and the
-// coupling values measured at another one. Coupling values capture
-// interaction structure and move through finitely many transitions across
-// problem sizes and rank counts, while isolated times change with every
-// configuration — so target needs only its N isolated kernels and its
-// actual time measured (a study with no chain lengths), and ref supplies
-// C_S for every window of the requested chain lengths.
-//
-// The result is target's study with the chained predictions filled in:
-// its measurements' provenance, health and execution statistics carry
-// over. A window ref did not measure, a coupling value that is not
-// positive, or a kernel target did not measure is an error naming it.
-func Reuse(target, ref *harness.Study, chains []int) (*harness.Study, error) {
-	st, _, _, err := synthesize(target.App, target.Measurements.Isolated, target.Actual, chains,
-		func(w []string) (c, lo, hi float64, err error) {
-			wc, err := ref.Measurements.CouplingOf(w)
-			if err != nil {
-				return 0, 0, 0, fmt.Errorf("predict: reference %s has no coupling for window %s: %w", ref.Workload, core.Key(w), err)
-			}
-			if wc.C <= 0 {
-				return 0, 0, 0, fmt.Errorf("predict: reference %s holds coupling %g for window %s, want > 0", ref.Workload, wc.C, core.Key(w))
-			}
-			return wc.C, wc.C, wc.C, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	st.Provenance, st.Health, st.Exec = target.Provenance, target.Health, target.Exec
-	return st, nil
 }

@@ -1,6 +1,8 @@
 package predict
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -29,8 +31,8 @@ func checkComposed(t *testing.T, st *harness.Study, bands []WindowBand) {
 	}
 }
 
-// toy is the reuse tests' workload: a four-kernel ring whose costs and
-// interactions all scale by one factor, so its coupling values do not.
+// toy is the borrowing tests' workload: a four-kernel ring whose costs
+// and interactions all scale by one factor, so its coupling values do not.
 func toy(scale float64) *harness.Synthetic {
 	return &harness.Synthetic{
 		SyntheticName: "toy",
@@ -41,21 +43,51 @@ func toy(scale float64) *harness.Synthetic {
 	}
 }
 
-func toyStudy(t *testing.T, scale float64, chains []int) *harness.Study {
+func runToy(t *testing.T, w *harness.Synthetic, chains []int) *harness.Study {
 	t.Helper()
-	st, err := harness.RunStudy(toy(scale), 50, chains, harness.Options{})
+	st, err := harness.RunStudy(w, 50, chains, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// Reusing a study's own couplings must give its own predictions back:
-// C·ΣP_k round-trips P_S at every chain length.
+func toyStudy(t *testing.T, scale float64, chains []int) *harness.Study {
+	t.Helper()
+	return runToy(t, toy(scale), chains)
+}
+
+// toyQuery places the toy workload on the lattice: grid g stands for
+// scale g/6 (working set g³ on one rank).
+func toyQuery(grid, trips int, chains ...int) Query {
+	return Query{Bench: "toy", Procs: 1, Grid: grid, Trips: trips, Chains: chains}
+}
+
+// lender is an Interpolated over the given lattice whose points are
+// answered by source.
+func lender(source func(q Query) (*harness.Study, error), lattice ...Query) *Interpolated {
+	return &Interpolated{
+		Source:  func(_ context.Context, q Query) (*harness.Study, error) { return source(q) },
+		Lattice: lattice,
+		Problem: synthProblem,
+	}
+}
+
+// toyLender lends from toy studies measured at the asked chain lengths.
+func toyLender(t *testing.T, lattice ...Query) *Interpolated {
+	return lender(func(q Query) (*harness.Study, error) {
+		return toyStudy(t, float64(q.Grid)/6, q.Chains), nil
+	}, lattice...)
+}
+
+// Borrowing a study's own couplings must give its own predictions back:
+// C·ΣP_k round-trips P_S at every chain length. The lattice point holds
+// the same measurements as the target under another key (its trip
+// count), since a point whose key is the target's is never lent from.
 func TestReuseOwnStudyRoundTrips(t *testing.T) {
 	chains := []int{2, 3, 4}
 	full := toyStudy(t, 1, chains)
-	got, err := Reuse(toyStudy(t, 1, nil), full, chains)
+	got, err := toyLender(t, toyQuery(6, 51)).Borrow(context.Background(), toyStudy(t, 1, nil), toyQuery(6, 50, chains...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +97,7 @@ func TestReuseOwnStudyRoundTrips(t *testing.T) {
 	for _, l := range chains {
 		want, have := full.Couplings[l], got.Couplings[l]
 		if math.Abs(have.Predicted-want.Predicted) > 1e-12*want.Predicted {
-			t.Errorf("L=%d: reused prediction %v, measured %v", l, have.Predicted, want.Predicted)
+			t.Errorf("L=%d: borrowed prediction %v, measured %v", l, have.Predicted, want.Predicted)
 		}
 		if math.Abs(have.RelErr-want.RelErr) > 1e-12 {
 			t.Errorf("L=%d: relative error %v, measured %v", l, have.RelErr, want.RelErr)
@@ -78,6 +110,11 @@ func TestReuseOwnStudyRoundTrips(t *testing.T) {
 		}
 	}
 	checkComposed(t, got, bands)
+
+	// The target's own key in the lattice lends nothing.
+	if _, err := toyLender(t, toyQuery(6, 50)).Borrow(context.Background(), toyStudy(t, 1, nil), toyQuery(6, 50, chains...)); !errors.Is(err, ErrUnanswerable) {
+		t.Errorf("self-lent err = %v, want unanswerable", err)
+	}
 }
 
 // Couplings measured at one size predict another size whose interactions
@@ -86,12 +123,11 @@ func TestReuseOwnStudyRoundTrips(t *testing.T) {
 // predicted, and summation — the same fresh isolated times without the
 // couplings — misses by exactly the interaction it cannot see.
 func TestReuseConstantCouplingPredictsOtherSize(t *testing.T) {
-	ref := toyStudy(t, 1, []int{2, 4})
 	target := toyStudy(t, 2, nil)
 	if n := len(target.Measurements.Window); n != 0 {
 		t.Fatalf("target measured %d windows, want none", n)
 	}
-	got, err := Reuse(target, ref, []int{2, 4})
+	got, err := toyLender(t, toyQuery(6, 50)).Borrow(context.Background(), target, toyQuery(12, 50, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,27 +136,72 @@ func TestReuseConstantCouplingPredictsOtherSize(t *testing.T) {
 		t.Fatalf("target actual %v, closed form %v", got.Actual, actual)
 	}
 	if p := got.Couplings[4].Predicted; math.Abs(p-actual) > 1e-9 {
-		t.Errorf("full-ring reused prediction %v, want the actual %v", p, actual)
+		t.Errorf("full-ring borrowed prediction %v, want the actual %v", p, actual)
 	}
 	direct := toyStudy(t, 2, []int{2})
 	if p, want := got.Couplings[2].Predicted, direct.Couplings[2].Predicted; math.Abs(p-want) > 1e-9 {
-		t.Errorf("pairwise reused prediction %v, a full campaign at the target predicts %v", p, want)
+		t.Errorf("pairwise borrowed prediction %v, a full campaign at the target predicts %v", p, want)
 	}
 	if miss := actual - got.Summation.Predicted; math.Abs(miss-50*0.2) > 1e-9 {
 		t.Errorf("summation misses by %v, want the injected 50·0.2", miss)
 	}
 	if len(target.Measurements.Window) != 0 || len(target.Couplings) != 0 {
-		t.Error("Reuse wrote into the target study")
+		t.Error("Borrow wrote into the target study")
 	}
 }
 
-// What Reuse cannot use it must name.
+// A two-point lattice lends from the plateau that holds the target's
+// working set: the pair interaction A|B turns from -0.3 to 0.9 above
+// grid 8, so the step model puts a transition between the points, and a
+// target on either side borrows its side's measured C unchanged.
+func TestBorrowPicksThePlateauOfTheTarget(t *testing.T) {
+	ip := lender(func(q Query) (*harness.Study, error) {
+		w := toy(1)
+		if q.Grid > 8 {
+			w.Delta["A|B"] = 0.9
+		}
+		return runToy(t, w, q.Chains), nil
+	}, toyQuery(6, 50), toyQuery(10, 50))
+	small, _ := ip.Source(context.Background(), toyQuery(6, 50, 2))
+	large, _ := ip.Source(context.Background(), toyQuery(10, 50, 2))
+	target := toyStudy(t, 1, nil)
+	ab := []string{"A", "B"}
+	for _, tc := range []struct {
+		grid int
+		from *harness.Study
+	}{{4, small}, {7, small}, {11, large}, {16, large}} {
+		got, err := ip.Borrow(context.Background(), target, toyQuery(tc.grid, 50, 2))
+		if err != nil {
+			t.Fatalf("grid %d: %v", tc.grid, err)
+		}
+		want, err := tc.from.Measurements.CouplingOf(ab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iso := target.Measurements.Isolated["A"] + target.Measurements.Isolated["B"]
+		if p := got.Measurements.Window["A|B"]; p != want.C*iso {
+			t.Errorf("grid %d: P_A|B = %v, want the C %v of its plateau times ΣP_k = %v", tc.grid, p, want.C, want.C*iso)
+		}
+	}
+	smallC, _ := small.Measurements.CouplingOf(ab)
+	largeC, _ := large.Measurements.CouplingOf(ab)
+	if math.Abs(largeC.C-smallC.C) <= transitionThreshold*smallC.C {
+		t.Errorf("C moves %v → %v, not a transition: the cases prove nothing", smallC.C, largeC.C)
+	}
+}
+
+// What Borrow cannot use it must name.
 func TestReuseErrors(t *testing.T) {
+	ctx := context.Background()
+	pairsOnly := func(study *harness.Study) *Interpolated {
+		return lender(func(Query) (*harness.Study, error) { return study, nil }, toyQuery(6, 50))
+	}
 	ref := toyStudy(t, 1, []int{2})
 	target := toyStudy(t, 2, nil)
 
-	if _, err := Reuse(target, ref, []int{3}); err == nil || !strings.Contains(err.Error(), "A|B|C") {
-		t.Errorf("reference lacking the triples: err = %v, want one naming A|B|C", err)
+	if _, err := pairsOnly(ref).Borrow(ctx, target, toyQuery(12, 50, 3)); err == nil ||
+		!strings.Contains(err.Error(), "A|B|C") || !strings.Contains(err.Error(), toyQuery(6, 50, 3).Key()) {
+		t.Errorf("lattice point lacking the triples: err = %v, want one naming A|B|C and the point", err)
 	}
 
 	dead := *ref
@@ -132,8 +213,8 @@ func TestReuseErrors(t *testing.T) {
 		dead.Measurements.Window[k] = v
 	}
 	dead.Measurements.Window["C|D"] = 0
-	if _, err := Reuse(target, &dead, []int{2}); err == nil || !strings.Contains(err.Error(), "C|D") {
-		t.Errorf("reference with C = 0: err = %v, want one naming C|D", err)
+	if _, err := pairsOnly(&dead).Borrow(ctx, target, toyQuery(12, 50, 2)); err == nil || !strings.Contains(err.Error(), "C|D") {
+		t.Errorf("lattice point with C = 0: err = %v, want one naming C|D", err)
 	}
 
 	short := *target
@@ -143,7 +224,14 @@ func TestReuseErrors(t *testing.T) {
 			short.Measurements.Isolated[k] = v
 		}
 	}
-	if _, err := Reuse(&short, ref, []int{2}); err == nil || !strings.Contains(err.Error(), `"B"`) {
+	if _, err := pairsOnly(ref).Borrow(ctx, &short, toyQuery(12, 50, 2)); err == nil || !strings.Contains(err.Error(), `"B"`) {
 		t.Errorf("target lacking B: err = %v, want one naming it", err)
+	}
+
+	// No loadable point is a refusal that keeps why: an unwarmed point
+	// is a cache miss.
+	cold := lender(func(Query) (*harness.Study, error) { return nil, harness.ErrCacheMiss }, toyQuery(6, 50))
+	if _, err := cold.Borrow(ctx, target, toyQuery(12, 50, 2)); !errors.Is(err, ErrUnanswerable) || !errors.Is(err, harness.ErrCacheMiss) {
+		t.Errorf("unwarmed lattice: err = %v, want an unanswerable cache miss", err)
 	}
 }

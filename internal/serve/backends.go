@@ -166,9 +166,11 @@ func (s *Server) runMeasured(ctx context.Context, q predict.Query) (*harness.Stu
 	st, err := s.measureOnce(ctx, eng, q)
 	if err != nil && s.guard != nil && !errors.Is(err, guard.ErrBreakerOpen) &&
 		s.guard.Retry.Spend() {
-		// One guarded retry: the failure may have been an injected or
-		// transient fault, and the token bucket bounds how much retrying
-		// the fleet does in aggregate. A breaker fast-fail is never
+		// One guarded retry, the only one: the failure may have been an
+		// injected or transient fault, and the token bucket bounds how
+		// much retrying the fleet does in aggregate. The rerun measures
+		// only the jobs that failed — the rest are in the cache — and the
+		// engine retries no job on its own. A breaker fast-fail is never
 		// retried — the breaker's whole point is to stop hammering.
 		s.reg.Counter("serve.measure.retry").Inc()
 		st, err = s.measureOnce(ctx, eng, q)

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/guard"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/predict"
@@ -312,6 +315,54 @@ func TestMeasureBreakerOpensAndRecovers(t *testing.T) {
 	}
 	if got := reg.Counter("breaker.open").Value(); got != 1 {
 		t.Errorf("aggregate breaker.open = %d, want 1", got)
+	}
+}
+
+// lostWindow is a synthetic workload whose window a|b fails every
+// attempt, counting them.
+type lostWindow struct {
+	*harness.Synthetic
+	attempts atomic.Int32
+}
+
+func (w *lostWindow) MeasureWindow(window []string, o harness.Options) (float64, error) {
+	if len(window) == 2 && window[0] == "a" && window[1] == "b" {
+		w.attempts.Add(1)
+		return 0, errors.New("window a|b lost")
+	}
+	return w.Synthetic.MeasureWindow(window, o)
+}
+
+// TestOnDemandEngineDoesNotRetryJobs: a guarded server's one retry of a
+// failed on-demand measurement is runMeasured's rerun of the study, which
+// re-measures only the jobs that failed (the rest are cached). The engine
+// it measures with retries nothing on its own, so a window that fails
+// every attempt is measured once per study, and no retry token or backoff
+// is spent inside it — before, that engine retried each failed job once
+// more through the retry budget, and a lost window ran four times and
+// spent three tokens for one request.
+func TestOnDemandEngineDoesNotRetryJobs(t *testing.T) {
+	g := guard.New(guard.Config{Seed: 1})
+	srv, err := New(Config{Cache: plan.NewCache(), Measure: true, Guard: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := srv.engineFor(predict.Query{Bench: "BT", Class: "S", Procs: 4, Chains: []int{2}, Trips: 1, Blocks: 1, Passes: 1, Grid: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &lostWindow{Synthetic: &harness.Synthetic{SyntheticName: "lost", Loop: []string{"a", "b"},
+		Base: map[string]float64{"a": 1, "b": 2}}}
+	eng.Workload = w
+	tokens := g.Retry.Tokens()
+	if _, err := eng.RunCtx(context.Background(), 1, []int{2}); err == nil || !strings.Contains(err.Error(), "window a|b lost") {
+		t.Fatalf("err = %v, want the lost window", err)
+	}
+	if n := w.attempts.Load(); n != 1 {
+		t.Errorf("the lost window was measured %d times in one study, want 1", n)
+	}
+	if got := g.Retry.Tokens(); got != tokens {
+		t.Errorf("retry budget went %v → %v inside the engine, want untouched", tokens, got)
 	}
 }
 

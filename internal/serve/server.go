@@ -282,14 +282,6 @@ func (s *Server) engineFor(q predict.Query) (harness.Engine, error) {
 	if err != nil {
 		return harness.Engine{}, statusError{http.StatusBadRequest, err}
 	}
-	if s.guard != nil {
-		// On-demand measurement may retry a failed window once, but every
-		// retry spends a token from the shared retry budget — under
-		// brownout the bucket drains and measurements fail fast instead of
-		// amplifying the overload.
-		eng.Opts.MaxRetries = 1
-		eng.Opts.RetryGate = s.guard.Retry.Spend
-	}
 	return eng, nil
 }
 

@@ -234,7 +234,9 @@ func NewAnalytic() *predict.Analytic {
 // items, each one configuration in kcserved's query-parameter syntax,
 // e.g. "bench=BT&grid=6&procs=4;bench=BT&grid=8&procs=4". Each item goes
 // through ParseQuery, so a lattice point gets exactly the defaults — and
-// the typo rejection — a served query gets.
+// the typo rejection — a served query gets. An item may not name chains:
+// every lattice point is read at the chain lengths of the query it
+// answers.
 func ParseLattice(spec string) ([]predict.Query, error) {
 	var lattice []predict.Query
 	for _, item := range strings.Split(spec, ";") {
@@ -245,6 +247,9 @@ func ParseLattice(spec string) ([]predict.Query, error) {
 		v, err := url.ParseQuery(item)
 		if err != nil {
 			return nil, fmt.Errorf("tables: lattice item %q: %w", item, err)
+		}
+		if v.Has("chains") {
+			return nil, fmt.Errorf("tables: lattice item %q names chains, and the query already does: every lattice point is read at the query's chain lengths", item)
 		}
 		q, err := ParseQuery(v)
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 func TestParseLattice(t *testing.T) {
-	lat, err := ParseLattice("bench=BT&grid=6&procs=4&trips=2&chains=2,5&blocks=2 ; bench=BT&grid=8&procs=4&trips=2&chains=2,5&blocks=2")
+	lat, err := ParseLattice("bench=BT&grid=6&procs=4&trips=2&blocks=2 ; bench=BT&grid=8&procs=4&trips=2&blocks=2")
 	if err != nil {
 		t.Fatalf("ParseLattice: %v", err)
 	}
@@ -24,8 +24,11 @@ func TestParseLattice(t *testing.T) {
 	if q.Bench != "BT" || q.Grid != 6 || q.Procs != 4 || q.Trips != 2 || q.Blocks != 2 || q.Passes != 1 {
 		t.Fatalf("first point = %+v, want the spec's values with serve defaults", q)
 	}
-	if len(q.Chains) != 2 || q.Chains[0] != 2 || q.Chains[1] != 5 {
-		t.Fatalf("chains = %v, want [2 5]", q.Chains)
+
+	// A point is read at the chain lengths of the query it answers, so
+	// an item naming its own is refused.
+	if _, err := ParseLattice("bench=BT&grid=6;bench=BT&grid=8&chains=2,5"); err == nil || !strings.Contains(err.Error(), "names chains") {
+		t.Fatalf("item naming chains: err = %v, want it refused", err)
 	}
 
 	// Defaults mirror the serving layer: an empty item inherits BT.S.p4.

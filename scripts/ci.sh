@@ -39,8 +39,8 @@ fi
 
 # Each command tests its process in-process through run() (kcserved's
 # hardened node and 3-node fleet; couple's parallel campaign, warm-cache
-# reuse, analytic agreement, seeded faults, -ref coupling reuse and its
-# flag conflicts; npbrun's rank crash; paper's tables; kcreport's
+# reuse, analytic agreement, seeded faults, -lattice coupling borrowing
+# and its flag conflicts, README flag rows; npbrun's rank crash; paper's tables; kcreport's
 # renderings; kcvet's reports and exit statuses), so this line
 # race-checks them along with everything else. Tests run in shuffled
 # order so none leans on another's leftovers; a failing run prints its
