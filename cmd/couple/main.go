@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -81,6 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			"lattice of configurations measured into -cache-dir to borrow coupling values from: ';'-separated query items without chains, e.g. \"bench=BT&grid=6;bench=BT&grid=8\"; the measured backend then measures only the isolated kernels and the application")
 		analyticBand = fs.Float64("analytic-band", 0,
 			"minimum relative half-width of the analytic confidence band (0 = model default)")
+		retries = fs.Int("fault-retries", 2, "per-measurement retry budget before a window degrades")
 	)
 	var obsFlags obscli.Flags
 	obsFlags.Register(fs)
@@ -89,6 +91,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 
+	backendName := strings.ToLower(strings.TrimSpace(*backend))
+	if backendName == "" {
+		backendName = "measured"
+	}
+	if err := refuseUnread(fs, backendName); err != nil {
+		return err
+	}
 	inj, err := faultFlags.Build()
 	if err != nil {
 		return err
@@ -96,15 +105,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if *fromCache && *cacheDir == "" {
 		return errors.New("-from-cache needs -cache-dir")
 	}
-	backendName := strings.ToLower(strings.TrimSpace(*backend))
-	if backendName == "" {
-		backendName = "measured"
-	}
 	var latticeQs []predict.Query
 	if *lattice != "" {
 		switch {
-		case backendName != "measured" && backendName != "interpolated":
-			return fmt.Errorf("-lattice needs -backend measured or interpolated, not -backend %s: no other backend reads it", backendName)
 		case backendName == "measured" && *cacheDir == "":
 			return errors.New("-lattice needs -cache-dir: the lattice's measurements are read from it")
 		case backendName == "measured" && *fromCache:
@@ -113,9 +116,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if latticeQs, err = tables.ParseLattice(*lattice); err != nil {
 			return fmt.Errorf("-lattice: %w", err)
 		}
-	}
-	if *analyticBand != 0 && backendName != "analytic" && backendName != "measured+analytic" {
-		return fmt.Errorf("-analytic-band needs -backend analytic or measured+analytic, not -backend %s: no other backend reads it", backendName)
 	}
 
 	var chainLens []int
@@ -227,15 +227,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		// Under fault injection the harness degrades instead of dying:
 		// failed measurements are retried, then folded down the
 		// degradation ladder.
-		eng.Opts.MaxRetries = faultFlags.Retries
+		eng.Opts.MaxRetries = *retries
 		eng.Opts.Degrade = true
 	}
 	// With -lattice the campaign has no windows: the lattice lends their
-	// coupling values once the rest is measured.
+	// coupling values once the rest is measured. It is loaded first, so a
+	// lattice that lends nothing is refused before any world runs.
 	campaign := chainLens
+	var lend func(*harness.Study) (*harness.Study, error)
 	if latticeQs != nil {
 		man.Extra["lattice"] = *lattice
 		campaign = nil
+		if lend, err = lender(ctx, cfg, q, *lattice, *chains, *cacheDir); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n", eng.Workload.Name(), prob, nTrips, chainLens)
 	if latticeQs != nil {
@@ -260,9 +265,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("study failed: %w", err)
 	}
 
-	if latticeQs != nil {
-		if study, err = borrow(ctx, cfg, study, q, *lattice, *chains, *cacheDir); err != nil {
-			return err
+	if lend != nil {
+		if study, err = lend(study); err != nil {
+			return fmt.Errorf("-lattice %q: %w", *lattice, err)
 		}
 	}
 
@@ -296,16 +301,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	return nil
 }
 
-// borrow fills a study measured without windows with coupling values
-// borrowed from the lattice through the interpolated backend's step
-// model. A lattice none of whose points is fully measured is
-// harness.ErrCacheMiss, with the commands that would measure them.
-func borrow(ctx context.Context, cfg tables.BackendConfig, target *harness.Study, q predict.Query, spec, chainsFlag, cacheDir string) (*harness.Study, error) {
-	lend, err := tables.NewBackend(string(predict.ProvInterpolated), cfg)
+// lender loads the lattice through the interpolated backend's step model
+// and returns the function that fills a study of q measured without
+// windows with its borrowed coupling values. A lattice none of whose
+// points is fully measured is harness.ErrCacheMiss, with the commands
+// that would measure them.
+func lender(ctx context.Context, cfg tables.BackendConfig, q predict.Query, spec, chainsFlag, cacheDir string) (func(*harness.Study) (*harness.Study, error), error) {
+	lattice, err := tables.NewBackend(string(predict.ProvInterpolated), cfg)
 	if err != nil {
 		return nil, err
 	}
-	st, err := lend.(*predict.Interpolated).Borrow(ctx, target, q)
+	lend, err := lattice.(*predict.Interpolated).Borrow(ctx, q)
 	if errors.Is(err, harness.ErrCacheMiss) {
 		var warm strings.Builder
 		for _, lq := range cfg.Lattice {
@@ -320,7 +326,36 @@ func borrow(ctx context.Context, cfg tables.BackendConfig, target *harness.Study
 	if err != nil {
 		return nil, fmt.Errorf("-lattice %q: %w", spec, err)
 	}
-	return st, nil
+	return lend, nil
+}
+
+// measuring are the backends that measure, the readers of every flag
+// that shapes a measurement.
+var measuring = []string{"measured", "measured+analytic"}
+
+// readers names, for each flag only some backends read, the backends
+// that do.
+var readers = map[string][]string{
+	"lattice":       {"measured", "interpolated"},
+	"analytic-band": {"analytic", "measured+analytic"},
+	"from-cache":    measuring,
+	"parallel":      measuring,
+	"fault-spec":    measuring,
+	"fault-seed":    measuring,
+	"fault-retries": measuring,
+	"watchdog":      measuring,
+}
+
+// refuseUnread is the error for the first flag, in lexical order, set on
+// the command line that backend would not read, naming both flags, or nil.
+func refuseUnread(fs *flag.FlagSet, backend string) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if r, ok := readers[f.Name]; ok && err == nil && !slices.Contains(r, backend) {
+			err = fmt.Errorf("-%s needs -backend %s, not -backend %s: no other backend reads it",
+				f.Name, strings.Join(r, " or "), backend)
+		}
+	})
+	return err
 }
 
 // measuredEngine is the engine couple's measured path runs: cfg's own

@@ -252,6 +252,12 @@ func TestRefFlagConflicts(t *testing.T) {
 		{"unknown parameter", []string{"-lattice", "bench=BT&gird=6", "-cache-dir", dir}, []string{"-lattice", `"gird"`}},
 		{"band on measured", []string{"-analytic-band", "0.6"}, []string{"-analytic-band", "-backend measured"}},
 		{"band on interpolated", []string{"-analytic-band", "0.6", "-backend", "interpolated", "-lattice", refItem}, []string{"-analytic-band", "-backend interpolated"}},
+		{"from-cache on cached", []string{"-from-cache", "-cache-dir", dir, "-backend", "cached"}, []string{"-from-cache", "-backend cached"}},
+		{"parallel on analytic", []string{"-parallel", "1", "-backend", "analytic"}, []string{"-parallel", "-backend analytic"}},
+		{"fault-spec on interpolated", []string{"-fault-spec", "delay:p=0.2,mean=100us", "-backend", "interpolated", "-lattice", refItem, "-cache-dir", dir}, []string{"-fault-spec", "-backend interpolated"}},
+		{"fault-seed on analytic", []string{"-fault-seed", "7", "-backend", "analytic"}, []string{"-fault-seed", "-backend analytic"}},
+		{"fault-retries on cached", []string{"-fault-retries", "5", "-cache-dir", dir, "-backend", "cached"}, []string{"-fault-retries", "-backend cached"}},
+		{"watchdog on analytic", []string{"-watchdog", "1s", "-backend", "analytic"}, []string{"-watchdog", "-backend analytic"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, _, err := couple(tc.args...)
@@ -270,13 +276,37 @@ func TestRefFlagConflicts(t *testing.T) {
 	}
 
 	// An unmeasured lattice is a cache miss, with the command that
-	// measures it.
+	// measures it, found before the target is measured.
 	_, _, err := couple("-chains", "2,5", "-cache-dir", dir, "-lattice", refItem)
 	if !errors.Is(err, harness.ErrCacheMiss) {
 		t.Fatalf("unmeasured lattice: err = %v, want harness.ErrCacheMiss", err)
 	}
 	if want := "couple -bench BT -class S -procs 4 -grid 6 -trips 2 -blocks 1 -passes 1 -chains 2,5 -cache-dir " + dir; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q lacks the warming command %q", err, want)
+	}
+	if log, err := os.ReadFile(filepath.Join(dir, "measurements.log")); err != nil || len(log) != 0 {
+		t.Errorf("a refused lattice run left measurements behind (read err %v):\n%s", err, log)
+	}
+}
+
+// TestFaultRetriesIsTheRetryBudget: a crash in the study's first world is
+// fatal with -fault-retries 0, and one retry rebuilds it with
+// -fault-retries 1 — the crash fires once.
+func TestFaultRetriesIsTheRetryBudget(t *testing.T) {
+	crash := []string{"-chains", "2", "-blocks", "1", "-fault-spec", "crash:rank=1,at=5"}
+	if _, stderr, err := couple(append(crash, "-fault-retries", "0")...); err == nil {
+		t.Errorf("-fault-retries 0: a crashed world was retried\nstderr:\n%s", stderr)
+	}
+	path := filepath.Join(t.TempDir(), "m.json")
+	if _, stderr, err := couple(append(crash, "-fault-retries", "1", "-metrics-out", path)...); err != nil {
+		t.Fatalf("-fault-retries 1: %v\nstderr:\n%s", err, stderr)
+	}
+	man, err := obs.ReadManifestFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Health == nil || len(man.Health.Retries) != 1 {
+		t.Errorf("-fault-retries 1: manifest health %+v, want the one retry", man.Health)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/plan"
 	"repro/internal/tables"
 )
 
@@ -60,19 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	scale := tables.Scale{
-		Trips: *trips, Blocks: *blocks, Passes: *passes, GridOverride: *grid,
-		Parallel: *parallel, CacheDir: *cacheDir,
-	}
-	if *fast {
-		scale = scale.Fast()
-	}
-	if *net {
-		m := mpi.IBMSPModel()
-		scale.Net = &m
-	}
-	defer tables.CloseDirCaches()
-
 	var procsOverride []int
 	if *procs != "" {
 		for _, p := range strings.Split(*procs, ",") {
@@ -105,6 +93,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		defer f.Close()
 		outFile = f
+	}
+
+	// One cache for the whole run: paired tables (2a and 2b) and shared
+	// windows measure each world once.
+	cache := plan.NewCache()
+	if *cacheDir != "" {
+		var err error
+		if cache, err = plan.NewDirCache(*cacheDir); err != nil {
+			return err
+		}
+		defer cache.Close()
+	}
+	scale := tables.Scale{
+		Trips: *trips, Blocks: *blocks, Passes: *passes, GridOverride: *grid,
+		Parallel: *parallel, Cache: cache,
+	}
+	if *fast {
+		scale = scale.Fast()
+	}
+	if *net {
+		m := mpi.IBMSPModel()
+		scale.Net = &m
 	}
 
 	var planned, executed, hits int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -79,6 +80,28 @@ func TestAblationAndExtensionTables(t *testing.T) {
 		if !strings.Contains(out, "[table "+id+" regenerated in ") {
 			t.Errorf("table %s: no regeneration footer:\n%s", id, out)
 		}
+	}
+}
+
+// TestCacheDirServesASecondRun: a run over a -cache-dir the first run
+// warmed measures nothing, with every planned job a hit.
+func TestCacheDirServesASecondRun(t *testing.T) {
+	dir := t.TempDir()
+	var summary [2]string
+	for i := range summary {
+		var stderr bytes.Buffer
+		if err := run([]string{"-fast", "-table", "2a", "-cache-dir", dir}, io.Discard, &stderr); err != nil {
+			t.Fatalf("run %d: %v\nstderr:\n%s", i+1, err, stderr.String())
+		}
+		summary[i] = stderr.String()
+	}
+	var planned, executed, hits, parallel int
+	if _, err := fmt.Sscanf(summary[1], "paper: campaign jobs planned=%d executed=%d cache hits=%d (parallel=%d)",
+		&planned, &executed, &hits, &parallel); err != nil {
+		t.Fatalf("no campaign summary on the second run's stderr (%v):\n%s", err, summary[1])
+	}
+	if planned == 0 || executed != 0 || hits != planned {
+		t.Errorf("second run: %q, want executed=0 and every planned job a hit (first run: %q)", summary[1], summary[0])
 	}
 }
 

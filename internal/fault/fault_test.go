@@ -351,7 +351,7 @@ func TestEventsSortedAndCapped(t *testing.T) {
 func TestFlagsRegisterAndBuild(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := Register(fs)
-	if err := fs.Parse([]string{"-fault-spec", "delay:mean=1ms", "-fault-seed", "99", "-fault-retries", "5"}); err != nil {
+	if err := fs.Parse([]string{"-fault-spec", "delay:mean=1ms", "-fault-seed", "99"}); err != nil {
 		t.Fatal(err)
 	}
 	inj, err := f.Build()
@@ -360,9 +360,6 @@ func TestFlagsRegisterAndBuild(t *testing.T) {
 	}
 	if inj == nil || inj.seed != 99 {
 		t.Fatalf("inj=%v", inj)
-	}
-	if f.Retries != 5 {
-		t.Errorf("retries = %d", f.Retries)
 	}
 	if f.WatchdogTimeout() != DefaultWatchdog {
 		t.Errorf("watchdog = %v, want default %v when spec set", f.WatchdogTimeout(), DefaultWatchdog)

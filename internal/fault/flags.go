@@ -14,8 +14,7 @@ import (
 const DefaultWatchdog = 30 * time.Second
 
 // Flags bundles the fault-injection command-line surface shared by the
-// binaries that run MPI worlds (-fault-spec, -fault-seed, -fault-retries,
-// -watchdog).
+// binaries that run MPI worlds (-fault-spec, -fault-seed, -watchdog).
 type Flags struct {
 	// Spec is the fault specification in the Parse grammar, World classes
 	// only; blank disables injection entirely.
@@ -23,9 +22,6 @@ type Flags struct {
 	// Seed drives every fault decision; the same seed reproduces the same
 	// schedule byte-for-byte.
 	Seed uint64
-	// Retries is the per-measurement retry budget the harness spends
-	// before degrading a window.
-	Retries int
 	// Watchdog is the progress-watchdog timeout; zero means
 	// DefaultWatchdog when injection is enabled, disabled otherwise.
 	Watchdog time.Duration
@@ -38,8 +34,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Spec, "fault-spec", "", "fault injection spec: "+World.Usage())
 	fs.Uint64Var(&f.Seed, "fault-seed", 1,
 		"seed for the deterministic fault schedule; same seed, same schedule")
-	fs.IntVar(&f.Retries, "fault-retries", 2,
-		"per-measurement retry budget before a window degrades")
 	fs.DurationVar(&f.Watchdog, "watchdog", 0,
 		"progress watchdog timeout (0: 30s when -fault-spec is set, off otherwise)")
 	return f

@@ -99,22 +99,27 @@ func (ip *Interpolated) Predict(ctx context.Context, q Query) (Prediction, error
 // Borrow is the experiment reduction the paper's future-work section asks
 // for. Coupling values move through finitely many transitions across
 // problem sizes and rank counts while isolated times change with every
-// configuration, so target — a study of q's configuration measured with
-// no chain lengths — keeps its isolated times, actual time, provenance,
-// health and execution statistics, and every window's C comes from the
-// lattice's step model (stepCoupling). One loadable point is enough, and
-// lends its own C unchanged.
-func (ip *Interpolated) Borrow(ctx context.Context, target *harness.Study, q Query) (*harness.Study, error) {
+// configuration, so a study of q's configuration measured with no chain
+// lengths needs only the lattice's windows. Borrow loads the lattice
+// first — one loadable point is enough, and lends its own C unchanged —
+// so a lattice it cannot use is refused before the target is measured.
+// The returned lend keeps the target's isolated times, actual time,
+// provenance, health and execution statistics, and takes every window's
+// C from the lattice's step model (stepCoupling).
+func (ip *Interpolated) Borrow(ctx context.Context, q Query) (lend func(target *harness.Study) (*harness.Study, error), err error) {
 	pts, targetCells, err := ip.load(ctx, q, 1)
 	if err != nil {
 		return nil, err
 	}
-	st, _, _, err := synthesize(target.App, target.Measurements.Isolated, target.Actual, q.Chains, stepCoupling(pts, targetCells/float64(q.Procs)))
-	if err != nil {
-		return nil, err
-	}
-	st.Provenance, st.Health, st.Exec = target.Provenance, target.Health, target.Exec
-	return st, nil
+	couplings := stepCoupling(pts, targetCells/float64(q.Procs))
+	return func(target *harness.Study) (*harness.Study, error) {
+		st, _, _, err := synthesize(target.App, target.Measurements.Isolated, target.Actual, q.Chains, couplings)
+		if err != nil {
+			return nil, err
+		}
+		st.Provenance, st.Health, st.Exec = target.Provenance, target.Health, target.Exec
+		return st, nil
+	}, nil
 }
 
 // stepCoupling is the one rule by which a coupling value is borrowed: a

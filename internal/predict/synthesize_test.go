@@ -80,6 +80,15 @@ func toyLender(t *testing.T, lattice ...Query) *Interpolated {
 	}, lattice...)
 }
 
+// borrow loads ip's lattice for q and lends it to target.
+func borrow(ctx context.Context, ip *Interpolated, target *harness.Study, q Query) (*harness.Study, error) {
+	lend, err := ip.Borrow(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return lend(target)
+}
+
 // Borrowing a study's own couplings must give its own predictions back:
 // C·ΣP_k round-trips P_S at every chain length. The lattice point holds
 // the same measurements as the target under another key (its trip
@@ -87,7 +96,7 @@ func toyLender(t *testing.T, lattice ...Query) *Interpolated {
 func TestReuseOwnStudyRoundTrips(t *testing.T) {
 	chains := []int{2, 3, 4}
 	full := toyStudy(t, 1, chains)
-	got, err := toyLender(t, toyQuery(6, 51)).Borrow(context.Background(), toyStudy(t, 1, nil), toyQuery(6, 50, chains...))
+	got, err := borrow(context.Background(), toyLender(t, toyQuery(6, 51)), toyStudy(t, 1, nil), toyQuery(6, 50, chains...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestReuseOwnStudyRoundTrips(t *testing.T) {
 	checkComposed(t, got, bands)
 
 	// The target's own key in the lattice lends nothing.
-	if _, err := toyLender(t, toyQuery(6, 50)).Borrow(context.Background(), toyStudy(t, 1, nil), toyQuery(6, 50, chains...)); !errors.Is(err, ErrUnanswerable) {
+	if _, err := borrow(context.Background(), toyLender(t, toyQuery(6, 50)), toyStudy(t, 1, nil), toyQuery(6, 50, chains...)); !errors.Is(err, ErrUnanswerable) {
 		t.Errorf("self-lent err = %v, want unanswerable", err)
 	}
 }
@@ -127,7 +136,7 @@ func TestReuseConstantCouplingPredictsOtherSize(t *testing.T) {
 	if n := len(target.Measurements.Window); n != 0 {
 		t.Fatalf("target measured %d windows, want none", n)
 	}
-	got, err := toyLender(t, toyQuery(6, 50)).Borrow(context.Background(), target, toyQuery(12, 50, 2, 4))
+	got, err := borrow(context.Background(), toyLender(t, toyQuery(6, 50)), target, toyQuery(12, 50, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestBorrowPicksThePlateauOfTheTarget(t *testing.T) {
 		grid int
 		from *harness.Study
 	}{{4, small}, {7, small}, {11, large}, {16, large}} {
-		got, err := ip.Borrow(context.Background(), target, toyQuery(tc.grid, 50, 2))
+		got, err := borrow(context.Background(), ip, target, toyQuery(tc.grid, 50, 2))
 		if err != nil {
 			t.Fatalf("grid %d: %v", tc.grid, err)
 		}
@@ -199,7 +208,7 @@ func TestReuseErrors(t *testing.T) {
 	ref := toyStudy(t, 1, []int{2})
 	target := toyStudy(t, 2, nil)
 
-	if _, err := pairsOnly(ref).Borrow(ctx, target, toyQuery(12, 50, 3)); err == nil ||
+	if _, err := borrow(ctx, pairsOnly(ref), target, toyQuery(12, 50, 3)); err == nil ||
 		!strings.Contains(err.Error(), "A|B|C") || !strings.Contains(err.Error(), toyQuery(6, 50, 3).Key()) {
 		t.Errorf("lattice point lacking the triples: err = %v, want one naming A|B|C and the point", err)
 	}
@@ -213,7 +222,7 @@ func TestReuseErrors(t *testing.T) {
 		dead.Measurements.Window[k] = v
 	}
 	dead.Measurements.Window["C|D"] = 0
-	if _, err := pairsOnly(&dead).Borrow(ctx, target, toyQuery(12, 50, 2)); err == nil || !strings.Contains(err.Error(), "C|D") {
+	if _, err := borrow(ctx, pairsOnly(&dead), target, toyQuery(12, 50, 2)); err == nil || !strings.Contains(err.Error(), "C|D") {
 		t.Errorf("lattice point with C = 0: err = %v, want one naming C|D", err)
 	}
 
@@ -224,14 +233,14 @@ func TestReuseErrors(t *testing.T) {
 			short.Measurements.Isolated[k] = v
 		}
 	}
-	if _, err := pairsOnly(ref).Borrow(ctx, &short, toyQuery(12, 50, 2)); err == nil || !strings.Contains(err.Error(), `"B"`) {
+	if _, err := borrow(ctx, pairsOnly(ref), &short, toyQuery(12, 50, 2)); err == nil || !strings.Contains(err.Error(), `"B"`) {
 		t.Errorf("target lacking B: err = %v, want one naming it", err)
 	}
 
-	// No loadable point is a refusal that keeps why: an unwarmed point
-	// is a cache miss.
+	// No loadable point is a refusal that keeps why — an unwarmed point
+	// is a cache miss — and comes before there is a target to lend to.
 	cold := lender(func(Query) (*harness.Study, error) { return nil, harness.ErrCacheMiss }, toyQuery(6, 50))
-	if _, err := cold.Borrow(ctx, target, toyQuery(12, 50, 2)); !errors.Is(err, ErrUnanswerable) || !errors.Is(err, harness.ErrCacheMiss) {
+	if _, err := cold.Borrow(ctx, toyQuery(12, 50, 2)); !errors.Is(err, ErrUnanswerable) || !errors.Is(err, harness.ErrCacheMiss) {
 		t.Errorf("unwarmed lattice: err = %v, want an unanswerable cache miss", err)
 	}
 }

@@ -70,10 +70,13 @@ func PredictApp(q predict.Query) (core.App, error) {
 }
 
 // BackendConfig carries the substrate a constructed backend runs
-// against. The zero value works: the process-wide job cache, no network
-// model, defaults for every analytic tunable.
+// against: no network model and defaults for every analytic tunable in
+// its zero value.
 type BackendConfig struct {
-	// Cache is the measurement cache; the process-wide jobCache when nil.
+	// Cache is the measurement cache, which its owner opens and closes.
+	// Nil means what a nil harness.Options.Cache means: each measuring
+	// study measures into a private in-memory cache, and a from-cache
+	// study has nothing to read.
 	Cache *plan.Cache
 	// Net, when non-nil, attaches an interconnect cost model (and flows
 	// into the cache keys via WorldDigest).
@@ -114,13 +117,6 @@ func (c BackendConfig) Pooled() BackendConfig {
 	return c
 }
 
-func (c BackendConfig) cache() *plan.Cache {
-	if c.Cache != nil {
-		return c.Cache
-	}
-	return jobCache
-}
-
 // QueryProtocol is the measurement protocol of a backend query: the
 // query's blocks and passes — 3 and 1 when it leaves them zero, which are
 // also couple's flag defaults and ParseQuery's — the default trim rule,
@@ -129,11 +125,17 @@ func QueryProtocol(q predict.Query) timing.Protocol {
 	return timing.Protocol{Blocks: q.Blocks, Passes: q.Passes, ActualRuns: 3}.Resolved()
 }
 
-// Engine builds the measurement engine for one backend query. Its
-// workload construction and harness options (the QueryProtocol above
-// all) are the cache-key contract: every binary that measures or
-// re-analyzes a study builds its engine here, so their job keys agree.
+// Engine builds the measurement engine for one backend query, under the
+// query's QueryProtocol.
 func (c BackendConfig) Engine(q predict.Query) (harness.Engine, error) {
+	return c.engine(q, QueryProtocol(q))
+}
+
+// engine builds the measurement engine for q's configuration under
+// protocol p. Its workload construction and harness options are the
+// cache-key contract: every binary that measures or re-analyzes a study,
+// and every table, builds its engine here, so their job keys agree.
+func (c BackendConfig) engine(q predict.Query, p timing.Protocol) (harness.Engine, error) {
 	prob, err := PredictProblem(q)
 	if err != nil {
 		return harness.Engine{}, err
@@ -149,10 +151,10 @@ func (c BackendConfig) Engine(q predict.Query) (harness.Engine, error) {
 	w.Pool, w.PoolKey = c.pool, npb.PoolKey{Bench: q.Bench, Problem: prob, Procs: q.Procs}
 	return harness.Engine{Workload: w, Opts: harness.Options{
 		Parallel:    c.Parallel,
-		Cache:       c.cache(),
+		Cache:       c.Cache,
 		Metrics:     c.Metrics,
 		WorldDigest: WorldDigest(prob, c.Net),
-	}.WithProtocol(QueryProtocol(q))}, nil
+	}.WithProtocol(p)}, nil
 }
 
 // StudyRunner returns the measured StudyFn: plan, execute (or reuse) and

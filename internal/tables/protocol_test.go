@@ -49,7 +49,7 @@ func TestMeasurementProtocol(t *testing.T) {
 			{"paper class B (6c)", exp("6c").protocol(Scale{}), timing.Protocol{Blocks: 3, Passes: 1, ActualRuns: 2}},
 			{"paper -fast class S", exp("2b").protocol(Scale{}.Fast()), timing.Protocol{Blocks: 2, Passes: 1, ActualRuns: 3}},
 			{"paper -fast class B", exp("8c").protocol(Scale{}.Fast()), timing.Protocol{Blocks: 2, Passes: 1, ActualRuns: 2}},
-			{"paper -blocks 4 -passes 2", exp("6c").protocol(Scale{Blocks: 4, Passes: 2, ActualRuns: 1}), timing.Protocol{Blocks: 4, Passes: 2, ActualRuns: 1}},
+			{"paper -blocks 4 -passes 2", exp("6c").protocol(Scale{Blocks: 4, Passes: 2}), timing.Protocol{Blocks: 4, Passes: 2, ActualRuns: 2}},
 			{"ablation-trim, raw mean", func() timing.Protocol { e := exp("ablation-trim"); e.trim = -1; return e.protocol(Scale{}) }(), timing.Protocol{Blocks: 5, Passes: 1, Trim: -1, ActualRuns: 3}},
 			{"couple flag defaults", QueryProtocol(predict.Query{}), timing.Protocol{Blocks: 3, Passes: 1, ActualRuns: 3}},
 			{"kcserved ParseQuery defaults", QueryProtocol(served), timing.Protocol{Blocks: 3, Passes: 1, ActualRuns: 3}},

@@ -8,13 +8,13 @@ package tables
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/memmodel"
 	"repro/internal/mpi"
 	"repro/internal/npb"
 	"repro/internal/plan"
+	"repro/internal/predict"
 	"repro/internal/stats"
 	"repro/internal/timing"
 )
@@ -116,11 +116,10 @@ type Scale struct {
 	// down from the paper's counts; the relative errors the tables
 	// compare are nearly independent of it).
 	Trips int
-	// Blocks, Passes and ActualRuns override the measurement protocol
+	// Blocks and Passes override the measurement protocol
 	// (Experiment.protocol) when positive.
-	Blocks     int
-	Passes     int
-	ActualRuns int
+	Blocks int
+	Passes int
 	// GridOverride, when positive, replaces the class grid with a tiny
 	// n³ grid — used by tests and smoke runs.
 	GridOverride int
@@ -129,9 +128,11 @@ type Scale struct {
 	// Parallel is the measurement executor's worker count (0/1 =
 	// sequential, the timing-fidelity mode).
 	Parallel int
-	// CacheDir, when non-empty, persists the measurement cache there so
-	// repeated campaigns reuse results across processes.
-	CacheDir string
+	// Cache is the content-addressed measurement cache the studies read
+	// and fill; its owner opens and closes it. Experiment.Run gives a nil
+	// Cache a fresh in-memory one for that Run, which the Run's own
+	// studies share.
+	Cache *plan.Cache
 
 	// fast marks paper -fast's smoke-test scale (Fast).
 	fast bool
@@ -175,8 +176,11 @@ func DefaultTrips(class npb.Class) int {
 // worlds are the largest — a §4.1 sweep point times 3 blocks aggregated
 // by memmodel.SweepTrim, and paper -fast times 2 blocks of everything.
 func (e Experiment) protocol(s Scale) timing.Protocol {
-	p := timing.Protocol{Blocks: s.Blocks, Passes: s.Passes, Trim: e.trim, ActualRuns: s.ActualRuns}
+	p := timing.Protocol{Blocks: s.Blocks, Passes: s.Passes, Trim: e.trim, ActualRuns: 3}
 	classB := e.Class == npb.ClassB
+	if classB {
+		p.ActualRuns = 2
+	}
 	if p.Blocks <= 0 {
 		switch {
 		case s.fast:
@@ -185,12 +189,6 @@ func (e Experiment) protocol(s Scale) timing.Protocol {
 			p.Blocks = 3
 		default:
 			p.Blocks = 5
-		}
-	}
-	if p.ActualRuns <= 0 {
-		p.ActualRuns = 3
-		if classB {
-			p.ActualRuns = 2
 		}
 	}
 	if e.Kind == CacheTransitions {
@@ -228,58 +226,6 @@ func (e Experiment) problem(s Scale) (npb.Problem, error) {
 	return GridProblem(e.Bench, prob, s.GridOverride), nil
 }
 
-// workload builds the harness workload for one processor count.
-func (e Experiment) workload(s Scale, procs int) (harness.Workload, error) {
-	prob, err := e.problem(s)
-	if err != nil {
-		return nil, err
-	}
-	var opts []mpi.Option
-	if s.Net != nil {
-		opts = append(opts, mpi.WithNetModel(*s.Net))
-	}
-	return NewWorkload(e.Bench, e.Class, prob, procs, opts)
-}
-
-// jobCache is the process-wide content-addressed measurement cache: it
-// dedupes at the job level, so paired tables (e.g. 2a and 2b), chain
-// lengths sharing windows, and repeated benchmark invocations reuse
-// individual measurements instead of whole studies.
-var jobCache = plan.NewCache()
-
-// dirCaches memoizes persistent caches by directory so every study in a
-// campaign shares one in-memory view of the same cache dir.
-var dirCaches sync.Map // string -> *plan.Cache
-
-func (s Scale) cache() (*plan.Cache, error) {
-	if s.CacheDir == "" {
-		return jobCache, nil
-	}
-	if c, ok := dirCaches.Load(s.CacheDir); ok {
-		return c.(*plan.Cache), nil
-	}
-	c, err := plan.NewDirCache(s.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-	actual, loaded := dirCaches.LoadOrStore(s.CacheDir, c)
-	if loaded {
-		c.Close()
-	}
-	return actual.(*plan.Cache), nil
-}
-
-// CloseDirCaches closes and forgets every persistent cache a campaign
-// opened through Scale.CacheDir; the next study of a directory reopens it.
-// For the end of a process's run, once its studies are done.
-func CloseDirCaches() {
-	dirCaches.Range(func(dir, c any) bool {
-		dirCaches.Delete(dir)
-		c.(*plan.Cache).Close()
-		return true
-	})
-}
-
 // WorldDigest captures world configuration that changes measured values
 // without changing the workload name: the problem dimensions (a grid
 // override shrinks them silently) and the interconnect model. Every
@@ -293,39 +239,23 @@ func WorldDigest(prob npb.Problem, net *mpi.NetModel) string {
 	return d
 }
 
+// studyFor measures the experiment's study at one processor count and
+// trip count through the engine builder every backend query uses, under
+// the experiment's protocol.
 func (e Experiment) studyFor(s Scale, procs, trips int) (*harness.Study, error) {
-	w, err := e.workload(s, procs)
+	q := predict.Query{Bench: e.Bench, Class: e.Class, Procs: procs, Grid: s.GridOverride}
+	eng, err := BackendConfig{Cache: s.Cache, Net: s.Net, Parallel: s.Parallel}.engine(q, e.protocol(s))
 	if err != nil {
 		return nil, err
 	}
-	prob, err := e.problem(s)
-	if err != nil {
-		return nil, err
-	}
-	cache, err := s.cache()
-	if err != nil {
-		return nil, err
-	}
-	eng := harness.Engine{Workload: w, Opts: harness.Options{
-		Parallel:    s.Parallel,
-		Cache:       cache,
-		WorldDigest: WorldDigest(prob, s.Net),
-	}.WithProtocol(e.protocol(s))}
 	return eng.Run(trips, e.ChainLens)
-}
-
-// ResetCache clears the in-memory measurement cache (tests and benchmarks
-// use it to force re-measurement; persistent cache dirs are untouched).
-func ResetCache() {
-	jobCache.Reset()
-	dirCaches.Range(func(k, v any) bool {
-		v.(*plan.Cache).Reset()
-		return true
-	})
 }
 
 // Run executes the experiment at the given scale and renders its table.
 func (e Experiment) Run(s Scale) (*Result, error) {
+	if s.Cache == nil {
+		s.Cache = plan.NewCache()
+	}
 	if e.variant != nil {
 		return e.variant(e, s)
 	}

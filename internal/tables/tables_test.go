@@ -107,7 +107,6 @@ func smokeScale() Scale {
 }
 
 func TestCouplingTableSmoke(t *testing.T) {
-	ResetCache()
 	e, _ := Find("2a")
 	e.Procs = []int{1, 4} // trim for test speed
 	res, err := e.Run(smokeScale())
@@ -127,7 +126,6 @@ func TestCouplingTableSmoke(t *testing.T) {
 }
 
 func TestPredictionTableSmoke(t *testing.T) {
-	ResetCache()
 	e, _ := Find("2b")
 	e.Procs = []int{1}
 	res, err := e.Run(smokeScale())
@@ -141,19 +139,22 @@ func TestPredictionTableSmoke(t *testing.T) {
 	}
 }
 
+// TestStudyCacheSharedBetweenPairedTables: tables 2a and 2b given one
+// cache measure each world once, and a Scale without one measures every
+// job again.
 func TestStudyCacheSharedBetweenPairedTables(t *testing.T) {
-	ResetCache()
 	a, _ := Find("2a")
 	b, _ := Find("2b")
 	a.Procs = []int{1}
 	b.Procs = []int{1}
 	s := smokeScale()
+	s.Cache = plan.NewCache()
 	resA, err := a.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits := resA.Studies[0].Study.Exec.CacheHits; hits != 0 {
-		t.Errorf("first campaign after ResetCache reported %d cache hits", hits)
+		t.Errorf("first campaign on a new cache reported %d cache hits", hits)
 	}
 	resB, err := b.Run(s)
 	if err != nil {
@@ -168,13 +169,12 @@ func TestStudyCacheSharedBetweenPairedTables(t *testing.T) {
 	if got, want := resB.Studies[0].Study.Actual, resA.Studies[0].Study.Actual; got != want {
 		t.Errorf("cached campaign changed the actual time: %v != %v", got, want)
 	}
-	ResetCache()
-	resC, err := b.Run(s)
+	resC, err := b.Run(smokeScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resC.Studies[0].Study.Exec.CacheHits != 0 {
-		t.Error("ResetCache did not clear the measurement cache")
+	if ec := resC.Studies[0].Study.Exec; ec.CacheHits != 0 || ec.Executed != ec.Planned {
+		t.Errorf("a Scale without a cache reused measurements: %+v", ec)
 	}
 }
 
@@ -182,7 +182,6 @@ func TestStudyCacheSharedBetweenPairedTables(t *testing.T) {
 // in nothing else: the raw-mean study re-measures its windows untrimmed
 // and shares the base study's actual runs through the job cache.
 func TestTrimAblationVariesOnlyTheAggregation(t *testing.T) {
-	ResetCache()
 	e, _ := Find("ablation-trim")
 	res, err := e.Run(Scale{Trips: 2, Blocks: 3, GridOverride: 8})
 	if err != nil {
@@ -206,7 +205,6 @@ func TestTrimAblationVariesOnlyTheAggregation(t *testing.T) {
 }
 
 func TestLUTableSmoke(t *testing.T) {
-	ResetCache()
 	e, _ := Find("8a")
 	e.Procs = []int{1, 2}
 	res, err := e.Run(smokeScale())
@@ -219,7 +217,6 @@ func TestLUTableSmoke(t *testing.T) {
 }
 
 func TestSPTableSmoke(t *testing.T) {
-	ResetCache()
 	e, _ := Find("6a")
 	e.Procs = []int{1}
 	res, err := e.Run(smokeScale())
@@ -286,10 +283,10 @@ func TestUnknownKindAndBench(t *testing.T) {
 func TestNetModelScalePath(t *testing.T) {
 	// A table run with the interconnect model attached must complete and
 	// produce a distinct cache entry from the unmodeled run.
-	ResetCache()
 	e, _ := Find("8a")
 	e.Procs = []int{2}
 	s := smokeScale()
+	s.Cache = plan.NewCache()
 	plain, err := e.Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +308,6 @@ func TestNetModelScalePath(t *testing.T) {
 }
 
 func TestCouplingTableRowsFollowRingOrder(t *testing.T) {
-	ResetCache()
 	e, _ := Find("2a")
 	e.Procs = []int{1}
 	res, err := e.Run(smokeScale())
