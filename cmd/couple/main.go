@@ -336,6 +336,8 @@ var measuring = []string{"measured", "measured+analytic"}
 // readers names, for each flag only some backends read, the backends
 // that do.
 var readers = map[string][]string{
+	"net":           {"measured", "measured+analytic", "cached", "interpolated"},
+	"cache-dir":     {"measured", "measured+analytic", "cached", "interpolated"},
 	"lattice":       {"measured", "interpolated"},
 	"analytic-band": {"analytic", "measured+analytic"},
 	"from-cache":    measuring,

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -236,6 +237,8 @@ func TestRefReusesCachedCouplings(t *testing.T) {
 // study.
 func TestRefFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
+	// never is a -cache-dir only a backend that reads it may create.
+	never := filepath.Join(dir, "never")
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -243,7 +246,7 @@ func TestRefFlagConflicts(t *testing.T) {
 	}{
 		{"no cache", []string{"-lattice", refItem}, []string{"-lattice", "-cache-dir"}},
 		{"from cache", []string{"-lattice", refItem, "-cache-dir", dir, "-from-cache"}, []string{"-lattice", "-from-cache"}},
-		{"analytic backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "analytic"}, []string{"-lattice", "-backend analytic"}},
+		{"analytic backend", []string{"-lattice", refItem, "-backend", "analytic"}, []string{"-lattice", "-backend analytic"}},
 		{"cached backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "cached"}, []string{"-lattice", "-backend cached"}},
 		{"compared backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "measured+analytic"}, []string{"-lattice", "-backend measured+analytic"}},
 		{"two items", []string{"-lattice", refItem + ";bench=BT&grid=8&chains=2", "-cache-dir", dir}, []string{"-lattice", "names chains"}},
@@ -258,6 +261,9 @@ func TestRefFlagConflicts(t *testing.T) {
 		{"fault-seed on analytic", []string{"-fault-seed", "7", "-backend", "analytic"}, []string{"-fault-seed", "-backend analytic"}},
 		{"fault-retries on cached", []string{"-fault-retries", "5", "-cache-dir", dir, "-backend", "cached"}, []string{"-fault-retries", "-backend cached"}},
 		{"watchdog on analytic", []string{"-watchdog", "1s", "-backend", "analytic"}, []string{"-watchdog", "-backend analytic"}},
+		{"cache-dir on analytic", []string{"-cache-dir", never, "-backend", "analytic"}, []string{"-cache-dir", "-backend analytic"}},
+		{"net and cache-dir on analytic", []string{"-net", "-cache-dir", never, "-backend", "analytic"}, []string{"-cache-dir", "-backend analytic"}},
+		{"net on analytic", []string{"-net", "-backend", "analytic"}, []string{"-net", "-backend analytic"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, _, err := couple(tc.args...)
@@ -271,6 +277,9 @@ func TestRefFlagConflicts(t *testing.T) {
 			}
 			if strings.Contains(out, "Predictions") {
 				t.Errorf("a refused run printed a study:\n%s", out)
+			}
+			if _, err := os.Stat(never); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("a refused run created -cache-dir %s (stat: %v)", never, err)
 			}
 		})
 	}

@@ -83,6 +83,55 @@ func TestAblationAndExtensionTables(t *testing.T) {
 	}
 }
 
+// TestFastRegeneratesEveryTable runs the whole of paper -fast: every one
+// of the 22 tables is regenerated, in registry order, and the run exits
+// cleanly.
+func TestFastRegeneratesEveryTable(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-fast"}, &stdout, &stderr); err != nil {
+		t.Fatalf("paper -fast: %v\nstderr:\n%s", err, stderr.String())
+	}
+	var got []string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "[table "); ok {
+			id, _, _ := strings.Cut(rest, " ")
+			got = append(got, id)
+		}
+	}
+	all := tables.All()
+	if len(got) != len(all) {
+		t.Fatalf("%d tables regenerated, want %d: %v", len(got), len(all), got)
+	}
+	for i, e := range all {
+		if got[i] != e.ID {
+			t.Errorf("regeneration %d is table %s, want %s", i, got[i], e.ID)
+		}
+	}
+}
+
+// TestFailedTableDoesNotStopTheRun: with -procs 3, which BT and SP (square
+// counts), LU and FT (powers of two) all refuse, every table with a
+// processor count fails; each failure is reported, the tables without one
+// still regenerate, and the error names every failed ID.
+func TestFailedTableDoesNotStopTheRun(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-fast", "-procs", "3"}, &stdout, &stderr)
+	var failed []string
+	for _, e := range tables.All() {
+		if len(e.Procs) > 0 {
+			failed = append(failed, e.ID)
+			if !strings.Contains(stderr.String(), "paper: table "+e.ID+": ") {
+				t.Errorf("table %s's error not reported:\n%s", e.ID, stderr.String())
+			}
+		} else if !strings.Contains(stdout.String(), "[table "+e.ID+" regenerated in ") {
+			t.Errorf("table %s not regenerated after the failures:\n%s", e.ID, stdout.String())
+		}
+	}
+	if want := fmt.Sprintf("%d of 22 tables failed: %s", len(failed), strings.Join(failed, " ")); err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+}
+
 // TestCacheDirServesASecondRun: a run over a -cache-dir the first run
 // warmed measures nothing, with every planned job a hit.
 func TestCacheDirServesASecondRun(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -110,18 +109,6 @@ func (e Engine) Plan(trips int, chainLens []int) ([]plan.Job, error) {
 	return plan.StudyJobs(app, planInputs(e.Workload, trips, chainLens, e.Opts))
 }
 
-// record converts a job result into the study's provenance form.
-func record(j plan.Job, res plan.Result, cached bool) MeasurementRecord {
-	return MeasurementRecord{
-		Key:      j.Label(),
-		Kind:     string(j.Kind),
-		Seconds:  res.Seconds,
-		Raw:      res.Raw,
-		TrimFrac: res.TrimFrac,
-		Cached:   cached,
-	}
-}
-
 // measurer runs single jobs against the workload with the options' retry
 // budget and observability. Its methods are called concurrently by the
 // executor's workers; the sinks it writes to (Options.Metrics, the
@@ -183,16 +170,12 @@ func (r *measurer) measureOnce(ctx context.Context, j plan.Job) (plan.Result, er
 		var v float64
 		v, err = r.w.MeasureActual(j.Spec.Trips, o)
 		res = plan.Result{Seconds: v}
+	} else if d, ok := r.w.(WindowDetailer); ok {
+		res, err = d.MeasureWindowDetail(j.Spec.Window, o)
 	} else {
-		var wm npb.WindowMeasurement
-		if d, ok := r.w.(WindowDetailer); ok {
-			wm, err = d.MeasureWindowDetail(j.Spec.Window, o)
-		} else {
-			var v float64
-			v, err = r.w.MeasureWindow(j.Spec.Window, o)
-			wm = npb.WindowMeasurement{Window: j.Spec.Window, PerPass: v, TrimFrac: o.TrimFrac, Passes: o.Protocol().Passes}
-		}
-		res = plan.Result{Seconds: wm.PerPass, Raw: wm.Blocks, TrimFrac: wm.TrimFrac, Passes: wm.Passes}
+		var v float64
+		v, err = r.w.MeasureWindow(j.Spec.Window, o)
+		res = plan.Result{Seconds: v, TrimFrac: o.TrimFrac, Passes: o.Protocol().Passes}
 	}
 	if err != nil {
 		sp.SetDetail(j.Label() + " failed")
@@ -444,18 +427,12 @@ func assemble(ctx context.Context, stage obs.SpanRef, app core.App, in plan.Inpu
 			actualCached = actualCached && cached
 			continue
 		}
-		provenance[recs] = record(*j, res, cached)
+		provenance[recs] = MeasurementRecord{Key: j.Label(), Kind: string(j.Kind), Result: res, Cached: cached}
 		recs++
 	}
 	stage.End()
 	actual := stats.Median(actuals)
-	provenance[recs] = MeasurementRecord{
-		Key:     app.Name,
-		Kind:    KindActual,
-		Seconds: actual,
-		Raw:     actuals,
-		Cached:  actualCached,
-	}
+	provenance[recs] = MeasurementRecord{Key: app.Name, Kind: KindActual, Result: plan.Result{Seconds: actual, Raw: actuals}, Cached: actualCached}
 	analyzeSpan, _ := obs.StartSpan(ctx, "analyze", "")
 	an, err := Analyze(app, m, actual, in.ChainLens, measured, degrade)
 	analyzeSpan.End()

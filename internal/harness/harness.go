@@ -108,7 +108,7 @@ type Workload interface {
 // Workloads implementing it get full measurement provenance in the
 // study; others are recorded aggregate-only.
 type WindowDetailer interface {
-	MeasureWindowDetail(window []string, o Options) (npb.WindowMeasurement, error)
+	MeasureWindowDetail(window []string, o Options) (plan.Result, error)
 }
 
 // NPBWorkload adapts an npb.Factory (BT, SP, LU or FT) to the harness.
@@ -152,24 +152,21 @@ func (w *NPBWorkload) Kernels() (pre, loop, post []string) {
 
 // MeasureWindow implements Workload: MeasureWindowDetail's per-pass time.
 func (w *NPBWorkload) MeasureWindow(window []string, o Options) (float64, error) {
-	wm, err := w.MeasureWindowDetail(window, o)
-	if err != nil {
-		return 0, err
-	}
-	return wm.PerPass, nil
+	res, err := w.MeasureWindowDetail(window, o)
+	return res.Seconds, err
 }
 
 // MeasureWindowDetail implements WindowDetailer via
 // npb.MeasureWindowDetail, keeping per-block provenance.
-func (w *NPBWorkload) MeasureWindowDetail(window []string, o Options) (npb.WindowMeasurement, error) {
-	wm, err := npb.MeasureWindowDetail(w.factory(), window, o.Protocol(), npb.MeasureOptions{
+func (w *NPBWorkload) MeasureWindowDetail(window []string, o Options) (plan.Result, error) {
+	res, world, err := npb.MeasureWindowDetail(w.factory(), window, o.Protocol(), npb.MeasureOptions{
 		Procs:     w.Procs,
 		WorldOpts: w.WorldOpts,
 	})
 	if err == nil {
-		countWorld(o.Metrics, wm.World)
+		countWorld(o.Metrics, world)
 	}
-	return wm, err
+	return res, err
 }
 
 // MeasureActual implements Workload via npb.MeasureFull.
@@ -231,15 +228,10 @@ type MeasurementRecord struct {
 	Key string `json:"key"`
 	// Kind is KindIsolated, KindWindow or KindActual.
 	Kind string `json:"kind"`
-	// Seconds is the aggregated value the predictors consume.
-	Seconds float64 `json:"seconds"`
-	// Raw holds the pre-aggregation observations: per-block per-pass
-	// seconds for window measurements, per-run seconds for actual runs.
-	// Empty when the workload does not expose detail.
-	Raw []float64 `json:"raw,omitempty"`
-	// TrimFrac is the effective two-sided trim applied to Raw (actual
-	// runs aggregate by median instead).
-	TrimFrac float64 `json:"trim_frac"`
+	// Result is the measurement as the cache stores it. For the
+	// aggregate actual record, Raw holds the per-run seconds and Seconds
+	// their median; it records no trim or passes.
+	plan.Result
 	// Cached reports the value was served by the measurement cache
 	// rather than a fresh world execution (for the aggregate actual
 	// record: every contributing run was cached).

@@ -138,7 +138,7 @@ func (p *PairWorkload) MeasureWindow(window []string, o harness.Options) (float6
 	if err != nil {
 		return 0, err
 	}
-	return res.PerPass, nil
+	return res.Seconds, nil
 }
 
 // MeasureActual implements harness.Workload: trips passes over the ring.

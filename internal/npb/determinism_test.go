@@ -132,7 +132,7 @@ func TestBenchmarksSurviveArbitraryKernelWindows(t *testing.T) {
 			}
 			windows = append(windows, []string{loop[len(loop)-1], loop[0]})
 			for _, win := range windows {
-				if _, err := npb.MeasureWindowDetail(factory, win, timing.Protocol{Blocks: 2, Passes: 3}, npb.MeasureOptions{
+				if _, _, err := npb.MeasureWindowDetail(factory, win, timing.Protocol{Blocks: 2, Passes: 3}, npb.MeasureOptions{
 					Procs:     4,
 					WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 				}); err != nil {
@@ -165,22 +165,22 @@ func TestRecycledWorldDoesNotAllocateFields(t *testing.T) {
 				t.Fatal(err)
 			}
 			f, loop := w.Factory, w.Loop
-			measure := func() (uint64, npb.WindowMeasurement) {
+			measure := func() (uint64, npb.WorldStats) {
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
-				wm, err := npb.MeasureWindowDetail(f, loop, timing.Protocol{}, npb.MeasureOptions{Procs: procs})
+				_, world, err := npb.MeasureWindowDetail(f, loop, timing.Protocol{}, npb.MeasureOptions{Procs: procs})
 				if err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&m1)
-				return m1.TotalAlloc - m0.TotalAlloc, wm
+				return m1.TotalAlloc - m0.TotalAlloc, world
 			}
-			built, wm := measure()
-			if wm.World.Recycled {
+			built, world := measure()
+			if world.Recycled {
 				t.Fatal("a factory's first world cannot be recycled")
 			}
-			recycled, wm := measure()
-			if !wm.World.Recycled {
+			recycled, world := measure()
+			if !world.Recycled {
 				t.Fatal("a factory's second world should rebind the first's state")
 			}
 			t.Logf("%s: a built world allocates %d kB, a recycled one %d kB", w.Name(), built>>10, recycled>>10)

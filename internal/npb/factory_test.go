@@ -180,8 +180,9 @@ func TestFailedWorldRecyclesNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, built := newPooledFactory()
-			measure := func(kernel string, opts []mpi.Option) (WindowMeasurement, error) {
-				return MeasureWindowDetail(f, []string{kernel}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4, WorldOpts: opts})
+			measure := func(kernel string, opts []mpi.Option) (WorldStats, error) {
+				_, world, err := MeasureWindowDetail(f, []string{kernel}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4, WorldOpts: opts})
+				return world, err
 			}
 			if _, err := measure("ok", nil); err != nil {
 				t.Fatal(err)
@@ -196,15 +197,15 @@ func TestFailedWorldRecyclesNothing(t *testing.T) {
 			if n := f.idleSets(); n != 0 {
 				t.Errorf("%d idle sets after the world holding the only one died, want 0", n)
 			}
-			wm, err := measure("ok", nil)
+			world, err := measure("ok", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wm.World.Recycled || built.Load() != 2 {
-				t.Errorf("the retry after a dead world must build its state: recycled=%v, worlds built %d", wm.World.Recycled, built.Load())
+			if world.Recycled || built.Load() != 2 {
+				t.Errorf("the retry after a dead world must build its state: recycled=%v, worlds built %d", world.Recycled, built.Load())
 			}
-			if wm, err = measure("ok", nil); err != nil || !wm.World.Recycled {
-				t.Errorf("the world after the retry should rebind its set: recycled=%v err=%v", wm.World.Recycled, err)
+			if world, err = measure("ok", nil); err != nil || !world.Recycled {
+				t.Errorf("the world after the retry should rebind its set: recycled=%v err=%v", world.Recycled, err)
 			}
 		})
 	}
@@ -215,12 +216,12 @@ func TestFailedWorldRecyclesNothing(t *testing.T) {
 func TestUnrebindableStateIsNeverPooled(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "")
 	for i := 0; i < 3; i++ {
-		wm, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
+		_, world, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wm.World.Recycled || f.idleSets() != 0 {
-			t.Fatalf("world %d: recycled=%v, %d idle sets", i, wm.World.Recycled, f.idleSets())
+		if world.Recycled || f.idleSets() != 0 {
+			t.Fatalf("world %d: recycled=%v, %d idle sets", i, world.Recycled, f.idleSets())
 		}
 	}
 }

@@ -245,14 +245,14 @@ func TestMeasureWindowSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, err := npb.MeasureWindowDetail(f, []string{KFFTX, KTranspose}, timing.Protocol{Blocks: 2, Passes: 2}, npb.MeasureOptions{
+	res, _, err := npb.MeasureWindowDetail(f, []string{KFFTX, KTranspose}, timing.Protocol{Blocks: 2, Passes: 2}, npb.MeasureOptions{
 		Procs:     4,
 		WorldOpts: []mpi.Option{mpi.WithRecvTimeout(60 * time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := wm.PerPass
+	secs := res.Seconds
 	if secs <= 0 {
 		t.Errorf("per-pass time %v", secs)
 	}

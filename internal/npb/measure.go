@@ -90,28 +90,6 @@ type MeasureOptions struct {
 	WorldOpts []mpi.Option
 }
 
-// WindowMeasurement is the full record of one window measurement: the
-// aggregate the predictors consume plus the raw per-block timings and the
-// trim that produced the aggregate, so every reported coupling value can
-// be traced back to the block decisions behind it.
-type WindowMeasurement struct {
-	// Window is the measured kernel window in application order.
-	Window []string
-	// PerPass is the aggregated per-pass wall-clock seconds, the value the
-	// predictors consume.
-	PerPass float64
-	// Blocks holds each timed block's per-pass seconds in block order,
-	// before trimming.
-	Blocks []float64
-	// TrimFrac is the trim timing.Protocol.Aggregate applied (0: the raw
-	// mean).
-	TrimFrac float64
-	// Passes is the number of window passes each block timed.
-	Passes int
-	// World describes the world the blocks were timed in.
-	World WorldStats
-}
-
 // runKernels executes the named kernels on this rank in order, each under
 // its phase label; a kernel error fails the rank.
 func runKernels(c *mpi.Comm, ks KernelSet, names []string) {
@@ -127,16 +105,16 @@ func runKernels(c *mpi.Comm, ks KernelSet, names []string) {
 // MeasureWindowDetail runs a world of the factory, and times Blocks×Passes
 // executions of the kernel window in application order, following the
 // paper's methodology: the window sits in a loop that dominates the
-// measurement, all setup is outside the timed region, and each block is
-// one timed region. It returns the per-pass wall-clock seconds, aggregated
-// across blocks under the protocol, with the per-block timings and trim
-// decision — the provenance behind each reported coupling value.
-func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o MeasureOptions) (WindowMeasurement, error) {
+// measurement, all setup is outside the timed region, and each of the
+// protocol's blocks (timing.Protocol.Time) is one timed region. It returns
+// the per-pass wall-clock seconds, aggregated across blocks under the
+// protocol, with the per-block timings and trim decision — the provenance
+// behind each reported coupling value — and where the world got its state.
+func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o MeasureOptions) (timing.Result, WorldStats, error) {
 	if len(window) == 0 {
-		return WindowMeasurement{}, fmt.Errorf("npb: empty measurement window")
+		return timing.Result{}, WorldStats{}, fmt.Errorf("npb: empty measurement window")
 	}
-	p = p.Resolved()
-	blockTimes := make([]float64, 0, p.Blocks)
+	var res timing.Result
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
 		// One untimed warmup pass: the first execution after setup pays
@@ -146,32 +124,26 @@ func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o Measu
 		runKernels(c, ks, window)
 		ks.Refresh()
 		gc := quiesce(c, fresh, &world)
-		for b := 0; b < p.Blocks; b++ {
+		// Every rank runs the loop, so every rank takes part in each
+		// block's region; only rank 0's stamps, and so its result, count.
+		r := p.Time(func(b, passes int) float64 {
 			if b > 0 {
 				ks.Refresh()
 			}
-			secs := timed(c, gc, &world, func() {
-				for i := 0; i < p.Passes; i++ {
+			return timed(c, gc, &world, func() {
+				for i := 0; i < passes; i++ {
 					runKernels(c, ks, window)
 				}
 			})
-			if c.Rank() == 0 {
-				blockTimes = append(blockTimes, secs/float64(p.Passes))
-			}
+		})
+		if c.Rank() == 0 {
+			res = r
 		}
 	}, o.WorldOpts...)
 	if err != nil {
-		return WindowMeasurement{}, err
+		return timing.Result{}, WorldStats{}, err
 	}
-	perPass, trim := p.Aggregate(blockTimes)
-	return WindowMeasurement{
-		Window:   append([]string(nil), window...),
-		PerPass:  perPass,
-		Blocks:   blockTimes,
-		TrimFrac: trim,
-		Passes:   p.Passes,
-		World:    world,
-	}, nil
+	return res, world, nil
 }
 
 // runApp executes a complete application on this rank: pre-kernels, trips

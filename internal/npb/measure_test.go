@@ -52,11 +52,11 @@ func newCountingFactory(names []string, delay time.Duration, failOn string) (*Fa
 
 func TestMeasureWindowCountsAndTiming(t *testing.T) {
 	f, runs, refreshs := newCountingFactory([]string{"a", "b"}, 2*time.Millisecond, "")
-	wm, err := MeasureWindowDetail(f, []string{"a", "b"}, timing.Protocol{Blocks: 3, Passes: 2}, MeasureOptions{Procs: 2})
+	res, _, err := MeasureWindowDetail(f, []string{"a", "b"}, timing.Protocol{Blocks: 3, Passes: 2}, MeasureOptions{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := wm.PerPass
+	secs := res.Seconds
 	// 2 ranks × (1 warmup + 3 blocks × 2 passes) = 14 executions each.
 	if got := runs["a"].Load(); got != 14 {
 		t.Errorf("kernel a ran %d times, want 14", got)
@@ -76,14 +76,14 @@ func TestMeasureWindowCountsAndTiming(t *testing.T) {
 
 func TestMeasureWindowEmptyWindow(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "")
-	if _, err := MeasureWindowDetail(f, nil, timing.Protocol{}, MeasureOptions{Procs: 1}); err == nil {
+	if _, _, err := MeasureWindowDetail(f, nil, timing.Protocol{}, MeasureOptions{Procs: 1}); err == nil {
 		t.Error("empty window should fail")
 	}
 }
 
 func TestMeasureWindowKernelFailure(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, 0, "a")
-	_, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
+	_, _, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 2})
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Errorf("want injected failure surfaced, got %v", err)
 	}
@@ -91,7 +91,7 @@ func TestMeasureWindowKernelFailure(t *testing.T) {
 
 func TestMeasureWindowFactoryFailure(t *testing.T) {
 	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) { return nil, errors.New("no state") })
-	_, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 1})
+	_, _, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{}, MeasureOptions{Procs: 1})
 	if err == nil || !strings.Contains(err.Error(), "no state") {
 		t.Errorf("want setup failure surfaced, got %v", err)
 	}
@@ -163,41 +163,38 @@ func TestMeasureOptionsTrimFracSentinels(t *testing.T) {
 		{"NaN", math.NaN(), timing.DefaultTrim},
 		{"-1", -1, 0},
 	} {
-		wm, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{Blocks: 3, Trim: tc.trim}, MeasureOptions{Procs: 1})
+		res, _, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{Blocks: 3, Trim: tc.trim}, MeasureOptions{Procs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wm.TrimFrac != tc.want {
-			t.Errorf("%s selected TrimFrac %v, want %v", tc.name, wm.TrimFrac, tc.want)
+		if res.TrimFrac != tc.want {
+			t.Errorf("%s selected TrimFrac %v, want %v", tc.name, res.TrimFrac, tc.want)
 		}
-		if got := stats.TrimmedMean(wm.Blocks, wm.TrimFrac); got != wm.PerPass {
-			t.Errorf("%s: PerPass %v not reproducible from Blocks+TrimFrac (%v)", tc.name, wm.PerPass, got)
+		if got := stats.TrimmedMean(res.Raw, res.TrimFrac); got != res.Seconds {
+			t.Errorf("%s: Seconds %v not reproducible from Raw+TrimFrac (%v)", tc.name, res.Seconds, got)
 		}
 	}
 }
 
 func TestMeasureWindowDetailProvenance(t *testing.T) {
 	f, _, _ := newCountingFactory([]string{"a"}, time.Millisecond, "")
-	wm, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{Blocks: 4, Passes: 2}, MeasureOptions{Procs: 1})
+	res, _, err := MeasureWindowDetail(f, []string{"a"}, timing.Protocol{Blocks: 4, Passes: 2}, MeasureOptions{Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wm.Blocks) != 4 {
-		t.Fatalf("got %d raw blocks, want 4", len(wm.Blocks))
+	if len(res.Raw) != 4 {
+		t.Fatalf("got %d raw blocks, want 4", len(res.Raw))
 	}
-	if wm.TrimFrac != 0.34 || wm.Passes != 2 {
-		t.Errorf("detail = %+v, want the resolved options recorded", wm)
+	if res.TrimFrac != 0.34 || res.Passes != 2 {
+		t.Errorf("detail = %+v, want the resolved options recorded", res)
 	}
-	if got := stats.TrimmedMean(wm.Blocks, wm.TrimFrac); got != wm.PerPass {
-		t.Errorf("PerPass %v not reproducible from Blocks+TrimFrac (%v)", wm.PerPass, got)
+	if got := stats.TrimmedMean(res.Raw, res.TrimFrac); got != res.Seconds {
+		t.Errorf("Seconds %v not reproducible from Raw+TrimFrac (%v)", res.Seconds, got)
 	}
-	for i, b := range wm.Blocks {
+	for i, b := range res.Raw {
 		if b < 0.001 {
 			t.Errorf("block %d = %v s, below the 1ms kernel delay", i, b)
 		}
-	}
-	if len(wm.Window) != 1 || wm.Window[0] != "a" {
-		t.Errorf("window = %v", wm.Window)
 	}
 }
 
@@ -209,7 +206,7 @@ func TestMeasureWindowPhaseAttribution(t *testing.T) {
 	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) {
 		return exchangingKernels{c: c}, nil
 	})
-	_, err := MeasureWindowDetail(f, []string{"PING"}, timing.Protocol{Blocks: 2, Passes: 1}, MeasureOptions{
+	_, _, err := MeasureWindowDetail(f, []string{"PING"}, timing.Protocol{Blocks: 2, Passes: 1}, MeasureOptions{
 		Procs:     2,
 		WorldOpts: []mpi.Option{mpi.WithObserver(ob)},
 	})

@@ -82,9 +82,7 @@ func TestMessagesGolden(t *testing.T) {
 				o := npb.MeasureOptions{Procs: procs, WorldOpts: []mpi.Option{mpi.WithInjector(log), mpi.WithRecvTimeout(30 * time.Second)}}
 				var world npb.WorldStats
 				if measure == "window" {
-					var wm npb.WindowMeasurement
-					wm, err = npb.MeasureWindowDetail(f, b.loop[:2], timing.Protocol{Blocks: 3, Passes: 1}, o)
-					world = wm.World
+					_, world, err = npb.MeasureWindowDetail(f, b.loop[:2], timing.Protocol{Blocks: 3, Passes: 1}, o)
 				} else {
 					_, world, err = npb.MeasureFull(f, b.pre, b.loop, 3, b.post, o)
 				}

@@ -17,26 +17,26 @@ func poolKey(n, procs int) PoolKey {
 func TestPoolOneFactoryPerConfiguration(t *testing.T) {
 	var built atomic.Int64
 	p := NewPool(1 << 16)
-	measure := func(f *Factory) WindowMeasurement {
+	measure := func(f *Factory) WorldStats {
 		t.Helper()
-		wm, err := MeasureWindowDetail(f, []string{"ok"}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4})
+		_, world, err := MeasureWindowDetail(f, []string{"ok"}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return wm
+		return world
 	}
 	first, second, other := pooledFactory(&built), pooledFactory(&built), pooledFactory(&built)
 	if got := p.Factory(poolKey(12, 4), first); got != first {
 		t.Fatal("an empty pool did not adopt the caller's factory")
 	}
-	if measure(first).World.Recycled {
+	if measure(first).Recycled {
 		t.Fatal("the first world of a configuration rebound state")
 	}
 	got := p.Factory(poolKey(12, 4), second)
 	if got != first {
 		t.Fatal("the second study of a configuration got a factory of its own")
 	}
-	if !measure(got).World.Recycled || built.Load() != 1 {
+	if !measure(got).Recycled || built.Load() != 1 {
 		t.Errorf("the second study built state again (%d worlds built)", built.Load())
 	}
 	if got := p.Factory(poolKey(12, 9), other); got != other {
@@ -94,11 +94,12 @@ func TestPoolBoundsRetainedCells(t *testing.T) {
 func TestPoolFailedWorldReturnsNothing(t *testing.T) {
 	var built atomic.Int64
 	p := NewPool(1 << 16)
-	measure := func(kernel string) (WindowMeasurement, error) {
+	measure := func(kernel string) (WorldStats, error) {
 		// Each call is a new study with a factory of its own, as an
 		// engine has; the pool decides which one runs the world.
 		f := p.Factory(poolKey(12, 4), pooledFactory(&built))
-		return MeasureWindowDetail(f, []string{kernel}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4})
+		_, world, err := MeasureWindowDetail(f, []string{kernel}, timing.Protocol{Blocks: 1}, MeasureOptions{Procs: 4})
+		return world, err
 	}
 	if _, err := measure("ok"); err != nil {
 		t.Fatal(err)
@@ -106,15 +107,15 @@ func TestPoolFailedWorldReturnsNothing(t *testing.T) {
 	if _, err := measure("error"); err == nil {
 		t.Fatal("the failing kernel did not fail its world")
 	}
-	wm, err := measure("ok")
+	world, err := measure("ok")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wm.World.Recycled || built.Load() != 2 {
-		t.Errorf("the study after a dead world: recycled=%v, %d worlds built; want a second build", wm.World.Recycled, built.Load())
+	if world.Recycled || built.Load() != 2 {
+		t.Errorf("the study after a dead world: recycled=%v, %d worlds built; want a second build", world.Recycled, built.Load())
 	}
-	if wm, err = measure("ok"); err != nil || !wm.World.Recycled {
-		t.Errorf("the study after that should rebind: recycled=%v err=%v", wm.World.Recycled, err)
+	if world, err = measure("ok"); err != nil || !world.Recycled {
+		t.Errorf("the study after that should rebind: recycled=%v err=%v", world.Recycled, err)
 	}
 }
 

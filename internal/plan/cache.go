@@ -17,22 +17,13 @@ import (
 	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/singleflight"
+	"repro/internal/timing"
 )
 
 // Result is one job's measured outcome — the value the cache stores and
-// the executor returns.
-type Result struct {
-	// Seconds is the aggregated value the predictors consume: per-pass
-	// seconds for isolated/window jobs, wall-clock seconds for actual runs.
-	Seconds float64 `json:"seconds"`
-	// Raw holds the pre-aggregation observations (per-block per-pass
-	// seconds); empty when the workload exposes no detail.
-	Raw []float64 `json:"raw,omitempty"`
-	// TrimFrac is the effective two-sided trim applied to Raw.
-	TrimFrac float64 `json:"trim_frac,omitempty"`
-	// Passes is the number of window passes each block timed.
-	Passes int `json:"passes,omitempty"`
-}
+// the executor returns: the record timing.Protocol.Time makes, so a
+// measurement reaches the log as it left the timed region.
+type Result = timing.Result
 
 // entry is the persisted form of one cache slot. The canonical pre-image
 // rides along so a disk entry can be audited and so a key truncation

@@ -146,6 +146,29 @@ func TestDirCachePersistsAcrossInstances(t *testing.T) {
 	onlyTheLog(t, dir)
 }
 
+// TestDirCacheLogBytes pins the bytes one Put appends to the log: the
+// job key, a space, the entry as compact JSON in field order, a newline.
+// Every -cache-dir already written is read back by this layout, so a
+// change to Result's fields, order or tags shows here first.
+func TestDirCacheLogBytes(t *testing.T) {
+	dir := t.TempDir()
+	c := openDir(t, dir)
+	j := WindowJob(btInputs(), []string{"COPY_FACES", "X_SOLVE"})
+	r := Result{Seconds: 0.0015, Raw: []float64{0.0014, 0.0015, 1.6e-3, 2e-9, 0.25}, TrimFrac: 0.34, Passes: 2}
+	if err := c.Put(j, r); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `cc67da9118cf6dfdd837eb75 {"canonical":"v1|kind=window|wl=BT.S.4|procs=4|win=COPY_FACES|X_SOLVE|blocks=5|passes=1|trim=0|world=grid=12 x 12 x 12|fault=",` +
+		`"result":{"seconds":0.0015,"raw":[0.0014,0.0015,0.0016,2e-9,0.25],"trim_frac":0.34,"passes":2}}` + "\n"
+	if string(got) != want {
+		t.Errorf("log bytes changed\n got: %q\nwant: %q", got, want)
+	}
+}
+
 // TestDirCacheParallelGetsOfDistinctKeysDoNotSerialize: the regression
 // test for the lock-across-disk-I/O bug — with the mutex held across the
 // read, a Get of key B would block behind a stalled read of key A,

@@ -123,7 +123,7 @@ func trimAblation(e Experiment, s Scale) (*Result, error) {
 // prior work [TG01]): one large all-to-all per iteration instead of LU's
 // many small messages.
 func ftExtension(e Experiment, s Scale) (*Result, error) {
-	prob, err := e.problem(s)
+	prob, err := PredictProblem(e.query(s, e.Procs[0]))
 	if err != nil {
 		return nil, err
 	}

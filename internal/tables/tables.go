@@ -138,16 +138,42 @@ type Scale struct {
 	fast bool
 }
 
-// Fast returns s at paper -fast's smoke-test scale: 8³ grids, and 2
-// trips unless s sets them; Experiment.protocol times 2 blocks at it
-// unless s sets them.
+// Fast returns s at paper -fast's smoke-test scale: at each study's
+// processor count the smallest grid of 8³ or more its benchmark's tiling
+// accepts (gridAt), and 2 trips, unless s sets them; Experiment.protocol
+// times 2 blocks at it unless s sets them.
 func (s Scale) Fast() Scale {
 	s.fast = true
-	s.GridOverride = 8
 	if s.Trips == 0 {
 		s.Trips = 2
 	}
 	return s
+}
+
+// fastGrid is the smallest grid side paper -fast runs.
+const fastGrid = 8
+
+// gridAt is the grid override of a study of bench at procs ranks:
+// GridOverride when set, else at paper -fast's scale the smallest n ≥ 8
+// whose n³ grid the benchmark accepts at procs ranks — its tiling leaves
+// every rank a tile at least its halo deep (SP's 2-deep halo over 5×5
+// ranks needs n = 10) — else none. Every tile rule holds by n = 8·procs;
+// a rank count no grid suits keeps 8 and fails the study with the
+// benchmark's own error.
+func (s Scale) gridAt(bench string, class npb.Class, procs int) int {
+	if s.GridOverride > 0 || !s.fast {
+		return s.GridOverride
+	}
+	prob, err := BenchProblem(bench, class)
+	if err != nil {
+		return fastGrid
+	}
+	for n := fastGrid; n <= fastGrid*procs; n++ {
+		if _, err := NewWorkload(bench, class, GridProblem(bench, prob, n), procs, nil); err == nil {
+			return n
+		}
+	}
+	return fastGrid
 }
 
 // DefaultTrips returns the scaled-down loop trip count used for a class
@@ -217,13 +243,10 @@ type Result struct {
 	Text string
 }
 
-// problem returns the experiment's NPB problem, honoring GridOverride.
-func (e Experiment) problem(s Scale) (npb.Problem, error) {
-	prob, err := BenchProblem(e.Bench, e.Class)
-	if err != nil {
-		return npb.Problem{}, err
-	}
-	return GridProblem(e.Bench, prob, s.GridOverride), nil
+// query is the backend query of the experiment's study at procs ranks
+// under s, its grid override resolved.
+func (e Experiment) query(s Scale, procs int) predict.Query {
+	return predict.Query{Bench: e.Bench, Class: e.Class, Procs: procs, Grid: s.gridAt(e.Bench, e.Class, procs)}
 }
 
 // WorldDigest captures world configuration that changes measured values
@@ -239,12 +262,17 @@ func WorldDigest(prob npb.Problem, net *mpi.NetModel) string {
 	return d
 }
 
+// engineAt builds the engine of the experiment's study at one processor
+// count through the engine builder every backend query uses, under the
+// experiment's protocol. It runs no world.
+func (e Experiment) engineAt(s Scale, procs int) (harness.Engine, error) {
+	return BackendConfig{Cache: s.Cache, Net: s.Net, Parallel: s.Parallel}.engine(e.query(s, procs), e.protocol(s))
+}
+
 // studyFor measures the experiment's study at one processor count and
-// trip count through the engine builder every backend query uses, under
-// the experiment's protocol.
+// trip count.
 func (e Experiment) studyFor(s Scale, procs, trips int) (*harness.Study, error) {
-	q := predict.Query{Bench: e.Bench, Class: e.Class, Procs: procs, Grid: s.GridOverride}
-	eng, err := BackendConfig{Cache: s.Cache, Net: s.Net, Parallel: s.Parallel}.engine(q, e.protocol(s))
+	eng, err := e.engineAt(s, procs)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +451,7 @@ func CacheSweepSizes() []int {
 // options per point and streaming volume at a scale.
 func (e Experiment) sweepAxis(s Scale) (sizes []int, o harness.Options, minBytes int) {
 	sizes, minBytes = CacheSweepSizes(), 48<<20
-	if s.GridOverride > 0 {
+	if s.fast || s.GridOverride > 0 {
 		// Smoke mode: a tiny axis with minimal streaming volume.
 		sizes = memmodel.GeometricSizes(8<<10, 128<<10, 4)
 		minBytes = 1 << 20

@@ -101,6 +101,32 @@ func TestDataSetTables(t *testing.T) {
 	}
 }
 
+// TestFastScaleBuildsEveryTable walks every experiment's processor
+// counts at paper -fast's scale and builds each study's engine — a grid
+// some tiling cannot cut fails here — without running a world. The grid
+// stays 8³ wherever the tiling takes it, so a cache warmed at 8³ stays
+// warm, and a grid the caller sets wins.
+func TestFastScaleBuildsEveryTable(t *testing.T) {
+	s := Scale{}.Fast()
+	for _, e := range All() {
+		for _, procs := range e.Procs {
+			if _, err := e.engineAt(s, procs); err != nil {
+				t.Errorf("table %s at %d procs: %v", e.ID, procs, err)
+			}
+			want := fastGrid
+			if e.Bench == "SP" && procs == 25 {
+				want = 10 // SP's 2-deep halo over 5 ranks a side
+			}
+			if got := s.gridAt(e.Bench, e.Class, procs); got != want {
+				t.Errorf("table %s at %d procs runs a %d³ grid, want %d³", e.ID, procs, got, want)
+			}
+		}
+	}
+	if got := (Scale{GridOverride: 12}).Fast().gridAt("SP", npb.ClassW, 25); got != 12 {
+		t.Errorf("-fast -grid 12 runs a %d³ grid, want the 12³ asked for", got)
+	}
+}
+
 // smokeScale shrinks everything so a full study finishes in seconds.
 func smokeScale() Scale {
 	return Scale{Trips: 2, Blocks: 2, Passes: 1, GridOverride: 8}

@@ -126,42 +126,57 @@ type Options struct {
 	Clock Clock
 }
 
-// Result is the outcome of a repeated measurement.
+// Result is one measurement's record: the value the predictors consume
+// and the observations it was aggregated from. It is also the record the
+// measurement cache stores (plan.Result), so its JSON is the cache log's.
 type Result struct {
-	// PerPass is the aggregated (Protocol.Aggregate) time of one pass of
-	// the measured function, in seconds.
-	PerPass float64
-	// Blocks holds the raw per-pass time of each timed block, in seconds.
-	Blocks []float64
+	// Seconds is the aggregated value the predictors consume: per-pass
+	// seconds for isolated/window measurements, wall-clock seconds for
+	// actual runs.
+	Seconds float64 `json:"seconds"`
+	// Raw holds the pre-aggregation observations (each timed block's
+	// per-pass seconds, in block order); empty when the measurement
+	// exposes no detail.
+	Raw []float64 `json:"raw,omitempty"`
+	// TrimFrac is the two-sided trim Aggregate applied to Raw.
+	TrimFrac float64 `json:"trim_frac,omitempty"`
+	// Passes is the number of passes each block timed.
+	Passes int `json:"passes,omitempty"`
+}
+
+// Time is the one block loop: it resolves p, calls block once per block
+// with the block's index and the passes it must time, divides the seconds
+// block returns by those passes, and returns Aggregate's value of the
+// blocks with the raw blocks, the applied trim and the passes. block
+// returns the seconds of its timed region only; whatever it does outside
+// that region is excluded, which is how the paper subtracts "the time
+// required for the application beyond the given kernel".
+func (p Protocol) Time(block func(b, passes int) float64) Result {
+	p = p.Resolved()
+	raw := make([]float64, p.Blocks)
+	for b := range raw {
+		raw[b] = block(b, p.Passes) / float64(p.Passes)
+	}
+	secs, trim := p.Aggregate(raw)
+	return Result{Seconds: secs, Raw: raw, TrimFrac: trim, Passes: p.Passes}
 }
 
 // ErrNilFunc is returned when Measure is given a nil function.
 var ErrNilFunc = errors.New("timing: nil function")
 
-// Measure times fn under protocol p and returns the per-pass statistics.
-// Only the passes themselves are inside the timed region; all bookkeeping
-// is excluded, implementing the paper's "subtract the time required for
-// the application beyond the given kernel" methodology.
+// Measure times fn under protocol p: each block is one Once of the
+// block's passes of fn.
 func Measure(fn func(), p Protocol, o Options) (Result, error) {
 	if fn == nil {
 		return Result{}, ErrNilFunc
 	}
-	p = p.Resolved()
-	clock := o.Clock
-	if clock == nil {
-		clock = WallClock
-	}
-	blocks := make([]float64, 0, p.Blocks)
-	for b := 0; b < p.Blocks; b++ {
-		start := clock.Now()
-		for i := 0; i < p.Passes; i++ {
-			fn()
-		}
-		elapsed := clock.Now().Sub(start)
-		blocks = append(blocks, elapsed.Seconds()/float64(p.Passes))
-	}
-	perPass, _ := p.Aggregate(blocks)
-	return Result{PerPass: perPass, Blocks: blocks}, nil
+	return p.Time(func(_, passes int) float64 {
+		return Once(func() {
+			for i := 0; i < passes; i++ {
+				fn()
+			}
+		}, o.Clock)
+	}), nil
 }
 
 // Once times a single invocation of fn and returns the elapsed seconds.

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -19,17 +20,17 @@ func TestMeasureWithFakeClock(t *testing.T) {
 	if calls != 40 {
 		t.Errorf("fn called %d times, want 40", calls)
 	}
-	if len(res.Blocks) != 4 {
-		t.Fatalf("got %d blocks, want 4", len(res.Blocks))
+	if len(res.Raw) != 4 {
+		t.Fatalf("got %d blocks, want 4", len(res.Raw))
 	}
 	wantPerPass := 0.001 / 10
-	for i, b := range res.Blocks {
+	for i, b := range res.Raw {
 		if diff := b - wantPerPass; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("block %d per-pass = %v, want %v", i, b, wantPerPass)
 		}
 	}
-	if diff := res.PerPass - wantPerPass; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("PerPass = %v, want %v", res.PerPass, wantPerPass)
+	if diff := res.Seconds - wantPerPass; diff > 1e-12 || diff < -1e-12 {
+		t.Errorf("Seconds = %v, want %v", res.Seconds, wantPerPass)
 	}
 }
 
@@ -47,8 +48,8 @@ func TestMeasureTrimsOutliers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With a 20% two-sided trim of 5 blocks, the 100ms block is dropped.
-	if res.PerPass > 0.002 {
-		t.Errorf("trimmed PerPass = %v, outlier not suppressed", res.PerPass)
+	if res.Seconds > 0.002 {
+		t.Errorf("trimmed Seconds = %v, outlier not suppressed", res.Seconds)
 	}
 }
 
@@ -57,8 +58,33 @@ func TestMeasureDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Blocks) != 3 {
-		t.Errorf("the zero protocol should time 3 blocks, measured %d", len(res.Blocks))
+	if len(res.Raw) != 3 {
+		t.Errorf("the zero protocol should time 3 blocks, measured %d", len(res.Raw))
+	}
+}
+
+// TestTimeRecord pins the one block loop: block is called once per block
+// in order with the resolved passes, each block's seconds are divided by
+// them, and the record carries the aggregate, the raw blocks, the applied
+// (not the requested) trim and the passes.
+func TestTimeRecord(t *testing.T) {
+	var order []int
+	res := Protocol{Blocks: 3, Passes: 4}.Time(func(b, passes int) float64 {
+		if passes != 4 {
+			t.Errorf("block %d asked for %d passes, want 4", b, passes)
+		}
+		order = append(order, b)
+		return float64(4 * (b + 1))
+	})
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Errorf("blocks called in order %v, want [0 1 2]", order)
+	}
+	want := Result{Seconds: 2, Raw: []float64{1, 2, 3}, TrimFrac: DefaultTrim, Passes: 4}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("Time = %+v, want %+v", res, want)
+	}
+	if zero := (Protocol{}).Time(func(int, int) float64 { return 1 }); len(zero.Raw) != 3 || zero.Passes != 1 || zero.TrimFrac != DefaultTrim {
+		t.Errorf("the zero protocol timed %+v, want 3 one-pass blocks at the default trim", zero)
 	}
 }
 

@@ -41,7 +41,8 @@ fi
 # hardened node and 3-node fleet; couple's parallel campaign, warm-cache
 # reuse, analytic agreement, seeded faults, -lattice coupling borrowing
 # and its flag conflicts, README flag rows; npbrun's rank crash; paper's
-# tables and -cache-dir reuse; kcreport's
+# tables, -cache-dir reuse, a whole `paper -fast` run regenerating all 22
+# tables, and a run that goes on past failed tables; kcreport's
 # renderings; kcvet's reports and exit statuses), so this line
 # race-checks them along with everything else. Tests run in shuffled
 # order so none leans on another's leftovers; a failing run prints its
