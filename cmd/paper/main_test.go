@@ -111,17 +111,28 @@ func TestFastRegeneratesEveryTable(t *testing.T) {
 
 // TestFailedTableDoesNotStopTheRun: with -procs 3, which BT and SP (square
 // counts), LU and FT (powers of two) all refuse, every table with a
-// processor count fails; each failure is reported, the tables without one
-// still regenerate, and the error names every failed ID.
+// processor count fails; each failure is reported on one line that names
+// its table once and the processor count, the tables without one still
+// regenerate, and the error names every failed ID.
 func TestFailedTableDoesNotStopTheRun(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-fast", "-procs", "3"}, &stdout, &stderr)
+	reported := map[string]string{}
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "paper: table "); ok {
+			id, _, _ := strings.Cut(rest, ":")
+			reported[id] = line
+		}
+	}
 	var failed []string
 	for _, e := range tables.All() {
 		if len(e.Procs) > 0 {
 			failed = append(failed, e.ID)
-			if !strings.Contains(stderr.String(), "paper: table "+e.ID+": ") {
+			line, ok := reported[e.ID]
+			if !ok {
 				t.Errorf("table %s's error not reported:\n%s", e.ID, stderr.String())
+			} else if n := strings.Count(line, "table "+e.ID); n != 1 || !strings.Contains(line, ": procs=3: ") {
+				t.Errorf("table %s's error line names the table %d times, want once and procs=3 after it: %q", e.ID, n, line)
 			}
 		} else if !strings.Contains(stdout.String(), "[table "+e.ID+" regenerated in ") {
 			t.Errorf("table %s not regenerated after the failures:\n%s", e.ID, stdout.String())

@@ -186,16 +186,13 @@ type DeadlineError struct {
 }
 
 func (e *DeadlineError) Error() string {
-	if e.Budget <= 0 {
-		return fmt.Sprintf("guard: request to %s abandoned (caller gone)", e.Endpoint)
-	}
 	return fmt.Sprintf("guard: deadline budget %s exceeded for %s", e.Budget, e.Endpoint)
 }
 
-// Is makes errors.Is(err, context.DeadlineExceeded) true for budget
-// expiries, so callers can branch on the standard sentinel.
+// Is makes errors.Is(err, context.DeadlineExceeded) true, so callers can
+// branch on the standard sentinel.
 func (e *DeadlineError) Is(target error) bool {
-	return e.Budget > 0 && target == context.DeadlineExceeded
+	return target == context.DeadlineExceeded
 }
 
 // splitmix64 is the SplitMix64 finalizer (same construction the fault

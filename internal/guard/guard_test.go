@@ -17,13 +17,6 @@ func TestDeadlineErrorDeterministicAndIs(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Error("budget expiry must satisfy errors.Is(_, context.DeadlineExceeded)")
 	}
-	abandoned := &DeadlineError{Endpoint: "predict"}
-	if errors.Is(abandoned, context.DeadlineExceeded) {
-		t.Error("caller-gone abandonment must not read as deadline exceeded")
-	}
-	if want := "guard: request to predict abandoned (caller gone)"; abandoned.Error() != want {
-		t.Errorf("body %q, want %q", abandoned.Error(), want)
-	}
 }
 
 func TestGuardAssemblyDefaults(t *testing.T) {

@@ -85,7 +85,7 @@ func (s *Server) backendNames() []string {
 
 // missError is the no-backend-could-answer outcome: every chained
 // backend refused. It renders with the operator hint when measurement is
-// off, and wrap() gives it the degradation-ladder-consistent JSON shape
+// off, and wrap gives it the degradation-ladder-consistent JSON shape
 // (degraded/provenance/backends_tried) instead of a bare error string.
 type missError struct {
 	err      error
@@ -164,8 +164,10 @@ func (s *Server) runMeasured(ctx context.Context, q predict.Query) (*harness.Stu
 	s.reg.Counter("serve.measure.ondemand").Inc()
 	obs.TraceFrom(ctx).Annotate("measured", "ondemand")
 	st, err := s.measureOnce(ctx, eng, q)
-	if err != nil && s.guard != nil && !errors.Is(err, guard.ErrBreakerOpen) &&
-		s.guard.Retry.Spend() {
+	// RetryBudget.Spend on nil says yes: an unguarded server never
+	// retries, so the nil check stays explicit.
+	if err != nil && s.retry != nil && !errors.Is(err, guard.ErrBreakerOpen) &&
+		s.retry.Spend() {
 		// One guarded retry, the only one: the failure may have been an
 		// injected or transient fault, and the token bucket bounds how
 		// much retrying the fleet does in aggregate. The rerun measures

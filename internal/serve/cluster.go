@@ -8,21 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/predict"
-	"repro/internal/singleflight"
 )
-
-// peerHopKey marks a request context as having already crossed one peer
-// hop: resolution must stay local, never proxy again.
-type peerHopKey struct{}
-
-func withPeerHop(ctx context.Context) context.Context {
-	return context.WithValue(ctx, peerHopKey{}, true)
-}
-
-func peerHopFrom(ctx context.Context) bool {
-	hop, _ := ctx.Value(peerHopKey{}).(bool)
-	return hop
-}
 
 // resolvePeer answers a foreign-owned query through the cluster: replica
 // first (a hot key answered from local memory), then a singleflight-
@@ -47,39 +33,10 @@ func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (p
 	// Count the request toward the key's heat before fetching, so the
 	// threshold-crossing request is the one that stores the replica.
 	hot := s.cluster.NoteRequest(key)
-	sp, sfctx := obs.StartSpan(ctx, "peer.fill", owner)
-	rawQuery := q.Encode()
-	res, err := s.flight(ctx, sp, "peer|"+key, func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
-		defer recoverPanic(&err)
-		if tr != nil {
-			fl.SetToken(tr.ID)
-		}
-		// Same detachment contract as local flights: followers piled onto
-		// this fetch must survive the leader's requester giving up.
-		dctx, dcancel := s.guard.Detach(sfctx)
-		defer dcancel()
-		pr, token, err := s.cluster.Fetch(dctx, owner, rawQuery)
-		if err != nil {
-			return predict.Prediction{}, err
-		}
-		if token != "" {
-			// The owner-side flight token: which request over there did
-			// the work this whole node waited on.
-			obs.TraceFrom(sfctx).Annotate("peer_flight", token)
-		}
-		return pr, nil
-	})
+	res, err := s.flight(ctx, "peer.fill", "peer|"+key, q, owner, (*Server).fetchFlight)
 	if err != nil {
 		return predict.Prediction{}, err
 	}
-	if res.Shared {
-		s.reg.Counter("serve.singleflight.shared").Inc()
-		tr.Annotate("singleflight", "follower")
-		if leader, ok := res.Flight.Token().(string); ok {
-			tr.Annotate("singleflight_leader", leader)
-		}
-	}
-	sp.End()
 	pr, err := res.Val, res.Err
 	if err != nil {
 		// Any fetch failure — open breaker, transport, owner-side error —
@@ -94,6 +51,20 @@ func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (p
 	tr.Annotate("cluster", "proxied")
 	if hot {
 		s.cluster.Replicate(key, pr)
+	}
+	return pr, nil
+}
+
+// fetchFlight is a peer flight's work: fetch the query from its owner.
+func (s *Server) fetchFlight(ctx context.Context, q Query, owner string) (predict.Prediction, error) {
+	pr, token, err := s.cluster.Fetch(ctx, owner, q.Encode())
+	if err != nil {
+		return predict.Prediction{}, err
+	}
+	if token != "" {
+		// The owner-side flight token: which request over there did the
+		// work this whole node waited on.
+		obs.TraceFrom(ctx).Annotate("peer_flight", token)
 	}
 	return pr, nil
 }
@@ -113,17 +84,11 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) error {
 		return statusError{http.StatusBadRequest,
 			errors.New(cluster.FillPath + " is peer-internal (missing " + cluster.HopHeader + " header)")}
 	}
-	ctx := r.Context()
-	sp := obs.SpanFrom(ctx).StartChild("parse", "")
-	q, err := ParseQuery(r.URL.Query())
+	q, key, err := parseRequest(r)
 	if err != nil {
-		sp.End()
-		return statusError{http.StatusBadRequest, err}
+		return err
 	}
-	key := q.Key()
-	sp.SetDetail(key)
-	sp.End()
-	pr, token, err := s.resolveLocal(ctx, q, key)
+	pr, token, err := s.resolveLocal(r.Context(), q, key)
 	if err != nil {
 		return err
 	}

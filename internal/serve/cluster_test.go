@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/predict"
 )
 
 // fleetNode is one in-process cluster member: its own registry, cluster
@@ -31,6 +34,18 @@ type fleetNode struct {
 // over the given shared cache directory. mutate, when non-nil, adjusts
 // each node's configs before construction.
 func startFleet(t *testing.T, n int, cacheDir string, mutate func(i int, cc *cluster.Config, sc *Config)) []*fleetNode {
+	t.Helper()
+	fleet := newFleet(t, n, cacheDir, mutate)
+	for _, fn := range fleet {
+		fn.ts.Start()
+	}
+	return fleet
+}
+
+// newFleet is startFleet without the start: each node is built and its
+// listener bound, but nothing is served until its ts.Start, so a test
+// can replace a server's hooks first.
+func newFleet(t *testing.T, n int, cacheDir string, mutate func(i int, cc *cluster.Config, sc *Config)) []*fleetNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -70,7 +85,6 @@ func startFleet(t *testing.T, n int, cacheDir string, mutate func(i int, cc *clu
 			t.Fatal(err)
 		}
 		ts := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: srv.Handler()}}
-		ts.Start()
 		fleet[i] = &fleetNode{addr: addrs[i], reg: reg, cl: cl, srv: srv, ts: ts}
 	}
 	t.Cleanup(func() {
@@ -176,6 +190,79 @@ func TestClusterExactlyOnceMeasurement(t *testing.T) {
 	}
 	if measured != 1 {
 		t.Errorf("fleet measured the cold key %d times, want exactly 1", measured)
+	}
+}
+
+// TestClusterProxiedFlightAnnotations: concurrent requests for one
+// foreign-owned key collapse onto one fetch from the owner, and their
+// traces say so as a local flight's do: exactly one leader, and
+// followers that name it.
+func TestClusterProxiedFlightAnnotations(t *testing.T) {
+	fleet := newFleet(t, 2, warmedDir(t), func(i int, cc *cluster.Config, sc *Config) {
+		sc.Tracer = obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(64, 8)})
+	})
+	key := warmQuery(t).Key()
+	owner := ownerIndex(t, fleet, 0, key)
+	other := fleet[1-owner]
+	// The owner's fill stalls in its analysis until every request has
+	// joined the proxy flight.
+	inner := fleet[owner].srv.analyze
+	entered, release := make(chan struct{}), make(chan struct{})
+	fleet[owner].srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
+		close(entered)
+		<-release
+		return inner(ctx, q)
+	}
+	for _, fn := range fleet {
+		fn.ts.Start()
+	}
+
+	const n = 5
+	var wg sync.WaitGroup
+	ask := func() {
+		defer wg.Done()
+		resp, err := http.Get(other.ts.URL + "/predict?" + warmQS)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("proxied /predict = %d", resp.StatusCode)
+		}
+	}
+	wg.Add(1)
+	go ask()
+	<-entered
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go ask()
+	}
+	for other.srv.sf.Waiters("peer|"+key) < n-1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+
+	var leaders []string
+	leaderOf := map[string]string{}
+	for _, td := range other.srv.Tracer().Recorder().Snapshot().Slowest {
+		switch attr(td, "singleflight") {
+		case "leader":
+			leaders = append(leaders, td.ID)
+		case "follower":
+			leaderOf[td.ID] = attr(td, "singleflight_leader")
+		default:
+			t.Errorf("proxied trace %s has no singleflight role", td.ID)
+		}
+	}
+	if len(leaders) != 1 || len(leaderOf) != n-1 {
+		t.Fatalf("leaders %v and %d followers, want one leader and %d followers", leaders, len(leaderOf), n-1)
+	}
+	for id, leader := range leaderOf {
+		if leader != leaders[0] {
+			t.Errorf("follower %s names leader %q, want %q", id, leader, leaders[0])
+		}
 	}
 }
 

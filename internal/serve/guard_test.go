@@ -235,6 +235,38 @@ func TestQueuedRequestAnswers504WhenItsBudgetRunsOut(t *testing.T) {
 	}
 }
 
+// TestUnguardedMeasurementIsNotRetried: without a guard there is no
+// retry budget, so a failed on-demand measurement is attempted once and
+// its failure is the answer.
+func TestUnguardedMeasurementIsNotRetried(t *testing.T) {
+	cache, err := plan.NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	spec, err := fault.Parse("measure:p=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Cache: cache, Metrics: reg, Measure: true, Inject: fault.NewServeInjector(spec, 1, reg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := get(t, ts.URL, "/predict?bench=BT&grid=6&trips=1&procs=4&chains=2&blocks=2", http.StatusInternalServerError)
+	if !strings.Contains(string(body), "injected measurement failure") {
+		t.Errorf("failure body = %s", body)
+	}
+	if got := reg.Counter("fault.serve.measure").Value(); got != 1 {
+		t.Errorf("measurement attempted %d times, want 1", got)
+	}
+	if got := reg.Counter("serve.measure.retry").Value(); got != 0 {
+		t.Errorf("serve.measure.retry = %d, want 0", got)
+	}
+}
+
 // TestMeasureBreakerOpensAndRecovers drives the full circuit cycle
 // through the serving layer with injected measurement failures:
 // closed → open (failures), fast-fail 503 while open, half-open probe

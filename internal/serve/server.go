@@ -112,10 +112,14 @@ type Server struct {
 	tracer     *obs.RequestTracer
 	guard      *guard.Guard
 	inject     *fault.ServeInjector
-	// windows holds one sliding-window latency histogram per endpoint,
-	// fully populated at construction so handlers index without locking.
-	windows map[string]*obs.WindowHistogram
-	version VersionResponse
+	routes     []route
+	version    VersionResponse
+
+	// The guard's parts, nil without a guard: every method they feed is
+	// nil-safe.
+	diskBrk, measureBrk *guard.Breaker
+	retry               *guard.RetryBudget
+	stale               *guard.StaleCache
 
 	logMu     sync.Mutex
 	accessLog io.Writer
@@ -143,10 +147,14 @@ type Server struct {
 	analyze func(ctx context.Context, q Query) (predict.Prediction, error)
 }
 
-// endpointNames lists every endpoint wrap() meters, in the fixed order
-// publishWindows walks so the quantile gauges land in the registry
-// deterministically.
-var endpointNames = []string{"couplings", "debug", "fill", "healthz", "metrics", "predict", "study", "version"}
+// route is one endpoint as Handler mounts it, wrap meters it and
+// publishWindows walks it.
+type route struct {
+	pattern, name   string
+	traced, guarded bool
+	handle          func(http.ResponseWriter, *http.Request) error
+	window          *obs.WindowHistogram
+}
 
 // New builds a Server over the given cache.
 func New(cfg Config) (*Server, error) {
@@ -170,13 +178,37 @@ func New(cfg Config) (*Server, error) {
 		guard:      cfg.Guard,
 		inject:     cfg.Inject,
 		cluster:    cfg.Cluster,
-		windows:    make(map[string]*obs.WindowHistogram, len(endpointNames)),
 		analyses:   reg.Counter("serve.analysis.count"),
 		version:    buildVersion(),
 		accessLog:  cfg.AccessLog,
 	}
-	for _, name := range endpointNames {
-		s.windows[name] = obs.NewWindowHistogram(0)
+	if g := cfg.Guard; g != nil {
+		s.diskBrk, s.measureBrk, s.retry, s.stale = g.Disk, g.Measure, g.Retry, g.Stale
+	}
+	// Listed in name order, the order /metrics lists their gauges in.
+	// Only the query endpoints are guarded: under overload the admission
+	// controller sheds prediction work, while /healthz, /metrics and
+	// /version stay answerable — an operator diagnosing a brownout must
+	// not be shed by it.
+	s.routes = []route{
+		{pattern: "GET /couplings", name: "couplings", traced: true, guarded: true, handle: s.handleCouplings},
+		// The dump endpoint is metered but never traced: a /debug/requests
+		// request must not insert itself into the flight recorder it is
+		// reading, or repeated dumps would perturb what they report.
+		{pattern: "GET /debug/requests", name: "debug", handle: s.handleDebugRequests},
+		// The peer-fill endpoint is traced and metered but unguarded:
+		// admission and deadline budgets were already spent at the edge node
+		// that accepted the public request, and shedding here would double-
+		// charge a query the fleet has already admitted once.
+		{pattern: "GET " + cluster.FillPath, name: "fill", traced: true, handle: s.handleFill},
+		{pattern: "GET /healthz", name: "healthz", traced: true, handle: s.handleHealthz},
+		{pattern: "GET /metrics", name: "metrics", traced: true, handle: s.handleMetrics},
+		{pattern: "GET /predict", name: "predict", traced: true, guarded: true, handle: s.handlePredict},
+		{pattern: "GET /study", name: "study", traced: true, guarded: true, handle: s.handleStudy},
+		{pattern: "GET /version", name: "version", traced: true, handle: s.handleVersion},
+	}
+	for i := range s.routes {
+		s.routes[i].window = obs.NewWindowHistogram(0)
 	}
 	// Pooled: the rank state on-demand measurements build is the server's,
 	// bounded, and outlives the request that built it.
@@ -212,7 +244,7 @@ func (s *Server) guardCacheRead(read func() error) error {
 	if d := s.inject.DiskDelay(); d > 0 {
 		time.Sleep(d)
 	}
-	tk, err := s.diskBreaker().Allow()
+	tk, err := s.diskBrk.Allow()
 	if err != nil {
 		return err
 	}
@@ -227,37 +259,6 @@ func (s *Server) guardCacheRead(read func() error) error {
 	}
 	tk.Done(nil)
 	return err
-}
-
-// diskBreaker, measureBreaker and retryBudget return the guard's parts
-// when a guard is configured; their nil returns feed nil-safe methods,
-// so call sites stay branch-free.
-func (s *Server) diskBreaker() *guard.Breaker {
-	if s.guard == nil {
-		return nil
-	}
-	return s.guard.Disk
-}
-
-func (s *Server) measureBreaker() *guard.Breaker {
-	if s.guard == nil {
-		return nil
-	}
-	return s.guard.Measure
-}
-
-func (s *Server) retryBudget() *guard.RetryBudget {
-	if s.guard == nil {
-		return nil
-	}
-	return s.guard.Retry
-}
-
-func (s *Server) staleCache() *guard.StaleCache {
-	if s.guard == nil {
-		return nil
-	}
-	return s.guard.Stale
 }
 
 // Tracer returns the server's request tracer (nil when tracing is off),
@@ -290,7 +291,7 @@ func (s *Server) engineFor(q predict.Query) (harness.Engine, error) {
 // Every outcome — injected or real — is reported to the breaker, so
 // consecutive chaos failures open it and a clean probe closes it.
 func (s *Server) measureOnce(ctx context.Context, eng harness.Engine, q predict.Query) (*harness.Study, error) {
-	tk, err := s.measureBreaker().Allow()
+	tk, err := s.measureBrk.Allow()
 	if err != nil {
 		return nil, err
 	}
@@ -316,11 +317,11 @@ func (s *Server) measureOnce(ctx context.Context, eng harness.Engine, q predict.
 
 // resolve answers a query: in a cluster, by routing it to the key's
 // owner (resolvePeer) unless this node is the owner or the request
-// already crossed a peer hop; standalone (or as owner), by resolving
-// locally. The hop check is the forwarding loop guard — a query never
-// travels more than one hop, whatever the peers' ring views claim.
-func (s *Server) resolve(ctx context.Context, q Query, key string) (predict.Prediction, error) {
-	if s.cluster != nil && !peerHopFrom(ctx) {
+// already crossed a peer hop (hopped); standalone (or as owner), by
+// resolving locally. The hop check is the forwarding loop guard — a query
+// never travels more than one hop, whatever the peers' ring views claim.
+func (s *Server) resolve(ctx context.Context, q Query, key string, hopped bool) (predict.Prediction, error) {
+	if s.cluster != nil && !hopped {
 		if owner, self := s.cluster.Owner(key); !self {
 			return s.resolvePeer(ctx, q, key, owner)
 		}
@@ -334,91 +335,99 @@ func (s *Server) resolve(ctx context.Context, q Query, key string) (predict.Pred
 // memoised study, the analytic model (predict.Chain.Peek) — is given on
 // the request's own goroutine: the flight is for work that can block.
 //
-// Every other query goes through the local singleflight group: N
-// identical in-flight queries cost one analysis (or one on-demand
-// measurement), and the followers share the leader's study. The leader
-// publishes its trace ID through the flight token, so a follower's trace
-// names the request whose work it waited on; the token is also returned
-// so the fill endpoint can hand it to a filling peer — the cluster-wide
-// extension of the same attribution.
-//
-// The flight body detaches from the requesting caller's cancellation:
-// followers piled onto a flight must survive the leader's own requester
-// giving up (deadline spent, connection dropped), so the leader runs on
-// the guard's leader budget instead of any one caller's. A request with
-// a budget waits for the flight against it (see flight).
+// Every other query flies: N identical in-flight queries cost one
+// analysis (or one on-demand measurement). The leader's trace ID is
+// returned so the fill endpoint can hand it to a filling peer.
 //
 // key is q.Key(): the request's entry point builds it once and every
 // layer below shares it.
 func (s *Server) resolveLocal(ctx context.Context, q Query, key string) (predict.Prediction, string, error) {
-	tr := obs.TraceFrom(ctx)
 	if ch := s.chains[q.Backend]; ch != nil {
 		if pr, ok := ch.Peek(ctx, q.PredictQuery()); ok {
 			if pr.Provenance == predict.ProvCached {
-				tr.Annotate("cache", "hit")
+				obs.TraceFrom(ctx).Annotate("cache", "hit")
 			}
 			return pr, "", nil
 		}
 	}
-	sp, sfctx := obs.StartSpan(ctx, "singleflight", "")
-	res, err := s.flight(ctx, sp, key, func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
+	res, err := s.flight(ctx, "singleflight", key, q, "", (*Server).analyzeFlight)
+	if err != nil {
+		return predict.Prediction{}, "", err
+	}
+	token, _ := res.Flight.Token().(string)
+	return res.Val, token, res.Err
+}
+
+// analyzeFlight is a local flight's work: one counted analysis.
+func (s *Server) analyzeFlight(ctx context.Context, q Query, _ string) (predict.Prediction, error) {
+	s.analyses.Inc()
+	return s.analyze(ctx, q)
+}
+
+// flight runs work(q, owner) as key's singleflight flight, in a span
+// named name whose detail is the owner a peer fill fetches from, and
+// waits for its result. Local resolution (owner "") and peer fetches both
+// fly here, so their traces read alike: leader or follower, and a
+// follower names the leader, whose trace ID rides the flight token. The
+// work is a method expression, so a flight builds one closure. The work
+// runs detached from the requesting caller's cancellation: followers
+// piled onto a flight must survive the leader's own requester giving up,
+// so the leader runs on the guard's leader budget instead of any one
+// caller's.
+//
+// A request with a budget waits in a select against the budget's
+// deadline, armed here, and answers deterministically the moment the
+// budget runs out: the flight keeps going for whoever is still waiting,
+// and its channel is left on the budget so wrap finishes this request's
+// trace only once the flight lands, because the detached work keeps
+// writing spans into it. Without a deadline there is nothing to wait
+// against, so the flight runs synchronously on this goroutine.
+func (s *Server) flight(ctx context.Context, name, key string, q Query, owner string,
+	work func(*Server, context.Context, Query, string) (predict.Prediction, error)) (singleflight.FlightResult[predict.Prediction], error) {
+	tr := obs.TraceFrom(ctx)
+	sp, sfctx := obs.StartSpan(ctx, name, owner)
+	body := func(fl *singleflight.Flight) (pr predict.Prediction, err error) {
 		defer recoverPanic(&err)
 		if tr != nil {
 			fl.SetToken(tr.ID)
 		}
-		s.analyses.Inc()
 		dctx, dcancel := s.guard.Detach(sfctx)
 		defer dcancel()
-		return s.analyze(dctx, q)
-	})
-	if err != nil {
-		return predict.Prediction{}, "", err
+		return work(s, dctx, q, owner)
+	}
+	ctx, cancel := arm(ctx)
+	defer cancel()
+	var res singleflight.FlightResult[predict.Prediction]
+	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
+		res.Val, res.Err, res.Shared, res.Flight = s.sf.DoFlight(key, body)
+	} else {
+		ch := s.sf.DoFlightCh(key, body)
+		select {
+		case res = <-ch:
+		case <-ctx.Done():
+			if b := budgetFrom(ctx); b != nil {
+				b.wait = ch
+			}
+			tr.Annotate("singleflight", "abandoned")
+			sp.SetDetail("abandoned")
+			sp.End()
+			return res, budgetErr(ctx, ctx.Err())
+		}
 	}
 	if res.Shared {
 		s.reg.Counter("serve.singleflight.shared").Inc()
 		tr.Annotate("singleflight", "follower")
 		if leader, ok := res.Flight.Token().(string); ok {
 			tr.Annotate("singleflight_leader", leader)
-			sp.SetDetail("waited on " + leader)
+			if owner == "" { // a peer fill's span keeps naming the owner
+				sp.SetDetail("waited on " + leader)
+			}
 		}
 	} else {
 		tr.Annotate("singleflight", "leader")
 	}
 	sp.End()
-	token, _ := res.Flight.Token().(string)
-	return res.Val, token, res.Err
-}
-
-// flight runs fn as key's singleflight flight and waits for its result.
-// A request with a budget waits in a select against the budget's
-// deadline, armed here, and answers deterministically the moment the
-// budget runs out: the flight keeps going for whoever is still waiting,
-// and its channel is left on the budget so wrap finishes this request's
-// trace only once the flight lands, because the detached work keeps
-// writing spans into it. An abandoned wait ends sp, the request's
-// flight span. Without a deadline there is nothing to wait against, so
-// the flight runs synchronously on this goroutine.
-func (s *Server) flight(ctx context.Context, sp obs.SpanRef, key string, fn func(*singleflight.Flight) (predict.Prediction, error)) (singleflight.FlightResult[predict.Prediction], error) {
-	ctx, cancel := arm(ctx)
-	defer cancel()
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var res singleflight.FlightResult[predict.Prediction]
-		res.Val, res.Err, res.Shared, res.Flight = s.sf.DoFlight(key, fn)
-		return res, nil
-	}
-	ch := s.sf.DoFlightCh(key, fn)
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-ctx.Done():
-		if b := budgetFrom(ctx); b != nil {
-			b.wait = ch
-		}
-		obs.TraceFrom(ctx).Annotate("singleflight", "abandoned")
-		sp.SetDetail("abandoned")
-		sp.End()
-		return singleflight.FlightResult[predict.Prediction]{}, budgetErr(ctx, ctx.Err())
-	}
+	return res, nil
 }
 
 // recoverPanic, deferred first in a flight body and around every
@@ -435,27 +444,12 @@ func recoverPanic(err *error) {
 	}
 }
 
-// Handler returns the service's HTTP mux. Only the query endpoints are
-// guarded: under overload the admission controller sheds prediction
-// work, while /healthz, /metrics and /version stay answerable — an
-// operator diagnosing a brownout must not be shed by it.
+// Handler returns the service's HTTP mux: every route, wrapped.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /predict", s.wrap("predict", true, true, s.handlePredict))
-	mux.Handle("GET /couplings", s.wrap("couplings", true, true, s.handleCouplings))
-	mux.Handle("GET /study", s.wrap("study", true, true, s.handleStudy))
-	mux.Handle("GET /healthz", s.wrap("healthz", true, false, s.handleHealthz))
-	mux.Handle("GET /metrics", s.wrap("metrics", true, false, s.handleMetrics))
-	mux.Handle("GET /version", s.wrap("version", true, false, s.handleVersion))
-	// The dump endpoint is metered but never traced: a /debug/requests
-	// request must not insert itself into the flight recorder it is
-	// reading, or repeated dumps would perturb what they report.
-	mux.Handle("GET /debug/requests", s.wrap("debug", false, false, s.handleDebugRequests))
-	// The peer-fill endpoint is traced and metered but unguarded:
-	// admission and deadline budgets were already spent at the edge node
-	// that accepted the public request, and shedding here would double-
-	// charge a query the fleet has already admitted once.
-	mux.Handle("GET "+cluster.FillPath, s.wrap("fill", true, false, s.handleFill))
+	for _, rt := range s.routes {
+		mux.Handle(rt.pattern, s.wrap(rt))
+	}
 	return mux
 }
 
@@ -561,16 +555,15 @@ func budgetErr(ctx context.Context, err error) error {
 // the admission controller. Shed requests answer 503 with Retry-After,
 // spent budgets answer 504; both bodies are deterministic. A panic in a
 // handler answers 500 (see callHandler).
-func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
+func (s *Server) wrap(rt route) http.Handler {
 	// The endpoint's instruments are resolved here, once: a request must
 	// not concatenate metric names or take the registry's mutex.
-	window := s.windows[name]
 	inflight := s.reg.Gauge("serve.inflight")
-	count := s.reg.Counter("serve.req." + name + ".count")
-	errCount := s.reg.Counter("serve.req." + name + ".errors")
-	latency := s.reg.Histogram("serve.req." + name + ".latency_ns")
+	count := s.reg.Counter("serve.req." + rt.name + ".count")
+	errCount := s.reg.Counter("serve.req." + rt.name + ".errors")
+	latency := s.reg.Histogram("serve.req." + rt.name + ".latency_ns")
 	var adm *guard.Admission
-	if guarded && s.guard != nil {
+	if rt.guarded && s.guard != nil {
 		adm = s.guard.Admission
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -578,8 +571,8 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 		defer inflight.Add(-1)
 		count.Inc()
 		var tr *obs.Trace
-		if traced {
-			tr = s.tracer.Start(name) // nil tracer → nil trace, all hooks no-op
+		if rt.traced {
+			tr = s.tracer.Start(rt.name) // nil tracer → nil trace, all hooks no-op
 		}
 		// "setup" covers what happens to a request before its handler
 		// runs — installing the trace, injected latency, the deadline
@@ -591,21 +584,21 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 			ctx = obs.ContextWithTrace(ctx, tr)
 		}
 		var b *budget
-		if guarded {
+		if rt.guarded {
 			// Handler latency injection hits only guarded endpoints, so
 			// /healthz stays a stable liveness signal during chaos.
 			if d := s.inject.HandlerDelay(); d > 0 {
 				time.Sleep(d)
 			}
-			ctx, b = s.withBudget(ctx, name)
-			s.retryBudget().OnRequest()
+			ctx, b = s.withBudget(ctx, rt.name)
+			s.retry.OnRequest()
 		}
 		if tr != nil || b != nil {
 			r = r.WithContext(ctx)
 		}
 		setup.End()
 		start := time.Now()
-		err := s.callHandler(adm, h, w, r)
+		err := s.callHandler(adm, rt.handle, w, r)
 		dur := time.Since(start)
 		status := http.StatusOK
 		var errMsg string
@@ -641,18 +634,30 @@ func (s *Server) wrap(name string, traced, guarded bool, h func(http.ResponseWri
 		// The trace is closed before wrap's own bookkeeping, which is not
 		// the request's to account for.
 		latency.Observe(dur.Nanoseconds())
-		window.Observe(dur.Nanoseconds())
-		s.logAccess(name, tr, status, dur, errMsg)
+		rt.window.Observe(dur.Nanoseconds())
+		s.logAccess(rt.name, tr, status, dur, errMsg)
 	})
 }
 
 // callHandler calls h, admitted first when adm is non-nil, and answers a
-// panic anywhere in it as recoverPanic does. The admission slot is
-// released however h ends, panic included.
+// panic anywhere in it as recoverPanic does. A free slot is taken at
+// once; only a request that must queue arms its budget's deadline. The
+// slot is released however h ends, panic included.
 func (s *Server) callHandler(adm *guard.Admission, h func(http.ResponseWriter, *http.Request) error, w http.ResponseWriter, r *http.Request) (err error) {
 	defer recoverPanic(&err)
 	if adm != nil {
-		if err := s.admit(r.Context(), adm); err != nil {
+		ctx := r.Context()
+		qsp := obs.SpanFrom(ctx).StartChild("guard.queue", "")
+		if !adm.TryAcquire() {
+			wctx, cancel := arm(ctx)
+			err = adm.Acquire(wctx)
+			cancel()
+		}
+		qsp.End()
+		if err != nil {
+			err = budgetErr(ctx, err)
+			ssp := obs.SpanFrom(ctx).StartChild("guard.shed", err.Error())
+			ssp.End()
 			return err
 		}
 		// The EWMA behind deadline-aware shedding wants pure service
@@ -662,29 +667,6 @@ func (s *Server) callHandler(adm *guard.Admission, h func(http.ResponseWriter, *
 		defer func() { adm.Release(time.Since(granted)) }()
 	}
 	return h(w, r)
-}
-
-// admit runs the request through the admission controller, recording the
-// queue wait and any shed as spans. A free slot is taken at once; only a
-// request that must queue arms its budget's deadline, and expiry while
-// queued maps to the deterministic deadline body via budgetErr.
-func (s *Server) admit(ctx context.Context, adm *guard.Admission) error {
-	qsp := obs.SpanFrom(ctx).StartChild("guard.queue", "")
-	if adm.TryAcquire() {
-		qsp.End()
-		return nil
-	}
-	wctx, cancel := arm(ctx)
-	err := adm.Acquire(wctx)
-	cancel()
-	qsp.End()
-	if err == nil {
-		return nil
-	}
-	err = budgetErr(ctx, err)
-	ssp := obs.SpanFrom(ctx).StartChild("guard.shed", err.Error())
-	ssp.End()
-	return err
 }
 
 // accessRecord is one access-log line. Fields are fixed-order JSON so the
@@ -837,21 +819,17 @@ func synthetic(pr predict.Prediction) bool {
 	return pr.Provenance == predict.ProvInterpolated || pr.Provenance == predict.ProvAnalytic
 }
 
-// handlePredict is the service's main warm path: a cached query must not
-// allocate per predictor, so the slice is sized once and filled by index.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
+	return s.respond(w, r, renderPredict)
+}
+
+// renderPredict is the /predict body, the service's main warm path: a
+// cached query must not allocate per predictor, so the slice is sized
+// once and filled by index.
 //
 //kcvet:hotpath /predict on a warm cache is the serving benchmark's measured path
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
-	pr, degraded, err := s.study(r)
-	if err != nil {
-		return err
-	}
-	sp := obs.SpanFrom(r.Context()).StartChild("respond", "")
+func renderPredict(w http.ResponseWriter, pr predict.Prediction, degraded string) error {
 	st := pr.Study
-	if pr.Backend != "" {
-		w.Header().Set("X-Backend", pr.Backend)
-	}
-	tagDegraded(w, degraded)
 	lens := st.ChainLens()
 	preds := make([]Predictor, len(lens)+1)
 	preds[0] = Predictor{
@@ -880,9 +858,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
 		resp.Confidence = &predict.Band{Lo: pr.Band.Lo, Hi: pr.Band.Hi}
 		resp.WindowBands = pr.Windows
 	}
-	err = writeJSON(w, http.StatusOK, resp)
-	sp.End()
-	return err
+	return writeJSON(w, http.StatusOK, resp)
 }
 
 // KernelCoefficient is one loop kernel's composition coefficient.
@@ -924,16 +900,11 @@ type CouplingsResponse struct {
 }
 
 func (s *Server) handleCouplings(w http.ResponseWriter, r *http.Request) error {
-	pr, degraded, err := s.study(r)
-	if err != nil {
-		return err
-	}
-	sp := obs.SpanFrom(r.Context()).StartChild("respond", "")
+	return s.respond(w, r, renderCouplings)
+}
+
+func renderCouplings(w http.ResponseWriter, pr predict.Prediction, degraded string) error {
 	st := pr.Study
-	if pr.Backend != "" {
-		w.Header().Set("X-Backend", pr.Backend)
-	}
-	tagDegraded(w, degraded)
 	lens := st.ChainLens()
 	resp := CouplingsResponse{
 		Workload: st.Workload,
@@ -962,27 +933,42 @@ func (s *Server) handleCouplings(w http.ResponseWriter, r *http.Request) error {
 		}
 		resp.Chains[ci] = cc
 	}
-	err = writeJSON(w, http.StatusOK, resp)
-	sp.End()
-	return err
+	return writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) error {
+	return s.respond(w, r, renderStudy)
+}
+
+func renderStudy(w http.ResponseWriter, pr predict.Prediction, degraded string) error {
+	st := pr.Study
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if degraded != "" {
+		fmt.Fprintf(w, "DEGRADED: serving %s answer\n", degraded)
+	}
+	_, err := fmt.Fprintf(w, "study: %s  trips=%d\n\n%s", st.Workload, st.Trips, harness.RenderStudy(st))
+	return err
+}
+
+// respond answers a study endpoint: the study, then in the respond span
+// its headers and the body render writes. X-Degraded tells a stale
+// answer from a fresh one without diffing bodies; a healthy answer has
+// none, byte-identical to the unguarded server's.
+//
+//kcvet:hotpath every warm /predict answer is resolved and written here
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, render func(http.ResponseWriter, predict.Prediction, string) error) error {
 	pr, degraded, err := s.study(r)
 	if err != nil {
 		return err
 	}
 	sp := obs.SpanFrom(r.Context()).StartChild("respond", "")
-	st := pr.Study
 	if pr.Backend != "" {
 		w.Header().Set("X-Backend", pr.Backend)
 	}
-	tagDegraded(w, degraded)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if degraded != "" {
-		fmt.Fprintf(w, "DEGRADED: serving %s answer\n", degraded)
+		w.Header().Set("X-Degraded", degraded)
 	}
-	_, err = fmt.Fprintf(w, "study: %s  trips=%d\n\n%s", st.Workload, st.Trips, harness.RenderStudy(st))
+	err = render(w, pr, degraded)
 	sp.End()
 	return err
 }
@@ -994,34 +980,29 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) error {
 // rung of the ladder before shedding. Client errors never degrade: a
 // 400 query is wrong, and an old answer to it would lie.
 func (s *Server) study(r *http.Request) (predict.Prediction, string, error) {
-	ctx := r.Context()
-	if s.cluster != nil && r.Header.Get(cluster.HopHeader) != "" {
-		// A peer's ring view routed this request here; honor it and
-		// resolve locally whatever our own view says — the one-hop
-		// forwarding loop guard, on the public endpoints too.
-		ctx = withPeerHop(ctx)
+	// A peer's ring view routed a request with the hop header here; honor
+	// it and resolve locally whatever our own view says — the one-hop
+	// forwarding loop guard, on the public endpoints too.
+	hopped := s.cluster != nil && r.Header.Get(cluster.HopHeader) != ""
+	if hopped {
 		s.reg.Counter("cluster.hop.local").Inc()
 	}
-	sp := obs.SpanFrom(ctx).StartChild("parse", "")
-	q, err := ParseQuery(r.URL.Query())
+	q, key, err := parseRequest(r)
 	if err != nil {
-		sp.End()
-		return predict.Prediction{}, "", statusError{http.StatusBadRequest, err}
+		return predict.Prediction{}, "", err
 	}
-	key := q.Key()
-	sp.SetDetail(key)
-	sp.End()
-	pr, err := s.resolve(ctx, q, key)
+	ctx := r.Context()
+	pr, err := s.resolve(ctx, q, key, hopped)
 	if err == nil {
 		// Without a guard there is no ladder to feed: skip the family key
 		// and the boxing of pr that the call's arguments would cost.
-		if stale := s.staleCache(); stale != nil {
-			stale.Put(key, q.FamilyKey(), pr)
+		if s.stale != nil {
+			s.stale.Put(key, q.FamilyKey(), pr)
 		}
 		return pr, "", nil
 	}
 	if statusOf(err) >= 500 {
-		if v, mode, ok := s.staleCache().Get(key, q.FamilyKey()); ok {
+		if v, mode, ok := s.stale.Get(key, q.FamilyKey()); ok {
 			s.reg.Counter("serve.degraded").Inc()
 			tr := obs.TraceFrom(ctx)
 			tr.Annotate("degraded", mode)
@@ -1032,14 +1013,19 @@ func (s *Server) study(r *http.Request) (predict.Prediction, string, error) {
 	return predict.Prediction{}, "", err
 }
 
-// tagDegraded marks a degraded response so clients and tests can tell a
-// stale answer from a fresh one without diffing bodies. Healthy
-// responses get no header and no body field — byte-identical to the
-// unguarded server.
-func tagDegraded(w http.ResponseWriter, mode string) {
-	if mode != "" {
-		w.Header().Set("X-Degraded", mode)
+// parseRequest reads the request's query in the parse span, which its
+// key names: a malformed query is a 400.
+func parseRequest(r *http.Request) (Query, string, error) {
+	sp := obs.SpanFrom(r.Context()).StartChild("parse", "")
+	q, err := ParseQuery(r.URL.Query())
+	if err != nil {
+		sp.End()
+		return Query{}, "", statusError{http.StatusBadRequest, err}
 	}
+	key := q.Key()
+	sp.SetDetail(key)
+	sp.End()
+	return q, key, nil
 }
 
 type healthResponse struct {
@@ -1055,16 +1041,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 // of the recent past. Gauges are only materialized for endpoints that
 // have seen traffic — an idle endpoint contributes no p50=0 noise.
 func (s *Server) publishWindows() {
-	for _, name := range endpointNames {
-		wh := s.windows[name]
-		if wh.Len() == 0 {
+	for _, rt := range s.routes {
+		if rt.window.Len() == 0 {
 			continue
 		}
-		qs, n := wh.Quantiles(0.50, 0.99, 0.999)
-		s.reg.Gauge("serve.req." + name + ".p50_ns").Set(qs[0])
-		s.reg.Gauge("serve.req." + name + ".p99_ns").Set(qs[1])
-		s.reg.Gauge("serve.req." + name + ".p999_ns").Set(qs[2])
-		s.reg.Gauge("serve.req." + name + ".window_n").Set(int64(n))
+		qs, n := rt.window.Quantiles(0.50, 0.99, 0.999)
+		s.reg.Gauge("serve.req." + rt.name + ".p50_ns").Set(qs[0])
+		s.reg.Gauge("serve.req." + rt.name + ".p99_ns").Set(qs[1])
+		s.reg.Gauge("serve.req." + rt.name + ".p999_ns").Set(qs[2])
+		s.reg.Gauge("serve.req." + rt.name + ".window_n").Set(int64(n))
 	}
 }
 

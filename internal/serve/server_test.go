@@ -168,6 +168,40 @@ func TestPredictFromWarmCacheIsDeterministicAndRunsNothing(t *testing.T) {
 	}
 }
 
+// TestMetricsListEveryRouteWindow: after one request to every route,
+// /metrics lists each route's sliding-window gauge, in the order the
+// routes are listed, which is the order publishWindows walks them.
+func TestMetricsListEveryRouteWindow(t *testing.T) {
+	srv, err := New(Config{Cache: warmedCache(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var want []string
+	for _, rt := range srv.routes {
+		want = append(want, rt.name)
+		resp, err := http.Get(ts.URL + strings.TrimPrefix(rt.pattern, "GET ") + "?" + warmQS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(get(t, ts.URL, "/metrics", http.StatusOK), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range snap.Gauges {
+		if name, ok := strings.CutSuffix(g.Name, ".window_n"); ok {
+			got = append(got, strings.TrimPrefix(name, "serve.req."))
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("/metrics lists windows %v, want %v", got, want)
+	}
+}
+
 func TestCouplingsAndStudyEndpoints(t *testing.T) {
 	srv, err := New(Config{Cache: warmedCache(t)})
 	if err != nil {

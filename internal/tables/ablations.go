@@ -17,11 +17,7 @@ import (
 // single measures the experiment's one configuration: its first
 // processor count.
 func (e Experiment) single(s Scale) (*harness.Study, error) {
-	st, err := e.studyFor(s, e.Procs[0], e.tripsAt(s))
-	if err != nil {
-		return nil, fmt.Errorf("tables: table %s: %w", e.ID, err)
-	}
-	return st, nil
+	return e.studyFor(s, e.Procs[0], e.tripsAt(s))
 }
 
 // rendered is the result of a variant: its table and the studies behind

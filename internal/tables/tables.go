@@ -270,16 +270,21 @@ func (e Experiment) engineAt(s Scale, procs int) (harness.Engine, error) {
 }
 
 // studyFor measures the experiment's study at one processor count and
-// trip count.
+// trip count. Its error names the processor count.
 func (e Experiment) studyFor(s Scale, procs, trips int) (*harness.Study, error) {
 	eng, err := e.engineAt(s, procs)
-	if err != nil {
-		return nil, err
+	var st *harness.Study
+	if err == nil {
+		st, err = eng.Run(trips, e.ChainLens)
 	}
-	return eng.Run(trips, e.ChainLens)
+	if err != nil {
+		return nil, fmt.Errorf("procs=%d: %w", procs, err)
+	}
+	return st, nil
 }
 
 // Run executes the experiment at the given scale and renders its table.
+// Its error does not name the experiment: the caller knows which it ran.
 func (e Experiment) Run(s Scale) (*Result, error) {
 	if s.Cache == nil {
 		s.Cache = plan.NewCache()
@@ -342,7 +347,7 @@ func (e Experiment) runStudies(s Scale) (*Result, error) {
 	for _, procs := range e.Procs {
 		study, err := e.studyFor(s, procs, trips)
 		if err != nil {
-			return nil, fmt.Errorf("tables: table %s procs=%d: %w", e.ID, procs, err)
+			return nil, err
 		}
 		res.Studies = append(res.Studies, ProcStudy{Procs: procs, Study: study})
 	}
