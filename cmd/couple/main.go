@@ -72,9 +72,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		grid   = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 		net    = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
 
-		parallel  = fs.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
-		cacheDir  = fs.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
-		fromCache = fs.Bool("from-cache", false, "re-analyze from the -cache-dir cache without running any world")
+		parallel = fs.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
+		cacheDir = fs.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
 
 		backend = fs.String("backend", "measured",
 			"predictor backend: measured, cached, interpolated, analytic, or measured+analytic (measure, then compare against the analytic model)")
@@ -102,16 +101,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err != nil {
 		return err
 	}
-	if *fromCache && *cacheDir == "" {
-		return errors.New("-from-cache needs -cache-dir")
-	}
 	var latticeQs []predict.Query
 	if *lattice != "" {
-		switch {
-		case backendName == "measured" && *cacheDir == "":
+		if backendName == "measured" && *cacheDir == "" {
 			return errors.New("-lattice needs -cache-dir: the lattice's measurements are read from it")
-		case backendName == "measured" && *fromCache:
-			return errors.New("-lattice and -from-cache exclude each other: -lattice measures the isolated kernels, -from-cache measures nothing")
 		}
 		if latticeQs, err = tables.ParseLattice(*lattice); err != nil {
 			return fmt.Errorf("-lattice: %w", err)
@@ -155,9 +148,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if *cacheDir != "" {
 		man.Extra["cache_dir"] = *cacheDir
 	}
-	if *fromCache {
-		man.Extra["from_cache"] = "true"
-	}
 	start := time.Now()
 	var study *harness.Study
 	defer func() {
@@ -182,7 +172,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}()
 
 	// Without -cache-dir the study measures into a cache of its own.
-	cfg := tables.BackendConfig{Cache: plan.NewCache(), Parallel: *parallel, Lattice: latticeQs}
+	cfg := tables.BackendConfig{Cache: plan.NewCache(), Metrics: sink.Registry, Parallel: *parallel, Lattice: latticeQs}
 	var worldOpts []mpi.Option
 	if *net {
 		m := mpi.IBMSPModel()
@@ -221,8 +211,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return runBackend(ctx, stdout, backendName, *analyticBand, cfg, q)
 	}
 
-	cfg.Metrics = sink.Registry
-	eng.Opts.Metrics = sink.Registry
 	if inj != nil {
 		// Under fault injection the harness degrades instead of dying:
 		// failed measurements are retried, then folded down the
@@ -248,16 +236,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	fmt.Fprintln(stdout)
 
-	if *fromCache {
-		// Pure re-analysis: every measurement must already be in the
-		// cache; no world is spawned.
-		study, err = eng.RunFromCache(nTrips, chainLens)
-	} else {
-		// The campaign trace rides the context the way a request trace
-		// does, so -trace-out shows the plan/execute/assemble/analyze
-		// stages and one measure span per world beside the rank tracks.
-		study, err = eng.RunCtx(obs.ContextWithTrace(ctx, sink.Trace), nTrips, campaign)
-	}
+	// The campaign trace rides the context the way a request trace does,
+	// so -trace-out shows the plan/execute/assemble/analyze stages and one
+	// measure span per world beside the rank tracks.
+	study, err = eng.RunCtx(obs.ContextWithTrace(ctx, sink.Trace), nTrips, campaign)
 	if err != nil {
 		if inj != nil {
 			fmt.Fprintf(stderr, "fault schedule:\n%s", inj.ScheduleText())
@@ -272,15 +254,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 
 	if backendName == "measured+analytic" {
-		cmp, err := analyticCompare(ctx, study, q, *analyticBand)
-		if err != nil {
+		if study.AnalyticCmp, err = analyticCompare(ctx, study, q, *analyticBand); err != nil {
 			return fmt.Errorf("analytic comparison: %w", err)
 		}
-		// A from-cache study is the cache's own shared copy (see
-		// harness.Engine.RunFromCacheCtx): annotate a copy of it.
-		annotated := *study
-		annotated.AnalyticCmp = cmp
-		study = &annotated
 	}
 
 	// The full report: tables, predictions, and — only when the study
@@ -340,7 +316,6 @@ var readers = map[string][]string{
 	"cache-dir":     {"measured", "measured+analytic", "cached", "interpolated"},
 	"lattice":       {"measured", "interpolated"},
 	"analytic-band": {"analytic", "measured+analytic"},
-	"from-cache":    measuring,
 	"parallel":      measuring,
 	"fault-spec":    measuring,
 	"fault-seed":    measuring,

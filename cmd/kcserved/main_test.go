@@ -790,22 +790,26 @@ func TestHelpIsPinned(t *testing.T) {
 	}
 }
 
-// TestReadmeDocumentsEveryFlag: every flag -h lists has a row in
-// README.md's kcserved flag tables, and every `-flag` row there names a
-// live flag, so a removed flag cannot leave a stale row and a new one
-// cannot go undocumented. The tables are those of the kcserved section;
-// a row whose Binary column says `couple` documents couple's flag.
+// TestReadmeDocumentsEveryFlag: for kcserved, couple and npbrun, every
+// flag the command's -h lists has a row in README.md naming the command,
+// and every row naming it names a live flag, so a removed flag cannot
+// leave a stale row and a new one cannot go undocumented. A row names the
+// commands in its Binary column; a row of the kcserved section whose
+// second column names no command (a Default column) is kcserved's.
+// couple's and npbrun's -h text is read from their help goldens, which
+// their own TestHelpIsPinned holds to the binary's.
 func TestReadmeDocumentsEveryFlag(t *testing.T) {
 	var help bytes.Buffer
 	if err := run(context.Background(), []string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
 	}
-	live := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(help.String(), -1) {
-		live[m[1]] = true
-	}
-	if len(live) == 0 {
-		t.Fatalf("no flags in -h output:\n%s", help.String())
+	helps := map[string]string{"kcserved": help.String()}
+	for _, cmd := range []string{"couple", "npbrun"} {
+		golden, err := os.ReadFile(filepath.Join("..", cmd, "testdata", "help.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		helps[cmd] = string(golden)
 	}
 
 	readme, err := os.ReadFile("../../README.md")
@@ -813,30 +817,60 @@ func TestReadmeDocumentsEveryFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	const heading = "## Serving predictions: `cmd/kcserved`\n"
-	_, section, ok := strings.Cut(string(readme), heading)
+	before, section, ok := strings.Cut(string(readme), heading)
 	if !ok {
 		t.Fatalf("README.md has no %q section", strings.TrimSpace(heading))
 	}
-	section, _, _ = strings.Cut(section, "\n## ")
+	section, after, _ := strings.Cut(section, "\n## ")
 
-	documented := map[string]bool{}
-	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|([^|]*)\\|").FindAllStringSubmatch(section, -1) {
-		if strings.TrimSpace(m[2]) == "`couple`" {
-			continue
-		}
-		documented[m[1]] = true
-		if !live[m[1]] {
-			t.Errorf("README.md documents -%s, which kcserved -h does not list", m[1])
+	row := regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|([^|]*)\\|")
+	command := regexp.MustCompile("`(couple|kcserved|npbrun)`")
+	documented := map[string]map[string]bool{}
+	scan := func(text, unnamed string) {
+		for _, m := range row.FindAllStringSubmatch(text, -1) {
+			names := command.FindAllStringSubmatch(m[2], -1)
+			if len(names) == 0 && unnamed != "" {
+				names = [][]string{{"", unnamed}}
+			}
+			for _, n := range names {
+				if documented[n[1]] == nil {
+					documented[n[1]] = map[string]bool{}
+				}
+				documented[n[1]][m[1]] = true
+			}
 		}
 	}
-	var missing []string
-	for name := range live {
-		if !documented[name] {
-			missing = append(missing, "-"+name)
-		}
-	}
-	sort.Strings(missing)
-	if len(missing) > 0 {
-		t.Errorf("kcserved flags without a row in README.md's kcserved flag tables: %s", strings.Join(missing, " "))
+	scan(before+after, "")
+	scan(section, "kcserved")
+
+	for cmd, text := range helps {
+		t.Run(cmd, func(t *testing.T) {
+			live := map[string]bool{}
+			for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(text, -1) {
+				live[m[1]] = true
+			}
+			if len(live) == 0 {
+				t.Fatalf("no flags in -h output:\n%s", text)
+			}
+			var stale, missing []string
+			for name := range documented[cmd] {
+				if !live[name] {
+					stale = append(stale, "-"+name)
+				}
+			}
+			for name := range live {
+				if !documented[cmd][name] {
+					missing = append(missing, "-"+name)
+				}
+			}
+			sort.Strings(stale)
+			sort.Strings(missing)
+			if len(stale) > 0 {
+				t.Errorf("README.md documents %s for %s, which %s -h does not list", strings.Join(stale, " "), cmd, cmd)
+			}
+			if len(missing) > 0 {
+				t.Errorf("%s flags without a README.md row naming %s: %s", cmd, cmd, strings.Join(missing, " "))
+			}
+		})
 	}
 }

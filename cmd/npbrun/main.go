@@ -32,8 +32,6 @@ import (
 	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/obscli"
-	"repro/internal/plan"
-	"repro/internal/stats"
 	"repro/internal/tables"
 	"repro/internal/trace"
 )
@@ -64,9 +62,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		grid    = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 		net     = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
 		doTrace = fs.Bool("trace", false, "record per-kernel events; print profile and timeline")
-
-		repeat   = fs.Int("repeat", 1, "run the full application this many times and report the median")
-		parallel = fs.Int("parallel", 1, "worker count for -repeat runs (each run is its own world)")
 	)
 	var obsFlags obscli.Flags
 	obsFlags.Register(fs)
@@ -75,9 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 
-	if *repeat > 1 && (*doTrace || obsFlags.TraceOut != "") {
-		return errors.New("-trace/-trace-out need a single run; drop them or -repeat")
-	}
 	inj, err := faultFlags.Build()
 	if err != nil {
 		return err
@@ -165,54 +157,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 	fmt.Fprintf(stdout, "%s class %s  grid %s  %d procs  %d loop trips\n", benchName, cls, prob, *procs, nTrips)
 	var norms [5]float64
-	runApp := func(out *[5]float64) error {
-		return npb.RunOnce(w.Factory, w.Pre, w.Loop, nTrips, w.Post, *procs, func(ks npb.KernelSet) {
-			if nr, ok := ks.(normReporter); ok {
-				*out = nr.Norms()
-			}
-		}, worldOpts...)
-	}
-	if *repeat > 1 {
-		// Repeated-run campaign through the measurement scheduler: each
-		// run is an independent world, so runs can execute concurrently.
-		in := plan.Inputs{Workload: benchName + "." + string(cls), Procs: *procs, Trips: nTrips, ActualRuns: *repeat}
-		jobs := make([]plan.Job, *repeat)
-		for r := range jobs {
-			jobs[r] = plan.ActualJob(in, r)
+	err = npb.RunOnce(w.Factory, w.Pre, w.Loop, nTrips, w.Post, *procs, func(ks npb.KernelSet) {
+		if nr, ok := ks.(normReporter); ok {
+			norms = nr.Norms()
 		}
-		allNorms := make([][5]float64, *repeat)
-		outcomes := plan.Executor{Parallel: *parallel, Ctx: ctx}.Run(jobs, func(i int, j plan.Job) (plan.Result, error) {
-			runStart := time.Now()
-			if err := runApp(&allNorms[i]); err != nil {
-				return plan.Result{}, err
-			}
-			return plan.Result{Seconds: time.Since(runStart).Seconds()}, nil
-		})
-		times := make([]float64, 0, *repeat)
-		for _, out := range outcomes {
-			if out.Err != nil {
-				err = out.Err
-				break
-			}
-			times = append(times, out.Result.Seconds)
-		}
-		if err == nil {
-			norms = allNorms[0]
-			for i := 1; i < *repeat; i++ {
-				if allNorms[i] != norms {
-					err = fmt.Errorf("run %d norms diverge from run 0 — the benchmark is not deterministic", i)
-					break
-				}
-			}
-			for r, s := range times {
-				fmt.Fprintf(stdout, "run %d: %v\n", r, time.Duration(s*float64(time.Second)).Round(time.Millisecond))
-			}
-			fmt.Fprintf(stdout, "median of %d runs: %v  (parallel=%d)\n",
-				*repeat, time.Duration(stats.Median(times)*float64(time.Second)).Round(time.Millisecond), *parallel)
-		}
-	} else {
-		err = runApp(&norms)
-	}
+	}, worldOpts...)
 	if err != nil {
 		if inj != nil {
 			fmt.Fprintf(stderr, "fault schedule:\n%s", inj.ScheduleText())

@@ -109,24 +109,6 @@ func TestRankCrashIsAStructuredError(t *testing.T) {
 	}
 }
 
-// TestRepeatWithTraceIsRefusedBeforeAnySinkOpens: the flag conflict is a
-// usage error like any other, found before -pprof starts a profile.
-func TestRepeatWithTraceIsRefusedBeforeAnySinkOpens(t *testing.T) {
-	for _, traceFlag := range [][]string{{"-trace"}, {"-trace-out", filepath.Join(t.TempDir(), "t.json")}} {
-		prof := filepath.Join(t.TempDir(), "cpu.prof")
-		out, _, err := npbrun(append([]string{"-repeat", "2", "-pprof", prof}, traceFlag...)...)
-		if err == nil || !strings.Contains(err.Error(), "-repeat") {
-			t.Errorf("%v with -repeat 2: error %v, want the conflict", traceFlag, err)
-		}
-		if out != "" {
-			t.Errorf("%v: a refused run printed %q", traceFlag, out)
-		}
-		if _, err := os.Stat(prof); !os.IsNotExist(err) {
-			t.Errorf("%v: the refused run opened its profile (stat: %v)", traceFlag, err)
-		}
-	}
-}
-
 // TestHelpIsPinned: the flags' -h text, defaults included, is the
 // golden's, so the shared presets behind the defaults cannot drift.
 func TestHelpIsPinned(t *testing.T) {

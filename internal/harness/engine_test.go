@@ -331,7 +331,7 @@ func TestSkippedJobsAfterFatalFailure(t *testing.T) {
 
 // TestMemoisedStudiesMatchAFreshCache is the memo's differential test:
 // seeded random histories of everything that can happen to a cache —
-// jobs arriving, jobs put again unchanged, jobs replaced, Reset — with
+// jobs arriving, jobs put again unchanged, jobs replaced — with
 // from-cache studies asked for in between. Whatever the history, the
 // study RunFromCache answers with must equal, value for value, the one a
 // fresh cache holding the same entries produces, and the two must agree
@@ -395,9 +395,6 @@ func TestMemoisedStudiesMatchAFreshCache(t *testing.T) {
 				put(h.job, plan.Result{Seconds: h.res.Seconds, Raw: append([]float64(nil), h.res.Raw...), Passes: h.res.Passes})
 			case p < 62 && len(keys) > 0: // replaced by a different measurement
 				put(holds[keys[rng.Intn(len(keys))]].job, result())
-			case p < 64:
-				cache.Reset()
-				holds, keys = map[string]held{}, nil
 			default:
 				got, gotErr := eng.RunFromCache(cfg.trips, cfg.chains)
 				fresh := plan.NewCache()
@@ -479,8 +476,8 @@ func TestRunFromCacheMemoHitKeepsItsSideEffects(t *testing.T) {
 
 // TestFromMemoOnlyReadsTheMemo: the memo-only lookup finds the study
 // RunFromCacheCtx memoised and nothing else — not a study whose every job
-// the cache holds but nobody has analysed, not one a Reset forgot — and
-// counts its hit as RunFromCacheCtx does.
+// the cache holds but nobody has analysed — and counts its hit as
+// RunFromCacheCtx does.
 func TestFromMemoOnlyReadsTheMemo(t *testing.T) {
 	cache := plan.NewCache()
 	if _, err := RunStudy(fourKernelSynthetic(), 10, []int{2, 4}, Options{Cache: cache}); err != nil {
@@ -508,10 +505,6 @@ func TestFromMemoOnlyReadsTheMemo(t *testing.T) {
 	}
 	if _, ok := eng.FromMemo(10, []int{2}); ok {
 		t.Error("FromMemo answered a configuration nobody analysed")
-	}
-	cache.Reset()
-	if _, ok := eng.FromMemo(10, []int{2, 4}); ok {
-		t.Error("FromMemo answered after Reset")
 	}
 	if _, ok := (Engine{Workload: fourKernelSynthetic()}).FromMemo(10, []int{2, 4}); ok {
 		t.Error("FromMemo answered without a cache")

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // randMat5 builds a random diagonally dominant 5×5 matrix so the
@@ -391,13 +389,6 @@ func TestLU5ZeroPivot(t *testing.T) {
 	if err := FactorLU(&a); !errors.Is(err, ErrZeroPivot) {
 		t.Errorf("NaN off the diagonal: err = %v, want ErrZeroPivot", err)
 	}
-	// The serial reference names the block row and keeps the sentinel.
-	blocks := []Mat5{randMat5(rng), randMat5(rng)}
-	blocks[1][0] = math.NaN()
-	err := BlockTridiagSolve(make([]Mat5, 2), blocks, make([]Mat5, 2), make([]Vec5, 2))
-	if !errors.Is(err, ErrZeroPivot) || !strings.Contains(err.Error(), "block row 1") {
-		t.Errorf("BlockTridiagSolve on a NaN block: err = %v", err)
-	}
 }
 
 func TestDenseSolveKnownSystem(t *testing.T) {
@@ -439,201 +430,6 @@ func TestDenseSolveShapeErrors(t *testing.T) {
 	}
 	if _, err := DenseSolve([][]float64{{1, 2}}, []float64{1}); err == nil {
 		t.Error("ragged system should fail")
-	}
-}
-
-// buildBlockTridiagDense expands block tridiagonal data into a dense system
-// for the oracle.
-func buildBlockTridiagDense(a, b, c []Mat5, r []Vec5) ([][]float64, []float64) {
-	n := len(b)
-	N := 5 * n
-	ad := make([][]float64, N)
-	for i := range ad {
-		ad[i] = make([]float64, N)
-	}
-	rd := make([]float64, N)
-	for blk := 0; blk < n; blk++ {
-		for i := 0; i < 5; i++ {
-			rd[blk*5+i] = r[blk][i]
-			for j := 0; j < 5; j++ {
-				ad[blk*5+i][blk*5+j] = b[blk][i*5+j]
-				if blk > 0 {
-					ad[blk*5+i][(blk-1)*5+j] = a[blk][i*5+j]
-				}
-				if blk < n-1 {
-					ad[blk*5+i][(blk+1)*5+j] = c[blk][i*5+j]
-				}
-			}
-		}
-	}
-	return ad, rd
-}
-
-func TestBlockTridiagSolveAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 2, 3, 8} {
-		a := make([]Mat5, n)
-		b := make([]Mat5, n)
-		c := make([]Mat5, n)
-		r := make([]Vec5, n)
-		for i := 0; i < n; i++ {
-			b[i] = randMat5(rng)
-			// Keep off-diagonal blocks small relative to the dominant
-			// diagonal blocks, matching the implicit solver's structure.
-			for e := range a[i] {
-				a[i][e] = (rng.Float64()*2 - 1) * 0.2
-				c[i][e] = (rng.Float64()*2 - 1) * 0.2
-			}
-			r[i] = randVec5(rng)
-		}
-		ad, rd := buildBlockTridiagDense(a, b, c, r)
-		want, err := DenseSolve(ad, rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := BlockTridiagSolve(a, b, c, r); err != nil {
-			t.Fatal(err)
-		}
-		for blk := 0; blk < n; blk++ {
-			for i := 0; i < 5; i++ {
-				if math.Abs(r[blk][i]-want[blk*5+i]) > 1e-8 {
-					t.Fatalf("n=%d block %d comp %d: got %v, want %v", n, blk, i, r[blk][i], want[blk*5+i])
-				}
-			}
-		}
-	}
-}
-
-func TestBlockTridiagShapeMismatch(t *testing.T) {
-	if err := BlockTridiagSolve(make([]Mat5, 2), make([]Mat5, 3), make([]Mat5, 3), make([]Vec5, 3)); err == nil {
-		t.Error("shape mismatch should fail")
-	}
-}
-
-func TestPentaSolveAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{1, 2, 3, 4, 5, 12, 33} {
-		a2 := make([]float64, n)
-		a1 := make([]float64, n)
-		b := make([]float64, n)
-		c1 := make([]float64, n)
-		c2 := make([]float64, n)
-		r := make([]float64, n)
-		for i := 0; i < n; i++ {
-			a2[i] = (rng.Float64()*2 - 1) * 0.2
-			a1[i] = (rng.Float64()*2 - 1) * 0.4
-			c1[i] = (rng.Float64()*2 - 1) * 0.4
-			c2[i] = (rng.Float64()*2 - 1) * 0.2
-			b[i] = 2 + rng.Float64() // dominant diagonal
-			r[i] = rng.Float64()*10 - 5
-		}
-		// Dense oracle.
-		ad := make([][]float64, n)
-		for i := range ad {
-			ad[i] = make([]float64, n)
-			if i >= 2 {
-				ad[i][i-2] = a2[i]
-			}
-			if i >= 1 {
-				ad[i][i-1] = a1[i]
-			}
-			ad[i][i] = b[i]
-			if i < n-1 {
-				ad[i][i+1] = c1[i]
-			}
-			if i < n-2 {
-				ad[i][i+2] = c2[i]
-			}
-		}
-		want, err := DenseSolve(ad, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := PentaSolve(a2, a1, b, c1, c2, r); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Abs(r[i]-want[i]) > 1e-8 {
-				t.Fatalf("n=%d row %d: got %v, want %v", n, i, r[i], want[i])
-			}
-		}
-	}
-}
-
-func TestPentaSolveTridiagonalSpecialCase(t *testing.T) {
-	// With a2 = c2 = 0 the solver degenerates to the Thomas algorithm.
-	n := 6
-	zero := make([]float64, n)
-	a1 := []float64{0, -1, -1, -1, -1, -1}
-	b := []float64{2, 2, 2, 2, 2, 2}
-	c1 := []float64{-1, -1, -1, -1, -1, 0}
-	r := []float64{1, 0, 0, 0, 0, 1}
-	if err := PentaSolve(zero, a1, b, append([]float64(nil), c1...), append([]float64(nil), zero...), r); err != nil {
-		t.Fatal(err)
-	}
-	// -x_{i-1} + 2x_i - x_{i+1} = 0 with boundary sources: solution is 1.
-	for i, x := range r {
-		if math.Abs(x-1) > 1e-9 {
-			t.Errorf("x[%d] = %v, want 1", i, x)
-		}
-	}
-}
-
-func TestPentaSolveShapeMismatch(t *testing.T) {
-	if err := PentaSolve(nil, nil, []float64{1}, nil, nil, nil); err == nil {
-		t.Error("shape mismatch should fail")
-	}
-}
-
-func TestBlockTridiagSolveProperty(t *testing.T) {
-	// Property: plugging the solution back in reproduces the rhs.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		a := make([]Mat5, n)
-		b := make([]Mat5, n)
-		c := make([]Mat5, n)
-		r := make([]Vec5, n)
-		orig := make([]Vec5, n)
-		for i := 0; i < n; i++ {
-			b[i] = randMat5(rng)
-			for e := range a[i] {
-				a[i][e] = (rng.Float64()*2 - 1) * 0.1
-				c[i][e] = (rng.Float64()*2 - 1) * 0.1
-			}
-			r[i] = randVec5(rng)
-			orig[i] = r[i]
-		}
-		x := append([]Vec5(nil), r...)
-		if err := BlockTridiagSolve(a, b, c, x); err != nil {
-			return false
-		}
-		// Residual check: applying the operator to x reproduces the rhs.
-		for i := 0; i < n; i++ {
-			var sum, tmp Vec5
-			mulMV(&sum, &b[i], &x[i])
-			if i > 0 {
-				mulMV(&tmp, &a[i], &x[i-1])
-				for e := range sum {
-					sum[e] += tmp[e]
-				}
-			}
-			if i < n-1 {
-				mulMV(&tmp, &c[i], &x[i+1])
-				for e := range sum {
-					sum[e] += tmp[e]
-				}
-			}
-			for e := range sum {
-				if math.Abs(sum[e]-orig[i][e]) > 1e-7 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

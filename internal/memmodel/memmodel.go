@@ -221,8 +221,8 @@ func GeometricSizes(lo, hi, count int) []int {
 }
 
 // Transitions returns the indices i (into points, i >= 1) where the
-// coupling value changes by more than threshold relative to the previous
-// point — the "major value changes" of the paper's observation. A smooth
+// coupling value differs from the previous point's by more than threshold
+// — the "major value changes" of the paper's observation. A smooth
 // series yields few transitions; the count is what the finite-transitions
 // claim is about.
 func Transitions(points []SweepPoint, threshold float64) []int {

@@ -16,9 +16,16 @@ import (
 // measurements at all, from cache-capacity overlap (the
 // Kerncraft/Afzal-style analytic model).
 
+// TransitionThreshold is the change in a coupling value between two
+// neighbouring sweep points that counts as a cache-capacity transition:
+// the §4.1 table counts and the interpolated backend's step model splits
+// its plateaus at this one value.
+const TransitionThreshold = 0.08
+
 // TransitionsSeries returns the indices i (>= 1) where the series value
-// changes by more than threshold relative to the previous point: the one
-// transition rule, which Transitions and FitStep both apply.
+// differs from the previous point's by more than threshold, an absolute
+// change: the one transition rule, which Transitions and FitStep both
+// apply.
 func TransitionsSeries(values []float64, threshold float64) []int {
 	var idx []int
 	for i := 1; i < len(values); i++ {

@@ -202,7 +202,6 @@ const (
 	tagReduce   = -4
 	tagGather   = -5
 	tagAlltoall = -8
-	tagSplit    = -9
 )
 
 // Send delivers a copy of buf to dest with the given tag. Sends are eager

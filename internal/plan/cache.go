@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 
 	"repro/internal/lru"
@@ -91,8 +90,8 @@ type Cache struct {
 	// lookup renders the job's and hashes nothing.
 	mem map[string]Result
 	// memo holds values derived from the entries (see Derive). epoch
-	// counts the events that can change such a value: an in-memory entry
-	// replaced by a different one, and Reset.
+	// counts the one event that can change such a value: an in-memory
+	// entry replaced by a different one.
 	memo  *lru.Cache[string, derived]
 	epoch uint64
 	// log is the directory's measurement log, nil for an in-memory cache.
@@ -117,9 +116,9 @@ func NewCache() *Cache {
 // NewDirCache returns a cache persisted under dir (created if missing):
 // every Put appends a record to the directory's log, and a Get that
 // misses memory falls back to it — so a cache directory outlives the
-// process and a later run (or couple -from-cache) can reuse the whole
-// campaign. Opening reads the log once to index it; entries a release
-// before the log left as one <key>.json each are moved into it first.
+// process and a later run (or couple -backend cached) can reuse the whole
+// campaign. Opening reads the log once to index it. The log is the one
+// format read: any other file in dir is not looked at.
 func NewDirCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("plan: cache dir: %w", err)
@@ -137,10 +136,6 @@ func NewDirCache(dir string) (*Cache, error) {
 	}
 	c := NewCache()
 	c.log, c.index = f, make(map[string]span)
-	if err := c.adoptKeyFiles(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
 	if err := c.indexTail(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("plan: cache dir: %w", err)
@@ -166,34 +161,6 @@ func (c *Cache) Close() error {
 		return nil
 	}
 	return c.log.Close()
-}
-
-// adoptKeyFiles moves dir, if it was written before the log, into it: every
-// <key>.json that decodes and whose canonical hashes to its name is
-// appended as a record, then removed. A file that does not is left where
-// it is. Two processes opening at once may both append a file's entry;
-// the records are equal and the second Remove finds nothing.
-func (c *Cache) adoptKeyFiles(dir string) error {
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return fmt.Errorf("plan: cache dir: %w", err)
-	}
-	for _, name := range names {
-		key := strings.TrimSuffix(filepath.Base(name), ".json")
-		data, err := os.ReadFile(name)
-		if err != nil {
-			continue
-		}
-		var e entry
-		if json.Unmarshal(data, &e) != nil || keyOf(e.Canonical) != key {
-			continue
-		}
-		if err := c.append(key, e); err != nil {
-			return fmt.Errorf("plan: cache dir: adopt %s: %w", filepath.Base(name), err)
-		}
-		os.Remove(name)
-	}
-	return nil
 }
 
 // Get returns the cached result for the job, consulting memory first and
@@ -307,9 +274,8 @@ func (c *Cache) Put(j Job, r Result) error {
 }
 
 // append encodes one record and writes it with one write(2). This cache
-// does not index it: mem answers for what it Put itself, and a lookup that
-// gets past mem (after Reset) finds the record in the tail like any other
-// writer's.
+// does not index it: mem answers for what it Put itself, and another cache
+// on the directory finds the record in the tail like any other writer's.
 //
 //kcvet:hotpath the whole disk cost of a Put: one per measured job, between two worlds of a cold study
 func (c *Cache) append(key string, e entry) error {
@@ -431,25 +397,6 @@ func (c *Cache) readLog(key string) ([]byte, error) {
 	return buf, nil
 }
 
-// Len returns the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mem)
-}
-
-// Reset drops the in-memory entries and everything derived from them.
-// The log and its index are kept — Reset forgets, it does not delete.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mem = make(map[string]Result)
-	// A fresh memo frees what was derived; the epoch also kills whatever a
-	// build still in flight is about to store.
-	c.memo = lru.New[string, derived](memoCap, nil)
-	c.epoch++
-}
-
 // Derive memoises a value computed from the cache's entries: it returns
 // the value stored under key, or calls build, stores what it returns and
 // returns that. key must name everything build reads — which jobs it
@@ -458,9 +405,9 @@ func (c *Cache) Reset() {
 //
 // A stored value is served only while the epoch it was built in is still
 // current. The epoch is read before build starts and moves when Put
-// replaces an in-memory entry with a different one and on Reset, so a
-// value built from entries that have since changed — even one whose build
-// raced the change — is never served again. A Put of a new job moves
+// replaces an in-memory entry with a different one, so a value built from
+// entries that have since changed — even one whose build raced the change
+// — is never served again. A Put of a new job moves
 // nothing: build must fail when a job it needs is missing (as a from-cache
 // study does), so a stored value read only jobs that were already in
 // memory, and a job that was not cannot be one of them. A failed build

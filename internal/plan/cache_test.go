@@ -30,12 +30,8 @@ func TestCacheRoundTrip(t *testing.T) {
 	if !ok || !reflect.DeepEqual(got, r) {
 		t.Fatalf("Get = %+v, %v; want %+v", got, ok, r)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	c.Reset()
-	if _, ok := c.Get(j); ok {
-		t.Error("Reset did not clear the in-memory cache")
+	if len(c.mem) != 1 {
+		t.Errorf("%d entries in memory, want 1", len(c.mem))
 	}
 }
 
@@ -377,8 +373,8 @@ func TestDirCacheRejectsCorruptAndMismatchedEntries(t *testing.T) {
 			if found != tc.found {
 				t.Errorf("%d of 2 lookups read a record, want %d", found, tc.found)
 			}
-			if c.Len() != 0 {
-				t.Errorf("damaged record reached the memory tier (%d entries)", c.Len())
+			if len(c.mem) != 0 {
+				t.Errorf("damaged record reached the memory tier (%d entries)", len(c.mem))
 			}
 		})
 	}
@@ -523,14 +519,15 @@ func TestDirCacheTwoWritersOneDirectory(t *testing.T) {
 	onlyTheLog(t, dir)
 }
 
-// TestDirCacheSeesOtherWritersAndItsOwnPutsAfterReset: the index is not a
-// snapshot. A record another cache appends after this one opened, and one
-// this cache appended and then forgot (Reset), are both found in the tail.
-func TestDirCacheSeesOtherWritersAndItsOwnPutsAfterReset(t *testing.T) {
+// TestDirCacheSeesAppendsAfterOpen: the index is not a snapshot. A record
+// another cache appends after this one opened is found in the tail, and
+// so is every record, its own included, by a view of the directory opened
+// before any of them was written.
+func TestDirCacheSeesAppendsAfterOpen(t *testing.T) {
 	dir := t.TempDir()
 	in := btInputs()
 	mine, theirs := WindowJob(in, []string{"ADD"}), WindowJob(in, []string{"X_SOLVE"})
-	c, other := openDir(t, dir), openDir(t, dir)
+	view, c, other := openDir(t, dir), openDir(t, dir), openDir(t, dir)
 	if err := c.Put(mine, Result{Seconds: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -540,12 +537,14 @@ func TestDirCacheSeesOtherWritersAndItsOwnPutsAfterReset(t *testing.T) {
 	if r, ok := c.Get(theirs); !ok || r.Seconds != 2 {
 		t.Errorf("another writer's record = %+v, %v", r, ok)
 	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatal("Reset left entries in memory")
+	if len(view.mem) != 0 {
+		t.Fatal("a view opened on an empty log holds entries")
 	}
-	if r, ok := c.Get(mine); !ok || r.Seconds != 1 {
-		t.Errorf("own record after Reset = %+v, %v; want it served from the log", r, ok)
+	if r, ok := view.Get(mine); !ok || r.Seconds != 1 {
+		t.Errorf("the earlier view reads the first record as %+v, %v; want it served from the log", r, ok)
+	}
+	if r, ok := view.Get(theirs); !ok || r.Seconds != 2 {
+		t.Errorf("the earlier view reads the second record as %+v, %v; want it served from the log", r, ok)
 	}
 }
 
@@ -588,73 +587,39 @@ func TestDirCacheMissIsAMapMissAndAnFstat(t *testing.T) {
 	}
 }
 
-// TestDirCacheAdoptsKeyFiles: a directory the release before the log
-// wrote (testdata/keyfiles, three entries from its Put) is moved into the
-// log at open, once; a file that is not an entry stays where it is.
-func TestDirCacheAdoptsKeyFiles(t *testing.T) {
+// TestDirCacheIgnoresKeyFiles: the log is the one format a directory is
+// read in. A directory that holds only the per-key <key>.json files of the
+// release before the log opens as an empty cache: every lookup misses, the
+// log stays empty and the files are left as they were.
+func TestDirCacheIgnoresKeyFiles(t *testing.T) {
 	dir := t.TempDir()
-	files, err := filepath.Glob(filepath.Join("testdata", "keyfiles", "*.json"))
-	if err != nil || len(files) != 3 {
-		t.Fatalf("testdata/keyfiles: %d files, %v", len(files), err)
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Right shape, wrong name: the canonical does not hash to it.
-	stray := filepath.Join(dir, strings.Repeat("0", keyLen)+".json")
-	if err := os.WriteFile(stray, []byte(`{"canonical":"v1|kind=isolated","result":{"seconds":9}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	in := btInputs()
-	want := map[string]Result{}
-	check := func(c *Cache) {
-		t.Helper()
-		for _, tc := range []struct {
-			j Job
-			r Result
-		}{
-			{WindowJob(in, []string{"ADD"}), Result{Seconds: 0.00125, Raw: []float64{0.0012, 0.00125, 0.0013}, TrimFrac: 0.34, Passes: 1}},
-			{WindowJob(in, []string{"COPY_FACES", "X_SOLVE"}), Result{Seconds: 0.0042, Raw: []float64{0.0041, 0.0042, 0.0044}, TrimFrac: 0.34, Passes: 1}},
-			{ActualJob(in, 0), Result{Seconds: 0.31}},
-		} {
-			want[tc.j.Key()] = tc.r
-			if got, ok := c.Get(tc.j); !ok || !reflect.DeepEqual(got, tc.r) {
-				t.Errorf("%s = %+v, %v; want %+v", tc.j.Key(), got, ok, tc.r)
-			}
-		}
-	}
-	check(openDir(t, dir))
-	size := func() int64 {
-		fi, err := os.Stat(filepath.Join(dir, logName))
+	jobs := []Job{WindowJob(in, []string{"ADD"}), ActualJob(in, 0)}
+	files := map[string][]byte{}
+	for i, j := range jobs {
+		data, err := json.Marshal(entry{Canonical: j.Canonical(), Result: Result{Seconds: float64(i + 1)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fi.Size()
+		name := filepath.Join(dir, j.Key()+".json")
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = data
 	}
-	after := size()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Errorf("after adoption the directory holds %d files, want the log and the stray", len(ents))
-	}
-	for _, f := range files {
-		if _, err := os.Stat(filepath.Join(dir, filepath.Base(f))); !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("%s still there after adoption (%v)", filepath.Base(f), err)
+	c := openDir(t, dir)
+	for _, j := range jobs {
+		if r, ok := c.Get(j); ok {
+			t.Errorf("%s served from a key file: %+v", j.Key(), r)
 		}
 	}
-	// A second open has nothing left to adopt.
-	check(openDir(t, dir))
-	if size() != after {
-		t.Errorf("second open grew the log from %d to %d bytes", after, size())
+	if log, err := os.ReadFile(filepath.Join(dir, logName)); err != nil || len(log) != 0 {
+		t.Errorf("log after opening a key-file directory = %q, %v; want it empty", log, err)
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(name); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s = %q, %v; want it untouched", filepath.Base(name), got, err)
+		}
 	}
 }
 
@@ -843,10 +808,6 @@ func TestDeriveContract(t *testing.T) {
 		{"different raw block only", func(t *testing.T, c *Cache) {
 			put(t, c, j, Result{Seconds: 1, Raw: []float64{0.9, 1.2}, TrimFrac: 0.34, Passes: 1})
 		}, true, 1},
-		{"reset then refilled", func(t *testing.T, c *Cache) {
-			c.Reset()
-			put(t, c, j, Result{Seconds: 3})
-		}, true, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCache()

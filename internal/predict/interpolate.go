@@ -15,11 +15,6 @@ import (
 	"repro/internal/obs"
 )
 
-// transitionThreshold is the relative coupling change that counts as a
-// cache-capacity transition when fitting the step model — the same scale
-// memmodel's sweep tests use.
-const transitionThreshold = 0.08
-
 // DefaultBandFloor is the minimum relative half-width of a model-based
 // confidence band: even a perfectly fitting lattice never claims better
 // than ±25%, because the backend extrapolates structure, not noise.
@@ -148,7 +143,7 @@ func stepCoupling(pts []latticePoint, x float64) couplingSource {
 			}
 			cs[i] = wc.C
 		}
-		step, err := memmodel.FitStep(xs, cs, transitionThreshold)
+		step, err := memmodel.FitStep(xs, cs, memmodel.TransitionThreshold)
 		if err != nil {
 			return 0, 0, 0, err
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/memmodel"
 )
 
 // checkComposed asserts the invariant synthesize owns: every reported
@@ -194,7 +195,7 @@ func TestBorrowPicksThePlateauOfTheTarget(t *testing.T) {
 	}
 	smallC, _ := small.Measurements.CouplingOf(ab)
 	largeC, _ := large.Measurements.CouplingOf(ab)
-	if math.Abs(largeC.C-smallC.C) <= transitionThreshold*smallC.C {
+	if math.Abs(largeC.C-smallC.C) <= memmodel.TransitionThreshold {
 		t.Errorf("C moves %v → %v, not a transition: the cases prove nothing", smallC.C, largeC.C)
 	}
 }

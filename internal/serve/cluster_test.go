@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/predict"
@@ -263,6 +264,59 @@ func TestClusterProxiedFlightAnnotations(t *testing.T) {
 		if leader != leaders[0] {
 			t.Errorf("follower %s names leader %q, want %q", id, leader, leaders[0])
 		}
+	}
+}
+
+// TestClusterAbandonedFillNamesItsOwner: a guarded request whose budget
+// runs out while the owner's fill is stalled answers 504, and its trace's
+// peer.fill span still names the owner it was fetching from, as every
+// other peer.fill span does.
+func TestClusterAbandonedFillNamesItsOwner(t *testing.T) {
+	fleet := newFleet(t, 2, warmedDir(t), func(i int, cc *cluster.Config, sc *Config) {
+		sc.Guard = guard.New(guard.Config{Deadline: 40 * time.Millisecond})
+		sc.Tracer = obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(8, 8)})
+	})
+	key := warmQuery(t).Key()
+	owner := ownerIndex(t, fleet, 0, key)
+	other := fleet[1-owner]
+	// The owner's fill stalls past the requester's budget.
+	inner := fleet[owner].srv.analyze
+	release := make(chan struct{})
+	fleet[owner].srv.analyze = func(ctx context.Context, q Query) (predict.Prediction, error) {
+		<-release
+		return inner(ctx, q)
+	}
+	for _, fn := range fleet {
+		fn.ts.Start()
+	}
+	get(t, other.ts.URL, "/predict?"+warmQS, http.StatusGatewayTimeout)
+	close(release)
+
+	// The abandoned trace is finished once the detached fill lands.
+	var errored []obs.TraceDump
+	for deadline := time.Now().Add(10 * time.Second); len(errored) == 0 && time.Now().Before(deadline); {
+		errored = other.srv.Tracer().Recorder().Snapshot().Errored
+		time.Sleep(time.Millisecond)
+	}
+	if len(errored) != 1 {
+		t.Fatalf("%d errored traces on the requester, want the abandoned one", len(errored))
+	}
+	var fill *obs.SpanDump
+	var walk func(sp *obs.SpanDump)
+	walk = func(sp *obs.SpanDump) {
+		if sp.Name == "peer.fill" {
+			fill = sp
+		}
+		for i := range sp.Children {
+			walk(&sp.Children[i])
+		}
+	}
+	walk(&errored[0].Root)
+	if fill == nil {
+		t.Fatalf("abandoned trace has no peer.fill span: %+v", errored[0].Root)
+	}
+	if want := fleet[owner].addr + " abandoned"; fill.Detail != want {
+		t.Errorf("abandoned peer.fill detail = %q, want %q", fill.Detail, want)
 	}
 }
 

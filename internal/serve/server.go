@@ -409,7 +409,11 @@ func (s *Server) flight(ctx context.Context, name, key string, q Query, owner st
 				b.wait = ch
 			}
 			tr.Annotate("singleflight", "abandoned")
-			sp.SetDetail("abandoned")
+			if owner == "" {
+				sp.SetDetail("abandoned")
+			} else { // a peer fill's span keeps naming the owner
+				sp.SetDetail(owner + " abandoned")
+			}
 			sp.End()
 			return res, budgetErr(ctx, ctx.Err())
 		}

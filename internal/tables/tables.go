@@ -473,8 +473,8 @@ func (e Experiment) runCacheSweep(s Scale) (*Result, error) {
 	for _, p := range points {
 		tb.AddRow(fmtBytes(p.Bytes), fmt.Sprintf("%.4f", p.C))
 	}
-	trans := memmodel.Transitions(points, 0.08)
-	text := tb.String() + fmt.Sprintf("transitions (|ΔC| > 0.08): %d\n", len(trans))
+	trans := memmodel.Transitions(points, memmodel.TransitionThreshold)
+	text := tb.String() + fmt.Sprintf("transitions (|ΔC| > %g): %d\n", memmodel.TransitionThreshold, len(trans))
 	return &Result{Exp: e, Sweep: points, Text: text}, nil
 }
 

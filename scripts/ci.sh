@@ -38,9 +38,10 @@ if [ -n "$untested" ]; then
 fi
 
 # Each command tests its process in-process through run() (kcserved's
-# hardened node and 3-node fleet; couple's parallel campaign, warm-cache
-# reuse, analytic agreement, seeded faults, -lattice coupling borrowing
-# and its flag conflicts, README flag rows; npbrun's rank crash; paper's
+# hardened node and 3-node fleet, and the README flag rows of kcserved,
+# couple and npbrun; couple's parallel campaign, warm-cache reuse, cached
+# backend, analytic agreement, seeded faults, -lattice coupling borrowing
+# and its flag conflicts; npbrun's rank crash; paper's
 # tables, -cache-dir reuse, a whole `paper -fast` run regenerating all 22
 # tables, and a run that goes on past failed tables; kcreport's
 # renderings; kcvet's reports and exit statuses), so this line
