@@ -18,7 +18,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,7 +41,7 @@ type normReporter interface {
 }
 
 func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "npbrun: %v\n", err)
 		os.Exit(1)
 	}
@@ -51,7 +50,7 @@ func main() {
 // run is the whole process behind main. Every failure is a returned
 // error; flags are checked before any sink opens, and the one deferred
 // sink.Close writes the requested outputs on every path after that.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("npbrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -139,8 +138,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 
 	if *doTrace && sink.Trace == nil {
 		// -trace prints the kernel views off the same trace -trace-out
-		// exports; the observer records a kernel span around every
-		// RunKernel, so the factory needs no wrapping.
+		// exports; the measurement layer's stamps record a kernel span
+		// around every RunKernel, so the factory needs no wrapping.
 		sink.Trace = obs.NewTrace(nil)
 	}
 	var worldOpts []mpi.Option

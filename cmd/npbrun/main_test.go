@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"io"
@@ -23,7 +22,7 @@ import (
 // npbrun runs one in-process invocation on the tiny 8-cell grid.
 func npbrun(extra ...string) (stdout, stderr string, err error) {
 	var out, errb bytes.Buffer
-	err = run(context.Background(), append([]string{"-grid", "8", "-trips", "2", "-procs", "4"}, extra...), &out, &errb)
+	err = run(append([]string{"-grid", "8", "-trips", "2", "-procs", "4"}, extra...), &out, &errb)
 	return out.String(), errb.String(), err
 }
 
@@ -113,7 +112,7 @@ func TestRankCrashIsAStructuredError(t *testing.T) {
 // golden's, so the shared presets behind the defaults cannot drift.
 func TestHelpIsPinned(t *testing.T) {
 	var stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-h"}, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
+	if err := run([]string{"-h"}, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("run -h: %v, want flag.ErrHelp", err)
 	}
 	want, err := os.ReadFile("testdata/help.golden")

@@ -181,7 +181,7 @@ func TestChaosSameSeedReproducesScheduleAndStudy(t *testing.T) {
 	strip := func(rs []harness.RetryRecord) []retryKey {
 		var out []retryKey
 		for _, r := range rs {
-			out = append(out, retryKey{r.Key, r.Kind, r.Attempt})
+			out = append(out, retryKey{r.Key, string(r.Kind), r.Attempt})
 		}
 		return out
 	}

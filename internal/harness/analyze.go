@@ -25,7 +25,8 @@ type Analysis struct {
 // Analyze computes the summation baseline and the coupling prediction for
 // every requested chain length from measurements already taken. It is
 // pure — no I/O, no metrics, no worlds — so it can re-analyze a persisted
-// cache (couple -from-cache) or be unit-tested against synthetic numbers.
+// cache (couple -backend cached, kcserved ?backend=cached) or be
+// unit-tested against synthetic numbers.
 //
 // measured maps every successfully measured window key to its kernels;
 // with degrade true it is the fallback pool for the degradation ladder

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // Degradation modes for a composition coefficient whose full window set
@@ -26,8 +27,8 @@ const (
 type RetryRecord struct {
 	// Key is the kernel or window key that failed.
 	Key string `json:"key"`
-	// Kind is KindIsolated, KindWindow or KindActual.
-	Kind string `json:"kind"`
+	// Kind is plan.KindIsolated, plan.KindWindow or plan.KindActual.
+	Kind plan.Kind `json:"kind"`
 	// Attempt is the 1-based attempt number that failed.
 	Attempt int `json:"attempt"`
 	// Err is the failure.

@@ -184,7 +184,7 @@ func TestDegradeShorterChainLadder(t *testing.T) {
 	// Sub-window measurements appear in provenance as windows.
 	subs := 0
 	for _, r := range study.Provenance {
-		if r.Kind == KindWindow {
+		if r.Kind == plan.KindWindow {
 			subs++
 		}
 	}

@@ -145,7 +145,7 @@ func (r *measurer) measure(ctx context.Context, j plan.Job) (plan.Result, []Retr
 		if attempt >= r.o.MaxRetries {
 			return plan.Result{}, retries, err
 		}
-		retries = append(retries, RetryRecord{Key: j.Label(), Kind: string(j.Kind), Attempt: attempt + 1, Err: err.Error()})
+		retries = append(retries, RetryRecord{Key: j.Label(), Kind: j.Kind, Attempt: attempt + 1, Err: err.Error()})
 		if r.o.Metrics != nil {
 			r.o.Metrics.Counter("harness.retry.count").Inc()
 		}
@@ -374,7 +374,7 @@ func (e Engine) RunCtx(ctx context.Context, trips int, chainLens []int) (*Study,
 // reads; an error from get ends the walk and the study. stage is the span
 // the walk runs under; it ends before "analyze" opens.
 //
-//kcvet:hotpath every first question a restarted server or couple -from-cache answers is assembled here
+//kcvet:hotpath every first question a restarted server or couple -backend cached answers is assembled here
 func assemble(ctx context.Context, stage obs.SpanRef, app core.App, in plan.Inputs, planned int, jobs []plan.Job,
 	get func(i int) (plan.Result, bool, error), degrade bool, health StudyHealth) (*Study, error) {
 	// Everything below is sized from the jobs, so nothing grows.
@@ -427,12 +427,12 @@ func assemble(ctx context.Context, stage obs.SpanRef, app core.App, in plan.Inpu
 			actualCached = actualCached && cached
 			continue
 		}
-		provenance[recs] = MeasurementRecord{Key: j.Label(), Kind: string(j.Kind), Result: res, Cached: cached}
+		provenance[recs] = MeasurementRecord{Key: j.Label(), Kind: j.Kind, Result: res, Cached: cached}
 		recs++
 	}
 	stage.End()
 	actual := stats.Median(actuals)
-	provenance[recs] = MeasurementRecord{Key: app.Name, Kind: KindActual, Result: plan.Result{Seconds: actual, Raw: actuals}, Cached: actualCached}
+	provenance[recs] = MeasurementRecord{Key: app.Name, Kind: plan.KindActual, Result: plan.Result{Seconds: actual, Raw: actuals}, Cached: actualCached}
 	analyzeSpan, _ := obs.StartSpan(ctx, "analyze", "")
 	an, err := Analyze(app, m, actual, in.ChainLens, measured, degrade)
 	analyzeSpan.End()
@@ -458,7 +458,7 @@ func assemble(ctx context.Context, stage obs.SpanRef, app core.App, in plan.Inpu
 // RunFromCache rebuilds a study purely from cached measurements: it plans
 // the campaign, requires every job to be served by Options.Cache, and
 // runs the pure analysis layer. No world is spawned — this is the
-// re-analysis path behind couple -from-cache.
+// re-analysis path behind couple -backend cached and kcserved ?backend=cached.
 func (e Engine) RunFromCache(trips int, chainLens []int) (*Study, error) {
 	return e.RunFromCacheCtx(context.Background(), trips, chainLens)
 }
@@ -573,7 +573,7 @@ func studyKey(w Workload, in plan.Inputs) string {
 // not hold. Its result is a function of its arguments and the
 // entries read, which is what lets RunFromCacheCtx keep it.
 //
-//kcvet:hotpath every first question a restarted server or couple -from-cache answers is built here
+//kcvet:hotpath every first question a restarted server or couple -backend cached answers is built here
 func loadStudy(ctx context.Context, w Workload, in plan.Inputs, cache *plan.Cache) (*Study, error) {
 	planSpan, _ := obs.StartSpan(ctx, "plan", w.Name())
 	app, err := appFor(w, in.Trips)

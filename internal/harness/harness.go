@@ -211,13 +211,6 @@ type PredictionResult struct {
 	ChainLen int
 }
 
-// Measurement kinds recorded in a study's provenance.
-const (
-	KindIsolated = "isolated"
-	KindWindow   = "window"
-	KindActual   = "actual"
-)
-
 // MeasurementRecord ties one reported number to the raw observations it
 // was aggregated from, so every C_S in a table can be audited: which
 // blocks were timed, what trim dropped, whether it came from an isolated
@@ -226,8 +219,8 @@ type MeasurementRecord struct {
 	// Key is the kernel name (isolated), window key (window), or the
 	// workload name (actual).
 	Key string `json:"key"`
-	// Kind is KindIsolated, KindWindow or KindActual.
-	Kind string `json:"kind"`
+	// Kind is plan.KindIsolated, plan.KindWindow or plan.KindActual.
+	Kind plan.Kind `json:"kind"`
 	// Result is the measurement as the cache stores it. For the
 	// aggregate actual record, Raw holds the per-run seconds and Seconds
 	// their median; it records no trim or passes.

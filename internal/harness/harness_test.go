@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // fourKernelSynthetic is a toy app with known interactions: A→B helps
@@ -261,25 +262,25 @@ func TestStudyProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]int{}
+	kinds := map[plan.Kind]int{}
 	for _, r := range s.Provenance {
 		kinds[r.Kind]++
 	}
 	// 6 kernels isolated, 4 length-2 windows of the ring, 1 actual.
-	if kinds[KindIsolated] != 6 || kinds[KindWindow] != 4 || kinds[KindActual] != 1 {
+	if kinds[plan.KindIsolated] != 6 || kinds[plan.KindWindow] != 4 || kinds[plan.KindActual] != 1 {
 		t.Errorf("provenance kinds = %v", kinds)
 	}
 	last := s.Provenance[len(s.Provenance)-1]
-	if last.Kind != KindActual || last.Seconds != s.Actual || len(last.Raw) != 3 {
+	if last.Kind != plan.KindActual || last.Seconds != s.Actual || len(last.Raw) != 3 {
 		t.Errorf("actual record = %+v, want median of 3 raw runs (%v)", last, s.Actual)
 	}
 	for _, r := range s.Provenance {
 		switch r.Kind {
-		case KindIsolated:
+		case plan.KindIsolated:
 			if s.Measurements.Isolated[r.Key] != r.Seconds {
 				t.Errorf("isolated %s: provenance %v != measurement %v", r.Key, r.Seconds, s.Measurements.Isolated[r.Key])
 			}
-		case KindWindow:
+		case plan.KindWindow:
 			if s.Measurements.Window[r.Key] != r.Seconds {
 				t.Errorf("window %s: provenance %v != measurement %v", r.Key, r.Seconds, s.Measurements.Window[r.Key])
 			}

@@ -109,7 +109,7 @@ func renderHealth(h StudyHealth) string {
 	if len(h.Retries) > 0 {
 		t := stats.NewTable("Retries", "Measurement", "Kind", "Attempt", "Error")
 		for _, r := range h.Retries {
-			t.AddRow(r.Key, r.Kind, fmt.Sprint(r.Attempt), firstLine(r.Err))
+			t.AddRow(r.Key, string(r.Kind), fmt.Sprint(r.Attempt), firstLine(r.Err))
 		}
 		b.WriteString(t.String())
 	}

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/timing"
 )
 
@@ -40,14 +41,12 @@ type World struct {
 	deadline time.Duration // zero means no receive timeout
 
 	// obs, when non-nil, receives metrics and spans for every runtime
-	// operation; phases holds each world rank's current phase label
-	// (the executing kernel) for per-kernel attribution, and phaseStart
-	// when that rank entered it (written only by the rank itself, in
-	// SetPhase). All are nil on unobserved worlds, costing one nil check
-	// per operation.
-	obs        *Observer
-	phases     []atomic.Value
-	phaseStart []time.Time
+	// operation; phases holds each world rank's current phase label (the
+	// executing kernel) for per-kernel attribution, written and read only
+	// by that rank. Both are nil on unobserved worlds, costing one nil
+	// check per operation.
+	obs    *Observer
+	phases []string
 
 	// inj, when non-nil, injects faults (delays, drops, crashes) into
 	// every runtime operation; nil on healthy worlds, costing one nil
@@ -152,9 +151,7 @@ func NewWorld(n int, opts ...Option) *World {
 		o(w)
 	}
 	if w.obs != nil {
-		//kcvet:ignore atomicmix pre-publication init: no rank goroutine exists until Launch, so nothing races the assignment
-		w.phases = make([]atomic.Value, n)
-		w.phaseStart = make([]time.Time, n)
+		w.phases = make([]string, n)
 	}
 	return w
 }
@@ -278,10 +275,23 @@ func (c *Comm) Size() int { return len(c.group) }
 // WorldRank returns the caller's rank in the world communicator.
 func (c *Comm) WorldRank() int { return c.group[c.rank] }
 
-// Wtime returns the current reading of the wall clock; it mirrors
-// MPI_Wtime and exists so benchmark kernels read time through the same
-// façade they communicate through.
-func (c *Comm) Wtime() time.Time { return timing.WallClock.Now() }
+// Wtime reads the world's clock, mirroring MPI_Wtime. It is the one rule
+// for that clock — the attached trace's, the wall clock without one — so
+// the MPI spans and the measurement layer's stamps are one instrument's.
+func (c *Comm) Wtime() time.Time {
+	if tr := c.Trace(); tr != nil {
+		return tr.Now()
+	}
+	return timing.WallClock.Now()
+}
+
+// Trace returns the trace the world's observer carries, nil without one.
+func (c *Comm) Trace() *obs.Trace {
+	if ob := c.world.obs; ob != nil {
+		return ob.trace
+	}
+	return nil
+}
 
 func (c *Comm) worldOf(commRank int) int {
 	if commRank < 0 || commRank >= len(c.group) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/timing"
 )
 
 // collectiveOps is the fixed set of collective operations the runtime
@@ -36,8 +35,8 @@ type kernelMetrics struct {
 
 // Observer sinks the runtime's observability signal: counters and
 // histograms into an obs.Registry, and — when it carries an obs.Trace —
-// one span per MPI operation and one per kernel execution (the latter at
-// the Comm.SetPhase seam). One Observer may be shared by many Worlds (a
+// one span per MPI operation (the kernel spans beside them are the
+// measurement layer's). One Observer may be shared by many Worlds (a
 // measurement campaign spawns a world per timed window), accumulating
 // across them. All methods are safe for concurrent ranks.
 //
@@ -80,8 +79,8 @@ type Observer struct {
 
 // NewObserver returns an observer writing metrics into reg (a fresh
 // registry when nil) and spans into tr (span recording disabled when
-// nil). It reads tr's clock — spans and wait-time metrics are one
-// reading — and the wall clock without one.
+// nil). A world it observes reads tr's clock (Comm.Wtime), so spans and
+// wait-time metrics are one reading.
 func NewObserver(reg *obs.Registry, tr *obs.Trace) *Observer {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -113,14 +112,6 @@ func NewObserver(reg *obs.Registry, tr *obs.Trace) *Observer {
 
 // Registry returns the observer's metric registry.
 func (o *Observer) Registry() *obs.Registry { return o.reg }
-
-// now reads the trace's clock, the wall clock without one.
-func (o *Observer) now() time.Time {
-	if o.trace != nil {
-		return o.trace.Now()
-	}
-	return timing.WallClock.Now()
-}
 
 // kernel resolves (lazily creating) the per-kernel attribution handles.
 func (o *Observer) kernel(name string) *kernelMetrics {
@@ -238,43 +229,19 @@ func (c *Comm) beginCollective(op string, bytes int) func() {
 		return noopEnd
 	}
 	rank := c.group[c.rank]
-	start := ob.now()
+	start := c.Wtime()
 	return func() {
-		ob.observeCollective(rank, op, bytes, start, ob.now().Sub(start))
+		ob.observeCollective(rank, op, bytes, start, c.Wtime().Sub(start))
 	}
 }
 
 // SetPhase labels the calling rank's subsequent communication with a
 // phase name — the measurement layer sets the executing kernel's name
 // before every RunKernel so per-kernel communication breakdowns can be
-// reported. An empty name clears the label. With a trace attached this is
-// also where a kernel execution is recorded: leaving a named phase closes
-// that kernel's span, on the clock the MPI spans inside it were read
-// from. SetPhase is a no-op on an unobserved world.
+// reported. An empty name clears the label. It reads no clock, and is a
+// no-op on an unobserved world.
 func (c *Comm) SetPhase(name string) {
-	w := c.world
-	if w.phases == nil {
-		return
+	if w := c.world; w.phases != nil {
+		w.phases[c.group[c.rank]] = name
 	}
-	rank := c.group[c.rank]
-	if tr := w.obs.trace; tr != nil {
-		now := tr.Now()
-		if prev := c.phase(); prev != "" {
-			since := w.phaseStart[rank]
-			tr.Record(since, obs.Span{Track: obs.TrackKernels, Rank: rank, Name: prev, Elapsed: now.Sub(since)})
-		}
-		w.phaseStart[rank] = now
-	}
-	w.phases[rank].Store(name)
-}
-
-// phase returns the calling rank's current phase label.
-func (c *Comm) phase() string {
-	if c.world.phases == nil {
-		return ""
-	}
-	if s, ok := c.world.phases[c.group[c.rank]].Load().(string); ok {
-		return s
-	}
-	return ""
 }

@@ -191,60 +191,3 @@ func TestObserverSharedAcrossWorlds(t *testing.T) {
 		t.Errorf("barrier.count = %d, want 6 accumulated across 3 worlds", c.Value)
 	}
 }
-
-// TestObserverKernelSpansAtSetPhase: with a trace attached, SetPhase is
-// where a kernel execution is recorded — one span per named phase on the
-// rank's kernels track, closed by the next SetPhase, enclosing the MPI
-// spans the rank recorded in between because both come off the trace's
-// clock. Without a trace the seam only labels traffic.
-func TestObserverKernelSpansAtSetPhase(t *testing.T) {
-	_, spans := observedRun(t, 2, true, func(c *Comm) {
-		c.SetPhase("COPY_FACES")
-		if c.Rank() == 0 {
-			c.Send(1, 3, []float64{1, 2})
-		} else {
-			c.Recv(0, 3, make([]float64, 2))
-		}
-		c.SetPhase("ADD") // closes COPY_FACES, opens ADD
-		c.Barrier()
-		c.SetPhase("") // closes ADD, opens nothing
-		c.Barrier()    // outside every kernel
-	})
-	kernels := map[[2]any]obs.Span{}
-	for _, s := range spans {
-		if s.Track == obs.TrackKernels {
-			if s.Parent != -1 || s.Elapsed < 0 {
-				t.Errorf("kernel span = %+v", s)
-			}
-			kernels[[2]any{s.Rank, s.Name}] = s
-		}
-	}
-	if len(kernels) != 4 {
-		t.Fatalf("kernel spans = %v, want COPY_FACES and ADD on both ranks", kernels)
-	}
-	within := func(in, out obs.Span) bool {
-		return in.Start >= out.Start && in.Start+in.Elapsed <= out.Start+out.Elapsed
-	}
-	var barriers [2]int
-	for _, s := range spans {
-		if s.Track != obs.TrackMPI {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(s.Detail, "tag=3"): // the halo exchange; barriers move messages too
-			if k := kernels[[2]any{s.Rank, "COPY_FACES"}]; !within(s, k) {
-				t.Errorf("rank %d %s %+v escapes its kernel %+v", s.Rank, s.Name, s, k)
-			}
-		case s.Name == "barrier":
-			barriers[s.Rank]++
-			inAdd := within(s, kernels[[2]any{s.Rank, "ADD"}])
-			if first := barriers[s.Rank] == 1; inAdd != first {
-				t.Errorf("rank %d barrier %d inside ADD = %v", s.Rank, barriers[s.Rank], inAdd)
-			}
-		}
-	}
-
-	if _, none := observedRun(t, 1, false, func(c *Comm) { c.SetPhase("K"); c.SetPhase("") }); none != nil {
-		t.Errorf("metrics-only observer recorded spans: %v", none)
-	}
-}

@@ -222,7 +222,7 @@ func (c *Comm) send(dest, tag int, buf []float64) {
 	ob := c.world.obs
 	var start time.Time
 	if ob != nil {
-		start = ob.now()
+		start = c.Wtime()
 	}
 	wdest := c.worldOf(dest)
 	m := message{src: c.rank, tag: tag, ctx: c.ctx, payload: c.world.getBuf(len(buf))}
@@ -239,7 +239,7 @@ func (c *Comm) send(dest, tag int, buf []float64) {
 	}
 	c.world.boxes[wdest].put(m)
 	if ob != nil {
-		ob.observeSend(c.group[c.rank], c.phase(), dest, tag, bytes, start, ob.now().Sub(start))
+		ob.observeSend(c.group[c.rank], c.world.phases[c.group[c.rank]], dest, tag, bytes, start, c.Wtime().Sub(start))
 	}
 }
 
@@ -271,16 +271,16 @@ func (c *Comm) recv(src, tag int, buf []float64) {
 			waitUntil(m.deliverAt)
 		}
 	} else {
-		start := ob.now()
+		start := c.Wtime()
 		var depth int
 		m, depth = c.world.boxes[wself].take(src, tag, c.ctx, c.world.deadline)
-		matched := ob.now()
+		matched := c.Wtime()
 		transfer := time.Duration(0)
 		if !m.deliverAt.IsZero() {
 			waitUntil(m.deliverAt)
-			transfer = ob.now().Sub(matched)
+			transfer = c.Wtime().Sub(matched)
 		}
-		ob.observeRecv(wself, c.phase(), m.src, m.tag, 8*len(m.f64), depth, start, matched.Sub(start), transfer)
+		ob.observeRecv(wself, c.world.phases[wself], m.src, m.tag, 8*len(m.f64), depth, start, matched.Sub(start), transfer)
 	}
 	if len(m.f64) > len(buf) {
 		panic(fmt.Sprintf("mpi: Recv buffer too small: need %d float64s, have %d", len(m.f64), len(buf)))

@@ -7,11 +7,12 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/timing"
 )
 
 // quiesce readies a world's rank 0 to time its regions: it records where
-// the world got its rank state and returns the GC-cycle query timed reads.
+// the world got its rank state and gives r the GC-cycle query timed reads.
 // In a world that built its rank state it first runs a garbage collection,
 // so that the heap pressure set-up accumulated (fields, factor tables,
 // snapshots: megabytes a rank) is unlikely to force a collection inside a
@@ -19,17 +20,17 @@ import (
 // started. A world that rebound an idle set allocated no fields and collects
 // nothing: a forced collection marks the process's whole live heap — a
 // server's cache included — and WorldStats.GCOverlapped counts what it used
-// to promise. The other ranks get nil and wait for rank 0 at the first
+// to promise. The other ranks get no query and wait for rank 0 at the first
 // region's lead barrier.
-func quiesce(c *mpi.Comm, fresh bool, world *WorldStats) []metrics.Sample {
+func quiesce(c *mpi.Comm, fresh bool, world *WorldStats, r *stamps) {
 	if c.Rank() != 0 {
-		return nil
+		return
 	}
 	world.Recycled = !fresh
 	if fresh {
 		runtime.GC()
 	}
-	return []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	r.gc = []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 }
 
 // gcCycles returns how many garbage-collection cycles the process has
@@ -40,33 +41,57 @@ func gcCycles(s []metrics.Sample) uint64 {
 	return s[0].Value.Uint64()
 }
 
+// stamps is one rank's record of the boundaries it passed, kept on the
+// rank's stack for the world's life: nothing in it is allocated in a region.
+type stamps struct {
+	c          *mpi.Comm
+	start, end time.Time        // the current timed region's edges
+	kernel     string           // the running kernel, "" between kernels
+	entry      time.Time        // when it was entered
+	gc         []metrics.Sample // rank 0's GC-cycle query (quiesce), else nil
+	gc0, gc1   uint64           // its readings before start and after end
+}
+
+// stamp is the measurement layer's one clock read: it reads the world's
+// clock (Comm.Wtime) once at a boundary and returns the reading. It closes
+// the running kernel, recording its span when a trace is attached, and
+// enters next: a kernel, or "" at the last kernel's exit and at a timed
+// region's edges, where no kernel runs.
+//
+//kcvet:hotpath every kernel boundary and region edge of every timed region is stamped here
+func (r *stamps) stamp(next string) time.Time {
+	now := r.c.Wtime()
+	if tr := r.c.Trace(); tr != nil && r.kernel != "" {
+		tr.Record(r.entry, obs.Span{Track: obs.TrackKernels, Rank: r.c.WorldRank(), Name: r.kernel, Elapsed: now.Sub(r.entry)})
+	}
+	r.kernel, r.entry = next, now
+	return now
+}
+
 // timed runs body on every rank as one timed region — the one rule by
 // which every window block and every full run is timed: a lead barrier,
-// rank 0's clock stamp and GC-cycle read, body, a closing barrier so the
-// slowest rank defines parallel time, rank 0's stamp and GC check. Rank 0
-// is the only stamper; it gets the region's wall-clock seconds and counts
-// a collection that completed inside it in world. The other ranks get 0.
-// gc is quiesce's query.
+// rank 0's GC-cycle read, the start stamp, body, a closing barrier so the
+// slowest rank defines parallel time, the end stamp, rank 0's GC check.
+// Rank 0 gets the region's seconds off its stamps and counts a collection
+// that completed inside the region in world; the other ranks get 0.
 //
 //kcvet:hotpath every window block and every full run is timed here
-func timed(c *mpi.Comm, gc []metrics.Sample, world *WorldStats, body func()) float64 {
+func timed(c *mpi.Comm, r *stamps, world *WorldStats, body func()) float64 {
 	c.Barrier()
-	var t0 time.Time
-	var gc0 uint64
-	if c.Rank() == 0 {
-		gc0 = gcCycles(gc)
-		t0 = c.Wtime()
+	if r.gc != nil {
+		r.gc0 = gcCycles(r.gc)
 	}
+	r.start = r.stamp("")
 	body()
 	c.Barrier()
+	r.end = r.stamp("")
 	if c.Rank() != 0 {
 		return 0
 	}
-	secs := c.Wtime().Sub(t0).Seconds()
-	if gcCycles(gc) != gc0 {
+	if r.gc1 = gcCycles(r.gc); r.gc1 != r.gc0 {
 		world.GCOverlapped++
 	}
-	return secs
+	return r.end.Sub(r.start).Seconds()
 }
 
 // WorldStats says where the world behind a measurement got its rank state
@@ -91,15 +116,17 @@ type MeasureOptions struct {
 }
 
 // runKernels executes the named kernels on this rank in order, each under
-// its phase label; a kernel error fails the rank.
-func runKernels(c *mpi.Comm, ks KernelSet, names []string) {
+// its phase label from its entry stamp on; a kernel error fails the rank.
+//
+//kcvet:hotpath every kernel of every timed region is entered here
+func runKernels(c *mpi.Comm, ks KernelSet, names []string, r *stamps) {
 	for _, k := range names {
 		c.SetPhase(k)
+		r.stamp(k)
 		if err := ks.RunKernel(k); err != nil {
 			panic(fmt.Sprintf("npb: rank %d kernel %s: %v", c.Rank(), k, err))
 		}
 	}
-	c.SetPhase("")
 }
 
 // MeasureWindowDetail runs a world of the factory, and times Blocks×Passes
@@ -117,24 +144,21 @@ func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o Measu
 	var res timing.Result
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
+		st := stamps{c: c}
 		// One untimed warmup pass: the first execution after setup pays
 		// cold-cache and lazy-allocation costs that belong to neither
 		// the kernel nor its couplings. It is also what puts a recycled
 		// world's caches in the state a built one's are in.
-		runKernels(c, ks, window)
+		runApp(c, ks, nil, window, 1, nil, &st)
 		ks.Refresh()
-		gc := quiesce(c, fresh, &world)
+		quiesce(c, fresh, &world, &st)
 		// Every rank runs the loop, so every rank takes part in each
 		// block's region; only rank 0's stamps, and so its result, count.
 		r := p.Time(func(b, passes int) float64 {
 			if b > 0 {
 				ks.Refresh()
 			}
-			return timed(c, gc, &world, func() {
-				for i := 0; i < passes; i++ {
-					runKernels(c, ks, window)
-				}
-			})
+			return timed(c, &st, &world, func() { runApp(c, ks, nil, window, passes, nil, &st) })
 		})
 		if c.Rank() == 0 {
 			res = r
@@ -146,14 +170,17 @@ func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o Measu
 	return res, world, nil
 }
 
-// runApp executes a complete application on this rank: pre-kernels, trips
-// passes through the loop ring, post-kernels.
-func runApp(c *mpi.Comm, ks KernelSet, pre, loop []string, trips int, post []string) {
-	runKernels(c, ks, pre)
+// runApp executes an application on this rank — pre-kernels, trips passes
+// through the loop ring (a window's passes have no pre or post),
+// post-kernels — then stamps the last kernel's exit and clears its label.
+func runApp(c *mpi.Comm, ks KernelSet, pre, loop []string, trips int, post []string, r *stamps) {
+	runKernels(c, ks, pre, r)
 	for it := 0; it < trips; it++ {
-		runKernels(c, ks, loop)
+		runKernels(c, ks, loop, r)
 	}
-	runKernels(c, ks, post)
+	runKernels(c, ks, post, r)
+	c.SetPhase("")
+	r.stamp("")
 }
 
 // MeasureFull times a complete application run — pre-kernels, trips passes
@@ -170,8 +197,9 @@ func MeasureFull(f *Factory, pre, loop []string, trips int, post []string, o Mea
 	var elapsed float64
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
-		gc := quiesce(c, fresh, &world)
-		secs := timed(c, gc, &world, func() { runApp(c, ks, pre, loop, trips, post) })
+		st := stamps{c: c}
+		quiesce(c, fresh, &world, &st)
+		secs := timed(c, &st, &world, func() { runApp(c, ks, pre, loop, trips, post, &st) })
 		if c.Rank() == 0 {
 			elapsed = secs
 		}
@@ -190,7 +218,8 @@ func MeasureFull(f *Factory, pre, loop []string, trips int, post []string, o Mea
 // keep it.
 func RunOnce(f *Factory, pre, loop []string, trips int, post []string, procs int, report func(KernelSet), worldOpts ...mpi.Option) error {
 	return f.Run(procs, func(c *mpi.Comm, ks KernelSet, _ bool) {
-		runApp(c, ks, pre, loop, trips, post)
+		st := stamps{c: c}
+		runApp(c, ks, pre, loop, trips, post, &st)
 		c.Barrier()
 		if c.Rank() == 0 && report != nil {
 			report(ks)

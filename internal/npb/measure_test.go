@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/timing"
 )
@@ -233,3 +234,174 @@ func (k exchangingKernels) RunKernel(string) error {
 }
 
 func (exchangingKernels) Refresh() {}
+
+// idleKernels is a KernelSet whose kernels do nothing.
+type idleKernels struct{}
+
+func (idleKernels) RunKernel(string) error { return nil }
+func (idleKernels) Refresh()               {}
+
+// steppingTrace returns a trace on a fake clock that steps by step at
+// every read, and options attaching it to a one-rank world, whose clock
+// reads then come in one fixed order.
+func steppingTrace(step time.Duration) (*obs.Trace, MeasureOptions) {
+	tr := obs.NewTrace(&timing.FakeClock{T: time.Unix(0, 0), Steps: []time.Duration{step}})
+	return tr, MeasureOptions{Procs: 1, WorldOpts: []mpi.Option{mpi.WithObserver(mpi.NewObserver(nil, tr))}}
+}
+
+// splitSpans returns a trace's kernel spans and its barrier spans, each in
+// record order.
+func splitSpans(tr *obs.Trace) (kernels, barriers []obs.Span) {
+	for _, s := range tr.Spans() {
+		switch {
+		case s.Track == obs.TrackKernels:
+			kernels = append(kernels, s)
+		case s.Track == obs.TrackMPI && s.Name == "barrier":
+			barriers = append(barriers, s)
+		}
+	}
+	return kernels, barriers
+}
+
+// TestStampSiteDoesNotAllocate pins the one stamp site. On a stepping
+// fake clock attached as the trace's clock, a timed region's seconds are
+// exactly the steps between its edges — one read per kernel entry, one at
+// the last kernel's exit, two for the closing barrier's span and one for
+// the end stamp — and every kernel span of a region lies between the
+// barriers that bracket it. Untraced, a region's stamps allocate nothing.
+func TestStampSiteDoesNotAllocate(t *testing.T) {
+	const step = time.Millisecond
+	f := NewFactory(func(*mpi.Comm) (KernelSet, error) { return idleKernels{}, nil })
+	inside := func(k, lead, closing obs.Span) bool {
+		return k.Start >= lead.Start+lead.Elapsed && k.Start+k.Elapsed <= closing.Start
+	}
+
+	tr, o := steppingTrace(step)
+	secs, _, err := MeasureFull(f, []string{"INIT"}, []string{"A", "B"}, 3, []string{"FINAL"}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (8 + 4) * step; secs != want.Seconds() { // 8 kernel entries
+		t.Errorf("full run = %v s, want %v", secs, want.Seconds())
+	}
+	kernels, barriers := splitSpans(tr)
+	if len(kernels) != 8 || len(barriers) != 2 {
+		t.Fatalf("full run traced %d kernels and %d barriers, want 8 and 2", len(kernels), len(barriers))
+	}
+	for _, k := range kernels {
+		if !inside(k, barriers[0], barriers[1]) {
+			t.Errorf("kernel span %+v outside the region %+v..%+v", k, barriers[0], barriers[1])
+		}
+	}
+
+	tr, o = steppingTrace(step)
+	res, _, err := MeasureWindowDetail(f, []string{"A", "B"}, timing.Protocol{Blocks: 3, Passes: 2}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPass := (4 + 4) * step.Seconds() / 2 // a block: 4 kernel entries
+	for b, s := range res.Raw {
+		if s != perPass {
+			t.Errorf("block %d = %v s a pass, want %v", b, s, perPass)
+		}
+	}
+	if res.Seconds != perPass {
+		t.Errorf("window = %v s, want %v", res.Seconds, perPass)
+	}
+	kernels, barriers = splitSpans(tr)
+	if len(kernels) != 2+3*4 || len(barriers) != 2*3 {
+		t.Fatalf("window traced %d kernels and %d barriers, want 14 and 6", len(kernels), len(barriers))
+	}
+	for i, k := range kernels[2:] { // after the untimed warm-up pass
+		if b := i / 4; !inside(k, barriers[2*b], barriers[2*b+1]) {
+			t.Errorf("block %d kernel span %+v outside its region", b, k)
+		}
+	}
+
+	err = mpi.Run(1, func(c *mpi.Comm) {
+		var world WorldStats
+		st := stamps{c: c}
+		quiesce(c, false, &world, &st)
+		body := func() { runApp(c, idleKernels{}, []string{"INIT"}, []string{"A", "B"}, 3, []string{"FINAL"}, &st) }
+		if n := testing.AllocsPerRun(100, func() { timed(c, &st, &world, body) }); n != 0 {
+			t.Errorf("an untraced region allocates %v times, want 0", n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKernelSpansEncloseTheirMPISpans: with a trace attached, the stamps
+// record one span per kernel execution on the rank's kernels track,
+// closed at the next kernel edge, enclosing the MPI spans the rank
+// recorded in between because both come off the world's clock. Without a
+// trace, SetPhase still labels the traffic.
+func TestKernelSpansEncloseTheirMPISpans(t *testing.T) {
+	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) { return haloThenBarrier{c: c}, nil })
+	tr := obs.NewTrace(nil)
+	// The barrier RunOnce ends with lies outside every kernel.
+	if err := RunOnce(f, nil, []string{"COPY_FACES", "ADD"}, 1, nil, 2, nil, mpi.WithObserver(mpi.NewObserver(nil, tr))); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	kernels := map[[2]any]obs.Span{}
+	for _, s := range spans {
+		if s.Track == obs.TrackKernels {
+			if s.Parent != -1 || s.Elapsed < 0 {
+				t.Errorf("kernel span = %+v", s)
+			}
+			kernels[[2]any{s.Rank, s.Name}] = s
+		}
+	}
+	if len(kernels) != 4 {
+		t.Fatalf("kernel spans = %v, want COPY_FACES and ADD on both ranks", kernels)
+	}
+	within := func(in, out obs.Span) bool {
+		return in.Start >= out.Start && in.Start+in.Elapsed <= out.Start+out.Elapsed
+	}
+	var barriers [2]int
+	for _, s := range spans {
+		if s.Track != obs.TrackMPI {
+			continue
+		}
+		switch {
+		case strings.HasSuffix(s.Detail, "tag=3"): // the halo exchange; barriers move messages too
+			if k := kernels[[2]any{s.Rank, "COPY_FACES"}]; !within(s, k) {
+				t.Errorf("rank %d %s %+v escapes its kernel %+v", s.Rank, s.Name, s, k)
+			}
+		case s.Name == "barrier":
+			barriers[s.Rank]++
+			inAdd := within(s, kernels[[2]any{s.Rank, "ADD"}])
+			if first := barriers[s.Rank] == 1; inAdd != first {
+				t.Errorf("rank %d barrier %d inside ADD = %v", s.Rank, barriers[s.Rank], inAdd)
+			}
+		}
+	}
+
+	ob := mpi.NewObserver(nil, nil)
+	if err := RunOnce(f, nil, []string{"COPY_FACES", "ADD"}, 1, nil, 2, nil, mpi.WithObserver(ob)); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := ob.Registry().Snapshot().Counter("mpi.kernel.COPY_FACES.send.count"); !ok || c.Value != 1 {
+		t.Errorf("untraced COPY_FACES send.count = %+v %v, want 1", c, ok)
+	}
+}
+
+// haloThenBarrier sends rank 0's halo to rank 1 in COPY_FACES and
+// synchronises in ADD.
+type haloThenBarrier struct{ c *mpi.Comm }
+
+func (k haloThenBarrier) RunKernel(name string) error {
+	switch {
+	case name == "ADD":
+		k.c.Barrier()
+	case k.c.Rank() == 0:
+		k.c.Send(1, 3, []float64{1, 2})
+	default:
+		k.c.Recv(0, 3, make([]float64, 2))
+	}
+	return nil
+}
+
+func (haloThenBarrier) Refresh() {}

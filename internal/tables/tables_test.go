@@ -216,7 +216,7 @@ func TestTrimAblationVariesOnlyTheAggregation(t *testing.T) {
 	var trims []float64
 	for _, ps := range res.Studies {
 		for _, r := range ps.Study.Provenance {
-			if r.Kind == string(plan.KindWindow) {
+			if r.Kind == plan.KindWindow {
 				trims = append(trims, r.TrimFrac)
 				break
 			}

@@ -3,8 +3,8 @@
 // trace summarized as per-kernel profiles or drawn as a per-rank ASCII
 // timeline (this file), and any groups of spans exported as one Chrome
 // trace-event document for Perfetto (traceevent.go). It records nothing
-// itself — kernel executions are timed by mpi.Observer at the
-// Comm.SetPhase seam — so every rendering here is a view over
+// itself — kernel executions are timed at the measurement layer's one
+// stamp site (package npb) — so every rendering here is a view over
 // []obs.Span.
 package trace
 

@@ -107,26 +107,24 @@ func TestStringProfileTable(t *testing.T) {
 }
 
 // TestInjectedClockDeterministicTrace pins the injected-clock contract at
-// the seam kernels are really recorded at: with a stepping fake clock on
-// the observer's trace, every recorded start and duration is exact, so
-// two runs of the same workload produce identical traces.
+// the seam kernels are really recorded at, the measurement layer's stamps:
+// with a stepping fake clock on the observer's trace, every recorded start
+// and duration is exact, so two runs of the same workload produce
+// identical traces.
 func TestInjectedClockDeterministicTrace(t *testing.T) {
 	step := time.Millisecond
+	f := npb.NewFactory(func(*mpi.Comm) (npb.KernelSet, error) { return idleKernels{}, nil })
 	run := func() []obs.Span {
 		tr := obs.NewTrace(&timing.FakeClock{T: time.Unix(0, 0), Steps: []time.Duration{step}})
-		err := mpi.Run(1, func(c *mpi.Comm) {
-			for _, k := range []string{"A", "B", ""} {
-				c.SetPhase(k)
-			}
-		}, mpi.WithObserver(mpi.NewObserver(nil, tr)))
+		err := npb.RunOnce(f, nil, []string{"A", "B"}, 1, nil, 1, nil, mpi.WithObserver(mpi.NewObserver(nil, tr)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return KernelView(tr.Spans())
 	}
 	ev := run()
-	// The epoch consumes one tick and each SetPhase one more: a kernel
-	// runs from its own mark to the next.
+	// The epoch consumes one tick and each kernel edge one more: a kernel
+	// runs from its own entry stamp to the next edge.
 	want := []obs.Span{
 		{Rank: 0, Name: "A", Start: 1 * step, Elapsed: step, Parent: -1},
 		{Rank: 0, Name: "B", Start: 2 * step, Elapsed: step, Parent: -1},
@@ -143,6 +141,12 @@ func TestInjectedClockDeterministicTrace(t *testing.T) {
 		}
 	}
 }
+
+// idleKernels is a KernelSet whose kernels do nothing.
+type idleKernels struct{}
+
+func (idleKernels) RunKernel(string) error { return nil }
+func (idleKernels) Refresh()               {}
 
 func TestNilClockFallsBackToWall(t *testing.T) {
 	before := time.Now()
@@ -172,7 +176,7 @@ func TestConcurrentRecording(t *testing.T) {
 
 // TestObserverTracesBenchmarkRun: a real multi-rank BT run with nothing
 // but an observer attached yields one kernel span per RunKernel — the
-// factory is not wrapped, the drivers' SetPhase marks are the instrument.
+// factory is not wrapped, the measurement layer's stamps are the instrument.
 func TestObserverTracesBenchmarkRun(t *testing.T) {
 	cfg := bt.Config{Problem: npb.TinyProblem(8, 2), Procs: 4}
 	factory, err := bt.Factory(cfg)

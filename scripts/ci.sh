@@ -77,9 +77,10 @@ go test -run '^$' -fuzz FuzzQueryRoundTrip -fuzztime 10s -fuzzminimizetime 0s ./
 # halo exchange's multi-rank cases in npb.TestHaloDoesNotAllocate), the
 # allocation bound on a world that recycles its rank state and the warm
 # /predict allocation budgets (its render encoder is pooled) skip above
-# and run here, with the rank-state pool's tests beside them. So does the
-# from-cache study's allocation budget, which the race build's
-# instrumentation could move.
+# and run here, with the rank-state pool's tests beside them. So do the
+# from-cache study's allocation budget and the untraced timed region's
+# zero-allocation check (npb.TestStampSiteDoesNotAllocate), which the race
+# build's instrumentation could move.
 echo "==> go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs|FromCacheStudyAllocs' ./internal/mpi ./internal/npb/... ./internal/serve ./internal/harness"
 go test -run 'NotAllocate|Recycle|Pool|WarmPredictAllocs|FromCacheStudyAllocs' ./internal/mpi ./internal/npb/... ./internal/serve ./internal/harness
 
