@@ -18,7 +18,7 @@ func TestPairCoupling(t *testing.T) {
 
 func TestCouplingChain(t *testing.T) {
 	// Eq. 2 with a chain of three.
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["A"], m.Isolated["B"], m.Isolated["C"] = 1, 1, 1
 	m.Window["A|B|C"] = 3.3
 	wc, err := m.CouplingOf([]string{"A", "B", "C"})
@@ -31,7 +31,7 @@ func TestCouplingChain(t *testing.T) {
 }
 
 func TestCouplingErrors(t *testing.T) {
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["A"], m.Isolated["Z"] = 1, 0
 	m.Window[""] = 1
 	if _, err := m.CouplingOf(nil); err == nil {

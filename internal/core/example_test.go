@@ -36,7 +36,7 @@ func ExampleApp_CouplingPrediction() {
 		Loop:  core.Ring{"COMPUTE", "EXCHANGE"},
 		Trips: 100,
 	}
-	m := core.NewMeasurements()
+	m := core.Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["COMPUTE"] = 0.010
 	m.Isolated["EXCHANGE"] = 0.002
 	m.Window["COMPUTE|EXCHANGE"] = 0.0138 // destructive: 0.012 expected

@@ -46,14 +46,6 @@ type Measurements struct {
 	Window   map[string]float64
 }
 
-// NewMeasurements returns an empty measurement set ready to fill.
-func NewMeasurements() Measurements {
-	return Measurements{
-		Isolated: make(map[string]float64),
-		Window:   make(map[string]float64),
-	}
-}
-
 // isolatedSum returns a window's no-interaction expectation — the sum
 // of its kernels' isolated times — summed as it gathers them.
 func (m Measurements) isolatedSum(window []string) (float64, error) {

@@ -12,7 +12,7 @@ import (
 // chain length L.
 func fourKernelMeasurements(t *testing.T, iso map[string]float64, windows map[string]float64) Measurements {
 	t.Helper()
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	for k, v := range iso {
 		m.Isolated[k] = v
 	}
@@ -94,7 +94,7 @@ func TestCoefficientsMatchPaperChainOfThreeFormulas(t *testing.T) {
 
 func TestCoefficientsLengthOneAreUnity(t *testing.T) {
 	ring := Ring{"A", "B", "C"}
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["A"], m.Isolated["B"], m.Isolated["C"] = 1, 2, 3
 	coeffs, _, err := coefficients(ring, 1, m, CoefficientOptions{})
 	if err != nil {
@@ -109,7 +109,7 @@ func TestCoefficientsLengthOneAreUnity(t *testing.T) {
 
 func TestCoefficientsUnweightedOption(t *testing.T) {
 	ring := Ring{"A", "B"}
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["A"], m.Isolated["B"] = 1, 1
 	// Full-ring window (L=2=N): single window, so weighting is moot, use
 	// a 3-ring to see the difference.
@@ -137,7 +137,7 @@ func TestCoefficientsUnweightedOption(t *testing.T) {
 
 func TestCoefficientsMissingMeasurement(t *testing.T) {
 	ring := Ring{"A", "B"}
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["A"] = 1 // B missing
 	if _, _, err := coefficients(ring, 2, m, CoefficientOptions{}); err == nil {
 		t.Error("missing isolated measurement should fail")
@@ -160,7 +160,7 @@ func appForTest() App {
 }
 
 func measurementsForApp(win map[string]float64) Measurements {
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["INIT"] = 5
 	m.Isolated["FINAL"] = 3
 	m.Isolated["A"], m.Isolated["B"], m.Isolated["C"], m.Isolated["D"] = 1, 2, 0.5, 1.5
@@ -255,7 +255,7 @@ func TestCoefficientsAreConvexCombinations(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ring := Ring{"A", "B", "C", "D", "E"}
-		m := NewMeasurements()
+		m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 		for _, k := range ring {
 			m.Isolated[k] = 0.5 + rng.Float64()
 		}
@@ -347,7 +347,7 @@ func TestKernelsSorted(t *testing.T) {
 }
 
 func TestCouplingOfReportsExpected(t *testing.T) {
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["A"], m.Isolated["B"] = 1, 3
 	m.Window["A|B"] = 3.6
 	wc, err := m.CouplingOf([]string{"A", "B"})
@@ -368,7 +368,7 @@ func TestCoefficientsScaleInvariantProperty(t *testing.T) {
 		lambda := 0.1 + 10*rng.Float64()
 		ring := Ring{"A", "B", "C", "D"}
 		app := App{Name: "scale", Loop: ring, Trips: 7}
-		m := NewMeasurements()
+		m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 		for _, k := range ring {
 			m.Isolated[k] = 0.5 + rng.Float64()
 		}
@@ -380,7 +380,7 @@ func TestCoefficientsScaleInvariantProperty(t *testing.T) {
 			}
 			m.Window[Key(w)] = sum * (0.7 + 0.6*rng.Float64())
 		}
-		scaled := NewMeasurements()
+		scaled := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 		for k, v := range m.Isolated {
 			scaled.Isolated[k] = lambda * v
 		}
@@ -414,7 +414,7 @@ func TestCouplingPredictionMatchesManualFourKernelExpansion(t *testing.T) {
 	// δ·E_D with the paper's pairwise coefficient formulas, computed by
 	// hand and compared against the library end to end.
 	app := App{Name: "paper", Loop: Ring{"A", "B", "C", "D"}, Trips: 1}
-	m := NewMeasurements()
+	m := Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	m.Isolated["A"], m.Isolated["B"], m.Isolated["C"], m.Isolated["D"] = 2, 3, 4, 5
 	m.Window["A|B"] = 4.5 // C=0.9
 	m.Window["B|C"] = 7.7 // C=1.1

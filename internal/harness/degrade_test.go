@@ -253,7 +253,7 @@ func TestDegradeIsZeroCostWhenClean(t *testing.T) {
 // it, else to summation.
 func TestDegradeFullRingExpectsOneWindow(t *testing.T) {
 	app := core.App{Name: "toy", Pre: []string{"INIT"}, Loop: core.Ring{"A", "B", "C", "D"}, Post: []string{"FINAL"}, Trips: 10}
-	m := core.NewMeasurements()
+	m := core.Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	for k, v := range map[string]float64{"INIT": 2, "FINAL": 1, "A": 1, "B": 2, "C": 0.5, "D": 1.5} {
 		m.Isolated[k] = v
 	}
@@ -304,7 +304,7 @@ func TestDegradeFullRingExpectsOneWindow(t *testing.T) {
 // to summation, not to the shorter-chain pool that holds it.
 func TestDegradeZeroTimeWindowsFallToSummation(t *testing.T) {
 	app := core.App{Name: "toy", Loop: core.Ring{"A", "B", "C", "D"}, Trips: 10}
-	m := core.NewMeasurements()
+	m := core.Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	for k, v := range map[string]float64{"A": 1, "B": 2, "C": 0.5, "D": 1.5} {
 		m.Isolated[k] = v
 	}

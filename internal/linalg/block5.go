@@ -27,15 +27,6 @@ type Mat5 [25]float64
 // the NAS benchmarks.
 type Vec5 [5]float64
 
-// Identity5 returns the 5×5 identity.
-func Identity5() Mat5 {
-	var m Mat5
-	for i := 0; i < 5; i++ {
-		m[i*5+i] = 1
-	}
-	return m
-}
-
 // ErrZeroPivot is FactorLU's failure: a pivot underflowed or is NaN, which
 // signals a loss of the diagonal dominance the pivot-free elimination
 // relies on. It carries no position; the caller knows which block it
@@ -262,14 +253,4 @@ func SolveLUMat(m, b *Mat5) {
 	b[2] = (b[2] - u1*b[7] - u2*b[12] - u3*b[17] - u4*b[22]) / d
 	b[3] = (b[3] - u1*b[8] - u2*b[13] - u3*b[18] - u4*b[23]) / d
 	b[4] = (b[4] - u1*b[9] - u2*b[14] - u3*b[19] - u4*b[24]) / d
-}
-
-// MaxAbsDiffM returns the largest absolute elementwise difference between
-// two matrices; a convenience for tests.
-func MaxAbsDiffM(a, b *Mat5) float64 {
-	d := 0.0
-	for i := range a {
-		d = math.Max(d, math.Abs(a[i]-b[i]))
-	}
-	return d
 }

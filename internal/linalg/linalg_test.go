@@ -8,6 +8,25 @@ import (
 	"testing"
 )
 
+// Identity5 returns the 5×5 identity.
+func Identity5() Mat5 {
+	var m Mat5
+	for i := 0; i < 5; i++ {
+		m[i*5+i] = 1
+	}
+	return m
+}
+
+// MaxAbsDiffM returns the largest absolute elementwise difference between
+// two matrices.
+func MaxAbsDiffM(a, b *Mat5) float64 {
+	d := 0.0
+	for i := range a {
+		d = math.Max(d, math.Abs(a[i]-b[i]))
+	}
+	return d
+}
+
 // randMat5 builds a random diagonally dominant 5×5 matrix so the
 // no-pivoting factorization is well conditioned, matching the structure of
 // the BT solver's blocks.

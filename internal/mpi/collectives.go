@@ -6,7 +6,8 @@ import "fmt"
 // It uses the dissemination algorithm: ceil(log2 n) rounds of paired
 // send/receive, correct for any communicator size.
 func (c *Comm) Barrier() {
-	defer c.beginCollective("barrier", 0)()
+	start := c.beginCollective("barrier")
+	defer c.endCollective("barrier", 0, start)
 	n := len(c.group)
 	if n == 1 {
 		return
@@ -25,7 +26,8 @@ func (c *Comm) Barrier() {
 // On non-root ranks buf is overwritten with root's data; every rank must
 // pass a buffer of the same length.
 func (c *Comm) Bcast(root int, buf []float64) {
-	defer c.beginCollective("bcast", 8*len(buf))()
+	start := c.beginCollective("bcast")
+	defer c.endCollective("bcast", 8*len(buf), start)
 	n := len(c.group)
 	if n == 1 {
 		return
@@ -62,7 +64,8 @@ func (c *Comm) Bcast(root int, buf []float64) {
 // there). in and out must not alias. Every rank must pass equal-length in.
 // Allreduce is its only caller.
 func (c *Comm) reduce(root int, op Op, in []float64, out []float64) {
-	defer c.beginCollective("reduce", 8*len(in))()
+	start := c.beginCollective("reduce")
+	defer c.endCollective("reduce", 8*len(in), start)
 	n := len(c.group)
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("mpi: reduce root %d out of range [0,%d)", root, n))
@@ -105,7 +108,8 @@ func (c *Comm) reduce(root int, op Op, in []float64, out []float64) {
 // followed by a broadcast, which keeps the result bit-identical across
 // ranks (important for the NPB verification stages).
 func (c *Comm) Allreduce(op Op, in []float64, out []float64) {
-	defer c.beginCollective("allreduce", 8*len(in))()
+	start := c.beginCollective("allreduce")
+	defer c.endCollective("allreduce", 8*len(in), start)
 	if len(out) < len(in) {
 		panic("mpi: Allreduce output buffer too small")
 	}
@@ -125,7 +129,8 @@ func (c *Comm) AllreduceScalar(op Op, x float64) float64 {
 // ordered by rank: out[r*len(in) : (r+1)*len(in)] holds rank r's data.
 // out is ignored on non-root ranks. Split is its only caller.
 func (c *Comm) gather(root int, in []float64, out []float64) {
-	defer c.beginCollective("gather", 8*len(in))()
+	start := c.beginCollective("gather")
+	defer c.endCollective("gather", 8*len(in), start)
 	n := len(c.group)
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("mpi: gather root %d out of range [0,%d)", root, n))
@@ -154,7 +159,8 @@ func (c *Comm) gather(root int, in []float64, out []float64) {
 // pairwise shifted exchanges (plus the local copy), which cannot deadlock
 // because sends are eager.
 func (c *Comm) Alltoall(in []float64, out []float64) {
-	defer c.beginCollective("alltoall", 8*len(in))()
+	start := c.beginCollective("alltoall")
+	defer c.endCollective("alltoall", 8*len(in), start)
 	n := len(c.group)
 	if len(in)%n != 0 {
 		panic(fmt.Sprintf("mpi: Alltoall input length %d not divisible by communicator size %d", len(in), n))

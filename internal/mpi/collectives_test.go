@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+// Reduction operators beyond OpSum, which only the tests reduce with.
+var (
+	OpProd = Op{"prod", func(a, b float64) float64 { return a * b }}
+	OpMax  = Op{"max", math.Max}
+	OpMin  = Op{"min", math.Min}
+)
+
 // worldSizes covers odd, even, power-of-two and square sizes so the tree
 // and ring algorithms are exercised across their branch structure.
 var worldSizes = []int{1, 2, 3, 4, 5, 7, 8, 9, 16}

@@ -11,7 +11,8 @@ import (
 // A negative color returns nil for that rank (MPI_UNDEFINED), but the rank
 // still participates in the collective exchange that forms the groups.
 func (c *Comm) Split(color, key int) *Comm {
-	defer c.beginCollective("split", 0)()
+	start := c.beginCollective("split")
+	defer c.endCollective("split", 0, start)
 	n := len(c.group)
 
 	// Gather every rank's (color, key) on rank 0, decide the grouping and

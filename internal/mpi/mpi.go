@@ -41,12 +41,12 @@ type World struct {
 	deadline time.Duration // zero means no receive timeout
 
 	// obs, when non-nil, receives metrics and spans for every runtime
-	// operation; phases holds each world rank's current phase label (the
-	// executing kernel) for per-kernel attribution, written and read only
-	// by that rank. Both are nil on unobserved worlds, costing one nil
-	// check per operation.
+	// operation; phases holds each world rank's current phase (the
+	// executing kernel) as its resolved per-kernel handles, nil between
+	// kernels, written and read only by that rank (SetPhase). Both are nil
+	// on unobserved worlds, costing one nil check per operation.
 	obs    *Observer
-	phases []string
+	phases []*kernelMetrics
 
 	// inj, when non-nil, injects faults (delays, drops, crashes) into
 	// every runtime operation; nil on healthy worlds, costing one nil
@@ -151,7 +151,7 @@ func NewWorld(n int, opts ...Option) *World {
 		o(w)
 	}
 	if w.obs != nil {
-		w.phases = make([]string, n)
+		w.phases = make([]*kernelMetrics, n)
 	}
 	return w
 }

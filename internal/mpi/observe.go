@@ -145,13 +145,12 @@ func (o *Observer) kernel(name string) *kernelMetrics {
 }
 
 // observeSend records one point-to-point send of n payload bytes
-// attributed to the sender's current phase.
-func (o *Observer) observeSend(rank int, phase string, dest, tag, n int, start time.Time, elapsed time.Duration) {
+// attributed to the sender's current phase, km (nil outside a kernel).
+func (o *Observer) observeSend(rank int, km *kernelMetrics, dest, tag, n int, start time.Time, elapsed time.Duration) {
 	o.sendCount.Inc()
 	o.sendBytes.Add(int64(n))
 	o.msgBytes.Observe(int64(n))
-	if phase != "" {
-		km := o.kernel(phase)
+	if km != nil {
 		km.sendCount.Inc()
 		km.sendBytes.Add(int64(n))
 	}
@@ -163,8 +162,9 @@ func (o *Observer) observeSend(rank int, phase string, dest, tag, n int, start t
 
 // observeRecv records one completed receive: wait is the time blocked in
 // matching, transfer the net-model delivery delay, depth the pending
-// queue length when the match succeeded.
-func (o *Observer) observeRecv(rank int, phase string, src, tag, n, depth int, start time.Time, wait, transfer time.Duration) {
+// queue length when the match succeeded; km is the receiver's current
+// phase (nil outside a kernel).
+func (o *Observer) observeRecv(rank int, km *kernelMetrics, src, tag, n, depth int, start time.Time, wait, transfer time.Duration) {
 	o.recvCount.Inc()
 	o.recvBytes.Add(int64(n))
 	o.recvWait.Observe(int64(wait))
@@ -172,8 +172,7 @@ func (o *Observer) observeRecv(rank int, phase string, src, tag, n, depth int, s
 		o.recvTransfer.Observe(int64(transfer))
 	}
 	o.queueDepth.Observe(int64(depth))
-	if phase != "" {
-		km := o.kernel(phase)
+	if km != nil {
 		km.recvCount.Inc()
 		km.recvBytes.Add(int64(n))
 		km.recvWait.Add(int64(wait))
@@ -208,40 +207,49 @@ func WithObserver(o *Observer) Option {
 	return func(w *World) { w.obs = o }
 }
 
-// noopEnd is returned by beginCollective when the world is unobserved,
-// so the instrumented collectives need no conditional at their exits.
-var noopEnd = func() {}
-
-// beginCollective opens a collective span on the calling rank and
-// returns the closure that closes it. bytes is the payload size the op
-// moves per rank (0 for pure synchronization). It is also the fault
-// injection point for collective entries (straggler and collective
-// slowdown, rank crash), costing one nil check when no injector is
-// attached.
-func (c *Comm) beginCollective(op string, bytes int) func() {
+// beginCollective is every collective's entry: the fault injection point
+// for collective entries (straggler and collective slowdown, rank crash),
+// costing one nil check when no injector is attached, and on an observed
+// world the start of the calling rank's span. It returns the start
+// reading (zero when unobserved), which the collective hands to
+// endCollective at its exit.
+func (c *Comm) beginCollective(op string) time.Time {
 	if inj := c.world.inj; inj != nil {
 		if of := inj.Op(c.group[c.rank], op); of.Crash || of.Delay > 0 {
 			c.applyOpFault(c.group[c.rank], op, of)
 		}
 	}
-	ob := c.world.obs
-	if ob == nil {
-		return noopEnd
+	if c.world.obs == nil {
+		return time.Time{}
 	}
-	rank := c.group[c.rank]
-	start := c.Wtime()
-	return func() {
-		ob.observeCollective(rank, op, bytes, start, c.Wtime().Sub(start))
+	return c.Wtime()
+}
+
+// endCollective closes the span beginCollective opened at start. bytes is
+// the payload size the op moves per rank (0 for pure synchronization). It
+// costs one nil check on an unobserved world.
+func (c *Comm) endCollective(op string, bytes int, start time.Time) {
+	if ob := c.world.obs; ob != nil {
+		ob.observeCollective(c.group[c.rank], op, bytes, start, c.Wtime().Sub(start))
 	}
 }
 
 // SetPhase labels the calling rank's subsequent communication with a
 // phase name — the measurement layer sets the executing kernel's name
 // before every RunKernel so per-kernel communication breakdowns can be
-// reported. An empty name clears the label. It reads no clock, and is a
-// no-op on an unobserved world.
+// reported. An empty name clears the label. The phase's metric handles
+// are resolved here, once per kernel edge, so a message pays no lookup.
+// It reads no clock, and is a no-op on an unobserved world.
+//
+//kcvet:hotpath every kernel edge of every timed region sets its phase here
 func (c *Comm) SetPhase(name string) {
-	if w := c.world; w.phases != nil {
-		w.phases[c.group[c.rank]] = name
+	w := c.world
+	if w.obs == nil {
+		return
 	}
+	var km *kernelMetrics
+	if name != "" {
+		km = w.obs.kernel(name)
+	}
+	w.phases[c.group[c.rank]] = km
 }

@@ -2,7 +2,6 @@ package npb
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/metrics"
 	"time"
 
@@ -13,23 +12,18 @@ import (
 
 // quiesce readies a world's rank 0 to time its regions: it records where
 // the world got its rank state and gives r the GC-cycle query timed reads.
-// In a world that built its rank state it first runs a garbage collection,
-// so that the heap pressure set-up accumulated (fields, factor tables,
-// snapshots: megabytes a rank) is unlikely to force a collection inside a
-// region; runtime.GC also waits out a cycle those allocations already
-// started. A world that rebound an idle set allocated no fields and collects
-// nothing: a forced collection marks the process's whole live heap — a
-// server's cache included — and WorldStats.GCOverlapped counts what it used
-// to promise. The other ranks get no query and wait for rank 0 at the first
-// region's lead barrier.
+// A built world is readied exactly as a recycled one. It forces no
+// collection: runtime.GC marks the process's whole live heap — a server's
+// cache and every pooled configuration included — and the process is not
+// the measurement's to collect. A collection that completes inside a timed
+// region is counted there instead (WorldStats.GCOverlapped). The other
+// ranks get no query and wait for rank 0 at the first region's lead
+// barrier.
 func quiesce(c *mpi.Comm, fresh bool, world *WorldStats, r *stamps) {
 	if c.Rank() != 0 {
 		return
 	}
 	world.Recycled = !fresh
-	if fresh {
-		runtime.GC()
-	}
 	r.gc = []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 }
 

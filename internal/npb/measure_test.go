@@ -3,6 +3,7 @@ package npb
 import (
 	"errors"
 	"math"
+	"runtime/metrics"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -329,6 +330,37 @@ func TestStampSiteDoesNotAllocate(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuiltWorldForcesNoCollection: a world that builds its rank state is
+// readied as a recycled one is. It used to run runtime.GC before its first
+// timed region, a mark of the process's whole live heap — a server's cache
+// and pooled configurations included — on every cold configuration.
+func TestBuiltWorldForcesNoCollection(t *testing.T) {
+	forced := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+	read := func() uint64 {
+		metrics.Read(forced)
+		return forced[0].Value.Uint64()
+	}
+	built := func() *Factory {
+		return NewFactory(func(*mpi.Comm) (KernelSet, error) { return idleKernels{}, nil })
+	}
+	o := MeasureOptions{Procs: 4}
+	before := read()
+	_, window, err := MeasureWindowDetail(built(), []string{"A", "B"}, timing.Protocol{Blocks: 2, Passes: 1}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, full, err := MeasureFull(built(), []string{"INIT"}, []string{"A", "B"}, 2, []string{"FINAL"}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if window.Recycled || full.Recycled {
+		t.Fatalf("recycled = %v, %v; want two built worlds", window.Recycled, full.Recycled)
+	}
+	if n := read() - before; n != 0 {
+		t.Errorf("two built worlds forced %d collections, want 0", n)
 	}
 }
 

@@ -215,7 +215,7 @@ func TestReuseErrors(t *testing.T) {
 	}
 
 	dead := *ref
-	dead.Measurements = core.NewMeasurements()
+	dead.Measurements = core.Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	for k, v := range ref.Measurements.Isolated {
 		dead.Measurements.Isolated[k] = v
 	}
@@ -228,7 +228,7 @@ func TestReuseErrors(t *testing.T) {
 	}
 
 	short := *target
-	short.Measurements = core.NewMeasurements()
+	short.Measurements = core.Measurements{Isolated: map[string]float64{}, Window: map[string]float64{}}
 	for k, v := range target.Measurements.Isolated {
 		if k != "B" {
 			short.Measurements.Isolated[k] = v

@@ -73,7 +73,8 @@ echo "==> go test -run '^\$' -fuzz FuzzQueryRoundTrip -fuzztime 10s -fuzzminimiz
 go test -run '^$' -fuzz FuzzQueryRoundTrip -fuzztime 10s -fuzzminimizetime 0s ./internal/serve
 
 # sync.Pool drops Puts under -race, so the zero-allocation assertions over
-# pooled message paths (mpi round trips, the 4-rank kernels, the shared
+# pooled message paths (mpi round trips on an unobserved and on a
+# metrics-only observed world, the 4-rank kernels, the shared
 # halo exchange's multi-rank cases in npb.TestHaloDoesNotAllocate), the
 # allocation bound on a world that recycles its rank state and the warm
 # /predict allocation budgets (its render encoder is pooled) skip above
