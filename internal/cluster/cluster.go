@@ -211,9 +211,6 @@ func metricSafe(addr string) string {
 	}, addr)
 }
 
-// Self returns this node's own address.
-func (c *Cluster) Self() string { return c.self }
-
 // Nodes returns the fleet's sorted member list.
 func (c *Cluster) Nodes() []string { return c.ring.Nodes() }
 
@@ -346,9 +343,6 @@ func (c *Cluster) Replicate(key string, pr predict.Prediction) {
 	c.replicas.put(key, pr)
 	c.replicaStore.Inc()
 }
-
-// ReplicaLen reports the replica count (tests, /metrics gauges).
-func (c *Cluster) ReplicaLen() int { return c.replicas.len() }
 
 // Breaker returns the breaker guarding one peer (nil for self or an
 // unknown node) — an observation hook for tests and drills.

@@ -28,8 +28,22 @@ func TestNewValidatesSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Self() != "a:1" || len(c.Nodes()) != 2 {
-		t.Errorf("Self=%q Nodes=%v", c.Self(), c.Nodes())
+	if len(c.Nodes()) != 2 {
+		t.Errorf("Nodes=%v", c.Nodes())
+	}
+	// Self is a:1: the keys a:1 owns resolve locally, and only those.
+	local := 0
+	for i := 0; i < 32; i++ {
+		node, self := c.Owner(fmt.Sprint("k", i))
+		if self != (node == "a:1") {
+			t.Errorf("Owner(k%d) = %q, self=%v; self is a:1", i, node, self)
+		}
+		if self {
+			local++
+		}
+	}
+	if local == 0 {
+		t.Error("no key resolves locally on a:1")
 	}
 	if c.Breaker("a:1") != nil {
 		t.Error("self has a breaker; the ownership walk would let self 'die'")
@@ -235,14 +249,14 @@ func TestReplicaCacheLRU(t *testing.T) {
 		t.Fatal("k1 missing")
 	}
 	c.Replicate("k3", predict.Prediction{Value: 3}) // evicts k2 (LRU)
-	if c.ReplicaLen() != 2 {
-		t.Errorf("replica count %d, want 2", c.ReplicaLen())
-	}
 	if _, ok := c.Replica("k2"); ok {
 		t.Error("k2 survived eviction; LRU order broken")
 	}
 	if _, ok := c.Replica("k1"); !ok {
 		t.Error("recently used k1 evicted")
+	}
+	if _, ok := c.Replica("k3"); !ok {
+		t.Error("newest k3 missing; want two replicas held")
 	}
 
 	// Replication disabled: everything is a no-op.
@@ -251,7 +265,7 @@ func TestReplicaCacheLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	off.Replicate("k", predict.Prediction{})
-	if _, ok := off.Replica("k"); ok || off.ReplicaLen() != 0 {
+	if _, ok := off.Replica("k"); ok {
 		t.Error("disabled replication stored an entry")
 	}
 	if off.NoteRequest("k") {

@@ -101,13 +101,3 @@ func (c *replicaCache) put(key string, pr predict.Prediction) {
 	defer c.mu.Unlock()
 	c.lru.Put(key, pr)
 }
-
-// len reports the replica count (tests, metrics). Nil-safe.
-func (c *replicaCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}

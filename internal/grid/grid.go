@@ -16,9 +16,6 @@ type Range struct {
 // N returns the number of indices in the range.
 func (r Range) N() int { return r.Hi - r.Lo }
 
-// Contains reports whether global index i falls in the range.
-func (r Range) Contains(i int) bool { return i >= r.Lo && i < r.Hi }
-
 // Block1D splits n indices over p parts and returns part r's range.
 // The first n%p parts get one extra index, so sizes differ by at most one.
 func Block1D(n, p, r int) Range {

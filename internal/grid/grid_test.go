@@ -21,8 +21,8 @@ func TestBlock1DBasic(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := Block1D(c.n, c.p, c.r)
-		if r.Lo != c.lo || r.Hi != c.hi {
-			t.Errorf("Block1D(%d,%d,%d) = [%d,%d), want [%d,%d)", c.n, c.p, c.r, r.Lo, r.Hi, c.lo, c.hi)
+		if r.Lo != c.lo || r.Hi != c.hi || r.N() != c.hi-c.lo {
+			t.Errorf("Block1D(%d,%d,%d) = [%d,%d) of %d, want [%d,%d)", c.n, c.p, c.r, r.Lo, r.Hi, r.N(), c.lo, c.hi)
 		}
 	}
 }
@@ -66,18 +66,6 @@ func TestBlock1DPanicsOnBadArgs(t *testing.T) {
 			}()
 			Block1D(bad.n, bad.p, bad.r)
 		}()
-	}
-}
-
-func TestRangeContains(t *testing.T) {
-	r := Range{Lo: 3, Hi: 7}
-	if r.N() != 4 {
-		t.Errorf("N = %d", r.N())
-	}
-	for i, want := range map[int]bool{2: false, 3: true, 6: true, 7: false} {
-		if r.Contains(i) != want {
-			t.Errorf("Contains(%d) = %v", i, !want)
-		}
 	}
 }
 

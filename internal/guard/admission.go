@@ -118,10 +118,8 @@ func (a *Admission) Acquire(ctx context.Context) error {
 	}
 	w := &waiter{ready: make(chan struct{})}
 	a.queue = append(a.queue, w)
-	qg := a.queueGauge
-	qv := int64(len(a.queue))
+	a.publishLocked()
 	a.mu.Unlock()
-	qg.Set(qv)
 	a.queued.Add(1)
 
 	select {
@@ -134,6 +132,7 @@ func (a *Admission) Acquire(ctx context.Context) error {
 			// Hand-off raced our give-up: we own a slot we'll never
 			// use — pass it straight on.
 			a.releaseSlotLocked()
+			a.publishLocked()
 			a.mu.Unlock()
 		} else {
 			w.abandoned = true
@@ -165,10 +164,8 @@ func (a *Admission) grantLocked() bool {
 		return false
 	}
 	a.inflight++
-	g := a.inflightGauge
-	v := int64(a.inflight)
+	a.publishLocked()
 	a.mu.Unlock()
-	g.Set(v)
 	a.admitted.Add(1)
 	return true
 }
@@ -186,11 +183,17 @@ func (a *Admission) Release(dur time.Duration) {
 		}
 	}
 	a.releaseSlotLocked()
-	ig, qg := a.inflightGauge, a.queueGauge
-	iv, qv := int64(a.inflight), int64(len(a.queue))
+	a.publishLocked()
 	a.mu.Unlock()
-	ig.Set(iv)
-	qg.Set(qv)
+}
+
+// publishLocked sets the admission gauges to the slot state. Every path
+// that changes the state calls it before unlocking, so the gauges read
+// what the controller holds: there is no other count to ask. Callers
+// hold a.mu.
+func (a *Admission) publishLocked() {
+	a.inflightGauge.Set(int64(a.inflight))
+	a.queueGauge.Set(int64(len(a.queue)))
 }
 
 // releaseSlotLocked hands the slot to the oldest live waiter, or frees
@@ -233,36 +236,4 @@ func (a *Admission) retryAfterLocked() int {
 		secs = 1
 	}
 	return secs
-}
-
-// Expected returns the current expected-service-time estimate (zero
-// before any observation).
-func (a *Admission) Expected() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return time.Duration(a.ewmaNs)
-}
-
-// SeedExpected primes the expected-service-time estimate, e.g. from a
-// prior run's p50 — lets the deadline-aware shed act from the first
-// burst instead of after a warm-up.
-func (a *Admission) SeedExpected(d time.Duration) {
-	a.mu.Lock()
-	a.ewmaNs = float64(d)
-	a.mu.Unlock()
-}
-
-// Inflight reports the currently admitted count (tests, debug).
-func (a *Admission) Inflight() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inflight
-}
-
-// Queued reports the current wait-queue length including abandoned
-// entries not yet swept (tests, debug).
-func (a *Admission) Queued() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.queue)
 }

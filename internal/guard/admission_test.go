@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // waitFor polls cond until true or the deadline, failing the test
@@ -25,6 +27,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// slots reads an admission controller's two gauges, the slot state
+// /metrics publishes.
+type slots struct{ inflight, queued *obs.Gauge }
+
+func (s slots) drained() bool { return s.inflight.Value() == 0 && s.queued.Value() == 0 }
+
+// newAdmission builds a controller on a registry of its own and returns
+// it with its gauges.
+func newAdmission(max, depth int) (*Admission, slots) {
+	reg := obs.NewRegistry()
+	a := NewAdmission(max, depth, nil, reg)
+	return a, slots{reg.Gauge("guard.admission.inflight"), reg.Gauge("guard.admission.queued")}
+}
+
 // TestAdmissionBurstBoundsInflight is the satellite-3 regression: a
 // concurrent burst larger than slots+queue must never push the admitted
 // count past the bound, must shed the overflow as ShedError, and must
@@ -36,7 +52,7 @@ func TestAdmissionBurstBoundsInflight(t *testing.T) {
 		depth       = 8
 		burst       = 64
 	)
-	a := NewAdmission(maxInflight, depth, nil, nil)
+	a, s := newAdmission(maxInflight, depth)
 
 	var (
 		inflight    atomic.Int64
@@ -77,7 +93,7 @@ func TestAdmissionBurstBoundsInflight(t *testing.T) {
 
 	// Let the burst settle: everyone is either admitted, queued, or shed.
 	waitFor(t, "burst settled", func() bool {
-		return admitted.Load()+int64(a.Queued())+shed.Load() == burst
+		return admitted.Load()+s.queued.Value()+shed.Load() == burst
 	})
 	close(release)
 	wg.Wait()
@@ -91,8 +107,8 @@ func TestAdmissionBurstBoundsInflight(t *testing.T) {
 	if got := shed.Load(); got != burst-maxInflight-depth {
 		t.Errorf("shed %d requests, want %d", got, burst-maxInflight-depth)
 	}
-	if a.Inflight() != 0 || a.Queued() != 0 {
-		t.Errorf("after drain: inflight=%d queued=%d, want 0/0", a.Inflight(), a.Queued())
+	if !s.drained() {
+		t.Errorf("after drain: inflight=%d queued=%d, want 0/0", s.inflight.Value(), s.queued.Value())
 	}
 
 	// Zero goroutine leak after drain (allow the runtime a moment to
@@ -106,7 +122,7 @@ func TestAdmissionBurstBoundsInflight(t *testing.T) {
 // TestAdmissionFIFOOrder queues waiters one at a time and releases slots
 // one at a time: grants must come back in enqueue order.
 func TestAdmissionFIFOOrder(t *testing.T) {
-	a := NewAdmission(1, 4, nil, nil)
+	a, s := newAdmission(1, 4)
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("holder Acquire: %v", err)
 	}
@@ -133,7 +149,7 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 		}()
 		// Admit to the queue strictly one at a time so enqueue order is
 		// the spawn order.
-		waitFor(t, "waiter queued", func() bool { return a.Queued() == i+1 })
+		waitFor(t, "waiter queued", func() bool { return s.queued.Value() == int64(i+1) })
 	}
 
 	a.Release(0) // hand the holder's slot down the queue
@@ -149,19 +165,19 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 // with none free it refuses without queueing or shedding; a slot released
 // while a waiter queues goes to the waiter, not to a TryAcquire.
 func TestAdmissionTryAcquireNeverQueues(t *testing.T) {
-	a := NewAdmission(1, 4, nil, nil)
+	a, s := newAdmission(1, 4)
 	if !a.TryAcquire() {
 		t.Fatal("TryAcquire refused a free slot")
 	}
 	if a.TryAcquire() {
 		t.Fatal("TryAcquire admitted past the bound")
 	}
-	if q := a.Queued(); q != 0 {
+	if q := s.queued.Value(); q != 0 {
 		t.Fatalf("a refused TryAcquire queued: %d waiting", q)
 	}
 	granted := make(chan error, 1)
 	go func() { granted <- a.Acquire(context.Background()) }()
-	waitFor(t, "waiter queued", func() bool { return a.Queued() == 1 })
+	waitFor(t, "waiter queued", func() bool { return s.queued.Value() == 1 })
 	if a.TryAcquire() {
 		t.Fatal("TryAcquire admitted past the bound with a waiter queued")
 	}
@@ -177,7 +193,7 @@ func TestAdmissionTryAcquireNeverQueues(t *testing.T) {
 		t.Fatal("TryAcquire refused the slot the waiter released")
 	}
 	a.Release(0)
-	if n := a.Inflight(); n != 0 {
+	if n := s.inflight.Value(); n != 0 {
 		t.Fatalf("inflight = %d after every release, want 0", n)
 	}
 }
@@ -185,7 +201,7 @@ func TestAdmissionTryAcquireNeverQueues(t *testing.T) {
 // TestAdmissionQueueFullSheds fills slots and queue, then asserts the
 // next request sheds with the deterministic queue-full reason.
 func TestAdmissionQueueFullSheds(t *testing.T) {
-	a := NewAdmission(1, 1, nil, nil)
+	a, s := newAdmission(1, 1)
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("holder: %v", err)
 	}
@@ -196,7 +212,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 			a.Release(0)
 		}
 	}()
-	waitFor(t, "queue occupied", func() bool { return a.Queued() == 1 })
+	waitFor(t, "queue occupied", func() bool { return s.queued.Value() == 1 })
 
 	err := a.Acquire(context.Background())
 	var se *ShedError
@@ -210,15 +226,18 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 		t.Errorf("error body %q, want deterministic %q", se.Error(), want)
 	}
 	a.Release(0) // drain: grants the queued waiter, which releases itself
-	waitFor(t, "drain", func() bool { return a.Inflight() == 0 && a.Queued() == 0 })
+	waitFor(t, "drain", s.drained)
 }
 
 // TestAdmissionDeadlineAwareShed: once the expected service time is
 // known, a saturated controller sheds a request whose deadline can't
 // cover it immediately — no pointless queueing.
 func TestAdmissionDeadlineAwareShed(t *testing.T) {
-	a := NewAdmission(1, 8, nil, nil)
-	a.SeedExpected(time.Hour)
+	a, s := newAdmission(1, 8)
+	if err := a.Acquire(context.Background()); err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	a.Release(time.Hour) // the estimate is now an hour
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("holder: %v", err)
 	}
@@ -233,14 +252,14 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 	if se.Reason != "insufficient deadline budget" {
 		t.Errorf("reason %q, want %q", se.Reason, "insufficient deadline budget")
 	}
-	if a.Queued() != 0 {
-		t.Errorf("queued %d, want 0 (shed must not enqueue)", a.Queued())
+	if q := s.queued.Value(); q != 0 {
+		t.Errorf("queued %d, want 0 (shed must not enqueue)", q)
 	}
 
 	// A request without a deadline still queues normally.
 	done := make(chan error, 1)
 	go func() { done <- a.Acquire(context.Background()) }()
-	waitFor(t, "undeadlined waiter queued", func() bool { return a.Queued() == 1 })
+	waitFor(t, "undeadlined waiter queued", func() bool { return s.queued.Value() == 1 })
 	a.Release(0)
 	if err := <-done; err != nil {
 		t.Fatalf("undeadlined waiter: %v", err)
@@ -251,7 +270,7 @@ func TestAdmissionDeadlineAwareShed(t *testing.T) {
 // TestAdmissionAbandonedWaiter: a queued request whose context fires
 // returns its context error, and a later release skips the corpse.
 func TestAdmissionAbandonedWaiter(t *testing.T) {
-	a := NewAdmission(1, 4, nil, nil)
+	a, s := newAdmission(1, 4)
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatalf("holder: %v", err)
 	}
@@ -259,7 +278,7 @@ func TestAdmissionAbandonedWaiter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- a.Acquire(ctx) }()
-	waitFor(t, "waiter queued", func() bool { return a.Queued() == 1 })
+	waitFor(t, "waiter queued", func() bool { return s.queued.Value() == 1 })
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned waiter got %v, want context.Canceled", err)
@@ -268,32 +287,74 @@ func TestAdmissionAbandonedWaiter(t *testing.T) {
 	// A live waiter behind the corpse still gets the slot.
 	live := make(chan error, 1)
 	go func() { live <- a.Acquire(context.Background()) }()
-	waitFor(t, "live waiter queued", func() bool { return a.Queued() == 2 })
+	waitFor(t, "live waiter queued", func() bool { return s.queued.Value() == 2 })
 	a.Release(0)
 	if err := <-live; err != nil {
 		t.Fatalf("live waiter got %v, want grant", err)
 	}
-	if a.Inflight() != 1 {
-		t.Errorf("inflight %d, want 1 (slot handed over exactly once)", a.Inflight())
+	if n := s.inflight.Value(); n != 1 {
+		t.Errorf("inflight %d, want 1 (slot handed over exactly once)", n)
 	}
 	a.Release(0)
 }
 
-// TestAdmissionEWMA pins the expected-service-time estimate update rule.
+// TestAdmissionGaugesFollowRacedHandOff: a waiter whose context fires
+// just as Release hands it the slot passes the slot straight on, and the
+// gauges read the state the controller ends in. Each round cancels the
+// waiter and releases at once, so Release mostly takes the lock first
+// and grants a waiter that is already giving up.
+func TestAdmissionGaugesFollowRacedHandOff(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		a, s := newAdmission(1, 1)
+		if err := a.Acquire(context.Background()); err != nil {
+			t.Fatalf("holder: %v", err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() { errc <- a.Acquire(ctx) }()
+		waitFor(t, "waiter queued", func() bool { return s.queued.Value() == 1 })
+		cancel()
+		a.Release(0)
+		if err := <-errc; err == nil {
+			a.Release(0) // the grant won the waiter's select: it holds the slot
+		}
+		if !s.drained() {
+			t.Fatalf("round %d: every slot is back, but the gauges read inflight=%d queued=%d, want 0/0",
+				round, s.inflight.Value(), s.queued.Value())
+		}
+	}
+}
+
+// TestAdmissionEWMA pins the expected-service-time estimate update rule,
+// read where it is used: with one request in flight and none queued, a
+// shed's Retry-After is the estimate rounded up to whole seconds.
 func TestAdmissionEWMA(t *testing.T) {
-	a := NewAdmission(1, 1, nil, nil)
-	if err := a.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
+	a, _ := newAdmission(1, 0)
+	observe := func(d time.Duration) {
+		t.Helper()
+		if err := a.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		a.Release(d)
 	}
-	a.Release(100 * time.Millisecond)
-	if got := a.Expected(); got != 100*time.Millisecond {
-		t.Fatalf("first observation: %v, want 100ms", got)
+	retryAfter := func() int {
+		t.Helper()
+		if err := a.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		defer a.Release(0) // dur 0 leaves the estimate alone
+		var se *ShedError
+		if err := a.Acquire(context.Background()); !errors.As(err, &se) {
+			t.Fatalf("saturated Acquire got %v, want *ShedError", err)
+		}
+		return se.RetryAfter
 	}
-	if err := a.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
+	observe(100 * time.Second)
+	if got := retryAfter(); got != 100 {
+		t.Fatalf("first observation: Retry-After %ds, want 100s", got)
 	}
-	a.Release(200 * time.Millisecond)
-	if got := a.Expected(); got != 120*time.Millisecond {
-		t.Fatalf("EWMA after 100ms,200ms: %v, want 120ms (alpha=0.2)", got)
+	observe(200 * time.Second)
+	if got := retryAfter(); got != 120 {
+		t.Fatalf("EWMA after 100s,200s: Retry-After %ds, want 120s (alpha=0.2)", got)
 	}
 }

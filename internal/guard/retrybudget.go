@@ -56,13 +56,3 @@ func (rb *RetryBudget) Spend() bool {
 	rb.tokens--
 	return true
 }
-
-// Tokens returns the current balance (tests, debug). Nil-safe.
-func (rb *RetryBudget) Tokens() float64 {
-	if rb == nil {
-		return 0
-	}
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return rb.tokens
-}

@@ -94,13 +94,3 @@ func (c *StaleCache) Get(key, familyKey string) (val any, mode string, ok bool) 
 	}
 	return e.val, ModeStaleNearby, true
 }
-
-// Len reports the retained answer count (tests, debug). Nil-safe.
-func (c *StaleCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}

@@ -70,6 +70,3 @@ func (c *Cache[K, V]) EvictOldest() bool {
 	}
 	return true
 }
-
-// Len returns the number of retained entries.
-func (c *Cache[K, V]) Len() int { return c.order.Len() }

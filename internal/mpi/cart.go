@@ -29,9 +29,6 @@ func NewCart(comm *Comm, dims ...int) *Cart {
 	return c
 }
 
-// Comm returns the underlying communicator.
-func (c *Cart) Comm() *Comm { return c.comm }
-
 // Coords returns a copy of the calling rank's coordinates.
 func (c *Cart) Coords() []int { return append([]int(nil), c.coords...) }
 
@@ -43,22 +40,6 @@ func (c *Cart) CoordsOf(rank int) []int {
 		rank /= c.dims[i]
 	}
 	return coords
-}
-
-// RankOf returns the rank at the given coordinates, or -1 when any
-// coordinate is outside the grid (no periodic wraparound).
-func (c *Cart) RankOf(coords ...int) int {
-	if len(coords) != len(c.dims) {
-		panic(fmt.Sprintf("mpi: RankOf got %d coords for %d dims", len(coords), len(c.dims)))
-	}
-	rank := 0
-	for i, x := range coords {
-		if x < 0 || x >= c.dims[i] {
-			return -1
-		}
-		rank = rank*c.dims[i] + x
-	}
-	return rank
 }
 
 // Shift returns the source and destination ranks for a displacement along

@@ -90,7 +90,7 @@ func (c *Comm) reduce(root int, op Op, in []float64, out []float64) {
 			wsrc := (src + root) % n
 			c.recv(wsrc, tagReduce, tmp)
 			for i := range acc {
-				acc[i] = op.fn(acc[i], tmp[i])
+				acc[i] = op(acc[i], tmp[i])
 			}
 		}
 		mask <<= 1

@@ -10,9 +10,9 @@ import (
 
 // Reduction operators beyond OpSum, which only the tests reduce with.
 var (
-	OpProd = Op{"prod", func(a, b float64) float64 { return a * b }}
-	OpMax  = Op{"max", math.Max}
-	OpMin  = Op{"min", math.Min}
+	OpProd Op = func(a, b float64) float64 { return a * b }
+	OpMax  Op = math.Max
+	OpMin  Op = math.Min
 )
 
 // worldSizes covers odd, even, power-of-two and square sizes so the tree

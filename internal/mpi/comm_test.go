@@ -114,21 +114,6 @@ func TestCartBasics(t *testing.T) {
 		if want := []int{c.Rank() / 3, c.Rank() % 3}; co[0] != want[0] || co[1] != want[1] {
 			t.Errorf("rank %d coords %v, want %v", c.Rank(), co, want)
 		}
-		if r := cart.RankOf(co[0], co[1]); r != c.Rank() {
-			t.Errorf("RankOf(CoordsOf(r)) = %d, want %d", r, c.Rank())
-		}
-	})
-}
-
-func TestCartRankOfOutOfGrid(t *testing.T) {
-	run(t, 4, func(c *Comm) {
-		cart := NewCart(c, 2, 2)
-		if r := cart.RankOf(-1, 0); r != -1 {
-			t.Errorf("RankOf(-1,0) = %d", r)
-		}
-		if r := cart.RankOf(0, 2); r != -1 {
-			t.Errorf("RankOf(0,2) = %d", r)
-		}
 	})
 }
 

@@ -156,9 +156,6 @@ func NewWorld(n int, opts ...Option) *World {
 	return w
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Run creates a world of n ranks, runs fn once per rank concurrently, and
 // waits for all ranks to return. If any rank panics, Run recovers the
 // panic and returns an error carrying every failed rank's id and stack

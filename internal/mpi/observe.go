@@ -110,9 +110,6 @@ func NewObserver(reg *obs.Registry, tr *obs.Trace) *Observer {
 	return o
 }
 
-// Registry returns the observer's metric registry.
-func (o *Observer) Registry() *obs.Registry { return o.reg }
-
 // kernel resolves (lazily creating) the per-kernel attribution handles.
 func (o *Observer) kernel(name string) *kernelMetrics {
 	o.mu.RLock()

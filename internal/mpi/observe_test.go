@@ -16,11 +16,11 @@ func observedRun(t *testing.T, n int, spans bool, fn func(*Comm)) (obs.Snapshot,
 	if spans {
 		rec = obs.NewTrace(nil)
 	}
-	ob := NewObserver(obs.NewRegistry(), rec)
-	if err := Run(n, fn, WithObserver(ob)); err != nil {
+	reg := obs.NewRegistry()
+	if err := Run(n, fn, WithObserver(NewObserver(reg, rec))); err != nil {
 		t.Fatal(err)
 	}
-	return ob.Registry().Snapshot(), rec.Spans()
+	return reg.Snapshot(), rec.Spans()
 }
 
 func TestObserverCountsP2P(t *testing.T) {
@@ -145,7 +145,8 @@ func TestObserverContextChurn(t *testing.T) {
 
 func TestObserverTransferTimeWithNetModel(t *testing.T) {
 	rec := obs.NewTrace(nil)
-	ob := NewObserver(nil, rec)
+	reg := obs.NewRegistry()
+	ob := NewObserver(reg, rec)
 	err := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 1000))
@@ -156,7 +157,7 @@ func TestObserverTransferTimeWithNetModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := ob.Registry().Snapshot()
+	snap := reg.Snapshot()
 	h, ok := snap.Histogram("mpi.recv.transfer_ns")
 	if !ok || h.Count != 1 {
 		t.Fatalf("transfer_ns = %+v %v, want one observation", h, ok)
@@ -180,14 +181,15 @@ func TestUnobservedWorldHasNoPhases(t *testing.T) {
 }
 
 func TestObserverSharedAcrossWorlds(t *testing.T) {
-	ob := NewObserver(nil, nil)
+	reg := obs.NewRegistry()
+	ob := NewObserver(reg, nil)
 	for i := 0; i < 3; i++ {
 		err := Run(2, func(c *Comm) { c.Barrier() }, WithObserver(ob))
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c, _ := ob.Registry().Snapshot().Counter("mpi.collective.barrier.count"); c.Value != 6 {
+	if c, _ := reg.Snapshot().Counter("mpi.collective.barrier.count"); c.Value != 6 {
 		t.Errorf("barrier.count = %d, want 6 accumulated across 3 worlds", c.Value)
 	}
 }

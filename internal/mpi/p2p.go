@@ -51,7 +51,7 @@ func newMailbox(w *World, rank int) *mailbox {
 
 // put appends one message to the pending queue and wakes matchers.
 //
-//kcvet:hotpath one call per message delivered; ROADMAP item 4 warm path
+//kcvet:hotpath one call per message delivered, inside every timed region that communicates
 func (b *mailbox) put(m message) {
 	b.mu.Lock()
 	//kcvet:ignore hotalloc the mailbox is unbounded by design (eager sends); growth amortizes and shrinks via compaction
@@ -133,7 +133,7 @@ func (w *World) stallReport(stalled int, wi *waitInfo) string {
 // is armed (timeout > 0), a wait exceeding the timeout fails the world
 // with a who-waits-on-whom diagnostic instead of returning.
 //
-//kcvet:hotpath one call per message received; ROADMAP item 4 warm path
+//kcvet:hotpath one call per message received, inside every timed region that communicates
 func (b *mailbox) take(src, tag, ctx int, timeout time.Duration) (message, int) {
 	var wi *waitInfo
 	deadline := time.Time{}
@@ -256,7 +256,7 @@ func (c *Comm) Recv(src int, tag int, buf []float64) {
 // recv is the blocking-receive path behind Recv and the collectives; like
 // send, it does not validate the tag.
 //
-//kcvet:hotpath one call per message received; ROADMAP item 4 warm path
+//kcvet:hotpath one call per message received, inside every timed region that communicates
 func (c *Comm) recv(src, tag int, buf []float64) {
 	wself := c.group[c.rank]
 	if inj := c.world.inj; inj != nil {

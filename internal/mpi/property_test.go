@@ -27,7 +27,7 @@ func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
 		copy(want, data[0])
 		for r := 1; r < n; r++ {
 			for i := range want {
-				want[i] = op.Apply(want[i], data[r][i])
+				want[i] = op(want[i], data[r][i])
 			}
 		}
 		ok := true

@@ -364,7 +364,7 @@ func TestPoisonedSolutionPanics(t *testing.T) {
 	// "|piv| < tiny" waves it through and the run "verifies" with NaN
 	// norms; the solver must stop instead.
 	withState(t, tinyConfig(6, 1), func(st *state) {
-		st.u.Set(2, 3, 2, 1, math.NaN())
+		st.u.Data[st.u.Idx(3, 2, 1)+2] = math.NaN()
 		defer func() {
 			msg, _ := recover().(string)
 			if !strings.Contains(msg, "bt: lost diagonal dominance") {

@@ -85,7 +85,7 @@ func TestComputeRHSMatchesLoopNest(t *testing.T) {
 					npbtest.FillRandom(rng, st.forcing.Data, false)
 					npbtest.FillRandom(rng, st.rhs.Data, false)
 					ref := *st
-					ref.rhs = st.rhs.Clone()
+					ref.rhs = npbtest.Clone(st.rhs)
 					ref.loopNestRHS()
 					st.computeRHS()
 					if npbtest.BitsDigest(st.rhs.Data) != npbtest.BitsDigest(ref.rhs.Data) {

@@ -64,32 +64,11 @@ func (f *Field) StrideI() int { return f.NC }
 // At returns component c at (i, j, k).
 func (f *Field) At(c, i, j, k int) float64 { return f.Data[f.Idx(i, j, k)+c] }
 
-// Set stores component c at (i, j, k).
-func (f *Field) Set(c, i, j, k int, v float64) { f.Data[f.Idx(i, j, k)+c] = v }
-
-// Add accumulates into component c at (i, j, k).
-func (f *Field) Add(c, i, j, k int, v float64) { f.Data[f.Idx(i, j, k)+c] += v }
-
 // Zero clears the entire field including ghosts.
 func (f *Field) Zero() {
 	for i := range f.Data {
 		f.Data[i] = 0
 	}
-}
-
-// CopyFrom copies another field's storage; shapes must match.
-func (f *Field) CopyFrom(src *Field) {
-	if len(f.Data) != len(src.Data) || f.NC != src.NC || f.Nx != src.Nx || f.Ny != src.Ny || f.Nz != src.Nz || f.G != src.G {
-		panic("npb: CopyFrom shape mismatch")
-	}
-	copy(f.Data, src.Data)
-}
-
-// Clone returns a deep copy of the field.
-func (f *Field) Clone() *Field {
-	g := NewField(f.NC, f.Nx, f.Ny, f.Nz, f.G)
-	copy(g.Data, f.Data)
-	return g
 }
 
 // plane is the walk over the interior cells of one plane of a field, normal

@@ -15,7 +15,7 @@ func TestFieldIndexingRoundTrip(t *testing.T) {
 		for j := 0; j < f.Ny; j++ {
 			for i := 0; i < f.Nx; i++ {
 				for c := 0; c < f.NC; c++ {
-					f.Set(c, i, j, k, val(c, i, j, k))
+					f.Data[f.Idx(i, j, k)+c] = val(c, i, j, k)
 				}
 			}
 		}
@@ -36,12 +36,12 @@ func TestFieldIndexingRoundTrip(t *testing.T) {
 func TestFieldGhostAddressing(t *testing.T) {
 	f := NewField(2, 3, 3, 3, 1)
 	// Ghost cells at every face must be addressable and independent.
-	f.Set(0, -1, 0, 0, 7)
-	f.Set(0, 3, 0, 0, 8)
-	f.Set(1, 0, -1, 0, 9)
-	f.Set(1, 0, 3, 0, 10)
-	f.Set(0, 0, 0, -1, 11)
-	f.Set(0, 0, 0, 3, 12)
+	f.Data[f.Idx(-1, 0, 0)] = 7
+	f.Data[f.Idx(3, 0, 0)] = 8
+	f.Data[f.Idx(0, -1, 0)+1] = 9
+	f.Data[f.Idx(0, 3, 0)+1] = 10
+	f.Data[f.Idx(0, 0, -1)] = 11
+	f.Data[f.Idx(0, 0, 3)] = 12
 	if f.At(0, -1, 0, 0) != 7 || f.At(0, 3, 0, 0) != 8 ||
 		f.At(1, 0, -1, 0) != 9 || f.At(1, 0, 3, 0) != 10 ||
 		f.At(0, 0, 0, -1) != 11 || f.At(0, 0, 0, 3) != 12 {
@@ -64,48 +64,6 @@ func TestFieldStrides(t *testing.T) {
 	if got := f.Idx(0, 0, 1) - f.Idx(0, 0, 0); got != f.StrideK() {
 		t.Errorf("StrideK = %d, want %d", f.StrideK(), got)
 	}
-}
-
-func TestFieldAdd(t *testing.T) {
-	f := NewField(1, 2, 2, 2, 0)
-	f.Set(0, 1, 1, 1, 5)
-	f.Add(0, 1, 1, 1, 2.5)
-	if f.At(0, 1, 1, 1) != 7.5 {
-		t.Errorf("Add result %v", f.At(0, 1, 1, 1))
-	}
-}
-
-func TestFieldZeroAndClone(t *testing.T) {
-	f := NewField(2, 3, 3, 3, 1)
-	f.Set(0, 1, 1, 1, 42)
-	g := f.Clone()
-	if g.At(0, 1, 1, 1) != 42 {
-		t.Error("Clone lost data")
-	}
-	g.Set(0, 1, 1, 1, 7)
-	if f.At(0, 1, 1, 1) != 42 {
-		t.Error("Clone aliases original")
-	}
-	f.Zero()
-	if f.At(0, 1, 1, 1) != 0 {
-		t.Error("Zero left data")
-	}
-}
-
-func TestFieldCopyFrom(t *testing.T) {
-	f := NewField(2, 3, 3, 3, 1)
-	g := NewField(2, 3, 3, 3, 1)
-	g.Set(1, 2, 2, 2, 9)
-	f.CopyFrom(g)
-	if f.At(1, 2, 2, 2) != 9 {
-		t.Error("CopyFrom missed data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("shape mismatch should panic")
-		}
-	}()
-	f.CopyFrom(NewField(2, 4, 3, 3, 1))
 }
 
 func TestFieldInvalidShapePanics(t *testing.T) {
@@ -138,7 +96,7 @@ func TestPlaneWalkMovesFaces(t *testing.T) {
 		for j := 0; j < f.Ny; j++ {
 			for i := 0; i < f.Nx; i++ {
 				for c := 0; c < 2; c++ {
-					f.Set(c, i, j, k, float64(c+2*i+10*j+100*k))
+					f.Data[f.Idx(i, j, k)+c] = float64(c + 2*i + 10*j + 100*k)
 				}
 			}
 		}
@@ -191,7 +149,8 @@ func TestPlaneWalkProperty(t *testing.T) {
 		ff.movePlane(a, 1, buf, true)
 		gg := NewField(3, 4, 4, 4, 1)
 		gg.movePlane(a, 1, buf, false)
-		hh := gg.Clone()
+		hh := NewField(3, 4, 4, 4, 1)
+		copy(hh.Data, gg.Data)
 		hh.CopyPlane(a, 1, 2)
 		for r := -1; r <= 4; r++ {
 			for q := -1; q <= 4; q++ {

@@ -255,7 +255,7 @@ func TestPintgrCountsAllFaces(t *testing.T) {
 		for k := 0; k < st.nz; k++ {
 			for j := 0; j < st.nyl; j++ {
 				for i := 0; i < st.nxl; i++ {
-					st.u.Set(0, i, j, k, 1)
+					st.u.Data[st.u.Idx(i, j, k)] = 1
 				}
 			}
 		}

@@ -172,7 +172,7 @@ func (st *state) loopNestRS() {
 // buffers are copies, for the oracle to run on.
 func (st *state) twin() *state {
 	tw := *st
-	tw.u, tw.rsd, tw.frct = st.u.Clone(), st.rsd.Clone(), st.frct.Clone()
+	tw.u, tw.rsd, tw.frct = npbtest.Clone(st.u), npbtest.Clone(st.rsd), npbtest.Clone(st.frct)
 	tw.colBuf = make([]float64, len(st.colBuf))
 	tw.rowBuf = make([]float64, len(st.rowBuf))
 	return &tw
@@ -256,7 +256,7 @@ func TestSweepKeepsNegativeZeroAtTheOpenPlane(t *testing.T) {
 				for j := 0; j < st.nyl; j++ {
 					for i := 0; i < st.nxl; i++ {
 						for c := 0; c < 5; c++ {
-							st.rsd.Set(c, i, j, k, negZero)
+							st.rsd.Data[st.rsd.Idx(i, j, k)+c] = negZero
 						}
 					}
 				}

@@ -10,21 +10,23 @@ import (
 	"repro/internal/timing"
 )
 
-// quiesce readies a world's rank 0 to time its regions: it records where
-// the world got its rank state and gives r the GC-cycle query timed reads.
-// A built world is readied exactly as a recycled one. It forces no
-// collection: runtime.GC marks the process's whole live heap — a server's
-// cache and every pooled configuration included — and the process is not
-// the measurement's to collect. A collection that completes inside a timed
+// measuringStamps returns the stamps record of one rank of a world that
+// times regions. Rank 0's carries the GC-cycle query timed reads, and
+// building it records where the world got its rank state. A built world
+// is readied exactly as a recycled one. No collection is forced:
+// runtime.GC marks the process's whole live heap — a server's cache and
+// every pooled configuration included — and the process is not the
+// measurement's to collect. A collection that completes inside a timed
 // region is counted there instead (WorldStats.GCOverlapped). The other
-// ranks get no query and wait for rank 0 at the first region's lead
-// barrier.
-func quiesce(c *mpi.Comm, fresh bool, world *WorldStats, r *stamps) {
-	if c.Rank() != 0 {
-		return
+// ranks get the zero record RunOnce uses, and wait for rank 0 at the
+// first region's lead barrier.
+func measuringStamps(c *mpi.Comm, fresh bool, world *WorldStats) stamps {
+	r := stamps{c: c}
+	if c.Rank() == 0 {
+		world.Recycled = !fresh
+		r.gc = []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
 	}
-	world.Recycled = !fresh
-	r.gc = []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	return r
 }
 
 // gcCycles returns how many garbage-collection cycles the process has
@@ -42,7 +44,7 @@ type stamps struct {
 	start, end time.Time        // the current timed region's edges
 	kernel     string           // the running kernel, "" between kernels
 	entry      time.Time        // when it was entered
-	gc         []metrics.Sample // rank 0's GC-cycle query (quiesce), else nil
+	gc         []metrics.Sample // rank 0's GC-cycle query (measuringStamps), else nil
 	gc0, gc1   uint64           // its readings before start and after end
 }
 
@@ -138,14 +140,13 @@ func MeasureWindowDetail(f *Factory, window []string, p timing.Protocol, o Measu
 	var res timing.Result
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
-		st := stamps{c: c}
+		st := measuringStamps(c, fresh, &world)
 		// One untimed warmup pass: the first execution after setup pays
 		// cold-cache and lazy-allocation costs that belong to neither
 		// the kernel nor its couplings. It is also what puts a recycled
 		// world's caches in the state a built one's are in.
 		runApp(c, ks, nil, window, 1, nil, &st)
 		ks.Refresh()
-		quiesce(c, fresh, &world, &st)
 		// Every rank runs the loop, so every rank takes part in each
 		// block's region; only rank 0's stamps, and so its result, count.
 		r := p.Time(func(b, passes int) float64 {
@@ -191,8 +192,7 @@ func MeasureFull(f *Factory, pre, loop []string, trips int, post []string, o Mea
 	var elapsed float64
 	var world WorldStats
 	err := f.Run(o.Procs, func(c *mpi.Comm, ks KernelSet, fresh bool) {
-		st := stamps{c: c}
-		quiesce(c, fresh, &world, &st)
+		st := measuringStamps(c, fresh, &world)
 		secs := timed(c, &st, &world, func() { runApp(c, ks, pre, loop, trips, post, &st) })
 		if c.Rank() == 0 {
 			elapsed = secs

@@ -204,7 +204,8 @@ func TestMeasureWindowDetailProvenance(t *testing.T) {
 // communication with the executing kernel, so observed runs report
 // per-kernel breakdowns.
 func TestMeasureWindowPhaseAttribution(t *testing.T) {
-	ob := mpi.NewObserver(nil, nil)
+	reg := obs.NewRegistry()
+	ob := mpi.NewObserver(reg, nil)
 	f := NewFactory(func(c *mpi.Comm) (KernelSet, error) {
 		return exchangingKernels{c: c}, nil
 	})
@@ -215,7 +216,7 @@ func TestMeasureWindowPhaseAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := ob.Registry().Snapshot()
+	snap := reg.Snapshot()
 	c, ok := snap.Counter("mpi.kernel.PING.send.count")
 	if !ok || c.Value == 0 {
 		t.Errorf("PING sends not attributed: %+v ok=%v", c, ok)
@@ -321,8 +322,7 @@ func TestStampSiteDoesNotAllocate(t *testing.T) {
 
 	err = mpi.Run(1, func(c *mpi.Comm) {
 		var world WorldStats
-		st := stamps{c: c}
-		quiesce(c, false, &world, &st)
+		st := measuringStamps(c, false, &world)
 		body := func() { runApp(c, idleKernels{}, []string{"INIT"}, []string{"A", "B"}, 3, []string{"FINAL"}, &st) }
 		if n := testing.AllocsPerRun(100, func() { timed(c, &st, &world, body) }); n != 0 {
 			t.Errorf("an untraced region allocates %v times, want 0", n)
@@ -411,11 +411,11 @@ func TestKernelSpansEncloseTheirMPISpans(t *testing.T) {
 		}
 	}
 
-	ob := mpi.NewObserver(nil, nil)
-	if err := RunOnce(f, nil, []string{"COPY_FACES", "ADD"}, 1, nil, 2, nil, mpi.WithObserver(ob)); err != nil {
+	reg := obs.NewRegistry()
+	if err := RunOnce(f, nil, []string{"COPY_FACES", "ADD"}, 1, nil, 2, nil, mpi.WithObserver(mpi.NewObserver(reg, nil))); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := ob.Registry().Snapshot().Counter("mpi.kernel.COPY_FACES.send.count"); !ok || c.Value != 1 {
+	if c, ok := reg.Snapshot().Counter("mpi.kernel.COPY_FACES.send.count"); !ok || c.Value != 1 {
 		t.Errorf("untraced COPY_FACES send.count = %+v %v, want 1", c, ok)
 	}
 }

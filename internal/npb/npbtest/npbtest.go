@@ -26,6 +26,14 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden; read npbtest.CheckGolden first")
 
+// Clone returns a deep copy of the field: the reference a kernel's
+// output is compared with.
+func Clone(f *npb.Field) *npb.Field {
+	g := npb.NewField(f.NC, f.Nx, f.Ny, f.Nz, f.G)
+	copy(g.Data, f.Data)
+	return g
+}
+
 // BitsDigest is the SHA-256 over the IEEE-754 bit patterns of the values,
 // so -0.0 against 0.0 and a one-ulp drift both show.
 func BitsDigest(vals ...[]float64) string {

@@ -80,7 +80,7 @@ func TestHaloExchange(t *testing.T) {
 					for j := 0; j < u.Ny; j++ {
 						for i := 0; i < u.Nx; i++ {
 							for comp := 0; comp < 5; comp++ {
-								u.Set(comp, i, j, k, cellValue(comp, global([3]int{i, j, k})))
+								u.Data[u.Idx(i, j, k)+comp] = cellValue(comp, global([3]int{i, j, k}))
 							}
 						}
 					}

@@ -207,7 +207,7 @@ func (st *state) loopNestSolveLines(n, nLines int, uBase func(int) int, uStride 
 // and message buffers are copies, for the oracle to run on.
 func (st *state) twin() *state {
 	tw := *st
-	tw.u, tw.rhs, tw.forcing = st.u.Clone(), st.rhs.Clone(), st.forcing.Clone()
+	tw.u, tw.rhs, tw.forcing = npbtest.Clone(st.u), npbtest.Clone(st.rhs), npbtest.Clone(st.forcing)
 	clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
 	tw.d1, tw.d2, tw.rh = clone(st.d1), clone(st.d2), clone(st.rh)
 	tw.fwd, tw.bwd = clone(st.fwd), clone(st.bwd)

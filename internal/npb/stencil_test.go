@@ -96,7 +96,7 @@ func TestStencilMatchesLoopNest(t *testing.T) {
 				npbtest.FillRandom(rng, u.Data, nan)
 				npbtest.FillRandom(rng, frc.Data, false)
 				npbtest.FillRandom(rng, out.Data, false)
-				want := out.Clone()
+				want := npbtest.Clone(out)
 				loopNestStencil(want, frc, u, 0.015, sh.shift, sh.clamp)
 				st := npb.NewStencil(u, sh.shift, sh.clamp)
 				// Twice: the ring must carry nothing from one call to

@@ -96,9 +96,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 

@@ -76,11 +76,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("count = %d, want 8000", h.Count())
+	s := snapshotHistogram("h", &h)
+	if s.Count != 8000 {
+		t.Errorf("count = %d, want 8000", s.Count)
 	}
-	if h.Sum() != 8*999*1000/2 {
-		t.Errorf("sum = %d", h.Sum())
+	if s.Sum != 8*999*1000/2 {
+		t.Errorf("sum = %d", s.Sum)
 	}
 }
 

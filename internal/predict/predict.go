@@ -105,9 +105,6 @@ type Band struct {
 	Hi float64 `json:"hi"`
 }
 
-// Contains reports whether v lies inside the band (inclusive).
-func (b Band) Contains(v float64) bool { return v >= b.Lo && v <= b.Hi }
-
 // WindowBand is one window's predicted coupling value with its band —
 // the per-window detail behind an interpolated or analytic prediction,
 // and the unit the measured-vs-analytic disagreement column compares.

@@ -199,8 +199,10 @@ func TestClusterExactlyOnceMeasurement(t *testing.T) {
 // traces say so as a local flight's do: exactly one leader, and
 // followers that name it.
 func TestClusterProxiedFlightAnnotations(t *testing.T) {
+	recs := make([]*obs.FlightRecorder, 2)
 	fleet := newFleet(t, 2, warmedDir(t), func(i int, cc *cluster.Config, sc *Config) {
-		sc.Tracer = obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(64, 8)})
+		recs[i] = obs.NewFlightRecorder(64, 8)
+		sc.Tracer = obs.NewRequestTracer(obs.TracerConfig{Recorder: recs[i]})
 	})
 	key := warmQuery(t).Key()
 	owner := ownerIndex(t, fleet, 0, key)
@@ -247,7 +249,7 @@ func TestClusterProxiedFlightAnnotations(t *testing.T) {
 
 	var leaders []string
 	leaderOf := map[string]string{}
-	for _, td := range other.srv.Tracer().Recorder().Snapshot().Slowest {
+	for _, td := range recs[1-owner].Snapshot().Slowest {
 		switch attr(td, "singleflight") {
 		case "leader":
 			leaders = append(leaders, td.ID)
@@ -272,9 +274,11 @@ func TestClusterProxiedFlightAnnotations(t *testing.T) {
 // peer.fill span still names the owner it was fetching from, as every
 // other peer.fill span does.
 func TestClusterAbandonedFillNamesItsOwner(t *testing.T) {
+	recs := make([]*obs.FlightRecorder, 2)
 	fleet := newFleet(t, 2, warmedDir(t), func(i int, cc *cluster.Config, sc *Config) {
 		sc.Guard = guard.New(guard.Config{Deadline: 40 * time.Millisecond})
-		sc.Tracer = obs.NewRequestTracer(obs.TracerConfig{Recorder: obs.NewFlightRecorder(8, 8)})
+		recs[i] = obs.NewFlightRecorder(8, 8)
+		sc.Tracer = obs.NewRequestTracer(obs.TracerConfig{Recorder: recs[i]})
 	})
 	key := warmQuery(t).Key()
 	owner := ownerIndex(t, fleet, 0, key)
@@ -295,7 +299,7 @@ func TestClusterAbandonedFillNamesItsOwner(t *testing.T) {
 	// The abandoned trace is finished once the detached fill lands.
 	var errored []obs.TraceDump
 	for deadline := time.Now().Add(10 * time.Second); len(errored) == 0 && time.Now().Before(deadline); {
-		errored = other.srv.Tracer().Recorder().Snapshot().Errored
+		errored = recs[1-owner].Snapshot().Errored
 		time.Sleep(time.Millisecond)
 	}
 	if len(errored) != 1 {

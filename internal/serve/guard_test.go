@@ -135,7 +135,7 @@ func TestFollowerSurvivesLeaderAbandonment(t *testing.T) {
 // Retry-After header, the fixed shed body — and the shed counter moves.
 func TestAdmissionShedsWith503AndRetryAfter(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := guard.New(guard.Config{MaxInflight: 1, QueueDepth: 1})
+	g := guard.New(guard.Config{MaxInflight: 1, QueueDepth: 1, Metrics: reg})
 	srv, err := New(Config{Cache: warmedCache(t), Metrics: reg, Guard: g})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestAdmissionShedsWith503AndRetryAfter(t *testing.T) {
 
 	second := make(chan []byte, 1)
 	go func() { second <- get(t, ts.URL, "/study?"+warmQS, http.StatusOK) }()
-	for g.Admission.Queued() < 1 {
+	for reg.Gauge("guard.admission.queued").Value() < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -186,7 +186,7 @@ func TestAdmissionShedsWith503AndRetryAfter(t *testing.T) {
 	close(release)
 	<-first
 	<-second
-	if got := g.Admission.Inflight(); got != 0 {
+	if got := reg.Gauge("guard.admission.inflight").Value(); got != 0 {
 		t.Errorf("inflight = %d after drain, want 0", got)
 	}
 }
@@ -227,10 +227,10 @@ func TestQueuedRequestAnswers504WhenItsBudgetRunsOut(t *testing.T) {
 	}
 
 	g.Admission.Release(0)
-	if got := g.Admission.Inflight(); got != 0 {
+	if got := reg.Gauge("guard.admission.inflight").Value(); got != 0 {
 		t.Errorf("inflight = %d after drain, want 0", got)
 	}
-	if got := g.Admission.Queued(); got != 0 {
+	if got := reg.Gauge("guard.admission.queued").Value(); got != 0 {
 		t.Errorf("queued = %d after drain, want 0", got)
 	}
 }
@@ -386,15 +386,22 @@ func TestOnDemandEngineDoesNotRetryJobs(t *testing.T) {
 	w := &lostWindow{Synthetic: &harness.Synthetic{SyntheticName: "lost", Loop: []string{"a", "b"},
 		Base: map[string]float64{"a": 1, "b": 2}}}
 	eng.Workload = w
-	tokens := g.Retry.Tokens()
 	if _, err := eng.RunCtx(context.Background(), 1, []int{2}); err == nil || !strings.Contains(err.Error(), "window a|b lost") {
 		t.Fatalf("err = %v, want the lost window", err)
 	}
 	if n := w.attempts.Load(); n != 1 {
 		t.Errorf("the lost window was measured %d times in one study, want 1", n)
 	}
-	if got := g.Retry.Tokens(); got != tokens {
-		t.Errorf("retry budget went %v → %v inside the engine, want untouched", tokens, got)
+	// Spend drains a budget and counts it: the engine's must still hold
+	// a new budget's tokens.
+	drain := func(rb *guard.RetryBudget) (n int) {
+		for rb.Spend() {
+			n++
+		}
+		return n
+	}
+	if got, want := drain(g.Retry), drain(guard.NewRetryBudget(0)); got != want {
+		t.Errorf("retry budget held %d tokens after the engine ran, want %d: untouched", got, want)
 	}
 }
 

@@ -261,10 +261,6 @@ func (s *Server) guardCacheRead(read func() error) error {
 	return err
 }
 
-// Tracer returns the server's request tracer (nil when tracing is off),
-// so the process wiring can flush the flight recorder at shutdown.
-func (s *Server) Tracer() *obs.RequestTracer { return s.tracer }
-
 // statusError carries the HTTP status a handler error maps to.
 type statusError struct {
 	code int

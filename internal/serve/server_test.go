@@ -380,7 +380,8 @@ func TestConcurrentMixedRequests(t *testing.T) {
 func TestPanicInAFlightIsA500(t *testing.T) {
 	for _, site := range []string{"analysis", "peek"} {
 		var bodies [][]byte
-		for _, g := range []*guard.Guard{nil, guard.New(guard.Config{Deadline: 5 * time.Second, MaxInflight: 1})} {
+		reg := obs.NewRegistry()
+		for _, g := range []*guard.Guard{nil, guard.New(guard.Config{Deadline: 5 * time.Second, MaxInflight: 1, Metrics: reg})} {
 			srv, err := New(Config{Cache: warmedCache(t), Guard: g})
 			if err != nil {
 				t.Fatal(err)
@@ -403,7 +404,7 @@ func TestPanicInAFlightIsA500(t *testing.T) {
 			get(t, ts.URL, "/predict?"+warmQS, http.StatusOK)
 			ts.Close()
 			if g != nil {
-				if n := g.Admission.Inflight(); n != 0 {
+				if n := reg.Gauge("guard.admission.inflight").Value(); n != 0 {
 					t.Errorf("%s: %d admission slots held after the requests, want 0", site, n)
 				}
 			}

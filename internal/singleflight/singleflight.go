@@ -163,8 +163,8 @@ func (g *Group[K, V]) DoFlightCh(key K, fn func(*Flight) (V, error)) <-chan Flig
 
 // Waiters reports how many callers are currently blocked behind the key's
 // in-flight leader; zero when nothing is in flight. It is an observation
-// hook for tests and metrics — the value is stale the moment it returns,
-// so production code must not branch on it.
+// hook for tests — the value is stale the moment it returns, so
+// production code must not branch on it.
 func (g *Group[K, V]) Waiters(key K) int32 {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -71,7 +71,7 @@ func TestCrossSizeInterpolation(t *testing.T) {
 	if truth.Actual <= 0 {
 		t.Fatalf("measured actual = %v", truth.Actual)
 	}
-	if !pr.Band.Contains(truth.Actual) {
+	if truth.Actual < pr.Band.Lo || truth.Actual > pr.Band.Hi {
 		t.Errorf("measured actual %v outside interpolated band [%v, %v] (predicted %v)",
 			truth.Actual, pr.Band.Lo, pr.Band.Hi, pr.Value)
 	}
