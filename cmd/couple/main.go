@@ -38,7 +38,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/mpi"
-	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/obscli"
 	"repro/internal/plan"
@@ -61,16 +60,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs := flag.NewFlagSet("couple", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	def := tables.QueryProtocol(predict.Query{})
+	// The flags that name the study are query parameters, read through
+	// tables.ParseQuery; -chains alone is read again, as typed, for the
+	// manifest and the lattice's warming commands.
+	fs.String("bench", "BT", "benchmark: BT, SP, LU or FT")
+	fs.String("class", "S", "problem class: S, W, A or B")
+	fs.Int("procs", 4, "processor (rank) count")
+	chains := fs.String("chains", "2", "comma-separated coupling chain lengths")
+	fs.Int("trips", 0, "loop trip count (0 = scaled class default)")
+	fs.Int("blocks", def.Blocks, "timed blocks per measurement")
+	fs.Int("passes", def.Passes, "window passes per block")
+	fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 	var (
-		bench  = fs.String("bench", "BT", "benchmark: BT, SP, LU or FT")
-		class  = fs.String("class", "S", "problem class: S, W, A or B")
-		procs  = fs.Int("procs", 4, "processor (rank) count")
-		chains = fs.String("chains", "2", "comma-separated coupling chain lengths")
-		trips  = fs.Int("trips", 0, "loop trip count (0 = scaled class default)")
-		blocks = fs.Int("blocks", def.Blocks, "timed blocks per measurement")
-		passes = fs.Int("passes", def.Passes, "window passes per block")
-		grid   = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
-		net    = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
+		net = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
 
 		parallel = fs.Int("parallel", 1, "measurement worker count (1 = sequential, preserves timing fidelity)")
 		cacheDir = fs.String("cache-dir", "", "persist the content-addressed measurement cache in this directory")
@@ -111,25 +113,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		}
 	}
 
-	var chainLens []int
-	for _, s := range strings.Split(*chains, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return fmt.Errorf("bad -chains value %q: %w", s, err)
-		}
-		chainLens = append(chainLens, n)
-	}
-
-	cls := npb.Class(strings.ToUpper(*class))
-	benchName := strings.ToUpper(*bench)
-	prob, err := tables.BenchProblem(benchName, cls)
+	q, err := tables.ParseQuery(tables.FlagValues(fs))
 	if err != nil {
 		return err
 	}
-	prob = tables.GridProblem(benchName, prob, *grid)
-	nTrips := *trips
-	if nTrips <= 0 {
-		nTrips = tables.DefaultTrips(cls)
+	prob, err := tables.PredictProblem(q)
+	if err != nil {
+		return err
 	}
 
 	sink, err := obscli.Open(obsFlags)
@@ -137,10 +127,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 	man := obs.NewManifest("couple")
-	man.Benchmark = benchName
-	man.Class = string(cls)
-	man.Procs = *procs
-	man.Trips = nTrips
+	man.Benchmark = q.Bench
+	man.Class = string(q.Class)
+	man.Procs = q.Procs
+	man.Trips = q.Trips
 	man.Extra = map[string]string{"chains": *chains}
 	if *parallel > 1 {
 		man.Extra["parallel"] = strconv.Itoa(*parallel)
@@ -195,10 +185,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		cfg.Cache = cache
 	}
 
-	q := predict.Query{
-		Bench: benchName, Class: cls, Procs: *procs, Chains: chainLens,
-		Trips: nTrips, Blocks: *blocks, Passes: *passes, Grid: *grid,
-	}
 	eng, err := measuredEngine(cfg, q, worldOpts, faultFlags.Digest())
 	if err != nil {
 		return err
@@ -221,7 +207,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	// With -lattice the campaign has no windows: the lattice lends their
 	// coupling values once the rest is measured. It is loaded first, so a
 	// lattice that lends nothing is refused before any world runs.
-	campaign := chainLens
+	campaign := q.Chains
 	var lend func(*harness.Study) (*harness.Study, error)
 	if latticeQs != nil {
 		man.Extra["lattice"] = *lattice
@@ -230,7 +216,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n", eng.Workload.Name(), prob, nTrips, chainLens)
+	fmt.Fprintf(stdout, "study: %s  grid %s  trips=%d  chains=%v\n", eng.Workload.Name(), prob, q.Trips, q.Chains)
 	if latticeQs != nil {
 		fmt.Fprintf(stdout, "couplings: borrowed from lattice %s\n", strings.TrimSpace(*lattice))
 	}
@@ -239,7 +225,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	// The campaign trace rides the context the way a request trace does,
 	// so -trace-out shows the plan/execute/assemble/analyze stages and one
 	// measure span per world beside the rank tracks.
-	study, err = eng.RunCtx(obs.ContextWithTrace(ctx, sink.Trace), nTrips, campaign)
+	study, err = eng.RunCtx(obs.ContextWithTrace(ctx, sink.Trace), q.Trips, campaign)
 	if err != nil {
 		if inj != nil {
 			fmt.Fprintf(stderr, "fault schedule:\n%s", inj.ScheduleText())

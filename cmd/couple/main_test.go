@@ -373,11 +373,16 @@ func TestInterpolatedReadsLatticeAtQueryChains(t *testing.T) {
 
 // TestMeasuredPathPlansTheServersJobs: the jobs couple's measured path
 // stores are exactly the ones kcserved's engine plans for the same query,
-// so a couple warm-up serves the server with hits only.
+// so a couple warm-up serves the server with hits only. -chains is read
+// as a served query's chains are, sorted and without repeats.
 func TestMeasuredPathPlansTheServersJobs(t *testing.T) {
 	dir := t.TempDir()
-	if _, stderr, err := couple("-chains", "2,3", "-cache-dir", dir); err != nil {
+	out, stderr, err := couple("-chains", "3,2,3", "-cache-dir", dir)
+	if err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(out, "chains=[2 3]\n") {
+		t.Errorf("-chains 3,2,3 did not run chains [2 3]:\n%s", out)
 	}
 	q, err := tables.ParseQuery(url.Values{"bench": {"BT"}, "grid": {"8"}, "trips": {"2"}, "procs": {"4"}, "chains": {"2,3"}})
 	if err != nil {
@@ -407,6 +412,33 @@ func TestMeasuredPathPlansTheServersJobs(t *testing.T) {
 	slices.Sort(stored)
 	if !slices.Equal(planned, stored) {
 		t.Errorf("couple stored jobs\n%v\nthe server's engine plans\n%v", stored, planned)
+	}
+}
+
+// TestStudyFlagsParseAsAServedQuery: the flags that name the study are
+// read by tables.ParseQuery, so a configuration a served query refuses is
+// refused here with ParseQuery's message, before any sink is opened.
+func TestStudyFlagsParseAsAServedQuery(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"chains", "1"},
+		{"trips", "-1"},
+		{"procs", "0"},
+		{"grid", "-1"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			_, want := tables.ParseQuery(url.Values{tc.flag: {tc.value}})
+			if want == nil {
+				t.Fatalf("ParseQuery accepts %s=%s", tc.flag, tc.value)
+			}
+			dir := t.TempDir()
+			out, _, err := couple("-"+tc.flag, tc.value, "-metrics-out", filepath.Join(dir, "m.json"), "-trace-out", filepath.Join(dir, "t.json"))
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("-%s %s: error %v, want ParseQuery's %q\n%s", tc.flag, tc.value, err, want, out)
+			}
+			if written, _ := os.ReadDir(dir); len(written) != 0 {
+				t.Errorf("-%s %s: a refused run wrote %v", tc.flag, tc.value, written)
+			}
+		})
 	}
 }
 

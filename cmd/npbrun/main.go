@@ -1,5 +1,5 @@
-// Command npbrun executes one of the reimplemented NAS benchmarks (BT, SP
-// or LU) directly: it runs the full application — one-shot pre-kernels,
+// Command npbrun executes one of the reimplemented NAS benchmarks (BT, SP,
+// LU or FT) directly: it runs the full application — one-shot pre-kernels,
 // the main loop, verification post-kernels — reports the wall-clock time
 // and prints the verification norms, which are invariant across rank
 // counts (the distributed solvers perform the same floating-point
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/fault"
@@ -53,12 +52,14 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("npbrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// The flags that name the configuration are query parameters, read
+	// through tables.ParseQuery.
+	fs.String("bench", "BT", "benchmark: BT, SP, LU or FT")
+	fs.String("class", "S", "problem class: S, W, A or B")
+	fs.Int("procs", 4, "processor (rank) count")
+	fs.Int("trips", 0, "loop trip count (0 = scaled class default)")
+	fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 	var (
-		bench   = fs.String("bench", "BT", "benchmark: BT, SP, LU or FT")
-		class   = fs.String("class", "S", "problem class: S, W, A or B")
-		procs   = fs.Int("procs", 4, "processor (rank) count")
-		trips   = fs.Int("trips", 0, "loop trip count (0 = scaled class default)")
-		grid    = fs.Int("grid", 0, "grid override: use an n³ grid instead of the class size")
 		net     = fs.Bool("net", false, "attach the IBM SP interconnect cost model")
 		doTrace = fs.Bool("trace", false, "record per-kernel events; print profile and timeline")
 	)
@@ -73,22 +74,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	cls := npb.Class(strings.ToUpper(*class))
-	benchName := strings.ToUpper(*bench)
-	prob, err := tables.BenchProblem(benchName, cls)
+	q, err := tables.ParseQuery(tables.FlagValues(fs))
 	if err != nil {
 		return err
 	}
-	prob = tables.GridProblem(benchName, prob, *grid)
+	prob, err := tables.PredictProblem(q)
+	if err != nil {
+		return err
+	}
 	// The world options go to RunOnce directly, so the workload is built
 	// (and the rank count validated) before the sink they come from opens.
-	w, err := tables.NewWorkload(benchName, cls, prob, *procs, nil)
+	w, err := tables.NewWorkload(q.Bench, q.Class, prob, q.Procs, nil)
 	if err != nil {
 		return err
-	}
-	nTrips := *trips
-	if nTrips <= 0 {
-		nTrips = tables.DefaultTrips(cls)
 	}
 
 	sink, err := obscli.Open(obsFlags)
@@ -96,14 +94,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	man := obs.NewManifest("npbrun")
-	man.Benchmark = benchName
-	man.Class = string(cls)
-	man.Procs = *procs
-	man.Trips = nTrips
-	if *grid > 0 || *net {
+	man.Benchmark = q.Bench
+	man.Class = string(q.Class)
+	man.Procs = q.Procs
+	man.Trips = q.Trips
+	if q.Grid > 0 || *net {
 		man.Extra = map[string]string{}
-		if *grid > 0 {
-			man.Extra["grid"] = fmt.Sprint(*grid)
+		if q.Grid > 0 {
+			man.Extra["grid"] = fmt.Sprint(q.Grid)
 		}
 		if *net {
 			man.Extra["net"] = "ibm-sp"
@@ -154,9 +152,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		worldOpts = append(worldOpts, mpi.WithRecvTimeout(wd))
 	}
 
-	fmt.Fprintf(stdout, "%s class %s  grid %s  %d procs  %d loop trips\n", benchName, cls, prob, *procs, nTrips)
+	fmt.Fprintf(stdout, "%s class %s  grid %s  %d procs  %d loop trips\n", q.Bench, q.Class, prob, q.Procs, q.Trips)
 	var norms [5]float64
-	err = npb.RunOnce(w.Factory, w.Pre, w.Loop, nTrips, w.Post, *procs, func(ks npb.KernelSet) {
+	err = npb.RunOnce(w.Factory, w.Pre, w.Loop, q.Trips, w.Post, q.Procs, func(ks npb.KernelSet) {
 		if nr, ok := ks.(normReporter); ok {
 			norms = nr.Norms()
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/tables"
 )
 
 // These tests hold the process to account through run(), the function
@@ -105,6 +107,33 @@ func TestRankCrashIsAStructuredError(t *testing.T) {
 	}
 	if man.Health == nil || len(man.Health.Errors) != 1 || !strings.Contains(man.Health.Errors[0], "rank 2") {
 		t.Errorf("manifest health = %+v, want the crash", man.Health)
+	}
+}
+
+// TestStudyFlagsParseAsAServedQuery: the flags that name the
+// configuration are read by tables.ParseQuery, so a configuration a
+// served query refuses is refused here with ParseQuery's message, before
+// any sink is opened.
+func TestStudyFlagsParseAsAServedQuery(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"trips", "-1"},
+		{"procs", "0"},
+		{"grid", "-1"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			_, want := tables.ParseQuery(url.Values{tc.flag: {tc.value}})
+			if want == nil {
+				t.Fatalf("ParseQuery accepts %s=%s", tc.flag, tc.value)
+			}
+			dir := t.TempDir()
+			out, _, err := npbrun("-"+tc.flag, tc.value, "-metrics-out", filepath.Join(dir, "m.json"), "-trace-out", filepath.Join(dir, "t.json"))
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("-%s %s: error %v, want ParseQuery's %q\n%s", tc.flag, tc.value, err, want, out)
+			}
+			if written, _ := os.ReadDir(dir); len(written) != 0 {
+				t.Errorf("-%s %s: a refused run wrote %v", tc.flag, tc.value, written)
+			}
+		})
 	}
 }
 

@@ -55,7 +55,9 @@ var censusAllowed = map[string]string{
 
 // TestExportedNameCensus holds every exported name of the module to a
 // production caller: a use from some non-test file of the module, cmd/ and
-// benchmark/ included. A method that satisfies an interface (a named one
+// benchmark/ included. Exported methods of unexported types count too: a
+// package's own files can call them, and one only its tests call belongs
+// in those tests. A method that satisfies an interface (a named one
 // from the module or anything it imports, or a literal one in the
 // module's source) counts as used, and a use of an instantiated generic
 // resolves to its origin. A name with neither a caller nor an entry in
@@ -128,10 +130,8 @@ func TestExportedNameCensus(t *testing.T) {
 			if _, isIface := n.Underlying().(*types.Interface); isIface {
 				continue
 			}
-			if tn.Exported() {
-				for i := 0; i < n.NumMethods(); i++ {
-					decls = append(decls, n.Method(i))
-				}
+			for i := 0; i < n.NumMethods(); i++ {
+				decls = append(decls, n.Method(i))
 			}
 			if n.TypeParams().Len() == 0 {
 				concrete[n] = true

@@ -28,7 +28,7 @@ func chaosWorkload(t *testing.T, procs int, inj *fault.Injector) *harness.NPBWor
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := bt.KernelNames()
+	pre, loop, post := bt.Benchmark.Pre, bt.Benchmark.Loop, bt.Benchmark.Post
 	opts := []mpi.Option{mpi.WithRecvTimeout(30 * time.Second)}
 	if inj != nil {
 		opts = append(opts, mpi.WithInjector(inj))

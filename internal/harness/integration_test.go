@@ -19,7 +19,7 @@ func btWorkload(t *testing.T, n, procs int) *NPBWorkload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := bt.KernelNames()
+	pre, loop, post := bt.Benchmark.Pre, bt.Benchmark.Loop, bt.Benchmark.Post
 	return &NPBWorkload{
 		WorkloadName: fmt.Sprintf("BT.tiny%d.%d", n, procs),
 		Factory:      factory,
@@ -85,7 +85,7 @@ func TestEndToEndStudyOnRealLUWithNetModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := lu.KernelNames()
+	pre, loop, post := lu.Benchmark.Pre, lu.Benchmark.Loop, lu.Benchmark.Post
 	w := &NPBWorkload{
 		WorkloadName: "LU.tiny.2+net",
 		Factory:      factory,

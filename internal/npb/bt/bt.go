@@ -39,17 +39,28 @@ const (
 	KFinal     = "FINAL"
 )
 
-// KernelNames returns BT's kernels grouped as the paper's control flow has
-// them: one-shot pre-kernels, the loop ring, and one-shot post-kernels.
-func KernelNames() (pre, loop, post []string) {
-	return []string{KInit},
-		[]string{KCopyFaces, KXSolve, KYSolve, KZSolve, KAdd},
-		[]string{KFinal}
+// Benchmark describes BT: its class problems (paper Table 1, with the
+// paper's loop trip counts, 60 for class S and 200 for W and A) and its
+// kernels grouped as the paper's control flow has them.
+var Benchmark = npb.Benchmark{
+	Name: "BT",
+	Classes: []npb.Problem{
+		{Class: npb.ClassS, N1: 12, N2: 12, N3: 12, Trips: 60, Dt: 0.010},
+		{Class: npb.ClassW, N1: 32, N2: 32, N3: 32, Trips: 200, Dt: 0.0008},
+		{Class: npb.ClassA, N1: 64, N2: 64, N3: 64, Trips: 200, Dt: 0.0008},
+		{Class: npb.ClassB, N1: 102, N2: 102, N3: 102, Trips: 200, Dt: 0.0003},
+	},
+	Pre:  []string{KInit},
+	Loop: []string{KCopyFaces, KXSolve, KYSolve, KZSolve, KAdd},
+	Post: []string{KFinal},
+	Factory: func(prob npb.Problem, procs int) (*npb.Factory, error) {
+		return Factory(Config{Problem: prob, Procs: procs})
+	},
 }
 
 // Config selects a BT problem instance.
 type Config struct {
-	// Problem is the grid/class configuration (see npb.BTProblem).
+	// Problem is the grid/class configuration (see Benchmark).
 	Problem npb.Problem
 	// Procs is the rank count; BT requires a perfect square.
 	Procs int

@@ -33,7 +33,7 @@ func withState(t *testing.T, cfg Config, fn func(*state)) {
 }
 
 func TestKernelNames(t *testing.T) {
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	if len(pre) != 1 || pre[0] != KInit {
 		t.Errorf("pre = %v", pre)
 	}
@@ -76,7 +76,7 @@ func runNorms(t *testing.T, n, procs, trips int) [5]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	var norms [5]float64
 	err = npb.RunOnce(f, pre, loop, trips, post, procs, func(ks npb.KernelSet) {
 		norms = ks.(*state).Norms()
@@ -335,7 +335,7 @@ func TestMeasureFullSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	secs, _, err := npb.MeasureFull(f, pre, loop, 2, post, npb.MeasureOptions{Procs: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // touching it.
 func TestFieldsGolden(t *testing.T) {
 	npbtest.SkipUnlessAMD64(t)
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	// Each case runs as a factory's first world and again as its second,
 	// which rebinds the state the first left, scratch arrays poisoned, and
 	// must write the same golden.

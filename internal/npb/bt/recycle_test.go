@@ -35,7 +35,7 @@ func tinyFactory(t *testing.T, n, procs int) *npb.Factory {
 // TestRecycledWorldMatchesFresh: serial, 2×2 and 3×3 ranks, even and uneven
 // tiles (see npbtest.CheckRecycledMatchesFresh).
 func TestRecycledWorldMatchesFresh(t *testing.T) {
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	for _, tc := range []struct{ n, procs int }{{12, 1}, {12, 4}, {12, 9}, {10, 4}, {10, 9}} {
 		npbtest.CheckRecycledMatchesFresh(t,
 			func() *npb.Factory { return tinyFactory(t, tc.n, tc.procs) }, tc.procs, pre, loop, post,

@@ -1,8 +1,10 @@
 // Package npb holds the infrastructure shared by the Go reimplementations
-// of the NAS Parallel Benchmarks BT, SP and LU used in the coupling study:
-// problem classes and their grid sizes (Tables 1, 5 and 7 of the paper),
-// the ghost-cell field type the solvers compute on, and the measurement
-// runner that times kernel windows across a world of ranks.
+// of the NAS Parallel Benchmarks BT, SP and LU used in the coupling study,
+// and of the FT extension: the Benchmark type each of them describes
+// itself with once (its class problems, Tables 1, 5 and 7 of the paper,
+// and its kernel groups), the ghost-cell field type the solvers compute
+// on, and the measurement runner that times kernel windows across a world
+// of ranks.
 package npb
 
 import (
@@ -46,52 +48,50 @@ func (p Problem) String() string {
 // Cells returns the number of grid cells.
 func (p Problem) Cells() int { return p.N1 * p.N2 * p.N3 }
 
-// BTProblem returns the BT configuration for a class (paper Table 1).
-// Loop trip counts follow the paper: 60 for class S, 200 for W and A.
-func BTProblem(c Class) (Problem, error) {
-	switch c {
-	case ClassS:
-		return Problem{Class: c, N1: 12, N2: 12, N3: 12, Trips: 60, Dt: 0.010}, nil
-	case ClassW:
-		return Problem{Class: c, N1: 32, N2: 32, N3: 32, Trips: 200, Dt: 0.0008}, nil
-	case ClassA:
-		return Problem{Class: c, N1: 64, N2: 64, N3: 64, Trips: 200, Dt: 0.0008}, nil
-	case ClassB:
-		return Problem{Class: c, N1: 102, N2: 102, N3: 102, Trips: 200, Dt: 0.0003}, nil
-	}
-	return Problem{}, fmt.Errorf("npb: BT has no class %q", c)
+// Benchmark describes one benchmark once: its problem at each class, its
+// kernels grouped as the paper's control flow has them, how a grid
+// override reshapes its problem, and how the worlds of one configuration
+// are built. Each benchmark package exports one. Every caller shares the
+// kernel groups, so none may write to them.
+type Benchmark struct {
+	// Name is the benchmark's name: "BT", "SP", "LU" or "FT".
+	Name string
+	// Classes holds the problem of each class the benchmark has.
+	Classes []Problem
+	// Pre, Loop and Post are the one-shot pre-kernels, the loop ring and
+	// the one-shot post-kernels.
+	Pre, Loop, Post []string
+	// Planar marks a benchmark on an N1 × N2 plane (FT): a grid override
+	// n makes the plane n × n and keeps the rest of the class problem,
+	// where it otherwise makes an n³ TinyProblem with the class's trips.
+	Planar bool
+	// Factory returns the factory of the worlds of prob on procs ranks,
+	// or the benchmark's refusal of that configuration.
+	Factory func(prob Problem, procs int) (*Factory, error)
 }
 
-// SPProblem returns the SP configuration for a class (paper Table 5).
-// Trip counts follow the NPB 2.x specification (400 iterations).
-func SPProblem(c Class) (Problem, error) {
-	switch c {
-	case ClassS:
-		return Problem{Class: c, N1: 12, N2: 12, N3: 12, Trips: 100, Dt: 0.015}, nil
-	case ClassW:
-		return Problem{Class: c, N1: 36, N2: 36, N3: 36, Trips: 400, Dt: 0.0015}, nil
-	case ClassA:
-		return Problem{Class: c, N1: 64, N2: 64, N3: 64, Trips: 400, Dt: 0.0015}, nil
-	case ClassB:
-		return Problem{Class: c, N1: 102, N2: 102, N3: 102, Trips: 400, Dt: 0.001}, nil
+// Problem returns the benchmark's problem of class c.
+func (b *Benchmark) Problem(c Class) (Problem, error) {
+	for _, p := range b.Classes {
+		if p.Class == c {
+			return p, nil
+		}
 	}
-	return Problem{}, fmt.Errorf("npb: SP has no class %q", c)
+	return Problem{}, fmt.Errorf("npb: %s has no class %q", b.Name, c)
 }
 
-// LUProblem returns the LU configuration for a class (paper Table 7).
-// Trip counts follow the NPB 2.x specification.
-func LUProblem(c Class) (Problem, error) {
-	switch c {
-	case ClassS:
-		return Problem{Class: c, N1: 12, N2: 12, N3: 12, Trips: 50, Dt: 0.5}, nil
-	case ClassW:
-		return Problem{Class: c, N1: 33, N2: 33, N3: 33, Trips: 300, Dt: 1.5e-3}, nil
-	case ClassA:
-		return Problem{Class: c, N1: 64, N2: 64, N3: 64, Trips: 250, Dt: 2.0}, nil
-	case ClassB:
-		return Problem{Class: c, N1: 102, N2: 102, N3: 102, Trips: 250, Dt: 2.0}, nil
+// Grid applies the grid override n to prob; a non-positive n returns prob
+// unchanged. The override flows into every world digest, which is how a
+// shrunk grid stays a cache namespace apart from the class-sized one.
+func (b *Benchmark) Grid(prob Problem, n int) Problem {
+	if n <= 0 {
+		return prob
 	}
-	return Problem{}, fmt.Errorf("npb: LU has no class %q", c)
+	if b.Planar {
+		prob.N1, prob.N2 = n, n
+		return prob
+	}
+	return TinyProblem(n, prob.Trips)
 }
 
 // TinyProblem returns a small custom grid for tests: correctness checks

@@ -12,6 +12,7 @@ import (
 	"repro/internal/npb/lu"
 	"repro/internal/npb/npbtest"
 	"repro/internal/npb/sp"
+	"repro/internal/predict"
 	"repro/internal/tables"
 	"repro/internal/timing"
 )
@@ -45,7 +46,7 @@ func TestBTDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := bt.KernelNames()
+	pre, loop, post := bt.Benchmark.Pre, bt.Benchmark.Loop, bt.Benchmark.Post
 	a, b := runTwice(t, factory, pre, loop, post, 2, 4)
 	if a != b {
 		t.Errorf("BT runs differ: %v vs %v", a, b)
@@ -57,7 +58,7 @@ func TestSPDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := sp.KernelNames()
+	pre, loop, post := sp.Benchmark.Pre, sp.Benchmark.Loop, sp.Benchmark.Post
 	a, b := runTwice(t, factory, pre, loop, post, 2, 4)
 	if a != b {
 		t.Errorf("SP runs differ: %v vs %v", a, b)
@@ -69,7 +70,7 @@ func TestLUDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := lu.KernelNames()
+	pre, loop, post := lu.Benchmark.Pre, lu.Benchmark.Loop, lu.Benchmark.Post
 	a, b := runTwice(t, factory, pre, loop, post, 2, 4)
 	if a != b {
 		t.Errorf("LU runs differ: %v vs %v", a, b)
@@ -81,7 +82,7 @@ func TestFTDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := ft.KernelNames()
+	pre, loop, post := ft.Benchmark.Pre, ft.Benchmark.Loop, ft.Benchmark.Post
 	a, b := runTwice(t, factory, pre, loop, post, 2, 4)
 	if a != b {
 		t.Errorf("FT runs differ: %v vs %v", a, b)
@@ -99,23 +100,19 @@ func TestBenchmarksSurviveArbitraryKernelWindows(t *testing.T) {
 	}{
 		{"BT", func() (*npb.Factory, []string, error) {
 			f, err := bt.Factory(bt.Config{Problem: npb.TinyProblem(8, 2), Procs: 4})
-			_, loop, _ := bt.KernelNames()
-			return f, loop, err
+			return f, bt.Benchmark.Loop, err
 		}},
 		{"SP", func() (*npb.Factory, []string, error) {
 			f, err := sp.Factory(sp.Config{Problem: npb.TinyProblem(8, 2), Procs: 4})
-			_, loop, _ := sp.KernelNames()
-			return f, loop, err
+			return f, sp.Benchmark.Loop, err
 		}},
 		{"LU", func() (*npb.Factory, []string, error) {
 			f, err := lu.Factory(lu.Config{Problem: npb.TinyProblem(8, 2), Procs: 4})
-			_, loop, _ := lu.KernelNames()
-			return f, loop, err
+			return f, lu.Benchmark.Loop, err
 		}},
 		{"FT", func() (*npb.Factory, []string, error) {
 			f, err := ft.Factory(ft.Config{N: 16, Procs: 4})
-			_, loop, _ := ft.KernelNames()
-			return f, loop, err
+			return f, ft.Benchmark.Loop, err
 		}},
 	}
 	for _, tc := range cases {
@@ -156,7 +153,7 @@ func TestRecycledWorldDoesNotAllocateFields(t *testing.T) {
 	const procs, perRank = 4, 64 << 10
 	for _, bench := range []string{"BT", "SP", "LU"} {
 		t.Run(bench, func(t *testing.T) {
-			prob, err := tables.BenchProblem(bench, npb.ClassS)
+			prob, err := tables.PredictProblem(predict.Query{Bench: bench, Class: npb.ClassS})
 			if err != nil {
 				t.Fatal(err)
 			}

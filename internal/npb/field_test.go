@@ -183,52 +183,6 @@ func TestPlaneWalkProperty(t *testing.T) {
 	}
 }
 
-func TestProblemTables(t *testing.T) {
-	// Paper Table 1 (BT), Table 5 (SP), Table 7 (LU).
-	bt := map[Class]string{ClassS: "12 x 12 x 12", ClassW: "32 x 32 x 32", ClassA: "64 x 64 x 64"}
-	for c, want := range bt {
-		p, err := BTProblem(c)
-		if err != nil || p.String() != want {
-			t.Errorf("BT %s = %q (%v), want %q", c, p.String(), err, want)
-		}
-	}
-	sp := map[Class]string{ClassW: "36 x 36 x 36", ClassA: "64 x 64 x 64", ClassB: "102 x 102 x 102"}
-	for c, want := range sp {
-		p, err := SPProblem(c)
-		if err != nil || p.String() != want {
-			t.Errorf("SP %s = %q (%v), want %q", c, p.String(), err, want)
-		}
-	}
-	lu := map[Class]string{ClassW: "33 x 33 x 33", ClassA: "64 x 64 x 64", ClassB: "102 x 102 x 102"}
-	for c, want := range lu {
-		p, err := LUProblem(c)
-		if err != nil || p.String() != want {
-			t.Errorf("LU %s = %q (%v), want %q", c, p.String(), err, want)
-		}
-	}
-}
-
-func TestBTTripCountsMatchPaper(t *testing.T) {
-	s, _ := BTProblem(ClassS)
-	w, _ := BTProblem(ClassW)
-	a, _ := BTProblem(ClassA)
-	if s.Trips != 60 || w.Trips != 200 || a.Trips != 200 {
-		t.Errorf("BT trips = %d/%d/%d, paper says 60/200/200", s.Trips, w.Trips, a.Trips)
-	}
-}
-
-func TestUnknownClassErrors(t *testing.T) {
-	if _, err := BTProblem("Z"); err == nil {
-		t.Error("unknown BT class should fail")
-	}
-	if _, err := SPProblem("Z"); err == nil {
-		t.Error("unknown SP class should fail")
-	}
-	if _, err := LUProblem("Z"); err == nil {
-		t.Error("unknown LU class should fail")
-	}
-}
-
 func TestProblemCells(t *testing.T) {
 	p := TinyProblem(4, 2)
 	if p.Cells() != 64 {

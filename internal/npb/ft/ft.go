@@ -36,11 +36,24 @@ const (
 	KFinal     = "FINAL"
 )
 
-// KernelNames returns FT's kernels grouped as pre / loop ring / post.
-func KernelNames() (pre, loop, post []string) {
-	return []string{KInit},
-		[]string{KEvolve, KFFTX, KTranspose, KFFTY},
-		[]string{KFinal}
+// Benchmark describes FT: an N × N plane per NAS-style class, 100 loop
+// trips, its kernels grouped as pre / loop ring / post, and a planar grid
+// override.
+var Benchmark = npb.Benchmark{
+	Name: "FT",
+	Classes: []npb.Problem{
+		{Class: npb.ClassS, N1: 64, N2: 64, N3: 1, Trips: 100},
+		{Class: npb.ClassW, N1: 128, N2: 128, N3: 1, Trips: 100},
+		{Class: npb.ClassA, N1: 256, N2: 256, N3: 1, Trips: 100},
+		{Class: npb.ClassB, N1: 512, N2: 512, N3: 1, Trips: 100},
+	},
+	Pre:    []string{KInit},
+	Loop:   []string{KEvolve, KFFTX, KTranspose, KFFTY},
+	Post:   []string{KFinal},
+	Planar: true,
+	Factory: func(prob npb.Problem, procs int) (*npb.Factory, error) {
+		return Factory(Config{N: prob.N1, Procs: procs})
+	},
 }
 
 // Config selects an FT problem instance.
@@ -63,21 +76,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("ft: %d processes do not divide grid side %d", cfg.Procs, cfg.N)
 	}
 	return nil
-}
-
-// ClassProblem returns the grid side used for a NAS-style class.
-func ClassProblem(c npb.Class) (Config, error) {
-	switch c {
-	case npb.ClassS:
-		return Config{N: 64}, nil
-	case npb.ClassW:
-		return Config{N: 128}, nil
-	case npb.ClassA:
-		return Config{N: 256}, nil
-	case npb.ClassB:
-		return Config{N: 512}, nil
-	}
-	return Config{}, fmt.Errorf("ft: no class %q", c)
 }
 
 // Factory returns the factory of the configuration's worlds. FT's state

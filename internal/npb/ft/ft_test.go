@@ -42,12 +42,12 @@ func TestConfigValidate(t *testing.T) {
 
 func TestClassProblem(t *testing.T) {
 	for cls, n := range map[npb.Class]int{npb.ClassS: 64, npb.ClassW: 128, npb.ClassA: 256, npb.ClassB: 512} {
-		cfg, err := ClassProblem(cls)
-		if err != nil || cfg.N != n {
-			t.Errorf("class %s: %+v, %v", cls, cfg, err)
+		p, err := Benchmark.Problem(cls)
+		if err != nil || p.N1 != n || p.N2 != n || p.N3 != 1 {
+			t.Errorf("class %s: %+v, %v", cls, p, err)
 		}
 	}
-	if _, err := ClassProblem("Z"); err == nil {
+	if _, err := Benchmark.Problem("Z"); err == nil {
 		t.Error("unknown class should fail")
 	}
 }
@@ -132,7 +132,7 @@ func TestIterationIsUnitary(t *testing.T) {
 	withState(t, Config{N: 32, Procs: 4}, func(st *state) {
 		st.final()
 		before := st.energy
-		_, loop, _ := KernelNames()
+		loop := Benchmark.Loop
 		for it := 0; it < 5; it++ {
 			for _, k := range loop {
 				if err := st.RunKernel(k); err != nil {
@@ -153,7 +153,7 @@ func runNorms(t *testing.T, n, procs, trips int) [5]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	var norms [5]float64
 	err = npb.RunOnce(f, pre, loop, trips, post, procs, func(ks npb.KernelSet) {
 		norms = ks.(*state).Norms()

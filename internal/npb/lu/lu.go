@@ -43,17 +43,28 @@ const (
 	KFinal    = "FINAL"
 )
 
-// KernelNames returns LU's kernels grouped as the paper's control flow has
-// them: the SSOR quartet is the loop ring.
-func KernelNames() (pre, loop, post []string) {
-	return []string{KInit, KErhs, KSsorInit},
-		[]string{KSsorIter, KSsorLT, KSsorUT, KSsorRS},
-		[]string{KError, KPintgr, KFinal}
+// Benchmark describes LU: its class problems (paper Table 7, with the
+// NPB 2.x loop trip counts) and its kernels grouped as the paper's control
+// flow has them, the SSOR quartet as the loop ring.
+var Benchmark = npb.Benchmark{
+	Name: "LU",
+	Classes: []npb.Problem{
+		{Class: npb.ClassS, N1: 12, N2: 12, N3: 12, Trips: 50, Dt: 0.5},
+		{Class: npb.ClassW, N1: 33, N2: 33, N3: 33, Trips: 300, Dt: 1.5e-3},
+		{Class: npb.ClassA, N1: 64, N2: 64, N3: 64, Trips: 250, Dt: 2.0},
+		{Class: npb.ClassB, N1: 102, N2: 102, N3: 102, Trips: 250, Dt: 2.0},
+	},
+	Pre:  []string{KInit, KErhs, KSsorInit},
+	Loop: []string{KSsorIter, KSsorLT, KSsorUT, KSsorRS},
+	Post: []string{KError, KPintgr, KFinal},
+	Factory: func(prob npb.Problem, procs int) (*npb.Factory, error) {
+		return Factory(Config{Problem: prob, Procs: procs})
+	},
 }
 
 // Config selects an LU problem instance.
 type Config struct {
-	// Problem is the grid/class configuration (see npb.LUProblem).
+	// Problem is the grid/class configuration (see Benchmark).
 	Problem npb.Problem
 	// Procs is the rank count; LU requires a power of two.
 	Procs int
@@ -202,15 +213,6 @@ func (st *state) RunKernel(name string) error {
 
 // Norms returns the verification norms computed by the last FINAL.
 func (st *state) Norms() [5]float64 { return st.norms }
-
-// ResNorms returns the residual norms computed by the last SSOR_RS.
-func (st *state) ResNorms() [5]float64 { return st.resNorms }
-
-// ErrNorms returns the error norms computed by the last ERROR.
-func (st *state) ErrNorms() [5]float64 { return st.errNorms }
-
-// Surface returns the surface integral computed by the last PINTGR.
-func (st *state) Surface() float64 { return st.surface }
 
 // The smooth reference field is, for component c at global coordinates
 // x, y, z normalized to [0,1],

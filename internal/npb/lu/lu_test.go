@@ -14,6 +14,15 @@ func tinyConfig(n, procs int) Config {
 	return Config{Problem: npb.TinyProblem(n, 3), Procs: procs}
 }
 
+// ResNorms returns the residual norms computed by the last SSOR_RS.
+func (st *state) ResNorms() [5]float64 { return st.resNorms }
+
+// ErrNorms returns the error norms computed by the last ERROR.
+func (st *state) ErrNorms() [5]float64 { return st.errNorms }
+
+// Surface returns the surface integral computed by the last PINTGR.
+func (st *state) Surface() float64 { return st.surface }
+
 func withState(t *testing.T, cfg Config, fn func(*state)) {
 	t.Helper()
 	err := mpi.Run(cfg.Procs, func(c *mpi.Comm) {
@@ -29,7 +38,7 @@ func withState(t *testing.T, cfg Config, fn func(*state)) {
 }
 
 func TestKernelNames(t *testing.T) {
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	if len(pre) != 3 || len(loop) != 4 || len(post) != 3 {
 		t.Fatalf("kernel groups %v / %v / %v", pre, loop, post)
 	}
@@ -69,7 +78,7 @@ func runNorms(t *testing.T, n, procs, trips int) ([5]float64, [5]float64, float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	var norms, errN [5]float64
 	var surf float64
 	err = npb.RunOnce(f, pre, loop, trips, post, procs, func(ks npb.KernelSet) {
@@ -129,7 +138,7 @@ func TestResidualDecreasesOverIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	var early, late float64
 	err = f.Run(1, func(_ *mpi.Comm, ks npb.KernelSet, _ bool) {
 		st := ks.(*state)

@@ -43,9 +43,9 @@ func TestMessagesGolden(t *testing.T) {
 			return lu.Factory(lu.Config{Problem: p, Procs: procs})
 		}, shapes: []shape{{12, 1}, {12, 4}}},
 	}
-	benches[0].pre, benches[0].loop, benches[0].post = bt.KernelNames()
-	benches[1].pre, benches[1].loop, benches[1].post = sp.KernelNames()
-	benches[2].pre, benches[2].loop, benches[2].post = lu.KernelNames()
+	benches[0].pre, benches[0].loop, benches[0].post = bt.Benchmark.Pre, bt.Benchmark.Loop, bt.Benchmark.Post
+	benches[1].pre, benches[1].loop, benches[1].post = sp.Benchmark.Pre, sp.Benchmark.Loop, sp.Benchmark.Post
+	benches[2].pre, benches[2].loop, benches[2].post = lu.Benchmark.Pre, lu.Benchmark.Loop, lu.Benchmark.Post
 	var got strings.Builder
 	for _, b := range benches {
 		for _, sh := range b.shapes {

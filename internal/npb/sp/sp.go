@@ -36,17 +36,28 @@ const (
 	KFinal     = "FINAL"
 )
 
-// KernelNames returns SP's kernels grouped as the paper's control flow has
-// them.
-func KernelNames() (pre, loop, post []string) {
-	return []string{KInit},
-		[]string{KCopyFaces, KTxinvr, KXSolve, KYSolve, KZSolve, KAdd},
-		[]string{KFinal}
+// Benchmark describes SP: its class problems (paper Table 5, with the
+// NPB 2.x loop trip counts, 400 from class W on) and its kernels grouped
+// as the paper's control flow has them.
+var Benchmark = npb.Benchmark{
+	Name: "SP",
+	Classes: []npb.Problem{
+		{Class: npb.ClassS, N1: 12, N2: 12, N3: 12, Trips: 100, Dt: 0.015},
+		{Class: npb.ClassW, N1: 36, N2: 36, N3: 36, Trips: 400, Dt: 0.0015},
+		{Class: npb.ClassA, N1: 64, N2: 64, N3: 64, Trips: 400, Dt: 0.0015},
+		{Class: npb.ClassB, N1: 102, N2: 102, N3: 102, Trips: 400, Dt: 0.001},
+	},
+	Pre:  []string{KInit},
+	Loop: []string{KCopyFaces, KTxinvr, KXSolve, KYSolve, KZSolve, KAdd},
+	Post: []string{KFinal},
+	Factory: func(prob npb.Problem, procs int) (*npb.Factory, error) {
+		return Factory(Config{Problem: prob, Procs: procs})
+	},
 }
 
 // Config selects an SP problem instance.
 type Config struct {
-	// Problem is the grid/class configuration (see npb.SPProblem).
+	// Problem is the grid/class configuration (see Benchmark).
 	Problem npb.Problem
 	// Procs is the rank count; SP requires a perfect square.
 	Procs int

@@ -29,7 +29,7 @@ func withState(t *testing.T, cfg Config, fn func(*state)) {
 }
 
 func TestKernelNames(t *testing.T) {
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	if len(pre) != 1 || len(post) != 1 {
 		t.Errorf("pre/post = %v/%v", pre, post)
 	}
@@ -74,7 +74,7 @@ func runNorms(t *testing.T, n, procs, trips int) [5]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, loop, post := KernelNames()
+	pre, loop, post := Benchmark.Pre, Benchmark.Loop, Benchmark.Post
 	var norms [5]float64
 	err = npb.RunOnce(f, pre, loop, trips, post, procs, func(ks npb.KernelSet) {
 		norms = ks.(*state).Norms()

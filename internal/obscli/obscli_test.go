@@ -10,6 +10,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/npb"
 	"repro/internal/obs"
+	"repro/internal/predict"
 	"repro/internal/tables"
 )
 
@@ -28,11 +29,11 @@ func TestCampaignTraceHasKernelTracks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob, err := tables.BenchProblem("BT", npb.ClassS)
+	prob, err := tables.PredictProblem(predict.Query{Bench: "BT", Class: npb.ClassS, Grid: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := tables.NewWorkload("BT", npb.ClassS, tables.GridProblem("BT", prob, 6), procs, sink.WorldOpts())
+	w, err := tables.NewWorkload("BT", npb.ClassS, prob, procs, sink.WorldOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 func btApp(t *testing.T) core.App {
 	t.Helper()
-	pre, loop, post := bt.KernelNames()
+	pre, loop, post := bt.Benchmark.Pre, bt.Benchmark.Loop, bt.Benchmark.Post
 	app := core.App{Name: "BT.S.4", Pre: pre, Loop: core.Ring(loop), Post: post, Trips: 60}
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)

@@ -64,16 +64,16 @@ func benchAnalytic() *Analytic {
 	return &Analytic{
 		Problem: func(q Query) (npb.Problem, error) {
 			if q.Bench == "LU" {
-				return npb.LUProblem(q.Class)
+				return lu.Benchmark.Problem(q.Class)
 			}
-			return npb.BTProblem(q.Class)
+			return bt.Benchmark.Problem(q.Class)
 		},
 		App: func(q Query) (core.App, error) {
-			pre, loop, post := bt.KernelNames()
+			b := &bt.Benchmark
 			if q.Bench == "LU" {
-				pre, loop, post = lu.KernelNames()
+				b = &lu.Benchmark
 			}
-			return core.App{Name: q.Workload(), Pre: pre, Loop: core.Ring(loop), Post: post, Trips: q.Trips}, nil
+			return core.App{Name: q.Workload(), Pre: b.Pre, Loop: core.Ring(b.Loop), Post: b.Post, Trips: q.Trips}, nil
 		},
 	}
 }

@@ -2,6 +2,7 @@ package tables
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"net/url"
 	"slices"
@@ -13,10 +14,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mpi"
 	"repro/internal/npb"
-	"repro/internal/npb/bt"
-	"repro/internal/npb/ft"
-	"repro/internal/npb/lu"
-	"repro/internal/npb/sp"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/predict"
@@ -43,30 +40,25 @@ var BackendNames = []string{
 // the class problem with the query's grid override applied — exactly the
 // geometry the cache keys embed via WorldDigest.
 func PredictProblem(q predict.Query) (npb.Problem, error) {
-	prob, err := BenchProblem(q.Bench, q.Class)
+	b, err := benchmark(q.Bench)
 	if err != nil {
 		return npb.Problem{}, err
 	}
-	return GridProblem(q.Bench, prob, q.Grid), nil
+	prob, err := b.Problem(q.Class)
+	if err != nil {
+		return npb.Problem{}, err
+	}
+	return b.Grid(prob, q.Grid), nil
 }
 
 // PredictApp is the canonical application-structure builder for backend
 // queries: the benchmark's kernel ring with the query's trip count.
 func PredictApp(q predict.Query) (core.App, error) {
-	var pre, loop, post []string
-	switch strings.ToUpper(q.Bench) {
-	case "BT":
-		pre, loop, post = bt.KernelNames()
-	case "SP":
-		pre, loop, post = sp.KernelNames()
-	case "LU":
-		pre, loop, post = lu.KernelNames()
-	case "FT":
-		pre, loop, post = ft.KernelNames()
-	default:
-		return core.App{}, fmt.Errorf("tables: unknown benchmark %q", q.Bench)
+	b, err := benchmark(q.Bench)
+	if err != nil {
+		return core.App{}, err
 	}
-	return core.App{Name: q.Workload(), Pre: pre, Loop: core.Ring(loop), Post: post, Trips: q.Trips}, nil
+	return core.App{Name: q.Workload(), Pre: b.Pre, Loop: core.Ring(b.Loop), Post: b.Post, Trips: q.Trips}, nil
 }
 
 // BackendConfig carries the substrate a constructed backend runs
@@ -279,12 +271,26 @@ var queryParams = map[string]string{
 	"grid":   "grid override (n³, n² for FT)",
 }
 
+// FlagValues returns the query parameters among the flags set on fs's
+// command line, as the query string ParseQuery reads: a command whose
+// flags name a study parses them as a served request is parsed, so it
+// defaults and refuses a configuration as kcserved does.
+func FlagValues(fs *flag.FlagSet) url.Values {
+	v := url.Values{}
+	fs.Visit(func(f *flag.Flag) {
+		if _, ok := queryParams[f.Name]; ok {
+			v.Set(f.Name, f.Value.String())
+		}
+	})
+	return v
+}
+
 // ParseQuery builds a predict.Query from URL parameters, applying
 // cmd/couple's defaults: BT class S on 4 ranks, chain length 2, the
 // QueryProtocol's blocks and passes, class-default trips. It is the one
-// parser behind kcserved's query string and every -lattice item. The
-// benchmark/class pair is validated here so a bad query fails before any
-// cache work happens.
+// parser behind kcserved's query string, every -lattice item and the
+// study flags of couple and npbrun (FlagValues). The benchmark/class pair
+// is validated here so a bad query fails before any cache work happens.
 //
 // extra names parameters the caller consumes itself (the serving layer's
 // backend pin): they get the same given-once, non-empty validation and
@@ -340,7 +346,7 @@ func ParseQuery(v url.Values, extra ...string) (predict.Query, error) {
 		Bench: strings.ToUpper(get("bench", "BT")),
 		Class: npb.Class(strings.ToUpper(get("class", "S"))),
 	}
-	if _, err := BenchProblem(q.Bench, q.Class); err != nil {
+	if _, err := PredictProblem(q); err != nil {
 		return predict.Query{}, err
 	}
 	var err error

@@ -41,7 +41,7 @@ type Experiment struct {
 	ID string
 	// Caption is the paper's caption, lightly abbreviated.
 	Caption string
-	// Bench is "BT", "SP", "LU" or "MEM".
+	// Bench is "BT", "SP", "LU", "FT" or "MEM".
 	Bench string
 	// Class is the NAS problem class (empty for MEM).
 	Class npb.Class
@@ -52,6 +52,9 @@ type Experiment struct {
 	// Kind selects the rendering.
 	Kind Kind
 
+	// classes are the rows of a DataSets table: the classes the paper's
+	// table shows.
+	classes []npb.Class
 	// variant, when non-nil, runs the experiment in place of its Kind:
 	// the ablations and extensions of ablations.go.
 	variant func(Experiment, Scale) (*Result, error)
@@ -72,18 +75,18 @@ func All() []Experiment {
 		// and exposes how accuracy grows with chain length (the trend
 		// the paper's Section 4.1 summary calls out). Paired a/b tables
 		// share one memoized measurement campaign.
-		{ID: "1", Caption: "Data sets used with the NPB BT", Bench: "BT", Kind: DataSets},
+		{ID: "1", Caption: "Data sets used with the NPB BT", Bench: "BT", Kind: DataSets, classes: []npb.Class{npb.ClassS, npb.ClassW, npb.ClassA}},
 		{ID: "2a", Caption: "Coupling values for BT two kernels with Class S", Bench: "BT", Class: npb.ClassS, Procs: []int{4, 9, 16}, ChainLens: []int{2, 5}, Kind: CouplingValues},
 		{ID: "2b", Caption: "Comparison of execution times for BT with Class S", Bench: "BT", Class: npb.ClassS, Procs: []int{4, 9, 16}, ChainLens: []int{2, 5}, Kind: Predictions},
 		{ID: "3a", Caption: "Coupling values for BT three kernels with Class W", Bench: "BT", Class: npb.ClassW, Procs: sqProcs, ChainLens: []int{3, 5}, Kind: CouplingValues},
 		{ID: "3b", Caption: "Comparison of execution times for BT with Class W using three kernels", Bench: "BT", Class: npb.ClassW, Procs: sqProcs, ChainLens: []int{3, 5}, Kind: Predictions},
 		{ID: "4a", Caption: "Coupling values for BT four kernels with Class A", Bench: "BT", Class: npb.ClassA, Procs: sqProcs, ChainLens: []int{4, 5}, Kind: CouplingValues},
 		{ID: "4b", Caption: "Comparison of execution times for BT with Class A", Bench: "BT", Class: npb.ClassA, Procs: sqProcs, ChainLens: []int{4, 5}, Kind: Predictions},
-		{ID: "5", Caption: "Data sets used with the NPB SP", Bench: "SP", Kind: DataSets},
+		{ID: "5", Caption: "Data sets used with the NPB SP", Bench: "SP", Kind: DataSets, classes: []npb.Class{npb.ClassW, npb.ClassA, npb.ClassB}},
 		{ID: "6a", Caption: "Comparison of execution times for SP with Class W", Bench: "SP", Class: npb.ClassW, Procs: sqProcs, ChainLens: []int{4, 5, 6}, Kind: Predictions},
 		{ID: "6b", Caption: "Comparison of execution times for SP with Class A", Bench: "SP", Class: npb.ClassA, Procs: sqProcs, ChainLens: []int{4, 5, 6}, Kind: Predictions},
 		{ID: "6c", Caption: "Comparison of execution times for SP with Class B", Bench: "SP", Class: npb.ClassB, Procs: sqProcs, ChainLens: []int{4, 5, 6}, Kind: Predictions},
-		{ID: "7", Caption: "Data sets used with the NPB LU", Bench: "LU", Kind: DataSets},
+		{ID: "7", Caption: "Data sets used with the NPB LU", Bench: "LU", Kind: DataSets, classes: []npb.Class{npb.ClassW, npb.ClassA, npb.ClassB}},
 		{ID: "8a", Caption: "Comparison of execution times for LU with Class W", Bench: "LU", Class: npb.ClassW, Procs: luProcs, ChainLens: []int{3, 4}, Kind: Predictions},
 		{ID: "8b", Caption: "Comparison of execution times for LU with Class A", Bench: "LU", Class: npb.ClassA, Procs: luProcs, ChainLens: []int{3, 4}, Kind: Predictions},
 		{ID: "8c", Caption: "Comparison of execution times for LU with Class B", Bench: "LU", Class: npb.ClassB, Procs: luProcs, ChainLens: []int{3, 4}, Kind: Predictions},
@@ -164,12 +167,16 @@ func (s Scale) gridAt(bench string, class npb.Class, procs int) int {
 	if s.GridOverride > 0 || !s.fast {
 		return s.GridOverride
 	}
-	prob, err := BenchProblem(bench, class)
+	b, err := benchmark(bench)
+	if err != nil {
+		return fastGrid
+	}
+	prob, err := b.Problem(class)
 	if err != nil {
 		return fastGrid
 	}
 	for n := fastGrid; n <= fastGrid*procs; n++ {
-		if _, err := NewWorkload(bench, class, GridProblem(bench, prob, n), procs, nil); err == nil {
+		if _, err := b.Factory(b.Grid(prob, n), procs); err == nil {
 			return n
 		}
 	}
@@ -304,27 +311,13 @@ func (e Experiment) Run(s Scale) (*Result, error) {
 }
 
 func (e Experiment) runDataSets() (*Result, error) {
-	classes := []npb.Class{npb.ClassS, npb.ClassW, npb.ClassA, npb.ClassB}
-	shown := map[string][]npb.Class{
-		"BT": {npb.ClassS, npb.ClassW, npb.ClassA},
-		"SP": {npb.ClassW, npb.ClassA, npb.ClassB},
-		"LU": {npb.ClassW, npb.ClassA, npb.ClassB},
-	}[e.Bench]
-	if shown == nil {
-		shown = classes
+	b, err := benchmark(e.Bench)
+	if err != nil {
+		return nil, err
 	}
 	tb := stats.NewTable(fmt.Sprintf("Table %s: %s", e.ID, e.Caption), e.Bench, "Data Set Size", "Loop Trips (paper)")
-	for _, c := range shown {
-		var p npb.Problem
-		var err error
-		switch e.Bench {
-		case "BT":
-			p, err = npb.BTProblem(c)
-		case "SP":
-			p, err = npb.SPProblem(c)
-		case "LU":
-			p, err = npb.LUProblem(c)
-		}
+	for _, c := range e.classes {
+		p, err := b.Problem(c)
 		if err != nil {
 			return nil, err
 		}

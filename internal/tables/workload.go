@@ -20,74 +20,37 @@ import (
 // WorldDigest) interchangeable: a cache warmed by one binary serves the
 // others.
 
-// BenchProblem returns the class problem for a benchmark: BT, SP, LU
-// (paper Tables 1, 5, 7) or FT (pencil-decomposed 2-D FFT).
-func BenchProblem(bench string, class npb.Class) (npb.Problem, error) {
-	switch strings.ToUpper(bench) {
-	case "BT":
-		return npb.BTProblem(class)
-	case "SP":
-		return npb.SPProblem(class)
-	case "LU":
-		return npb.LUProblem(class)
-	case "FT":
-		cfg, err := ft.ClassProblem(class)
-		if err != nil {
-			return npb.Problem{}, err
-		}
-		return npb.Problem{Class: class, N1: cfg.N, N2: cfg.N, N3: 1, Trips: 100}, nil
-	}
-	return npb.Problem{}, fmt.Errorf("tables: unknown benchmark %q", bench)
-}
+// benchmarks are the benchmarks a name can select, each described once
+// by its own package.
+var benchmarks = [...]*npb.Benchmark{&bt.Benchmark, &sp.Benchmark, &lu.Benchmark, &ft.Benchmark}
 
-// GridProblem applies an n³ grid override (n² for the planar FT) to a
-// class problem; non-positive n returns the problem unchanged. The
-// override flows into WorldDigest, which is how a shrunk grid stays a
-// distinct cache namespace from the class-sized one.
-func GridProblem(bench string, prob npb.Problem, grid int) npb.Problem {
-	if grid <= 0 {
-		return prob
+// benchmark returns the description of the named benchmark, matched
+// without regard to case.
+func benchmark(name string) (*npb.Benchmark, error) {
+	for _, b := range benchmarks {
+		if strings.EqualFold(b.Name, name) {
+			return b, nil
+		}
 	}
-	if strings.ToUpper(bench) == "FT" {
-		prob.N1, prob.N2 = grid, grid
-		return prob
-	}
-	return npb.TinyProblem(grid, prob.Trips)
+	return nil, fmt.Errorf("tables: unknown benchmark %q", name)
 }
 
 // NewWorkload builds the harness workload for one benchmark × problem ×
 // rank-count configuration, named the canonical "BENCH.CLASS.PROCS".
 func NewWorkload(bench string, class npb.Class, prob npb.Problem, procs int, worldOpts []mpi.Option) (*harness.NPBWorkload, error) {
-	var (
-		factory         *npb.Factory
-		pre, loop, post []string
-		err             error
-	)
-	upper := strings.ToUpper(bench)
-	switch upper {
-	case "BT":
-		factory, err = bt.Factory(bt.Config{Problem: prob, Procs: procs})
-		pre, loop, post = bt.KernelNames()
-	case "SP":
-		factory, err = sp.Factory(sp.Config{Problem: prob, Procs: procs})
-		pre, loop, post = sp.KernelNames()
-	case "LU":
-		factory, err = lu.Factory(lu.Config{Problem: prob, Procs: procs})
-		pre, loop, post = lu.KernelNames()
-	case "FT":
-		factory, err = ft.Factory(ft.Config{N: prob.N1, Procs: procs})
-		pre, loop, post = ft.KernelNames()
-	default:
-		err = fmt.Errorf("tables: unknown benchmark %q", bench)
+	b, err := benchmark(bench)
+	if err != nil {
+		return nil, err
 	}
+	factory, err := b.Factory(prob, procs)
 	if err != nil {
 		return nil, err
 	}
 	return &harness.NPBWorkload{
 		// Every served query builds one; concatenation, not formatting.
-		WorkloadName: upper + "." + string(class) + "." + strconv.Itoa(procs),
+		WorkloadName: b.Name + "." + string(class) + "." + strconv.Itoa(procs),
 		Factory:      factory,
-		Pre:          pre, Loop: loop, Post: post,
+		Pre:          b.Pre, Loop: b.Loop, Post: b.Post,
 		Procs:     procs,
 		WorldOpts: worldOpts,
 	}, nil

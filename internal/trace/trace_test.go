@@ -184,7 +184,7 @@ func TestObserverTracesBenchmarkRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace(nil)
-	pre, loop, post := bt.KernelNames()
+	pre, loop, post := bt.Benchmark.Pre, bt.Benchmark.Loop, bt.Benchmark.Post
 	const trips = 2
 	err = npb.RunOnce(factory, pre, loop, trips, post, cfg.Procs, nil, mpi.WithObserver(mpi.NewObserver(nil, tr)))
 	if err != nil {
