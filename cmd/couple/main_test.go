@@ -421,6 +421,7 @@ func TestMeasuredPathPlansTheServersJobs(t *testing.T) {
 func TestStudyFlagsParseAsAServedQuery(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{
 		{"chains", "1"},
+		{"chains", "6"}, // longer than BT's five-kernel loop
 		{"trips", "-1"},
 		{"procs", "0"},
 		{"grid", "-1"},

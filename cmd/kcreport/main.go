@@ -86,9 +86,6 @@ func printHeader(w io.Writer, man *obs.Manifest) {
 		run := fmt.Sprintf("%s class %s, %d procs, %d trips", man.Benchmark, man.Class, man.Procs, man.Trips)
 		tb.AddRow("run", run)
 	}
-	if man.Seed != 0 {
-		tb.AddRowf("seed\t%d", man.Seed)
-	}
 	tb.AddRow("toolchain", fmt.Sprintf("%s %s/%s, %d cpus", man.GoVersion, man.OS, man.Arch, man.CPUs))
 	if man.Module != "" {
 		mod := man.Module

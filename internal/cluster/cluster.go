@@ -97,8 +97,6 @@ type Config struct {
 	// Inject, when non-nil, perturbs peer fetches for chaos drills
 	// (peerdelay/peererr clauses).
 	Inject *fault.ServeInjector
-	// Transport overrides the fill client's transport (tests).
-	Transport http.RoundTripper
 }
 
 // Cluster is one node's view of the peer-filling fleet: the shared ring,
@@ -170,7 +168,7 @@ func New(cfg Config) (*Cluster, error) {
 		self:     cfg.Self,
 		ring:     ring,
 		inject:   cfg.Inject,
-		client:   &http.Client{Timeout: fillTimeout, Transport: cfg.Transport},
+		client:   &http.Client{Timeout: fillTimeout},
 		breakers: make(map[string]*guard.Breaker, len(ring.Nodes())),
 		hot:      newHotTracker(hotThreshold, clock),
 

@@ -222,18 +222,37 @@ func TestRunStudySurfacesMeasurementErrors(t *testing.T) {
 	}
 }
 
+// noisyWorkload adds noise() to every measurement of its Synthetic, once
+// per MeasureWindow and MeasureActual, to model jitter.
+type noisyWorkload struct {
+	*Synthetic
+	noise func() float64
+}
+
+func (n *noisyWorkload) MeasureWindow(window []string, o Options) (float64, error) {
+	v, err := n.Synthetic.MeasureWindow(window, o)
+	return v + n.noise(), err
+}
+
+func (n *noisyWorkload) MeasureActual(trips int, o Options) (float64, error) {
+	v, err := n.Synthetic.MeasureActual(trips, o)
+	return v + n.noise(), err
+}
+
 func TestStudyWithNoise(t *testing.T) {
 	// Small deterministic noise must not flip the qualitative outcome:
 	// coupling still beats summation on an interacting workload.
-	s := fourKernelSynthetic()
 	i := 0
-	s.Noise = func() float64 {
+	s := &noisyWorkload{Synthetic: fourKernelSynthetic(), noise: func() float64 {
 		i++
 		return float64(i%3-1) * 0.001 // -0.001, 0, +0.001 cycling
-	}
+	}}
 	study, err := RunStudy(s, 100, []int{4}, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if i == 0 {
+		t.Fatal("no measurement drew noise")
 	}
 	if study.Couplings[4].RelErr >= study.Summation.RelErr {
 		t.Errorf("noisy coupling %v vs summation %v", study.Couplings[4].RelErr, study.Summation.RelErr)

@@ -28,9 +28,6 @@ type Synthetic struct {
 	// Delta maps "a|b" (see core.Key) to the interaction cost incurred
 	// when a immediately precedes b. Missing pairs contribute zero.
 	Delta map[string]float64
-	// Noise, if non-nil, is added to every measurement (called once per
-	// MeasureWindow/MeasureActual) — tests use it to model jitter.
-	Noise func() float64
 }
 
 // Name implements Workload.
@@ -66,14 +63,7 @@ func (s *Synthetic) WindowCost(window []string) (float64, error) {
 
 // MeasureWindow implements Workload deterministically.
 func (s *Synthetic) MeasureWindow(window []string, _ Options) (float64, error) {
-	v, err := s.WindowCost(window)
-	if err != nil {
-		return 0, err
-	}
-	if s.Noise != nil {
-		v += s.Noise()
-	}
-	return v, nil
+	return s.WindowCost(window)
 }
 
 // MeasureActual implements Workload: pre + trips·(loop ring cost) + post,
@@ -98,9 +88,6 @@ func (s *Synthetic) MeasureActual(trips int, _ Options) (float64, error) {
 			return 0, fmt.Errorf("synthetic: kernel %q has no base cost", k)
 		}
 		total += b
-	}
-	if s.Noise != nil {
-		total += s.Noise()
 	}
 	return total, nil
 }

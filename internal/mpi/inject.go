@@ -57,8 +57,9 @@ type Injector interface {
 }
 
 // Collectives lists every collective name the runtime passes to
-// Injector.Op; "send" and "recv" are the only other ops it passes. Reduce
-// and gather are not callable on their own, but Allreduce and Split enter
+// Injector.Op, and the ops the Observer keeps mpi.collective.<op> metrics
+// for; "send" and "recv" are the only other ops it passes. Reduce and
+// gather are not callable on their own, but Allreduce and Split enter
 // them, so a fault spec may still name them.
 var Collectives = []string{
 	"barrier", "bcast", "reduce", "allreduce", "gather", "alltoall", "split",

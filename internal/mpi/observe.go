@@ -8,13 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// collectiveOps is the fixed set of collective operations the runtime
-// instruments; the per-op metric handle map is built once at Observer
-// construction so the hot path never takes a lock.
-var collectiveOps = []string{
-	"allreduce", "alltoall", "barrier", "bcast", "gather", "reduce", "split",
-}
-
 // collectiveMetrics bundles one collective operation's handles.
 type collectiveMetrics struct {
 	count  *obs.Counter
@@ -97,10 +90,12 @@ func NewObserver(reg *obs.Registry, tr *obs.Trace) *Observer {
 		recvWait:     reg.Histogram("mpi.recv.wait_ns"),
 		recvTransfer: reg.Histogram("mpi.recv.transfer_ns"),
 		queueDepth:   reg.Histogram("mpi.queue.depth"),
-		collectives:  make(map[string]*collectiveMetrics, len(collectiveOps)),
+		collectives:  make(map[string]*collectiveMetrics, len(Collectives)),
 		perKernel:    map[string]*kernelMetrics{},
 	}
-	for _, op := range collectiveOps {
+	// One handle set per collective, built here once so the hot path
+	// never takes a lock.
+	for _, op := range Collectives {
 		o.collectives[op] = &collectiveMetrics{
 			count:  reg.Counter("mpi.collective." + op + ".count"),
 			bytes:  reg.Histogram("mpi.collective." + op + ".bytes"),

@@ -27,8 +27,6 @@ type Manifest struct {
 	Class     string `json:"class,omitempty"`
 	Procs     int    `json:"procs,omitempty"`
 	Trips     int    `json:"trips,omitempty"`
-	// Seed is the deterministic seed of the run, when one applies.
-	Seed int64 `json:"seed,omitempty"`
 	// GoVersion, Module, ModuleSum, OS, Arch and CPUs describe the
 	// toolchain and host.
 	GoVersion string `json:"go_version"`

@@ -28,8 +28,6 @@ type TracerConfig struct {
 	// FlushPath is where automatic flushes write the flight-recorder
 	// dump; "" disables automatic flushing.
 	FlushPath string
-	// IDPrefix prefixes generated trace IDs (default "t-").
-	IDPrefix string
 }
 
 // RequestTracer mints request traces and routes finished ones into the
@@ -37,12 +35,11 @@ type TracerConfig struct {
 // returns a nil trace, and everything downstream no-ops — the
 // disabled-tracing cost is one nil check per request.
 type RequestTracer struct {
-	clock  timing.Clock
-	rec    *FlightRecorder
-	slow   time.Duration
-	flush  string
-	prefix string
-	seq    atomic.Uint64
+	clock timing.Clock
+	rec   *FlightRecorder
+	slow  time.Duration
+	flush string
+	seq   atomic.Uint64
 	// flushing collapses a flush stampede: when many requests error or
 	// run slow at once, one goroutine writes the dump and the rest skip
 	// — the dump they would have written is a moment older, nothing
@@ -57,16 +54,11 @@ func NewRequestTracer(cfg TracerConfig) *RequestTracer {
 	if c == nil {
 		c = timing.WallClock
 	}
-	prefix := cfg.IDPrefix
-	if prefix == "" {
-		prefix = "t-"
-	}
 	return &RequestTracer{
-		clock:  c,
-		rec:    cfg.Recorder,
-		slow:   cfg.Slow,
-		flush:  cfg.FlushPath,
-		prefix: prefix,
+		clock: c,
+		rec:   cfg.Recorder,
+		slow:  cfg.Slow,
+		flush: cfg.FlushPath,
 	}
 }
 
@@ -91,7 +83,8 @@ type requestTrace struct {
 	attrBuf [3]Attr
 }
 
-// Start opens a trace for one request: a fresh ID, an epoch at now, and
+// Start opens a trace for one request: a fresh ID ("t-" and its sequence
+// number), an epoch at now, and
 // a root span (index 0) covering the handler. Nil-safe: a nil tracer
 // returns a nil trace.
 func (rt *RequestTracer) Start(endpoint string) *Trace {
@@ -102,7 +95,7 @@ func (rt *RequestTracer) Start(endpoint string) *Trace {
 	var idbuf [24]byte
 	rq := new(requestTrace)
 	t := &rq.Trace
-	t.ID = string(appendSeq(append(idbuf[:0], rt.prefix...), seq))
+	t.ID = string(appendSeq(append(idbuf[:0], "t-"...), seq))
 	t.Endpoint, t.Seq, t.clock = endpoint, seq, rt.clock
 	t.spans, t.attrs = rq.spanBuf[:1], rq.attrBuf[:0]
 	t.spans[0] = Span{Name: endpoint, Rank: -1, Track: TrackStages, Parent: -1}

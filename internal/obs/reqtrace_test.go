@@ -78,10 +78,6 @@ func TestTraceIDsDeterministic(t *testing.T) {
 			t.Errorf("trace %d: Seq = %d, want %d", i, tr.Seq, i+1)
 		}
 	}
-	custom := NewRequestTracer(TracerConfig{Clock: fakeClock(0), IDPrefix: "shard3-"})
-	if id := custom.Start("x").ID; id != "shard3-00000001" {
-		t.Errorf("prefixed ID = %q", id)
-	}
 }
 
 // TestSpanTreeTiming: a span tree built against a FakeClock carries

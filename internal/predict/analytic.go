@@ -9,16 +9,17 @@ import (
 	"repro/internal/npb"
 )
 
-// Analytic defaults. The absolute numbers are deliberately coarse — the
-// backend's value is structural (which windows cross a capacity boundary,
-// and in which direction), and its confidence bands own the imprecision.
+// The analytic model's constants. The absolute numbers are deliberately
+// coarse — the backend's value is structural (which windows cross a
+// capacity boundary, and in which direction), and its confidence bands own
+// the imprecision. The hierarchy priced against is
+// memmodel.DefaultHierarchy().
 const (
-	// DefaultBytesPerCell approximates the per-cell state of the NPB
-	// solvers: five solution variables plus forcing terms at eight bytes
-	// each.
-	DefaultBytesPerCell = 40
-	// DefaultBandwidth converts relative traffic-cost units to seconds.
-	DefaultBandwidth = 1e9
+	// bytesPerCell approximates the per-cell state of the NPB solvers:
+	// five solution variables plus forcing terms at eight bytes each.
+	bytesPerCell = 40
+	// bandwidth converts relative traffic-cost units to seconds.
+	bandwidth = 1e9
 )
 
 // Analytic predicts with no measurements at all, Kerncraft/Afzal-style:
@@ -35,13 +36,6 @@ type Analytic struct {
 	Problem func(Query) (npb.Problem, error)
 	// App maps a query to the application structure (kernel ring).
 	App func(Query) (core.App, error)
-	// Hierarchy is the cache hierarchy priced against;
-	// memmodel.DefaultHierarchy() when nil.
-	Hierarchy memmodel.Hierarchy
-	// BytesPerCell sizes the per-cell state; DefaultBytesPerCell when 0.
-	BytesPerCell float64
-	// Bandwidth converts cost units to seconds; DefaultBandwidth when 0.
-	Bandwidth float64
 	// BandFloor is the minimum relative band half-width;
 	// DefaultBandFloor when zero.
 	BandFloor float64
@@ -49,27 +43,6 @@ type Analytic struct {
 
 // Name implements Predictor.
 func (a *Analytic) Name() string { return string(ProvAnalytic) }
-
-func (a *Analytic) hierarchy() memmodel.Hierarchy {
-	if a.Hierarchy != nil {
-		return a.Hierarchy
-	}
-	return memmodel.DefaultHierarchy()
-}
-
-func (a *Analytic) bytesPerCell() float64 {
-	if a.BytesPerCell > 0 {
-		return a.BytesPerCell
-	}
-	return DefaultBytesPerCell
-}
-
-func (a *Analytic) bandwidth() float64 {
-	if a.Bandwidth > 0 {
-		return a.Bandwidth
-	}
-	return DefaultBandwidth
-}
 
 func (a *Analytic) bandFloor() float64 {
 	if a.BandFloor > 0 {
@@ -99,9 +72,9 @@ func (a *Analytic) Predict(ctx context.Context, q Query) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("predict: analytic backend needs procs >= 1, got %d", procs)
 	}
 
-	h := a.hierarchy()
+	h := memmodel.DefaultHierarchy()
 	cells := float64(prob.N1) * float64(prob.N2) * float64(prob.N3)
-	perRank := cells / float64(q.Procs) * a.bytesPerCell()
+	perRank := cells / float64(q.Procs) * bytesPerCell
 
 	// Every kernel streams its per-rank working set once per execution:
 	// the uniform-profile approximation. Kernel-specific reuse profiles
@@ -109,7 +82,7 @@ func (a *Analytic) Predict(ctx context.Context, q Query) (Prediction, error) {
 	profile := memmodel.KernelProfile{WorkingSet: perRank, Traffic: perRank}
 	isolated := make(map[string]float64)
 	for _, k := range app.KernelsSorted() {
-		isolated[k] = profile.Traffic * h.CostFor(profile.WorkingSet) / a.bandwidth()
+		isolated[k] = profile.Traffic * h.CostFor(profile.WorkingSet) / bandwidth
 	}
 
 	floor := a.bandFloor()

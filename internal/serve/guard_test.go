@@ -267,6 +267,33 @@ func TestUnguardedMeasurementIsNotRetried(t *testing.T) {
 	}
 }
 
+// TestOverlongChainIsAClientError: a chain longer than the benchmark's
+// loop ring is refused at parse with a 400, before any measurement, so a
+// client's mistake never counts against the measure breaker; a valid
+// measured request right after it is answered.
+func TestOverlongChainIsAClientError(t *testing.T) {
+	cache, err := plan.NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := guard.New(guard.Config{BreakerFailures: 2, RetryRatio: 0.5, Seed: 1})
+	srv, err := New(Config{Cache: cache, Measure: true, Guard: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := get(t, ts.URL, "/predict?bench=BT&grid=8&trips=2&chains=6&backend=measured", http.StatusBadRequest)
+	if !strings.Contains(string(body), "chain length 6 out of range [2,5]") {
+		t.Errorf("over-long chain body = %s", body)
+	}
+	if got := g.Measure.State(); got != guard.StateClosed {
+		t.Fatalf("breaker state after a client error = %v, want closed", got)
+	}
+	get(t, ts.URL, "/predict?bench=BT&grid=8&trips=2&chains=2&backend=measured", http.StatusOK)
+}
+
 // TestMeasureBreakerOpensAndRecovers drives the full circuit cycle
 // through the serving layer with injected measurement failures:
 // closed → open (failures), fast-fail 503 while open, half-open probe

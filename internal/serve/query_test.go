@@ -85,7 +85,7 @@ func TestEncodeRoundTrips(t *testing.T) {
 	for _, qs := range []string{
 		"",
 		warmQS,
-		"bench=FT&class=W&procs=2&chains=2,5&backend=analytic",
+		"bench=FT&class=W&procs=2&chains=2,4&backend=analytic",
 		"bench=LU&procs=1&grid=12&trips=7",
 	} {
 		v, err := url.ParseQuery(qs)

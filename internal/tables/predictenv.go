@@ -289,8 +289,9 @@ func FlagValues(fs *flag.FlagSet) url.Values {
 // cmd/couple's defaults: BT class S on 4 ranks, chain length 2, the
 // QueryProtocol's blocks and passes, class-default trips. It is the one
 // parser behind kcserved's query string, every -lattice item and the
-// study flags of couple and npbrun (FlagValues). The benchmark/class pair
-// is validated here so a bad query fails before any cache work happens.
+// study flags of couple and npbrun (FlagValues). The benchmark/class pair,
+// and each chain length against the benchmark's loop ring, are validated
+// here so a bad query fails before any cache work happens.
 //
 // extra names parameters the caller consumes itself (the serving layer's
 // backend pin): they get the same given-once, non-empty validation and
@@ -346,10 +347,13 @@ func ParseQuery(v url.Values, extra ...string) (predict.Query, error) {
 		Bench: strings.ToUpper(get("bench", "BT")),
 		Class: npb.Class(strings.ToUpper(get("class", "S"))),
 	}
-	if _, err := PredictProblem(q); err != nil {
+	b, err := benchmark(q.Bench)
+	if err != nil {
 		return predict.Query{}, err
 	}
-	var err error
+	if _, err := b.Problem(q.Class); err != nil {
+		return predict.Query{}, err
+	}
 	if q.Procs, err = getInt("procs", 4, 1); err != nil {
 		return predict.Query{}, err
 	}
@@ -376,8 +380,9 @@ func ParseQuery(v url.Values, extra ...string) (predict.Query, error) {
 		if err != nil {
 			return predict.Query{}, fmt.Errorf("bad chains value %q", s)
 		}
-		if n < 2 {
-			return predict.Query{}, fmt.Errorf("chain length must be >= 2, got %d", n)
+		// A window is at least a pair and at most the whole loop ring.
+		if n < 2 || n > len(b.Loop) {
+			return predict.Query{}, fmt.Errorf("chain length %d out of range [2,%d]", n, len(b.Loop))
 		}
 		if !seen[n] {
 			seen[n] = true

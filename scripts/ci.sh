@@ -46,10 +46,13 @@ fi
 # tables, and a run that goes on past failed tables; kcreport's
 # renderings; kcvet's reports and exit statuses), so this line
 # race-checks them along with everything else. It also runs the
-# whole-module audits in internal/analysis: TestGoroutineLeakAudit, and
+# whole-module audits in internal/analysis: TestGoroutineLeakAudit;
 # TestExportedNameCensus, which fails on an exported name that no
 # non-test file uses and its allow-list does not name, exported methods
-# of unexported types included (about 4 s for the module's one load). Tests run in shuffled
+# of unexported types included; and TestExportedFieldCensus, which fails
+# on an exported struct field that no non-test file writes and its
+# allow-list does not name (about 4 s for the module's one load, which
+# the two censuses share). Tests run in shuffled
 # order so none leans on another's leftovers; a failing run prints its
 # seed, and -shuffle=<seed> replays it.
 echo "==> go test -race -shuffle=on ./..."
