@@ -72,9 +72,9 @@ type Config struct {
 	Peers []string
 
 	// HotThreshold is how many requests for one foreign-owned key this
-	// node must see within hotWindow before it replicates the key into
-	// its replicaCap-entry local store (default 8; negative disables
-	// replication).
+	// node must see within hotWindow before NoteRequest calls the key hot
+	// and the serving layer keeps its answer as a local replica (default
+	// 8; negative disables replication).
 	HotThreshold int
 
 	// FillTimeout bounds one peer-fill round trip, including any
@@ -100,22 +100,20 @@ type Config struct {
 }
 
 // Cluster is one node's view of the peer-filling fleet: the shared ring,
-// this node's identity, per-peer breakers, the hot-key tracker and the
-// local replica store. All methods are safe for concurrent use.
+// this node's identity, per-peer breakers and the hot-key tracker. The
+// replicas themselves live in the serving layer's answer store. All
+// methods are safe for concurrent use.
 type Cluster struct {
 	self     string
 	ring     *Ring
 	client   *http.Client
 	breakers map[string]*guard.Breaker
 	hot      *hotTracker
-	replicas *replicaCache
 	inject   *fault.ServeInjector
 
-	fillsSent    *obs.Counter
-	fillErrors   *obs.Counter
-	replicaHits  *obs.Counter
-	replicaStore *obs.Counter
-	rehashed     *obs.Counter
+	fillsSent  *obs.Counter
+	fillErrors *obs.Counter
+	rehashed   *obs.Counter
 }
 
 // New builds a Cluster. Self must be one of Peers.
@@ -172,14 +170,9 @@ func New(cfg Config) (*Cluster, error) {
 		breakers: make(map[string]*guard.Breaker, len(ring.Nodes())),
 		hot:      newHotTracker(hotThreshold, clock),
 
-		fillsSent:    reg.Counter("cluster.fill.sent"),
-		fillErrors:   reg.Counter("cluster.fill.errors"),
-		replicaHits:  reg.Counter("cluster.replica.hits"),
-		replicaStore: reg.Counter("cluster.replica.stored"),
-		rehashed:     reg.Counter("cluster.rehash"),
-	}
-	if hotThreshold > 0 {
-		c.replicas = newReplicaCache(replicaCap)
+		fillsSent:  reg.Counter("cluster.fill.sent"),
+		fillErrors: reg.Counter("cluster.fill.errors"),
+		rehashed:   reg.Counter("cluster.rehash"),
 	}
 	for _, n := range ring.Nodes() {
 		if n == cfg.Self {
@@ -314,32 +307,12 @@ func (c *Cluster) Fetch(ctx context.Context, owner, rawQuery string) (predict.Pr
 	return fr.Prediction, resp.Header.Get(FlightTokenHeader), nil
 }
 
-// Replica returns the locally replicated answer for a hot foreign-owned
-// key, when one exists.
-//
-//kcvet:hotpath replica lookup precedes every proxied request
-func (c *Cluster) Replica(key string) (predict.Prediction, bool) {
-	pr, ok := c.replicas.get(key)
-	if ok {
-		c.replicaHits.Inc()
-	}
-	return pr, ok
-}
-
 // NoteRequest records one request for a foreign-owned key and reports
 // whether the key has crossed the replication threshold in the current
-// window — the caller should Replicate the answer it is about to fetch.
+// window — the caller should keep the answer it is about to fetch as a
+// replica.
 func (c *Cluster) NoteRequest(key string) (hot bool) {
 	return c.hot.note(key)
-}
-
-// Replicate stores a fetched answer in the local replica cache.
-func (c *Cluster) Replicate(key string, pr predict.Prediction) {
-	if c.replicas == nil {
-		return
-	}
-	c.replicas.put(key, pr)
-	c.replicaStore.Inc()
 }
 
 // Breaker returns the breaker guarding one peer (nil for self or an

@@ -236,39 +236,17 @@ func TestHotTrackerWindow(t *testing.T) {
 	}
 }
 
-// TestReplicaCacheLRU: the store stays bounded and evicts oldest-first.
-func TestReplicaCacheLRU(t *testing.T) {
-	c, err := New(Config{Self: "a:1", Peers: []string{"a:1", "b:2"}, HotThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.replicas = newReplicaCache(2)
-	c.Replicate("k1", predict.Prediction{Value: 1})
-	c.Replicate("k2", predict.Prediction{Value: 2})
-	if _, ok := c.Replica("k1"); !ok { // refresh k1
-		t.Fatal("k1 missing")
-	}
-	c.Replicate("k3", predict.Prediction{Value: 3}) // evicts k2 (LRU)
-	if _, ok := c.Replica("k2"); ok {
-		t.Error("k2 survived eviction; LRU order broken")
-	}
-	if _, ok := c.Replica("k1"); !ok {
-		t.Error("recently used k1 evicted")
-	}
-	if _, ok := c.Replica("k3"); !ok {
-		t.Error("newest k3 missing; want two replicas held")
-	}
-
-	// Replication disabled: everything is a no-op.
+// TestNoteRequestWithReplicationDisabled: a negative HotThreshold turns
+// the tracker off, so no key is ever hot. (The replica store's LRU bound
+// is the serving layer's answer store, guard.TestStaleCacheEviction.)
+func TestNoteRequestWithReplicationDisabled(t *testing.T) {
 	off, err := New(Config{Self: "a:1", Peers: []string{"a:1", "b:2"}, HotThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off.Replicate("k", predict.Prediction{})
-	if _, ok := off.Replica("k"); ok {
-		t.Error("disabled replication stored an entry")
-	}
-	if off.NoteRequest("k") {
-		t.Error("disabled replication reported a hot key")
+	for i := 0; i < 10; i++ {
+		if off.NoteRequest("k") {
+			t.Fatalf("disabled replication reported a hot key after %d requests", i+1)
+		}
 	}
 }

@@ -14,8 +14,10 @@ import (
 // chain or trip shape), tagged with degraded provenance instead of
 // shedding outright.
 //
-// Values are opaque (any) so guard stays below harness in the import
-// graph; the serving layer stores *harness.Study.
+// Values are opaque (any) so guard stays below predict in the import
+// graph; the serving layer stores its answer type, a prediction marked
+// when it is a hot peer replica. On a clustered node this is the one
+// store of answers: the replicas share its bound and its LRU order.
 type StaleCache struct {
 	mu sync.Mutex
 	// lru holds the answers by exact key.

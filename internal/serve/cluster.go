@@ -10,11 +10,27 @@ import (
 	"repro/internal/predict"
 )
 
+// replicaCap bounds the answer store of a clustered server without a
+// degradation ladder, where the store holds only hot replicas. With the
+// ladder on, replicas share the ladder's StaleCap under one LRU.
+const replicaCap = 512
+
+// answer is one entry of the server's answer store. Predictions are
+// immutable once resolved, so no entry needs a TTL: it leaves when
+// capacity pushes it out or the process restarts. replica marks a hot
+// foreign-owned answer, the only kind resolvePeer serves in place of a
+// fetch.
+type answer struct {
+	pr      predict.Prediction
+	replica bool
+}
+
 // resolvePeer answers a foreign-owned query through the cluster: replica
-// first (a hot key answered from local memory), then a singleflight-
-// collapsed fetch from the owner, falling back to local resolution when
-// the fetch fails for any reason — the ring concentrates work, it never
-// gates answers.
+// first (a hot key answered from the answer store by exact key), then a
+// singleflight-collapsed fetch from the owner, falling back to local
+// resolution when the fetch fails for any reason — the ring concentrates
+// work, it never gates answers. replica reports a replica hit, or a
+// fetch for a key the heat tracker called hot.
 //
 // Proxy flights share the local singleflight group under a "peer|"
 // prefix, a distinct identity from local-resolve flights on the same
@@ -24,20 +40,23 @@ import (
 // different flights instead of the fill waiting on the proxy that is
 // waiting on the peer that sent the fill. A request with a budget waits
 // for the fill against it (see flight).
-func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (predict.Prediction, error) {
+func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (pr predict.Prediction, replica bool, err error) {
 	tr := obs.TraceFrom(ctx)
-	if pr, ok := s.cluster.Replica(key); ok {
-		tr.Annotate("cluster", "replica")
-		return pr, nil
+	if v, _, ok := s.answers.Get(key, ""); ok {
+		if a := v.(answer); a.replica {
+			s.replicaHits.Inc()
+			tr.Annotate("cluster", "replica")
+			return a.pr, true, nil
+		}
 	}
 	// Count the request toward the key's heat before fetching, so the
 	// threshold-crossing request is the one that stores the replica.
 	hot := s.cluster.NoteRequest(key)
 	res, err := s.flight(ctx, "peer.fill", "peer|"+key, q, owner, (*Server).fetchFlight)
 	if err != nil {
-		return predict.Prediction{}, err
+		return predict.Prediction{}, false, err
 	}
-	pr, err := res.Val, res.Err
+	pr, err = res.Val, res.Err
 	if err != nil {
 		// Any fetch failure — open breaker, transport, owner-side error —
 		// degrades to resolving here: every node can answer every query,
@@ -45,14 +64,14 @@ func (s *Server) resolvePeer(ctx context.Context, q Query, key, owner string) (p
 		s.reg.Counter("cluster.fill.fallback").Inc()
 		tr.Annotate("cluster", "fallback-local")
 		lpr, _, lerr := s.resolveLocal(ctx, q, key)
-		return lpr, lerr
+		return lpr, false, lerr
 	}
 	s.reg.Counter("cluster.proxied").Inc()
 	tr.Annotate("cluster", "proxied")
 	if hot {
-		s.cluster.Replicate(key, pr)
+		s.replicaStored.Inc()
 	}
-	return pr, nil
+	return pr, hot, nil
 }
 
 // fetchFlight is a peer flight's work: fetch the query from its owner.

@@ -355,28 +355,57 @@ func TestClusterHopGuard(t *testing.T) {
 
 // TestClusterReplicatesHotKeys: a foreign-owned key hammered at one node
 // crosses the replication threshold, after which that node answers from
-// its local replica instead of re-proxying every request.
+// its local replica instead of re-proxying every request. The replica
+// lives in the node's one answer store, so the counts must not depend on
+// whether a guard's degradation ladder shares it; with replication off,
+// the ladder's copy of a proxied answer must never stand in for a fetch.
 func TestClusterReplicatesHotKeys(t *testing.T) {
-	fleet := startFleet(t, 2, warmedDir(t), func(i int, cc *cluster.Config, sc *Config) {
-		cc.HotThreshold = 2
-	})
-	key := warmQuery(t).Key()
-	owner := ownerIndex(t, fleet, 0, key)
-	other := 1 - owner
+	for _, tc := range []struct {
+		name      string
+		threshold int
+		guarded   bool
+		// Requests 1 and 2 proxy (the second stores the replica), and 3
+		// and 4 must be replica-served; with replication off all 4 proxy.
+		wantFills int64
+	}{
+		{"unguarded", 2, false, 2},
+		{"guarded", 2, true, 2},
+		{"off", -1, false, 4},
+		{"off-guarded", -1, true, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fleet := startFleet(t, 2, warmedDir(t), func(i int, cc *cluster.Config, sc *Config) {
+				cc.HotThreshold = tc.threshold
+				if tc.guarded {
+					sc.Guard = guard.New(guard.Config{StaleCap: 64})
+				}
+			})
+			key := warmQuery(t).Key()
+			owner := ownerIndex(t, fleet, 0, key)
+			other := 1 - owner
 
-	for i := 0; i < 4; i++ {
-		get(t, fleet[other].ts.URL, "/predict?"+warmQS, http.StatusOK)
-	}
-	if got := fleet[other].reg.Counter("cluster.replica.stored").Value(); got < 1 {
-		t.Fatalf("hot key never replicated (stored=%d)", got)
-	}
-	if got := fleet[other].reg.Counter("cluster.replica.hits").Value(); got < 1 {
-		t.Errorf("replica never served (hits=%d)", got)
-	}
-	// Requests 1 and 2 proxied (the second stores the replica); 3 and 4
-	// must be replica-served, so the owner saw exactly two fills.
-	if got := fleet[owner].reg.Counter("cluster.fill.served").Value(); got != 2 {
-		t.Errorf("owner served %d fills, want 2 (replica should absorb the rest)", got)
+			first := get(t, fleet[other].ts.URL, "/predict?"+warmQS, http.StatusOK)
+			for i := 1; i < 4; i++ {
+				if body := get(t, fleet[other].ts.URL, "/predict?"+warmQS, http.StatusOK); !bytes.Equal(body, first) {
+					t.Fatalf("request %d body differs from the first:\n%s\nwant:\n%s", i+1, body, first)
+				}
+			}
+			r := fleet[other].reg
+			stored, hits := r.Counter("cluster.replica.stored").Value(), r.Counter("cluster.replica.hits").Value()
+			switch {
+			case tc.threshold < 0:
+				if stored != 0 || hits != 0 {
+					t.Errorf("replication off: stored=%d hits=%d, want 0 and 0", stored, hits)
+				}
+			case stored < 1:
+				t.Fatalf("hot key never replicated (stored=%d)", stored)
+			case hits < 1:
+				t.Errorf("replica never served (hits=%d)", hits)
+			}
+			if got := fleet[owner].reg.Counter("cluster.fill.served").Value(); got != tc.wantFills {
+				t.Errorf("owner served %d fills, want %d", got, tc.wantFills)
+			}
+		})
 	}
 }
 

@@ -119,13 +119,22 @@ type Server struct {
 	// nil-safe.
 	diskBrk, measureBrk *guard.Breaker
 	retry               *guard.RetryBudget
-	stale               *guard.StaleCache
+
+	// answers is the server's one in-memory store of answers, each an
+	// answer: the guard's stale cache when the degradation ladder is on
+	// (ladder), else a replicaCap-entry store on a clustered server, else
+	// nil. With the ladder on it keeps every healthy answer; off, only
+	// hot replicas.
+	answers *guard.StaleCache
+	ladder  bool
 
 	logMu     sync.Mutex
 	accessLog io.Writer
 
-	// cluster is the peer-filling fleet view (nil standalone).
-	cluster *cluster.Cluster
+	// cluster is the peer-filling fleet view (nil standalone), and the
+	// replica counters are resolved with it.
+	cluster                    *cluster.Cluster
+	replicaHits, replicaStored *obs.Counter
 
 	// substrate is what every backend and engine is built over: the
 	// cache, net model and registry, with the measured and cached study
@@ -183,7 +192,15 @@ func New(cfg Config) (*Server, error) {
 		accessLog:  cfg.AccessLog,
 	}
 	if g := cfg.Guard; g != nil {
-		s.diskBrk, s.measureBrk, s.retry, s.stale = g.Disk, g.Measure, g.Retry, g.Stale
+		s.diskBrk, s.measureBrk, s.retry, s.answers = g.Disk, g.Measure, g.Retry, g.Stale
+	}
+	s.ladder = s.answers != nil
+	if s.cluster != nil {
+		if s.answers == nil {
+			s.answers = guard.NewStaleCache(replicaCap)
+		}
+		s.replicaHits = reg.Counter("cluster.replica.hits")
+		s.replicaStored = reg.Counter("cluster.replica.stored")
 	}
 	// Listed in name order, the order /metrics lists their gauges in.
 	// Only the query endpoints are guarded: under overload the admission
@@ -316,14 +333,16 @@ func (s *Server) measureOnce(ctx context.Context, eng harness.Engine, q predict.
 // already crossed a peer hop (hopped); standalone (or as owner), by
 // resolving locally. The hop check is the forwarding loop guard — a query
 // never travels more than one hop, whatever the peers' ring views claim.
-func (s *Server) resolve(ctx context.Context, q Query, key string, hopped bool) (predict.Prediction, error) {
+// replica reports a hot foreign-owned answer, which the caller stores as
+// a replica.
+func (s *Server) resolve(ctx context.Context, q Query, key string, hopped bool) (pr predict.Prediction, replica bool, err error) {
 	if s.cluster != nil && !hopped {
 		if owner, self := s.cluster.Owner(key); !self {
 			return s.resolvePeer(ctx, q, key, owner)
 		}
 	}
-	pr, _, err := s.resolveLocal(ctx, q, key)
-	return pr, err
+	pr, _, err = s.resolveLocal(ctx, q, key)
+	return pr, false, err
 }
 
 // resolveLocal answers a query locally. An answer the first backend of
@@ -992,22 +1011,25 @@ func (s *Server) study(r *http.Request) (predict.Prediction, string, error) {
 		return predict.Prediction{}, "", err
 	}
 	ctx := r.Context()
-	pr, err := s.resolve(ctx, q, key, hopped)
+	pr, replica, err := s.resolve(ctx, q, key, hopped)
 	if err == nil {
-		// Without a guard there is no ladder to feed: skip the family key
-		// and the boxing of pr that the call's arguments would cost.
-		if s.stale != nil {
-			s.stale.Put(key, q.FamilyKey(), pr)
+		// The ladder feeds on every healthy answer, under its family for
+		// the nearby rung. Without it only a replica is kept, by exact key,
+		// and any other answer skips the family key and the boxing.
+		if s.ladder {
+			s.answers.Put(key, q.FamilyKey(), answer{pr, replica})
+		} else if replica {
+			s.answers.Put(key, "", answer{pr, true})
 		}
 		return pr, "", nil
 	}
-	if statusOf(err) >= 500 {
-		if v, mode, ok := s.stale.Get(key, q.FamilyKey()); ok {
+	if s.ladder && statusOf(err) >= 500 {
+		if v, mode, ok := s.answers.Get(key, q.FamilyKey()); ok {
 			s.reg.Counter("serve.degraded").Inc()
 			tr := obs.TraceFrom(ctx)
 			tr.Annotate("degraded", mode)
 			tr.Annotate("degraded_cause", err.Error())
-			return v.(predict.Prediction), mode, nil
+			return v.(answer).pr, mode, nil
 		}
 	}
 	return predict.Prediction{}, "", err

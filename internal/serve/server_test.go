@@ -185,6 +185,11 @@ func TestMetricsListEveryRouteWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// http.Get returns at the headers, and a body too large to buffer
+		// streams before the handler returns; the body's end is the
+		// handler's, so draining it orders this route's window Observe
+		// before the final scrape.
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 	var snap obs.Snapshot

@@ -58,6 +58,15 @@ fi
 echo "==> go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# Flake guard: tests that have failed at random before run 50 times each,
+# under -race where they flaked under it, so a new flake shows here before
+# it shows in a single tier-1 run. fault.TestChaosMildPerturbationKeepsPredictor
+# is left out: it fails about 40 % of runs alone, from a bias between its
+# faulted prediction and its faulted Actual that is not mended yet
+# (ROADMAP item 20(b)).
+echo "==> flake guard: route windows (-race), cross-size interpolation and pair workload, -count=50 each"
+go test -race -count=50 -run '^TestMetricsListEveryRouteWindow$' ./internal/serve && go test -count=50 -run '^(TestCrossSizeInterpolation|TestPairWorkloadActualScalesWithTrips)$' ./internal/tables ./internal/memmodel
+
 # Ten seconds of arbitrary bytes as a cache log: opening never fails, and
 # Get agrees with the plainest reading of the format (the committed corpus
 # under internal/plan/testdata/fuzz already ran above as a unit test).
